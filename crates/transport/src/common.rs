@@ -1,12 +1,8 @@
 //! Shared pieces for all transport endpoints.
 
 use aeolus_core::AeolusConfig;
-use aeolus_sim::telemetry::FaultEvent;
 use aeolus_sim::units::Time;
-use aeolus_sim::{
-    AbortCause, Ctx, Ecn, FlowDesc, FlowId, FlowMap, NodeId, Packet, PacketKind, TrafficClass,
-    MIN_PACKET_BYTES,
-};
+use aeolus_sim::{Ecn, FlowDesc, FlowId, NodeId, Packet, PacketKind, TrafficClass, MIN_PACKET_BYTES};
 
 /// How a transport treats the first RTT (the pre-credit phase).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,11 +117,6 @@ pub struct BaseConfig {
     /// Ablation knob: disable SACK gap inference even where it is safe
     /// (recovery then relies on the probe alone).
     pub disable_sack: bool,
-    /// Peer-death threshold: once a flow has heard nothing from its peer
-    /// for this long while retrying, the transport aborts it (with cause
-    /// `PeerSilent`) instead of retrying forever. `0` disables the
-    /// watchdog (retry-forever, the pre-hardening behaviour).
-    pub peer_silence: Time,
 }
 
 impl BaseConfig {
@@ -142,65 +133,6 @@ impl BaseConfig {
     /// Control packet wire size.
     pub fn ctrl_size(&self) -> u32 {
         MIN_PACKET_BYTES
-    }
-
-    /// Whether the peer-silence watchdog should abort a flow that last heard
-    /// from its peer at `last_heard`.
-    pub fn peer_silent(&self, last_heard: Time, now: Time) -> bool {
-        self.peer_silence > 0 && now.saturating_sub(last_heard) >= self.peer_silence
-    }
-}
-
-/// Tombstones for aborted flows (crash-recovery hardening).
-///
-/// When a flow aborts — engine-initiated after a node crash, or
-/// transport-initiated after the peer-silence watchdog fires — its id is
-/// buried here so stale in-flight packets (data still crossing the fabric,
-/// paced credits that survived the purge) cannot resurrect per-flow state.
-/// A restart raises the tombstone again before the flow relaunches.
-#[derive(Debug, Default)]
-pub struct Tombstones {
-    dead: FlowMap<FlowId, ()>,
-}
-
-impl Tombstones {
-    /// An empty set.
-    pub fn new() -> Tombstones {
-        Tombstones { dead: FlowMap::new() }
-    }
-
-    /// Mark `flow` dead: its packets are dropped on sight.
-    pub fn bury(&mut self, flow: FlowId) {
-        self.dead.insert(flow, ());
-    }
-
-    /// Clear `flow`'s tombstone (the flow is about to relaunch).
-    pub fn raise(&mut self, flow: FlowId) {
-        self.dead.remove(flow);
-    }
-
-    /// Whether `flow` is dead.
-    pub fn holds(&self, flow: FlowId) -> bool {
-        self.dead.contains_key(flow)
-    }
-
-    /// Forget everything (host crash wipes all state; the engine re-buries
-    /// each aborted flow right after).
-    pub fn clear(&mut self) {
-        self.dead.clear();
-    }
-}
-
-/// Abort `flow` with cause `PeerSilent` at the metrics layer and surface the
-/// fault event. Returns true when the flow was newly aborted (the caller
-/// then drops its per-flow state and buries the tombstone); false when the
-/// flow already completed or aborted.
-pub fn abort_peer_silent(flow: FlowId, ctx: &mut Ctx<'_>) -> bool {
-    if ctx.metrics.abort_flow(flow, AbortCause::PeerSilent) {
-        ctx.emit_fault(FaultEvent::FlowAborted { flow, cause: AbortCause::PeerSilent });
-        true
-    } else {
-        false
     }
 }
 

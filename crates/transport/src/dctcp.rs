@@ -14,12 +14,13 @@
 
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Ecn, Endpoint, FlowDesc, FlowId, FlowMap, LossCause, Packet, PacketKind, RangeSet,
-    TimerTable, TrafficClass, TransportEvent,
+    Ctx, Ecn, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, RangeSet, TimerTable,
+    TrafficClass, TransportEvent,
 };
 
-use crate::common::{abort_peer_silent, data_packet, BaseConfig, Tombstones};
+use crate::common::{data_packet, BaseConfig};
 use crate::receiver_table::RecvBook;
+use crate::recovery::{peer_silent, FlowTable};
 
 /// DCTCP tunables.
 #[derive(Debug, Clone, Copy)]
@@ -88,31 +89,14 @@ struct RecvFlow {
 /// The per-host DCTCP endpoint.
 pub struct DctcpEndpoint {
     cfg: DctcpConfig,
-    send_flows: FlowMap<FlowId, SendFlow>,
-    recv_flows: FlowMap<FlowId, RecvFlow>,
+    flows: FlowTable<SendFlow, RecvFlow>,
     timers: TimerTable<(FlowId, u64)>,
-    dead: Tombstones,
 }
 
 impl DctcpEndpoint {
     /// A fresh endpoint.
     pub fn new(cfg: DctcpConfig) -> DctcpEndpoint {
-        DctcpEndpoint {
-            cfg,
-            send_flows: FlowMap::new(),
-            recv_flows: FlowMap::new(),
-            timers: TimerTable::new(),
-            dead: Tombstones::new(),
-        }
-    }
-
-    /// Peer-silence abort: drop local state, bury the id and record the
-    /// abort.
-    fn give_up_on(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        self.send_flows.remove(flow);
-        self.recv_flows.remove(flow);
-        self.dead.bury(flow);
-        abort_peer_silent(flow, ctx);
+        DctcpEndpoint { cfg, flows: FlowTable::default(), timers: TimerTable::new() }
     }
 
     fn mtu(&self) -> u32 {
@@ -122,7 +106,7 @@ impl DctcpEndpoint {
     /// Transmit as much as the window allows.
     fn pump(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.mtu();
-        if let Some(sf) = self.send_flows.get_mut(flow) {
+        if let Some(sf) = self.flows.send.get_mut(flow) {
             // Fast retransmit first.
             if let Some(seq) = sf.rtx_seq.take() {
                 let len = (mtu as u64).min(sf.desc.size - seq) as u32;
@@ -153,7 +137,7 @@ impl DctcpEndpoint {
 
     fn arm_rto(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let rto = self.cfg.rto;
-        if let Some(sf) = self.send_flows.get_mut(flow) {
+        if let Some(sf) = self.flows.send.get_mut(flow) {
             sf.rto_gen += 1;
             let token = self.timers.arm((flow, sf.rto_gen));
             ctx.set_timer_in_with(rto, token);
@@ -162,45 +146,31 @@ impl DctcpEndpoint {
 
     fn on_rto(&mut self, flow: FlowId, gen: u64, ctx: &mut Ctx<'_>) {
         let mtu = self.mtu();
-        let pcfg = self.cfg.base;
-        let mut give_up = false;
-        let fire = {
-            let sf = match self.send_flows.get_mut(flow) {
-                Some(sf) => sf,
-                None => return,
-            };
-            if sf.completed || gen != sf.rto_gen {
-                false
-            } else if pcfg.peer_silent(sf.last_heard, ctx.now) {
-                // No ACK past the death threshold despite go-back-N
-                // retransmissions: the receiver is dead — abort rather than
-                // retransmit forever.
-                give_up = true;
-                false
-            } else {
-                ctx.metrics.note_timeout(flow);
-                ctx.emit(TransportEvent::LossDetected {
-                    flow,
-                    bytes: sf.next_seq.saturating_sub(sf.acked),
-                    cause: LossCause::Timeout,
-                });
-                sf.last_loss = Some(LossCause::Timeout);
-                // Go-back-N from the cumulative ACK point.
-                sf.next_seq = sf.acked;
-                sf.cwnd = mtu as f64;
-                sf.ssthresh = (sf.ssthresh / 2.0).max(2.0 * mtu as f64);
-                sf.dup_acks = 0;
-                true
-            }
-        };
-        if give_up {
-            self.give_up_on(flow, ctx);
+        let Some(sf) = self.flows.send.get_mut(flow) else { return };
+        if sf.completed || gen != sf.rto_gen {
             return;
         }
-        if fire {
-            self.pump(flow, ctx);
-            self.arm_rto(flow, ctx);
+        if peer_silent(sf.last_heard, ctx.now) {
+            // No ACK past the death threshold despite go-back-N
+            // retransmissions: the receiver is dead — abort rather than
+            // retransmit forever.
+            self.flows.give_up(flow, ctx);
+            return;
         }
+        ctx.metrics.note_timeout(flow);
+        ctx.emit(TransportEvent::LossDetected {
+            flow,
+            bytes: sf.next_seq.saturating_sub(sf.acked),
+            cause: LossCause::Timeout,
+        });
+        sf.last_loss = Some(LossCause::Timeout);
+        // Go-back-N from the cumulative ACK point.
+        sf.next_seq = sf.acked;
+        sf.cwnd = mtu as f64;
+        sf.ssthresh = (sf.ssthresh / 2.0).max(2.0 * mtu as f64);
+        sf.dup_acks = 0;
+        self.pump(flow, ctx);
+        self.arm_rto(flow, ctx);
     }
 
     /// Cumulative-ACK processing with ECN echo (the DCTCP control law).
@@ -208,7 +178,7 @@ impl DctcpEndpoint {
         let mtu = self.mtu() as f64;
         let g = self.cfg.g;
         let (progress, done) = {
-            let sf = match self.send_flows.get_mut(flow) {
+            let sf = match self.flows.send.get_mut(flow) {
                 Some(sf) => sf,
                 None => return,
             };
@@ -265,7 +235,7 @@ impl DctcpEndpoint {
             }
         };
         if done {
-            if let Some(sf) = self.send_flows.get_mut(flow) {
+            if let Some(sf) = self.flows.send.get_mut(flow) {
                 sf.completed = true;
                 sf.rto_gen += 1; // cancel RTO
             }
@@ -282,7 +252,7 @@ impl Endpoint for DctcpEndpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
         let mtu = self.mtu();
         let cwnd = (self.cfg.init_cwnd_pkts * mtu) as f64;
-        self.send_flows.insert(
+        self.flows.send.insert(
             flow.id,
             SendFlow {
                 desc: flow,
@@ -311,13 +281,13 @@ impl Endpoint for DctcpEndpoint {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.dead.holds(pkt.flow) {
+        if self.flows.is_dead(pkt.flow) {
             // Stale wire traffic for an aborted flow must not resurrect it.
             return;
         }
         match pkt.kind {
             PacketKind::Data => {
-                let rf = self.recv_flows.get_or_insert_with(pkt.flow, || RecvFlow {
+                let rf = self.flows.recv.get_or_insert_with(pkt.flow, || RecvFlow {
                     book: RecvBook::new(),
                     received: RangeSet::new(),
                     ce_pending: false,
@@ -361,24 +331,17 @@ impl Endpoint for DctcpEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        // A host crash wipes every byte of transport state; the timer
-        // generation bump makes all queued tokens stale.
-        self.send_flows.clear();
-        self.recv_flows.clear();
+        // The timer generation bump makes all queued tokens stale.
+        self.flows.crash();
         self.timers.clear();
-        self.dead.clear();
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
-        self.dead.bury(flow.id);
+        self.flows.abort(flow.id);
     }
 
     fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.dead.raise(flow.id);
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
+        self.flows.restart(flow.id);
     }
 }
 
@@ -397,7 +360,6 @@ mod tests {
             aeolus: AeolusConfig::default(),
             mode: FirstRttMode::Blind,
             disable_sack: false,
-            peer_silence: 0,
         };
         let c = DctcpConfig::new(base, ms(10));
         assert_eq!(c.init_cwnd_pkts, 10);

@@ -17,18 +17,16 @@
 //! feedback control driven by the credit loss ratio (data packets echo the
 //! credit sequence they consumed).
 
-use aeolus_core::PreCreditSender;
 use aeolus_sim::units::{Time, PS_PER_SEC};
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind, TimerTable,
-    TrafficClass, TransportEvent, CREDIT_BYTES,
+    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, TimerTable, TrafficClass,
+    TransportEvent, CREDIT_BYTES,
 };
 
-use crate::common::{
-    abort_peer_silent, ack_packet, data_packet, probe_ack_packet, probe_packet, BaseConfig,
-    FirstRttMode, Tombstones,
+use crate::common::{ack_packet, BaseConfig, FirstRttMode};
+use crate::recovery::{
+    self, launch_first_rtt, peer_silent, send_resends, FlowTable, Retry, SendState,
 };
-use crate::receiver_table::RecvBook;
 
 /// ExpressPass tunables (paper defaults in `Default` given a [`BaseConfig`]).
 #[derive(Debug, Clone, Copy)]
@@ -67,9 +65,6 @@ impl XPassConfig {
     }
 }
 
-/// A batch of missing ranges to re-request from one sender.
-type ResendBatch = (FlowId, NodeId, Vec<(u64, u64)>);
-
 #[derive(Debug, Clone, Copy)]
 enum TimerKind {
     CreditTick(FlowId),
@@ -83,27 +78,8 @@ enum TimerKind {
     StallScan,
 }
 
-struct SendFlow {
-    desc: FlowDesc,
-    core: PreCreditSender,
-    /// Set once anything at all came back (credit, ACK, probe ACK, resend).
-    heard_back: bool,
-    /// Probe sequence, kept for §6 retries.
-    probe_seq: Option<u64>,
-    /// Most recent loss-detection cause (attributes retransmissions in
-    /// telemetry traces).
-    last_loss: Option<LossCause>,
-    /// Last time anything of this flow was heard (drives the silence-gated
-    /// retry; reset on every credit/ACK/resend receipt).
-    last_heard: Time,
-    /// Consecutive retry firings without a response, capped — each doubles
-    /// the next retry interval so a long outage never seeds a retry storm.
-    retry_fires: u32,
-}
-
-struct RecvFlow {
-    sender: NodeId,
-    book: RecvBook,
+/// The receiver's credit loop state for one flow.
+struct Credits {
     /// Consecutive stall-scan resends without progress, capped — backs off
     /// this flow's stall window exponentially (reset on data arrival).
     stall_strikes: u32,
@@ -122,22 +98,17 @@ struct RecvFlow {
     /// Credits sent this period (for idle back-off when the sender stops
     /// responding entirely).
     credits_sent_period: u64,
-    /// Last time any data packet of this flow arrived.
-    last_arrival: Time,
-    /// Last *real* arrival — unlike `last_arrival` this is never rewound by
-    /// the stall scan's back-off, so it measures true peer silence.
-    last_progress: Time,
     ticking: bool,
 }
+
+type RecvFlow = recovery::RecvFlow<Credits>;
 
 /// The per-host ExpressPass endpoint (plays both sender and receiver roles).
 pub struct XPassEndpoint {
     cfg: XPassConfig,
-    send_flows: FlowMap<FlowId, SendFlow>,
-    recv_flows: FlowMap<FlowId, RecvFlow>,
+    flows: FlowTable<SendState, RecvFlow>,
     timers: TimerTable<TimerKind>,
     stall_scan_armed: bool,
-    dead: Tombstones,
 }
 
 impl XPassEndpoint {
@@ -145,23 +116,10 @@ impl XPassEndpoint {
     pub fn new(cfg: XPassConfig) -> XPassEndpoint {
         XPassEndpoint {
             cfg,
-            send_flows: FlowMap::new(),
-            recv_flows: FlowMap::new(),
+            flows: FlowTable::default(),
             timers: TimerTable::new(),
             stall_scan_armed: false,
-            dead: Tombstones::new(),
         }
-    }
-
-    /// Peer-silence abort (sender or receiver role): drop the flow's local
-    /// state, bury its id, and record the abort. Returns true if state was
-    /// dropped (the caller must not re-arm the flow's timers).
-    fn give_up_on(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) -> bool {
-        self.send_flows.remove(flow);
-        self.recv_flows.remove(flow);
-        self.dead.bury(flow);
-        abort_peer_silent(flow, ctx);
-        true
     }
 
     /// Interval after which an incomplete flow with no arrivals is deemed
@@ -172,64 +130,20 @@ impl XPassEndpoint {
         (8 * self.cfg.base.base_rtt.max(1)).max(aeolus_sim::units::ms(1))
     }
 
-    fn arm_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
-        if self.stall_scan_armed {
-            return;
-        }
-        self.stall_scan_armed = true;
-        let delay = self.stall_after();
-        ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::StallScan));
-    }
-
     fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
         self.stall_scan_armed = false;
-        let stall_after = self.stall_after();
-        let mut any_incomplete = false;
-        let mut resends: Vec<ResendBatch> = Vec::new();
-        let mut give_ups: Vec<FlowId> = Vec::new();
-        for (id, rf) in self.recv_flows.iter_mut() {
-            if rf.book.is_complete() {
-                continue;
-            }
-            if self.cfg.base.peer_silent(rf.last_progress, ctx.now) {
-                // The sender has made no progress past the death threshold
-                // despite backed-off resends: abort instead of probing it
-                // forever.
-                give_ups.push(id);
-                continue;
-            }
-            any_incomplete = true;
-            let size = match rf.book.core.size() {
-                Some(s) => s,
-                None => continue,
-            };
+        let (stall_after, now) = (self.stall_after(), ctx.now);
+        self.flows.reap_silent_senders(ctx);
+        let (any_incomplete, resends) = self.flows.stall_scan(ctx, |rf, size| {
             // Each fruitless resend doubles this flow's stall window (capped)
             // so a dead sender is probed ever more gently.
-            let wait = stall_after << rf.stall_strikes.min(4);
-            if ctx.now.saturating_sub(rf.last_arrival) >= wait {
-                let missing: Vec<(u64, u64)> =
-                    rf.book.core.missing_below(size).into_iter().take(8).collect();
-                if !missing.is_empty() {
-                    ctx.metrics.note_timeout(id);
-                    rf.last_arrival = ctx.now; // back off one period
-                    rf.stall_strikes = (rf.stall_strikes + 1).min(4);
-                    resends.push((id, rf.sender, missing));
-                }
+            if now.saturating_sub(rf.last_arrival) < stall_after << rf.proto.stall_strikes.min(4) {
+                return Vec::new();
             }
-        }
-        give_ups.sort_unstable();
-        for id in give_ups {
-            self.give_up_on(id, ctx);
-        }
-        // Slot order is not key order: sort so resend emission matches the
-        // seed's BTreeMap scan order exactly.
-        resends.sort_unstable_by_key(|&(id, _, _)| id);
-        for (id, sender, missing) in resends {
-            for (s, e) in missing {
-                let r = Packet::control(id, ctx.host, sender, s, PacketKind::Resend { end: e });
-                ctx.send(r);
-            }
-        }
+            rf.proto.stall_strikes = (rf.proto.stall_strikes + 1).min(4);
+            rf.book.core.missing_below(size).into_iter().take(8).collect()
+        });
+        send_resends(resends, ctx);
         if any_incomplete {
             self.stall_scan_armed = true;
             ctx.set_timer_in_with(stall_after, self.timers.arm(TimerKind::StallScan));
@@ -254,53 +168,43 @@ impl XPassEndpoint {
     }
 
     /// Ensure receive-side state exists (created on Request, first data or
-    /// probe — whichever wins the race) and its credit loop is running.
-    fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) {
-        let max_rate = self.max_rate_bps(ctx);
-        let init = max_rate * self.cfg.init_rate_frac;
+    /// probe — whichever wins the race) and its credit loop and the stall
+    /// scan are running.
+    fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) -> &mut RecvFlow {
+        let rate_bps = self.max_rate_bps(ctx) * self.cfg.init_rate_frac;
         let w = self.cfg.w_init;
-        let cfgp = self.cfg.feedback_period;
-        let entry = self.recv_flows.get_or_insert_with(pkt.flow, || RecvFlow {
-            sender: pkt.src,
-            book: RecvBook::new(),
+        let stall_after = self.stall_after();
+        let rf = self.flows.recv_entry(pkt, ctx.now, || Credits {
             stall_strikes: 0,
             next_credit_seq: 1,
-            rate_bps: init,
+            rate_bps,
             w,
             can_increase_w: true,
             last_echo: 0,
             delivered_period: 0,
             lost_period: 0,
             credits_sent_period: 0,
-            last_arrival: ctx.now,
-            last_progress: ctx.now,
             ticking: false,
         });
-        entry.book.learn_size(pkt.flow_size);
-        if !entry.ticking && !entry.book.is_complete() {
-            entry.ticking = true;
+        if !rf.proto.ticking && !rf.book.is_complete() {
+            rf.proto.ticking = true;
             ctx.set_timer_in_with(0, self.timers.arm(TimerKind::CreditTick(pkt.flow)));
-            ctx.set_timer_in_with(cfgp, self.timers.arm(TimerKind::Feedback(pkt.flow)));
+            let period = self.cfg.feedback_period;
+            ctx.set_timer_in_with(period, self.timers.arm(TimerKind::Feedback(pkt.flow)));
         }
-        self.arm_stall_scan(ctx);
+        if !self.stall_scan_armed {
+            self.stall_scan_armed = true;
+            ctx.set_timer_in_with(stall_after, self.timers.arm(TimerKind::StallScan));
+        }
+        rf
     }
 
     /// Send one credit-induced chunk (called per credit).
     fn pump_scheduled(&mut self, flow: FlowId, credit_seq: u64, ctx: &mut Ctx<'_>) {
         let mtu = self.mtu();
-        if let Some(sf) = self.send_flows.get_mut(flow) {
-            if let Some(chunk) = sf.core.next_scheduled_chunk(mtu) {
-                let mut pkt =
-                    data_packet(&sf.desc, chunk.seq, chunk.len, TrafficClass::Scheduled, chunk.retransmit);
+        if let Some(tx) = self.flows.send.get_mut(flow) {
+            if let Some(mut pkt) = tx.next_scheduled(mtu, LossCause::Probe, ctx) {
                 pkt.credit_echo = credit_seq;
-                if chunk.retransmit {
-                    let cause = if chunk.last_resort {
-                        LossCause::LastResort
-                    } else {
-                        sf.last_loss.unwrap_or(LossCause::Probe)
-                    };
-                    ctx.emit(TransportEvent::Retransmit { flow, bytes: chunk.len as u64, cause });
-                }
                 ctx.send(pkt);
             }
         }
@@ -311,25 +215,25 @@ impl XPassEndpoint {
         // of this receiver's aggregate credit capacity (the real DPDK
         // receiver rate-limits its own credit NIC the same way); the
         // feedback loop then handles remote bottlenecks.
-        let active = self.recv_flows.values().filter(|rf| !rf.book.is_complete()).count().max(1);
+        let active = self.flows.recv.values().filter(|rf| !rf.book.is_complete()).count().max(1);
         let local_cap = self.max_rate_bps(ctx) / active as f64;
         let credit_grant = self.cfg.base.mtu_payload as u64;
         let rate_bps = {
-            let rf = match self.recv_flows.get_mut(flow) {
+            let rf = match self.flows.recv.get_mut(flow) {
                 Some(rf) => rf,
                 None => return,
             };
             if rf.book.is_complete() {
-                rf.ticking = false;
+                rf.proto.ticking = false;
                 return;
             }
-            let mut credit = Packet::control(flow, ctx.host, rf.sender, rf.next_credit_seq, PacketKind::Credit);
+            let mut credit = Packet::control(flow, ctx.host, rf.sender, rf.proto.next_credit_seq, PacketKind::Credit);
             credit.size = CREDIT_BYTES;
-            rf.next_credit_seq += 1;
-            rf.credits_sent_period += 1;
+            rf.proto.next_credit_seq += 1;
+            rf.proto.credits_sent_period += 1;
             ctx.emit(TransportEvent::CreditIssue { flow, bytes: credit_grant });
             ctx.send(credit);
-            rf.rate_bps.min(local_cap)
+            rf.proto.rate_bps.min(local_cap)
         };
         let interval = self.credit_interval(rate_bps);
         ctx.set_timer_in_with(interval, self.timers.arm(TimerKind::CreditTick(flow)));
@@ -340,41 +244,41 @@ impl XPassEndpoint {
         let period = self.cfg.feedback_period;
         let (target, w_max, w_min) = (self.cfg.target_loss, self.cfg.w_max, self.cfg.w_min);
         let reschedule = {
-            let rf = match self.recv_flows.get_mut(flow) {
+            let rf = match self.flows.recv.get_mut(flow) {
                 Some(rf) => rf,
                 None => return,
             };
-            let total = rf.delivered_period + rf.lost_period;
+            let total = rf.proto.delivered_period + rf.proto.lost_period;
             if total == 0
-                && rf.credits_sent_period > 0
+                && rf.proto.credits_sent_period > 0
                 && ctx.now.saturating_sub(rf.last_arrival) > 4 * period
             {
                 // Credits keep going out but no data has arrived for several
                 // RTTs: the sender is idle (done sending, or stalled on a
                 // loss). Back off to avoid blasting credits at a dead flow.
-                rf.rate_bps = (rf.rate_bps / 2.0).max(max_rate / 1024.0);
+                rf.proto.rate_bps = (rf.proto.rate_bps / 2.0).max(max_rate / 1024.0);
             }
             if total > 0 {
-                let loss = rf.lost_period as f64 / total as f64;
+                let loss = rf.proto.lost_period as f64 / total as f64;
                 if loss <= target {
                     // Tolerable loss: move toward max rate. The additive
                     // pull `w * (max - rate)` is what makes competing flows
                     // converge to a fair share (ExpressPass Algorithm 1).
-                    if loss == 0.0 && rf.can_increase_w {
-                        rf.w = ((rf.w + w_max) / 2.0).min(w_max);
+                    if loss == 0.0 && rf.proto.can_increase_w {
+                        rf.proto.w = ((rf.proto.w + w_max) / 2.0).min(w_max);
                     }
-                    rf.rate_bps = (1.0 - rf.w) * rf.rate_bps + rf.w * max_rate;
-                    rf.can_increase_w = loss == 0.0;
+                    rf.proto.rate_bps = (1.0 - rf.proto.w) * rf.proto.rate_bps + rf.proto.w * max_rate;
+                    rf.proto.can_increase_w = loss == 0.0;
                 } else {
-                    rf.rate_bps *= (1.0 - loss) * (1.0 + target);
-                    rf.w = (rf.w / 2.0).max(w_min);
-                    rf.can_increase_w = false;
+                    rf.proto.rate_bps *= (1.0 - loss) * (1.0 + target);
+                    rf.proto.w = (rf.proto.w / 2.0).max(w_min);
+                    rf.proto.can_increase_w = false;
                 }
-                rf.rate_bps = rf.rate_bps.clamp(max_rate / 1024.0, max_rate);
+                rf.proto.rate_bps = rf.proto.rate_bps.clamp(max_rate / 1024.0, max_rate);
             }
-            rf.delivered_period = 0;
-            rf.lost_period = 0;
-            rf.credits_sent_period = 0;
+            rf.proto.delivered_period = 0;
+            rf.proto.lost_period = 0;
+            rf.proto.credits_sent_period = 0;
             !rf.book.is_complete()
         };
         if reschedule {
@@ -382,180 +286,87 @@ impl XPassEndpoint {
         }
     }
 
-    /// Base §6 retry interval; each of a flow's earlier fruitless fires
-    /// doubles it, capped at 64× (capped exponential backoff).
-    fn probe_retry_base(&self) -> Time {
-        let retry_rtts = self.cfg.base.aeolus.probe_retry_rtts;
-        (retry_rtts as Time * self.cfg.base.base_rtt.max(1)).max(aeolus_sim::units::ms(2))
+    /// The silence-gated §6 retry. Before first contact, silence for a whole
+    /// backoff interval means the request (and possibly the probe) never
+    /// made it; after, the credit loop's packets are not getting through —
+    /// either way, re-ask. This doubles as the scheduled-phase RTO fallback:
+    /// the re-sent request re-kicks the receiver's credit loop and stall
+    /// scan.
+    fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
+        let Some(tx) = self.flows.send.get_mut(flow) else { return };
+        // Once every byte is out (or acknowledged), any residual tail loss
+        // is the receiver stall scan's business.
+        let done = tx.core.fully_acked() || (tx.heard_back && !tx.core.has_work());
+        match tx.retry(done, &self.cfg.base, ctx.now) {
+            Retry::Quiet => {}
+            Retry::GiveUp => self.flows.give_up(flow, ctx),
+            Retry::Fire { resend, rearm_in } => {
+                if resend {
+                    ctx.metrics.note_timeout(flow);
+                    Self::send_request(&tx.desc, ctx);
+                    if !tx.heard_back {
+                        tx.send_probe(0, ctx);
+                    }
+                }
+                ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::ProbeRetry(flow)));
+            }
+        }
     }
 
-    fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        if self.cfg.base.aeolus.probe_retry_rtts == 0 {
-            return;
-        }
-        let base = self.probe_retry_base();
-        let pcfg = self.cfg.base;
-        let mut give_up = false;
-        let rearm_in = {
-            let sf = match self.send_flows.get_mut(flow) {
-                Some(sf) => sf,
-                None => return,
-            };
-            if sf.core.fully_acked() || (sf.heard_back && !sf.core.has_work()) {
-                // Every byte is out (or acknowledged); any residual tail loss
-                // is the receiver stall scan's business.
-                None
-            } else if pcfg.peer_silent(sf.last_heard, ctx.now) {
-                // The peer has been silent past the death threshold despite
-                // capped-backoff retries: declare it dead and abort rather
-                // than retry forever.
-                give_up = true;
-                None
-            } else {
-                let interval = base << sf.retry_fires.min(6);
-                if ctx.now.saturating_sub(sf.last_heard) >= interval {
-                    // Silence for a whole retry interval. Before first
-                    // contact that means the request (and possibly the probe)
-                    // never made it; after, the credit loop's packets are not
-                    // getting through — either way, re-ask. This is the
-                    // scheduled-phase RTO fallback: the re-sent request
-                    // re-kicks the receiver's credit loop and stall scan.
-                    ctx.metrics.note_timeout(flow);
-                    let mut req =
-                        Packet::control(flow, ctx.host, sf.desc.dst, 0, PacketKind::Request);
-                    req.flow_size = sf.desc.size;
-                    ctx.send(req);
-                    if !sf.heard_back {
-                        if let Some(ps) = sf.probe_seq {
-                            ctx.send(probe_packet(&sf.desc, ps));
-                        }
-                    }
-                    sf.retry_fires = (sf.retry_fires + 1).min(6);
-                }
-                Some(base << sf.retry_fires.min(6))
-            }
-        };
-        if give_up {
-            self.give_up_on(flow, ctx);
-            return;
-        }
-        if let Some(d) = rearm_in {
-            ctx.set_timer_in_with(d, self.timers.arm(TimerKind::ProbeRetry(flow)));
-        }
+    /// The credit request: carries the demand to the receiver.
+    fn send_request(flow: &FlowDesc, ctx: &mut Ctx<'_>) {
+        let mut req = Packet::control(flow.id, flow.src, flow.dst, 0, PacketKind::Request);
+        req.flow_size = flow.size;
+        ctx.send(req);
     }
 
     fn on_rto(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let rto = match self.cfg.rto {
-            Some(r) => r,
-            None => return,
-        };
-        let pcfg = self.cfg.base;
-        let mut give_up = false;
-        let rearm = {
-            let sf = match self.send_flows.get_mut(flow) {
-                Some(sf) => sf,
-                None => return,
-            };
-            if sf.core.fully_acked() {
-                false
-            } else if pcfg.peer_silent(sf.last_heard, ctx.now) {
-                give_up = true;
-                false
-            } else {
-                ctx.metrics.note_timeout(flow);
-                let unacked = sf.core.unacked_ranges();
-                let lost = sf.core.force_mark_lost(&unacked);
-                if lost > 0 {
-                    sf.last_loss = Some(LossCause::Timeout);
-                    ctx.emit(TransportEvent::LossDetected {
-                        flow,
-                        bytes: lost,
-                        cause: LossCause::Timeout,
-                    });
-                }
-                true
-            }
-        };
-        if give_up {
-            self.give_up_on(flow, ctx);
+        let Some(rto) = self.cfg.rto else { return };
+        let Some(tx) = self.flows.send.get_mut(flow) else { return };
+        if tx.core.fully_acked() {
             return;
         }
-        if rearm {
-            ctx.set_timer_in_with(rto, self.timers.arm(TimerKind::Rto(flow)));
+        if peer_silent(tx.last_heard, ctx.now) {
+            self.flows.give_up(flow, ctx);
+            return;
         }
+        ctx.metrics.note_timeout(flow);
+        let unacked = tx.core.unacked_ranges();
+        let lost = tx.core.force_mark_lost(&unacked);
+        tx.note_loss(lost, LossCause::Timeout, ctx);
+        ctx.set_timer_in_with(rto, self.timers.arm(TimerKind::Rto(flow)));
     }
 }
 
 impl Endpoint for XPassEndpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
-        let mode = self.cfg.base.mode;
-        let budget = if mode.bursts() {
-            self.cfg.base.aeolus.burst_budget(ctx.line_rate, self.cfg.base.base_rtt)
-        } else {
-            0
-        };
-        let mut core = PreCreditSender::new(flow.size, budget);
-        if mode == FirstRttMode::LowPrio {
+        let base = self.cfg.base;
+        // Credit request first (it carries the demand), then the line-rate
+        // burst: the NIC serializes them back to back. The probe trails the
+        // burst through every queue: same priority, protected by its ECT
+        // mark.
+        Self::send_request(&flow, ctx);
+        let probe_prio = if base.mode == FirstRttMode::Oracle { 7 } else { 0 };
+        let mut tx = launch_first_rtt(flow, &base, probe_prio, ctx, |pkt| {
+            base.mode.stamp_unscheduled(pkt, 0, 7)
+        });
+        if base.mode == FirstRttMode::LowPrio {
             // The §5.5 strawman recovers by RTO only — no last-resort
             // retransmission of unacked bursts (that is an Aeolus refinement).
-            core.disable_last_resort();
-        }
-        // Credit request first (it carries the demand), then the line-rate
-        // burst: the NIC serializes them back to back.
-        let mut req = Packet::control(flow.id, flow.src, flow.dst, 0, PacketKind::Request);
-        req.flow_size = flow.size;
-        ctx.send(req);
-        let mtu = self.mtu();
-        let mut burst_prio = 0;
-        let mut burst_sent = 0u64;
-        if budget > 0 {
-            ctx.emit(TransportEvent::BurstStart { flow: flow.id, bytes: budget.min(flow.size) });
-        }
-        while let Some(chunk) = core.next_burst_chunk(mtu) {
-            let mut pkt =
-                data_packet(&flow, chunk.seq, chunk.len, TrafficClass::Unscheduled, false);
-            mode.stamp_unscheduled(&mut pkt, 0, 7);
-            burst_prio = pkt.priority;
-            burst_sent += chunk.len as u64;
-            ctx.send(pkt);
-        }
-        if budget > 0 {
-            ctx.emit(TransportEvent::BurstStop { flow: flow.id, sent: burst_sent });
-        }
-        let mut probe_seq = None;
-        if let Some(ps) = core.end_burst() {
-            if mode.probe_recovery() {
-                // The probe trails the burst through every queue: same
-                // priority, protected by its ECT mark.
-                let mut probe = probe_packet(&flow, ps);
-                probe.priority = burst_prio;
-                ctx.send(probe);
-                probe_seq = Some(ps);
-            }
+            tx.core.disable_last_resort();
         }
         if let Some(rto) = self.cfg.rto {
             ctx.set_timer_in_with(rto, self.timers.arm(TimerKind::Rto(flow.id)));
         }
-        if self.cfg.base.aeolus.probe_retry_rtts > 0 {
+        if base.aeolus.probe_retry_rtts > 0 {
             let token = self.timers.arm(TimerKind::ProbeRetry(flow.id));
-            ctx.set_timer_in_with(self.probe_retry_base(), token);
+            ctx.set_timer_in_with(recovery::retry_base(&base), token);
         }
-        self.send_flows.insert(
-            flow.id,
-            SendFlow {
-                desc: flow,
-                core,
-                heard_back: false,
-                probe_seq,
-                last_loss: None,
-                last_heard: ctx.now,
-                retry_fires: 0,
-            },
-        );
+        self.flows.send.insert(flow.id, tx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.dead.holds(pkt.flow) {
+        if self.flows.is_dead(pkt.flow) {
             // Stale wire traffic for an aborted flow must not resurrect it.
             return;
         }
@@ -564,10 +375,8 @@ impl Endpoint for XPassEndpoint {
                 self.ensure_recv_flow(&pkt, ctx);
             }
             PacketKind::Credit => {
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_back = true;
-                    sf.last_heard = ctx.now;
-                    sf.retry_fires = 0;
+                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
+                    tx.heard(ctx.now);
                     ctx.emit(TransportEvent::CreditReceipt {
                         flow: pkt.flow,
                         bytes: self.cfg.base.mtu_payload as u64,
@@ -576,73 +385,42 @@ impl Endpoint for XPassEndpoint {
                 self.pump_scheduled(pkt.flow, pkt.seq, ctx);
             }
             PacketKind::Data => {
-                self.ensure_recv_flow(&pkt, ctx);
                 let mode = self.cfg.base.mode;
-                let rf = self.recv_flows.get_mut(pkt.flow).expect("just ensured");
-                let unscheduled = pkt.class == TrafficClass::Unscheduled;
-                rf.last_arrival = ctx.now;
-                rf.last_progress = ctx.now;
-                rf.stall_strikes = 0;
+                let rf = self.ensure_recv_flow(&pkt, ctx);
+                rf.touch(ctx.now);
+                rf.proto.stall_strikes = 0;
                 let v = rf.book.on_data(&pkt, ctx);
                 if pkt.credit_echo > 0 {
                     // Credit-loss accounting: a gap in the echoed credit
                     // sequence means those credits were throttled away.
-                    if pkt.credit_echo > rf.last_echo {
-                        rf.lost_period += pkt.credit_echo - rf.last_echo - 1;
-                        rf.last_echo = pkt.credit_echo;
+                    if pkt.credit_echo > rf.proto.last_echo {
+                        rf.proto.lost_period += pkt.credit_echo - rf.proto.last_echo - 1;
+                        rf.proto.last_echo = pkt.credit_echo;
                     }
-                    rf.delivered_period += 1;
+                    rf.proto.delivered_period += 1;
                 }
                 // Aeolus ACKs unscheduled packets; the RTO strawman ACKs
                 // everything (its only loss signal); plain ExpressPass and
                 // the oracle ACK unscheduled too (dedup/GC — harmless 64 B).
-                let want_ack = unscheduled || mode == FirstRttMode::LowPrio;
+                let want_ack =
+                    pkt.class == TrafficClass::Unscheduled || mode == FirstRttMode::LowPrio;
                 if let (true, Some((s, e))) = (want_ack, v.acked_range) {
                     ctx.send(ack_packet(pkt.flow, ctx.host, pkt.src, s, e));
                 }
             }
-            PacketKind::Probe => {
-                self.ensure_recv_flow(&pkt, ctx);
-                let rf = self.recv_flows.get_mut(pkt.flow).expect("just ensured");
-                rf.book.core.on_probe(pkt.seq, pkt.flow_size);
-                ctx.send(probe_ack_packet(pkt.flow, ctx.host, pkt.src, pkt.seq));
-            }
+            PacketKind::Probe => self.ensure_recv_flow(&pkt, ctx).on_probe(&pkt, ctx),
             PacketKind::Resend { end } => {
                 // Receiver-detected stall: requeue the range; it rides out
                 // on the next credits.
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_back = true;
-                    sf.last_heard = ctx.now;
-                    sf.retry_fires = 0;
-                    let lost = sf.core.requeue_lost(pkt.seq, end);
-                    if lost > 0 {
-                        sf.last_loss = Some(LossCause::Stall);
-                        ctx.emit(TransportEvent::LossDetected {
-                            flow: pkt.flow,
-                            bytes: lost,
-                            cause: LossCause::Stall,
-                        });
-                    }
+                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
+                    tx.heard(ctx.now);
+                    tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
                 }
             }
             PacketKind::Ack { of_probe, end } => {
                 let infer = self.cfg.base.sack_inference();
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_back = true;
-                    sf.last_heard = ctx.now;
-                    sf.retry_fires = 0;
-                    let (lost, cause) = if of_probe {
-                        (sf.core.on_probe_ack(), LossCause::Probe)
-                    } else if infer {
-                        (sf.core.on_ack(pkt.seq, end), LossCause::SackGap)
-                    } else {
-                        sf.core.on_ack_no_infer(pkt.seq, end);
-                        (0, LossCause::SackGap)
-                    };
-                    if lost > 0 {
-                        sf.last_loss = Some(cause);
-                        ctx.emit(TransportEvent::LossDetected { flow: pkt.flow, bytes: lost, cause });
-                    }
+                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
+                    tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
                 }
             }
             other => {
@@ -663,27 +441,17 @@ impl Endpoint for XPassEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        // A host crash wipes every byte of transport state: flow tables,
-        // armed timers (generation bump makes queued tokens stale) and
-        // tombstones (the engine re-buries aborted flows right after).
-        self.send_flows.clear();
-        self.recv_flows.clear();
+        // The timer generation bump makes all queued tokens stale.
+        self.flows.crash();
         self.timers.clear();
         self.stall_scan_armed = false;
-        self.dead.clear();
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
-        self.dead.bury(flow.id);
+        self.flows.abort(flow.id);
     }
 
     fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        // Raise the tombstone and drop any leftover state so the relaunch
-        // (a fresh FlowArrival) starts from a clean slate.
-        self.dead.raise(flow.id);
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
+        self.flows.restart(flow.id);
     }
 }

@@ -22,18 +22,16 @@
 //!
 //! [`FirstRttMode::Aeolus`]: crate::common::FirstRttMode::Aeolus
 
-use aeolus_core::PreCreditSender;
 use aeolus_sim::units::Time;
 use aeolus_sim::{
     Ctx, Endpoint, FlowDesc, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind, TimerTable,
     TrafficClass, TransportEvent,
 };
 
-use crate::common::{
-    abort_peer_silent, ack_packet, data_packet, probe_ack_packet, probe_packet, BaseConfig,
-    Tombstones,
+use crate::common::{ack_packet, BaseConfig};
+use crate::recovery::{
+    self, backoff, launch_first_rtt, peer_silent, send_resends, FlowTable, SendState,
 };
-use crate::receiver_table::RecvBook;
 
 /// Fastpass tunables.
 #[derive(Debug, Clone, Copy)]
@@ -155,45 +153,30 @@ enum TimerKind {
 }
 
 struct SendFlow {
-    desc: FlowDesc,
-    core: PreCreditSender,
+    /// Shared sender state. Only the *receiver's* signals (ACK, Resend)
+    /// count as "heard" — not the arbiter's Schedules, which keep flowing
+    /// while the receiver is partitioned away.
+    tx: SendState,
     /// Remaining granted slots and their cadence.
     slots_left: u32,
     stride: Time,
     /// Whether a request is currently outstanding at the arbiter.
     requesting: bool,
-    completed: bool,
-    /// Most recent loss signal, for retransmission attribution.
-    last_loss: Option<LossCause>,
     /// Consecutive request retries without a Schedule reply, capped — each
     /// doubles the next retry interval (reset when a Schedule arrives).
-    retry_fires: u32,
-    /// Last time the *receiver* showed signs of life (ACK or Resend — not
-    /// the arbiter's Schedules, which keep flowing while the receiver is
-    /// partitioned away). Peer-death watchdog clock.
-    last_heard: Time,
+    request_fires: u32,
 }
 
-struct RecvFlow {
-    sender: NodeId,
-    book: RecvBook,
-    /// Last time any data packet of this flow arrived.
-    last_arrival: Time,
-    /// Consecutive stall resends without progress, capped (backoff).
-    stall_strikes: u32,
-    /// Last *real* arrival — never rewound by the stall scan's back-off, so
-    /// it measures true peer silence for the death watchdog.
-    last_progress: Time,
-}
+/// Per-protocol receive state: consecutive stall resends without progress,
+/// capped (backoff).
+type RecvFlow = recovery::RecvFlow<u32>;
 
 /// The per-host Fastpass endpoint.
 pub struct FastpassEndpoint {
     cfg: FastpassConfig,
-    send_flows: FlowMap<FlowId, SendFlow>,
-    recv_flows: FlowMap<FlowId, RecvFlow>,
+    flows: FlowTable<SendFlow, RecvFlow>,
     timers: TimerTable<TimerKind>,
     stall_scan_armed: bool,
-    dead: Tombstones,
 }
 
 impl FastpassEndpoint {
@@ -201,21 +184,10 @@ impl FastpassEndpoint {
     pub fn new(cfg: FastpassConfig) -> FastpassEndpoint {
         FastpassEndpoint {
             cfg,
-            send_flows: FlowMap::new(),
-            recv_flows: FlowMap::new(),
+            flows: FlowTable::default(),
             timers: TimerTable::new(),
             stall_scan_armed: false,
-            dead: Tombstones::new(),
         }
-    }
-
-    /// Peer-silence abort (either role): drop local state, bury the id and
-    /// record the abort.
-    fn give_up_on(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        self.send_flows.remove(flow);
-        self.recv_flows.remove(flow);
-        self.dead.bury(flow);
-        abort_peer_silent(flow, ctx);
     }
 
     /// Base interval after which an unanswered arbiter request is retried;
@@ -231,25 +203,20 @@ impl FastpassEndpoint {
     }
 
     fn request_slots(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let arbiter = self.cfg.arbiter;
-        let batch = self.cfg.batch_slots;
         let retry_base = self.retry_base();
-        let retry_in = if let Some(sf) = self.send_flows.get_mut(flow) {
-            if sf.requesting || sf.completed || !sf.core.has_work() {
-                return;
-            }
-            sf.requesting = true;
-            let mut req = Packet::control(flow, ctx.host, arbiter, 0, PacketKind::Request);
-            // Demand in slots; true destination rides in path_tag.
-            let mtu = self.cfg.base.mtu_payload as u64;
-            let rough_need = sf.desc.size.div_ceil(mtu) as u32;
-            req.flow_size = rough_need.min(batch) as u64;
-            req.path_tag = sf.desc.dst.0 as u64;
-            ctx.send(req);
-            retry_base << sf.retry_fires.min(6)
-        } else {
+        let Some(sf) = self.flows.send.get_mut(flow) else { return };
+        if sf.requesting || sf.tx.completed || !sf.tx.core.has_work() {
             return;
-        };
+        }
+        sf.requesting = true;
+        let mut req = Packet::control(flow, ctx.host, self.cfg.arbiter, 0, PacketKind::Request);
+        // Demand in slots; true destination rides in path_tag.
+        let mtu = self.cfg.base.mtu_payload as u64;
+        let rough_need = sf.tx.desc.size.div_ceil(mtu) as u32;
+        req.flow_size = rough_need.min(self.cfg.batch_slots) as u64;
+        req.path_tag = sf.tx.desc.dst.0 as u64;
+        ctx.send(req);
+        let retry_in = backoff(retry_base, sf.request_fires);
         ctx.set_timer_in_with(retry_in, self.timers.arm(TimerKind::RequestRetry(flow)));
     }
 
@@ -257,32 +224,21 @@ impl FastpassEndpoint {
     /// vanished, clear the stuck `requesting` latch and re-ask with capped
     /// exponential backoff.
     fn on_request_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let pcfg = self.cfg.base;
-        let mut give_up = false;
-        let stuck = match self.send_flows.get_mut(flow) {
-            Some(sf) if sf.requesting && !sf.completed => {
-                if pcfg.peer_silent(sf.last_heard, ctx.now) {
-                    // The receiver has shown no sign of life past the death
-                    // threshold despite backed-off re-requests: abort
-                    // instead of asking forever.
-                    give_up = true;
-                    false
-                } else {
-                    sf.requesting = false;
-                    sf.retry_fires = (sf.retry_fires + 1).min(6);
-                    ctx.metrics.note_timeout(flow);
-                    true
-                }
-            }
-            _ => false,
-        };
-        if give_up {
-            self.give_up_on(flow, ctx);
+        let Some(sf) = self.flows.send.get_mut(flow) else { return };
+        if !sf.requesting || sf.tx.completed {
             return;
         }
-        if stuck {
-            self.request_slots(flow, ctx);
+        if peer_silent(sf.tx.last_heard, ctx.now) {
+            // The receiver has shown no sign of life past the death
+            // threshold despite backed-off re-requests: abort instead of
+            // asking forever.
+            self.flows.give_up(flow, ctx);
+            return;
         }
+        sf.requesting = false;
+        sf.request_fires = (sf.request_fires + 1).min(6);
+        ctx.metrics.note_timeout(flow);
+        self.request_slots(flow, ctx);
     }
 
     fn arm_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
@@ -296,44 +252,20 @@ impl FastpassEndpoint {
 
     fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
         self.stall_scan_armed = false;
-        let stall_after = self.stall_after();
-        let mut any_incomplete = false;
-        let mut resends: Vec<(FlowId, NodeId, Vec<(u64, u64)>)> = Vec::new();
+        let (stall_after, now) = (self.stall_after(), ctx.now);
         // No receiver-side silence abort here: in Fastpass a silent sender
         // may merely be starved by arbiter (Schedule) losses, not dead, so
         // "no data" is ambiguous on this side. The sender's watchdog — whose
         // clock only the *receiver's* signals refresh — owns the abort; the
         // backed-off resends below keep a live sender's clock fresh.
-        for (id, rf) in self.recv_flows.iter_mut() {
-            if rf.book.is_complete() {
-                continue;
+        let (any_incomplete, resends) = self.flows.stall_scan(ctx, |rf, size| {
+            if now.saturating_sub(rf.last_arrival) < stall_after << rf.proto.min(4) {
+                return Vec::new();
             }
-            any_incomplete = true;
-            let size = match rf.book.core.size() {
-                Some(s) => s,
-                None => continue,
-            };
-            let wait = stall_after << rf.stall_strikes.min(4);
-            if ctx.now.saturating_sub(rf.last_arrival) >= wait {
-                let missing: Vec<(u64, u64)> =
-                    rf.book.core.missing_below(size).into_iter().take(8).collect();
-                if !missing.is_empty() {
-                    ctx.metrics.note_timeout(id);
-                    rf.last_arrival = ctx.now; // back off one period
-                    rf.stall_strikes = (rf.stall_strikes + 1).min(4);
-                    resends.push((id, rf.sender, missing));
-                }
-            }
-        }
-        // Slot order is not key order: sort so resend emission matches the
-        // seed's BTreeMap scan order exactly.
-        resends.sort_unstable_by_key(|&(id, _, _)| id);
-        for (id, sender, missing) in resends {
-            for (s, e) in missing {
-                let r = Packet::control(id, ctx.host, sender, s, PacketKind::Resend { end: e });
-                ctx.send(r);
-            }
-        }
+            rf.proto = (rf.proto + 1).min(4);
+            rf.book.core.missing_below(size).into_iter().take(8).collect()
+        });
+        send_resends(resends, ctx);
         if any_incomplete {
             self.stall_scan_armed = true;
             ctx.set_timer_in_with(stall_after, self.timers.arm(TimerKind::StallScan));
@@ -343,39 +275,14 @@ impl FastpassEndpoint {
     /// Fire one scheduled slot: send the next chunk.
     fn on_slot(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.cfg.base.mtu_payload;
-        let mut need_more = false;
-        if let Some(sf) = self.send_flows.get_mut(flow) {
-            sf.slots_left = sf.slots_left.saturating_sub(1);
-            if let Some(chunk) = sf.core.next_scheduled_chunk(mtu) {
-                let pkt = data_packet(
-                    &sf.desc,
-                    chunk.seq,
-                    chunk.len,
-                    TrafficClass::Scheduled,
-                    chunk.retransmit,
-                );
-                if chunk.retransmit {
-                    let cause = if chunk.last_resort {
-                        LossCause::LastResort
-                    } else {
-                        sf.last_loss.unwrap_or(LossCause::Probe)
-                    };
-                    ctx.emit(TransportEvent::Retransmit {
-                        flow,
-                        bytes: chunk.len as u64,
-                        cause,
-                    });
-                }
-                ctx.send(pkt);
-            }
-            if sf.slots_left > 0 {
-                let stride = sf.stride;
-                ctx.set_timer_in_with(stride, self.timers.arm(TimerKind::Slot(flow)));
-            } else {
-                need_more = sf.core.has_work();
-            }
+        let Some(sf) = self.flows.send.get_mut(flow) else { return };
+        sf.slots_left = sf.slots_left.saturating_sub(1);
+        if let Some(pkt) = sf.tx.next_scheduled(mtu, LossCause::Probe, ctx) {
+            ctx.send(pkt);
         }
-        if need_more {
+        if sf.slots_left > 0 {
+            ctx.set_timer_in_with(sf.stride, self.timers.arm(TimerKind::Slot(flow)));
+        } else if sf.tx.core.has_work() {
             self.request_slots(flow, ctx);
         }
     }
@@ -383,91 +290,43 @@ impl FastpassEndpoint {
 
 impl Endpoint for FastpassEndpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
-        let mode = self.cfg.base.mode;
-        let budget = if mode.bursts() {
-            self.cfg.base.aeolus.burst_budget(ctx.line_rate, self.cfg.base.base_rtt)
-        } else {
-            0
-        };
-        let mut core = PreCreditSender::new(flow.size, budget);
-        let mtu = self.cfg.base.mtu_payload;
+        let base = self.cfg.base;
         // Pre-credit burst while the arbiter round-trip is in flight.
-        let mut burst_sent = 0u64;
-        if budget > 0 {
-            ctx.emit(TransportEvent::BurstStart { flow: flow.id, bytes: budget.min(flow.size) });
-        }
-        while let Some(chunk) = core.next_burst_chunk(mtu) {
-            let mut pkt = data_packet(&flow, chunk.seq, chunk.len, TrafficClass::Unscheduled, false);
-            mode.stamp_unscheduled(&mut pkt, 0, 7);
-            burst_sent += chunk.len as u64;
-            ctx.send(pkt);
-        }
-        if budget > 0 {
-            ctx.emit(TransportEvent::BurstStop { flow: flow.id, sent: burst_sent });
-        }
-        if let Some(ps) = core.end_burst() {
-            if mode.probe_recovery() {
-                ctx.send(probe_packet(&flow, ps));
-            }
-        }
-        self.send_flows.insert(
+        let tx = launch_first_rtt(flow, &base, 0, ctx, |pkt| base.mode.stamp_unscheduled(pkt, 0, 7));
+        self.flows.send.insert(
             flow.id,
-            SendFlow {
-                desc: flow,
-                core,
-                slots_left: 0,
-                stride: 0,
-                requesting: false,
-                completed: false,
-                last_loss: None,
-                retry_fires: 0,
-                last_heard: ctx.now,
-            },
+            SendFlow { tx, slots_left: 0, stride: 0, requesting: false, request_fires: 0 },
         );
         self.request_slots(flow.id, ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.dead.holds(pkt.flow) {
+        if self.flows.is_dead(pkt.flow) {
             // Stale wire traffic for an aborted flow must not resurrect it.
             return;
         }
         match pkt.kind {
             PacketKind::Schedule { start, slots, stride } => {
-                let fire_first = {
-                    let sf = match self.send_flows.get_mut(pkt.flow) {
-                        Some(sf) => sf,
-                        None => return,
-                    };
-                    sf.requesting = false;
-                    sf.retry_fires = 0;
-                    sf.slots_left = slots;
-                    sf.stride = stride;
-                    ctx.emit(TransportEvent::CreditReceipt {
-                        flow: pkt.flow,
-                        bytes: slots as u64 * self.cfg.base.mtu_payload as u64,
-                    });
-                    start.saturating_sub(ctx.now)
-                };
+                let Some(sf) = self.flows.send.get_mut(pkt.flow) else { return };
+                sf.requesting = false;
+                sf.request_fires = 0;
+                sf.slots_left = slots;
+                sf.stride = stride;
+                ctx.emit(TransportEvent::CreditReceipt {
+                    flow: pkt.flow,
+                    bytes: slots as u64 * self.cfg.base.mtu_payload as u64,
+                });
+                let fire_first = start.saturating_sub(ctx.now);
                 ctx.set_timer_in_with(fire_first, self.timers.arm(TimerKind::Slot(pkt.flow)));
             }
             PacketKind::Data => {
-                let now = ctx.now;
-                let rf = self.recv_flows.get_or_insert_with(pkt.flow, || RecvFlow {
-                    sender: pkt.src,
-                    book: RecvBook::new(),
-                    last_arrival: now,
-                    stall_strikes: 0,
-                    last_progress: now,
-                });
-                rf.book.learn_size(pkt.flow_size);
-                rf.last_arrival = now;
-                rf.last_progress = now;
-                rf.stall_strikes = 0;
-                let unscheduled = pkt.class == TrafficClass::Unscheduled;
+                let rf = self.flows.recv_entry(&pkt, ctx.now, || 0);
+                rf.touch(ctx.now);
+                rf.proto = 0;
                 let v = rf.book.on_data(&pkt, ctx);
                 let sender = rf.sender;
                 self.arm_stall_scan(ctx);
+                let unscheduled = pkt.class == TrafficClass::Unscheduled;
                 if self.cfg.base.mode.probe_recovery() && unscheduled {
                     if let Some((s, e)) = v.acked_range {
                         ctx.send(ack_packet(pkt.flow, ctx.host, sender, s, e));
@@ -478,70 +337,26 @@ impl Endpoint for FastpassEndpoint {
                 }
             }
             PacketKind::Probe => {
-                let now = ctx.now;
-                let rf = self.recv_flows.get_or_insert_with(pkt.flow, || RecvFlow {
-                    sender: pkt.src,
-                    book: RecvBook::new(),
-                    last_arrival: now,
-                    stall_strikes: 0,
-                    last_progress: now,
-                });
-                rf.book.core.on_probe(pkt.seq, pkt.flow_size);
-                let sender = rf.sender;
-                ctx.send(probe_ack_packet(pkt.flow, ctx.host, sender, pkt.seq));
+                self.flows.recv_entry(&pkt, ctx.now, || 0).on_probe(&pkt, ctx);
                 self.arm_stall_scan(ctx);
             }
             PacketKind::Resend { end } => {
                 // Receiver-detected stall: a scheduled packet died on the
                 // wire. Requeue the range and ask the arbiter for slots to
                 // carry it.
-                let mut need_more = false;
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.last_heard = ctx.now;
-                    let lost = sf.core.requeue_lost(pkt.seq, end);
-                    if lost > 0 {
-                        sf.last_loss = Some(LossCause::Stall);
-                        ctx.emit(TransportEvent::LossDetected {
-                            flow: pkt.flow,
-                            bytes: lost,
-                            cause: LossCause::Stall,
-                        });
-                    }
-                    need_more = sf.slots_left == 0 && sf.core.has_work();
-                }
-                if need_more {
+                let Some(sf) = self.flows.send.get_mut(pkt.flow) else { return };
+                sf.tx.heard(ctx.now);
+                sf.tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
+                if sf.slots_left == 0 {
                     self.request_slots(pkt.flow, ctx);
                 }
             }
             PacketKind::Ack { of_probe, end } => {
-                let mut need_more = false;
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.last_heard = ctx.now;
-                    let (lost, cause) = if of_probe {
-                        let lost = sf.core.on_probe_ack();
-                        // Losses revealed: they may need timeslots.
-                        need_more = sf.slots_left == 0 && sf.core.has_work();
-                        (lost, LossCause::Probe)
-                    } else if pkt.seq == 0 && end >= sf.desc.size {
-                        sf.completed = true;
-                        sf.core.on_ack_no_infer(0, end);
-                        (0, LossCause::SackGap)
-                    } else if self.cfg.base.sack_inference() {
-                        (sf.core.on_ack(pkt.seq, end), LossCause::SackGap)
-                    } else {
-                        sf.core.on_ack_no_infer(pkt.seq, end);
-                        (0, LossCause::SackGap)
-                    };
-                    if lost > 0 {
-                        sf.last_loss = Some(cause);
-                        ctx.emit(TransportEvent::LossDetected {
-                            flow: pkt.flow,
-                            bytes: lost,
-                            cause,
-                        });
-                    }
-                }
-                if need_more {
+                let infer = self.cfg.base.sack_inference();
+                let Some(sf) = self.flows.send.get_mut(pkt.flow) else { return };
+                sf.tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
+                // Losses revealed by the probe may need timeslots.
+                if of_probe && sf.slots_left == 0 {
                     self.request_slots(pkt.flow, ctx);
                 }
             }
@@ -561,25 +376,18 @@ impl Endpoint for FastpassEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        // A host crash wipes every byte of transport state; the timer
-        // generation bump makes all queued tokens stale.
-        self.send_flows.clear();
-        self.recv_flows.clear();
+        // The timer generation bump makes all queued tokens stale.
+        self.flows.crash();
         self.timers.clear();
         self.stall_scan_armed = false;
-        self.dead.clear();
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
-        self.dead.bury(flow.id);
+        self.flows.abort(flow.id);
     }
 
     fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.dead.raise(flow.id);
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
+        self.flows.restart(flow.id);
     }
 }
 
@@ -598,7 +406,6 @@ mod tests {
             aeolus: AeolusConfig::default(),
             mode: FirstRttMode::Aeolus,
             disable_sack: false,
-            peer_silence: 0,
         };
         let cfg = FastpassConfig::new(base, NodeId(9));
         assert_eq!(cfg.batch_slots, 64);

@@ -14,18 +14,16 @@
 //! keeping one RTT-bytes window per granted message, and assign scheduled
 //! priorities by SRPT rank below the unscheduled levels.
 
-use aeolus_core::PreCreditSender;
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind, TimerTable,
-    TrafficClass, TransportEvent,
+    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, TimerTable, TrafficClass,
+    TransportEvent,
 };
 
-use crate::common::{
-    abort_peer_silent, ack_packet, data_packet, probe_ack_packet, probe_packet, BaseConfig,
-    FirstRttMode, Tombstones,
+use crate::common::{ack_packet, data_packet, BaseConfig, FirstRttMode};
+use crate::recovery::{
+    self, launch_first_rtt, peer_silent, send_resends, FlowTable, Retry, SendState,
 };
-use crate::receiver_table::RecvBook;
 
 /// Homa tunables.
 #[derive(Debug, Clone)]
@@ -85,9 +83,6 @@ impl HomaConfig {
     }
 }
 
-/// A batch of missing ranges to re-request from one sender.
-type ResendBatch = (FlowId, NodeId, Vec<(u64, u64)>);
-
 #[derive(Debug, Clone, Copy)]
 enum TimerKind {
     /// Sender-side RTO for one flow (Blind mode).
@@ -95,64 +90,48 @@ enum TimerKind {
     /// §6 probe-retry for probe-recovery modes: total silence means even
     /// the probe was lost — resend it.
     ProbeRetry(FlowId),
-    /// Receiver-side scan for stalled incomplete messages (Blind mode).
+    /// Receiver-side scan for stalled incomplete messages.
     ResendScan,
 }
 
 struct SendFlow {
-    desc: FlowDesc,
-    core: PreCreditSender,
+    /// Shared sender state. Once anything (grant, RESEND, ACK) has been
+    /// heard from the receiver, its targeted RESEND scan owns recovery and
+    /// the sender's blind RTO restarts its clock from there.
+    tx: SendState,
     /// Consecutive sender-RTO fires (exponential backoff shift).
     rto_fires: u32,
-    /// Last time the receiver showed signs of life for this flow (grant,
-    /// resend request, ACK): the RTO clock restarts from here.
-    last_progress: Time,
     /// Highest grant offset received.
     granted: u64,
     /// Scheduled bytes sent against grants.
     sent_sched: u64,
     grant_prio: u8,
-    /// Set when the receiver's completion ACK arrives.
-    completed: bool,
-    /// Set once anything (grant, RESEND, ACK) has been heard from the
-    /// receiver — from then on the receiver's targeted RESEND scan owns
-    /// recovery and the sender's blind RTO stands down.
-    heard_from_receiver: bool,
     native_prio: u8,
-    /// Most recent loss-detection cause (attributes retransmissions in
-    /// telemetry traces).
-    last_loss: Option<LossCause>,
 }
 
-struct RecvFlow {
-    sender: NodeId,
-    book: RecvBook,
+/// The receiver's grant ledger for one flow.
+#[derive(Default)]
+struct Grants {
     /// Cumulative scheduled-byte budget granted to the sender.
     granted: u64,
     /// Scheduled payload bytes received back (duplicates included — each
     /// consumed budget, so each replenishes it).
     sched_bytes_received: u64,
     /// Budget written off by the stall scan (its packets are presumed lost).
-    budget_forgiven: u64,
-    last_arrival: Time,
-    /// Last *real* arrival — never rewound by the stall scan's back-off, so
-    /// it measures true peer silence for the death watchdog.
-    last_progress: Time,
-    /// When the last grant was issued (a freshly granted flow is not stale).
-    last_granted: Time,
+    forgiven: u64,
 }
+
+type RecvFlow = recovery::RecvFlow<Grants>;
 
 /// The per-host Homa endpoint.
 pub struct HomaEndpoint {
     cfg: HomaConfig,
-    send_flows: FlowMap<FlowId, SendFlow>,
-    recv_flows: FlowMap<FlowId, RecvFlow>,
+    flows: FlowTable<SendFlow, RecvFlow>,
     timers: TimerTable<TimerKind>,
     scan_armed: bool,
     /// Reusable SRPT scratch for `regrant` (runs per data packet — a fresh
     /// `Vec` each call would churn the allocator on the hot path).
     srpt_scratch: Vec<(u64, FlowId)>,
-    dead: Tombstones,
 }
 
 impl HomaEndpoint {
@@ -160,26 +139,21 @@ impl HomaEndpoint {
     pub fn new(cfg: HomaConfig) -> HomaEndpoint {
         HomaEndpoint {
             cfg,
-            send_flows: FlowMap::new(),
-            recv_flows: FlowMap::new(),
+            flows: FlowTable::default(),
             timers: TimerTable::new(),
             scan_armed: false,
             srpt_scratch: Vec::new(),
-            dead: Tombstones::new(),
         }
-    }
-
-    /// Peer-silence abort (either role): drop local state, bury the id and
-    /// record the abort.
-    fn give_up_on(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        self.send_flows.remove(flow);
-        self.recv_flows.remove(flow);
-        self.dead.bury(flow);
-        abort_peer_silent(flow, ctx);
     }
 
     fn rtt_bytes(&self, ctx: &Ctx<'_>) -> u64 {
         self.cfg.base.aeolus.burst_budget(ctx.line_rate, self.cfg.base.base_rtt)
+    }
+
+    /// Granted budget whose packets have neither returned nor been written
+    /// off.
+    fn outstanding(rf: &RecvFlow) -> u64 {
+        rf.proto.granted.saturating_sub(rf.proto.sched_bytes_received + rf.proto.forgiven)
     }
 
     /// Recompute grants after any receive-side event: SRPT-sorted incomplete
@@ -191,7 +165,7 @@ impl HomaEndpoint {
         // in steady state.
         let mut active = std::mem::take(&mut self.srpt_scratch);
         active.clear();
-        active.extend(self.recv_flows.iter().filter_map(|(id, rf)| {
+        active.extend(self.flows.recv.iter().filter_map(|(id, rf)| {
             if rf.book.is_complete() {
                 return None;
             }
@@ -200,7 +174,7 @@ impl HomaEndpoint {
         active.sort_unstable();
         for (rank, &(_, id)) in active.iter().take(self.cfg.overcommit).enumerate() {
             let prio = self.cfg.sched_prio(rank);
-            let rf = self.recv_flows.get_mut(id).expect("active flow");
+            let rf = self.flows.recv.get_mut(id).expect("active flow");
             // Grants are a cumulative *scheduled-byte budget*, managed by
             // outstanding-bytes accounting: keep
             //   outstanding = granted − received-back (− written-off)
@@ -209,32 +183,27 @@ impl HomaEndpoint {
             // accounting self-correcting under reordering and duplicate
             // retransmissions, and caps scheduled in-flight at one RTT.
             let remaining = rf.book.remaining().unwrap_or(0);
-            let outstanding =
-                rf.granted.saturating_sub(rf.sched_bytes_received + rf.budget_forgiven);
             // Fund whole packets: a sub-MTU remainder still needs a full
             // packet's worth of budget when retransmissions fragment.
             let mtu = self.cfg.base.mtu_payload as u64;
             let want_outstanding = (remaining.div_ceil(mtu) * mtu).min(rtt_bytes);
-            let deficit = want_outstanding.saturating_sub(outstanding);
+            let deficit = want_outstanding.saturating_sub(Self::outstanding(rf));
             // Release arrival-clocked (real Homa grants per received packet):
             // an initial kick when a message first gets scheduled, then a
             // couple of MTUs per regrant — dumping whole windows for several
             // messages at once would overflow the downlink buffer.
-            let step = if rf.granted == 0 { 8 * mtu } else { 2 * mtu };
+            let step = if rf.proto.granted == 0 { 8 * mtu } else { 2 * mtu };
             let increment = deficit.min(step);
             if increment > 0 {
-                rf.granted += increment;
-                rf.last_granted = ctx.now;
+                rf.proto.granted += increment;
                 ctx.emit(TransportEvent::CreditIssue { flow: id, bytes: increment });
-                let mut g = Packet::control(
+                ctx.send(Packet::control(
                     id,
                     ctx.host,
                     rf.sender,
-                    rf.granted,
+                    rf.proto.granted,
                     PacketKind::Grant { grant_prio: prio },
-                );
-                g.priority = 0;
-                ctx.send(g);
+                ));
             }
         }
         self.srpt_scratch = active;
@@ -243,36 +212,34 @@ impl HomaEndpoint {
     /// Send scheduled data against the grant budget.
     fn pump_scheduled(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.cfg.base.mtu_payload;
-        if let Some(sf) = self.send_flows.get_mut(flow) {
+        if let Some(sf) = self.flows.send.get_mut(flow) {
             while sf.sent_sched < sf.granted {
-                match sf.core.next_scheduled_chunk(mtu) {
-                    Some(chunk) => {
-                        let mut pkt = data_packet(
-                            &sf.desc,
-                            chunk.seq,
-                            chunk.len,
-                            TrafficClass::Scheduled,
-                            chunk.retransmit,
-                        );
-                        pkt.priority = sf.grant_prio;
-                        if chunk.retransmit {
-                            let cause = if chunk.last_resort {
-                                LossCause::LastResort
-                            } else {
-                                sf.last_loss.unwrap_or(LossCause::Probe)
-                            };
-                            ctx.emit(TransportEvent::Retransmit {
-                                flow,
-                                bytes: chunk.len as u64,
-                                cause,
-                            });
-                        }
-                        ctx.send(pkt);
-                        sf.sent_sched += chunk.len as u64;
-                    }
-                    None => break,
-                }
+                let Some(mut pkt) = sf.tx.next_scheduled(mtu, LossCause::Probe, ctx) else { break };
+                pkt.priority = sf.grant_prio;
+                sf.sent_sched += pkt.payload as u64;
+                ctx.send(pkt);
             }
+        }
+    }
+
+    /// Retransmit `[from, to)` right away as unscheduled packets (the
+    /// Blind-mode recovery paths; probe-recovery modes requeue instead).
+    fn resend_unscheduled(
+        cfg: &HomaConfig,
+        sf: &SendFlow,
+        from: u64,
+        to: u64,
+        cause: LossCause,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let mut seq = from;
+        while seq < to {
+            let len = cfg.base.mtu_payload.min((to - seq) as u32);
+            let mut pkt = data_packet(&sf.tx.desc, seq, len, TrafficClass::Unscheduled, true);
+            cfg.base.mode.stamp_unscheduled(&mut pkt, sf.native_prio, cfg.levels - 1);
+            ctx.emit(TransportEvent::Retransmit { flow: pkt.flow, bytes: len as u64, cause });
+            ctx.send(pkt);
+            seq += len as u64;
         }
     }
 
@@ -299,318 +266,143 @@ impl HomaEndpoint {
 
     fn on_resend_scan(&mut self, ctx: &mut Ctx<'_>) {
         self.scan_armed = false;
-        let stale_after = self.stale_after();
+        let (stale_after, now) = (self.stale_after(), ctx.now);
         let probe_mode = self.cfg.base.mode.probe_recovery();
-        let rtt_bytes = self.rtt_bytes(ctx);
-        let mut any_incomplete = false;
-        let mut resends: Vec<ResendBatch> = Vec::new();
-        let mut give_ups: Vec<FlowId> = Vec::new();
-        for (id, rf) in self.recv_flows.iter_mut() {
-            if rf.book.is_complete() {
-                continue;
-            }
-            if self.cfg.base.peer_silent(rf.last_progress, ctx.now) {
-                // The sender has been dead past the death threshold despite
-                // backed-off RESENDs: abort instead of re-requesting forever.
-                give_ups.push(id);
-                continue;
-            }
-            any_incomplete = true;
+        let window = 8 * self.cfg.base.mtu_payload as u64;
+        self.flows.reap_silent_senders(ctx);
+        let (any_incomplete, resends) = self.flows.stall_scan(ctx, |rf, size| {
             // Only a flow whose granted budget is *outstanding* (packets in
             // flight that never returned) can be loss-stalled; zero
             // outstanding means it is waiting on grants/SRPT, not on the
-            // network. In-flight packets drain within a buffer-drain time,
-            // so a stale outstanding balance is a loss.
-            if probe_mode {
-                let outstanding =
-                    rf.granted.saturating_sub(rf.sched_bytes_received + rf.budget_forgiven);
-                if outstanding == 0 {
-                    continue;
-                }
+            // network. Staleness is arrival-based: in-flight packets drain
+            // within a buffer-drain time, far below the 1 ms floor (grant
+            // timestamps are irrelevant — the periodic grant kick would
+            // otherwise mask a genuine stall indefinitely).
+            let outstanding = Self::outstanding(rf);
+            if (probe_mode && outstanding == 0)
+                || now.saturating_sub(rf.last_arrival) < stale_after
+            {
+                return Vec::new();
             }
-            // Staleness is arrival-based: outstanding in-flight packets
-            // drain within a buffer-drain time, far below the 1 ms floor
-            // (grant timestamps are irrelevant — the periodic grant kick
-            // would otherwise mask a genuine stall indefinitely).
-            if ctx.now.saturating_sub(rf.last_arrival) < stale_after {
-                continue;
-            }
-            // Expected extent: whatever was granted plus the unscheduled
-            // region the sender must have burst.
-            let size = match rf.book.core.size() {
-                Some(s) => s,
-                None => continue, // know nothing yet; sender RTO covers this
-            };
+            // The stalled budget's packets are presumed gone: write them off
+            // so fresh grants flow for the retransmissions.
+            rf.proto.forgiven += outstanding;
             // Request anything missing below the full message: the sender
             // clamps requeues to what it actually transmitted, and resending
             // not-yet-sent bytes early is harmless (grants are a cumulative
             // byte budget, so the receiver cannot reconstruct which offsets
             // were authorized).
-            let upto = size;
-            let _ = rtt_bytes;
-            // Blind mode requests at most one bounded range per flow per
-            // scan: premature resends of merely-queued data are the known
-            // waste of timeout recovery, but unbounded re-requests at RTO
-            // cadence would melt an incast fabric outright.
-            let missing: Vec<(u64, u64)> = if probe_mode {
-                rf.book.core.missing_below(upto).into_iter().take(8).collect()
+            let missing = rf.book.core.missing_below(size).into_iter();
+            if probe_mode {
+                missing.take(8).collect()
             } else {
-                let window = 8 * self.cfg.base.mtu_payload as u64;
-                rf.book
-                    .core
-                    .missing_below(upto)
-                    .into_iter()
-                    .take(1)
-                    .map(|(s, e)| (s, e.min(s + window)))
-                    .collect()
-            };
-            if !missing.is_empty() {
-                ctx.metrics.note_timeout(id);
-                rf.last_arrival = ctx.now; // back off until the next scan
-                // The stalled budget's packets are presumed gone: write
-                // them off so fresh grants flow for the retransmissions.
-                let outstanding = rf
-                    .granted
-                    .saturating_sub(rf.sched_bytes_received + rf.budget_forgiven);
-                rf.budget_forgiven += outstanding;
-                resends.push((id, rf.sender, missing));
+                // Blind mode requests at most one bounded range per flow per
+                // scan: premature resends of merely-queued data are the known
+                // waste of timeout recovery, but unbounded re-requests at RTO
+                // cadence would melt an incast fabric outright.
+                missing.take(1).map(|(s, e)| (s, e.min(s + window))).collect()
             }
-        }
-        // Always re-evaluate grants while anything is incomplete: grants are
-        // otherwise arrival-clocked, and a receiver whose last arrival
-        // predates a flow's turn in the SRPT order would strand it.
-        let regrant_needed = any_incomplete;
-        let _ = probe_mode;
-        give_ups.sort_unstable();
-        for id in give_ups {
-            self.give_up_on(id, ctx);
-        }
-        // Slot order is not key order: sort so resend emission matches the
-        // seed's BTreeMap scan order exactly.
-        resends.sort_unstable_by_key(|&(id, _, _)| id);
-        for (id, sender, missing) in resends {
-            for (s, e) in missing {
-                let mut r =
-                    Packet::control(id, ctx.host, sender, s, PacketKind::Resend { end: e });
-                r.priority = 0;
-                ctx.send(r);
-            }
-        }
-        if regrant_needed {
-            self.regrant(ctx);
-        }
+        });
+        send_resends(resends, ctx);
         if any_incomplete {
+            // Always re-evaluate grants while anything is incomplete: grants
+            // are otherwise arrival-clocked, and a receiver whose last
+            // arrival predates a flow's turn in the SRPT order would strand
+            // it.
+            self.regrant(ctx);
             ctx.set_timer_in_with(stale_after / 2, self.timers.arm(TimerKind::ResendScan));
             self.scan_armed = true;
         }
     }
 
     fn on_sender_rto(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let mtu = self.cfg.base.mtu_payload;
-        let rto = self.cfg.rto;
-        let pcfg = self.cfg.base;
-        let mut give_up = false;
-        let fires = {
-            let sf = match self.send_flows.get_mut(flow) {
-                Some(sf) => sf,
-                None => return,
-            };
-            if sf.completed {
-                None
-            } else if pcfg.peer_silent(sf.last_progress, ctx.now) {
-                give_up = true;
-                None
-            } else if !self.cfg.naive_rto && ctx.now.saturating_sub(sf.last_progress) < rto {
-                // The receiver is alive (grants flowing): not a timeout,
-                // just re-arm from the last progress point.
-                Some(sf.rto_fires)
-            } else if self.cfg.naive_rto {
-                // Eager Homa: premature full-burst retransmission on a
-                // naive deadline — the Table 1 efficiency collapse.
-                ctx.metrics.note_timeout(flow);
-                sf.rto_fires += 1;
-                sf.last_loss = Some(LossCause::Timeout);
-                let burst_end = sf.desc.size.min(
-                    self.cfg.base.aeolus.burst_budget(ctx.line_rate, self.cfg.base.base_rtt),
-                );
-                let mut seq = 0u64;
-                while seq < burst_end {
-                    let len = mtu.min((burst_end - seq) as u32);
-                    let mut pkt =
-                        data_packet(&sf.desc, seq, len, TrafficClass::Unscheduled, true);
-                    self.cfg.base.mode.stamp_unscheduled(
-                        &mut pkt,
-                        sf.native_prio,
-                        self.cfg.levels - 1,
-                    );
-                    ctx.emit(TransportEvent::Retransmit {
-                        flow,
-                        bytes: len as u64,
-                        cause: LossCause::Timeout,
-                    });
-                    ctx.send(pkt);
-                    seq += len as u64;
-                }
-                Some(sf.rto_fires)
-            } else {
-                // No completion and no receiver feedback for a full RTO:
-                // re-poll with the first burst packet (it carries the
-                // message size, so a receiver that lost the whole burst
-                // learns of the flow); the receiver's RESEND machinery
-                // drives range recovery.
-                ctx.metrics.note_timeout(flow);
-                sf.rto_fires += 1;
-                sf.last_loss = Some(LossCause::Timeout);
-                let len = mtu.min(sf.desc.size as u32);
-                let mut pkt = data_packet(&sf.desc, 0, len, TrafficClass::Unscheduled, true);
-                self.cfg.base.mode.stamp_unscheduled(
-                    &mut pkt,
-                    sf.native_prio,
-                    self.cfg.levels - 1,
-                );
-                ctx.emit(TransportEvent::Retransmit {
-                    flow,
-                    bytes: len as u64,
-                    cause: LossCause::Timeout,
-                });
-                ctx.send(pkt);
-                Some(sf.rto_fires)
-            }
-        };
-        if give_up {
-            self.give_up_on(flow, ctx);
+        let (rto, naive) = (self.cfg.rto, self.cfg.naive_rto);
+        let rtt_bytes = self.rtt_bytes(ctx);
+        let Some(sf) = self.flows.send.get_mut(flow) else { return };
+        if sf.tx.completed {
             return;
         }
-        if let Some(fires) = fires {
-            // Naive mode keeps firing at a fixed cadence for a while (the
-            // measured waste); both modes back off exponentially eventually
-            // so a stuck flow cannot melt the run.
-            let shift = if self.cfg.naive_rto { (fires / 16).min(6) } else { (fires / 2).min(8) };
-            ctx.set_timer_in_with(rto << shift, self.timers.arm(TimerKind::SenderRto(flow)));
+        if peer_silent(sf.tx.last_heard, ctx.now) {
+            self.flows.give_up(flow, ctx);
+            return;
         }
+        // A live receiver (grants flowing) is not a timeout: just re-arm
+        // from the last progress point. Eager Homa fires regardless — the
+        // naive deadline whose efficiency collapse Table 1 measures.
+        if naive || ctx.now.saturating_sub(sf.tx.last_heard) >= rto {
+            ctx.metrics.note_timeout(flow);
+            sf.rto_fires += 1;
+            sf.tx.last_loss = Some(LossCause::Timeout);
+            // Eager Homa blindly resends the whole burst region. Otherwise
+            // re-poll with the first burst packet (it carries the message
+            // size, so a receiver that lost the whole burst learns of the
+            // flow); the receiver's RESEND machinery drives range recovery.
+            let size = sf.tx.desc.size;
+            let upto = if naive { size.min(rtt_bytes) } else { size.min(self.cfg.base.mtu_payload as u64) };
+            Self::resend_unscheduled(&self.cfg, sf, 0, upto, LossCause::Timeout, ctx);
+        }
+        // Naive mode keeps firing at a fixed cadence for a while (the
+        // measured waste); both modes back off exponentially eventually so
+        // a stuck flow cannot melt the run.
+        let fires = sf.rto_fires;
+        let shift = if naive { (fires / 16).min(6) } else { (fires / 2).min(8) };
+        ctx.set_timer_in_with(rto << shift, self.timers.arm(TimerKind::SenderRto(flow)));
     }
 
     fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let retry_rtts = self.cfg.base.aeolus.probe_retry_rtts;
-        let pcfg = self.cfg.base;
-        let mut give_up = false;
-        let fires = {
-            let sf = match self.send_flows.get_mut(flow) {
-                Some(sf) => sf,
-                None => return,
-            };
-            if sf.heard_from_receiver || sf.completed {
-                None
-            } else if pcfg.peer_silent(sf.last_progress, ctx.now) {
-                give_up = true;
-                None
-            } else {
-                ctx.metrics.note_timeout(flow);
-                let burst_end = sf.desc.size.min(
-                    self.cfg.base.aeolus.burst_budget(ctx.line_rate, self.cfg.base.base_rtt),
-                );
-                let mut probe = probe_packet(&sf.desc, burst_end);
-                probe.priority = sf.native_prio;
-                ctx.send(probe);
-                // Reuse `rto_fires` as the retry counter: Blind mode (the
-                // only other user) never arms ProbeRetry.
-                sf.rto_fires += 1;
-                Some(sf.rto_fires)
-            }
-        };
-        if give_up {
-            self.give_up_on(flow, ctx);
-            return;
-        }
-        if let Some(fires) = fires {
-            if retry_rtts > 0 {
-                // Capped exponential backoff: each fruitless retry doubles
-                // the interval, up to 64×, so a long outage never seeds a
-                // storm.
-                let base = (retry_rtts as Time * self.cfg.base.base_rtt.max(1))
-                    .max(aeolus_sim::units::ms(2));
-                let token = self.timers.arm(TimerKind::ProbeRetry(flow));
-                ctx.set_timer_in_with(base << fires.min(6), token);
+        let Some(sf) = self.flows.send.get_mut(flow) else { return };
+        match sf.tx.retry(sf.tx.heard_back, &self.cfg.base, ctx.now) {
+            Retry::Quiet => {}
+            Retry::GiveUp => self.flows.give_up(flow, ctx),
+            Retry::Fire { resend, rearm_in } => {
+                if resend {
+                    ctx.metrics.note_timeout(flow);
+                    sf.tx.send_probe(sf.native_prio, ctx);
+                }
+                ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::ProbeRetry(flow)));
             }
         }
     }
 
     fn ensure_recv_flow(&mut self, pkt: &Packet, now: Time) -> &mut RecvFlow {
-        let rf = self.recv_flows.get_or_insert_with(pkt.flow, || RecvFlow {
-            sender: pkt.src,
-            book: RecvBook::new(),
-            granted: 0,
-            sched_bytes_received: 0,
-            budget_forgiven: 0,
-            last_arrival: now,
-            last_progress: now,
-            last_granted: 0,
-        });
-        rf.book.learn_size(pkt.flow_size);
-        rf.last_arrival = now;
-        rf.last_progress = now;
+        let rf = self.flows.recv_entry(pkt, now, Grants::default);
+        rf.touch(now);
         rf
     }
 }
 
 impl Endpoint for HomaEndpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
-        let mode = self.cfg.base.mode;
-        let budget = if mode.bursts() { self.rtt_bytes(ctx).min(flow.size) } else { 0 };
-        let mut core = PreCreditSender::new(flow.size, budget);
+        let base = self.cfg.base;
         let native_prio = self.cfg.unsched_prio(flow.size);
-        let mtu = self.cfg.base.mtu_payload;
-        let mut burst_sent = 0u64;
-        if budget > 0 {
-            ctx.emit(TransportEvent::BurstStart { flow: flow.id, bytes: budget });
-        }
-        while let Some(chunk) = core.next_burst_chunk(mtu) {
-            let mut pkt = data_packet(&flow, chunk.seq, chunk.len, TrafficClass::Unscheduled, false);
-            mode.stamp_unscheduled(&mut pkt, native_prio, self.cfg.levels - 1);
-            burst_sent += chunk.len as u64;
-            ctx.send(pkt);
-        }
-        if budget > 0 {
-            ctx.emit(TransportEvent::BurstStop { flow: flow.id, sent: burst_sent });
-        }
-        if let Some(probe_seq) = core.end_burst() {
-            if mode.probe_recovery() {
-                // The probe must trail the burst through every queue: give it
-                // the *same* priority as the unscheduled data (it stays
-                // protected from selective dropping via its ECT mark).
-                let mut probe = probe_packet(&flow, probe_seq);
-                probe.priority = native_prio;
-                ctx.send(probe);
-            }
-        }
-        if mode == FirstRttMode::Blind {
+        let lowest = self.cfg.levels - 1;
+        // The probe must trail the burst through every queue: give it the
+        // *same* priority as the unscheduled data (it stays protected from
+        // selective dropping via its ECT mark).
+        let tx = launch_first_rtt(flow, &base, native_prio, ctx, |pkt| {
+            base.mode.stamp_unscheduled(pkt, native_prio, lowest)
+        });
+        if base.mode == FirstRttMode::Blind {
             ctx.set_timer_in_with(self.cfg.rto, self.timers.arm(TimerKind::SenderRto(flow.id)));
-        } else if mode.probe_recovery() && self.cfg.base.aeolus.probe_retry_rtts > 0 {
-            let delay =
-                (self.cfg.base.aeolus.probe_retry_rtts as Time * self.cfg.base.base_rtt.max(1))
-                    .max(aeolus_sim::units::ms(2));
-            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ProbeRetry(flow.id)));
+        } else if base.mode.probe_recovery() && base.aeolus.probe_retry_rtts > 0 {
+            let token = self.timers.arm(TimerKind::ProbeRetry(flow.id));
+            ctx.set_timer_in_with(recovery::retry_base(&base), token);
         }
-        self.send_flows.insert(
+        self.flows.send.insert(
             flow.id,
             SendFlow {
-                desc: flow,
-                core,
+                tx,
                 rto_fires: 0,
-                last_progress: ctx.now,
                 granted: 0,
                 sent_sched: 0,
                 grant_prio: self.cfg.sched_prio(0),
-                completed: false,
-                heard_from_receiver: false,
                 native_prio,
-                last_loss: None,
             },
         );
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.dead.holds(pkt.flow) {
+        if self.flows.is_dead(pkt.flow) {
             // Stale wire traffic for an aborted flow must not resurrect it.
             return;
         }
@@ -620,43 +412,31 @@ impl Endpoint for HomaEndpoint {
                 let rf = self.ensure_recv_flow(&pkt, ctx.now);
                 let unscheduled = pkt.class == TrafficClass::Unscheduled;
                 if !unscheduled {
-                    rf.sched_bytes_received += pkt.payload as u64;
+                    rf.proto.sched_bytes_received += pkt.payload as u64;
                 }
                 let v = rf.book.on_data(&pkt, ctx);
-                let sender = rf.sender;
                 // Aeolus per-packet ACKs for unscheduled data.
                 if mode.probe_recovery() && unscheduled {
                     if let Some((s, e)) = v.acked_range {
-                        let mut a = ack_packet(pkt.flow, ctx.host, sender, s, e);
-                        a.priority = 0;
-                        ctx.send(a);
+                        ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, s, e));
                     }
                 }
                 // Completion ACK (the RPC-reply analogue) in every mode so
                 // senders can retire state and stop RTO timers.
                 if v.completed {
-                    let size = pkt.flow_size;
-                    let mut done = ack_packet(pkt.flow, ctx.host, sender, 0, size);
-                    done.priority = 0;
-                    ctx.send(done);
+                    ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, 0, pkt.flow_size));
                 }
                 self.regrant(ctx);
                 self.arm_scan(ctx);
             }
             PacketKind::Probe => {
-                let rf = self.ensure_recv_flow(&pkt, ctx.now);
-                rf.book.core.on_probe(pkt.seq, pkt.flow_size);
-                let sender = rf.sender;
-                let mut pa = probe_ack_packet(pkt.flow, ctx.host, sender, pkt.seq);
-                pa.priority = 0;
-                ctx.send(pa);
+                self.ensure_recv_flow(&pkt, ctx.now).on_probe(&pkt, ctx);
                 self.regrant(ctx);
                 self.arm_scan(ctx);
             }
             PacketKind::Grant { grant_prio } => {
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_from_receiver = true;
-                    sf.last_progress = ctx.now;
+                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
+                    sf.tx.heard(ctx.now);
                     sf.grant_prio = grant_prio;
                     if pkt.seq > sf.granted {
                         ctx.emit(TransportEvent::CreditReceipt {
@@ -665,80 +445,35 @@ impl Endpoint for HomaEndpoint {
                         });
                         sf.granted = pkt.seq;
                     }
-                    sf.core.end_burst();
+                    sf.tx.core.end_burst();
                 }
                 self.pump_scheduled(pkt.flow, ctx);
             }
             PacketKind::Resend { end } => {
-                let mtu = self.cfg.base.mtu_payload;
-                let levels = self.cfg.levels;
-                let mode = self.cfg.base.mode;
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_from_receiver = true;
-                    sf.last_progress = ctx.now;
-                    if mode.probe_recovery() {
+                let probe_mode = self.cfg.base.mode.probe_recovery();
+                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
+                    sf.tx.heard(ctx.now);
+                    if probe_mode {
                         // Backstop path: requeue and let the (inflated)
                         // grant budget clock the retransmission out as a
                         // guaranteed scheduled packet.
-                        let lost = sf.core.requeue_lost(pkt.seq, end.min(sf.desc.size));
-                        if lost > 0 {
-                            sf.last_loss = Some(LossCause::Stall);
-                            ctx.emit(TransportEvent::LossDetected {
-                                flow: pkt.flow,
-                                bytes: lost,
-                                cause: LossCause::Stall,
-                            });
-                        }
+                        sf.tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
                     } else {
                         // Blind mode: resend immediately as unscheduled.
-                        sf.last_loss = Some(LossCause::Stall);
-                        ctx.emit(TransportEvent::LossDetected {
-                            flow: pkt.flow,
-                            bytes: end.min(sf.desc.size).saturating_sub(pkt.seq),
-                            cause: LossCause::Stall,
-                        });
-                        let mut seq = pkt.seq;
-                        while seq < end.min(sf.desc.size) {
-                            let len = mtu.min((end.min(sf.desc.size) - seq) as u32);
-                            let mut p =
-                                data_packet(&sf.desc, seq, len, TrafficClass::Unscheduled, true);
-                            mode.stamp_unscheduled(&mut p, sf.native_prio, levels - 1);
-                            ctx.emit(TransportEvent::Retransmit {
-                                flow: pkt.flow,
-                                bytes: len as u64,
-                                cause: LossCause::Stall,
-                            });
-                            ctx.send(p);
-                            seq += len as u64;
-                        }
+                        let end = end.min(sf.tx.desc.size);
+                        sf.tx.note_loss(end.saturating_sub(pkt.seq), LossCause::Stall, ctx);
+                        Self::resend_unscheduled(&self.cfg, sf, pkt.seq, end, LossCause::Stall, ctx);
                     }
                 }
-                if mode.probe_recovery() {
+                if probe_mode {
                     self.pump_scheduled(pkt.flow, ctx);
                 }
             }
             PacketKind::Ack { of_probe, end } => {
                 let infer = self.cfg.base.sack_inference();
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_from_receiver = true;
-                    sf.last_progress = ctx.now;
-                    let (lost, cause) = if of_probe {
-                        // Newly detected losses may fit the open grant window.
-                        (sf.core.on_probe_ack(), LossCause::Probe)
-                    } else if pkt.seq == 0 && end >= sf.desc.size {
-                        sf.completed = true;
-                        sf.core.on_ack_no_infer(0, end);
-                        (0, LossCause::SackGap)
-                    } else if infer {
-                        (sf.core.on_ack(pkt.seq, end), LossCause::SackGap)
-                    } else {
-                        sf.core.on_ack_no_infer(pkt.seq, end);
-                        (0, LossCause::SackGap)
-                    };
-                    if lost > 0 {
-                        sf.last_loss = Some(cause);
-                        ctx.emit(TransportEvent::LossDetected { flow: pkt.flow, bytes: lost, cause });
-                    }
+                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
+                    // Newly detected losses may fit the open grant window.
+                    sf.tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
                 }
                 self.pump_scheduled(pkt.flow, ctx);
             }
@@ -758,25 +493,18 @@ impl Endpoint for HomaEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        // A host crash wipes every byte of transport state; the timer
-        // generation bump makes all queued tokens stale.
-        self.send_flows.clear();
-        self.recv_flows.clear();
+        // The timer generation bump makes all queued tokens stale.
+        self.flows.crash();
         self.timers.clear();
         self.scan_armed = false;
-        self.dead.clear();
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
-        self.dead.bury(flow.id);
+        self.flows.abort(flow.id);
     }
 
     fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.dead.raise(flow.id);
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
+        self.flows.restart(flow.id);
     }
 }
 
@@ -794,7 +522,6 @@ mod tests {
                 aeolus: AeolusConfig::default(),
                 mode: FirstRttMode::Blind,
                 disable_sack: false,
-                peer_silence: 0,
             },
             us(10_000),
         )

@@ -23,10 +23,11 @@ pub mod homa;
 pub mod ndp;
 pub mod phost;
 pub mod receiver_table;
+pub mod recovery;
 pub mod registry;
 
 pub use builder::SchemeBuilder;
-pub use common::{BaseConfig, FirstRttMode, Tombstones};
+pub use common::{BaseConfig, FirstRttMode};
 pub use corpus::{
     mutate, run_campaign, CampaignConfig, CampaignFailure, CampaignOutcome, Corpus, Signature,
 };

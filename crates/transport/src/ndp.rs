@@ -16,18 +16,13 @@
 
 use std::collections::VecDeque;
 
-use aeolus_core::PreCreditSender;
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind, TimerTable,
-    TrafficClass, TransportEvent,
+    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, TimerTable, TransportEvent,
 };
 
-use crate::common::{
-    abort_peer_silent, ack_packet, data_packet, probe_ack_packet, probe_packet, BaseConfig,
-    Tombstones,
-};
-use crate::receiver_table::RecvBook;
+use crate::common::{ack_packet, BaseConfig};
+use crate::recovery::{self, launch_first_rtt, FlowTable, Retry, SendState};
 
 /// NDP tunables.
 #[derive(Debug, Clone, Copy)]
@@ -58,25 +53,14 @@ enum TimerKind {
 }
 
 struct SendFlow {
-    desc: FlowDesc,
-    core: PreCreditSender,
+    tx: SendState,
     /// Packet counter used as the spray path tag.
     tag: u64,
-    /// Set once anything (ACK, probe ACK, NACK, pull) came back.
-    heard_back: bool,
-    /// Last time the receiver showed signs of life (peer-death watchdog).
-    last_heard: Time,
-    probe_seq: Option<u64>,
-    /// Most recent loss signal, for retransmission attribution.
-    last_loss: Option<LossCause>,
-    /// Consecutive probe retries without a response, capped — each doubles
-    /// the next retry interval (capped exponential backoff).
-    retry_fires: u32,
 }
 
-struct RecvFlow {
-    sender: NodeId,
-    book: RecvBook,
+/// The receiver's pull ledger for one flow.
+#[derive(Default)]
+struct Pulls {
     /// Pulls issued for this flow so far (each funds one packet).
     pulls_sent: u64,
     /// Packet arrivals (full data, trimmed headers — anything a transmission
@@ -87,17 +71,14 @@ struct RecvFlow {
     /// Initial-window packets the sender transmits unprompted (pre-paid
     /// credits).
     iw_pkts: u64,
-    last_arrival: Time,
-    /// Last *real* arrival — never rewound by the backstop's back-off, so it
-    /// measures true peer silence for the death watchdog.
-    last_progress: Time,
 }
+
+type RecvFlow = recovery::RecvFlow<Pulls>;
 
 /// The per-host NDP endpoint.
 pub struct NdpEndpoint {
     cfg: NdpConfig,
-    send_flows: FlowMap<FlowId, SendFlow>,
-    recv_flows: FlowMap<FlowId, RecvFlow>,
+    flows: FlowTable<SendFlow, RecvFlow>,
     timers: TimerTable<TimerKind>,
     /// Round-robin pull queue across flows (one entry = one pull to send).
     pull_queue: VecDeque<FlowId>,
@@ -106,7 +87,6 @@ pub struct NdpEndpoint {
     /// idle gaps, so bursts of arrivals cannot compress the pull spacing.
     next_pull_at: Time,
     backstop_armed: bool,
-    dead: Tombstones,
 }
 
 impl NdpEndpoint {
@@ -114,31 +94,18 @@ impl NdpEndpoint {
     pub fn new(cfg: NdpConfig) -> NdpEndpoint {
         NdpEndpoint {
             cfg,
-            send_flows: FlowMap::new(),
-            recv_flows: FlowMap::new(),
+            flows: FlowTable::default(),
             timers: TimerTable::new(),
             pull_queue: VecDeque::new(),
             pull_pacer_armed: false,
             next_pull_at: 0,
             backstop_armed: false,
-            dead: Tombstones::new(),
         }
-    }
-
-    /// Peer-silence abort (either role): drop local state, bury the id and
-    /// record the abort. Pending pull-queue entries for the flow become
-    /// harmless no-ops (`maybe_enqueue_pull` checks state at send time).
-    fn give_up_on(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        self.send_flows.remove(flow);
-        self.recv_flows.remove(flow);
-        self.dead.bury(flow);
-        abort_peer_silent(flow, ctx);
     }
 
     fn iw_bytes(&self, ctx: &Ctx<'_>) -> u64 {
         self.cfg.base.aeolus.burst_budget(ctx.line_rate, self.cfg.base.base_rtt)
     }
-
 
     fn pull_spacing(&self, ctx: &Ctx<'_>) -> Time {
         ctx.line_rate.serialize(self.cfg.base.mtu_wire() as u64)
@@ -147,7 +114,8 @@ impl NdpEndpoint {
     /// Credits the sender is still holding: initial window + pulls, minus
     /// what came back (any packet arrival) and what was written off.
     fn outstanding(rf: &RecvFlow) -> u64 {
-        (rf.iw_pkts + rf.pulls_sent).saturating_sub(rf.arrivals + rf.forgiven)
+        let p = &rf.proto;
+        (p.iw_pkts + p.pulls_sent).saturating_sub(p.arrivals + p.forgiven)
     }
 
     /// Pull deficit in *packets*: enough outstanding credit to cover the
@@ -161,7 +129,7 @@ impl NdpEndpoint {
             return 0;
         }
         let remaining = rf.book.remaining().unwrap_or(0);
-        let window = rf.iw_pkts.max(1);
+        let window = rf.proto.iw_pkts.max(1);
         remaining
             .div_ceil(mtu)
             .min(window)
@@ -171,9 +139,9 @@ impl NdpEndpoint {
     /// Queue up to one pull for `flow` (the arrival-clocked path).
     fn maybe_enqueue_pull(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.cfg.base.mtu_payload as u64;
-        if let Some(rf) = self.recv_flows.get_mut(flow) {
+        if let Some(rf) = self.flows.recv.get_mut(flow) {
             if Self::pull_deficit(rf, mtu) > 0 {
-                rf.pulls_sent += 1;
+                rf.proto.pulls_sent += 1;
                 self.pull_queue.push_back(flow);
                 self.arm_pull_pacer(ctx);
             }
@@ -184,9 +152,9 @@ impl NdpEndpoint {
     /// batch of losses at once; the pacer still spaces them at line rate).
     fn drain_pull_deficit(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.cfg.base.mtu_payload as u64;
-        if let Some(rf) = self.recv_flows.get_mut(flow) {
+        if let Some(rf) = self.flows.recv.get_mut(flow) {
             while Self::pull_deficit(rf, mtu) > 0 {
-                rf.pulls_sent += 1;
+                rf.proto.pulls_sent += 1;
                 self.pull_queue.push_back(flow);
             }
         }
@@ -209,11 +177,15 @@ impl NdpEndpoint {
             None => return,
         };
         let spacing = self.pull_spacing(ctx);
-        if let Some(rf) = self.recv_flows.get(flow) {
+        if let Some(rf) = self.flows.recv.get(flow) {
             if !rf.book.is_complete() {
-                let mut pull =
-                    Packet::control(flow, ctx.host, rf.sender, rf.pulls_sent, PacketKind::Pull);
-                pull.priority = 0;
+                let pull = Packet::control(
+                    flow,
+                    ctx.host,
+                    rf.sender,
+                    rf.proto.pulls_sent,
+                    PacketKind::Pull,
+                );
                 // Each pull funds one MTU of transmission: NDP's credit.
                 ctx.emit(TransportEvent::CreditIssue {
                     flow,
@@ -240,63 +212,31 @@ impl NdpEndpoint {
 
     fn on_backstop(&mut self, ctx: &mut Ctx<'_>) {
         self.backstop_armed = false;
-        let backstop = self.cfg.backstop;
-        let mut stalled = Vec::new();
-        let mut give_ups: Vec<FlowId> = Vec::new();
-        let mut any_incomplete = false;
-        for (id, rf) in self.recv_flows.iter() {
-            if rf.book.is_complete() || rf.book.core.size().is_none() {
-                continue;
-            }
-            if self.cfg.base.peer_silent(rf.last_progress, ctx.now) {
-                // The sender has been dead past the death threshold despite
-                // backed-off NACK rounds: abort instead of NACKing forever.
-                give_ups.push(id);
-                continue;
-            }
-            any_incomplete = true;
+        let (backstop, now) = (self.cfg.backstop, ctx.now);
+        let mtu = self.cfg.base.mtu_payload as u64;
+        self.flows.reap_silent_senders(ctx);
+        let (any_incomplete, stalled) = self.flows.stall_scan(ctx, |rf, size| {
             // Outstanding credit with nothing arriving for a backstop period
             // means the fabric lost something: in-flight packets would have
             // drained long before. (Zero outstanding = waiting on our own
             // pull pacer, not on the network.)
-            if Self::outstanding(rf) > 0
-                && ctx.now.saturating_sub(rf.last_arrival) >= backstop
-            {
-                stalled.push(id);
+            let outstanding = Self::outstanding(rf);
+            if outstanding == 0 || now.saturating_sub(rf.last_arrival) < backstop {
+                return Vec::new();
             }
-        }
-        give_ups.sort_unstable();
-        for id in give_ups {
-            self.give_up_on(id, ctx);
-        }
-        // Slot order is not key order: sort so the NACK/pull emission order
-        // stays exactly the seed's BTreeMap scan order.
-        stalled.sort_unstable();
-        for id in stalled {
-            ctx.metrics.note_timeout(id);
+            // The stuck credits are gone: write them off so fresh pulls
+            // flow, and tell the sender exactly what to requeue.
+            rf.proto.forgiven += outstanding;
+            rf.book.core.missing_below(size).into_iter().take(4).collect()
+        });
+        for (id, sender, missing) in stalled {
             // Tell the sender what is missing (a stall means the loss signal
             // itself was lost — e.g. a corrupted scheduled packet, which
             // neither trims nor ACKs), then replenish the pull stream.
-            let mtu = self.cfg.base.mtu_payload as u64;
-            let mut nacks = Vec::new();
-            if let Some(rf) = self.recv_flows.get_mut(id) {
-                // The stuck credits are gone: write them off so fresh pulls
-                // flow, and tell the sender exactly what to requeue.
-                rf.forgiven += Self::outstanding(rf);
-                let size = rf.book.core.size().expect("checked above");
-                for (ms, me) in rf.book.core.missing_below(size).into_iter().take(4) {
-                    let mut seq = ms;
-                    while seq < me {
-                        nacks.push((rf.sender, seq));
-                        seq += mtu;
-                    }
+            for (ms, me) in missing {
+                for seq in (ms..me).step_by(mtu as usize) {
+                    ctx.send(Packet::control(id, ctx.host, sender, seq, PacketKind::Nack));
                 }
-                rf.last_arrival = ctx.now;
-            }
-            for (sender, seq) in nacks {
-                let mut nack = Packet::control(id, ctx.host, sender, seq, PacketKind::Nack);
-                nack.priority = 0;
-                ctx.send(nack);
             }
             self.drain_pull_deficit(id, ctx);
         }
@@ -310,156 +250,67 @@ impl NdpEndpoint {
     /// Send the next packet in response to a pull.
     fn pump_one(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.cfg.base.mtu_payload;
-        if let Some(sf) = self.send_flows.get_mut(flow) {
-            if let Some(chunk) = sf.core.next_scheduled_chunk(mtu) {
-                let mut pkt = data_packet(
-                    &sf.desc,
-                    chunk.seq,
-                    chunk.len,
-                    TrafficClass::Scheduled,
-                    chunk.retransmit,
-                );
+        if let Some(sf) = self.flows.send.get_mut(flow) {
+            if let Some(mut pkt) = sf.tx.next_scheduled(mtu, LossCause::Nack, ctx) {
                 sf.tag += 1;
                 pkt.path_tag = sf.tag;
-                if chunk.retransmit {
-                    let cause = if chunk.last_resort {
-                        LossCause::LastResort
-                    } else {
-                        sf.last_loss.unwrap_or(LossCause::Nack)
-                    };
-                    ctx.emit(TransportEvent::Retransmit {
-                        flow,
-                        bytes: chunk.len as u64,
-                        cause,
-                    });
-                }
                 ctx.send(pkt);
             }
         }
     }
 
     fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let retry_rtts = self.cfg.base.aeolus.probe_retry_rtts;
-        let pcfg = self.cfg.base;
-        let mut give_up = false;
-        let fires = {
-            let sf = match self.send_flows.get_mut(flow) {
-                Some(sf) => sf,
-                None => return,
-            };
-            if sf.heard_back {
-                None
-            } else if pcfg.peer_silent(sf.last_heard, ctx.now) {
-                give_up = true;
-                None
-            } else {
-                ctx.metrics.note_timeout(flow);
-                if let Some(ps) = sf.probe_seq {
-                    let mut probe = probe_packet(&sf.desc, ps);
-                    probe.priority = 7;
-                    ctx.send(probe);
+        let Some(sf) = self.flows.send.get_mut(flow) else { return };
+        match sf.tx.retry(sf.tx.heard_back, &self.cfg.base, ctx.now) {
+            Retry::Quiet => {}
+            Retry::GiveUp => self.flows.give_up(flow, ctx),
+            Retry::Fire { resend, rearm_in } => {
+                if resend {
+                    ctx.metrics.note_timeout(flow);
+                    sf.tx.send_probe(7, ctx);
                 }
-                sf.retry_fires = (sf.retry_fires + 1).min(6);
-                Some(sf.retry_fires)
-            }
-        };
-        if give_up {
-            self.give_up_on(flow, ctx);
-            return;
-        }
-        if let Some(fires) = fires {
-            if retry_rtts > 0 {
-                // Capped exponential backoff on fruitless retries.
-                let base = (retry_rtts as Time * self.cfg.base.base_rtt.max(1))
-                    .max(aeolus_sim::units::ms(2));
-                let token = self.timers.arm(TimerKind::ProbeRetry(flow));
-                ctx.set_timer_in_with(base << fires.min(6), token);
+                ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::ProbeRetry(flow)));
             }
         }
     }
 
-    fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &Ctx<'_>) {
-        let now = ctx.now;
+    fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &Ctx<'_>) -> &mut RecvFlow {
         let iw = self.iw_bytes(ctx);
         let mtu = self.cfg.base.mtu_payload as u64;
-        let rf = self.recv_flows.get_or_insert_with(pkt.flow, || RecvFlow {
-            sender: pkt.src,
-            book: RecvBook::new(),
-            pulls_sent: 0,
-            arrivals: 0,
-            forgiven: 0,
-            iw_pkts: 0,
-            last_arrival: now,
-            last_progress: now,
-        });
-        rf.book.learn_size(pkt.flow_size);
-        if rf.iw_pkts == 0 {
+        let rf = self.flows.recv_entry(pkt, ctx.now, Pulls::default);
+        if rf.proto.iw_pkts == 0 {
             if let Some(size) = rf.book.core.size() {
-                rf.iw_pkts = iw.min(size).div_ceil(mtu);
+                rf.proto.iw_pkts = iw.min(size).div_ceil(mtu);
             }
         }
-        rf.last_arrival = now;
-        rf.last_progress = now;
+        rf.touch(ctx.now);
+        rf
     }
 }
 
 impl Endpoint for NdpEndpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
-        let mode = self.cfg.base.mode;
-        let budget = self.iw_bytes(ctx).min(flow.size);
-        let mut core = PreCreditSender::new(flow.size, budget);
-        // NDP recovery is signal-driven (NACKs in Blind mode, probe/SACK in
-        // Aeolus mode): last-resort duplication only feeds trim loops.
-        core.disable_last_resort();
+        let base = self.cfg.base;
         let mut tag = 0u64;
-        let mtu = self.cfg.base.mtu_payload;
-        let mut burst_sent = 0u64;
-        if budget > 0 {
-            ctx.emit(TransportEvent::BurstStart { flow: flow.id, bytes: budget });
-        }
-        while let Some(chunk) = core.next_burst_chunk(mtu) {
-            let mut pkt = data_packet(&flow, chunk.seq, chunk.len, TrafficClass::Unscheduled, false);
-            mode.stamp_unscheduled(&mut pkt, 0, 7);
+        // The probe trails the burst at priority 7 (moot in a FIFO, kept for
+        // symmetry with the spray tags).
+        let mut tx = launch_first_rtt(flow, &base, 7, ctx, |pkt| {
+            base.mode.stamp_unscheduled(pkt, 0, 7);
             tag += 1;
             pkt.path_tag = tag;
-            burst_sent += chunk.len as u64;
-            ctx.send(pkt);
+        });
+        // NDP recovery is signal-driven (NACKs in Blind mode, probe/SACK in
+        // Aeolus mode): last-resort duplication only feeds trim loops.
+        tx.core.disable_last_resort();
+        if base.mode.probe_recovery() && base.aeolus.probe_retry_rtts > 0 {
+            let token = self.timers.arm(TimerKind::ProbeRetry(flow.id));
+            ctx.set_timer_in_with(recovery::retry_base(&base), token);
         }
-        if budget > 0 {
-            ctx.emit(TransportEvent::BurstStop { flow: flow.id, sent: burst_sent });
-        }
-        let mut probe_seq = None;
-        if let Some(ps) = core.end_burst() {
-            if mode.probe_recovery() {
-                let mut probe = probe_packet(&flow, ps);
-                probe.priority = 7; // trail the burst (moot in a FIFO, kept for symmetry)
-                ctx.send(probe);
-                probe_seq = Some(ps);
-            }
-        }
-        if mode.probe_recovery() && self.cfg.base.aeolus.probe_retry_rtts > 0 {
-            let delay =
-                (self.cfg.base.aeolus.probe_retry_rtts as Time * self.cfg.base.base_rtt.max(1))
-                    .max(aeolus_sim::units::ms(2));
-            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ProbeRetry(flow.id)));
-        }
-        self.send_flows.insert(
-            flow.id,
-            SendFlow {
-                desc: flow,
-                core,
-                tag,
-                heard_back: false,
-                last_heard: ctx.now,
-                probe_seq,
-                last_loss: None,
-                retry_fires: 0,
-            },
-        );
+        self.flows.send.insert(flow.id, SendFlow { tx, tag });
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.dead.holds(pkt.flow) {
+        if self.flows.is_dead(pkt.flow) {
             // Stale wire traffic for an aborted flow must not resurrect it.
             return;
         }
@@ -468,51 +319,32 @@ impl Endpoint for NdpEndpoint {
                 // A cut-payload header: it returns its transmission credit
                 // (the payload is gone, so the credit frees immediately);
                 // NACK so the sender requeues the bytes, then keep pulling.
-                self.ensure_recv_flow(&pkt, ctx);
-                let sender = {
-                    let rf = self.recv_flows.get_mut(pkt.flow).expect("just ensured");
-                    rf.arrivals += 1;
-                    rf.sender
-                };
-                let mut nack = Packet::control(pkt.flow, ctx.host, sender, pkt.seq, PacketKind::Nack);
-                nack.priority = 0;
+                let rf = self.ensure_recv_flow(&pkt, ctx);
+                rf.proto.arrivals += 1;
+                let nack = Packet::control(pkt.flow, ctx.host, rf.sender, pkt.seq, PacketKind::Nack);
                 ctx.send(nack);
                 self.maybe_enqueue_pull(pkt.flow, ctx);
                 self.arm_backstop(ctx);
             }
             PacketKind::Data => {
-                self.ensure_recv_flow(&pkt, ctx);
-                let rf = self.recv_flows.get_mut(pkt.flow).expect("just ensured");
-                rf.arrivals += 1;
+                let rf = self.ensure_recv_flow(&pkt, ctx);
+                rf.proto.arrivals += 1;
                 let v = rf.book.on_data(&pkt, ctx);
-                let sender = rf.sender;
                 if let Some((s, e)) = v.acked_range {
-                    let mut a = ack_packet(pkt.flow, ctx.host, sender, s, e);
-                    a.priority = 0;
-                    ctx.send(a);
+                    ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, s, e));
                 }
                 self.maybe_enqueue_pull(pkt.flow, ctx);
                 self.arm_backstop(ctx);
             }
             PacketKind::Probe => {
-                self.ensure_recv_flow(&pkt, ctx);
-                let rf = self.recv_flows.get_mut(pkt.flow).expect("just ensured");
-                rf.book.core.on_probe(pkt.seq, pkt.flow_size);
-                let sender = rf.sender;
-                let mut pa = probe_ack_packet(pkt.flow, ctx.host, sender, pkt.seq);
-                pa.priority = 0;
-                ctx.send(pa);
+                let mtu = self.cfg.base.mtu_payload as u64;
+                let rf = self.ensure_recv_flow(&pkt, ctx);
+                rf.on_probe(&pkt, ctx);
                 // The probe arrives behind every surviving burst packet
                 // (one FIFO path), so the burst loss is exact arithmetic:
                 // write the lost packets' credits off and top up the pulls.
-                let mtu = self.cfg.base.mtu_payload as u64;
-                {
-                    let rf = self.recv_flows.get_mut(pkt.flow).expect("just ensured");
-                    let burst_lost = pkt.seq.saturating_sub(rf.book.core.received_below(pkt.seq));
-                    let lost_pkts = burst_lost.div_ceil(mtu);
-                    let outstanding = Self::outstanding(rf);
-                    rf.forgiven += lost_pkts.min(outstanding);
-                }
+                let burst_lost = pkt.seq.saturating_sub(rf.book.core.received_below(pkt.seq));
+                rf.proto.forgiven += burst_lost.div_ceil(mtu).min(Self::outstanding(rf));
                 self.drain_pull_deficit(pkt.flow, ctx);
                 self.arm_backstop(ctx);
             }
@@ -521,25 +353,15 @@ impl Endpoint for NdpEndpoint {
                 // NACK, including re-trimmed retransmissions, so requeue
                 // unconditionally.
                 let mtu = self.cfg.base.mtu_payload as u64;
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_back = true;
-                    sf.last_heard = ctx.now;
-                    let end = (pkt.seq + mtu).min(sf.desc.size);
-                    let lost = sf.core.requeue_lost(pkt.seq, end);
-                    if lost > 0 {
-                        sf.last_loss = Some(LossCause::Nack);
-                        ctx.emit(TransportEvent::LossDetected {
-                            flow: pkt.flow,
-                            bytes: lost,
-                            cause: LossCause::Nack,
-                        });
-                    }
+                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
+                    sf.tx.heard(ctx.now);
+                    let end = (pkt.seq + mtu).min(sf.tx.desc.size);
+                    sf.tx.requeue(pkt.seq, end, LossCause::Nack, ctx);
                 }
             }
             PacketKind::Pull => {
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_back = true;
-                    sf.last_heard = ctx.now;
+                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
+                    sf.tx.heard(ctx.now);
                     ctx.emit(TransportEvent::CreditReceipt {
                         flow: pkt.flow,
                         bytes: self.cfg.base.mtu_payload as u64,
@@ -548,24 +370,10 @@ impl Endpoint for NdpEndpoint {
                 self.pump_one(pkt.flow, ctx);
             }
             PacketKind::Ack { of_probe, end } => {
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_back = true;
-                    sf.last_heard = ctx.now;
-                    if of_probe {
-                        let lost = sf.core.on_probe_ack();
-                        if lost > 0 {
-                            sf.last_loss = Some(LossCause::Probe);
-                            ctx.emit(TransportEvent::LossDetected {
-                                flow: pkt.flow,
-                                bytes: lost,
-                                cause: LossCause::Probe,
-                            });
-                        }
-                    } else {
-                        // Spraying reorders packets: never infer loss from
-                        // ACK gaps here.
-                        sf.core.on_ack_no_infer(pkt.seq, end);
-                    }
+                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
+                    // Spraying reorders packets: never infer loss from ACK
+                    // gaps here.
+                    sf.tx.on_ack(pkt.seq, end, of_probe, false, ctx);
                 }
             }
             other => {
@@ -584,27 +392,22 @@ impl Endpoint for NdpEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        // A host crash wipes every byte of transport state; the timer
-        // generation bump makes all queued tokens stale.
-        self.send_flows.clear();
-        self.recv_flows.clear();
+        // The timer generation bump makes all queued tokens stale.
+        self.flows.crash();
         self.timers.clear();
         self.pull_queue.clear();
         self.pull_pacer_armed = false;
         self.next_pull_at = 0;
         self.backstop_armed = false;
-        self.dead.clear();
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
-        self.dead.bury(flow.id);
+        // Pending pull-queue entries for the flow become harmless no-ops
+        // (`on_pull_tick` checks state at send time).
+        self.flows.abort(flow.id);
     }
 
     fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.dead.raise(flow.id);
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
+        self.flows.restart(flow.id);
     }
 }

@@ -20,18 +20,14 @@
 //!
 //! [`FirstRttMode::Blind`]: crate::common::FirstRttMode::Blind
 
-use aeolus_core::PreCreditSender;
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind, TimerTable,
-    TrafficClass, TransportEvent,
+    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, TimerTable, TrafficClass,
+    TransportEvent,
 };
 
-use crate::common::{
-    abort_peer_silent, ack_packet, data_packet, probe_ack_packet, probe_packet, BaseConfig,
-    FirstRttMode, Tombstones,
-};
-use crate::receiver_table::RecvBook;
+use crate::common::{ack_packet, BaseConfig, FirstRttMode};
+use crate::recovery::{self, launch_first_rtt, send_resends, FlowTable, Retry, SendState};
 
 /// pHost tunables.
 #[derive(Debug, Clone, Copy)]
@@ -49,9 +45,6 @@ impl PHostConfig {
     }
 }
 
-/// A batch of missing ranges to re-request from one sender.
-type ResendBatch = (FlowId, NodeId, Vec<(u64, u64)>);
-
 #[derive(Debug, Clone, Copy)]
 enum TimerKind {
     /// The receiver's token pacer tick.
@@ -64,48 +57,28 @@ enum TimerKind {
     RtsRetry(FlowId),
 }
 
-struct SendFlow {
-    desc: FlowDesc,
-    core: PreCreditSender,
-    completed: bool,
-    /// Most recent loss signal, for retransmission attribution.
-    last_loss: Option<LossCause>,
-    /// Set once anything came back (token, ACK, probe ACK, resend).
-    heard_back: bool,
-    /// Last time the receiver showed signs of life (peer-death watchdog).
-    last_heard: Time,
-    /// Probe sequence, kept for retries.
-    probe_seq: Option<u64>,
-    /// Consecutive fruitless retries, capped — each doubles the interval.
-    retry_fires: u32,
-}
-
-struct RecvFlow {
-    sender: NodeId,
-    book: RecvBook,
+/// The receiver's token ledger for one flow.
+#[derive(Default)]
+struct Tokens {
     /// Tokens issued to this flow so far (each authorizes one packet).
-    tokens_sent: u64,
+    sent: u64,
     /// Scheduled (token-induced) data packets received back.
     sched_pkts_received: u64,
     /// Tokens written off by the stall scan (their packets are presumed
     /// lost, so they no longer count as outstanding).
-    tokens_forgiven: u64,
-    last_arrival: Time,
-    /// Last *real* arrival — never rewound by the stall scan's back-off, so
-    /// it measures true peer silence for the death watchdog.
-    last_progress: Time,
+    forgiven: u64,
 }
+
+type RecvFlow = recovery::RecvFlow<Tokens>;
 
 /// The per-host pHost endpoint.
 pub struct PHostEndpoint {
     cfg: PHostConfig,
-    send_flows: FlowMap<FlowId, SendFlow>,
-    recv_flows: FlowMap<FlowId, RecvFlow>,
+    flows: FlowTable<SendState, RecvFlow>,
     timers: TimerTable<TimerKind>,
     pacer_armed: bool,
     next_token_at: Time,
     scan_armed: bool,
-    dead: Tombstones,
 }
 
 impl PHostEndpoint {
@@ -113,23 +86,12 @@ impl PHostEndpoint {
     pub fn new(cfg: PHostConfig) -> PHostEndpoint {
         PHostEndpoint {
             cfg,
-            send_flows: FlowMap::new(),
-            recv_flows: FlowMap::new(),
+            flows: FlowTable::default(),
             timers: TimerTable::new(),
             pacer_armed: false,
             next_token_at: 0,
             scan_armed: false,
-            dead: Tombstones::new(),
         }
-    }
-
-    /// Peer-silence abort (either role): drop local state, bury the id and
-    /// record the abort.
-    fn give_up_on(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        self.send_flows.remove(flow);
-        self.recv_flows.remove(flow);
-        self.dead.bury(flow);
-        abort_peer_silent(flow, ctx);
     }
 
     fn rtt_bytes(&self, ctx: &Ctx<'_>) -> u64 {
@@ -138,6 +100,11 @@ impl PHostEndpoint {
 
     fn token_spacing(&self, ctx: &Ctx<'_>) -> Time {
         ctx.line_rate.serialize(self.cfg.base.mtu_wire() as u64)
+    }
+
+    /// Tokens whose packets have neither returned nor been written off.
+    fn outstanding(rf: &RecvFlow) -> u64 {
+        rf.proto.sent.saturating_sub(rf.proto.sched_pkts_received + rf.proto.forgiven)
     }
 
     /// Tokens a flow still deserves: enough outstanding tokens to cover its
@@ -152,10 +119,7 @@ impl PHostEndpoint {
         // window lets a backlogged sender overload the downlink later.
         let window = rtt_bytes.div_ceil(mtu).max(1);
         let needed = remaining.div_ceil(mtu).min(window);
-        let outstanding = rf
-            .tokens_sent
-            .saturating_sub(rf.sched_pkts_received + rf.tokens_forgiven);
-        needed.saturating_sub(outstanding)
+        needed.saturating_sub(Self::outstanding(rf))
     }
 
     fn arm_pacer(&mut self, ctx: &mut Ctx<'_>) {
@@ -177,16 +141,16 @@ impl PHostEndpoint {
         // keeps the first minimum in key order); slot order is different,
         // so the id is now an explicit tie-break key.
         let best = self
-            .recv_flows
+            .flows
+            .recv
             .iter()
             .filter(|(_, rf)| Self::token_deficit(rf, rtt_bytes, mtu) > 0)
             .min_by_key(|(id, rf)| (rf.book.remaining().unwrap_or(u64::MAX), *id))
             .map(|(id, rf)| (id, rf.sender));
         if let Some((id, sender)) = best {
-            let rf = self.recv_flows.get_mut(id).expect("chosen flow");
-            rf.tokens_sent += 1;
-            let mut tok = Packet::control(id, ctx.host, sender, rf.tokens_sent, PacketKind::Pull);
-            tok.priority = 0;
+            let rf = self.flows.recv.get_mut(id).expect("chosen flow");
+            rf.proto.sent += 1;
+            let tok = Packet::control(id, ctx.host, sender, rf.proto.sent, PacketKind::Pull);
             // Each token authorizes one MTU of transmission: pHost's credit.
             ctx.emit(TransportEvent::CreditIssue { flow: id, bytes: mtu });
             ctx.send(tok);
@@ -194,7 +158,8 @@ impl PHostEndpoint {
             self.next_token_at = ctx.now + spacing;
             // More work pending? Keep ticking.
             let more = self
-                .recv_flows
+                .flows
+                .recv
                 .values()
                 .any(|rf| Self::token_deficit(rf, rtt_bytes, mtu) > 0);
             if more {
@@ -204,13 +169,14 @@ impl PHostEndpoint {
         }
     }
 
-    fn arm_scan(&mut self, ctx: &mut Ctx<'_>) {
-        if self.scan_armed {
-            return;
+    /// Start the token pacer and the stall scan unless already running.
+    fn arm_receiver(&mut self, ctx: &mut Ctx<'_>) {
+        self.arm_pacer(ctx);
+        if !self.scan_armed {
+            self.scan_armed = true;
+            let delay = self.stale_after() / 2;
+            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::StallScan));
         }
-        self.scan_armed = true;
-        let delay = self.stale_after() / 2;
-        ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::StallScan));
     }
 
     fn stale_after(&self) -> Time {
@@ -221,70 +187,26 @@ impl PHostEndpoint {
     }
 
     /// Receiver-side recovery: for stalled incomplete flows, budget extra
-    /// tokens covering the missing bytes (and, in Blind mode, tell the
-    /// sender which ranges to retransmit).
+    /// tokens covering the missing bytes and tell the sender which ranges to
+    /// retransmit.
     fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
         self.scan_armed = false;
-        let stale = self.stale_after();
-        let mut any_incomplete = false;
-        let mut resends: Vec<ResendBatch> = Vec::new();
-        let mut give_ups: Vec<FlowId> = Vec::new();
-        for (id, rf) in self.recv_flows.iter_mut() {
-            if rf.book.is_complete() {
-                continue;
-            }
-            if self.cfg.base.peer_silent(rf.last_progress, ctx.now) {
-                // The sender has been dead past the death threshold despite
-                // backed-off token re-issues: abort instead of retrying
-                // forever.
-                give_ups.push(id);
-                continue;
-            }
-            any_incomplete = true;
-            let size = match rf.book.core.size() {
-                Some(s) => s,
-                None => continue,
-            };
+        let (stale, now) = (self.stale_after(), ctx.now);
+        let probe_mode = self.cfg.base.mode.probe_recovery();
+        self.flows.reap_silent_senders(ctx);
+        let (any_incomplete, resends) = self.flows.stall_scan(ctx, |rf, size| {
             // Loss-stall requires outstanding tokens whose packets never
             // returned; zero outstanding = waiting on the SRPT pacer.
-            if self.cfg.base.mode.probe_recovery() {
-                let outstanding = rf
-                    .tokens_sent
-                    .saturating_sub(rf.sched_pkts_received + rf.tokens_forgiven);
-                if outstanding == 0 {
-                    continue;
-                }
+            let outstanding = Self::outstanding(rf);
+            if (probe_mode && outstanding == 0) || now.saturating_sub(rf.last_arrival) < stale {
+                return Vec::new();
             }
-            if ctx.now.saturating_sub(rf.last_arrival) < stale {
-                continue;
-            }
-            let missing: Vec<(u64, u64)> =
-                rf.book.core.missing_below(size).into_iter().take(8).collect();
-            if !missing.is_empty() {
-                ctx.metrics.note_timeout(id);
-                rf.last_arrival = ctx.now;
-                // Token re-issue (the pHost recovery): write the stalled
-                // tokens off so fresh ones flow for the retransmissions.
-                let outstanding = rf
-                    .tokens_sent
-                    .saturating_sub(rf.sched_pkts_received + rf.tokens_forgiven);
-                rf.tokens_forgiven += outstanding;
-                resends.push((id, rf.sender, missing));
-            }
-        }
-        give_ups.sort_unstable();
-        for id in give_ups {
-            self.give_up_on(id, ctx);
-        }
-        // Slot order is not key order: sort so resend emission matches the
-        // seed's BTreeMap scan order exactly.
-        resends.sort_unstable_by_key(|&(id, _, _)| id);
-        for (id, sender, missing) in resends {
-            for (s, e) in missing {
-                let r = Packet::control(id, ctx.host, sender, s, PacketKind::Resend { end: e });
-                ctx.send(r);
-            }
-        }
+            // Token re-issue (the pHost recovery): write the stalled tokens
+            // off so fresh ones flow for the retransmissions.
+            rf.proto.forgiven += outstanding;
+            rf.book.core.missing_below(size).into_iter().take(8).collect()
+        });
+        send_resends(resends, ctx);
         self.arm_pacer(ctx);
         if any_incomplete {
             self.scan_armed = true;
@@ -295,208 +217,100 @@ impl PHostEndpoint {
     /// Send one token-induced packet.
     fn pump_one(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.cfg.base.mtu_payload;
-        if let Some(sf) = self.send_flows.get_mut(flow) {
-            sf.core.end_burst();
-            if let Some(chunk) = sf.core.next_scheduled_chunk(mtu) {
-                let mut pkt = data_packet(
-                    &sf.desc,
-                    chunk.seq,
-                    chunk.len,
-                    TrafficClass::Scheduled,
-                    chunk.retransmit,
-                );
+        if let Some(tx) = self.flows.send.get_mut(flow) {
+            tx.core.end_burst();
+            if let Some(mut pkt) = tx.next_scheduled(mtu, LossCause::Stall, ctx) {
                 // pHost puts scheduled below unscheduled: priority 1 of 2.
                 pkt.priority = 1;
-                if chunk.retransmit {
-                    let cause = if chunk.last_resort {
-                        LossCause::LastResort
-                    } else {
-                        sf.last_loss.unwrap_or(LossCause::Stall)
-                    };
-                    ctx.emit(TransportEvent::Retransmit {
-                        flow,
-                        bytes: chunk.len as u64,
-                        cause,
-                    });
-                }
                 ctx.send(pkt);
             }
         }
     }
 
-    /// Base initial-contact retry interval (capped exponential backoff on
-    /// top, like the other schemes' §6 probe retries).
-    fn retry_base(&self) -> Time {
-        let retry_rtts = self.cfg.base.aeolus.probe_retry_rtts;
-        (retry_rtts as Time * self.cfg.base.base_rtt.max(1)).max(aeolus_sim::units::ms(2))
+    fn send_rts(flow: &FlowDesc, ctx: &mut Ctx<'_>) {
+        let mut rts = Packet::control(flow.id, flow.src, flow.dst, 0, PacketKind::Request);
+        rts.flow_size = flow.size;
+        ctx.send(rts);
     }
 
     fn on_rts_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        if self.cfg.base.aeolus.probe_retry_rtts == 0 {
-            return;
-        }
-        let base = self.retry_base();
-        let probe_recovery = self.cfg.base.mode.probe_recovery();
-        let pcfg = self.cfg.base;
-        let mut give_up = false;
-        let fires = {
-            let sf = match self.send_flows.get_mut(flow) {
-                Some(sf) => sf,
-                None => return,
-            };
-            if sf.heard_back || sf.completed {
-                None
-            } else if pcfg.peer_silent(sf.last_heard, ctx.now) {
-                give_up = true;
-                None
-            } else {
-                // Total silence: re-introduce the flow to the receiver.
-                ctx.metrics.note_timeout(flow);
-                let mut rts = Packet::control(flow, ctx.host, sf.desc.dst, 0, PacketKind::Request);
-                rts.flow_size = sf.desc.size;
-                ctx.send(rts);
-                if probe_recovery {
-                    if let Some(ps) = sf.probe_seq {
-                        ctx.send(probe_packet(&sf.desc, ps));
-                    }
+        let Some(tx) = self.flows.send.get_mut(flow) else { return };
+        match tx.retry(tx.heard_back, &self.cfg.base, ctx.now) {
+            Retry::Quiet => {}
+            Retry::GiveUp => self.flows.give_up(flow, ctx),
+            Retry::Fire { resend, rearm_in } => {
+                if resend {
+                    // Total silence: re-introduce the flow to the receiver.
+                    ctx.metrics.note_timeout(flow);
+                    Self::send_rts(&tx.desc, ctx);
+                    tx.send_probe(0, ctx);
                 }
-                sf.retry_fires = (sf.retry_fires + 1).min(6);
-                Some(sf.retry_fires)
+                ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::RtsRetry(flow)));
             }
-        };
-        if give_up {
-            self.give_up_on(flow, ctx);
-            return;
-        }
-        if let Some(fires) = fires {
-            let token = self.timers.arm(TimerKind::RtsRetry(flow));
-            ctx.set_timer_in_with(base << fires.min(6), token);
         }
     }
 
-    fn ensure_recv_flow(&mut self, pkt: &Packet, now: Time) {
-        let rf = self.recv_flows.get_or_insert_with(pkt.flow, || RecvFlow {
-            sender: pkt.src,
-            book: RecvBook::new(),
-            tokens_sent: 0,
-            sched_pkts_received: 0,
-            tokens_forgiven: 0,
-            last_arrival: now,
-            last_progress: now,
-        });
-        rf.book.learn_size(pkt.flow_size);
-        rf.last_arrival = now;
-        rf.last_progress = now;
+    fn ensure_recv_flow(&mut self, pkt: &Packet, now: Time) -> &mut RecvFlow {
+        let rf = self.flows.recv_entry(pkt, now, Tokens::default);
+        rf.touch(now);
+        rf
     }
 }
 
 impl Endpoint for PHostEndpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
-        let mode = self.cfg.base.mode;
-        let budget = if mode.bursts() { self.rtt_bytes(ctx).min(flow.size) } else { 0 };
-        let mut core = PreCreditSender::new(flow.size, budget);
+        let base = self.cfg.base;
+        // RTS first (carries the size), then the free-token burst with
+        // unscheduled packets (and the probe) at pHost's top priority.
+        Self::send_rts(&flow, ctx);
+        let mut tx =
+            launch_first_rtt(flow, &base, 0, ctx, |pkt| base.mode.stamp_unscheduled(pkt, 0, 1));
         // Recovery is token re-issue (scan- or probe-driven); last-resort
         // duplication would only waste tokens.
-        core.disable_last_resort();
-        // RTS first (carries the size), then the free-token burst.
-        let mut rts = Packet::control(flow.id, flow.src, flow.dst, 0, PacketKind::Request);
-        rts.flow_size = flow.size;
-        ctx.send(rts);
-        let native_prio = 0; // pHost: unscheduled at top priority
-        let mtu = self.cfg.base.mtu_payload;
-        let mut burst_sent = 0u64;
-        if budget > 0 {
-            ctx.emit(TransportEvent::BurstStart { flow: flow.id, bytes: budget });
-        }
-        while let Some(chunk) = core.next_burst_chunk(mtu) {
-            let mut pkt = data_packet(&flow, chunk.seq, chunk.len, TrafficClass::Unscheduled, false);
-            mode.stamp_unscheduled(&mut pkt, native_prio, 1);
-            burst_sent += chunk.len as u64;
-            ctx.send(pkt);
-        }
-        if budget > 0 {
-            ctx.emit(TransportEvent::BurstStop { flow: flow.id, sent: burst_sent });
-        }
-        let mut probe_seq = None;
-        if let Some(ps) = core.end_burst() {
-            if mode.probe_recovery() {
-                let mut probe = probe_packet(&flow, ps);
-                probe.priority = native_prio;
-                ctx.send(probe);
-                probe_seq = Some(ps);
-            }
-        }
-        if self.cfg.base.aeolus.probe_retry_rtts > 0 {
+        tx.core.disable_last_resort();
+        if base.aeolus.probe_retry_rtts > 0 {
             let token = self.timers.arm(TimerKind::RtsRetry(flow.id));
-            ctx.set_timer_in_with(self.retry_base(), token);
+            ctx.set_timer_in_with(recovery::retry_base(&base), token);
         }
-        self.send_flows.insert(
-            flow.id,
-            SendFlow {
-                desc: flow,
-                core,
-                completed: false,
-                last_loss: None,
-                heard_back: false,
-                last_heard: ctx.now,
-                probe_seq,
-                retry_fires: 0,
-            },
-        );
+        self.flows.send.insert(flow.id, tx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.dead.holds(pkt.flow) {
+        if self.flows.is_dead(pkt.flow) {
             // Stale wire traffic for an aborted flow must not resurrect it.
             return;
         }
         match pkt.kind {
             PacketKind::Request => {
                 self.ensure_recv_flow(&pkt, ctx.now);
-                self.arm_pacer(ctx);
-                self.arm_scan(ctx);
+                self.arm_receiver(ctx);
             }
             PacketKind::Data => {
-                self.ensure_recv_flow(&pkt, ctx.now);
                 let mode = self.cfg.base.mode;
-                let rf = self.recv_flows.get_mut(pkt.flow).expect("just ensured");
+                let rf = self.ensure_recv_flow(&pkt, ctx.now);
                 let unscheduled = pkt.class == TrafficClass::Unscheduled;
                 if !unscheduled {
-                    rf.sched_pkts_received += 1;
+                    rf.proto.sched_pkts_received += 1;
                 }
                 let v = rf.book.on_data(&pkt, ctx);
-                let sender = rf.sender;
                 if mode.probe_recovery() && unscheduled {
                     if let Some((s, e)) = v.acked_range {
-                        let mut a = ack_packet(pkt.flow, ctx.host, sender, s, e);
-                        a.priority = 0;
-                        ctx.send(a);
+                        ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, s, e));
                     }
                 }
                 if v.completed {
-                    let mut done = ack_packet(pkt.flow, ctx.host, sender, 0, pkt.flow_size);
-                    done.priority = 0;
-                    ctx.send(done);
+                    ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, 0, pkt.flow_size));
                 }
-                self.arm_pacer(ctx);
-                self.arm_scan(ctx);
+                self.arm_receiver(ctx);
             }
             PacketKind::Probe => {
-                self.ensure_recv_flow(&pkt, ctx.now);
-                let rf = self.recv_flows.get_mut(pkt.flow).expect("just ensured");
-                rf.book.core.on_probe(pkt.seq, pkt.flow_size);
-                let sender = rf.sender;
-                let mut pa = probe_ack_packet(pkt.flow, ctx.host, sender, pkt.seq);
-                pa.priority = 0;
-                ctx.send(pa);
-                self.arm_pacer(ctx);
-                self.arm_scan(ctx);
+                self.ensure_recv_flow(&pkt, ctx.now).on_probe(&pkt, ctx);
+                self.arm_receiver(ctx);
             }
             PacketKind::Pull => {
                 // A token.
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_back = true;
-                    sf.last_heard = ctx.now;
+                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
+                    tx.heard(ctx.now);
                     ctx.emit(TransportEvent::CreditReceipt {
                         flow: pkt.flow,
                         bytes: self.cfg.base.mtu_payload as u64,
@@ -507,44 +321,15 @@ impl Endpoint for PHostEndpoint {
             PacketKind::Resend { end } => {
                 // pHost recovery is token re-issue in every mode: requeue
                 // the range; the extended token budget clocks it out.
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_back = true;
-                    sf.last_heard = ctx.now;
-                    let lost = sf.core.requeue_lost(pkt.seq, end.min(sf.desc.size));
-                    if lost > 0 {
-                        sf.last_loss = Some(LossCause::Stall);
-                        ctx.emit(TransportEvent::LossDetected {
-                            flow: pkt.flow,
-                            bytes: lost,
-                            cause: LossCause::Stall,
-                        });
-                    }
+                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
+                    tx.heard(ctx.now);
+                    tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
                 }
             }
             PacketKind::Ack { of_probe, end } => {
-                if let Some(sf) = self.send_flows.get_mut(pkt.flow) {
-                    sf.heard_back = true;
-                    sf.last_heard = ctx.now;
-                    let (lost, cause) = if of_probe {
-                        (sf.core.on_probe_ack(), LossCause::Probe)
-                    } else if pkt.seq == 0 && end >= sf.desc.size {
-                        sf.completed = true;
-                        sf.core.on_ack_no_infer(0, end);
-                        (0, LossCause::SackGap)
-                    } else if self.cfg.base.sack_inference() {
-                        (sf.core.on_ack(pkt.seq, end), LossCause::SackGap)
-                    } else {
-                        sf.core.on_ack_no_infer(pkt.seq, end);
-                        (0, LossCause::SackGap)
-                    };
-                    if lost > 0 {
-                        sf.last_loss = Some(cause);
-                        ctx.emit(TransportEvent::LossDetected {
-                            flow: pkt.flow,
-                            bytes: lost,
-                            cause,
-                        });
-                    }
+                let infer = self.cfg.base.sack_inference();
+                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
+                    tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
                 }
             }
             other => {
@@ -563,26 +348,19 @@ impl Endpoint for PHostEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        // A host crash wipes every byte of transport state; the timer
-        // generation bump makes all queued tokens stale.
-        self.send_flows.clear();
-        self.recv_flows.clear();
+        // The timer generation bump makes all queued tokens stale.
+        self.flows.crash();
         self.timers.clear();
         self.pacer_armed = false;
         self.next_token_at = 0;
         self.scan_armed = false;
-        self.dead.clear();
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
-        self.dead.bury(flow.id);
+        self.flows.abort(flow.id);
     }
 
     fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.dead.raise(flow.id);
-        self.send_flows.remove(flow.id);
-        self.recv_flows.remove(flow.id);
+        self.flows.restart(flow.id);
     }
 }

@@ -127,10 +127,6 @@ pub struct SchemeParams {
     /// switch queue discipline still follows the scheme, so overrides make
     /// sense only between modes sharing a discipline (e.g. Aeolus ↔ Blind).
     pub first_rtt: Option<FirstRttMode>,
-    /// Peer-death threshold for all endpoints: a flow that has heard
-    /// nothing from its peer for this long while retrying aborts with
-    /// cause `PeerSilent` instead of retrying forever. `0` disables it.
-    pub peer_silence: Time,
 }
 
 impl SchemeParams {
@@ -152,7 +148,6 @@ impl SchemeParams {
             fault_loss_prob: 0.0,
             faults: FaultPlan::default(),
             first_rtt: None,
-            peer_silence: aeolus_sim::units::ms(400),
         }
     }
 
@@ -326,7 +321,6 @@ impl Scheme {
             aeolus,
             mode: p.first_rtt.unwrap_or_else(|| self.first_rtt_mode()),
             disable_sack: p.disable_sack || sprays,
-            peer_silence: p.peer_silence,
         }
     }
 

@@ -1,0 +1,110 @@
+//! Faulted runs pinned bit-for-bit. The clean-run goldens (the incast event
+//! count, fig09) never reach a retry timer, a silence gate, a tombstone or
+//! a crash wipe; these rows do, for every scheme of `fault_recovery.rs`, so
+//! a refactor of the recovery code can be proven behaviour-preserving.
+//!
+//! Two plans on the 8-host testbed, 21 incast flows of 200 KB (three per
+//! sender):
+//!
+//! * `flap`: 0.5% corruption loss on everything, a 300 µs whole-fabric link
+//!   flap, a source-host crash/restart and a sink crash/restart — retries,
+//!   stall scans, flow abort/restart and the crash wipe in both roles.
+//! * `split`: a 600 ms pod partition — the peer-silence give-up and the
+//!   tombstones that keep stragglers from resurrecting aborted flows.
+//!
+//! Each row pins `(events processed, FNV-1a digest over every flow's
+//! completed_at / delivered / timeouts / retransmitted / restarts /
+//! aborted)`. A changed row means recovery behaviour changed: re-pin only
+//! with the reason in the commit message.
+
+use aeolus_sim::topology::LinkParams;
+use aeolus_sim::units::{ms, us};
+use aeolus_sim::{FaultPlan, FlowDesc, FlowId, Rate};
+use aeolus_transport::{Scheme, SchemeBuilder, SchemeParams, TopoSpec};
+
+const FLAP: &str =
+    "loss=0.005, down=100us..400us, crash=1@150us..650us, crash=0@2ms..3ms, seed=9";
+const SPLIT: &str = "partition=150us..600ms, seed=9";
+
+fn fnv(h: &mut u64, v: u64) {
+    for b in v.to_le_bytes() {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// `(events processed, per-flow digest)`.
+type Row = (u64, u64);
+
+fn run(scheme: Scheme, plan: &str) -> Row {
+    let mut params = SchemeParams::new(0);
+    params.faults = plan.parse::<FaultPlan>().expect("plan parses");
+    let mut h = SchemeBuilder::new(scheme)
+        .params(params)
+        .topology(TopoSpec::SingleSwitch {
+            hosts: 8,
+            link: LinkParams::uniform(Rate::gbps(10), us(3)),
+        })
+        .build();
+    let hosts = h.hosts().to_vec();
+    let flows: Vec<FlowDesc> = (0..21u64)
+        .map(|i| FlowDesc {
+            id: FlowId(i + 1),
+            src: hosts[i as usize % (hosts.len() - 1) + 1],
+            dst: hosts[0],
+            size: 200_000,
+            start: i * us(1),
+        })
+        .collect();
+    h.schedule(&flows);
+    h.run(ms(3000));
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for r in h.metrics().flows() {
+        fnv(&mut digest, r.desc.id.0);
+        fnv(&mut digest, r.completed_at.map_or(u64::MAX, |t| t));
+        fnv(&mut digest, r.delivered);
+        fnv(&mut digest, r.timeouts as u64);
+        fnv(&mut digest, r.retransmitted);
+        fnv(&mut digest, r.restarts as u64);
+        fnv(&mut digest, r.aborted.map_or(0, |c| 1 + c as u64));
+    }
+    (h.network().events_processed(), digest)
+}
+
+/// `(scheme, flap row, split row)`, recorded at commit 5796b2f (the parent
+/// of the recovery-core refactor).
+fn golden() -> Vec<(Scheme, Row, Row)> {
+    vec![
+        (
+            Scheme::ExpressPassAeolus,
+            (52_094, 0x6691047be7388c8f),
+            (315_951, 0x1f66802bf7c7ccbf),
+        ),
+        (Scheme::HomaAeolus, (31_047, 0x855acfc00da8818f), (30_021, 0x8d99f689b6d30246)),
+        (Scheme::NdpAeolus, (60_007, 0xe9119a22981dd754), (1_477_451, 0x448504fe92b0f512)),
+        (Scheme::PHostAeolus, (43_569, 0xfc998af7aad55def), (243_639, 0x6a0ea78742a01bd5)),
+        (Scheme::FastpassAeolus, (26_547, 0x0f732fa351de1a91), (12_252, 0x8d32a32d65e09bad)),
+        (Scheme::Dctcp { rto: ms(10) }, (33_346, 0x533ebe2bbb93387d), (13_508, 0x89acdd0870504647)),
+    ]
+}
+
+#[test]
+fn faulted_runs_match_the_pinned_rows() {
+    let mut mismatches = Vec::new();
+    for (scheme, flap, split) in golden() {
+        for (label, plan, want) in [("flap", FLAP, flap), ("split", SPLIT, split)] {
+            let got = run(scheme, plan);
+            if got != want {
+                mismatches.push(format!(
+                    "{} {label}: got ({}, {:#018x}), pinned ({}, {:#018x})",
+                    scheme.name(),
+                    got.0,
+                    got.1,
+                    want.0,
+                    want.1
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "recovery behaviour changed:\n{}", mismatches.join("\n"));
+}
