@@ -30,7 +30,7 @@ use aeolus_sim::{
 
 use crate::common::{ack_packet, BaseConfig};
 use crate::recovery::{
-    self, backoff, launch_first_rtt, peer_silent, send_resends, FlowTable, SendState,
+    self, backoff, launch_first_rtt, peer_silent, send_resends, FlowTable, Retry, SendState,
 };
 
 /// Fastpass tunables.
@@ -147,6 +147,11 @@ enum TimerKind {
     /// reply) was lost on the way — without this, a single lost arbiter
     /// round trip hangs the flow forever.
     RequestRetry(FlowId),
+    /// §6 probe-retry: a message that fits in one burst can lose burst,
+    /// probe and the last-resort retransmission; the sender then has no
+    /// work left and the receiver never heard of the flow — resend the
+    /// probe until the receiver answers.
+    ProbeRetry(FlowId),
     /// Receiver-side stall scan: re-requests missing ranges from senders
     /// whose scheduled packets died on the wire.
     StallScan,
@@ -241,6 +246,21 @@ impl FastpassEndpoint {
         self.request_slots(flow, ctx);
     }
 
+    fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
+        let Some(sf) = self.flows.send.get_mut(flow) else { return };
+        match sf.tx.retry(sf.tx.heard_back, &self.cfg.base, ctx.now) {
+            Retry::Quiet => {}
+            Retry::GiveUp => self.flows.give_up(flow, ctx),
+            Retry::Fire { resend, rearm_in } => {
+                if resend {
+                    ctx.metrics.note_timeout(flow);
+                    sf.tx.send_probe(0, ctx);
+                }
+                ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::ProbeRetry(flow)));
+            }
+        }
+    }
+
     fn arm_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
         if self.stall_scan_armed {
             return;
@@ -293,6 +313,10 @@ impl Endpoint for FastpassEndpoint {
         let base = self.cfg.base;
         // Pre-credit burst while the arbiter round-trip is in flight.
         let tx = launch_first_rtt(flow, &base, 0, ctx, |pkt| base.mode.stamp_unscheduled(pkt, 0, 7));
+        if base.mode.probe_recovery() && base.aeolus.probe_retry_rtts > 0 {
+            let token = self.timers.arm(TimerKind::ProbeRetry(flow.id));
+            ctx.set_timer_in_with(recovery::retry_base(&base), token);
+        }
         self.flows.send.insert(
             flow.id,
             SendFlow { tx, slots_left: 0, stride: 0, requesting: false, request_fires: 0 },
@@ -370,6 +394,7 @@ impl Endpoint for FastpassEndpoint {
         match self.timers.fire(token) {
             Some(TimerKind::Slot(f)) => self.on_slot(f, ctx),
             Some(TimerKind::RequestRetry(f)) => self.on_request_retry(f, ctx),
+            Some(TimerKind::ProbeRetry(f)) => self.on_probe_retry(f, ctx),
             Some(TimerKind::StallScan) => self.on_stall_scan(ctx),
             None => {}
         }

@@ -83,13 +83,30 @@ pub struct StuckFlow {
     pub retransmitted: u64,
 }
 
-/// Diagnostics from [`Harness::run_watchdog`] when not every flow finished:
-/// the global watchdog tripped, and these are the per-flow stuck states.
+impl fmt::Display for StuckFlow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "flow {} {}->{}: {}/{} B delivered, {} timeouts, {} B retransmitted{}",
+            self.id.0,
+            self.src.0,
+            self.dst.0,
+            self.delivered,
+            self.size,
+            self.timeouts,
+            self.retransmitted,
+            if self.delivered == 0 { " (never got a byte through)" } else { "" },
+        )
+    }
+}
+
+/// Diagnostics from [`Harness::run_watchdog`] when some flow hung: the
+/// global watchdog tripped, and these are the per-flow stuck states.
 #[derive(Debug, Clone)]
 pub struct WatchdogReport {
     /// The horizon the run was given.
     pub horizon: Time,
-    /// Every incomplete flow, in flow-id order.
+    /// Every hung flow (neither completed nor aborted), in flow-id order.
     pub stuck: Vec<StuckFlow>,
 }
 
@@ -102,18 +119,7 @@ impl fmt::Display for WatchdogReport {
             fmt_time(self.horizon)
         )?;
         for s in &self.stuck {
-            writeln!(
-                f,
-                "  flow {} {}->{}: {}/{} B delivered, {} timeouts, {} B retransmitted{}",
-                s.id.0,
-                s.src.0,
-                s.dst.0,
-                s.delivered,
-                s.size,
-                s.timeouts,
-                s.retransmitted,
-                if s.delivered == 0 { " (never got a byte through)" } else { "" },
-            )?;
+            writeln!(f, "  {s}")?;
         }
         Ok(())
     }
@@ -213,18 +219,7 @@ impl fmt::Display for DegradationReport {
         }
         writeln!(f, ", {} hung", self.hung())?;
         for s in &self.stuck {
-            writeln!(
-                f,
-                "  HUNG flow {} {}->{}: {}/{} B delivered, {} timeouts, {} B retransmitted{}",
-                s.id.0,
-                s.src.0,
-                s.dst.0,
-                s.delivered,
-                s.size,
-                s.timeouts,
-                s.retransmitted,
-                if s.delivered == 0 { " (never got a byte through)" } else { "" },
-            )?;
+            writeln!(f, "  HUNG {s}")?;
         }
         Ok(())
     }
@@ -311,31 +306,17 @@ impl<T: Tracer> Harness<T> {
         self.topo.net.run_to_completion(horizon)
     }
 
-    /// Run with a global watchdog: like [`Harness::run`], but an incomplete
-    /// run is an *error* carrying per-flow stuck-state diagnostics instead of
-    /// a bare `false`. Chaos/fault experiments use this so a hung recovery
-    /// loop fails loudly with enough context to debug it.
+    /// Run with a global watchdog: like [`Harness::run`], but a hung flow is
+    /// an *error* carrying per-flow stuck-state diagnostics instead of a
+    /// bare `false`. Chaos/fault experiments use this so a hung recovery
+    /// loop fails loudly with enough context to debug it. Aborted-with-cause
+    /// flows are settled, not stuck: the watchdog is a hang detector, and an
+    /// explicit abort is graceful degradation.
     pub fn run_watchdog(&mut self, horizon: Time) -> Result<(), WatchdogReport> {
-        if self.run(horizon) {
-            return Ok(());
+        match self.run_degradation(horizon) {
+            Ok(_) => Ok(()),
+            Err(report) => Err(WatchdogReport { horizon, stuck: report.stuck }),
         }
-        // Aborted-with-cause flows are settled, not stuck: the watchdog is
-        // a hang detector, and an explicit abort is graceful degradation.
-        let stuck = self
-            .metrics()
-            .flows()
-            .filter(|r| r.completed_at.is_none() && r.aborted.is_none())
-            .map(|r| StuckFlow {
-                id: r.desc.id,
-                src: r.desc.src,
-                dst: r.desc.dst,
-                size: r.desc.size,
-                delivered: r.delivered,
-                timeouts: r.timeouts,
-                retransmitted: r.retransmitted,
-            })
-            .collect();
-        Err(WatchdogReport { horizon, stuck })
     }
 
     /// Run to the horizon and classify every flow's terminal state. `Err`

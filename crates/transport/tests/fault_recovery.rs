@@ -143,6 +143,33 @@ fn probe_retry_repairs_lost_probes_when_enabled() {
 }
 
 #[test]
+fn one_burst_flows_survive_losing_burst_probe_and_last_resort() {
+    // A message that fits in one burst can lose the burst, the probe *and*
+    // the last-resort retransmission. The sender then has nothing left to
+    // send and the receiver never heard of the flow, so only the sender's
+    // first-contact retry can save it. (Fastpass lacked one: the flow sat
+    // at "0/905 B delivered, 0 timeouts, 905 B retransmitted" forever.)
+    for scheme in [
+        Scheme::ExpressPassAeolus,
+        Scheme::HomaAeolus,
+        Scheme::NdpAeolus,
+        Scheme::PHostAeolus,
+        Scheme::FastpassAeolus,
+    ] {
+        let mut params = SchemeParams::new(0);
+        params.faults = FaultPlan::new(5)
+            .with_loss(0.5, PacketFilter::Data, LinkFilter::All)
+            .with_loss(0.5, PacketFilter::Probe, LinkFilter::All);
+        let mut h = SchemeBuilder::new(scheme).params(params).topology(testbed()).build();
+        let flows = incast_flows(&h, &[905; 200]);
+        h.schedule(&flows);
+        if let Err(report) = h.run_degradation(ms(3000)) {
+            panic!("{}: {report}", scheme.name());
+        }
+    }
+}
+
+#[test]
 fn every_scheme_survives_a_fabric_flap() {
     // All links dark for 300 µs while the incast is mid-flight; queued
     // packets stall, in-flight packets are cut. Every flow must still
@@ -317,4 +344,22 @@ fn watchdog_reports_stuck_flows_with_diagnostics() {
     let text = report.to_string();
     assert!(text.contains("2 flow(s) still incomplete"), "got: {text}");
     assert!(text.contains("never got a byte through"), "got: {text}");
+}
+
+#[test]
+fn watchdog_treats_aborted_with_cause_as_settled() {
+    // A partition outlasting the peer-silence threshold: the flows cut off
+    // from the sink abort with cause `PeerSilent`, the rest complete. The
+    // run is incomplete but nothing hangs, so the watchdog must not trip
+    // (it used to return `Err` with an empty stuck list).
+    let mut params = SchemeParams::new(0);
+    params.faults = FaultPlan::new(9).with_partition(us(150), ms(600));
+    let mut h =
+        SchemeBuilder::new(Scheme::ExpressPassAeolus).params(params).topology(testbed()).build();
+    let flows = incast_flows(&h, &[60_000; 7]);
+    h.schedule(&flows);
+    h.run_watchdog(ms(3000)).expect("aborted-with-cause flows are settled, not stuck");
+    let aborted = h.metrics().flows().filter(|r| r.aborted.is_some()).count();
+    assert!(aborted > 0, "the partition must have aborted the cut-off flows");
+    assert_eq!(h.metrics().completed_count() + aborted, 7);
 }

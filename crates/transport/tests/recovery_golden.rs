@@ -72,7 +72,7 @@ fn run(scheme: Scheme, plan: &str) -> Row {
 }
 
 /// `(scheme, flap row, split row)`, recorded at commit 5796b2f (the parent
-/// of the recovery-core refactor).
+/// of the recovery-core refactor) except where noted.
 fn golden() -> Vec<(Scheme, Row, Row)> {
     vec![
         (
@@ -83,7 +83,9 @@ fn golden() -> Vec<(Scheme, Row, Row)> {
         (Scheme::HomaAeolus, (31_047, 0x855acfc00da8818f), (30_021, 0x8d99f689b6d30246)),
         (Scheme::NdpAeolus, (60_007, 0xe9119a22981dd754), (1_477_451, 0x448504fe92b0f512)),
         (Scheme::PHostAeolus, (43_569, 0xfc998af7aad55def), (243_639, 0x6a0ea78742a01bd5)),
-        (Scheme::FastpassAeolus, (26_547, 0x0f732fa351de1a91), (12_252, 0x8d32a32d65e09bad)),
+        // Re-pinned when Fastpass gained the first-contact probe retry: one
+        // extra timer event per launch (46 / 21 here), flow digests unchanged.
+        (Scheme::FastpassAeolus, (26_593, 0x0f732fa351de1a91), (12_273, 0x8d32a32d65e09bad)),
         (Scheme::Dctcp { rto: ms(10) }, (33_346, 0x533ebe2bbb93387d), (13_508, 0x89acdd0870504647)),
     ]
 }
