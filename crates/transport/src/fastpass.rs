@@ -167,8 +167,8 @@ struct SendFlow {
     stride: Time,
     /// Whether a request is currently outstanding at the arbiter.
     requesting: bool,
-    /// Consecutive request retries without a Schedule reply, capped — each
-    /// doubles the next retry interval (reset when a Schedule arrives).
+    /// Consecutive request retries without a Schedule reply — each doubles
+    /// the next retry interval, capped (reset when a Schedule arrives).
     request_fires: u32,
 }
 
@@ -241,7 +241,7 @@ impl FastpassEndpoint {
             return;
         }
         sf.requesting = false;
-        sf.request_fires = (sf.request_fires + 1).min(6);
+        sf.request_fires += 1;
         ctx.metrics.note_timeout(flow);
         self.request_slots(flow, ctx);
     }

@@ -141,7 +141,7 @@ pub struct SendState {
     /// Last time the receiver showed signs of life (peer-death watchdog and
     /// silence gate of the retry).
     pub last_heard: Time,
-    /// Consecutive retry fires without a response, capped at 6.
+    /// Consecutive retry fires without a response (the backoff exponent).
     pub retry_fires: u32,
     /// Probe sequence, kept for retries (`None` outside probe recovery).
     pub probe_seq: Option<u64>,
@@ -246,7 +246,7 @@ impl SendState {
         let base = retry_base(cfg);
         let resend = now.saturating_sub(self.last_heard) >= backoff(base, self.retry_fires);
         if resend {
-            self.retry_fires = (self.retry_fires + 1).min(6);
+            self.retry_fires += 1;
         }
         Retry::Fire { resend, rearm_in: backoff(base, self.retry_fires) }
     }
@@ -403,5 +403,89 @@ pub fn send_resends(resends: Vec<ResendBatch>, ctx: &mut Ctx<'_>) {
         for (s, e) in missing {
             ctx.send(Packet::control(id, ctx.host, sender, s, PacketKind::Resend { end: e }));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::common::FirstRttMode;
+    use aeolus_core::AeolusConfig;
+    use aeolus_sim::units::us;
+
+    fn cfg() -> BaseConfig {
+        BaseConfig {
+            mtu_payload: 1460,
+            base_rtt: us(14),
+            aeolus: AeolusConfig::default(),
+            mode: FirstRttMode::Aeolus,
+            disable_sack: false,
+        }
+    }
+
+    fn state(launched_at: Time) -> SendState {
+        SendState {
+            desc: FlowDesc { id: FlowId(1), src: NodeId(0), dst: NodeId(1), size: 10_000, start: 0 },
+            core: PreCreditSender::new(10_000, 10_000),
+            heard_back: false,
+            last_heard: launched_at,
+            retry_fires: 0,
+            probe_seq: Some(10_000),
+            last_loss: None,
+            completed: false,
+        }
+    }
+
+    #[test]
+    fn retry_backs_off_to_the_cap_then_gives_up_on_a_silent_peer() {
+        let cfg = cfg();
+        assert_eq!(retry_base(&cfg), ms(2), "20 x 14 us is below the 2 ms floor");
+        let mut tx = state(0);
+        let mut now = retry_base(&cfg);
+        let mut intervals = Vec::new();
+        loop {
+            match tx.retry(false, &cfg, now) {
+                Retry::Fire { resend, rearm_in } => {
+                    assert!(resend, "total silence always re-sends");
+                    intervals.push(rearm_in);
+                    now += rearm_in;
+                }
+                verdict => {
+                    assert_eq!(verdict, Retry::GiveUp);
+                    break;
+                }
+            }
+        }
+        let want: Vec<Time> = [4, 8, 16, 32, 64, 128, 128, 128].map(ms).to_vec();
+        assert_eq!(intervals, want);
+        assert!(now >= PEER_SILENCE);
+    }
+
+    #[test]
+    fn a_recently_heard_peer_re_arms_without_resending() {
+        let cfg = cfg();
+        let mut tx = state(0);
+        tx.retry_fires = 3;
+        tx.heard(ms(10));
+        assert_eq!(tx.retry_fires, 0, "any sign of life resets the backoff");
+        assert_eq!(
+            tx.retry(false, &cfg, ms(11)),
+            Retry::Fire { resend: false, rearm_in: ms(2) }
+        );
+        assert_eq!(tx.retry(false, &cfg, ms(12)), Retry::Fire { resend: true, rearm_in: ms(4) });
+        assert_eq!(tx.retry(true, &cfg, ms(13)), Retry::Quiet);
+    }
+
+    #[test]
+    fn tombstones_outlive_an_abort_until_restart_or_crash() {
+        let mut flows: FlowTable<u8, u8> = FlowTable::default();
+        flows.send.insert(FlowId(7), 1);
+        flows.abort(FlowId(7));
+        assert!(flows.is_dead(FlowId(7)) && flows.send.get(FlowId(7)).is_none());
+        flows.restart(FlowId(7));
+        assert!(!flows.is_dead(FlowId(7)));
+        flows.abort(FlowId(7));
+        flows.crash();
+        assert!(!flows.is_dead(FlowId(7)), "a crash wipes tombstones too");
     }
 }
