@@ -93,6 +93,14 @@ pub fn probe_packet(flow: &FlowDesc, probe_seq: u64) -> Packet {
     p
 }
 
+/// Build the first-contact request (ExpressPass credit request, pHost RTS):
+/// it carries the demand to the receiver.
+pub fn request_packet(flow: &FlowDesc) -> Packet {
+    let mut p = Packet::control(flow.id, flow.src, flow.dst, 0, PacketKind::Request);
+    p.flow_size = flow.size;
+    p
+}
+
 /// Build a per-packet ACK from the receiver (`me`) back to the sender.
 pub fn ack_packet(flow: FlowId, me: NodeId, sender: NodeId, start: u64, end: u64) -> Packet {
     Packet::control(flow, me, sender, start, PacketKind::Ack { of_probe: false, end })

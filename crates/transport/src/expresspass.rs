@@ -23,7 +23,7 @@ use aeolus_sim::{
     TransportEvent, CREDIT_BYTES,
 };
 
-use crate::common::{ack_packet, BaseConfig, FirstRttMode};
+use crate::common::{ack_packet, request_packet, BaseConfig, FirstRttMode};
 use crate::recovery::{
     self, launch_first_rtt, peer_silent, send_resends, FlowTable, Retry, SendState,
 };
@@ -126,13 +126,13 @@ impl XPassEndpoint {
     /// stalled (a lost scheduled packet) and its gaps are re-requested.
     /// A backstop for pathological loss — floored at 1 ms so loaded-network
     /// queueing is never mistaken for a stall.
-    fn stall_after(&self) -> Time {
-        (8 * self.cfg.base.base_rtt.max(1)).max(aeolus_sim::units::ms(1))
+    fn stall_after(cfg: &XPassConfig) -> Time {
+        (8 * cfg.base.base_rtt.max(1)).max(aeolus_sim::units::ms(1))
     }
 
     fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
         self.stall_scan_armed = false;
-        let (stall_after, now) = (self.stall_after(), ctx.now);
+        let (stall_after, now) = (Self::stall_after(&self.cfg), ctx.now);
         self.flows.reap_silent_senders(ctx);
         let (any_incomplete, resends) = self.flows.stall_scan(ctx, |rf, size| {
             // Each fruitless resend doubles this flow's stall window (capped)
@@ -173,7 +173,6 @@ impl XPassEndpoint {
     fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) -> &mut RecvFlow {
         let rate_bps = self.max_rate_bps(ctx) * self.cfg.init_rate_frac;
         let w = self.cfg.w_init;
-        let stall_after = self.stall_after();
         let rf = self.flows.recv_entry(pkt, ctx.now, || Credits {
             stall_strikes: 0,
             next_credit_seq: 1,
@@ -194,7 +193,8 @@ impl XPassEndpoint {
         }
         if !self.stall_scan_armed {
             self.stall_scan_armed = true;
-            ctx.set_timer_in_with(stall_after, self.timers.arm(TimerKind::StallScan));
+            let delay = Self::stall_after(&self.cfg);
+            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::StallScan));
         }
         rf
     }
@@ -227,13 +227,15 @@ impl XPassEndpoint {
                 rf.proto.ticking = false;
                 return;
             }
-            let mut credit = Packet::control(flow, ctx.host, rf.sender, rf.proto.next_credit_seq, PacketKind::Credit);
+            let c = &mut rf.proto;
+            let mut credit =
+                Packet::control(flow, ctx.host, rf.sender, c.next_credit_seq, PacketKind::Credit);
             credit.size = CREDIT_BYTES;
-            rf.proto.next_credit_seq += 1;
-            rf.proto.credits_sent_period += 1;
+            c.next_credit_seq += 1;
+            c.credits_sent_period += 1;
             ctx.emit(TransportEvent::CreditIssue { flow, bytes: credit_grant });
             ctx.send(credit);
-            rf.proto.rate_bps.min(local_cap)
+            c.rate_bps.min(local_cap)
         };
         let interval = self.credit_interval(rate_bps);
         ctx.set_timer_in_with(interval, self.timers.arm(TimerKind::CreditTick(flow)));
@@ -248,37 +250,38 @@ impl XPassEndpoint {
                 Some(rf) => rf,
                 None => return,
             };
-            let total = rf.proto.delivered_period + rf.proto.lost_period;
+            let c = &mut rf.proto;
+            let total = c.delivered_period + c.lost_period;
             if total == 0
-                && rf.proto.credits_sent_period > 0
+                && c.credits_sent_period > 0
                 && ctx.now.saturating_sub(rf.last_arrival) > 4 * period
             {
                 // Credits keep going out but no data has arrived for several
                 // RTTs: the sender is idle (done sending, or stalled on a
                 // loss). Back off to avoid blasting credits at a dead flow.
-                rf.proto.rate_bps = (rf.proto.rate_bps / 2.0).max(max_rate / 1024.0);
+                c.rate_bps = (c.rate_bps / 2.0).max(max_rate / 1024.0);
             }
             if total > 0 {
-                let loss = rf.proto.lost_period as f64 / total as f64;
+                let loss = c.lost_period as f64 / total as f64;
                 if loss <= target {
                     // Tolerable loss: move toward max rate. The additive
                     // pull `w * (max - rate)` is what makes competing flows
                     // converge to a fair share (ExpressPass Algorithm 1).
-                    if loss == 0.0 && rf.proto.can_increase_w {
-                        rf.proto.w = ((rf.proto.w + w_max) / 2.0).min(w_max);
+                    if loss == 0.0 && c.can_increase_w {
+                        c.w = ((c.w + w_max) / 2.0).min(w_max);
                     }
-                    rf.proto.rate_bps = (1.0 - rf.proto.w) * rf.proto.rate_bps + rf.proto.w * max_rate;
-                    rf.proto.can_increase_w = loss == 0.0;
+                    c.rate_bps = (1.0 - c.w) * c.rate_bps + c.w * max_rate;
+                    c.can_increase_w = loss == 0.0;
                 } else {
-                    rf.proto.rate_bps *= (1.0 - loss) * (1.0 + target);
-                    rf.proto.w = (rf.proto.w / 2.0).max(w_min);
-                    rf.proto.can_increase_w = false;
+                    c.rate_bps *= (1.0 - loss) * (1.0 + target);
+                    c.w = (c.w / 2.0).max(w_min);
+                    c.can_increase_w = false;
                 }
-                rf.proto.rate_bps = rf.proto.rate_bps.clamp(max_rate / 1024.0, max_rate);
+                c.rate_bps = c.rate_bps.clamp(max_rate / 1024.0, max_rate);
             }
-            rf.proto.delivered_period = 0;
-            rf.proto.lost_period = 0;
-            rf.proto.credits_sent_period = 0;
+            c.delivered_period = 0;
+            c.lost_period = 0;
+            c.credits_sent_period = 0;
             !rf.book.is_complete()
         };
         if reschedule {
@@ -303,7 +306,7 @@ impl XPassEndpoint {
             Retry::Fire { resend, rearm_in } => {
                 if resend {
                     ctx.metrics.note_timeout(flow);
-                    Self::send_request(&tx.desc, ctx);
+                    ctx.send(request_packet(&tx.desc));
                     if !tx.heard_back {
                         tx.send_probe(0, ctx);
                     }
@@ -311,13 +314,6 @@ impl XPassEndpoint {
                 ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::ProbeRetry(flow)));
             }
         }
-    }
-
-    /// The credit request: carries the demand to the receiver.
-    fn send_request(flow: &FlowDesc, ctx: &mut Ctx<'_>) {
-        let mut req = Packet::control(flow.id, flow.src, flow.dst, 0, PacketKind::Request);
-        req.flow_size = flow.size;
-        ctx.send(req);
     }
 
     fn on_rto(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
@@ -345,7 +341,7 @@ impl Endpoint for XPassEndpoint {
         // burst: the NIC serializes them back to back. The probe trails the
         // burst through every queue: same priority, protected by its ECT
         // mark.
-        Self::send_request(&flow, ctx);
+        ctx.send(request_packet(&flow));
         let probe_prio = if base.mode == FirstRttMode::Oracle { 7 } else { 0 };
         let mut tx = launch_first_rtt(flow, &base, probe_prio, ctx, |pkt| {
             base.mode.stamp_unscheduled(pkt, 0, 7)

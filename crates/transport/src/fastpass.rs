@@ -312,7 +312,8 @@ impl Endpoint for FastpassEndpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
         let base = self.cfg.base;
         // Pre-credit burst while the arbiter round-trip is in flight.
-        let tx = launch_first_rtt(flow, &base, 0, ctx, |pkt| base.mode.stamp_unscheduled(pkt, 0, 7));
+        let tx =
+            launch_first_rtt(flow, &base, 0, ctx, |pkt| base.mode.stamp_unscheduled(pkt, 0, 7));
         if base.mode.probe_recovery() && base.aeolus.probe_retry_rtts > 0 {
             let token = self.timers.arm(TimerKind::ProbeRetry(flow.id));
             ctx.set_timer_in_with(recovery::retry_base(&base), token);

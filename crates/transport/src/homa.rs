@@ -337,8 +337,8 @@ impl HomaEndpoint {
             // re-poll with the first burst packet (it carries the message
             // size, so a receiver that lost the whole burst learns of the
             // flow); the receiver's RESEND machinery drives range recovery.
-            let size = sf.tx.desc.size;
-            let upto = if naive { size.min(rtt_bytes) } else { size.min(self.cfg.base.mtu_payload as u64) };
+            let first = if naive { rtt_bytes } else { self.cfg.base.mtu_payload as u64 };
+            let upto = sf.tx.desc.size.min(first);
             Self::resend_unscheduled(&self.cfg, sf, 0, upto, LossCause::Timeout, ctx);
         }
         // Naive mode keeps firing at a fixed cadence for a while (the
@@ -460,9 +460,9 @@ impl Endpoint for HomaEndpoint {
                         sf.tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
                     } else {
                         // Blind mode: resend immediately as unscheduled.
-                        let end = end.min(sf.tx.desc.size);
-                        sf.tx.note_loss(end.saturating_sub(pkt.seq), LossCause::Stall, ctx);
-                        Self::resend_unscheduled(&self.cfg, sf, pkt.seq, end, LossCause::Stall, ctx);
+                        let (from, to) = (pkt.seq, end.min(sf.tx.desc.size));
+                        sf.tx.note_loss(to.saturating_sub(from), LossCause::Stall, ctx);
+                        Self::resend_unscheduled(&self.cfg, sf, from, to, LossCause::Stall, ctx);
                     }
                 }
                 if probe_mode {

@@ -321,8 +321,7 @@ impl Endpoint for NdpEndpoint {
                 // NACK so the sender requeues the bytes, then keep pulling.
                 let rf = self.ensure_recv_flow(&pkt, ctx);
                 rf.proto.arrivals += 1;
-                let nack = Packet::control(pkt.flow, ctx.host, rf.sender, pkt.seq, PacketKind::Nack);
-                ctx.send(nack);
+                ctx.send(Packet::control(pkt.flow, ctx.host, rf.sender, pkt.seq, PacketKind::Nack));
                 self.maybe_enqueue_pull(pkt.flow, ctx);
                 self.arm_backstop(ctx);
             }

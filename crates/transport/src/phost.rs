@@ -26,7 +26,7 @@ use aeolus_sim::{
     TransportEvent,
 };
 
-use crate::common::{ack_packet, BaseConfig, FirstRttMode};
+use crate::common::{ack_packet, request_packet, BaseConfig, FirstRttMode};
 use crate::recovery::{self, launch_first_rtt, send_resends, FlowTable, Retry, SendState};
 
 /// pHost tunables.
@@ -227,12 +227,6 @@ impl PHostEndpoint {
         }
     }
 
-    fn send_rts(flow: &FlowDesc, ctx: &mut Ctx<'_>) {
-        let mut rts = Packet::control(flow.id, flow.src, flow.dst, 0, PacketKind::Request);
-        rts.flow_size = flow.size;
-        ctx.send(rts);
-    }
-
     fn on_rts_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let Some(tx) = self.flows.send.get_mut(flow) else { return };
         match tx.retry(tx.heard_back, &self.cfg.base, ctx.now) {
@@ -242,7 +236,7 @@ impl PHostEndpoint {
                 if resend {
                     // Total silence: re-introduce the flow to the receiver.
                     ctx.metrics.note_timeout(flow);
-                    Self::send_rts(&tx.desc, ctx);
+                    ctx.send(request_packet(&tx.desc));
                     tx.send_probe(0, ctx);
                 }
                 ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::RtsRetry(flow)));
@@ -262,7 +256,7 @@ impl Endpoint for PHostEndpoint {
         let base = self.cfg.base;
         // RTS first (carries the size), then the free-token burst with
         // unscheduled packets (and the probe) at pHost's top priority.
-        Self::send_rts(&flow, ctx);
+        ctx.send(request_packet(&flow));
         let mut tx =
             launch_first_rtt(flow, &base, 0, ctx, |pkt| base.mode.stamp_unscheduled(pkt, 0, 1));
         // Recovery is token re-issue (scan- or probe-driven); last-resort

@@ -425,12 +425,12 @@ mod tests {
 
     fn state(launched_at: Time) -> SendState {
         SendState {
-            desc: FlowDesc { id: FlowId(1), src: NodeId(0), dst: NodeId(1), size: 10_000, start: 0 },
-            core: PreCreditSender::new(10_000, 10_000),
+            desc: FlowDesc { id: FlowId(1), src: NodeId(0), dst: NodeId(1), size: 9_000, start: 0 },
+            core: PreCreditSender::new(9_000, 9_000),
             heard_back: false,
             last_heard: launched_at,
             retry_fires: 0,
-            probe_seq: Some(10_000),
+            probe_seq: Some(9_000),
             last_loss: None,
             completed: false,
         }
