@@ -65,41 +65,62 @@ fn serial_rerun_and_parallel_runs_are_bit_identical() {
     }
 }
 
-/// The chaos shape — randomized corruption loss plus a fabric-wide flap —
-/// must be just as deterministic as a clean run: reruns and both schedulers
-/// bit-identical, per scheme family. This pins the slab-backed per-flow
-/// state (`FlowMap`/`TimerTable`) and the fault RNG to one behavior: flow
-/// churn under loss exercises slot recycling, timer-token reuse and the
-/// sorted stall/backstop scans far harder than a clean incast does.
+/// The chaos shapes — randomized corruption loss plus a fabric-wide flap,
+/// and a node/control-plane schedule whose degrade, crash, partition and
+/// arbiter-outage windows open and close during the incast — must be just
+/// as deterministic as a clean run: reruns and both schedulers bit-identical,
+/// per scheme family. This pins the slab-backed per-flow state
+/// (`FlowMap`/`TimerTable`), the fault RNG and the fault plan's open-window
+/// index to one behavior: flow churn under loss exercises slot recycling,
+/// timer-token reuse and the sorted stall/backstop scans far harder than a
+/// clean incast does, and same-instant window boundaries, arrivals and
+/// restarts pop in different orders under the two schedulers.
 #[test]
 fn faulted_runs_are_bit_identical_across_reruns_and_schedulers() {
-    for scheme in families() {
+    let plans = [
+        FaultPlan::new(0xdead_0007)
+            .with_loss(0.005, PacketFilter::Any, LinkFilter::All)
+            .with_down(200 * us(1), 500 * us(1), LinkFilter::All),
+        // Round 1 runs degraded with sender 1 crashing mid-burst, round 2
+        // starts into a partition, round 3 into an arbiter outage.
+        FaultPlan::new(0xdead_0008)
+            .with_degraded(us(10), us(600), 3, LinkFilter::All)
+            .with_crash(us(20), us(700), 1)
+            .with_partition(us(2_050), us(2_400))
+            .with_arbiter_outage(us(4_050), us(4_300)),
+    ];
+    let cells = families().into_iter().flat_map(|s| plans.iter().map(move |p| (s, p)));
+    for (scheme, plan) in cells {
+        let what = format!("{} under '{plan}'", scheme.name());
         let run = |kind: SchedulerKind| {
-            let plan = FaultPlan::new(0xdead_0007)
-                .with_loss(0.005, PacketFilter::Any, LinkFilter::All)
-                .with_down(200 * us(1), 500 * us(1), LinkFilter::All);
             let mut h = SchemeBuilder::new(scheme).topology(testbed()).build();
             // Scheduler first (it must see an empty queue), then the fault
-            // plan (it schedules its window events immediately).
+            // plan (it schedules its window events immediately), resolved
+            // the way the harness would have at build time.
             h.topo.net.set_scheduler(kind);
+            let mut plan = plan.clone();
+            plan.resolve(h.hosts(), h.params.arbiter);
             h.topo.net.set_fault_plan(plan);
             let hosts = h.hosts().to_vec();
             let flows = incast_rounds(&hosts[1..], hosts[0], 30_000, 3, ms(2), 0, 1);
             h.schedule(&flows);
-            assert!(h.run(ms(2000)), "{}: faulted incast did not complete", scheme.name());
-            let fcts: Vec<(u64, u64)> = h
+            assert!(h.run(ms(2000)), "{what}: faulted incast did not complete");
+            let fcts: Vec<(u64, u64, u32)> = h
                 .metrics()
                 .flows()
-                .map(|r| (r.desc.id.0, r.fct().expect("completed flow has an FCT")))
+                .map(|r| (r.desc.id.0, r.fct().expect("completed flow has an FCT"), r.restarts))
                 .collect();
             (h.topo.net.events_processed(), h.metrics().total_drops(), fcts)
         };
         let first = run(SchedulerKind::TimingWheel);
         let rerun = run(SchedulerKind::TimingWheel);
         let heap = run(SchedulerKind::BinaryHeap);
-        assert_eq!(first, rerun, "{}: faulted rerun diverged", scheme.name());
-        assert_eq!(first, heap, "{}: faulted wheel vs heap diverged", scheme.name());
-        assert!(first.1 > 0, "{}: fault plan injected no drops", scheme.name());
+        assert_eq!(first, rerun, "{what}: faulted rerun diverged");
+        assert_eq!(first, heap, "{what}: faulted wheel vs heap diverged");
+        assert!(first.1 > 0, "{what}: fault plan injected no drops");
+        if !plan.node_windows.is_empty() {
+            assert!(first.2.iter().any(|f| f.2 > 0), "{what}: the crash restarted no flow");
+        }
     }
 }
 

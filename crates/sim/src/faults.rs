@@ -330,9 +330,10 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan injects nothing. The engine checks this once per
-    /// transmission and skips every fault hook, so an empty plan costs one
-    /// branch and draws no randomness.
+    /// True when the plan injects nothing. Six `Vec::is_empty` tests, so the
+    /// engine evaluates it once, at install ([`FaultIndex::active`]): an
+    /// empty plan then costs one flag per event and draws no randomness; an
+    /// installed plan costs O(open windows) per transmission.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.corruption.is_empty()
@@ -441,17 +442,10 @@ impl FaultPlan {
             .any(|w| w.covers(t) && (w.node == NodeSelector::Node(node) || w.node == NodeSelector::Node(to)))
     }
 
-    /// Does any down window (link or node) on `(node, port) -> to` overlap
-    /// `[t0, t1)`? Used to cut packets whose serialization straddles a
-    /// window start.
-    #[inline]
-    pub fn down_during(&self, node: NodeId, port: PortId, to: NodeId, t0: Time, t1: Time) -> bool {
-        self.cut_reason(node, port, to, t0, t1).is_some()
-    }
-
     /// If a down window (link or node) on `(node, port) -> to` overlaps
     /// `[t0, t1)`, the drop reason for the cut: node faults take precedence
-    /// over link windows so the taxonomy names the root cause.
+    /// over link windows so the taxonomy names the root cause. Used to cut
+    /// packets whose serialization straddles a window start.
     #[inline]
     pub fn cut_reason(
         &self,
@@ -486,7 +480,7 @@ impl FaultPlan {
     pub fn blackout_kills(&self, pkt: &Packet, t: Time) -> bool {
         !self.blackouts.is_empty()
             && PacketFilter::Credit.matches(pkt)
-            && self.blackouts.iter().any(|&(from, until)| from <= t && t < until)
+            && self.blackouts.iter().any(|b| span_covers(b, t))
     }
 
     /// Serialization-time multiplier for `(node, port) -> to` at `t` (1 =
@@ -526,6 +520,144 @@ impl FaultPlan {
             }
         }
         false
+    }
+}
+
+/// Is `t` inside the half-open blackout `[from, until)`?
+#[inline]
+fn span_covers(&(from, until): &(Time, Time), t: Time) -> bool {
+    from <= t && t < until
+}
+
+/// A resolved plan plus the subset of it that is open right now.
+///
+/// The engine asks the plan the same questions at every transmission and
+/// every switch arrival, while windows are open for a small fraction of a
+/// run. The index keeps the link windows, node windows and blackouts that
+/// cover the current instant as a plan of their own ([`FaultIndex::open_at`])
+/// and answers point queries from that subset alone, so a query costs
+/// O(open windows) instead of O(plan).
+///
+/// The open set is a pure function of (plan, `now`): [`FaultIndex::advance`]
+/// recomputes it by a full `covers(now)` scan whenever `now` reaches the next
+/// window boundary — at most once per distinct boundary, 2·W times a run —
+/// and between boundaries no window opens or closes. It never depends on
+/// which of several same-instant events ran first.
+#[derive(Debug)]
+pub struct FaultIndex {
+    plan: FaultPlan,
+    active: bool,
+    /// Windows and blackouts of `plan` covering `[at, valid_until)`, in
+    /// plan order (first-match precedence carries over).
+    open: FaultPlan,
+    at: Time,
+    /// Earliest window boundary after `at`.
+    valid_until: Time,
+    /// Earliest window start after `at`.
+    next_start: Time,
+}
+
+impl Default for FaultIndex {
+    fn default() -> FaultIndex {
+        FaultIndex::new(FaultPlan::default(), 0)
+    }
+}
+
+impl FaultIndex {
+    /// Index the resolved `plan`, starting at `now`.
+    pub fn new(plan: FaultPlan, now: Time) -> FaultIndex {
+        assert!(plan.is_resolved(), "fault index over an unresolved plan");
+        let mut idx = FaultIndex {
+            active: !plan.is_empty(),
+            plan,
+            open: FaultPlan::default(),
+            at: now,
+            valid_until: Time::MAX,
+            next_start: Time::MAX,
+        };
+        idx.refresh(now);
+        idx
+    }
+
+    /// The full plan.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
+    /// Does the plan inject anything at all? Evaluated once, at install.
+    #[inline]
+    pub fn active(&self) -> bool {
+        self.active
+    }
+
+    /// Move the index to `now` (monotone). A no-op until `now` reaches the
+    /// next window boundary.
+    #[inline]
+    pub fn advance(&mut self, now: Time) {
+        if now >= self.valid_until {
+            self.refresh(now);
+        }
+    }
+
+    fn refresh(&mut self, now: Time) {
+        let (plan, open) = (&self.plan, &mut self.open);
+        open.windows.clear();
+        open.windows.extend(plan.windows.iter().filter(|w| w.covers(now)).cloned());
+        open.node_windows.clear();
+        open.node_windows.extend(plan.node_windows.iter().filter(|w| w.covers(now)).cloned());
+        open.blackouts.clear();
+        open.blackouts.extend(plan.blackouts.iter().filter(|b| span_covers(b, now)));
+        let spans = (plan.windows.iter().map(|w| (w.from, w.until)))
+            .chain(plan.node_windows.iter().map(|w| (w.from, w.until)))
+            .chain(plan.blackouts.iter().copied());
+        let starts = spans.clone().map(|s| s.0);
+        self.next_start = starts.filter(|&t| t > now).min().unwrap_or(Time::MAX);
+        let next_end = spans.map(|s| s.1).filter(|&t| t > now).min().unwrap_or(Time::MAX);
+        self.at = now;
+        self.valid_until = self.next_start.min(next_end);
+    }
+
+    /// The windows and blackouts open at `t`, as a plan: its point queries
+    /// (`node_down_at`, `link_down_at`, `slowdown_at`, `node_drop_reason`,
+    /// `blackout_kills`) at `t` answer as the full plan's do. `t` must be
+    /// the instant the index was advanced to.
+    #[inline]
+    pub fn open_at(&self, t: Time) -> &FaultPlan {
+        debug_assert!(
+            self.at <= t && t < self.valid_until,
+            "fault index at [{}, {}) queried at {t}",
+            self.at,
+            self.valid_until
+        );
+        &self.open
+    }
+
+    /// Is every window closed at `t`? Then no link and no node is down or
+    /// degraded.
+    #[inline]
+    pub fn nothing_open(&self, t: Time) -> bool {
+        let open = self.open_at(t);
+        open.windows.is_empty() && open.node_windows.is_empty()
+    }
+
+    /// [`FaultPlan::cut_reason`] for a serialization `[t0, t1)` starting at
+    /// the instant the index was advanced to. Only a window open at `t0` or
+    /// starting inside the interval can overlap it, so the full plan is
+    /// scanned only when the packet straddles a window start.
+    #[inline]
+    pub fn cut_reason(
+        &self,
+        node: NodeId,
+        port: PortId,
+        to: NodeId,
+        t0: Time,
+        t1: Time,
+    ) -> Option<crate::queues::DropReason> {
+        if t1 <= self.next_start {
+            self.open_at(t0).cut_reason(node, port, to, t0, t1)
+        } else {
+            self.plan.cut_reason(node, port, to, t0, t1)
+        }
     }
 }
 
@@ -857,8 +989,12 @@ mod tests {
         let far = NodeId(99);
         assert!(plan.link_down_at(NodeId(3), PortId(0), far, ms(1)));
         assert!(!plan.link_down_at(NodeId(4), PortId(0), far, ms(1)));
-        assert!(plan.down_during(NodeId(3), PortId(9), far, ms(2) - 1, ms(2)));
-        assert!(!plan.down_during(NodeId(3), PortId(9), far, ms(2), ms(3)));
+        use crate::queues::DropReason;
+        assert_eq!(
+            plan.cut_reason(NodeId(3), PortId(9), far, ms(2) - 1, ms(2)),
+            Some(DropReason::LinkDown)
+        );
+        assert_eq!(plan.cut_reason(NodeId(3), PortId(9), far, ms(2), ms(3)), None);
         assert_eq!(plan.slowdown_at(NodeId(5), PortId(2), far, ms(2)), 4);
         assert_eq!(plan.slowdown_at(NodeId(5), PortId(1), far, ms(2)), 1);
     }

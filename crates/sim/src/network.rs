@@ -2,7 +2,7 @@
 
 use crate::endpoint::{Actions, Ctx, Endpoint};
 use crate::event::{Event, EventQueue, SchedulerKind};
-use crate::faults::{FaultPlan, NodeFaultKind};
+use crate::faults::{FaultIndex, FaultPlan, NodeFaultKind};
 use crate::metrics::{AbortCause, Metrics};
 use crate::node::{Node, NodeKind};
 use crate::packet::{FlowDesc, NodeId, PortId};
@@ -67,9 +67,12 @@ pub struct Network<T: Tracer = NullTracer> {
     /// Scratch for per-band queue occupancy sampling (avoids a per-event
     /// allocation when tracing is on; unused otherwise).
     band_scratch: Vec<(&'static str, u64)>,
-    /// Installed fault schedule (empty by default: one `is_empty` branch per
-    /// transmission, zero RNG draws, zero extra events).
-    faults: FaultPlan,
+    /// Installed fault schedule behind its time index. Empty by default: one
+    /// `active` flag per event, zero RNG draws, zero extra events. Installed:
+    /// each transmission and switch arrival looks at the windows open at
+    /// `now` — O(open windows), not O(plan) — and the open set is recomputed
+    /// when `now` crosses a window boundary.
+    faults: FaultIndex,
     /// The fault plan's private corruption RNG, isolated from every other
     /// randomness stream in the run.
     fault_rng: SimRng,
@@ -84,6 +87,9 @@ pub struct Network<T: Tracer = NullTracer> {
     /// Flows aborted by a node crash, waiting for both endpoints to come
     /// back up so they can relaunch. Scanned at every node-window end.
     pending_restart: Vec<FlowDesc>,
+    /// Has any flow been relaunched yet? Until then every incarnation is 0,
+    /// so sends skip the stamp lookup and deliveries the stale check.
+    restarted: bool,
 }
 
 impl Default for Network {
@@ -113,11 +119,12 @@ impl<T: Tracer> Network<T> {
             trace: Vec::new(),
             tracer,
             band_scratch: Vec::new(),
-            faults: FaultPlan::default(),
+            faults: FaultIndex::default(),
             fault_rng: SimRng::seed_from_u64(0),
             pool: PacketPool::new(),
             actions_scratch: Actions::default(),
             pending_restart: Vec::new(),
+            restarted: false,
         }
     }
 
@@ -131,8 +138,16 @@ impl<T: Tracer> Network<T> {
     ///
     /// Call before the run starts; window times already in the past are
     /// clamped to `now`. Installing an empty plan is free — no events are
-    /// scheduled and the per-transmission fault check stays a single branch.
+    /// scheduled and the per-event fault check stays a single flag.
+    ///
+    /// # Panics
+    /// Panics if a non-empty plan is already installed: its window events
+    /// are in the queue and would index into the new plan's windows.
     pub fn set_fault_plan(&mut self, mut plan: FaultPlan) {
+        assert!(
+            !self.faults.active(),
+            "set_fault_plan over an installed plan: its window events are already queued"
+        );
         if !plan.is_resolved() {
             // The harness resolves plans against its own host list (which
             // knows about the arbiter); direct engine users get host-index
@@ -151,13 +166,13 @@ impl<T: Tracer> Network<T> {
             self.queue.schedule_at(w.from.max(now), Event::NodeFault { window: i, start: true });
             self.queue.schedule_at(w.until.max(now), Event::NodeFault { window: i, start: false });
         }
-        self.faults = plan;
+        self.faults = FaultIndex::new(plan, now);
     }
 
     /// The installed fault plan (empty unless [`Network::set_fault_plan`]
     /// was called).
     pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
+        self.faults.plan()
     }
 
     /// The installed tracer.
@@ -348,6 +363,9 @@ impl<T: Tracer> Network<T> {
     }
 
     fn dispatch(&mut self, ev: Event) {
+        // Time only moves between events: advancing here keeps the open set
+        // current for every fault query the handlers below make.
+        self.faults.advance(self.queue.now());
         match ev {
             Event::Arrival { node, pkt } => self.handle_arrival(node, pkt),
             Event::PortFree { node, port } => {
@@ -364,10 +382,8 @@ impl<T: Tracer> Network<T> {
             Event::FlowArrival { flow } => {
                 let flow = *flow;
                 let now = self.queue.now();
-                if !self.faults.is_empty()
-                    && (self.faults.node_down_at(flow.src, now)
-                        || self.faults.node_down_at(flow.dst, now))
-                {
+                let open = self.faults.open_at(now);
+                if open.node_down_at(flow.src, now) || open.node_down_at(flow.dst, now) {
                     // The flow arrives while an endpoint is dead: abort on
                     // the spot and relaunch when the crash window ends.
                     self.abort_flow(flow, AbortCause::NodeCrash, true);
@@ -384,7 +400,7 @@ impl<T: Tracer> Network<T> {
     /// every port it covers — waking queues that stalled while their link
     /// was down and re-evaluating pacing under a changed degrade factor.
     fn on_fault_window(&mut self, window: usize, start: bool) {
-        let w = self.faults.windows[window].clone();
+        let w = self.faults.plan().windows[window].clone();
         if T::ENABLED {
             let now = self.queue.now();
             let ev = if start {
@@ -421,7 +437,7 @@ impl<T: Tracer> Network<T> {
     /// re-kicked, and pending flows whose endpoints are all alive again are
     /// relaunched through a fresh `FlowArrival`.
     fn on_node_fault(&mut self, window: usize, start: bool) {
-        let w = self.faults.node_windows[window].clone();
+        let w = self.faults.plan().node_windows[window].clone();
         let node = w.node_id().expect("node window installed unresolved");
         let now = self.queue.now();
         if start {
@@ -458,13 +474,13 @@ impl<T: Tracer> Network<T> {
             let pending = std::mem::take(&mut self.pending_restart);
             let mut keep = Vec::new();
             for desc in pending {
-                if self.faults.node_down_at(desc.src, now)
-                    || self.faults.node_down_at(desc.dst, now)
-                {
+                let open = self.faults.open_at(now);
+                if open.node_down_at(desc.src, now) || open.node_down_at(desc.dst, now) {
                     keep.push(desc);
                     continue;
                 }
                 self.metrics.restart_flow(desc.id);
+                self.restarted = true;
                 if T::ENABLED {
                     self.tracer.fault_event(now, &FaultEvent::FlowRestarted { flow: desc.id });
                 }
@@ -517,35 +533,12 @@ impl<T: Tracer> Network<T> {
         }
     }
 
-    /// Drop a packet arriving at a crashed host: account the drop under the
-    /// node window's taxonomy and surface a `PacketKilled` fault event so
-    /// in-flight ledgers stay balanced.
-    fn kill_at_dead_node(&mut self, node: NodeId, r: PacketRef, now: Time) {
-        let reason = self.faults.node_drop_reason(node, now);
-        self.record_ref(node, r, TraceKind::Drop(reason));
-        self.metrics.note_drop(reason, self.pool.get(r).class);
-        if T::ENABLED {
-            let p = self.pool.get(r);
-            let ev = FaultEvent::PacketKilled {
-                node,
-                port: PortId(0),
-                flow: p.flow,
-                seq: p.seq,
-                kind: p.kind,
-                class: p.class,
-                payload: p.payload,
-                reason,
-            };
-            self.tracer.fault_event(now, &ev);
-        }
-        self.pool.free(r);
-    }
-
-    /// Drop a straggler from a pre-relaunch flow incarnation at the host
-    /// NIC: same mechanics as [`Network::kill_at_dead_node`], but with the
-    /// recovery taxonomy rather than the node window's.
-    fn kill_stale_incarnation(&mut self, node: NodeId, r: PacketRef, now: Time) {
-        let reason = DropReason::StaleIncarnation;
+    /// Drop a packet at `node`'s NIC before it reaches the endpoint — the
+    /// host is dead (`reason` is the node window's taxonomy) or the packet is
+    /// a straggler from a pre-relaunch flow incarnation. Accounts the drop
+    /// and surfaces a `PacketKilled` fault event so in-flight ledgers stay
+    /// balanced.
+    fn kill_at_host(&mut self, node: NodeId, r: PacketRef, now: Time, reason: DropReason) {
         self.record_ref(node, r, TraceKind::Drop(reason));
         self.metrics.note_drop(reason, self.pool.get(r).class);
         if T::ENABLED {
@@ -578,7 +571,7 @@ impl<T: Tracer> Network<T> {
     /// stale-but-harmless wire traffic after restart, which the recovery
     /// layer must tolerate anyway (tombstones / receive-book dedupe).
     fn purge_ports(&mut self, node: NodeId, now: Time) {
-        let reason = self.faults.node_drop_reason(node, now);
+        let reason = self.faults.open_at(now).node_drop_reason(node, now);
         for pi in 0..self.nodes[node.0 as usize].ports.len() {
             let port = PortId(pi as u16);
             loop {
@@ -641,26 +634,23 @@ impl<T: Tracer> Network<T> {
     fn handle_arrival(&mut self, node: NodeId, r: PacketRef) {
         self.record_ref(node, r, TraceKind::Arrive);
         let now = self.queue.now();
-        if !self.faults.is_empty()
-            && self.nodes[node.0 as usize].is_host()
-            && self.faults.node_down_at(node, now)
-        {
-            // Delivery to a crashed host: the packet dies at the NIC with
-            // the node window's taxonomy, never reaching the endpoint.
-            self.kill_at_dead_node(node, r, now);
-            return;
-        }
-        if !self.faults.is_empty()
-            && self.faults.has_node_faults()
-            && self.nodes[node.0 as usize].is_host()
-        {
+        if self.faults.active() && self.nodes[node.0 as usize].is_host() {
+            let open = self.faults.open_at(now);
+            if open.node_down_at(node, now) {
+                // Delivery to a crashed host: the packet dies at the NIC with
+                // the node window's taxonomy, never reaching the endpoint.
+                let reason = open.node_drop_reason(node, now);
+                self.kill_at_host(node, r, now, reason);
+                return;
+            }
             // Reject stragglers from a dead flow incarnation: a cumulative
             // grant/credit packet sent pre-crash must not inflate the
             // relaunched incarnation's budget.
             let pkt = self.pool.get(r);
-            let current = self.metrics.flow(pkt.flow).map_or(0, |rec| rec.restarts);
-            if pkt.incarnation < current {
-                self.kill_stale_incarnation(node, r, now);
+            if self.restarted
+                && pkt.incarnation < self.metrics.flow(pkt.flow).map_or(0, |rec| rec.restarts)
+            {
+                self.kill_at_host(node, r, now, DropReason::StaleIncarnation);
                 return;
             }
         }
@@ -669,15 +659,17 @@ impl<T: Tracer> Network<T> {
         let Node { kind, ports, .. } = &mut self.nodes[node.0 as usize];
         match kind {
             NodeKind::Switch { table } => {
-                let port = if faults.is_empty() {
+                let port = if faults.nothing_open(now) {
+                    // Equal to `select_avoiding` with nothing down, same RNG
+                    // draw included.
                     table.select(pool.get(r))
                 } else {
                     // Down links (including links into crashed nodes) are
                     // visible to routing: steer around them while an
                     // alternative next hop is up.
-                    let ports = &*ports;
+                    let (open, ports) = (faults.open_at(now), &*ports);
                     table.select_avoiding(pool.get(r), |p| {
-                        faults.link_down_at(node, p, ports[p.0 as usize].link.to, now)
+                        open.link_down_at(node, p, ports[p.0 as usize].link.to, now)
                     })
                 };
                 pool.get_mut(r).hops += 1;
@@ -787,15 +779,16 @@ impl<T: Tracer> Network<T> {
             Idle,
         }
         let mut deq_rec = None;
-        let faults_active = !self.faults.is_empty();
+        let faults_active = self.faults.active();
         let next = {
             let faults = &self.faults;
+            let open = faults.open_at(now);
             let fault_rng = &mut self.fault_rng;
             let pool = &mut self.pool;
             let p = &mut self.nodes[node.0 as usize].ports[port.0 as usize];
             if p.busy {
                 Next::Idle
-            } else if faults_active && faults.link_down_at(node, port, p.link.to, now) {
+            } else if faults_active && open.link_down_at(node, port, p.link.to, now) {
                 // Link is down: leave the queue untouched. The window-end
                 // FaultWindow event re-kicks this port.
                 Next::Idle
@@ -812,7 +805,7 @@ impl<T: Tracer> Network<T> {
                         p.stats.payload_tx += pkt.payload as u64;
                         let mut ser = p.serialize(pkt.size as u64);
                         if faults_active {
-                            ser *= faults.slowdown_at(node, port, p.link.to, now) as Time;
+                            ser *= open.slowdown_at(node, port, p.link.to, now) as Time;
                         }
                         if T::ENABLED {
                             deq_rec = Some(QueueRecord {
@@ -843,14 +836,14 @@ impl<T: Tracer> Network<T> {
                             // link faults).
                             p.stats.fault_kills += 1;
                             Next::Kill { free_at, pkt: r, reason }
-                        } else if faults_active && faults.blackout_kills(pool.get(r), now) {
+                        } else if faults_active && open.blackout_kills(pool.get(r), now) {
                             // Arbiter outage on a distributed credit source:
                             // the credit stream dies at the egress. Checked
                             // before corruption so blackout kills draw no RNG.
                             p.stats.fault_kills += 1;
                             Next::Kill { free_at, pkt: r, reason: DropReason::ArbiterDown }
                         } else if faults_active
-                            && faults.corrupts(node, port, p.link.to, pool.get(r), fault_rng)
+                            && faults.plan().corrupts(node, port, p.link.to, pool.get(r), fault_rng)
                         {
                             p.stats.fault_kills += 1;
                             Next::Kill { free_at, pkt: r, reason: DropReason::Corruption }
@@ -979,9 +972,9 @@ impl<T: Tracer> Network<T> {
             // Stamp the ECMP hash once; every switch on the path reuses it.
             pkt.route_hash = crate::routing::fnv1a(pkt.flow.0, pkt.path_tag);
             // Stamp the flow incarnation so stragglers outlived by a crash
-            // relaunch can be rejected at delivery. Only node faults can
-            // restart flows, so the fault-free hot path skips the lookup.
-            if self.faults.has_node_faults() {
+            // relaunch can be rejected at delivery. Before the first relaunch
+            // every flow is at incarnation 0, the packet default.
+            if self.restarted {
                 pkt.incarnation =
                     self.metrics.flow(pkt.flow).map_or(0, |rec| rec.restarts);
             }
@@ -1270,6 +1263,40 @@ mod tests {
     }
 
     #[test]
+    fn restart_gate_still_rejects_packets_stamped_before_the_first_restart() {
+        use crate::faults::FaultPlan;
+        let (mut net, h0, h1) = two_hosts_one_switch();
+        // Same 1 ns receiver blink at 3 us, counted packet by packet. All ten
+        // first-incarnation packets were handed to the NIC at t=0, before
+        // any flow had restarted, so none went through the stamp lookup;
+        // they carry the default incarnation 0. Packet 0 is on the
+        // switch->h1 wire at the crash instant and is cut (NodeDown). The
+        // other nine — two already past the NIC, seven still queued in it —
+        // reach h1 after the relaunch and must all die as stale: skipping
+        // the lookup before the first restart may not exempt them.
+        net.set_fault_plan(FaultPlan::new(0).with_node_crash(us(3), us(3) + 1_000, h1));
+        net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 14_600, start: 0 });
+        assert!(net.run_to_completion(us(1000)));
+        assert_eq!(net.metrics.drops_by_reason(DropReason::NodeDown), 1);
+        assert_eq!(net.metrics.drops_by_reason(DropReason::StaleIncarnation), 9);
+        assert_eq!(net.metrics.payload_sent, 2 * 14_600);
+        assert_eq!(net.metrics.payload_delivered, 14_600);
+    }
+
+    #[test]
+    #[should_panic(expected = "set_fault_plan over an installed plan")]
+    fn installing_over_a_live_plan_panics() {
+        use crate::faults::{FaultPlan, LinkFilter};
+        let (mut net, _, _) = two_hosts_one_switch();
+        // Over the empty default (and over an explicit empty plan): legal.
+        net.set_fault_plan(FaultPlan::new(3));
+        net.set_fault_plan(FaultPlan::new(0).with_down(us(1), us(2), LinkFilter::All));
+        // The first plan's two window events are queued; a second plan with
+        // no link windows would send them out of bounds.
+        net.set_fault_plan(FaultPlan::new(0).with_crash(us(1), us(2), 0));
+    }
+
+    #[test]
     fn partition_stalls_cross_traffic_then_recovers() {
         use crate::faults::FaultPlan;
         let (mut net, h0, h1) = two_hosts_one_switch();
@@ -1287,14 +1314,16 @@ mod tests {
 
     #[test]
     fn beyond_horizon_node_plan_is_behavior_identical() {
-        use crate::faults::FaultPlan;
-        // A node-fault plan whose windows all open after the run finishes
-        // exercises the non-empty fault path end to end but must not perturb
-        // a single event.
+        // The dormant plan of `scripts/ci.sh`: crash, arbiter-outage and
+        // partition windows that all open after the run finishes exercise
+        // the non-empty fault path end to end but must not perturb a single
+        // event.
         let run = |with_plan: bool| {
             let (mut net, h0, h1) = two_hosts_one_switch();
             if with_plan {
-                net.set_fault_plan(FaultPlan::new(7).with_crash(us(400_000), us(500_000), 0));
+                let spec = "crash=0@4s..5s,arbiter=6s..7s,partition=8s..9s";
+                net.set_fault_plan(spec.parse().expect("static fault spec parses"));
+                assert!(net.fault_plan().is_resolved() && !net.fault_plan().is_empty());
             }
             net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 146_000, start: 0 });
             assert!(net.run_to_completion(us(10_000)));

@@ -6,9 +6,11 @@
 //! the fixed seed.
 
 use aeolus_sim::event::{Event, EventQueue, SchedulerKind};
+use aeolus_sim::faults::FaultIndex;
 use aeolus_sim::{
-    DropReason, EnqueueOutcome, FlowId, NodeId, Packet, PacketPool, Poll, PriorityBank, QueueDisc,
-    RangeSet, RedEcnQueue, SimRng, TrafficClass,
+    DropReason, EnqueueOutcome, FaultPlan, FlowId, LinkFilter, NodeId, Packet, PacketFilter,
+    PacketKind, PacketPool, Poll, PortId, PriorityBank, QueueDisc, RangeSet, RedEcnQueue, SimRng,
+    Time, TrafficClass,
 };
 
 /// Random cases per property (each case is a full scenario).
@@ -230,6 +232,104 @@ fn wred_equals_red_ecn_for_any_mix() {
                 assert_eq!(a, b, "case {case}: divergence at op {i}");
             }
             assert_eq!(wred.bytes(), red.bytes(), "case {case} op {i}");
+        }
+    }
+}
+
+/// The time index over a fault plan answers every engine query exactly as a
+/// full scan of the plan does: random plans over every directive
+/// (overlapping, nested and abutting windows on a 300 ps grid) are queried
+/// at monotone times that hit every boundary exactly and skip others
+/// entirely, with serialisations `[t, t1)` that touch and straddle the next
+/// window start by 1 ps.
+#[test]
+fn fault_index_matches_full_scan() {
+    const SPAN: u64 = 300;
+    let mut rng = SimRng::seed_from_u64(0xfa17_1d35);
+    let credit = Packet::control(FlowId(1), NodeId(0), NodeId(1), 0, PacketKind::Credit);
+    let data = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 100, TrafficClass::Scheduled, 100);
+    for case in 0..CASES {
+        let hosts: Vec<NodeId> = (0..6).map(NodeId).collect();
+        let arbiter = rng.chance(0.5).then_some(NodeId(9));
+        let mut plan = FaultPlan::new(case as u64);
+        let mut bounds: Vec<Time> = Vec::new();
+        for _ in 0..rng.index(9) {
+            let from = rng.below(SPAN);
+            let until = from + 1 + rng.below(SPAN / 2);
+            bounds.extend([from, until]);
+            let node = NodeId(rng.below(8) as u32);
+            let links = match rng.below(4) {
+                0 => LinkFilter::All,
+                1 => LinkFilter::Node(node),
+                2 => LinkFilter::Link(node, PortId(rng.below(2) as u16)),
+                _ => LinkFilter::Adjacent(node),
+            };
+            plan = match rng.below(6) {
+                0 => plan.with_loss(0.5, PacketFilter::Any, links),
+                1 => plan.with_down(from, until, links),
+                2 => plan.with_degraded(from, until, 1 + rng.below(5) as u32, links),
+                3 => plan.with_crash(from, until, rng.index(8)),
+                4 => plan.with_arbiter_outage(from, until),
+                _ => plan.with_partition(from, until),
+            };
+        }
+        plan.resolve(&hosts, arbiter);
+
+        // Every boundary and its neighbours, plus a few instants in between;
+        // a random half is dropped so `advance` also jumps several
+        // boundaries at once.
+        let mut times: Vec<Time> =
+            bounds.iter().flat_map(|&b| [b.saturating_sub(1), b, b + 1]).collect();
+        times.extend((0..8).map(|_| rng.below(2 * SPAN)));
+        times.retain(|_| rng.chance(0.5));
+        times.sort_unstable();
+
+        let mut idx = FaultIndex::new(plan.clone(), 0);
+        assert_eq!(idx.plan(), &plan);
+        assert_eq!(idx.active(), !plan.is_empty(), "case {case}");
+        for &t in &times {
+            idx.advance(t);
+            let open = idx.open_at(t);
+            // The open set is exactly the covering windows, in plan order —
+            // whatever instants were visited before `t`.
+            let covering: Vec<_> = plan.windows.iter().filter(|w| w.covers(t)).cloned().collect();
+            assert_eq!(open.windows, covering, "case {case} t {t}");
+            let covering: Vec<_> =
+                plan.node_windows.iter().filter(|w| w.covers(t)).cloned().collect();
+            assert_eq!(open.node_windows, covering, "case {case} t {t}");
+            let mut anything_down = false;
+            for n in (0..10).map(NodeId) {
+                assert_eq!(open.node_down_at(n, t), plan.node_down_at(n, t), "case {case} t {t}");
+                if plan.node_down_at(n, t) {
+                    assert_eq!(open.node_drop_reason(n, t), plan.node_drop_reason(n, t));
+                }
+                for (port, to) in [(PortId(0), NodeId(10)), (PortId(1), NodeId((n.0 + 3) % 10))] {
+                    let ctx = format!("case {case} t {t} link {n:?}/{port:?}->{to:?}");
+                    let down = plan.link_down_at(n, port, to, t);
+                    anything_down |= down || plan.slowdown_at(n, port, to, t) > 1;
+                    assert_eq!(open.link_down_at(n, port, to, t), down, "{ctx}");
+                    assert_eq!(
+                        open.slowdown_at(n, port, to, t),
+                        plan.slowdown_at(n, port, to, t),
+                        "{ctx}"
+                    );
+                    // Serialisations ending just after `t`, exactly at and
+                    // 1 ps past the next boundaries, and far beyond them.
+                    let next = bounds.iter().copied().filter(|&b| b > t).min().unwrap_or(t + 5);
+                    for t1 in [t + 1, next, next + 1, t + 1 + rng.below(SPAN)] {
+                        assert_eq!(
+                            idx.cut_reason(n, port, to, t, t1),
+                            plan.cut_reason(n, port, to, t, t1),
+                            "{ctx} until {t1}"
+                        );
+                    }
+                }
+            }
+            assert!(!(idx.nothing_open(t) && anything_down), "case {case} t {t}");
+            for pkt in [&credit, &data] {
+                let kills = plan.blackout_kills(pkt, t);
+                assert_eq!(open.blackout_kills(pkt, t), kills, "case {case} t {t}");
+            }
         }
     }
 }

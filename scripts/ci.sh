@@ -140,9 +140,14 @@ cargo run --release -q -p aeolus-experiments --bin repro -- chaos --scale smoke 
 cargo run --release -q -p aeolus-experiments --bin repro -- chaos_nodes --scale smoke --jobs 2
 
 # Fault-schedule determinism gate: an identical --faults spec must produce
-# a bit-identical trace capture across reruns and worker counts.
+# a bit-identical trace capture across reruns and worker counts. Every
+# window opens during the traced incast (rounds at 0 and 1 ms): the degrade
+# and crash windows nest inside round 1 and overlap the flap, the partition
+# opens 10 us into round 2 — so the fault plan's open-window index, the
+# mid-serialization cuts and the post-restart stale-incarnation check all
+# sit under the byte-compare.
 fault_dir="$(mktemp -d)"
-fault_spec='loss=1%,down=200us..500us,seed=7'
+fault_spec='loss=1%,down=200us..500us,degrade=20us..150us@3,crash=1@30us..400us,partition=1010us..1200us,seed=7'
 cargo run --release -q -p aeolus-experiments --bin repro -- \
     --trace expresspass-aeolus --faults "$fault_spec" --trace-out "$fault_dir/a.jsonl"
 cargo run --release -q -p aeolus-experiments --bin repro -- \
@@ -151,11 +156,14 @@ cargo run --release -q -p aeolus-experiments --bin repro -- \
     --trace expresspass-aeolus --faults "$fault_spec" --trace-out "$fault_dir/c.jsonl" --jobs 4
 cmp "$fault_dir/a.jsonl" "$fault_dir/b.jsonl"
 cmp "$fault_dir/a.jsonl" "$fault_dir/c.jsonl"
-# And the schedule must actually have injected faults (corruption drops
-# reach the queue-event stream as wire-level kills).
-grep -q '"corruption"' "$fault_dir/a.jsonl" || {
-    echo "faulted trace contains no corruption kills" >&2; exit 1;
-}
+# And the schedule must actually have injected faults: corruption drops,
+# packets cut on the wire at a window start, kills at the crashed host and
+# a straggler rejected after the relaunch all reach the fault-event stream.
+for reason in corruption link_down node_down stale_incarnation; do
+    grep -q "\"$reason\"" "$fault_dir/a.jsonl" || {
+        echo "faulted trace contains no $reason kills" >&2; exit 1;
+    }
+done
 echo "fault determinism: $(wc -l < "$fault_dir/a.jsonl") JSONL lines bit-identical across reruns and --jobs 1/4"
 
 # Dormant node-fault gate: a plan whose crash / arbiter / partition windows
