@@ -1,7 +1,8 @@
 //! Faulted runs pinned bit-for-bit. The clean-run goldens (the incast event
 //! count, fig09) never reach a retry timer, a silence gate, a tombstone or
-//! a crash wipe; these rows do, for every scheme of `fault_recovery.rs`, so
-//! a refactor of the recovery code can be proven behaviour-preserving.
+//! a crash wipe; these rows do, for every scheme of `fault_recovery.rs` and
+//! for the Blind / Hold / LowPrio baselines, so a refactor of the recovery
+//! and credit code can be proven behaviour-preserving.
 //!
 //! Two plans on the 8-host testbed, 21 incast flows of 200 KB (three per
 //! sender):
@@ -87,6 +88,19 @@ fn golden() -> Vec<(Scheme, Row, Row)> {
         // extra timer event per launch (46 / 21 here), flow digests unchanged.
         (Scheme::FastpassAeolus, (26_593, 0x0f732fa351de1a91), (12_273, 0x8d32a32d65e09bad)),
         (Scheme::Dctcp { rto: ms(10) }, (33_346, 0x533ebe2bbb93387d), (13_508, 0x89acdd0870504647)),
+        // The baselines, recorded at c11f242 (the parent of the credit-core
+        // refactor): timeout-driven token and grant write-off (Blind),
+        // trimming-NACK pulls, and the credit loop without a burst (Hold)
+        // or with RTO-only recovery (LowPrio).
+        (Scheme::Homa { rto: ms(10) }, (29_809, 0x338256d8534b03e9), (13_013, 0x5f3c4162de851443)),
+        (Scheme::PHost { rto: ms(10) }, (41_989, 0x2e0d202665723b4d), (35_713, 0xee2a86dd57bf3779)),
+        (Scheme::Ndp, (64_663, 0x52d0dd01df4a2c50), (1_500_654, 0xc393e81d14b0aacf)),
+        (Scheme::ExpressPass, (48_744, 0xe850191fa00a432d), (315_656, 0x4ea8e2d903918d6a)),
+        (
+            Scheme::ExpressPassPrioQueue { rto: ms(10) },
+            (66_848, 0xe22d324593a3b2bf),
+            (324_908, 0x87be73d41a0e6cb7),
+        ),
     ]
 }
 
