@@ -1,9 +1,6 @@
-//! Bench-sized scenario builders shared by the benchmark targets, plus the
-//! in-tree measurement harness ([`harness`]).
-//!
-//! Each paper table/figure gets a miniature, fixed-seed configuration of its
-//! experiment kernel — small enough for repeated sampling, large enough to
-//! exercise the same code paths as the full runner in `aeolus-experiments`.
+//! The engine / hot-path / allocation kernels the `aeolus-bench` binary
+//! runs, plus the in-tree measurement harness ([`harness`]). Per-discipline
+//! and per-figure measurements live in the repo benchmark (`benchmark/`).
 
 pub mod harness;
 pub mod trajectory;
@@ -15,76 +12,12 @@ use aeolus_sim::{
     DropTailQueue, EnqueueOutcome, FlowDesc, FlowId, FlowMap, NodeId, Packet, PacketPool,
     PacketRef, Poll, QueueDisc, RecordingTracer, RoutePolicy, RouteTable, SimRng, TrafficClass,
 };
-use aeolus_transport::{Scheme, SchemeBuilder, SchemeParams, TopoSpec};
-use aeolus_workloads::{incast_rounds, poisson_flows, PoissonConfig, Workload};
+use aeolus_transport::{Scheme, SchemeBuilder, TopoSpec};
+use aeolus_workloads::incast_rounds;
 
 /// The bench testbed: 8 hosts on one 10 G switch.
 pub fn bench_testbed() -> TopoSpec {
     TopoSpec::SingleSwitch { hosts: 8, link: LinkParams::uniform(Rate::gbps(10), us(3)) }
-}
-
-/// A small two-tier fabric.
-pub fn bench_fabric() -> TopoSpec {
-    TopoSpec::LeafSpine {
-        spines: 2,
-        leaves: 2,
-        hosts_per_leaf: 4,
-        link: LinkParams::uniform(Rate::gbps(100), us(1)),
-    }
-}
-
-/// Run `n_flows` Poisson flows of `workload` under `scheme`; returns the
-/// completed-flow count (a black-box-able result).
-pub fn bench_workload(scheme: Scheme, spec: TopoSpec, workload: Workload, n_flows: usize) -> usize {
-    let mut h = SchemeBuilder::new(scheme).topology(spec).build();
-    let hosts = h.hosts().to_vec();
-    let flows = poisson_flows(
-        &PoissonConfig {
-            load: 0.4,
-            host_rate: h.topo.host_rate,
-            flows: n_flows,
-            seed: 42,
-            first_id: 1,
-            start: 0,
-        },
-        &hosts,
-        &workload.dist(),
-    );
-    h.schedule(&flows);
-    h.run(flows.last().unwrap().start + ms(400));
-    h.metrics().completed_count()
-}
-
-/// Run a 7:1 incast of `rounds` rounds; returns the completed count.
-pub fn bench_incast(scheme: Scheme, msg: u64, rounds: usize) -> usize {
-    let mut h = SchemeBuilder::new(scheme).topology(bench_testbed()).build();
-    let hosts = h.hosts().to_vec();
-    let flows = incast_rounds(&hosts[1..], hosts[0], msg, rounds, ms(2), 0, 1);
-    h.schedule(&flows);
-    h.run(ms(1000));
-    h.metrics().completed_count()
-}
-
-/// Run an N:1 single-shot incast on a 100 G switch; returns completed count.
-pub fn bench_many_to_one(scheme: Scheme, n: usize, msg: u64) -> usize {
-    let spec =
-        TopoSpec::SingleSwitch { hosts: n + 1, link: LinkParams::uniform(Rate::gbps(100), us(1)) };
-    let mut params = SchemeParams::new(0);
-    params.port_buffer = 500_000;
-    let mut h = SchemeBuilder::new(scheme).params(params).topology(spec).build();
-    let hosts = h.hosts().to_vec();
-    let flows: Vec<FlowDesc> = (0..n)
-        .map(|i| FlowDesc {
-            id: FlowId(i as u64 + 1),
-            src: hosts[i + 1],
-            dst: hosts[0],
-            size: msg,
-            start: 0,
-        })
-        .collect();
-    h.schedule(&flows);
-    h.run(ms(1000));
-    h.metrics().completed_count()
 }
 
 /// Counting shim over the system allocator for the `alloc` bench suite.
@@ -370,7 +303,7 @@ mod tests {
 
     /// Golden event count, recorded under the pre-slab build (per-flow state
     /// in `BTreeMap`s, FNV route hash per hop) — the value in the committed
-    /// `results/bench.json` bench history. The slab/CSR hot path must drive
+    /// `BENCH_<n>.json` history. The slab/CSR hot path must drive
     /// a bit-identical simulation, so the count must never move. If this
     /// fails, a "pure performance" change altered behavior.
     #[test]
@@ -385,12 +318,5 @@ mod tests {
         let plain = incast_sim_events(SchedulerKind::TimingWheel, 30_000, 2);
         let recorded = incast_sim_events_recorded(SchedulerKind::TimingWheel, 30_000, 2);
         assert_eq!(plain, recorded, "the tracer must be a passive observer");
-    }
-
-    #[test]
-    fn bench_kernels_complete() {
-        assert_eq!(bench_incast(Scheme::ExpressPassAeolus, 30_000, 2), 14);
-        assert_eq!(bench_many_to_one(Scheme::HomaAeolus, 4, 64_000), 4);
-        assert!(bench_workload(Scheme::NdpAeolus, bench_fabric(), Workload::WebServer, 20) >= 19);
     }
 }

@@ -3,10 +3,11 @@
 //! Runs the engine microbenches (timing wheel vs the reference binary-heap
 //! scheduler, on a synthetic timer stream and a full incast simulation) plus
 //! a macro bench (one quick-scale paper figure, serial and parallel), prints
-//! a summary and writes a JSON report.
+//! a summary and, when asked, writes a JSON report.
 //!
 //! ```text
-//! aeolus-bench [--out PATH] [--engine-only]   # default out: results/bench.json
+//! aeolus-bench [--out PATH] [--engine-only]   # scratch report for a CI gate
+//! aeolus-bench --snapshot BENCH_<n>.json      # the per-PR baseline, repo root
 //! AEOLUS_BENCH_ITERS=30 aeolus-bench          # more measured iterations
 //! ```
 //!
@@ -40,7 +41,7 @@ fn macro_config() -> BenchConfig {
 }
 
 fn main() {
-    let mut out = String::from("results/bench.json");
+    let mut out: Option<String> = None;
     let mut snapshot: Option<String> = None;
     let mut engine_only = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,10 +49,10 @@ fn main() {
     while let Some(a) = iter.next() {
         match a.as_str() {
             "--out" => {
-                out = iter.next().cloned().unwrap_or_else(|| {
+                out = Some(iter.next().cloned().unwrap_or_else(|| {
                     eprintln!("--out wants a path");
                     std::process::exit(2);
-                })
+                }))
             }
             "--snapshot" => {
                 snapshot = Some(iter.next().cloned().unwrap_or_else(|| {
@@ -174,11 +175,13 @@ fn main() {
     }
 
     let suites = [&engine, &hotpath, &alloc, &figures];
-    match write_json(&suites, &out) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
+    if let Some(out) = out {
+        match write_json(&suites, &out) {
+            Ok(()) => println!("wrote {out}"),
+            Err(e) => {
+                eprintln!("failed to write {out}: {e}");
+                std::process::exit(1);
+            }
         }
     }
     // BENCH trajectory: immutable per-PR snapshots (BENCH_5.json,

@@ -2,10 +2,9 @@
 //!
 //! Each PR that moves performance commits an immutable snapshot of the
 //! bench report as `BENCH_<n>.json` at the repository root (next to
-//! README.md, where it is discoverable), while `results/bench.json` stays
-//! the rolling "current baseline" the CI gates compare against. This module
-//! finds those snapshots, parses them (the hand-rolled [`to_json`] format —
-//! no serde offline) and renders the full per-bench trajectory
+//! README.md, where it is discoverable); the newest one is the baseline the
+//! CI gates compare against. This module finds those snapshots, parses them
+//! (the hand-rolled [`to_json`] format — no serde offline) and renders the full per-bench trajectory
 //! `BENCH_5 -> BENCH_6 -> ... -> current run` with deltas, so a regression
 //! introduced across a re-anchor is visible in one glance of the bench
 //! output instead of requiring a manual diff of two JSON files.

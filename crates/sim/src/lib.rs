@@ -106,8 +106,8 @@ pub use packet::{
 pub use pool::{PacketPool, PacketRef};
 pub use port::{Link, Port, PortStats};
 pub use queues::{
-    Color, DropReason, DropTailQueue, EnqueueOutcome, LossyQueue, Poll, PoolHandle, PriorityBank,
-    QueueDisc, RedEcnQueue, SharedPool, TrimmingQueue, WredProfile, WredQueue, XPassQueue,
+    Color, DropReason, DropTailQueue, EnqueueOutcome, Poll, PoolHandle, PriorityBank, QueueDisc,
+    RedEcnQueue, SharedPool, TrimmingQueue, WredProfile, WredQueue, XPassQueue,
 };
 pub use rangeset::RangeSet;
 pub use rng::SimRng;

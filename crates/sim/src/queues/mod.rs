@@ -18,7 +18,6 @@
 //!   drained through a token bucket at the credit-rate fraction of capacity.
 
 mod droptail;
-mod lossy;
 mod priority;
 mod red;
 mod trimming;
@@ -26,7 +25,6 @@ mod wred;
 mod xpass;
 
 pub use droptail::DropTailQueue;
-pub use lossy::LossyQueue;
 pub use priority::PriorityBank;
 pub use red::RedEcnQueue;
 pub use trimming::TrimmingQueue;

@@ -2,7 +2,7 @@
 
 use aeolus_core::AeolusConfig;
 use aeolus_sim::units::Time;
-use aeolus_sim::{Ecn, FlowDesc, FlowId, NodeId, Packet, PacketKind, TrafficClass, MIN_PACKET_BYTES};
+use aeolus_sim::{Ecn, FlowDesc, FlowId, NodeId, Packet, PacketKind, Rate, TrafficClass};
 
 /// How a transport treats the first RTT (the pre-credit phase).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,14 +133,15 @@ impl BaseConfig {
         self.mode.sack_inference() && !self.disable_sack
     }
 
+    /// One RTT's worth of bytes at `line_rate`: the first-RTT burst budget
+    /// (§3.1) and the window every receiver-driven loop keeps outstanding.
+    pub fn rtt_bytes(&self, line_rate: Rate) -> u64 {
+        self.aeolus.burst_budget(line_rate, self.base_rtt)
+    }
+
     /// Wire size of a full data packet.
     pub fn mtu_wire(&self) -> u32 {
         self.mtu_payload + aeolus_sim::HEADER_BYTES
-    }
-
-    /// Control packet wire size.
-    pub fn ctrl_size(&self) -> u32 {
-        MIN_PACKET_BYTES
     }
 }
 

@@ -25,43 +25,35 @@ use aeolus_sim::{
 
 use crate::common::{ack_packet, request_packet, BaseConfig, FirstRttMode};
 use crate::recovery::{
-    self, launch_first_rtt, peer_silent, send_resends, FlowTable, Retry, SendState,
+    self, launch_first_rtt, peer_silent, send_resends, FlowTable, SendState, Strikes,
 };
 
-/// ExpressPass tunables (paper defaults in `Default` given a [`BaseConfig`]).
+// The feedback law's constants: the values the ExpressPass paper (Cho et
+// al., SIGCOMM'17) gives for its Algorithm 1.
+/// Initial credit rate as a fraction of line rate.
+const INIT_RATE_FRAC: f64 = 1.0 / 16.0;
+/// Initial aggressiveness ω.
+const W_INIT: f64 = 1.0 / 16.0;
+/// Maximum aggressiveness.
+const W_MAX: f64 = 0.5;
+/// Minimum aggressiveness.
+const W_MIN: f64 = 0.01;
+/// Target credit loss ratio.
+const TARGET_LOSS: f64 = 0.125;
+
+/// ExpressPass tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct XPassConfig {
     /// Shared transport parameters.
     pub base: BaseConfig,
-    /// Initial credit rate as a fraction of line rate (paper: 1/16).
-    pub init_rate_frac: f64,
-    /// Initial aggressiveness ω (paper: 1/16).
-    pub w_init: f64,
-    /// Maximum aggressiveness.
-    pub w_max: f64,
-    /// Minimum aggressiveness.
-    pub w_min: f64,
-    /// Target credit loss ratio (ExpressPass default 0.125).
-    pub target_loss: f64,
-    /// Credit feedback period (≈ one RTT).
-    pub feedback_period: Time,
     /// Retransmission timeout for the RTO-recovery strawman (`LowPrio`).
     pub rto: Option<Time>,
 }
 
 impl XPassConfig {
-    /// Paper defaults for the given base configuration.
-    pub fn new(base: BaseConfig) -> XPassConfig {
-        XPassConfig {
-            base,
-            init_rate_frac: 1.0 / 16.0,
-            w_init: 1.0 / 16.0,
-            w_max: 0.5,
-            w_min: 0.01,
-            target_loss: 0.125,
-            feedback_period: base.base_rtt.max(1),
-            rto: None,
-        }
+    /// Credit feedback period: one RTT, as in the paper.
+    fn feedback_period(&self) -> Time {
+        self.base.base_rtt.max(1)
     }
 }
 
@@ -80,9 +72,8 @@ enum TimerKind {
 
 /// The receiver's credit loop state for one flow.
 struct Credits {
-    /// Consecutive stall-scan resends without progress, capped — backs off
-    /// this flow's stall window exponentially (reset on data arrival).
-    stall_strikes: u32,
+    /// Backs off this flow's stall window.
+    strikes: Strikes,
     next_credit_seq: u64,
     /// Induced-data rate in bits/s this flow's credits are paced at.
     rate_bps: f64,
@@ -122,26 +113,15 @@ impl XPassEndpoint {
         }
     }
 
-    /// Interval after which an incomplete flow with no arrivals is deemed
-    /// stalled (a lost scheduled packet) and its gaps are re-requested.
-    /// A backstop for pathological loss — floored at 1 ms so loaded-network
-    /// queueing is never mistaken for a stall.
-    fn stall_after(cfg: &XPassConfig) -> Time {
-        (8 * cfg.base.base_rtt.max(1)).max(aeolus_sim::units::ms(1))
-    }
-
     fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
         self.stall_scan_armed = false;
-        let (stall_after, now) = (Self::stall_after(&self.cfg), ctx.now);
+        let (stall_after, now) = (recovery::stall_after(&self.cfg.base), ctx.now);
         self.flows.reap_silent_senders(ctx);
         let (any_incomplete, resends) = self.flows.stall_scan(ctx, |rf, size| {
-            // Each fruitless resend doubles this flow's stall window (capped)
-            // so a dead sender is probed ever more gently.
-            if now.saturating_sub(rf.last_arrival) < stall_after << rf.proto.stall_strikes.min(4) {
+            if !rf.proto.strikes.presume_lost(rf.idle(now), stall_after) {
                 return Vec::new();
             }
-            rf.proto.stall_strikes = (rf.proto.stall_strikes + 1).min(4);
-            rf.book.core.missing_below(size).into_iter().take(8).collect()
+            rf.missing(size, 8)
         });
         send_resends(resends, ctx);
         if any_incomplete {
@@ -171,13 +151,12 @@ impl XPassEndpoint {
     /// probe — whichever wins the race) and its credit loop and the stall
     /// scan are running.
     fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) -> &mut RecvFlow {
-        let rate_bps = self.max_rate_bps(ctx) * self.cfg.init_rate_frac;
-        let w = self.cfg.w_init;
+        let rate_bps = self.max_rate_bps(ctx) * INIT_RATE_FRAC;
         let rf = self.flows.recv_entry(pkt, ctx.now, || Credits {
-            stall_strikes: 0,
+            strikes: Strikes::default(),
             next_credit_seq: 1,
             rate_bps,
-            w,
+            w: W_INIT,
             can_increase_w: true,
             last_echo: 0,
             delivered_period: 0,
@@ -188,12 +167,12 @@ impl XPassEndpoint {
         if !rf.proto.ticking && !rf.book.is_complete() {
             rf.proto.ticking = true;
             ctx.set_timer_in_with(0, self.timers.arm(TimerKind::CreditTick(pkt.flow)));
-            let period = self.cfg.feedback_period;
+            let period = self.cfg.feedback_period();
             ctx.set_timer_in_with(period, self.timers.arm(TimerKind::Feedback(pkt.flow)));
         }
         if !self.stall_scan_armed {
             self.stall_scan_armed = true;
-            let delay = Self::stall_after(&self.cfg);
+            let delay = recovery::stall_after(&self.cfg.base);
             ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::StallScan));
         }
         rf
@@ -243,18 +222,18 @@ impl XPassEndpoint {
 
     fn on_feedback(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let max_rate = self.max_rate_bps(ctx);
-        let period = self.cfg.feedback_period;
-        let (target, w_max, w_min) = (self.cfg.target_loss, self.cfg.w_max, self.cfg.w_min);
+        let period = self.cfg.feedback_period();
         let reschedule = {
             let rf = match self.flows.recv.get_mut(flow) {
                 Some(rf) => rf,
                 None => return,
             };
+            let idle = rf.idle(ctx.now);
             let c = &mut rf.proto;
             let total = c.delivered_period + c.lost_period;
             if total == 0
                 && c.credits_sent_period > 0
-                && ctx.now.saturating_sub(rf.last_arrival) > 4 * period
+                && idle > 4 * period
             {
                 // Credits keep going out but no data has arrived for several
                 // RTTs: the sender is idle (done sending, or stalled on a
@@ -263,18 +242,18 @@ impl XPassEndpoint {
             }
             if total > 0 {
                 let loss = c.lost_period as f64 / total as f64;
-                if loss <= target {
+                if loss <= TARGET_LOSS {
                     // Tolerable loss: move toward max rate. The additive
                     // pull `w * (max - rate)` is what makes competing flows
                     // converge to a fair share (ExpressPass Algorithm 1).
                     if loss == 0.0 && c.can_increase_w {
-                        c.w = ((c.w + w_max) / 2.0).min(w_max);
+                        c.w = ((c.w + W_MAX) / 2.0).min(W_MAX);
                     }
                     c.rate_bps = (1.0 - c.w) * c.rate_bps + c.w * max_rate;
                     c.can_increase_w = loss == 0.0;
                 } else {
-                    c.rate_bps *= (1.0 - loss) * (1.0 + target);
-                    c.w = (c.w / 2.0).max(w_min);
+                    c.rate_bps *= (1.0 - loss) * (1.0 + TARGET_LOSS);
+                    c.w = (c.w / 2.0).max(W_MIN);
                     c.can_increase_w = false;
                 }
                 c.rate_bps = c.rate_bps.clamp(max_rate / 1024.0, max_rate);
@@ -296,23 +275,23 @@ impl XPassEndpoint {
     /// the re-sent request re-kicks the receiver's credit loop and stall
     /// scan.
     fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let Some(tx) = self.flows.send.get_mut(flow) else { return };
-        // Once every byte is out (or acknowledged), any residual tail loss
-        // is the receiver stall scan's business.
-        let done = tx.core.fully_acked() || (tx.heard_back && !tx.core.has_work());
-        match tx.retry(done, &self.cfg.base, ctx.now) {
-            Retry::Quiet => {}
-            Retry::GiveUp => self.flows.give_up(flow, ctx),
-            Retry::Fire { resend, rearm_in } => {
-                if resend {
-                    ctx.metrics.note_timeout(flow);
-                    ctx.send(request_packet(&tx.desc));
-                    if !tx.heard_back {
-                        tx.send_probe(0, ctx);
-                    }
+        let rearm = self.flows.first_contact_retry(
+            flow,
+            &self.cfg.base,
+            ctx,
+            |tx| tx,
+            // Once every byte is out (or acknowledged), any residual tail
+            // loss is the receiver stall scan's business.
+            |tx| tx.core.fully_acked() || (tx.heard_back && !tx.core.has_work()),
+            |tx, ctx| {
+                ctx.send(request_packet(&tx.desc));
+                if !tx.heard_back {
+                    tx.send_probe(0, ctx);
                 }
-                ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::ProbeRetry(flow)));
-            }
+            },
+        );
+        if let Some(delay) = rearm {
+            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ProbeRetry(flow)));
         }
     }
 
@@ -372,11 +351,7 @@ impl Endpoint for XPassEndpoint {
             }
             PacketKind::Credit => {
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.heard(ctx.now);
-                    ctx.emit(TransportEvent::CreditReceipt {
-                        flow: pkt.flow,
-                        bytes: self.cfg.base.mtu_payload as u64,
-                    });
+                    tx.on_credit(self.cfg.base.mtu_payload as u64, ctx);
                 }
                 self.pump_scheduled(pkt.flow, pkt.seq, ctx);
             }
@@ -384,7 +359,7 @@ impl Endpoint for XPassEndpoint {
                 let mode = self.cfg.base.mode;
                 let rf = self.ensure_recv_flow(&pkt, ctx);
                 rf.touch(ctx.now);
-                rf.proto.stall_strikes = 0;
+                rf.proto.strikes.reset();
                 let v = rf.book.on_data(&pkt, ctx);
                 if pkt.credit_echo > 0 {
                     // Credit-loss accounting: a gap in the echoed credit
@@ -409,7 +384,6 @@ impl Endpoint for XPassEndpoint {
                 // Receiver-detected stall: requeue the range; it rides out
                 // on the next credits.
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.heard(ctx.now);
                     tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
                 }
             }

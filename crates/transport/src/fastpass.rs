@@ -25,13 +25,18 @@
 use aeolus_sim::units::Time;
 use aeolus_sim::{
     Ctx, Endpoint, FlowDesc, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind, TimerTable,
-    TrafficClass, TransportEvent,
+    TransportEvent,
 };
 
-use crate::common::{ack_packet, BaseConfig};
+use crate::common::BaseConfig;
 use crate::recovery::{
-    self, backoff, launch_first_rtt, peer_silent, send_resends, FlowTable, Retry, SendState,
+    self, backoff, launch_first_rtt, peer_silent, send_resends, FlowTable, SendState, Strikes,
 };
+
+/// Maximum timeslots requested at once (pipelined batches). A choice of
+/// this model, not a Fastpass parameter: it bounds how far ahead the greedy
+/// arbiter commits a (src, dst) pair.
+const BATCH_SLOTS: u32 = 64;
 
 /// Fastpass tunables.
 #[derive(Debug, Clone, Copy)]
@@ -40,15 +45,6 @@ pub struct FastpassConfig {
     pub base: BaseConfig,
     /// The arbiter's node id.
     pub arbiter: NodeId,
-    /// Maximum timeslots granted per request (pipelined batches).
-    pub batch_slots: u32,
-}
-
-impl FastpassConfig {
-    /// Defaults: batches of 64 slots.
-    pub fn new(base: BaseConfig, arbiter: NodeId) -> FastpassConfig {
-        FastpassConfig { base, arbiter, batch_slots: 64 }
-    }
 }
 
 /// The centralized arbiter: allocates conflict-free timeslots.
@@ -172,9 +168,9 @@ struct SendFlow {
     request_fires: u32,
 }
 
-/// Per-protocol receive state: consecutive stall resends without progress,
-/// capped (backoff).
-type RecvFlow = recovery::RecvFlow<u32>;
+/// Slots are the arbiter's to account for; the receiver only backs off its
+/// stall window.
+type RecvFlow = recovery::RecvFlow<Strikes>;
 
 /// The per-host Fastpass endpoint.
 pub struct FastpassEndpoint {
@@ -201,12 +197,6 @@ impl FastpassEndpoint {
         (8 * self.cfg.base.base_rtt.max(1)).max(aeolus_sim::units::ms(2))
     }
 
-    /// Interval after which an incomplete receive flow with no arrivals is
-    /// deemed stalled and its gaps re-requested.
-    fn stall_after(&self) -> Time {
-        (8 * self.cfg.base.base_rtt.max(1)).max(aeolus_sim::units::ms(1))
-    }
-
     fn request_slots(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let retry_base = self.retry_base();
         let Some(sf) = self.flows.send.get_mut(flow) else { return };
@@ -218,7 +208,7 @@ impl FastpassEndpoint {
         // Demand in slots; true destination rides in path_tag.
         let mtu = self.cfg.base.mtu_payload as u64;
         let rough_need = sf.tx.desc.size.div_ceil(mtu) as u32;
-        req.flow_size = rough_need.min(self.cfg.batch_slots) as u64;
+        req.flow_size = rough_need.min(BATCH_SLOTS) as u64;
         req.path_tag = sf.tx.desc.dst.0 as u64;
         ctx.send(req);
         let retry_in = backoff(retry_base, sf.request_fires);
@@ -247,17 +237,16 @@ impl FastpassEndpoint {
     }
 
     fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let Some(sf) = self.flows.send.get_mut(flow) else { return };
-        match sf.tx.retry(sf.tx.heard_back, &self.cfg.base, ctx.now) {
-            Retry::Quiet => {}
-            Retry::GiveUp => self.flows.give_up(flow, ctx),
-            Retry::Fire { resend, rearm_in } => {
-                if resend {
-                    ctx.metrics.note_timeout(flow);
-                    sf.tx.send_probe(0, ctx);
-                }
-                ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::ProbeRetry(flow)));
-            }
+        let rearm = self.flows.first_contact_retry(
+            flow,
+            &self.cfg.base,
+            ctx,
+            |sf| &mut sf.tx,
+            |tx| tx.heard_back,
+            |tx, ctx| tx.send_probe(0, ctx),
+        );
+        if let Some(delay) = rearm {
+            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ProbeRetry(flow)));
         }
     }
 
@@ -266,29 +255,27 @@ impl FastpassEndpoint {
             return;
         }
         self.stall_scan_armed = true;
-        let delay = self.stall_after();
+        let delay = recovery::stall_after(&self.cfg.base);
         ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::StallScan));
     }
 
     fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
         self.stall_scan_armed = false;
-        let (stall_after, now) = (self.stall_after(), ctx.now);
+        let (stall_after, now) = (recovery::stall_after(&self.cfg.base), ctx.now);
         // No receiver-side silence abort here: in Fastpass a silent sender
         // may merely be starved by arbiter (Schedule) losses, not dead, so
         // "no data" is ambiguous on this side. The sender's watchdog — whose
         // clock only the *receiver's* signals refresh — owns the abort; the
         // backed-off resends below keep a live sender's clock fresh.
         let (any_incomplete, resends) = self.flows.stall_scan(ctx, |rf, size| {
-            if now.saturating_sub(rf.last_arrival) < stall_after << rf.proto.min(4) {
+            if !rf.proto.presume_lost(rf.idle(now), stall_after) {
                 return Vec::new();
             }
-            rf.proto = (rf.proto + 1).min(4);
-            rf.book.core.missing_below(size).into_iter().take(8).collect()
+            rf.missing(size, 8)
         });
         send_resends(resends, ctx);
         if any_incomplete {
-            self.stall_scan_armed = true;
-            ctx.set_timer_in_with(stall_after, self.timers.arm(TimerKind::StallScan));
+            self.arm_stall_scan(ctx);
         }
     }
 
@@ -345,24 +332,14 @@ impl Endpoint for FastpassEndpoint {
                 ctx.set_timer_in_with(fire_first, self.timers.arm(TimerKind::Slot(pkt.flow)));
             }
             PacketKind::Data => {
-                let rf = self.flows.recv_entry(&pkt, ctx.now, || 0);
-                rf.touch(ctx.now);
-                rf.proto = 0;
-                let v = rf.book.on_data(&pkt, ctx);
-                let sender = rf.sender;
                 self.arm_stall_scan(ctx);
-                let unscheduled = pkt.class == TrafficClass::Unscheduled;
-                if self.cfg.base.mode.probe_recovery() && unscheduled {
-                    if let Some((s, e)) = v.acked_range {
-                        ctx.send(ack_packet(pkt.flow, ctx.host, sender, s, e));
-                    }
-                }
-                if v.completed {
-                    ctx.send(ack_packet(pkt.flow, ctx.host, sender, 0, pkt.flow_size));
-                }
+                let probe_mode = self.cfg.base.mode.probe_recovery();
+                let rf = self.flows.recv_arrival(&pkt, ctx.now, Strikes::default);
+                rf.proto.reset();
+                rf.on_data(&pkt, probe_mode, ctx);
             }
             PacketKind::Probe => {
-                self.flows.recv_entry(&pkt, ctx.now, || 0).on_probe(&pkt, ctx);
+                self.flows.recv_entry(&pkt, ctx.now, Strikes::default).on_probe(&pkt, ctx);
                 self.arm_stall_scan(ctx);
             }
             PacketKind::Resend { end } => {
@@ -370,7 +347,6 @@ impl Endpoint for FastpassEndpoint {
                 // wire. Requeue the range and ask the arbiter for slots to
                 // carry it.
                 let Some(sf) = self.flows.send.get_mut(pkt.flow) else { return };
-                sf.tx.heard(ctx.now);
                 sf.tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
                 if sf.slots_left == 0 {
                     self.request_slots(pkt.flow, ctx);
@@ -433,8 +409,8 @@ mod tests {
             mode: FirstRttMode::Aeolus,
             disable_sack: false,
         };
-        let cfg = FastpassConfig::new(base, NodeId(9));
-        assert_eq!(cfg.batch_slots, 64);
+        let cfg = FastpassConfig { base, arbiter: NodeId(9) };
+        assert_eq!(BATCH_SLOTS, 64);
         assert_eq!(cfg.arbiter, NodeId(9));
     }
 }

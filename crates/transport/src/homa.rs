@@ -20,27 +20,30 @@ use aeolus_sim::{
     TransportEvent,
 };
 
-use crate::common::{ack_packet, data_packet, BaseConfig, FirstRttMode};
+use crate::common::{data_packet, BaseConfig, FirstRttMode};
 use crate::recovery::{
-    self, launch_first_rtt, peer_silent, send_resends, FlowTable, Retry, SendState,
+    self, launch_first_rtt, peer_silent, send_resends, CreditLedger, FlowTable, SendState,
 };
+
+/// Total switch priority levels: the 8 of a commodity switch, as in the
+/// Homa paper and the Aeolus evaluation (DESIGN.md "Protocol models").
+const LEVELS: u8 = 8;
+/// How many (top) levels unscheduled packets use; scheduled packets use the
+/// rest, ranked by SRPT.
+const UNSCHED_LEVELS: u8 = 4;
+/// Overcommitment degree — how many messages a receiver grants at once: 6
+/// in the paper's Homa setup.
+const OVERCOMMIT: usize = 6;
 
 /// Homa tunables.
 #[derive(Debug, Clone)]
 pub struct HomaConfig {
     /// Shared transport parameters.
     pub base: BaseConfig,
-    /// Total switch priority levels (commodity: 8).
-    pub levels: u8,
-    /// How many (top) levels unscheduled packets use; scheduled packets use
-    /// the rest, ranked by SRPT.
-    pub unsched_levels: u8,
     /// Message-size cutoffs for unscheduled priorities: a message of size ≤
-    /// `cutoffs[i]` bursts at priority `i`. Must have `unsched_levels - 1`
+    /// `cutoffs[i]` bursts at priority `i`. Must have `UNSCHED_LEVELS - 1`
     /// entries (everything larger uses the last unscheduled level).
     pub cutoffs: Vec<u64>,
-    /// Overcommitment degree: how many messages a receiver grants at once.
-    pub overcommit: usize,
     /// Retransmission timeout (paper experiments: 10 ms, 20 µs, 40 µs).
     pub rto: Time,
     /// "Eager Homa" (§2.3 / Table 1): the RTO is a naive per-message
@@ -54,15 +57,7 @@ impl HomaConfig {
     /// Defaults matching the paper's setup (8 levels, overcommitment 6),
     /// with generic cutoffs suitable for the Table 2 workloads.
     pub fn new(base: BaseConfig, rto: Time) -> HomaConfig {
-        HomaConfig {
-            base,
-            levels: 8,
-            unsched_levels: 4,
-            cutoffs: vec![3_000, 30_000, 300_000],
-            overcommit: 6,
-            rto,
-            naive_rto: false,
-        }
+        HomaConfig { base, cutoffs: vec![3_000, 30_000, 300_000], rto, naive_rto: false }
     }
 
     /// Unscheduled priority for a message of `size` bytes (smaller = higher).
@@ -72,14 +67,13 @@ impl HomaConfig {
                 return i as u8;
             }
         }
-        self.unsched_levels - 1
+        UNSCHED_LEVELS - 1
     }
 
     /// Scheduled priority for the SRPT rank of a granted message.
     pub fn sched_prio(&self, rank: usize) -> u8 {
-        let lo = self.unsched_levels;
-        let span = self.levels - lo;
-        lo + (rank as u8).min(span - 1)
+        let span = LEVELS - UNSCHED_LEVELS;
+        UNSCHED_LEVELS + (rank as u8).min(span - 1)
     }
 }
 
@@ -109,19 +103,10 @@ struct SendFlow {
     native_prio: u8,
 }
 
-/// The receiver's grant ledger for one flow.
-#[derive(Default)]
-struct Grants {
-    /// Cumulative scheduled-byte budget granted to the sender.
-    granted: u64,
-    /// Scheduled payload bytes received back (duplicates included — each
-    /// consumed budget, so each replenishes it).
-    sched_bytes_received: u64,
-    /// Budget written off by the stall scan (its packets are presumed lost).
-    forgiven: u64,
-}
-
-type RecvFlow = recovery::RecvFlow<Grants>;
+/// The grant ledger counts bytes: grants are a cumulative scheduled-byte
+/// budget, and scheduled payload bytes received return it (duplicates
+/// included — each consumed budget, so each replenishes it).
+type RecvFlow = recovery::RecvFlow<CreditLedger>;
 
 /// The per-host Homa endpoint.
 pub struct HomaEndpoint {
@@ -146,20 +131,10 @@ impl HomaEndpoint {
         }
     }
 
-    fn rtt_bytes(&self, ctx: &Ctx<'_>) -> u64 {
-        self.cfg.base.aeolus.burst_budget(ctx.line_rate, self.cfg.base.base_rtt)
-    }
-
-    /// Granted budget whose packets have neither returned nor been written
-    /// off.
-    fn outstanding(rf: &RecvFlow) -> u64 {
-        rf.proto.granted.saturating_sub(rf.proto.sched_bytes_received + rf.proto.forgiven)
-    }
-
     /// Recompute grants after any receive-side event: SRPT-sorted incomplete
     /// messages, top `overcommit` granted one RTT-bytes past what arrived.
     fn regrant(&mut self, ctx: &mut Ctx<'_>) {
-        let rtt_bytes = self.rtt_bytes(ctx);
+        let rtt_bytes = self.cfg.base.rtt_bytes(ctx.line_rate);
         // Sorting (remaining, id) makes the SRPT ranking independent of map
         // iteration order; the scratch is reused so this allocates nothing
         // in steady state.
@@ -172,36 +147,30 @@ impl HomaEndpoint {
             rf.book.remaining().map(|rem| (rem, id))
         }));
         active.sort_unstable();
-        for (rank, &(_, id)) in active.iter().take(self.cfg.overcommit).enumerate() {
+        for (rank, &(_, id)) in active.iter().take(OVERCOMMIT).enumerate() {
             let prio = self.cfg.sched_prio(rank);
             let rf = self.flows.recv.get_mut(id).expect("active flow");
-            // Grants are a cumulative *scheduled-byte budget*, managed by
-            // outstanding-bytes accounting: keep
-            //   outstanding = granted − received-back (− written-off)
-            // topped up to min(remaining, RTTbytes). Counting received-back
-            // bytes (duplicates included — each consumed budget) makes the
-            // accounting self-correcting under reordering and duplicate
-            // retransmissions, and caps scheduled in-flight at one RTT.
-            let remaining = rf.book.remaining().unwrap_or(0);
-            // Fund whole packets: a sub-MTU remainder still needs a full
-            // packet's worth of budget when retransmissions fragment.
             let mtu = self.cfg.base.mtu_payload as u64;
-            let want_outstanding = (remaining.div_ceil(mtu) * mtu).min(rtt_bytes);
-            let deficit = want_outstanding.saturating_sub(Self::outstanding(rf));
             // Release arrival-clocked (real Homa grants per received packet):
             // an initial kick when a message first gets scheduled, then a
             // couple of MTUs per regrant — dumping whole windows for several
             // messages at once would overflow the downlink buffer.
-            let step = if rf.proto.granted == 0 { 8 * mtu } else { 2 * mtu };
-            let increment = deficit.min(step);
+            let step = if rf.proto.issued() == 0 { 8 * mtu } else { 2 * mtu };
+            // Outstanding-bytes accounting, topped up to min(remaining,
+            // RTTbytes): counting received-back bytes makes it self-correcting
+            // under reordering and duplicate retransmissions, and caps
+            // scheduled in-flight at one RTT. Whole packets are funded: a
+            // sub-MTU remainder still needs a full packet's worth of budget
+            // when retransmissions fragment.
+            let increment = rf.deficit(mtu, mtu, rtt_bytes).min(step);
             if increment > 0 {
-                rf.proto.granted += increment;
+                rf.proto.issue(increment);
                 ctx.emit(TransportEvent::CreditIssue { flow: id, bytes: increment });
                 ctx.send(Packet::control(
                     id,
                     ctx.host,
                     rf.sender,
-                    rf.proto.granted,
+                    rf.proto.issued(),
                     PacketKind::Grant { grant_prio: prio },
                 ));
             }
@@ -236,22 +205,10 @@ impl HomaEndpoint {
         while seq < to {
             let len = cfg.base.mtu_payload.min((to - seq) as u32);
             let mut pkt = data_packet(&sf.tx.desc, seq, len, TrafficClass::Unscheduled, true);
-            cfg.base.mode.stamp_unscheduled(&mut pkt, sf.native_prio, cfg.levels - 1);
+            cfg.base.mode.stamp_unscheduled(&mut pkt, sf.native_prio, LEVELS - 1);
             ctx.emit(TransportEvent::Retransmit { flow: pkt.flow, bytes: len as u64, cause });
             ctx.send(pkt);
             seq += len as u64;
-        }
-    }
-
-    /// Staleness threshold before recovery kicks in: the RTO in Blind mode,
-    /// several RTTs in the probe-recovery modes (where it is only a backstop
-    /// against lost *scheduled* packets under extreme buffer pressure).
-    fn stale_after(&self) -> Time {
-        match self.cfg.base.mode {
-            FirstRttMode::Blind => self.cfg.rto,
-            // Gated on outstanding budget (below), so this only needs to
-            // exceed worst-case in-flight drain time — 1 ms is generous.
-            _ => (20 * self.cfg.base.base_rtt).max(aeolus_sim::units::ms(1)),
         }
     }
 
@@ -260,47 +217,39 @@ impl HomaEndpoint {
             return;
         }
         self.scan_armed = true;
-        let delay = self.stale_after() / 2;
+        let delay = recovery::stale_after(&self.cfg.base, Some(self.cfg.rto)) / 2;
         ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ResendScan));
     }
 
     fn on_resend_scan(&mut self, ctx: &mut Ctx<'_>) {
         self.scan_armed = false;
-        let (stale_after, now) = (self.stale_after(), ctx.now);
+        // The RTO in Blind mode; in the probe-recovery modes only a backstop
+        // against lost *scheduled* packets under extreme buffer pressure.
+        let stale_after = recovery::stale_after(&self.cfg.base, Some(self.cfg.rto));
+        let now = ctx.now;
         let probe_mode = self.cfg.base.mode.probe_recovery();
         let window = 8 * self.cfg.base.mtu_payload as u64;
         self.flows.reap_silent_senders(ctx);
         let (any_incomplete, resends) = self.flows.stall_scan(ctx, |rf, size| {
-            // Only a flow whose granted budget is *outstanding* (packets in
-            // flight that never returned) can be loss-stalled; zero
-            // outstanding means it is waiting on grants/SRPT, not on the
-            // network. Staleness is arrival-based: in-flight packets drain
-            // within a buffer-drain time, far below the 1 ms floor (grant
-            // timestamps are irrelevant — the periodic grant kick would
-            // otherwise mask a genuine stall indefinitely).
-            let outstanding = Self::outstanding(rf);
-            if (probe_mode && outstanding == 0)
-                || now.saturating_sub(rf.last_arrival) < stale_after
-            {
+            // Staleness is arrival-based (grant timestamps are irrelevant —
+            // the periodic grant kick would otherwise mask a genuine stall
+            // indefinitely).
+            if !rf.proto.presume_lost(rf.idle(now), stale_after, !probe_mode) {
                 return Vec::new();
             }
-            // The stalled budget's packets are presumed gone: write them off
-            // so fresh grants flow for the retransmissions.
-            rf.proto.forgiven += outstanding;
             // Request anything missing below the full message: the sender
             // clamps requeues to what it actually transmitted, and resending
             // not-yet-sent bytes early is harmless (grants are a cumulative
             // byte budget, so the receiver cannot reconstruct which offsets
             // were authorized).
-            let missing = rf.book.core.missing_below(size).into_iter();
             if probe_mode {
-                missing.take(8).collect()
+                rf.missing(size, 8)
             } else {
                 // Blind mode requests at most one bounded range per flow per
                 // scan: premature resends of merely-queued data are the known
                 // waste of timeout recovery, but unbounded re-requests at RTO
                 // cadence would melt an incast fabric outright.
-                missing.take(1).map(|(s, e)| (s, e.min(s + window))).collect()
+                rf.missing(size, 1).into_iter().map(|(s, e)| (s, e.min(s + window))).collect()
             }
         });
         send_resends(resends, ctx);
@@ -310,14 +259,13 @@ impl HomaEndpoint {
             // arrival predates a flow's turn in the SRPT order would strand
             // it.
             self.regrant(ctx);
-            ctx.set_timer_in_with(stale_after / 2, self.timers.arm(TimerKind::ResendScan));
-            self.scan_armed = true;
+            self.arm_scan(ctx);
         }
     }
 
     fn on_sender_rto(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let (rto, naive) = (self.cfg.rto, self.cfg.naive_rto);
-        let rtt_bytes = self.rtt_bytes(ctx);
+        let rtt_bytes = self.cfg.base.rtt_bytes(ctx.line_rate);
         let Some(sf) = self.flows.send.get_mut(flow) else { return };
         if sf.tx.completed {
             return;
@@ -350,24 +298,18 @@ impl HomaEndpoint {
     }
 
     fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let Some(sf) = self.flows.send.get_mut(flow) else { return };
-        match sf.tx.retry(sf.tx.heard_back, &self.cfg.base, ctx.now) {
-            Retry::Quiet => {}
-            Retry::GiveUp => self.flows.give_up(flow, ctx),
-            Retry::Fire { resend, rearm_in } => {
-                if resend {
-                    ctx.metrics.note_timeout(flow);
-                    sf.tx.send_probe(sf.native_prio, ctx);
-                }
-                ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::ProbeRetry(flow)));
-            }
+        let cfg = &self.cfg;
+        let rearm = self.flows.first_contact_retry(
+            flow,
+            &cfg.base,
+            ctx,
+            |sf| &mut sf.tx,
+            |tx| tx.heard_back,
+            |tx, ctx| tx.send_probe(cfg.unsched_prio(tx.desc.size), ctx),
+        );
+        if let Some(delay) = rearm {
+            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ProbeRetry(flow)));
         }
-    }
-
-    fn ensure_recv_flow(&mut self, pkt: &Packet, now: Time) -> &mut RecvFlow {
-        let rf = self.flows.recv_entry(pkt, now, Grants::default);
-        rf.touch(now);
-        rf
     }
 }
 
@@ -375,7 +317,7 @@ impl Endpoint for HomaEndpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
         let base = self.cfg.base;
         let native_prio = self.cfg.unsched_prio(flow.size);
-        let lowest = self.cfg.levels - 1;
+        let lowest = LEVELS - 1;
         // The probe must trail the burst through every queue: give it the
         // *same* priority as the unscheduled data (it stays protected from
         // selective dropping via its ECT mark).
@@ -408,29 +350,17 @@ impl Endpoint for HomaEndpoint {
         }
         match pkt.kind {
             PacketKind::Data => {
-                let mode = self.cfg.base.mode;
-                let rf = self.ensure_recv_flow(&pkt, ctx.now);
-                let unscheduled = pkt.class == TrafficClass::Unscheduled;
-                if !unscheduled {
-                    rf.proto.sched_bytes_received += pkt.payload as u64;
+                let probe_mode = self.cfg.base.mode.probe_recovery();
+                let rf = self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default);
+                if pkt.class != TrafficClass::Unscheduled {
+                    rf.proto.returned(pkt.payload as u64);
                 }
-                let v = rf.book.on_data(&pkt, ctx);
-                // Aeolus per-packet ACKs for unscheduled data.
-                if mode.probe_recovery() && unscheduled {
-                    if let Some((s, e)) = v.acked_range {
-                        ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, s, e));
-                    }
-                }
-                // Completion ACK (the RPC-reply analogue) in every mode so
-                // senders can retire state and stop RTO timers.
-                if v.completed {
-                    ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, 0, pkt.flow_size));
-                }
+                rf.on_data(&pkt, probe_mode, ctx);
                 self.regrant(ctx);
                 self.arm_scan(ctx);
             }
             PacketKind::Probe => {
-                self.ensure_recv_flow(&pkt, ctx.now).on_probe(&pkt, ctx);
+                self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default).on_probe(&pkt, ctx);
                 self.regrant(ctx);
                 self.arm_scan(ctx);
             }
@@ -452,7 +382,6 @@ impl Endpoint for HomaEndpoint {
             PacketKind::Resend { end } => {
                 let probe_mode = self.cfg.base.mode.probe_recovery();
                 if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    sf.tx.heard(ctx.now);
                     if probe_mode {
                         // Backstop path: requeue and let the (inflated)
                         // grant budget clock the retransmission out as a
@@ -460,6 +389,7 @@ impl Endpoint for HomaEndpoint {
                         sf.tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
                     } else {
                         // Blind mode: resend immediately as unscheduled.
+                        sf.tx.heard(ctx.now);
                         let (from, to) = (pkt.seq, end.min(sf.tx.desc.size));
                         sf.tx.note_loss(to.saturating_sub(from), LossCause::Stall, ctx);
                         Self::resend_unscheduled(&self.cfg, sf, from, to, LossCause::Stall, ctx);

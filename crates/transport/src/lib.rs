@@ -37,7 +37,7 @@ pub use expresspass::{XPassConfig, XPassEndpoint};
 pub use fastpass::{ArbiterEndpoint, FastpassConfig, FastpassEndpoint};
 pub use fuzz::{fuzz, shrink, CheckedRun, FlowSpec, FuzzReport, RunSignals, Scenario};
 pub use homa::{HomaConfig, HomaEndpoint};
-pub use ndp::{NdpConfig, NdpEndpoint};
+pub use ndp::NdpEndpoint;
 pub use phost::{PHostConfig, PHostEndpoint};
 pub use receiver_table::{BookVerdict, RecvBook};
 pub use registry::{ParseSchemeError, Scheme, SchemeParams};

@@ -22,24 +22,7 @@ use aeolus_sim::{
 };
 
 use crate::common::{ack_packet, BaseConfig};
-use crate::recovery::{self, launch_first_rtt, FlowTable, Retry, SendState};
-
-/// NDP tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct NdpConfig {
-    /// Shared transport parameters (`mode` selects Blind vs Aeolus).
-    pub base: BaseConfig,
-    /// Backstop timer for stalled incomplete messages (re-issues a pull).
-    pub backstop: Time,
-}
-
-impl NdpConfig {
-    /// Defaults: backstop at 20× the base RTT, floored at 1 ms so loaded
-    /// queueing is never mistaken for a stall.
-    pub fn new(base: BaseConfig) -> NdpConfig {
-        NdpConfig { base, backstop: (20 * base.base_rtt.max(1)).max(aeolus_sim::units::ms(1)) }
-    }
-}
+use crate::recovery::{self, launch_first_rtt, CreditLedger, FlowTable, SendState};
 
 #[derive(Debug, Clone, Copy)]
 enum TimerKind {
@@ -58,26 +41,15 @@ struct SendFlow {
     tag: u64,
 }
 
-/// The receiver's pull ledger for one flow.
-#[derive(Default)]
-struct Pulls {
-    /// Pulls issued for this flow so far (each funds one packet).
-    pulls_sent: u64,
-    /// Packet arrivals (full data, trimmed headers — anything a transmission
-    /// produced), which return their transmission credit.
-    arrivals: u64,
-    /// Transmission credits written off as lost (probe arithmetic, backstop).
-    forgiven: u64,
-    /// Initial-window packets the sender transmits unprompted (pre-paid
-    /// credits).
-    iw_pkts: u64,
-}
+/// The pull ledger counts packets: each pull funds one, the initial-window
+/// packets the sender transmits unprompted are pre-paid, and any arrival
+/// (full data, trimmed header — anything a transmission produced) returns
+/// its credit.
+type RecvFlow = recovery::RecvFlow<CreditLedger>;
 
-type RecvFlow = recovery::RecvFlow<Pulls>;
-
-/// The per-host NDP endpoint.
+/// The per-host NDP endpoint (`mode` selects Blind vs Aeolus).
 pub struct NdpEndpoint {
-    cfg: NdpConfig,
+    cfg: BaseConfig,
     flows: FlowTable<SendFlow, RecvFlow>,
     timers: TimerTable<TimerKind>,
     /// Round-robin pull queue across flows (one entry = one pull to send).
@@ -91,7 +63,7 @@ pub struct NdpEndpoint {
 
 impl NdpEndpoint {
     /// A fresh endpoint.
-    pub fn new(cfg: NdpConfig) -> NdpEndpoint {
+    pub fn new(cfg: BaseConfig) -> NdpEndpoint {
         NdpEndpoint {
             cfg,
             flows: FlowTable::default(),
@@ -103,45 +75,24 @@ impl NdpEndpoint {
         }
     }
 
-    fn iw_bytes(&self, ctx: &Ctx<'_>) -> u64 {
-        self.cfg.base.aeolus.burst_budget(ctx.line_rate, self.cfg.base.base_rtt)
-    }
-
     fn pull_spacing(&self, ctx: &Ctx<'_>) -> Time {
-        ctx.line_rate.serialize(self.cfg.base.mtu_wire() as u64)
+        ctx.line_rate.serialize(self.cfg.mtu_wire() as u64)
     }
 
-    /// Credits the sender is still holding: initial window + pulls, minus
-    /// what came back (any packet arrival) and what was written off.
-    fn outstanding(rf: &RecvFlow) -> u64 {
-        let p = &rf.proto;
-        (p.iw_pkts + p.pulls_sent).saturating_sub(p.arrivals + p.forgiven)
-    }
-
-    /// Pull deficit in *packets*: enough outstanding credit to cover the
-    /// remaining bytes — but never more than one initial window outstanding
-    /// (NDP's flow-control invariant; an unbounded pull window would let a
-    /// backlogged sender blast far more than the receiver's downlink can
-    /// drain). Counting packets (not bytes) keeps the accounting exact when
-    /// retransmitted chunks are fragmented.
+    /// Pull deficit in packets: never more than one initial window
+    /// outstanding (NDP's flow-control invariant; an unbounded pull window
+    /// would let a backlogged sender blast far more than the receiver's
+    /// downlink can drain).
     fn pull_deficit(rf: &RecvFlow, mtu: u64) -> u64 {
-        if rf.book.core.size().is_none() || rf.book.is_complete() {
-            return 0;
-        }
-        let remaining = rf.book.remaining().unwrap_or(0);
-        let window = rf.proto.iw_pkts.max(1);
-        remaining
-            .div_ceil(mtu)
-            .min(window)
-            .saturating_sub(Self::outstanding(rf))
+        rf.deficit(mtu, 1, rf.proto.prepaid().max(1))
     }
 
     /// Queue up to one pull for `flow` (the arrival-clocked path).
     fn maybe_enqueue_pull(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let mtu = self.cfg.base.mtu_payload as u64;
+        let mtu = self.cfg.mtu_payload as u64;
         if let Some(rf) = self.flows.recv.get_mut(flow) {
             if Self::pull_deficit(rf, mtu) > 0 {
-                rf.proto.pulls_sent += 1;
+                rf.proto.issue(1);
                 self.pull_queue.push_back(flow);
                 self.arm_pull_pacer(ctx);
             }
@@ -151,10 +102,10 @@ impl NdpEndpoint {
     /// Queue pulls until the deficit is zero (used when a probe reveals a
     /// batch of losses at once; the pacer still spaces them at line rate).
     fn drain_pull_deficit(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let mtu = self.cfg.base.mtu_payload as u64;
+        let mtu = self.cfg.mtu_payload as u64;
         if let Some(rf) = self.flows.recv.get_mut(flow) {
-            while Self::pull_deficit(rf, mtu) > 0 {
-                rf.proto.pulls_sent += 1;
+            for _ in 0..Self::pull_deficit(rf, mtu) {
+                rf.proto.issue(1);
                 self.pull_queue.push_back(flow);
             }
         }
@@ -183,23 +134,19 @@ impl NdpEndpoint {
                     flow,
                     ctx.host,
                     rf.sender,
-                    rf.proto.pulls_sent,
+                    rf.proto.issued(),
                     PacketKind::Pull,
                 );
                 // Each pull funds one MTU of transmission: NDP's credit.
                 ctx.emit(TransportEvent::CreditIssue {
                     flow,
-                    bytes: self.cfg.base.mtu_payload as u64,
+                    bytes: self.cfg.mtu_payload as u64,
                 });
                 ctx.send(pull);
                 self.next_pull_at = ctx.now + spacing;
             }
         }
-        if !self.pull_queue.is_empty() {
-            self.pull_pacer_armed = true;
-            let delay = self.next_pull_at.saturating_sub(ctx.now);
-            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::PullTick));
-        }
+        self.arm_pull_pacer(ctx);
     }
 
     fn arm_backstop(&mut self, ctx: &mut Ctx<'_>) {
@@ -207,27 +154,20 @@ impl NdpEndpoint {
             return;
         }
         self.backstop_armed = true;
-        ctx.set_timer_in_with(self.cfg.backstop, self.timers.arm(TimerKind::Backstop));
+        let backstop = recovery::stale_after(&self.cfg, None);
+        ctx.set_timer_in_with(backstop, self.timers.arm(TimerKind::Backstop));
     }
 
     fn on_backstop(&mut self, ctx: &mut Ctx<'_>) {
         self.backstop_armed = false;
-        let (backstop, now) = (self.cfg.backstop, ctx.now);
-        let mtu = self.cfg.base.mtu_payload as u64;
+        let (backstop, now) = (recovery::stale_after(&self.cfg, None), ctx.now);
+        let mtu = self.cfg.mtu_payload as u64;
         self.flows.reap_silent_senders(ctx);
         let (any_incomplete, stalled) = self.flows.stall_scan(ctx, |rf, size| {
-            // Outstanding credit with nothing arriving for a backstop period
-            // means the fabric lost something: in-flight packets would have
-            // drained long before. (Zero outstanding = waiting on our own
-            // pull pacer, not on the network.)
-            let outstanding = Self::outstanding(rf);
-            if outstanding == 0 || now.saturating_sub(rf.last_arrival) < backstop {
+            if !rf.proto.presume_lost(rf.idle(now), backstop, false) {
                 return Vec::new();
             }
-            // The stuck credits are gone: write them off so fresh pulls
-            // flow, and tell the sender exactly what to requeue.
-            rf.proto.forgiven += outstanding;
-            rf.book.core.missing_below(size).into_iter().take(4).collect()
+            rf.missing(size, 4)
         });
         for (id, sender, missing) in stalled {
             // Tell the sender what is missing (a stall means the loss signal
@@ -242,14 +182,13 @@ impl NdpEndpoint {
         }
         self.arm_pull_pacer(ctx);
         if any_incomplete {
-            self.backstop_armed = true;
-            ctx.set_timer_in_with(backstop, self.timers.arm(TimerKind::Backstop));
+            self.arm_backstop(ctx);
         }
     }
 
     /// Send the next packet in response to a pull.
     fn pump_one(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let mtu = self.cfg.base.mtu_payload;
+        let mtu = self.cfg.mtu_payload;
         if let Some(sf) = self.flows.send.get_mut(flow) {
             if let Some(mut pkt) = sf.tx.next_scheduled(mtu, LossCause::Nack, ctx) {
                 sf.tag += 1;
@@ -260,37 +199,34 @@ impl NdpEndpoint {
     }
 
     fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let Some(sf) = self.flows.send.get_mut(flow) else { return };
-        match sf.tx.retry(sf.tx.heard_back, &self.cfg.base, ctx.now) {
-            Retry::Quiet => {}
-            Retry::GiveUp => self.flows.give_up(flow, ctx),
-            Retry::Fire { resend, rearm_in } => {
-                if resend {
-                    ctx.metrics.note_timeout(flow);
-                    sf.tx.send_probe(7, ctx);
-                }
-                ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::ProbeRetry(flow)));
-            }
+        let rearm = self.flows.first_contact_retry(
+            flow,
+            &self.cfg,
+            ctx,
+            |sf| &mut sf.tx,
+            |tx| tx.heard_back,
+            |tx, ctx| tx.send_probe(7, ctx),
+        );
+        if let Some(delay) = rearm {
+            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ProbeRetry(flow)));
         }
     }
 
     fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &Ctx<'_>) -> &mut RecvFlow {
-        let iw = self.iw_bytes(ctx);
-        let mtu = self.cfg.base.mtu_payload as u64;
-        let rf = self.flows.recv_entry(pkt, ctx.now, Pulls::default);
-        if rf.proto.iw_pkts == 0 {
-            if let Some(size) = rf.book.core.size() {
-                rf.proto.iw_pkts = iw.min(size).div_ceil(mtu);
-            }
-        }
-        rf.touch(ctx.now);
-        rf
+        let (cfg, line_rate) = (self.cfg, ctx.line_rate);
+        self.flows.recv_arrival(pkt, ctx.now, || {
+            // Everything that opens a receive flow here (data, trimmed
+            // header, probe) carries the message size, so the pre-paid
+            // initial window is known at first contact.
+            let iw = cfg.rtt_bytes(line_rate).min(pkt.flow_size);
+            CreditLedger::with_prepaid(iw.div_ceil(cfg.mtu_payload as u64))
+        })
     }
 }
 
 impl Endpoint for NdpEndpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
-        let base = self.cfg.base;
+        let base = self.cfg;
         let mut tag = 0u64;
         // The probe trails the burst at priority 7 (moot in a FIFO, kept for
         // symmetry with the spray tags).
@@ -320,14 +256,14 @@ impl Endpoint for NdpEndpoint {
                 // (the payload is gone, so the credit frees immediately);
                 // NACK so the sender requeues the bytes, then keep pulling.
                 let rf = self.ensure_recv_flow(&pkt, ctx);
-                rf.proto.arrivals += 1;
+                rf.proto.returned(1);
                 ctx.send(Packet::control(pkt.flow, ctx.host, rf.sender, pkt.seq, PacketKind::Nack));
                 self.maybe_enqueue_pull(pkt.flow, ctx);
                 self.arm_backstop(ctx);
             }
             PacketKind::Data => {
                 let rf = self.ensure_recv_flow(&pkt, ctx);
-                rf.proto.arrivals += 1;
+                rf.proto.returned(1);
                 let v = rf.book.on_data(&pkt, ctx);
                 if let Some((s, e)) = v.acked_range {
                     ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, s, e));
@@ -336,14 +272,14 @@ impl Endpoint for NdpEndpoint {
                 self.arm_backstop(ctx);
             }
             PacketKind::Probe => {
-                let mtu = self.cfg.base.mtu_payload as u64;
+                let mtu = self.cfg.mtu_payload as u64;
                 let rf = self.ensure_recv_flow(&pkt, ctx);
                 rf.on_probe(&pkt, ctx);
                 // The probe arrives behind every surviving burst packet
                 // (one FIFO path), so the burst loss is exact arithmetic:
                 // write the lost packets' credits off and top up the pulls.
                 let burst_lost = pkt.seq.saturating_sub(rf.book.core.received_below(pkt.seq));
-                rf.proto.forgiven += burst_lost.div_ceil(mtu).min(Self::outstanding(rf));
+                rf.proto.write_off(burst_lost.div_ceil(mtu));
                 self.drain_pull_deficit(pkt.flow, ctx);
                 self.arm_backstop(ctx);
             }
@@ -351,20 +287,15 @@ impl Endpoint for NdpEndpoint {
                 // Edge-triggered: every trimmed packet produces exactly one
                 // NACK, including re-trimmed retransmissions, so requeue
                 // unconditionally.
-                let mtu = self.cfg.base.mtu_payload as u64;
+                let mtu = self.cfg.mtu_payload as u64;
                 if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    sf.tx.heard(ctx.now);
                     let end = (pkt.seq + mtu).min(sf.tx.desc.size);
                     sf.tx.requeue(pkt.seq, end, LossCause::Nack, ctx);
                 }
             }
             PacketKind::Pull => {
                 if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    sf.tx.heard(ctx.now);
-                    ctx.emit(TransportEvent::CreditReceipt {
-                        flow: pkt.flow,
-                        bytes: self.cfg.base.mtu_payload as u64,
-                    });
+                    sf.tx.on_credit(self.cfg.mtu_payload as u64, ctx);
                 }
                 self.pump_one(pkt.flow, ctx);
             }

@@ -26,8 +26,8 @@ use aeolus_sim::{
     TransportEvent,
 };
 
-use crate::common::{ack_packet, request_packet, BaseConfig, FirstRttMode};
-use crate::recovery::{self, launch_first_rtt, send_resends, FlowTable, Retry, SendState};
+use crate::common::{request_packet, BaseConfig};
+use crate::recovery::{self, launch_first_rtt, send_resends, CreditLedger, FlowTable, SendState};
 
 /// pHost tunables.
 #[derive(Debug, Clone, Copy)]
@@ -36,13 +36,6 @@ pub struct PHostConfig {
     pub base: BaseConfig,
     /// Receiver-side retransmission timeout (token re-issue) for Blind mode.
     pub rto: Time,
-}
-
-impl PHostConfig {
-    /// Defaults for the given base configuration.
-    pub fn new(base: BaseConfig, rto: Time) -> PHostConfig {
-        PHostConfig { base, rto }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -57,19 +50,9 @@ enum TimerKind {
     RtsRetry(FlowId),
 }
 
-/// The receiver's token ledger for one flow.
-#[derive(Default)]
-struct Tokens {
-    /// Tokens issued to this flow so far (each authorizes one packet).
-    sent: u64,
-    /// Scheduled (token-induced) data packets received back.
-    sched_pkts_received: u64,
-    /// Tokens written off by the stall scan (their packets are presumed
-    /// lost, so they no longer count as outstanding).
-    forgiven: u64,
-}
-
-type RecvFlow = recovery::RecvFlow<Tokens>;
+/// The token ledger counts packets: each token authorizes one, and each
+/// scheduled (token-induced) data packet received returns it.
+type RecvFlow = recovery::RecvFlow<CreditLedger>;
 
 /// The per-host pHost endpoint.
 pub struct PHostEndpoint {
@@ -94,32 +77,8 @@ impl PHostEndpoint {
         }
     }
 
-    fn rtt_bytes(&self, ctx: &Ctx<'_>) -> u64 {
-        self.cfg.base.aeolus.burst_budget(ctx.line_rate, self.cfg.base.base_rtt)
-    }
-
     fn token_spacing(&self, ctx: &Ctx<'_>) -> Time {
         ctx.line_rate.serialize(self.cfg.base.mtu_wire() as u64)
-    }
-
-    /// Tokens whose packets have neither returned nor been written off.
-    fn outstanding(rf: &RecvFlow) -> u64 {
-        rf.proto.sent.saturating_sub(rf.proto.sched_pkts_received + rf.proto.forgiven)
-    }
-
-    /// Tokens a flow still deserves: enough outstanding tokens to cover its
-    /// remaining bytes, one packet per token. Counting *packets* (not bytes)
-    /// keeps the accounting exact when retransmitted chunks are fragmented.
-    fn token_deficit(rf: &RecvFlow, rtt_bytes: u64, mtu: u64) -> u64 {
-        if rf.book.core.size().is_none() || rf.book.is_complete() {
-            return 0;
-        }
-        let remaining = rf.book.remaining().unwrap_or(0);
-        // Window-bound the outstanding tokens at one BDP: an unbounded
-        // window lets a backlogged sender overload the downlink later.
-        let window = rtt_bytes.div_ceil(mtu).max(1);
-        let needed = remaining.div_ceil(mtu).min(window);
-        needed.saturating_sub(Self::outstanding(rf))
     }
 
     fn arm_pacer(&mut self, ctx: &mut Ctx<'_>) {
@@ -134,8 +93,11 @@ impl PHostEndpoint {
     /// One pacer tick: give a token to the SRPT-best flow with a deficit.
     fn on_token_tick(&mut self, ctx: &mut Ctx<'_>) {
         self.pacer_armed = false;
-        let rtt_bytes = self.rtt_bytes(ctx);
         let mtu = self.cfg.base.mtu_payload as u64;
+        // One packet per token, the outstanding tokens window-bound at one
+        // BDP: an unbounded window lets a backlogged sender overload the
+        // downlink later.
+        let window = self.cfg.base.rtt_bytes(ctx.line_rate).div_ceil(mtu).max(1);
         // SRPT: smallest remaining first. The seed's BTreeMap scan broke
         // remaining-bytes ties by smallest flow id implicitly (min_by_key
         // keeps the first minimum in key order); slot order is different,
@@ -144,24 +106,20 @@ impl PHostEndpoint {
             .flows
             .recv
             .iter()
-            .filter(|(_, rf)| Self::token_deficit(rf, rtt_bytes, mtu) > 0)
+            .filter(|(_, rf)| rf.deficit(mtu, 1, window) > 0)
             .min_by_key(|(id, rf)| (rf.book.remaining().unwrap_or(u64::MAX), *id))
             .map(|(id, rf)| (id, rf.sender));
         if let Some((id, sender)) = best {
             let rf = self.flows.recv.get_mut(id).expect("chosen flow");
-            rf.proto.sent += 1;
-            let tok = Packet::control(id, ctx.host, sender, rf.proto.sent, PacketKind::Pull);
+            rf.proto.issue(1);
+            let tok = Packet::control(id, ctx.host, sender, rf.proto.issued(), PacketKind::Pull);
             // Each token authorizes one MTU of transmission: pHost's credit.
             ctx.emit(TransportEvent::CreditIssue { flow: id, bytes: mtu });
             ctx.send(tok);
             let spacing = self.token_spacing(ctx);
             self.next_token_at = ctx.now + spacing;
             // More work pending? Keep ticking.
-            let more = self
-                .flows
-                .recv
-                .values()
-                .any(|rf| Self::token_deficit(rf, rtt_bytes, mtu) > 0);
+            let more = self.flows.recv.values().any(|rf| rf.deficit(mtu, 1, window) > 0);
             if more {
                 self.pacer_armed = true;
                 ctx.set_timer_in_with(spacing, self.timers.arm(TimerKind::TokenTick));
@@ -174,15 +132,8 @@ impl PHostEndpoint {
         self.arm_pacer(ctx);
         if !self.scan_armed {
             self.scan_armed = true;
-            let delay = self.stale_after() / 2;
+            let delay = recovery::stale_after(&self.cfg.base, Some(self.cfg.rto)) / 2;
             ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::StallScan));
-        }
-    }
-
-    fn stale_after(&self) -> Time {
-        match self.cfg.base.mode {
-            FirstRttMode::Blind => self.cfg.rto,
-            _ => (20 * self.cfg.base.base_rtt).max(aeolus_sim::units::ms(1)),
         }
     }
 
@@ -191,20 +142,16 @@ impl PHostEndpoint {
     /// retransmit.
     fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
         self.scan_armed = false;
-        let (stale, now) = (self.stale_after(), ctx.now);
-        let probe_mode = self.cfg.base.mode.probe_recovery();
+        let stale = recovery::stale_after(&self.cfg.base, Some(self.cfg.rto));
+        let (timeout_driven, now) = (!self.cfg.base.mode.probe_recovery(), ctx.now);
         self.flows.reap_silent_senders(ctx);
         let (any_incomplete, resends) = self.flows.stall_scan(ctx, |rf, size| {
-            // Loss-stall requires outstanding tokens whose packets never
-            // returned; zero outstanding = waiting on the SRPT pacer.
-            let outstanding = Self::outstanding(rf);
-            if (probe_mode && outstanding == 0) || now.saturating_sub(rf.last_arrival) < stale {
+            // Token re-issue (the pHost recovery): the write-off lets fresh
+            // tokens flow for the retransmissions.
+            if !rf.proto.presume_lost(rf.idle(now), stale, timeout_driven) {
                 return Vec::new();
             }
-            // Token re-issue (the pHost recovery): write the stalled tokens
-            // off so fresh ones flow for the retransmissions.
-            rf.proto.forgiven += outstanding;
-            rf.book.core.missing_below(size).into_iter().take(8).collect()
+            rf.missing(size, 8)
         });
         send_resends(resends, ctx);
         self.arm_pacer(ctx);
@@ -228,26 +175,21 @@ impl PHostEndpoint {
     }
 
     fn on_rts_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let Some(tx) = self.flows.send.get_mut(flow) else { return };
-        match tx.retry(tx.heard_back, &self.cfg.base, ctx.now) {
-            Retry::Quiet => {}
-            Retry::GiveUp => self.flows.give_up(flow, ctx),
-            Retry::Fire { resend, rearm_in } => {
-                if resend {
-                    // Total silence: re-introduce the flow to the receiver.
-                    ctx.metrics.note_timeout(flow);
-                    ctx.send(request_packet(&tx.desc));
-                    tx.send_probe(0, ctx);
-                }
-                ctx.set_timer_in_with(rearm_in, self.timers.arm(TimerKind::RtsRetry(flow)));
-            }
+        // Total silence: re-introduce the flow to the receiver.
+        let rearm = self.flows.first_contact_retry(
+            flow,
+            &self.cfg.base,
+            ctx,
+            |tx| tx,
+            |tx| tx.heard_back,
+            |tx, ctx| {
+                ctx.send(request_packet(&tx.desc));
+                tx.send_probe(0, ctx);
+            },
+        );
+        if let Some(delay) = rearm {
+            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::RtsRetry(flow)));
         }
-    }
-
-    fn ensure_recv_flow(&mut self, pkt: &Packet, now: Time) -> &mut RecvFlow {
-        let rf = self.flows.recv_entry(pkt, now, Tokens::default);
-        rf.touch(now);
-        rf
     }
 }
 
@@ -276,39 +218,26 @@ impl Endpoint for PHostEndpoint {
         }
         match pkt.kind {
             PacketKind::Request => {
-                self.ensure_recv_flow(&pkt, ctx.now);
+                self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default);
                 self.arm_receiver(ctx);
             }
             PacketKind::Data => {
-                let mode = self.cfg.base.mode;
-                let rf = self.ensure_recv_flow(&pkt, ctx.now);
-                let unscheduled = pkt.class == TrafficClass::Unscheduled;
-                if !unscheduled {
-                    rf.proto.sched_pkts_received += 1;
+                let probe_mode = self.cfg.base.mode.probe_recovery();
+                let rf = self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default);
+                if pkt.class != TrafficClass::Unscheduled {
+                    rf.proto.returned(1);
                 }
-                let v = rf.book.on_data(&pkt, ctx);
-                if mode.probe_recovery() && unscheduled {
-                    if let Some((s, e)) = v.acked_range {
-                        ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, s, e));
-                    }
-                }
-                if v.completed {
-                    ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, 0, pkt.flow_size));
-                }
+                rf.on_data(&pkt, probe_mode, ctx);
                 self.arm_receiver(ctx);
             }
             PacketKind::Probe => {
-                self.ensure_recv_flow(&pkt, ctx.now).on_probe(&pkt, ctx);
+                self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default).on_probe(&pkt, ctx);
                 self.arm_receiver(ctx);
             }
             PacketKind::Pull => {
                 // A token.
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.heard(ctx.now);
-                    ctx.emit(TransportEvent::CreditReceipt {
-                        flow: pkt.flow,
-                        bytes: self.cfg.base.mtu_payload as u64,
-                    });
+                    tx.on_credit(self.cfg.base.mtu_payload as u64, ctx);
                 }
                 self.pump_one(pkt.flow, ctx);
             }
@@ -316,7 +245,6 @@ impl Endpoint for PHostEndpoint {
                 // pHost recovery is token re-issue in every mode: requeue
                 // the range; the extended token budget clocks it out.
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.heard(ctx.now);
                     tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
                 }
             }

@@ -15,9 +15,16 @@
 //!   attribution and the silence-gated capped-backoff [`Retry`] verdict.
 //! * [`launch_first_rtt`] — `BurstStart` → stamped burst → `BurstStop` →
 //!   probe.
+//! * [`FlowTable::first_contact_retry`] — one fire of the §6 retry timer
+//!   over that verdict; the protocol says only what to re-send.
+//! * [`CreditLedger`] and [`Strikes`] — how a receiver accounts for credit
+//!   it has issued and when it presumes that credit lost: the
+//!   `issued − returned − forgiven` ledger of the pull / token / grant loops
+//!   and the capped strike counter of the credit / slot loops, each with
+//!   its staleness test and write-off.
 //! * [`RecvFlow`] and [`FlowTable::stall_scan`] — the receiver stall-scan
-//!   skeleton; the staleness test and credit write-off stay per-protocol
-//!   closures.
+//!   skeleton; each caller's closure is a ledger's staleness test at the
+//!   protocol's threshold plus its range cap.
 
 use aeolus_core::PreCreditSender;
 use aeolus_sim::telemetry::FaultEvent;
@@ -27,7 +34,9 @@ use aeolus_sim::{
     TrafficClass, TransportEvent,
 };
 
-use crate::common::{data_packet, probe_ack_packet, probe_packet, BaseConfig};
+use crate::common::{
+    ack_packet, data_packet, probe_ack_packet, probe_packet, BaseConfig, FirstRttMode,
+};
 use crate::receiver_table::RecvBook;
 
 /// Peer-death threshold: a flow that has heard nothing from its peer for
@@ -50,6 +59,26 @@ pub fn retry_base(cfg: &BaseConfig) -> Time {
 /// to 64×, so a long outage never seeds a retry storm.
 pub fn backoff(base: Time, fires: u32) -> Time {
     base << fires.min(6)
+}
+
+/// Staleness threshold of a credit-ledger stall scan (pulls, tokens,
+/// grants): the RTO where recovery is timeout-driven by design (the Blind
+/// Homa / pHost baselines pass theirs), otherwise 20 RTTs floored at 1 ms.
+/// The test is gated on outstanding credit there, so it only needs to exceed
+/// worst-case in-flight drain time and loaded queueing is never mistaken
+/// for a stall.
+pub fn stale_after(cfg: &BaseConfig, blind_rto: Option<Time>) -> Time {
+    match blind_rto {
+        Some(rto) if cfg.mode == FirstRttMode::Blind => rto,
+        _ => (20 * cfg.base_rtt).max(ms(1)),
+    }
+}
+
+/// Base stall window of a strike-counted stall scan (credits, slots): an
+/// incomplete flow with no arrivals for this long is deemed stalled (a lost
+/// scheduled packet). A backstop for pathological loss, floored at 1 ms.
+pub fn stall_after(cfg: &BaseConfig) -> Time {
+    (8 * cfg.base_rtt).max(ms(1))
 }
 
 /// Per-host flow state: both roles' flow maps and the tombstones.
@@ -110,6 +139,39 @@ impl<S, R> FlowTable<S, R> {
         self.recv.clear();
         self.dead.clear();
     }
+
+    /// One fire of `flow`'s §6 first-contact retry timer, driven by the
+    /// shared [`Retry`] verdict: give up on a dead peer, or — after a whole
+    /// backoff interval of silence — charge a timeout and let `resend`
+    /// re-introduce the flow (probe, request: the protocol's business).
+    /// `tx` finds the shared sender state in the protocol's; `done` is the
+    /// protocol's "the receiver owns recovery from here" test. Returns the
+    /// delay to re-arm the timer in, `None` to let it die.
+    pub fn first_contact_retry(
+        &mut self,
+        flow: FlowId,
+        cfg: &BaseConfig,
+        ctx: &mut Ctx<'_>,
+        tx: impl FnOnce(&mut S) -> &mut SendState,
+        done: impl FnOnce(&SendState) -> bool,
+        resend: impl FnOnce(&SendState, &mut Ctx<'_>),
+    ) -> Option<Time> {
+        let tx = tx(self.send.get_mut(flow)?);
+        match tx.retry(done(tx), cfg, ctx.now) {
+            Retry::Quiet => None,
+            Retry::GiveUp => {
+                self.give_up(flow, ctx);
+                None
+            }
+            Retry::Fire { resend: silent, rearm_in } => {
+                if silent {
+                    ctx.metrics.note_timeout(flow);
+                    resend(tx, ctx);
+                }
+                Some(rearm_in)
+            }
+        }
+    }
 }
 
 /// What a fired retry timer should do.
@@ -159,6 +221,12 @@ impl SendState {
         self.retry_fires = 0;
     }
 
+    /// A credit (pull, token) worth `bytes` arrived: the receiver is alive.
+    pub fn on_credit(&mut self, bytes: u64, ctx: &mut Ctx<'_>) {
+        self.heard(ctx.now);
+        ctx.emit(TransportEvent::CreditReceipt { flow: self.desc.id, bytes });
+    }
+
     /// Record `lost` newly declared bytes (no-op for zero).
     pub fn note_loss(&mut self, lost: u64, cause: LossCause, ctx: &mut Ctx<'_>) {
         if lost > 0 {
@@ -167,9 +235,10 @@ impl SendState {
         }
     }
 
-    /// An explicit receiver request (NACK, RESEND) for `[start, end)`:
-    /// requeue whatever of it was actually sent.
+    /// An explicit receiver request (NACK, RESEND) for `[start, end)`: the
+    /// receiver is alive; requeue whatever of the range was actually sent.
     pub fn requeue(&mut self, start: u64, end: u64, cause: LossCause, ctx: &mut Ctx<'_>) {
+        self.heard(ctx.now);
         let lost = self.core.requeue_lost(start, end);
         self.note_loss(lost, cause, ctx);
     }
@@ -263,7 +332,7 @@ pub fn launch_first_rtt(
     mut stamp: impl FnMut(&mut Packet),
 ) -> SendState {
     let budget = if cfg.mode.bursts() {
-        cfg.aeolus.burst_budget(ctx.line_rate, cfg.base_rtt).min(flow.size)
+        cfg.rtt_bytes(ctx.line_rate).min(flow.size)
     } else {
         0
     };
@@ -296,8 +365,106 @@ pub fn launch_first_rtt(
     tx
 }
 
+/// What a receiver has issued to one sender and not yet seen honoured:
+/// `opening balance + issued − returned − forgiven`, counted in packets
+/// (pulls, tokens) or bytes (grants). The fields are private so the balance
+/// can never underflow and a write-off can never exceed it.
+#[derive(Debug, Default)]
+pub struct CreditLedger {
+    /// Credit the sender holds without having been sent any (NDP's initial
+    /// window): outstanding from the start, absent from the sequence number.
+    prepaid: u64,
+    issued: u64,
+    returned: u64,
+    forgiven: u64,
+}
+
+impl CreditLedger {
+    /// A ledger opening with `prepaid` credit already in the sender's hands.
+    pub fn with_prepaid(prepaid: u64) -> CreditLedger {
+        CreditLedger { prepaid, ..CreditLedger::default() }
+    }
+
+    /// The opening balance.
+    pub fn prepaid(&self) -> u64 {
+        self.prepaid
+    }
+
+    /// Issue `n` more credit.
+    pub fn issue(&mut self, n: u64) {
+        self.issued += n;
+    }
+
+    /// Total issued so far — the pull / token / grant sequence number.
+    pub fn issued(&self) -> u64 {
+        self.issued
+    }
+
+    /// `n` credit came back (a transmission it funded arrived).
+    pub fn returned(&mut self, n: u64) {
+        self.returned += n;
+    }
+
+    /// Credit neither returned nor written off.
+    pub fn outstanding(&self) -> u64 {
+        (self.prepaid + self.issued).saturating_sub(self.returned + self.forgiven)
+    }
+
+    /// Write off up to `n` outstanding credit as lost, so fresh credit flows
+    /// for the retransmissions.
+    pub fn write_off(&mut self, n: u64) {
+        self.forgiven += n.min(self.outstanding());
+    }
+
+    /// How much to issue to bring the outstanding credit up to `want`.
+    pub fn deficit(&self, want: u64) -> u64 {
+        want.saturating_sub(self.outstanding())
+    }
+
+    /// The staleness test: credit is outstanding and nothing arrived for
+    /// `stale` — in-flight packets would have drained long before, so the
+    /// fabric lost them (zero outstanding = waiting on our own pacer or the
+    /// SRPT order, not on the network). `timeout_driven` drops the
+    /// outstanding gate for the Blind baselines, whose only loss signal is
+    /// the timeout. When stale, everything outstanding is written off.
+    pub fn presume_lost(&mut self, idle: Time, stale: Time, timeout_driven: bool) -> bool {
+        let outstanding = self.outstanding();
+        if (!timeout_driven && outstanding == 0) || idle < stale {
+            return false;
+        }
+        self.forgiven += outstanding;
+        true
+    }
+}
+
+/// Consecutive stall-scan resends without progress, capped: where the
+/// credit is not ledgered per flow (ExpressPass credits, Fastpass slots)
+/// the receiver backs its stall window off instead, so a dead sender is
+/// probed ever more gently. Reset on data arrival.
+#[derive(Debug, Default)]
+pub struct Strikes(u32);
+
+impl Strikes {
+    const CAP: u32 = 4;
+
+    /// Data arrived: back to the base window.
+    pub fn reset(&mut self) {
+        self.0 = 0;
+    }
+
+    /// The staleness test: nothing arrived for `base << strikes`. When
+    /// stale, the next window doubles (up to 16×).
+    pub fn presume_lost(&mut self, idle: Time, base: Time) -> bool {
+        if idle < base << self.0 {
+            return false;
+        }
+        self.0 = (self.0 + 1).min(Self::CAP);
+        true
+    }
+}
+
 /// Receiver-side per-flow state shared by the proactive endpoints;
-/// `proto` is the protocol's credit ledger.
+/// `proto` is the protocol's credit state.
 pub struct RecvFlow<X> {
     /// The sending host.
     pub sender: NodeId,
@@ -319,10 +486,52 @@ impl<X> RecvFlow<X> {
         self.last_progress = now;
     }
 
+    /// Time since the last arrival (or the last stall-scan back-off).
+    pub fn idle(&self, now: Time) -> Time {
+        now.saturating_sub(self.last_arrival)
+    }
+
     /// Book a probe and answer it.
     pub fn on_probe(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) {
         self.book.core.on_probe(pkt.seq, pkt.flow_size);
         ctx.send(probe_ack_packet(pkt.flow, ctx.host, self.sender, pkt.seq));
+    }
+
+    /// Book a data packet and answer it the Aeolus way: a per-packet ACK
+    /// for unscheduled data in the probe-recovery modes, and a completion
+    /// ACK (the RPC-reply analogue) in every mode so senders can retire
+    /// state and stop their timers.
+    pub fn on_data(&mut self, pkt: &Packet, probe_mode: bool, ctx: &mut Ctx<'_>) {
+        let v = self.book.on_data(pkt, ctx);
+        if probe_mode && pkt.class == TrafficClass::Unscheduled {
+            if let Some((s, e)) = v.acked_range {
+                ctx.send(ack_packet(pkt.flow, ctx.host, self.sender, s, e));
+            }
+        }
+        if v.completed {
+            ctx.send(ack_packet(pkt.flow, ctx.host, self.sender, 0, pkt.flow_size));
+        }
+    }
+
+    /// The first `cap` missing ranges of a `size`-byte message.
+    pub fn missing(&self, size: u64, cap: usize) -> Vec<(u64, u64)> {
+        self.book.core.missing_below(size).into_iter().take(cap).collect()
+    }
+}
+
+impl RecvFlow<CreditLedger> {
+    /// Credit this flow still deserves: enough outstanding to cover its
+    /// remaining bytes in whole `mtu` packets — each worth `unit` of the
+    /// ledger (1 where it counts packets, `mtu` where it counts bytes, so
+    /// the accounting stays exact when retransmitted chunks are fragmented)
+    /// — but never more than `window` outstanding. Zero once complete or
+    /// while the size is unknown (checked first: receivers scan every flow
+    /// they have ever seen with this).
+    pub fn deficit(&self, mtu: u64, unit: u64, window: u64) -> u64 {
+        match self.book.remaining() {
+            None | Some(0) => 0,
+            Some(rem) => self.proto.deficit((rem.div_ceil(mtu) * unit).min(window)),
+        }
     }
 }
 
@@ -350,6 +559,18 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
         rf
     }
 
+    /// [`Self::recv_entry`] for a packet that counts as an arrival.
+    pub fn recv_arrival(
+        &mut self,
+        pkt: &Packet,
+        now: Time,
+        proto: impl FnOnce() -> X,
+    ) -> &mut RecvFlow<X> {
+        let rf = self.recv_entry(pkt, now, proto);
+        rf.touch(now);
+        rf
+    }
+
     /// Give up on every incomplete receive flow whose sender has been dead
     /// past [`PEER_SILENCE`] despite backed-off re-requests.
     pub fn reap_silent_senders(&mut self, ctx: &mut Ctx<'_>) {
@@ -366,9 +587,9 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
     }
 
     /// One pass of the receiver stall scan. For each incomplete flow of
-    /// known size, `stalled` — the protocol's staleness test — returns the
-    /// ranges to re-request (empty = not stalled) after writing off whatever
-    /// credit it presumes lost. Stalled flows are charged a timeout and
+    /// known size, `stalled` — the flow's ledger test ([`CreditLedger`] or
+    /// [`Strikes`]) at the protocol's threshold — returns the ranges to
+    /// re-request (empty = not stalled). Stalled flows are charged a timeout and
     /// backed off one scan period. Returns whether anything is still
     /// incomplete (re-arm the scan) and the batches in flow-id order, so
     /// emission never depends on slot order.
@@ -409,7 +630,6 @@ pub fn send_resends(resends: Vec<ResendBatch>, ctx: &mut Ctx<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::FirstRttMode;
     use aeolus_core::AeolusConfig;
     use aeolus_sim::units::us;
 
@@ -474,6 +694,69 @@ mod tests {
         );
         assert_eq!(tx.retry(false, &cfg, ms(12)), Retry::Fire { resend: true, rearm_in: ms(4) });
         assert_eq!(tx.retry(true, &cfg, ms(13)), Retry::Quiet);
+    }
+
+    #[test]
+    fn ledger_balance_never_underflows_and_write_off_is_bounded() {
+        let mut l = CreditLedger::default();
+        l.issue(3);
+        l.returned(5);
+        assert_eq!(l.outstanding(), 0, "more returned than issued (duplicates) saturates");
+        assert_eq!(l.deficit(2), 2);
+        l.issue(4);
+        assert_eq!(l.outstanding(), 2);
+        l.write_off(10);
+        assert_eq!(l.outstanding(), 0, "a write-off never exceeds what is outstanding");
+        l.issue(1);
+        assert_eq!(l.outstanding(), 1, "an over-sized write-off leaves no debt behind");
+        assert_eq!((l.deficit(1), l.deficit(0)), (0, 0), "deficit saturates at 0");
+        assert_eq!(l.issued(), 8);
+    }
+
+    #[test]
+    fn prepaid_credit_is_outstanding_but_not_in_the_sequence_number() {
+        let mut l = CreditLedger::with_prepaid(5);
+        assert_eq!((l.prepaid(), l.outstanding(), l.issued()), (5, 5, 0));
+        l.returned(2);
+        l.issue(1);
+        assert_eq!((l.outstanding(), l.issued()), (4, 1));
+        assert_eq!(l.deficit(5), 1);
+    }
+
+    #[test]
+    fn ledger_staleness_needs_outstanding_credit_unless_timeout_driven() {
+        let mut l = CreditLedger::default();
+        assert!(!l.presume_lost(ms(5), ms(1), false), "nothing outstanding: waiting on us");
+        assert!(l.presume_lost(ms(5), ms(1), true), "the Blind baselines go by the clock");
+        l.issue(3);
+        assert!(!l.presume_lost(us(999), ms(1), false), "not idle long enough");
+        assert!(l.presume_lost(ms(1), ms(1), false));
+        assert_eq!(l.outstanding(), 0, "the stale credit is written off");
+        assert!(!l.presume_lost(ms(9), ms(1), false), "and is not presumed lost twice");
+    }
+
+    #[test]
+    fn strikes_double_the_stall_window_up_to_the_cap_and_reset_on_progress() {
+        let mut s = Strikes::default();
+        for window in [1, 2, 4, 8, 16, 16, 16].map(ms) {
+            assert!(!s.presume_lost(window - 1, ms(1)), "{window} ps window, 1 ps early");
+            assert!(s.presume_lost(window, ms(1)), "capped at 16x");
+        }
+        s.reset();
+        assert!(s.presume_lost(ms(1), ms(1)), "progress restores the base window");
+    }
+
+    #[test]
+    fn thresholds_are_floored_and_blind_baselines_use_their_rto() {
+        let mut cfg = cfg();
+        assert_eq!(stale_after(&cfg, None), ms(1), "20 x 14 us is below the 1 ms floor");
+        assert_eq!(stall_after(&cfg), ms(1));
+        assert_eq!(stale_after(&cfg, Some(ms(10))), ms(1), "probe recovery ignores the RTO");
+        cfg.mode = FirstRttMode::Blind;
+        assert_eq!(stale_after(&cfg, Some(ms(10))), ms(10));
+        assert_eq!(stale_after(&cfg, None), ms(1), "NDP's backstop has no RTO in any mode");
+        cfg.base_rtt = us(200);
+        assert_eq!((stale_after(&cfg, None), stall_after(&cfg)), (ms(4), us(1600)));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use aeolus_sim::topology::PortRole;
 use crate::common::{BaseConfig, FirstRttMode};
 use crate::expresspass::{XPassConfig, XPassEndpoint};
 use crate::homa::{HomaConfig, HomaEndpoint};
-use crate::ndp::{NdpConfig, NdpEndpoint};
+use crate::ndp::NdpEndpoint;
 use crate::dctcp::{DctcpConfig, DctcpEndpoint};
 use crate::fastpass::{ArbiterEndpoint, FastpassConfig, FastpassEndpoint};
 use crate::phost::{PHostConfig, PHostEndpoint};
@@ -92,14 +92,8 @@ pub struct SchemeParams {
     pub aeolus: AeolusConfig,
     /// Per-port buffer for finite-buffer schemes (paper default 200 KB).
     pub port_buffer: u64,
-    /// NDP trimming threshold in whole packets (paper default 8).
-    pub trim_cap_pkts: usize,
-    /// ExpressPass credit-queue cap in credits.
-    pub credit_cap: usize,
     /// Homa message-size cutoffs for unscheduled priorities.
     pub homa_cutoffs: Vec<u64>,
-    /// Homa overcommitment degree.
-    pub homa_overcommit: usize,
     /// Optional switch-wide shared buffer pool capacity in bytes (Table 5's
     /// single-switch experiment); applied to switch egress ports only. The
     /// harness materializes one live pool per topology from this, so configs
@@ -114,9 +108,6 @@ pub struct SchemeParams {
     /// instead of the RED/ECN re-interpretation (identical drop decisions;
     /// exists to demonstrate both deployment paths).
     pub use_wred: bool,
-    /// Fault injection: wrap every *switch* egress queue so each packet is
-    /// discarded with this probability (0 = off). Robustness tests only.
-    pub fault_loss_prob: f64,
     /// Wire-level fault plan (corruption loss, link down/degraded windows),
     /// installed on the engine by the harness. Empty = no fault machinery
     /// runs at all; see [`aeolus_sim::FaultPlan`]. Plain data, so parameter
@@ -137,15 +128,11 @@ impl SchemeParams {
             mtu_payload: 1460,
             aeolus: AeolusConfig::default(),
             port_buffer: 200_000,
-            trim_cap_pkts: 8,
-            credit_cap: 8,
             homa_cutoffs: vec![3_000, 30_000, 300_000],
-            homa_overcommit: 6,
             shared_pool: None,
             arbiter: None,
             disable_sack: false,
             use_wred: false,
-            fault_loss_prob: 0.0,
             faults: FaultPlan::default(),
             first_rtt: None,
         }
@@ -173,6 +160,14 @@ impl SchemeParams {
 
 /// Effectively infinite buffer for oracle runs and host NICs.
 const HUGE: u64 = 1 << 40;
+
+/// NDP trimming threshold in whole packets: switches cut payloads beyond 8
+/// queued packets (the NDP paper's setting, DESIGN.md "Protocol models").
+const TRIM_CAP_PKTS: usize = 8;
+
+/// ExpressPass credit-queue cap in credits (the ExpressPass paper's 8-credit
+/// buffer; excess credits are dropped, which is the feedback signal).
+const CREDIT_CAP: usize = 8;
 
 impl Scheme {
     /// Whether this scheme requires a centralized arbiter host.
@@ -335,22 +330,6 @@ impl Scheme {
         role: PortRole,
         pool: Option<&PoolHandle>,
     ) -> Box<dyn QueueDisc> {
-        let inner = self.make_queue_inner(p, rate, role, pool);
-        if p.fault_loss_prob > 0.0 && role != PortRole::HostNic {
-            // Seed varies per scheme so runs stay deterministic but distinct.
-            Box::new(aeolus_sim::LossyQueue::new(inner, p.fault_loss_prob, 0xfa17))
-        } else {
-            inner
-        }
-    }
-
-    fn make_queue_inner(
-        &self,
-        p: &SchemeParams,
-        rate: Rate,
-        role: PortRole,
-        pool: Option<&PoolHandle>,
-    ) -> Box<dyn QueueDisc> {
         let is_switch = role != PortRole::HostNic;
         let threshold = p.aeolus.drop_threshold;
         let buffer = p.port_buffer;
@@ -388,7 +367,7 @@ impl Scheme {
                         _ => unreachable!(),
                     }
                 };
-                Box::new(XPassQueue::new(inner, rate, p.mtu_wire(), CREDIT_BYTES, p.credit_cap))
+                Box::new(XPassQueue::new(inner, rate, p.mtu_wire(), CREDIT_BYTES, CREDIT_CAP))
             }
             Scheme::Homa { .. } | Scheme::HomaEager { .. } => {
                 let cap = if is_switch { buffer } else { HUGE };
@@ -406,7 +385,7 @@ impl Scheme {
             }
             Scheme::Ndp => {
                 if is_switch {
-                    Box::new(TrimmingQueue::new(p.trim_cap_pkts, HUGE))
+                    Box::new(TrimmingQueue::new(TRIM_CAP_PKTS, HUGE))
                 } else {
                     Box::new(TrimmingQueue::new(usize::MAX, HUGE))
                 }
@@ -468,46 +447,42 @@ impl Scheme {
         let base = self.base_config(p);
         match self {
             Scheme::ExpressPass | Scheme::ExpressPassAeolus | Scheme::ExpressPassOracle => {
-                Box::new(XPassEndpoint::new(XPassConfig::new(base)))
+                Box::new(XPassEndpoint::new(XPassConfig { base, rto: None }))
             }
             Scheme::ExpressPassPrioQueue { rto } => {
-                let mut cfg = XPassConfig::new(base);
-                cfg.rto = Some(*rto);
-                Box::new(XPassEndpoint::new(cfg))
+                Box::new(XPassEndpoint::new(XPassConfig { base, rto: Some(*rto) }))
             }
             Scheme::Homa { rto } => {
                 let mut cfg = HomaConfig::new(base, *rto);
                 cfg.cutoffs = p.homa_cutoffs.clone();
-                cfg.overcommit = p.homa_overcommit;
                 Box::new(HomaEndpoint::new(cfg))
             }
             Scheme::HomaEager { rto } => {
                 let mut cfg = HomaConfig::new(base, *rto);
                 cfg.naive_rto = true;
                 cfg.cutoffs = p.homa_cutoffs.clone();
-                cfg.overcommit = p.homa_overcommit;
                 Box::new(HomaEndpoint::new(cfg))
             }
             Scheme::HomaAeolus | Scheme::HomaOracle => {
-                // No RTO-driven recovery in these modes; this only scales
-                // the rare stall backstop.
+                // No RTO-driven recovery in these modes: the RTO is read
+                // only if `first_rtt` overrides the mode to Blind.
                 let mut cfg = HomaConfig::new(base, aeolus_sim::units::ms(10));
                 cfg.cutoffs = p.homa_cutoffs.clone();
-                cfg.overcommit = p.homa_overcommit;
                 Box::new(HomaEndpoint::new(cfg))
             }
-            Scheme::Ndp | Scheme::NdpAeolus => Box::new(NdpEndpoint::new(NdpConfig::new(base))),
+            Scheme::Ndp | Scheme::NdpAeolus => Box::new(NdpEndpoint::new(base)),
             Scheme::PHost { rto } => {
-                Box::new(PHostEndpoint::new(PHostConfig::new(base, *rto)))
+                Box::new(PHostEndpoint::new(PHostConfig { base, rto: *rto }))
             }
             Scheme::PHostAeolus => {
-                // Only scales the rare stall backstop in this mode.
-                Box::new(PHostEndpoint::new(PHostConfig::new(base, aeolus_sim::units::ms(10))))
+                // Read only if `first_rtt` overrides the mode to Blind.
+                let rto = aeolus_sim::units::ms(10);
+                Box::new(PHostEndpoint::new(PHostConfig { base, rto }))
             }
             Scheme::Dctcp { rto } => Box::new(DctcpEndpoint::new(DctcpConfig::new(base, *rto))),
             Scheme::Fastpass | Scheme::FastpassAeolus => {
                 let arbiter = p.arbiter.expect("Fastpass needs an arbiter (set by the harness)");
-                Box::new(FastpassEndpoint::new(FastpassConfig::new(base, arbiter)))
+                Box::new(FastpassEndpoint::new(FastpassConfig { base, arbiter }))
             }
         }
     }
@@ -604,22 +579,8 @@ mod tests {
     #[test]
     fn all_schemes_build_queues_and_endpoints() {
         let p = params();
-        let schemes = [
-            Scheme::ExpressPass,
-            Scheme::ExpressPassAeolus,
-            Scheme::ExpressPassOracle,
-            Scheme::ExpressPassPrioQueue { rto: us(10_000) },
-            Scheme::Homa { rto: us(10_000) },
-            Scheme::HomaAeolus,
-            Scheme::HomaOracle,
-            Scheme::Ndp,
-            Scheme::NdpAeolus,
-            Scheme::PHost { rto: us(10_000) },
-            Scheme::PHostAeolus,
-            Scheme::Dctcp { rto: us(10_000) },
-        ];
         // (Fastpass needs an arbiter node: covered by the harness tests.)
-        for s in schemes {
+        for s in all_schemes().into_iter().filter(|s| !s.needs_arbiter()) {
             for role in [PortRole::HostNic, PortRole::DownToHost, PortRole::SwitchToSwitch] {
                 let q = s.make_queue(&p, Rate::gbps(100), role, None);
                 assert_eq!(q.bytes(), 0, "{} queue starts empty", s.name());

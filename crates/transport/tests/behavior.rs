@@ -313,8 +313,8 @@ fn wred_and_red_ecn_switch_paths_agree_end_to_end() {
 #[test]
 fn recovery_survives_random_packet_corruption() {
     // Fault injection: 0.5% of all packets (any class, control included)
-    // silently vanish at switch egress. Every scheme's backstop machinery
-    // must still deliver every flow.
+    // are corrupted on the wire. Every scheme's backstop machinery must
+    // still deliver every flow.
     for scheme in [
         Scheme::ExpressPassAeolus,
         Scheme::HomaAeolus,
@@ -324,7 +324,7 @@ fn recovery_survives_random_packet_corruption() {
         Scheme::Ndp,
     ] {
         let mut params = SchemeParams::new(0);
-        params.fault_loss_prob = 0.005;
+        params.faults = "loss=0.5%,seed=64023".parse().expect("plan parses");
         let mut h = SchemeBuilder::new(scheme).params(params).topology(testbed()).build();
         let hosts = h.hosts().to_vec();
         let flows: Vec<FlowDesc> = (0..5)

@@ -10,9 +10,33 @@ cargo test -q --workspace
 # the global allocator after warm-up (counting-allocator integration test).
 cargo test --release -q --test zero_alloc
 
-# Bench targets compile and run in quick mode (2 iterations, no report).
-AEOLUS_BENCH_ITERS=2 AEOLUS_BENCH_WARMUP=1 cargo bench -p aeolus-bench --bench engine
-AEOLUS_BENCH_ITERS=2 AEOLUS_BENCH_WARMUP=1 cargo bench -p aeolus-bench --bench alloc
+# The repo benchmark is its own workspace, so the commands above never see
+# it: run its unit tests (one of them: committed BENCHMARK.json == generated
+# manifest), then pin its simulations bit-for-bit. Each workload's `#detail`
+# line reports the events processed and an FNV digest over every flow's
+# outcome at seed 11; both are pure functions of the simulated behaviour, so
+# a drift here means a change altered what the benchmark measures, not how
+# fast. Read-only: nothing under benchmark/ is edited, and its target/ and
+# out/ directories are ignored.
+cargo test -q --manifest-path benchmark/Cargo.toml
+while read -r workload events digest; do
+    detail="$(bash benchmark/run.sh --workload "$workload" --seed 11 --seconds 1 --trace 0 \
+        | grep '^#detail ')"
+    python3 - "$workload" "$events" "$digest" "${detail#\#detail }" <<'EOF'
+import json, sys
+workload, events, digest = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+detail = json.loads(sys.argv[4])
+got = (detail["events"], detail["sim_digest"])
+assert got == (events, digest), (
+    f"{workload}: got {got}, pinned {(events, digest)} in scripts/benchmark_digests.txt")
+print(f"benchmark bit-identity: {workload} {events} events, sim_digest {digest}")
+EOF
+done < scripts/benchmark_digests.txt
+
+# The committed baseline every bench gate below compares against: the newest
+# repo-root BENCH_<n>.json snapshot.
+baseline="$(ls BENCH_*.json | sort -V | tail -n 1)"
+echo "bench baseline: $baseline"
 
 # One end-to-end experiment at smoke scale, exercising the parallel fan-out.
 cargo run --release -q -p aeolus-experiments --bin repro -- fig1 --scale smoke --jobs 2
@@ -39,7 +63,7 @@ print(f"trace smoke: {len(lines)} JSONL lines, record types {sorted(kinds)}")
 EOF
 
 # NullTracer overhead gate: a fresh engine-bench run's incast kernel must
-# stay close to the committed baseline in results/bench.json. The tracer
+# stay close to the committed baseline ($baseline above). The tracer
 # hooks are statically dispatched to no-ops by default, so any regression
 # here means the abstraction stopped compiling away. The tolerance is
 # wider than the 2% acceptance bar (measured with full iterations on a
@@ -48,7 +72,7 @@ bench_out="$(mktemp -d)/bench_ci.json"
 AEOLUS_BENCH_ITERS="${AEOLUS_BENCH_ITERS:-5}" AEOLUS_BENCH_WARMUP="${AEOLUS_BENCH_WARMUP:-1}" \
     cargo run --release -q -p aeolus-bench --bin aeolus-bench -- \
     --engine-only --out "$bench_out"
-python3 - "$bench_out" results/bench.json <<'EOF'
+python3 - "$bench_out" "$baseline" <<'EOF'
 import json, os, sys
 def bench(path, name):
     for suite in json.load(open(path))["suites"]:
@@ -64,7 +88,7 @@ print(f"NullTracer overhead: incast_sim_wheel {fresh['median_ns']} ns vs baselin
 assert ratio <= 1.0 + tol, f"NullTracer kernel regressed {ratio:.3f}x > {1+tol:.2f}x baseline"
 # Events/s regression gate: the fresh engine kernel must sustain at least
 # (1 - tol) of the committed baseline's event rate, so throughput can't
-# silently regress between refreshes of results/bench.json.
+# silently regress between BENCH_<n>.json snapshots.
 rate, floor = fresh["units_per_sec"], (1.0 - tol) * base["units_per_sec"]
 print(f"events/s gate: incast_sim_wheel {rate:.0f} events/s vs baseline {base['units_per_sec']:.0f} (floor {floor:.0f})")
 assert rate >= floor, f"engine throughput regressed: {rate:.0f} events/s < {floor:.0f} floor"
@@ -85,7 +109,7 @@ EOF
 macro_out="$(mktemp -d)/bench_macro.json"
 AEOLUS_BENCH_ITERS=1 AEOLUS_BENCH_WARMUP=1 \
     cargo run --release -q -p aeolus-bench --bin aeolus-bench -- --out "$macro_out"
-python3 - "$macro_out" results/bench.json <<'EOF'
+python3 - "$macro_out" "$baseline" <<'EOF'
 import json, os, sys
 def bench(path, name):
     for suite in json.load(open(path))["suites"]:
