@@ -15,7 +15,7 @@
 //!
 //! Each row pins `(events processed, FNV-1a digest over every flow's
 //! completed_at / delivered / timeouts / retransmitted / restarts /
-//! aborted)`. A changed row means recovery behaviour changed: re-pin only
+//! aborted)`. Every named scheme has a row (15 x 2 = 30). A changed row means recovery behaviour changed: re-pin only
 //! with the reason in the commit message.
 
 use aeolus_sim::topology::LinkParams;
@@ -101,6 +101,22 @@ fn golden() -> Vec<(Scheme, Row, Row)> {
             (66_848, 0xe22d324593a3b2bf),
             (324_908, 0x87be73d41a0e6cb7),
         ),
+        // The four names no golden pinned, recorded at f5a2bc0 (the parent
+        // of the scheme-table refactor): both oracles (probe recovery over
+        // the infinite-buffer bank), eager Homa's naive 20 us deadline and
+        // Fastpass without a burst.
+        (
+            Scheme::ExpressPassOracle,
+            (50_375, 0xc71a431ae9fc7ab1),
+            (315_865, 0x34667b7f83ab345d),
+        ),
+        (Scheme::HomaOracle, (30_257, 0x507017ee59ddb187), (23_452, 0xa17e738cf6f87db3)),
+        (
+            Scheme::HomaEager { rto: us(20) },
+            (10_836_211, 0x233da01a8cd41a78),
+            (1_697_553, 0x2e5749ed5417fa8f),
+        ),
+        (Scheme::Fastpass, (24_138, 0x5ae88c7680064dc9), (10_040, 0x2338fa4c9ce21604)),
     ]
 }
 
