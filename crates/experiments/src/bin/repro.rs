@@ -331,6 +331,12 @@ fn main() {
                 for (name, _) in registry() {
                     println!("{name}");
                 }
+                // What `--trace <scheme>` and `fuzz --spec scheme=...` accept:
+                // an RTO-carrying scheme prints with its default timeout.
+                println!("\nschemes (<slug>[:<rto_us>], for --trace and fuzz --spec):");
+                for scheme in aeolus_transport::Scheme::all() {
+                    println!("  {scheme}");
+                }
                 return;
             }
             other => wanted.push(other.to_string()),

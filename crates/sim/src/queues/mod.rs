@@ -16,6 +16,31 @@
 //!   a strict-priority control queue.
 //! * [`XPassQueue`] — ExpressPass port: data FIFO plus a small credit FIFO
 //!   drained through a token bucket at the credit-rate fraction of capacity.
+//!
+//! # One admission rule, four spellings
+//!
+//! Selective dropping — "a droppable (Non-ECT) arrival is dropped once the
+//! port holds at least `K` bytes; everything else is subject only to the
+//! buffer" — is implemented by [`RedEcnQueue`], [`WredQueue`] and
+//! [`PriorityBank::with_selective_threshold`]; [`DropTailQueue`] is the same
+//! rule with no threshold. They are proven, not assumed, to accept and drop
+//! exactly the same arrivals (`wred_and_red_ecn_make_identical_drop_decisions`,
+//! `proptests::wred_equals_red_ecn_for_any_mix`,
+//! `proptests::red_ecn_fifo_equals_one_level_selective_bank`), and are kept
+//! as separate types because what they *report* differs and the trace JSONL
+//! is part of the byte-identity contract:
+//!
+//! * **Drop reason when both limits are exceeded.** A droppable arrival over
+//!   the threshold that would also overflow the buffer is `BufferFull` from
+//!   the FIFOs (cap tested first) and `SelectiveDrop` from the bank
+//!   (threshold tested first).
+//! * **CE marking.** [`RedEcnQueue`] CE-marks the ECT packets it keeps at or
+//!   above the threshold (DCTCP reads the marks; Aeolus receivers ignore
+//!   them). The bank and [`WredQueue`] never mark.
+//! * **Bands.** FIFOs report one `fifo` band, banks `p0`..`p7`.
+//!
+//! [`WredQueue`] is wired into no scheme: it is §4.1's second deployment
+//! path, kept as the differential reference for the first.
 
 mod droptail;
 mod priority;

@@ -236,6 +236,86 @@ fn wred_equals_red_ecn_for_any_mix() {
     }
 }
 
+/// ROADMAP 3(g), closed by measurement: the RED/ECN FIFO and a one-level
+/// priority bank with the selective threshold are the same admission rule.
+/// For any threshold, buffer and traffic mix they accept and drop exactly the
+/// same arrivals and drain in the same order. They differ only where
+/// `queues/mod.rs` says they do: the *reason* on a droppable arrival that is
+/// over the threshold and would also overflow the buffer (`BufferFull` from
+/// the FIFO, which tests the cap first; `SelectiveDrop` from the bank, which
+/// tests the threshold first), and CE-marking of kept ECT arrivals at or
+/// above the threshold (the FIFO marks, the bank does not). The band names
+/// (`fifo` vs `p0`) and those reasons are in the trace JSONL, which is why
+/// the disciplines stay separate types.
+#[test]
+fn red_ecn_fifo_equals_one_level_selective_bank() {
+    use aeolus_sim::Ecn;
+    let mut rng = SimRng::seed_from_u64(0x3e60);
+    let (mut both_rules, mut marks) = (0, 0);
+    for case in 0..CASES {
+        let cap = rng.range_u64(8_000, 60_000);
+        let k = rng.range_u64(1_500, cap);
+        let poll_chance = [0.2, 0.45, 0.6][rng.index(3)];
+        let mut pool = PacketPool::new();
+        let mut red = RedEcnQueue::new(k, cap);
+        let mut bank = PriorityBank::new(1, cap).with_selective_threshold(k);
+        for op in 0..400u64 {
+            let ctx = format!("case {case} op {op} (k {k}, cap {cap})");
+            if rng.chance(poll_chance) {
+                let seq = |poll: Poll, pool: &mut PacketPool| match poll {
+                    Poll::Ready(r) => {
+                        let seq = pool.get(r).seq;
+                        pool.free(r);
+                        Some(seq)
+                    }
+                    _ => None,
+                };
+                let (a, b) = (red.poll(&mut pool, 0), bank.poll(&mut pool, 0));
+                assert_eq!(seq(a, &mut pool), seq(b, &mut pool), "{ctx}: drain order");
+            } else {
+                let class = [TrafficClass::Scheduled, TrafficClass::Unscheduled][rng.index(2)];
+                let payload = [1, 512, 1460][rng.index(3)];
+                let mut pkt =
+                    Packet::data(FlowId(1), NodeId(0), NodeId(1), op, payload, class, 1 << 20);
+                pkt.ecn = [Ecn::NotEct, Ecn::Ect0, Ecn::Ce][rng.index(3)];
+                pkt.priority = rng.index(8) as u8; // one level: all clamp to it
+                let (droppable, size, before) = (pkt.droppable(), pkt.size as u64, red.bytes());
+                let (over_k, over_cap) = (before >= k, before + size > cap);
+                let (rr, rb) = (pool.insert(pkt.clone()), pool.insert(pkt));
+                let a = red.enqueue(rr, &mut pool, 0);
+                let b = bank.enqueue(rb, &mut pool, 0);
+                match (a, b) {
+                    (EnqueueOutcome::Queued, EnqueueOutcome::Queued) => {
+                        assert!(!over_k && !over_cap, "{ctx}: kept unmarked below both limits");
+                    }
+                    (EnqueueOutcome::QueuedMarked, EnqueueOutcome::Queued) => {
+                        assert!(over_k && !droppable && !over_cap, "{ctx}: only the FIFO marks");
+                        marks += 1;
+                    }
+                    (
+                        EnqueueOutcome::Dropped { reason: ra, pkt: pa },
+                        EnqueueOutcome::Dropped { reason: rb, pkt: pb },
+                    ) => {
+                        let want = match (over_k && droppable, over_cap) {
+                            (true, true) => (DropReason::BufferFull, DropReason::SelectiveDrop),
+                            (true, false) => (DropReason::SelectiveDrop, DropReason::SelectiveDrop),
+                            (false, true) => (DropReason::BufferFull, DropReason::BufferFull),
+                            (false, false) => panic!("{ctx}: dropped under both limits"),
+                        };
+                        assert_eq!((ra, rb), want, "{ctx}: drop reasons");
+                        both_rules += (ra != rb) as usize;
+                        pool.free(pa);
+                        pool.free(pb);
+                    }
+                    (a, b) => panic!("{ctx}: FIFO {a:?} but bank {b:?}"),
+                }
+            }
+            assert_eq!((red.bytes(), red.pkts()), (bank.bytes(), bank.pkts()), "{ctx}");
+        }
+    }
+    assert!(both_rules > 0 && marks > 0, "mix never reached the two documented differences");
+}
+
 /// The time index over a fault plan answers every engine query exactly as a
 /// full scan of the plan does: random plans over every directive
 /// (overlapping, nested and abutting windows on a 300 ps grid) are queried

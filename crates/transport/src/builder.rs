@@ -1,10 +1,9 @@
 //! Fluent construction of runnable scenarios.
 //!
 //! [`SchemeBuilder`] is the one way to construct a [`Harness`]: every knob —
-//! topology, scheme parameters, first-RTT mode, fault plan, telemetry
-//! tracer, workload — is named, optional knobs have paper defaults, and the
-//! tracer changes the harness type statically so `NullTracer` runs carry no
-//! overhead.
+//! topology, scheme parameters, fault plan, telemetry tracer, workload — is
+//! named, optional knobs have paper defaults, and the tracer changes the
+//! harness type statically so `NullTracer` runs carry no overhead.
 //!
 //! ```
 //! use aeolus_transport::{Scheme, SchemeBuilder, TopoSpec};
@@ -23,7 +22,6 @@ use aeolus_sim::units::{us, Time};
 use aeolus_sim::{FlowDesc, NullTracer, Tracer};
 use aeolus_workloads::{poisson_flows, PoissonConfig, Workload};
 
-use crate::common::FirstRttMode;
 use crate::harness::{Harness, TopoSpec};
 use crate::registry::{Scheme, SchemeParams};
 
@@ -73,13 +71,6 @@ impl<T: Tracer> SchemeBuilder<T> {
     /// Set the topology to build.
     pub fn topology(mut self, spec: TopoSpec) -> Self {
         self.spec = spec;
-        self
-    }
-
-    /// Override the scheme's native first-RTT mode (ablations — e.g. run
-    /// Homa's queue discipline with an Aeolus-style droppable burst).
-    pub fn first_rtt(mut self, mode: FirstRttMode) -> Self {
-        self.params.first_rtt = Some(mode);
         self
     }
 
@@ -247,14 +238,6 @@ mod tests {
         let tracer = h.topo.net.tracer();
         assert!(tracer.ports().next().is_some(), "ports registered");
         assert!(tracer.ports().any(|(_, p)| !p.ring.is_empty()), "queue events recorded");
-    }
-
-    #[test]
-    fn first_rtt_override_reaches_the_endpoint_config() {
-        // Homa natively bursts Blind; the override flips it to Hold, which
-        // must leave host 1 with nothing to send in the first RTT.
-        let b = SchemeBuilder::new(Scheme::Homa { rto: us(10_000) }).first_rtt(FirstRttMode::Hold);
-        assert_eq!(b.params.first_rtt, Some(FirstRttMode::Hold));
     }
 
     #[test]

@@ -78,24 +78,10 @@ const HORIZON: Time = ms(2000);
 /// Fastpass arbiter reservation.
 const MIN_HOSTS: usize = 3;
 
-/// Scheme spec string that [`Scheme::from_str`] accepts: the slug, plus the
-/// `:<rto_us>` suffix for RTO-carrying variants (which [`Scheme::name`]
-/// alone would lose).
-fn scheme_spec(scheme: &Scheme) -> String {
-    match scheme {
-        Scheme::ExpressPassPrioQueue { rto }
-        | Scheme::Homa { rto }
-        | Scheme::HomaEager { rto }
-        | Scheme::PHost { rto }
-        | Scheme::Dctcp { rto } => format!("{}:{}", scheme.name(), *rto / us(1)),
-        _ => scheme.name().to_string(),
-    }
-}
-
 impl fmt::Display for Scenario {
     /// One-line repro spec; parses back via [`FromStr`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "scheme={} hosts={} flows=", scheme_spec(&self.scheme), self.hosts)?;
+        write!(f, "scheme={} hosts={} flows=", self.scheme, self.hosts)?;
         if self.flows.is_empty() {
             f.write_str("none")?;
         }
@@ -169,25 +155,18 @@ fn parse_flow(part: &str) -> Result<FlowSpec, String> {
     })
 }
 
-/// The scheme pool the generator draws from — every registry scheme,
-/// RTO-carrying variants at their paper defaults.
+/// The scheme pool the generator draws from: [`Scheme::all`] (RTO-carrying
+/// variants at their paper defaults) minus eager Homa.
+///
+/// The exclusion is historical, kept on purpose: `Scenario::random` indexes
+/// this list with its first RNG draw, so the pool's length and order key
+/// every fuzz seed, the 806-spec corpus and the "guided 25 vs blind 22"
+/// statistic. Eager Homa conforms under the oracle when named in a `--spec`
+/// and is pinned by `recovery_golden`; drawing it here means re-recording
+/// all of those at once, which belongs with the fuzzer-over-the-product
+/// step of ROADMAP item 3, not with a refactor that must leave them alone.
 pub(crate) fn scheme_pool() -> Vec<Scheme> {
-    vec![
-        Scheme::ExpressPass,
-        Scheme::ExpressPassAeolus,
-        Scheme::ExpressPassOracle,
-        Scheme::ExpressPassPrioQueue { rto: ms(10) },
-        Scheme::Homa { rto: ms(10) },
-        Scheme::HomaAeolus,
-        Scheme::HomaOracle,
-        Scheme::Ndp,
-        Scheme::NdpAeolus,
-        Scheme::PHost { rto: ms(10) },
-        Scheme::PHostAeolus,
-        Scheme::Dctcp { rto: ms(10) },
-        Scheme::Fastpass,
-        Scheme::FastpassAeolus,
-    ]
+    Scheme::all().filter(|s| !matches!(s, Scheme::HomaEager { .. })).collect()
 }
 
 impl Scenario {

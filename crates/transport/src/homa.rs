@@ -44,8 +44,9 @@ pub struct HomaConfig {
     /// `cutoffs[i]` bursts at priority `i`. Must have `UNSCHED_LEVELS - 1`
     /// entries (everything larger uses the last unscheduled level).
     pub cutoffs: Vec<u64>,
-    /// Retransmission timeout (paper experiments: 10 ms, 20 µs, 40 µs).
-    pub rto: Time,
+    /// Retransmission timeout of the timeout-driven (Blind) variants (paper
+    /// experiments: 10 ms, 20 µs, 40 µs); `None` where probes recover.
+    pub rto: Option<Time>,
     /// "Eager Homa" (§2.3 / Table 1): the RTO is a naive per-message
     /// deadline that is *not* reset by receiver progress, and every fire
     /// blindly resends the whole burst region — the premature-retransmission
@@ -54,12 +55,6 @@ pub struct HomaConfig {
 }
 
 impl HomaConfig {
-    /// Defaults matching the paper's setup (8 levels, overcommitment 6),
-    /// with generic cutoffs suitable for the Table 2 workloads.
-    pub fn new(base: BaseConfig, rto: Time) -> HomaConfig {
-        HomaConfig { base, cutoffs: vec![3_000, 30_000, 300_000], rto, naive_rto: false }
-    }
-
     /// Unscheduled priority for a message of `size` bytes (smaller = higher).
     pub fn unsched_prio(&self, size: u64) -> u8 {
         for (i, &c) in self.cutoffs.iter().enumerate() {
@@ -217,7 +212,7 @@ impl HomaEndpoint {
             return;
         }
         self.scan_armed = true;
-        let delay = recovery::stale_after(&self.cfg.base, Some(self.cfg.rto)) / 2;
+        let delay = recovery::stale_after(&self.cfg.base, self.cfg.rto) / 2;
         ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ResendScan));
     }
 
@@ -225,7 +220,7 @@ impl HomaEndpoint {
         self.scan_armed = false;
         // The RTO in Blind mode; in the probe-recovery modes only a backstop
         // against lost *scheduled* packets under extreme buffer pressure.
-        let stale_after = recovery::stale_after(&self.cfg.base, Some(self.cfg.rto));
+        let stale_after = recovery::stale_after(&self.cfg.base, self.cfg.rto);
         let now = ctx.now;
         let probe_mode = self.cfg.base.mode.probe_recovery();
         let window = 8 * self.cfg.base.mtu_payload as u64;
@@ -264,7 +259,8 @@ impl HomaEndpoint {
     }
 
     fn on_sender_rto(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let (rto, naive) = (self.cfg.rto, self.cfg.naive_rto);
+        let Some(rto) = self.cfg.rto else { return };
+        let naive = self.cfg.naive_rto;
         let rtt_bytes = self.cfg.base.rtt_bytes(ctx.line_rate);
         let Some(sf) = self.flows.send.get_mut(flow) else { return };
         if sf.tx.completed {
@@ -324,8 +320,8 @@ impl Endpoint for HomaEndpoint {
         let tx = launch_first_rtt(flow, &base, native_prio, ctx, |pkt| {
             base.mode.stamp_unscheduled(pkt, native_prio, lowest)
         });
-        if base.mode == FirstRttMode::Blind {
-            ctx.set_timer_in_with(self.cfg.rto, self.timers.arm(TimerKind::SenderRto(flow.id)));
+        if let (FirstRttMode::Blind, Some(rto)) = (base.mode, self.cfg.rto) {
+            ctx.set_timer_in_with(rto, self.timers.arm(TimerKind::SenderRto(flow.id)));
         } else if base.mode.probe_recovery() && base.aeolus.probe_retry_rtts > 0 {
             let token = self.timers.arm(TimerKind::ProbeRetry(flow.id));
             ctx.set_timer_in_with(recovery::retry_base(&base), token);
@@ -445,16 +441,14 @@ mod tests {
     use aeolus_sim::units::us;
 
     fn cfg() -> HomaConfig {
-        HomaConfig::new(
-            BaseConfig {
-                mtu_payload: 1460,
-                base_rtt: us(5),
-                aeolus: AeolusConfig::default(),
-                mode: FirstRttMode::Blind,
-                disable_sack: false,
-            },
-            us(10_000),
-        )
+        let base = BaseConfig {
+            mtu_payload: 1460,
+            base_rtt: us(5),
+            aeolus: AeolusConfig::default(),
+            mode: FirstRttMode::Blind,
+            disable_sack: false,
+        };
+        HomaConfig { base, cutoffs: vec![3_000, 30_000, 300_000], rto: Some(us(10_000)), naive_rto: false }
     }
 
     #[test]

@@ -34,8 +34,9 @@ use crate::recovery::{self, launch_first_rtt, send_resends, CreditLedger, FlowTa
 pub struct PHostConfig {
     /// Shared transport parameters.
     pub base: BaseConfig,
-    /// Receiver-side retransmission timeout (token re-issue) for Blind mode.
-    pub rto: Time,
+    /// Receiver-side retransmission timeout (token re-issue) of the Blind
+    /// variant; `None` where probes recover.
+    pub rto: Option<Time>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -132,7 +133,7 @@ impl PHostEndpoint {
         self.arm_pacer(ctx);
         if !self.scan_armed {
             self.scan_armed = true;
-            let delay = recovery::stale_after(&self.cfg.base, Some(self.cfg.rto)) / 2;
+            let delay = recovery::stale_after(&self.cfg.base, self.cfg.rto) / 2;
             ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::StallScan));
         }
     }
@@ -142,7 +143,7 @@ impl PHostEndpoint {
     /// retransmit.
     fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
         self.scan_armed = false;
-        let stale = recovery::stale_after(&self.cfg.base, Some(self.cfg.rto));
+        let stale = recovery::stale_after(&self.cfg.base, self.cfg.rto);
         let (timeout_driven, now) = (!self.cfg.base.mode.probe_recovery(), ctx.now);
         self.flows.reap_silent_senders(ctx);
         let (any_incomplete, resends) = self.flows.stall_scan(ctx, |rf, size| {

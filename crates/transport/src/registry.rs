@@ -1,32 +1,49 @@
 //! Scheme registry: one place that knows, for every evaluated scheme, which
 //! switch queue discipline, routing policy and endpoint configuration to use.
 //!
-//! | Scheme                 | switch queue                         | first RTT | recovery |
-//! |------------------------|--------------------------------------|-----------|----------|
-//! | ExpressPass            | XPass(credit throttle + drop-tail)   | hold      | (lossless) |
-//! | ExpressPass + Aeolus   | XPass(credit throttle + RED/ECN)     | Aeolus    | probe    |
-//! | ExpressPass oracle     | XPass(+8-prio, low-prio drop)        | oracle    | probe    |
-//! | ExpressPass + prio-q   | XPass(+8-prio, finite/shared buffer) | low-prio  | RTO      |
-//! | Homa                   | 8-priority bank                      | blind     | RTO/RESEND |
-//! | Homa + Aeolus          | 8-priority bank + selective drop     | Aeolus    | probe    |
-//! | Homa oracle            | 8-priority bank, low-prio drop       | oracle    | probe    |
-//! | NDP                    | trimming (cutting payload)           | blind     | NACK/pull |
-//! | NDP + Aeolus           | RED/ECN FIFO                         | Aeolus    | probe+pull |
+//! A scheme is a row of the `const TABLE` below: `(family, first-RTT mode,
+//! RTO)`. This header is that table with its derived columns written out;
+//! the `const` is the source, and every other column follows from the row
+//! through one match on `Family` and one on [`FirstRttMode`] (DESIGN.md "A
+//! scheme is a table row"). `K` is the 6 KB selective-drop threshold, `B`
+//! the 200 KB port buffer, `inf` an unbounded one. Host NICs run the family's
+//! native queue unbounded, with no admission rule (one exception, marked).
+//!
+//! | slug               | family      | first RTT | switch port                    | recovery    | routing | oracle profile off         |
+//! |--------------------|-------------|-----------|--------------------------------|-------------|---------|----------------------------|
+//! | expresspass        | ExpressPass | Hold      | XPass(FIFO, B)                 | (lossless)  | ECMP    | -                          |
+//! | expresspass-aeolus | ExpressPass | Aeolus    | XPass(RED/ECN FIFO, K, B)      | probe       | ECMP    | -                          |
+//! | expresspass-oracle | ExpressPass | Oracle    | XPass(8-bank, K, inf)          | probe       | ECMP    | -                          |
+//! | expresspass-prioq  | ExpressPass | LowPrio   | XPass(8-bank, B or shared)     | RTO         | ECMP    | retx pairing               |
+//! | homa               | Homa        | Blind     | 8-bank, B                      | RTO/RESEND  | spray   | burst budget, retx pairing |
+//! | homa-eager         | Homa        | Blind     | 8-bank, B                      | naive RTO   | spray   | burst budget, retx pairing |
+//! | homa-aeolus        | Homa        | Aeolus    | 8-bank, K, B                   | probe       | spray   | -                          |
+//! | homa-oracle        | Homa        | Oracle    | 8-bank, K, inf (NICs too)      | probe       | spray   | -                          |
+//! | ndp                | Ndp         | Blind     | trimming beyond 8 packets      | NACK/pull   | spray   | -                          |
+//! | ndp-aeolus         | Ndp         | Aeolus    | RED/ECN FIFO, K, B             | probe+pull  | spray   | -                          |
+//! | phost              | PHost       | Blind     | 2-bank, B                      | token RTO   | spray   | retx pairing               |
+//! | phost-aeolus       | PHost       | Aeolus    | 2-bank, K, B                   | probe       | spray   | -                          |
+//! | dctcp              | Dctcp       | Blind     | RED/ECN FIFO, max(K, 30 KB), B | dupACK/RTO  | ECMP    | retx pairing               |
+//! | fastpass           | Fastpass    | Hold      | FIFO, B                        | stall scan  | ECMP    | -                          |
+//! | fastpass-aeolus    | Fastpass    | Aeolus    | RED/ECN FIFO, K, B             | probe       | ECMP    | -                          |
+
+use std::fmt;
+use std::mem::discriminant;
 
 use aeolus_core::AeolusConfig;
-use aeolus_sim::units::Time;
-use aeolus_sim::{
-    DropTailQueue, Endpoint, FaultPlan, PoolHandle, PriorityBank, QueueDisc, Rate, RedEcnQueue,
-    RoutePolicy, TrimmingQueue, WredProfile, WredQueue, XPassQueue, CREDIT_BYTES,
-};
 use aeolus_sim::topology::PortRole;
+use aeolus_sim::units::{ms, us, Time};
+use aeolus_sim::{
+    DropTailQueue, Endpoint, FaultPlan, OracleProfile, PoolHandle, PriorityBank, QueueDisc, Rate,
+    RedEcnQueue, RoutePolicy, TrimmingQueue, XPassQueue, CREDIT_BYTES,
+};
 
 use crate::common::{BaseConfig, FirstRttMode};
+use crate::dctcp::{DctcpConfig, DctcpEndpoint};
 use crate::expresspass::{XPassConfig, XPassEndpoint};
+use crate::fastpass::{ArbiterEndpoint, FastpassConfig, FastpassEndpoint};
 use crate::homa::{HomaConfig, HomaEndpoint};
 use crate::ndp::NdpEndpoint;
-use crate::dctcp::{DctcpConfig, DctcpEndpoint};
-use crate::fastpass::{ArbiterEndpoint, FastpassConfig, FastpassEndpoint};
 use crate::phost::{PHostConfig, PHostEndpoint};
 
 /// Every transport scheme evaluated in the paper.
@@ -104,20 +121,11 @@ pub struct SchemeParams {
     pub arbiter: Option<aeolus_sim::NodeId>,
     /// Ablation knob: disable SACK gap inference (probe-only recovery).
     pub disable_sack: bool,
-    /// Use the §4.1 WRED/color switch implementation of selective dropping
-    /// instead of the RED/ECN re-interpretation (identical drop decisions;
-    /// exists to demonstrate both deployment paths).
-    pub use_wred: bool,
     /// Wire-level fault plan (corruption loss, link down/degraded windows),
     /// installed on the engine by the harness. Empty = no fault machinery
     /// runs at all; see [`aeolus_sim::FaultPlan`]. Plain data, so parameter
     /// sets stay `Send + Sync` for the parallel runner.
     pub faults: FaultPlan,
-    /// Override the scheme's native first-RTT mode (ablations; set via
-    /// [`crate::SchemeBuilder::first_rtt`]). `None` keeps the default. The
-    /// switch queue discipline still follows the scheme, so overrides make
-    /// sense only between modes sharing a discipline (e.g. Aeolus ↔ Blind).
-    pub first_rtt: Option<FirstRttMode>,
 }
 
 impl SchemeParams {
@@ -132,9 +140,7 @@ impl SchemeParams {
             shared_pool: None,
             arbiter: None,
             disable_sack: false,
-            use_wred: false,
             faults: FaultPlan::default(),
-            first_rtt: None,
         }
     }
 
@@ -152,11 +158,55 @@ impl SchemeParams {
     /// [`port_buffer`]: SchemeParams::port_buffer
     pub fn validate(&self) -> Result<(), String> {
         self.aeolus.validate()?;
-        let mut effective = self.aeolus;
-        effective.port_buffer = self.port_buffer;
-        effective.validate()
+        self.effective_aeolus().validate()
+    }
+
+    /// The Aeolus config queues and endpoints actually run with: the
+    /// physical port buffer in place of `aeolus.port_buffer`.
+    fn effective_aeolus(&self) -> AeolusConfig {
+        AeolusConfig { port_buffer: self.port_buffer, ..self.aeolus }
     }
 }
+
+/// The credit loop a scheme runs: what decides its native switch port, its
+/// routing and its endpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Family {
+    ExpressPass,
+    Homa,
+    Ndp,
+    PHost,
+    Fastpass,
+    Dctcp,
+}
+
+/// One named scheme: `(variant carrying its paper-default RTO if it has one,
+/// slug, paper label, family, first-RTT mode)`.
+type Row = (Scheme, &'static str, &'static str, Family, FirstRttMode);
+
+/// Every named scheme, in the order [`Scheme::all`] yields them. A new
+/// scheme is its enum variant plus one row here.
+#[rustfmt::skip]
+const TABLE: [Row; 15] = {
+    use {Family as F, FirstRttMode as M};
+    [
+        (Scheme::ExpressPass, "expresspass", "ExpressPass", F::ExpressPass, M::Hold),
+        (Scheme::ExpressPassAeolus, "expresspass-aeolus", "ExpressPass+Aeolus", F::ExpressPass, M::Aeolus),
+        (Scheme::ExpressPassOracle, "expresspass-oracle", "Hypothetical ExpressPass", F::ExpressPass, M::Oracle),
+        (Scheme::ExpressPassPrioQueue { rto: ms(10) }, "expresspass-prioq", "ExpressPass+PrioQueue", F::ExpressPass, M::LowPrio),
+        (Scheme::Homa { rto: ms(10) }, "homa", "Homa", F::Homa, M::Blind),
+        (Scheme::HomaEager { rto: us(20) }, "homa-eager", "Eager Homa", F::Homa, M::Blind),
+        (Scheme::HomaAeolus, "homa-aeolus", "Homa+Aeolus", F::Homa, M::Aeolus),
+        (Scheme::HomaOracle, "homa-oracle", "Hypothetical Homa", F::Homa, M::Oracle),
+        (Scheme::Ndp, "ndp", "NDP", F::Ndp, M::Blind),
+        (Scheme::NdpAeolus, "ndp-aeolus", "NDP+Aeolus", F::Ndp, M::Aeolus),
+        (Scheme::PHost { rto: ms(10) }, "phost", "pHost", F::PHost, M::Blind),
+        (Scheme::PHostAeolus, "phost-aeolus", "pHost+Aeolus", F::PHost, M::Aeolus),
+        (Scheme::Dctcp { rto: ms(10) }, "dctcp", "DCTCP", F::Dctcp, M::Blind),
+        (Scheme::Fastpass, "fastpass", "Fastpass", F::Fastpass, M::Hold),
+        (Scheme::FastpassAeolus, "fastpass-aeolus", "Fastpass+Aeolus", F::Fastpass, M::Aeolus),
+    ]
+};
 
 /// Effectively infinite buffer for oracle runs and host NICs.
 const HUGE: u64 = 1 << 40;
@@ -169,10 +219,57 @@ const TRIM_CAP_PKTS: usize = 8;
 /// buffer; excess credits are dropped, which is the feedback signal).
 const CREDIT_CAP: usize = 8;
 
+/// The queue a family's ports run before the first-RTT mode has its say.
+enum BaseQueue {
+    Fifo,
+    /// Strict-priority bank of this many levels.
+    Bank(usize),
+    /// NDP cutting payload.
+    Trim,
+}
+
 impl Scheme {
+    /// Every named scheme, RTO-carrying variants at their paper defaults.
+    pub fn all() -> impl Iterator<Item = Scheme> {
+        TABLE.iter().map(|row| row.0)
+    }
+
+    /// This scheme's table row. Build-time only (a 15-row scan, once per
+    /// port or endpoint), never per packet.
+    fn row(&self) -> &'static Row {
+        let row = TABLE.iter().find(|row| discriminant(&row.0) == discriminant(self));
+        row.expect("every Scheme variant has a TABLE row")
+    }
+
+    /// The enum's payload, and the only place outside `TABLE` that names
+    /// more than one variant: field access, not a per-scheme fact.
+    fn rto_slot(&mut self) -> Option<&mut Time> {
+        match self {
+            Scheme::ExpressPassPrioQueue { rto }
+            | Scheme::Homa { rto }
+            | Scheme::HomaEager { rto }
+            | Scheme::PHost { rto }
+            | Scheme::Dctcp { rto } => Some(rto),
+            _ => None,
+        }
+    }
+
+    /// The retransmission timeout this scheme carries, if any.
+    fn rto(mut self) -> Option<Time> {
+        self.rto_slot().copied()
+    }
+
+    fn family(&self) -> Family {
+        self.row().3
+    }
+
+    fn mode(&self) -> FirstRttMode {
+        self.row().4
+    }
+
     /// Whether this scheme requires a centralized arbiter host.
     pub fn needs_arbiter(&self) -> bool {
-        matches!(self, Scheme::Fastpass | Scheme::FastpassAeolus)
+        self.family() == Family::Fastpass
     }
 
     /// Build the arbiter endpoint (panics for schemes without one).
@@ -182,50 +279,15 @@ impl Scheme {
     }
 
     /// Stable machine-readable identifier for this scheme, usable on command
-    /// lines and in file names. Round-trips through [`Scheme::from_str`]
-    /// (RTO-carrying variants append `:<rto_us>` when parsing to override
-    /// the default timeout).
+    /// lines and in file names. [`Display`](fmt::Display) appends the RTO.
     pub fn name(&self) -> &'static str {
-        match self {
-            Scheme::ExpressPass => "expresspass",
-            Scheme::ExpressPassAeolus => "expresspass-aeolus",
-            Scheme::ExpressPassOracle => "expresspass-oracle",
-            Scheme::ExpressPassPrioQueue { .. } => "expresspass-prioq",
-            Scheme::Homa { .. } => "homa",
-            Scheme::HomaEager { .. } => "homa-eager",
-            Scheme::HomaAeolus => "homa-aeolus",
-            Scheme::HomaOracle => "homa-oracle",
-            Scheme::Ndp => "ndp",
-            Scheme::NdpAeolus => "ndp-aeolus",
-            Scheme::PHost { .. } => "phost",
-            Scheme::PHostAeolus => "phost-aeolus",
-            Scheme::Dctcp { .. } => "dctcp",
-            Scheme::Fastpass => "fastpass",
-            Scheme::FastpassAeolus => "fastpass-aeolus",
-        }
+        self.row().1
     }
 
     /// Human-readable name as used in the paper's tables.
     pub fn label(&self) -> String {
-        match self {
-            Scheme::ExpressPass => "ExpressPass".into(),
-            Scheme::ExpressPassAeolus => "ExpressPass+Aeolus".into(),
-            Scheme::ExpressPassOracle => "Hypothetical ExpressPass".into(),
-            Scheme::ExpressPassPrioQueue { rto } => {
-                format!("ExpressPass+PrioQueue(RTO={}us)", rto / 1_000_000)
-            }
-            Scheme::Homa { rto } => format!("Homa(RTO={}us)", rto / 1_000_000),
-            Scheme::HomaEager { rto } => format!("Eager Homa(RTO={}us)", rto / 1_000_000),
-            Scheme::HomaAeolus => "Homa+Aeolus".into(),
-            Scheme::HomaOracle => "Hypothetical Homa".into(),
-            Scheme::Ndp => "NDP".into(),
-            Scheme::NdpAeolus => "NDP+Aeolus".into(),
-            Scheme::PHost { rto } => format!("pHost(RTO={}us)", rto / 1_000_000),
-            Scheme::PHostAeolus => "pHost+Aeolus".into(),
-            Scheme::Dctcp { rto } => format!("DCTCP(RTO={}us)", rto / 1_000_000),
-            Scheme::Fastpass => "Fastpass".into(),
-            Scheme::FastpassAeolus => "Fastpass+Aeolus".into(),
-        }
+        let rto = self.rto().map_or(String::new(), |rto| format!("(RTO={}us)", rto / us(1)));
+        format!("{}{rto}", self.row().2)
     }
 
     /// Which [`OracleProfile`] checks the conformance oracle can enforce for
@@ -240,29 +302,21 @@ impl Scheme {
     ///   scheme; DCTCP issues no credits, so the flag is vacuous there and
     ///   stays on.
     /// - *burst budget* holds wherever the first RTT is budgeted (Aeolus,
-    ///   blind and low-prio modes) or absent (hold modes). Homa's
-    ///   RESEND/timeout path resends first-RTT bytes as fresh unscheduled
-    ///   packets beyond the declared burst, so the original Homa variants
-    ///   opt out.
-    /// - *retransmit pairing* (retransmitted ≤ declared-lost) is off for
-    ///   schemes whose backstops retransmit speculatively without a
-    ///   detection event (eager/naive RTOs, pHost token re-issue, Homa
-    ///   RESEND).
-    ///
-    /// [`OracleProfile`]: aeolus_sim::OracleProfile
-    pub fn oracle_profile(&self) -> aeolus_sim::OracleProfile {
-        let mut profile = aeolus_sim::OracleProfile::default();
-        match self {
-            Scheme::Homa { .. } | Scheme::HomaEager { .. } => {
-                profile.burst_budget = false;
-                profile.retransmit_pairing = false;
-            }
-            Scheme::ExpressPassPrioQueue { .. } | Scheme::PHost { .. } | Scheme::Dctcp { .. } => {
-                profile.retransmit_pairing = false;
-            }
-            _ => {}
+    ///   oracle, low-prio and the other blind bursts) or absent (hold).
+    ///   Blind Homa's RESEND/timeout path resends first-RTT bytes as fresh
+    ///   unscheduled packets beyond the declared burst, so it opts out.
+    /// - *retransmit pairing* (retransmitted ≤ declared-lost) is off exactly
+    ///   where an RTO drives recovery: such backstops retransmit
+    ///   speculatively without a detection event (eager/naive RTOs, pHost
+    ///   token re-issue, Homa RESEND, the low-prio strawman, DCTCP).
+    pub fn oracle_profile(&self) -> OracleProfile {
+        let (family, mode) = (self.family(), self.mode());
+        let rto_driven = matches!(mode, FirstRttMode::Blind | FirstRttMode::LowPrio);
+        OracleProfile {
+            burst_budget: !(family == Family::Homa && mode == FirstRttMode::Blind),
+            retransmit_pairing: !(rto_driven && self.rto().is_some()),
+            ..OracleProfile::default()
         }
-        profile
     }
 
     /// Switch path-selection policy this scheme assumes.
@@ -272,54 +326,26 @@ impl Scheme {
     /// load balancing. ExpressPass *requires* symmetric per-flow paths so
     /// switch credit throttling bounds the forward data rate.
     pub fn route_policy(&self) -> RoutePolicy {
-        match self {
-            Scheme::Ndp
-            | Scheme::NdpAeolus
-            | Scheme::Homa { .. }
-            | Scheme::HomaEager { .. }
-            | Scheme::HomaAeolus
-            | Scheme::HomaOracle
-            | Scheme::PHost { .. }
-            | Scheme::PHostAeolus => RoutePolicy::Spray,
-            _ => RoutePolicy::EcmpHash,
-        }
-    }
-
-    fn first_rtt_mode(&self) -> FirstRttMode {
-        match self {
-            Scheme::ExpressPass => FirstRttMode::Hold,
-            Scheme::ExpressPassAeolus
-            | Scheme::HomaAeolus
-            | Scheme::NdpAeolus
-            | Scheme::PHostAeolus => FirstRttMode::Aeolus,
-            Scheme::ExpressPassOracle | Scheme::HomaOracle => FirstRttMode::Oracle,
-            Scheme::ExpressPassPrioQueue { .. } => FirstRttMode::LowPrio,
-            Scheme::Homa { .. }
-            | Scheme::HomaEager { .. }
-            | Scheme::Ndp
-            | Scheme::PHost { .. }
-            | Scheme::Dctcp { .. } => FirstRttMode::Blind,
-            Scheme::Fastpass => FirstRttMode::Hold,
-            Scheme::FastpassAeolus => FirstRttMode::Aeolus,
+        match self.family() {
+            Family::Ndp | Family::Homa | Family::PHost => RoutePolicy::Spray,
+            Family::ExpressPass | Family::Fastpass | Family::Dctcp => RoutePolicy::EcmpHash,
         }
     }
 
     fn base_config(&self, p: &SchemeParams) -> BaseConfig {
-        let mut aeolus = p.aeolus;
-        aeolus.port_buffer = p.port_buffer;
-        // SACK gap inference needs in-order delivery; any scheme whose
-        // fabric sprays packets must rely on the probe alone.
-        let sprays = self.route_policy() == RoutePolicy::Spray;
         BaseConfig {
             mtu_payload: p.mtu_payload,
             base_rtt: p.base_rtt,
-            aeolus,
-            mode: p.first_rtt.unwrap_or_else(|| self.first_rtt_mode()),
-            disable_sack: p.disable_sack || sprays,
+            aeolus: p.effective_aeolus(),
+            mode: self.mode(),
+            // SACK gap inference needs in-order delivery; any scheme whose
+            // fabric sprays packets must rely on the probe alone.
+            disable_sack: p.disable_sack || self.route_policy() == RoutePolicy::Spray,
         }
     }
 
-    /// Build the egress queue for a port of the given rate and role.
+    /// Build the egress queue for a port of the given rate and role: the
+    /// family's native port composed with the mode's admission rule.
     ///
     /// `pool` is the topology-wide shared buffer handle materialized from
     /// `p.shared_pool` (one per harness, shared by all its ports).
@@ -330,157 +356,82 @@ impl Scheme {
         role: PortRole,
         pool: Option<&PoolHandle>,
     ) -> Box<dyn QueueDisc> {
-        let is_switch = role != PortRole::HostNic;
-        let threshold = p.aeolus.drop_threshold;
-        let buffer = p.port_buffer;
-        match self {
-            Scheme::ExpressPass
-            | Scheme::ExpressPassAeolus
-            | Scheme::ExpressPassOracle
-            | Scheme::ExpressPassPrioQueue { .. } => {
-                let inner: Box<dyn QueueDisc> = if !is_switch {
-                    // Host NICs never drop locally.
-                    Box::new(DropTailQueue::new(HUGE))
-                } else {
-                    match self {
-                        Scheme::ExpressPass => Box::new(DropTailQueue::new(buffer)),
-                        Scheme::ExpressPassAeolus => {
-                            if p.use_wred {
-                                Box::new(WredQueue::new(
-                                    WredProfile::aeolus(threshold, buffer),
-                                    buffer,
-                                ))
-                            } else {
-                                Box::new(RedEcnQueue::new(threshold, buffer))
-                            }
-                        }
-                        Scheme::ExpressPassOracle => Box::new(
-                            PriorityBank::new(8, HUGE).with_selective_threshold(threshold),
-                        ),
-                        Scheme::ExpressPassPrioQueue { .. } => {
-                            let bank = PriorityBank::new(8, buffer);
-                            match pool {
-                                Some(pool) => Box::new(bank.with_pool(pool.clone())),
-                                None => Box::new(bank),
-                            }
-                        }
-                        _ => unreachable!(),
-                    }
-                };
-                Box::new(XPassQueue::new(inner, rate, p.mtu_wire(), CREDIT_BYTES, CREDIT_CAP))
-            }
-            Scheme::Homa { .. } | Scheme::HomaEager { .. } => {
-                let cap = if is_switch { buffer } else { HUGE };
-                Box::new(PriorityBank::new(8, cap))
-            }
-            Scheme::HomaAeolus => {
-                if is_switch {
-                    Box::new(PriorityBank::new(8, buffer).with_selective_threshold(threshold))
-                } else {
-                    Box::new(PriorityBank::new(8, HUGE))
+        let (family, mode) = (self.family(), self.mode());
+        let (nic, k) = (role == PortRole::HostNic, p.aeolus.drop_threshold);
+        // Match one — the family's native port.
+        let mut base = match family {
+            // Cutting payload is NDP's own loss signal; NDP+Aeolus needs no
+            // switch modification and runs over the commodity FIFO.
+            Family::Ndp if mode == FirstRttMode::Blind => BaseQueue::Trim,
+            Family::ExpressPass | Family::Fastpass | Family::Dctcp | Family::Ndp => BaseQueue::Fifo,
+            Family::Homa => BaseQueue::Bank(8),
+            // Two levels: unscheduled above scheduled.
+            Family::PHost => BaseQueue::Bank(2),
+        };
+        // Irregular cell: DCTCP's switches already run the single-threshold
+        // RED/ECN feature Aeolus re-interprets, as its marking threshold K —
+        // the Aeolus threshold floored at 30 KB, below which DCTCP
+        // underutilizes the link.
+        let mut red_k = (family == Family::Dctcp && !nic).then(|| k.max(30_000));
+        // Match two — the mode's admission rule. Host NICs never drop
+        // locally: unbounded, and the rule is a switch feature. Irregular
+        // cell: the Homa oracle applies its rule at the NIC too (its
+        // unscheduled packets yield to backlog from the first queue on);
+        // the ExpressPass oracle does not.
+        let (mut cap, mut shared) = (if nic { HUGE } else { p.port_buffer }, None);
+        let homa_oracle = family == Family::Homa && mode == FirstRttMode::Oracle;
+        match mode {
+            _ if nic && !homa_oracle => {}
+            FirstRttMode::Hold | FirstRttMode::Blind => {}
+            // Selective drop at the threshold in the base queue.
+            FirstRttMode::Aeolus => red_k = Some(k),
+            // Unscheduled at the lowest of 8 levels, dropped on backlog,
+            // never short of buffer.
+            FirstRttMode::Oracle => (base, cap, red_k) = (BaseQueue::Bank(8), HUGE, Some(k)),
+            // Unscheduled at the lowest of 8 levels but *not* droppable: it
+            // shares the finite (or switch-wide) buffer — §5.5's failure.
+            FirstRttMode::LowPrio => (base, shared) = (BaseQueue::Bank(8), pool),
+        }
+        let queue: Box<dyn QueueDisc> = match (base, red_k) {
+            (BaseQueue::Fifo, None) => Box::new(DropTailQueue::new(cap)),
+            (BaseQueue::Fifo, Some(k)) => Box::new(RedEcnQueue::new(k, cap)),
+            (BaseQueue::Bank(levels), _) => {
+                let mut bank = PriorityBank::new(levels, cap);
+                if let Some(k) = red_k {
+                    bank = bank.with_selective_threshold(k);
                 }
-            }
-            Scheme::HomaOracle => {
-                Box::new(PriorityBank::new(8, HUGE).with_selective_threshold(threshold))
-            }
-            Scheme::Ndp => {
-                if is_switch {
-                    Box::new(TrimmingQueue::new(TRIM_CAP_PKTS, HUGE))
-                } else {
-                    Box::new(TrimmingQueue::new(usize::MAX, HUGE))
+                if let Some(pool) = shared {
+                    bank = bank.with_pool(pool.clone());
                 }
+                Box::new(bank)
             }
-            Scheme::NdpAeolus => {
-                if is_switch {
-                    if p.use_wred {
-                        Box::new(WredQueue::new(
-                            WredProfile::aeolus(threshold, buffer),
-                            buffer,
-                        ))
-                    } else {
-                        Box::new(RedEcnQueue::new(threshold, buffer))
-                    }
-                } else {
-                    Box::new(DropTailQueue::new(HUGE))
-                }
-            }
-            // pHost uses two priority levels (unscheduled above scheduled);
-            // with Aeolus, selective dropping applies at port scope.
-            Scheme::PHost { .. } => {
-                let cap = if is_switch { buffer } else { HUGE };
-                Box::new(PriorityBank::new(2, cap))
-            }
-            Scheme::PHostAeolus => {
-                if is_switch {
-                    Box::new(PriorityBank::new(2, buffer).with_selective_threshold(threshold))
-                } else {
-                    Box::new(PriorityBank::new(2, HUGE))
-                }
-            }
-            // DCTCP: single-threshold RED/ECN marking — the same commodity
-            // feature Aeolus re-interprets, used here as DCTCP's K.
-            Scheme::Dctcp { .. } => {
-                if is_switch {
-                    Box::new(RedEcnQueue::new(threshold.max(30_000), buffer))
-                } else {
-                    Box::new(DropTailQueue::new(HUGE))
-                }
-            }
-            // Fastpass: arbiter-scheduled slots need no AQM; +Aeolus adds
-            // selective dropping for the pre-credit burst.
-            Scheme::Fastpass => {
-                let cap = if is_switch { buffer } else { HUGE };
-                Box::new(DropTailQueue::new(cap))
-            }
-            Scheme::FastpassAeolus => {
-                if is_switch {
-                    Box::new(RedEcnQueue::new(threshold, buffer))
-                } else {
-                    Box::new(DropTailQueue::new(HUGE))
-                }
-            }
+            (BaseQueue::Trim, _) if nic => Box::new(TrimmingQueue::new(usize::MAX, HUGE)),
+            (BaseQueue::Trim, _) => Box::new(TrimmingQueue::new(TRIM_CAP_PKTS, HUGE)),
+        };
+        if family == Family::ExpressPass {
+            Box::new(XPassQueue::new(queue, rate, p.mtu_wire(), CREDIT_BYTES, CREDIT_CAP))
+        } else {
+            queue
         }
     }
 
     /// Build the per-host endpoint.
     pub fn make_endpoint(&self, p: &SchemeParams) -> Box<dyn Endpoint> {
-        let base = self.base_config(p);
-        match self {
-            Scheme::ExpressPass | Scheme::ExpressPassAeolus | Scheme::ExpressPassOracle => {
-                Box::new(XPassEndpoint::new(XPassConfig { base, rto: None }))
+        let (base, rto) = (self.base_config(p), self.rto());
+        match self.family() {
+            Family::ExpressPass => Box::new(XPassEndpoint::new(XPassConfig { base, rto })),
+            Family::Homa => {
+                // Table 1's eager sender: the one endpoint flag that is not
+                // a function of (family, mode, RTO).
+                let naive_rto = matches!(self, Scheme::HomaEager { .. });
+                let cutoffs = p.homa_cutoffs.clone();
+                Box::new(HomaEndpoint::new(HomaConfig { base, cutoffs, rto, naive_rto }))
             }
-            Scheme::ExpressPassPrioQueue { rto } => {
-                Box::new(XPassEndpoint::new(XPassConfig { base, rto: Some(*rto) }))
-            }
-            Scheme::Homa { rto } => {
-                let mut cfg = HomaConfig::new(base, *rto);
-                cfg.cutoffs = p.homa_cutoffs.clone();
-                Box::new(HomaEndpoint::new(cfg))
-            }
-            Scheme::HomaEager { rto } => {
-                let mut cfg = HomaConfig::new(base, *rto);
-                cfg.naive_rto = true;
-                cfg.cutoffs = p.homa_cutoffs.clone();
-                Box::new(HomaEndpoint::new(cfg))
-            }
-            Scheme::HomaAeolus | Scheme::HomaOracle => {
-                // No RTO-driven recovery in these modes: the RTO is read
-                // only if `first_rtt` overrides the mode to Blind.
-                let mut cfg = HomaConfig::new(base, aeolus_sim::units::ms(10));
-                cfg.cutoffs = p.homa_cutoffs.clone();
-                Box::new(HomaEndpoint::new(cfg))
-            }
-            Scheme::Ndp | Scheme::NdpAeolus => Box::new(NdpEndpoint::new(base)),
-            Scheme::PHost { rto } => {
-                Box::new(PHostEndpoint::new(PHostConfig { base, rto: *rto }))
-            }
-            Scheme::PHostAeolus => {
-                // Read only if `first_rtt` overrides the mode to Blind.
-                let rto = aeolus_sim::units::ms(10);
-                Box::new(PHostEndpoint::new(PHostConfig { base, rto }))
-            }
-            Scheme::Dctcp { rto } => Box::new(DctcpEndpoint::new(DctcpConfig::new(base, *rto))),
-            Scheme::Fastpass | Scheme::FastpassAeolus => {
+            Family::Ndp => Box::new(NdpEndpoint::new(base)),
+            Family::PHost => Box::new(PHostEndpoint::new(PHostConfig { base, rto })),
+            // DCTCP's row carries an RTO.
+            Family::Dctcp => Box::new(DctcpEndpoint::new(DctcpConfig::new(base, rto.unwrap()))),
+            Family::Fastpass => {
                 let arbiter = p.arbiter.expect("Fastpass needs an arbiter (set by the harness)");
                 Box::new(FastpassEndpoint::new(FastpassConfig { base, arbiter }))
             }
@@ -488,13 +439,26 @@ impl Scheme {
     }
 }
 
+impl fmt::Display for Scheme {
+    /// The one spelling of a scheme as text: `<slug>[:<rto_us>]`, the RTO
+    /// (whole microseconds) present exactly on the variants that carry one.
+    /// Round-trips through [`FromStr`](std::str::FromStr).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rto = self.rto().map_or(String::new(), |rto| format!(":{}", rto / us(1)));
+        write!(f, "{}{rto}", self.name())
+    }
+}
+
 /// Error returned when a scheme string fails to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseSchemeError(String);
 
-impl std::fmt::Display for ParseSchemeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown scheme '{}' (expected e.g. 'homa-aeolus' or 'dctcp:200')", self.0)
+impl fmt::Display for ParseSchemeError {
+    /// Lists every valid spelling; an RTO-carrying scheme is shown with its
+    /// default timeout, which is how the reader learns which ones take one.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let valid = Scheme::all().map(|s| s.to_string()).collect::<Vec<_>>().join(", ");
+        write!(f, "unknown scheme '{}' (valid: {valid}; ':<rto_us>' shown is the default)", self.0)
     }
 }
 
@@ -507,49 +471,27 @@ impl std::str::FromStr for Scheme {
     /// suffix overrides the retransmission timeout (in microseconds) of the
     /// RTO-carrying variants and is rejected for the others.
     fn from_str(s: &str) -> Result<Scheme, ParseSchemeError> {
-        let (slug, rto_us) = match s.split_once(':') {
-            Some((slug, rto)) => {
-                let rto_us: u64 = rto.parse().map_err(|_| ParseSchemeError(s.into()))?;
-                (slug, Some(rto_us))
-            }
-            None => (s, None),
-        };
-        let rto = |default_us: u64| aeolus_sim::units::us(rto_us.unwrap_or(default_us));
-        let fixed = |scheme: Scheme| {
-            if rto_us.is_some() {
-                Err(ParseSchemeError(s.into()))
-            } else {
-                Ok(scheme)
-            }
-        };
-        match slug {
-            "expresspass" => fixed(Scheme::ExpressPass),
-            "expresspass-aeolus" => fixed(Scheme::ExpressPassAeolus),
-            "expresspass-oracle" => fixed(Scheme::ExpressPassOracle),
-            "expresspass-prioq" => Ok(Scheme::ExpressPassPrioQueue { rto: rto(10_000) }),
-            "homa" => Ok(Scheme::Homa { rto: rto(10_000) }),
-            "homa-eager" => Ok(Scheme::HomaEager { rto: rto(20) }),
-            "homa-aeolus" => fixed(Scheme::HomaAeolus),
-            "homa-oracle" => fixed(Scheme::HomaOracle),
-            "ndp" => fixed(Scheme::Ndp),
-            "ndp-aeolus" => fixed(Scheme::NdpAeolus),
-            "phost" => Ok(Scheme::PHost { rto: rto(10_000) }),
-            "phost-aeolus" => fixed(Scheme::PHostAeolus),
-            "dctcp" => Ok(Scheme::Dctcp { rto: rto(10_000) }),
-            "fastpass" => fixed(Scheme::Fastpass),
-            "fastpass-aeolus" => fixed(Scheme::FastpassAeolus),
-            _ => Err(ParseSchemeError(s.into())),
+        let err = || ParseSchemeError(s.into());
+        let (slug, rto_us) = s.split_once(':').map_or((s, None), |(slug, rto)| (slug, Some(rto)));
+        let mut scheme = TABLE.iter().find(|row| row.1 == slug).ok_or_else(err)?.0;
+        if let Some(rto_us) = rto_us {
+            let rto_us: u64 = rto_us.parse().map_err(|_| err())?;
+            *scheme.rto_slot().ok_or_else(err)? = us(rto_us);
         }
+        Ok(scheme)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeolus_sim::units::us;
 
     fn params() -> SchemeParams {
         SchemeParams::new(us(5))
+    }
+
+    fn parse(spec: &str) -> Scheme {
+        spec.parse().unwrap_or_else(|e| panic!("{spec}: {e}"))
     }
 
     #[test]
@@ -567,80 +509,67 @@ mod tests {
 
     #[test]
     fn route_policies() {
-        assert_eq!(Scheme::Ndp.route_policy(), RoutePolicy::Spray);
-        assert_eq!(Scheme::NdpAeolus.route_policy(), RoutePolicy::Spray);
-        assert_eq!(Scheme::HomaAeolus.route_policy(), RoutePolicy::Spray);
-        assert_eq!(Scheme::PHostAeolus.route_policy(), RoutePolicy::Spray);
-        assert_eq!(Scheme::ExpressPass.route_policy(), RoutePolicy::EcmpHash);
-        assert_eq!(Scheme::ExpressPassAeolus.route_policy(), RoutePolicy::EcmpHash);
-        assert_eq!(Scheme::Dctcp { rto: us(10_000) }.route_policy(), RoutePolicy::EcmpHash);
+        for slug in ["ndp", "ndp-aeolus", "homa-aeolus", "phost-aeolus"] {
+            assert_eq!(parse(slug).route_policy(), RoutePolicy::Spray, "{slug}");
+        }
+        for slug in ["expresspass", "expresspass-aeolus", "dctcp", "fastpass"] {
+            assert_eq!(parse(slug).route_policy(), RoutePolicy::EcmpHash, "{slug}");
+        }
     }
 
     #[test]
     fn all_schemes_build_queues_and_endpoints() {
         let p = params();
         // (Fastpass needs an arbiter node: covered by the harness tests.)
-        for s in all_schemes().into_iter().filter(|s| !s.needs_arbiter()) {
+        for s in Scheme::all().filter(|s| !s.needs_arbiter()) {
             for role in [PortRole::HostNic, PortRole::DownToHost, PortRole::SwitchToSwitch] {
                 let q = s.make_queue(&p, Rate::gbps(100), role, None);
-                assert_eq!(q.bytes(), 0, "{} queue starts empty", s.name());
+                assert_eq!(q.bytes(), 0, "{s} queue starts empty");
             }
             let _ep = s.make_endpoint(&p);
         }
     }
 
-    fn all_schemes() -> Vec<Scheme> {
-        vec![
-            Scheme::ExpressPass,
-            Scheme::ExpressPassAeolus,
-            Scheme::ExpressPassOracle,
-            Scheme::ExpressPassPrioQueue { rto: us(10_000) },
-            Scheme::Homa { rto: us(10_000) },
-            Scheme::HomaEager { rto: us(20) },
-            Scheme::HomaAeolus,
-            Scheme::HomaOracle,
-            Scheme::Ndp,
-            Scheme::NdpAeolus,
-            Scheme::PHost { rto: us(10_000) },
-            Scheme::PHostAeolus,
-            Scheme::Dctcp { rto: us(10_000) },
-            Scheme::Fastpass,
-            Scheme::FastpassAeolus,
-        ]
+    #[test]
+    fn the_table_has_one_row_per_variant() {
+        // `row()` finds rows by enum discriminant, so two rows for one
+        // variant would shadow each other.
+        let variants: std::collections::HashSet<_> =
+            Scheme::all().map(|s| discriminant(&s)).collect();
+        assert_eq!(variants.len(), TABLE.len());
+        // Only the RTO-driven first-RTT modes carry an RTO at all.
+        for (scheme, _, _, _, mode) in TABLE {
+            let rto_driven = matches!(mode, FirstRttMode::Blind | FirstRttMode::LowPrio);
+            assert!(scheme.rto().is_none() || rto_driven, "{scheme}: an RTO nothing reads");
+        }
     }
 
     #[test]
     fn names_and_labels_are_distinct() {
-        let schemes = all_schemes();
-        let names: std::collections::HashSet<&str> = schemes.iter().map(|s| s.name()).collect();
-        assert_eq!(names.len(), schemes.len());
-        let labels: std::collections::HashSet<String> =
-            schemes.iter().map(|s| s.label()).collect();
-        assert_eq!(labels.len(), schemes.len());
+        let names: std::collections::HashSet<&str> = Scheme::all().map(|s| s.name()).collect();
+        assert_eq!(names.len(), TABLE.len());
+        let labels: std::collections::HashSet<String> = Scheme::all().map(|s| s.label()).collect();
+        assert_eq!(labels.len(), TABLE.len());
     }
 
     #[test]
     fn name_round_trips_through_from_str() {
         // Property: for every scheme and every RTO in a sampled grid,
         // parsing the printed form reproduces the scheme exactly.
-        for scheme in all_schemes() {
-            let parsed: Scheme = scheme.name().parse().expect("bare slug parses");
-            assert_eq!(parsed.name(), scheme.name(), "slug round-trip");
-        }
-        for rto_us in [1u64, 20, 200, 10_000, 1_000_000] {
-            for slug in ["expresspass-prioq", "homa", "homa-eager", "phost", "dctcp"] {
-                let spec = format!("{slug}:{rto_us}");
-                let parsed: Scheme = spec.parse().expect("rto-suffixed slug parses");
-                let rto = match parsed {
-                    Scheme::ExpressPassPrioQueue { rto }
-                    | Scheme::Homa { rto }
-                    | Scheme::HomaEager { rto }
-                    | Scheme::PHost { rto }
-                    | Scheme::Dctcp { rto } => rto,
-                    other => panic!("{spec} parsed to non-RTO scheme {other:?}"),
-                };
-                assert_eq!(rto, us(rto_us), "{spec} preserves the timeout");
-                assert_eq!(parsed.name(), slug, "{spec} keeps its slug");
+        for scheme in Scheme::all() {
+            assert_eq!(parse(scheme.name()), scheme, "the bare slug is the paper default");
+            assert_eq!(parse(&scheme.to_string()), scheme, "Display round-trips");
+            for rto_us in [1u64, 20, 200, 10_000, 1_000_000] {
+                let spec = format!("{}:{rto_us}", scheme.name());
+                if scheme.rto().is_none() {
+                    assert!(spec.parse::<Scheme>().is_err(), "{spec}: no RTO to set");
+                    continue;
+                }
+                let parsed = parse(&spec);
+                assert_eq!(parsed.rto(), Some(us(rto_us)), "{spec} preserves the timeout");
+                assert_eq!(parsed.to_string(), spec, "{spec} prints as it was spelled");
+                assert_eq!(parse(&parsed.to_string()), parsed, "{spec} round-trips");
+                assert_eq!(parsed.name(), scheme.name(), "{spec} keeps its slug");
             }
         }
     }
@@ -652,5 +581,17 @@ mod tests {
         assert!("tcp-vegas".parse::<Scheme>().is_err());
         assert!("homa:abc".parse::<Scheme>().is_err());
         assert!("homa:".parse::<Scheme>().is_err());
+    }
+
+    #[test]
+    fn parse_error_lists_the_valid_spellings() {
+        let err = "tcp-vegas".parse::<Scheme>().unwrap_err().to_string();
+        assert!(err.starts_with("unknown scheme 'tcp-vegas'"), "{err}");
+        for scheme in Scheme::all() {
+            // RTO-carrying schemes are listed with their default timeout,
+            // which is how the message says who takes `:<rto_us>`.
+            assert!(err.contains(&format!(" {scheme}")), "{scheme} missing from: {err}");
+        }
+        assert!(err.contains("homa:10000,") && err.contains("homa-aeolus,"), "{err}");
     }
 }

@@ -283,34 +283,6 @@ fn dctcp_survives_incast_with_ecn_backoff() {
 }
 
 #[test]
-fn wred_and_red_ecn_switch_paths_agree_end_to_end() {
-    // §4.1 offers two deployments of selective dropping; a full incast run
-    // must produce identical FCTs under either.
-    let run = |use_wred: bool| {
-        let mut params = SchemeParams::new(0);
-        params.use_wred = use_wred;
-        let mut h = SchemeBuilder::new(Scheme::ExpressPassAeolus).params(params).topology(testbed()).build();
-        let hosts = h.hosts().to_vec();
-        let flows: Vec<FlowDesc> = (0..7)
-            .map(|i| FlowDesc {
-                id: FlowId(i + 1),
-                src: hosts[i as usize + 1],
-                dst: hosts[0],
-                size: 80_000,
-                start: 0,
-            })
-            .collect();
-        h.schedule(&flows);
-        assert!(h.run(ms(2000)));
-        let mut fcts: Vec<(u64, u64)> =
-            h.metrics().flows().map(|r| (r.desc.id.0, r.fct().unwrap())).collect();
-        fcts.sort_unstable();
-        fcts
-    };
-    assert_eq!(run(false), run(true), "WRED and RED/ECN must be byte-for-byte equivalent");
-}
-
-#[test]
 fn recovery_survives_random_packet_corruption() {
     // Fault injection: 0.5% of all packets (any class, control included)
     // are corrupted on the wire. Every scheme's backstop machinery must

@@ -20,25 +20,6 @@ fn small_leaf_spine() -> TopoSpec {
     }
 }
 
-fn all_schemes() -> Vec<Scheme> {
-    vec![
-        Scheme::ExpressPass,
-        Scheme::ExpressPassAeolus,
-        Scheme::ExpressPassOracle,
-        Scheme::ExpressPassPrioQueue { rto: ms(10) },
-        Scheme::Homa { rto: ms(10) },
-        Scheme::HomaAeolus,
-        Scheme::HomaOracle,
-        Scheme::Ndp,
-        Scheme::NdpAeolus,
-        Scheme::PHost { rto: ms(10) },
-        Scheme::PHostAeolus,
-        Scheme::Dctcp { rto: ms(10) },
-        Scheme::Fastpass,
-        Scheme::FastpassAeolus,
-    ]
-}
-
 fn run_one(scheme: Scheme, spec: TopoSpec, flows: &[FlowDesc], horizon: u64) -> Harness {
     let mut h = SchemeBuilder::new(scheme).topology(spec).build();
     h.schedule(flows);
@@ -70,7 +51,7 @@ fn pair_flows(h: &Harness, sizes: &[u64]) -> Vec<FlowDesc> {
 
 #[test]
 fn every_scheme_delivers_single_small_flow() {
-    for scheme in all_schemes() {
+    for scheme in Scheme::all() {
         let h = SchemeBuilder::new(scheme).topology(testbed()).build();
         let flows =
             vec![FlowDesc { id: FlowId(1), src: h.hosts()[1], dst: h.hosts()[0], size: 3_000, start: 0 }];
@@ -82,7 +63,7 @@ fn every_scheme_delivers_single_small_flow() {
 
 #[test]
 fn every_scheme_delivers_single_large_flow() {
-    for scheme in all_schemes() {
+    for scheme in Scheme::all() {
         let h = SchemeBuilder::new(scheme).topology(testbed()).build();
         let flows = vec![FlowDesc {
             id: FlowId(1),
@@ -99,7 +80,7 @@ fn every_scheme_delivers_single_large_flow() {
 
 #[test]
 fn every_scheme_survives_7_to_1_incast() {
-    for scheme in all_schemes() {
+    for scheme in Scheme::all() {
         let h = SchemeBuilder::new(scheme).topology(testbed()).build();
         let flows = pair_flows(&h, &[40_000; 7]);
         let h = run_one(scheme, testbed(), &flows, ms(2000));
@@ -109,7 +90,7 @@ fn every_scheme_survives_7_to_1_incast() {
 
 #[test]
 fn every_scheme_works_on_leaf_spine_cross_traffic() {
-    for scheme in all_schemes() {
+    for scheme in Scheme::all() {
         let h = SchemeBuilder::new(scheme).topology(small_leaf_spine()).build();
         let hosts = h.hosts().to_vec();
         // Cross-rack flows in both directions plus one intra-rack flow.

@@ -151,6 +151,12 @@ cargo run --release -q -p aeolus-experiments --bin repro -- fuzz --cases 25 --se
 # violation panics the run instead of reaching the report.
 cargo run --release -q -p aeolus-experiments --bin repro -- fig1 --scale smoke --jobs 2 --check
 
+# And over the schemes no other step reaches except by fuzz luck: both
+# oracles (fig3), eager Homa (table1) and the low-priority-queue strawman at
+# both RTOs (table4), end to end under the same oracle.
+cargo run --release -q -p aeolus-experiments --bin repro -- \
+    fig3 table1 table4 --scale smoke --jobs 2 --check
+
 # Chaos smoke: the fault sweep (loss rate x fabric flap, all six schemes)
 # at smoke scale. Every cell runs under the completion watchdog — a single
 # hung flow anywhere panics the run with per-flow diagnostics, so a zero

@@ -15,25 +15,10 @@ use aeolus::prelude::*;
 use aeolus::sim::topology::LinkParams;
 use aeolus::sim::SimRng;
 
-/// All fourteen schemes the registry exposes (Fastpass variants included —
-/// the harness reserves their arbiter host).
+/// Every scheme the registry names (Fastpass variants included — the
+/// harness reserves their arbiter host).
 fn all_schemes() -> Vec<Scheme> {
-    vec![
-        Scheme::ExpressPass,
-        Scheme::ExpressPassAeolus,
-        Scheme::ExpressPassOracle,
-        Scheme::ExpressPassPrioQueue { rto: ms(10) },
-        Scheme::Homa { rto: ms(10) },
-        Scheme::HomaAeolus,
-        Scheme::HomaOracle,
-        Scheme::Ndp,
-        Scheme::NdpAeolus,
-        Scheme::PHost { rto: ms(10) },
-        Scheme::PHostAeolus,
-        Scheme::Dctcp { rto: ms(10) },
-        Scheme::Fastpass,
-        Scheme::FastpassAeolus,
-    ]
+    Scheme::all().collect()
 }
 
 fn pick_scheme(rng: &mut SimRng) -> Scheme {
