@@ -347,7 +347,11 @@ fn main() {
         std::process::exit(2);
     }
     if let Some(spec) = trace {
-        let out = run_trace(&spec, aeolus_experiments::SchedulerKind::default());
+        let out = run_trace(
+            &spec,
+            aeolus_experiments::SchedulerKind::default(),
+            &aeolus_experiments::default_faults(),
+        );
         print!("{}", out.summary);
         let path = trace_out.unwrap_or_else(|| {
             std::path::PathBuf::from(format!("results/trace_{}.jsonl", spec.file_stem()))

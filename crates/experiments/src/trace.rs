@@ -15,7 +15,7 @@ use std::str::FromStr;
 
 use aeolus_sim::topology::LinkParams;
 use aeolus_sim::units::{ms, us, Time};
-use aeolus_sim::{FlowDesc, FlowId, RecordingTracer, SchedulerKind};
+use aeolus_sim::{FaultPlan, FlowDesc, FlowId, RecordingTracer, SchedulerKind};
 use aeolus_stats::sparkline;
 use aeolus_transport::{Scheme, SchemeBuilder, TopoSpec};
 
@@ -73,12 +73,13 @@ pub struct TraceOutput {
 const FANIN: usize = 7;
 const MSG_BYTES: u64 = 30_000;
 
-/// Run the canonical traced incast for `spec` on the given scheduler.
+/// Run the canonical traced incast for `spec` on the given scheduler, under
+/// `faults` (`repro` passes the session's `--faults` plan; empty = clean).
 ///
-/// Deterministic: identical `spec` and `kind` produce byte-identical
-/// [`TraceOutput::jsonl`] on every run, on any worker-thread count, and
-/// across both scheduler kinds.
-pub fn run_trace(spec: &TraceSpec, kind: SchedulerKind) -> TraceOutput {
+/// Deterministic: identical `spec`, `kind` and `faults` produce
+/// byte-identical [`TraceOutput::jsonl`] on every run, on any worker-thread
+/// count, and across both scheduler kinds.
+pub fn run_trace(spec: &TraceSpec, kind: SchedulerKind, faults: &FaultPlan) -> TraceOutput {
     let mut h = SchemeBuilder::new(spec.scheme)
         .topology(TopoSpec::SingleSwitch {
             hosts: 8,
@@ -90,10 +91,7 @@ pub fn run_trace(spec: &TraceSpec, kind: SchedulerKind) -> TraceOutput {
     // Faults go in *after* the scheduler swap: a non-empty plan arms its
     // window-transition events immediately, and set_scheduler requires a
     // quiescent queue.
-    let faults = crate::runner::default_faults();
-    if !faults.is_empty() {
-        h.topo.net.set_fault_plan(faults);
-    }
+    h.install_faults(faults);
     let hosts = h.hosts().to_vec();
     let mut flows = Vec::new();
     for round in 0..spec.rounds {
@@ -193,10 +191,11 @@ mod tests {
     #[test]
     fn jsonl_is_bit_identical_across_reruns_and_schedulers() {
         let spec: TraceSpec = "expresspass-aeolus".parse().unwrap();
-        let a = run_trace(&spec, SchedulerKind::TimingWheel);
-        let b = run_trace(&spec, SchedulerKind::TimingWheel);
+        let clean = FaultPlan::default();
+        let a = run_trace(&spec, SchedulerKind::TimingWheel, &clean);
+        let b = run_trace(&spec, SchedulerKind::TimingWheel, &clean);
         assert_eq!(a.jsonl, b.jsonl, "serial rerun must be bit-identical");
-        let c = run_trace(&spec, SchedulerKind::BinaryHeap);
+        let c = run_trace(&spec, SchedulerKind::BinaryHeap, &clean);
         assert_eq!(a.jsonl, c.jsonl, "scheduler kind must not leak into the trace");
         assert!(a.jsonl.lines().any(|l| l.contains("\"type\":\"queue\"")));
         assert!(a.jsonl.lines().any(|l| l.contains("\"type\":\"transport\"")));
@@ -205,7 +204,9 @@ mod tests {
     #[test]
     fn jsonl_is_identical_under_parallel_execution() {
         let spec: TraceSpec = "homa-aeolus".parse().unwrap();
-        let runs = parallel_map(&[(); 4], |_| run_trace(&spec, SchedulerKind::TimingWheel).jsonl);
+        let runs = parallel_map(&[(); 4], |_| {
+            run_trace(&spec, SchedulerKind::TimingWheel, &FaultPlan::default()).jsonl
+        });
         assert!(runs.windows(2).all(|w| w[0] == w[1]), "worker threads must not perturb the trace");
     }
 
@@ -215,8 +216,37 @@ mod tests {
         // trace must show drops at the fan-in port and retransmissions
         // recovering them.
         let spec: TraceSpec = "expresspass-aeolus".parse().unwrap();
-        let out = run_trace(&spec, SchedulerKind::TimingWheel);
+        let out = run_trace(&spec, SchedulerKind::TimingWheel, &FaultPlan::default());
         assert!(out.jsonl.contains("\"ev\":\"drop\""), "expected selective drops in the capture");
         assert!(out.summary.contains("flows completed"));
+    }
+
+    #[test]
+    fn traced_fastpass_binds_node_faults_as_the_harness_does() {
+        // `--trace` installs its plan after the scheduler swap; it used to
+        // hand it to the engine, which knew neither the arbiter nor that it
+        // is not a workload host. On the 8-host testbed the arbiter is the
+        // last host, node 8, and workload hosts are nodes 1..=7.
+        let spec: TraceSpec = "fastpass-aeolus".parse().unwrap();
+        let plan: FaultPlan =
+            "arbiter=950us..1050us, partition=1100us..1300us, crash=8@30us..60us".parse().unwrap();
+        let out = run_trace(&spec, SchedulerKind::TimingWheel, &plan);
+        let faults: Vec<&str> =
+            out.jsonl.lines().filter(|l| l.starts_with("{\"type\":\"fault\"")).collect();
+        let has = |at: u64, ev: &str| {
+            faults.iter().any(|l| l.contains(&format!("\"at\":{at},\"ev\":{ev}")))
+        };
+        // The outage takes the arbiter host down across the second round's
+        // requests and brings it back.
+        assert!(has(950_000_000, "\"node_crash\",\"node\":8"), "{faults:#?}");
+        assert!(has(1_050_000_000, "\"node_restart\",\"node\":8"));
+        // Seven workload hosts: the partition darkens the last three, one
+        // link window each after none declared — and never an eighth.
+        assert_eq!(faults.iter().filter(|l| l.contains("\"ev\":\"window_start\"")).count(), 3);
+        assert!(has(1_100_000_000, "\"window_start\",\"window\":2,"));
+        // `crash=8` wraps over the seven workload hosts to the second one,
+        // not onto the arbiter.
+        assert!(has(30_000_000, "\"node_crash\",\"node\":2"), "{faults:#?}");
+        assert_eq!(faults.iter().filter(|l| l.contains("\"ev\":\"node_crash\"")).count(), 2);
     }
 }

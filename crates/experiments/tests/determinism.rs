@@ -95,12 +95,10 @@ fn faulted_runs_are_bit_identical_across_reruns_and_schedulers() {
         let run = |kind: SchedulerKind| {
             let mut h = SchemeBuilder::new(scheme).topology(testbed()).build();
             // Scheduler first (it must see an empty queue), then the fault
-            // plan (it schedules its window events immediately), resolved
-            // the way the harness would have at build time.
+            // plan (it schedules its window events immediately), through
+            // the entry the harness itself uses at build time.
             h.topo.net.set_scheduler(kind);
-            let mut plan = plan.clone();
-            plan.resolve(h.hosts(), h.params.arbiter);
-            h.topo.net.set_fault_plan(plan);
+            h.install_faults(plan);
             let hosts = h.hosts().to_vec();
             let flows = incast_rounds(&hosts[1..], hosts[0], 30_000, 3, ms(2), 0, 1);
             h.schedule(&flows);
@@ -118,7 +116,7 @@ fn faulted_runs_are_bit_identical_across_reruns_and_schedulers() {
         assert_eq!(first, rerun, "{what}: faulted rerun diverged");
         assert_eq!(first, heap, "{what}: faulted wheel vs heap diverged");
         assert!(first.1 > 0, "{what}: fault plan injected no drops");
-        if !plan.node_windows.is_empty() {
+        if plan.has_node_faults() {
             assert!(first.2.iter().any(|f| f.2 > 0), "{what}: the crash restarted no flow");
         }
     }

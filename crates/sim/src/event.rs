@@ -64,23 +64,14 @@ pub enum Event {
         /// 40 bytes.
         flow: Box<FlowDesc>,
     },
-    /// A fault-plan link window transitions (start or end). The network
-    /// re-kicks the affected ports so stalled queues wake up when a link
-    /// comes back. Only scheduled when a non-empty fault plan is installed.
-    FaultWindow {
-        /// Index into the plan's window list.
+    /// A fault window transitions (start or end): a link window re-kicks
+    /// the ports it covers so stalled queues wake up when a link comes back;
+    /// a node window crashes or restarts its node. Only scheduled when a
+    /// non-empty fault plan is installed.
+    Fault {
+        /// Index into the installed plan's bound window list.
         window: usize,
         /// True at the window start, false at its end.
-        start: bool,
-    },
-    /// A fault-plan node window transitions (crash or restart). At the
-    /// start the network purges the dead node's queues, wipes its endpoint
-    /// and aborts its flows; at the end it re-kicks adjacent ports and
-    /// relaunches aborted flows. Only scheduled for non-empty plans.
-    NodeFault {
-        /// Index into the plan's node-window list.
-        window: usize,
-        /// True at the crash instant, false at the restart.
         start: bool,
     },
 }

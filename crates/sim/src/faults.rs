@@ -1,15 +1,37 @@
-//! Deterministic fault injection: corruption loss, link flaps and degraded
-//! links.
+//! Deterministic fault injection: corruption loss, link flaps, degraded
+//! links, host crashes, arbiter outages and pod partitions.
 //!
 //! The Aeolus paper's recovery argument (§3.3) assumes scheduled packets are
 //! lost only to congestion. A [`FaultPlan`] breaks that assumption on
 //! purpose: it attaches non-congestion loss to the engine so the transports'
 //! recovery machinery can be exercised against a hostile fabric.
 //!
-//! Three fault classes are modelled, all evaluated at the egress link (after
-//! the queue discipline, i.e. the failure happens *on the wire*, never
-//! inside the switch buffer — corruption loss is accounted separately from
-//! selective dropping by construction):
+//! One window type, [`Window`], in two representations:
+//!
+//! - **As written** — [`FaultPlan`]: a seed, the corruption rules and a list
+//!   of `Window<Fault>`. A [`Fault`] is symbolic: it names links by
+//!   [`LinkFilter`], a crashed host by its *index* in the workload host
+//!   list, and "the arbiter" and "a partition" by nothing at all. The text
+//!   grammar ([`FromStr`] / [`fmt::Display`]), the builder methods, plan
+//!   equality, the fuzzer's shrinker and the result cache all work on this
+//!   form, and it never holds a node id for a crash — there is no
+//!   half-resolved plan.
+//! - **As run** — [`FaultIndex`]: the same windows as `Window<Effect>`, bound
+//!   to one topology. [`FaultIndex::new`] is the only place symbols meet node
+//!   ids, and who calls it decides what they mean: the harness
+//!   (`Harness::install_faults`) passes its workload host list, which
+//!   excludes a Fastpass arbiter, and the arbiter's id when the scheme has
+//!   one. `crash=i` binds to `hosts[i % len]`; `arbiter=` is a crash of the
+//!   arbiter host where there is one and a credit [`Effect::Blackout`] where
+//!   the credit source is every receiver NIC; `partition=` darkens every
+//!   link adjacent to the upper half of `hosts`. The index also keeps the
+//!   subset of its windows open right now, so the engine's per-packet
+//!   questions ([`link_down_at`], [`cut_reason`], ...) cost O(open windows).
+//!
+//! Every effect acts at the egress link (after the queue discipline, i.e.
+//! the failure happens *on the wire*, never inside the switch buffer —
+//! corruption loss is accounted separately from selective dropping by
+//! construction) or at the dead node's NIC:
 //!
 //! - **Corruption loss** ([`CorruptionRule`]): an independent Bernoulli draw
 //!   per transmitted packet from the plan's own seeded [`SimRng`], optionally
@@ -24,6 +46,10 @@
 //!   multiplied by an integer slowdown factor, modelling a link renegotiated
 //!   to a lower rate. Integer factors keep serialization times exact, so
 //!   determinism is preserved bit-for-bit.
+//! - **Dead nodes** ([`Effect::Crash`], [`Effect::ArbiterDown`]): every link
+//!   touching the node is down and arrivals die at its NIC.
+//! - **Credit blackouts** ([`Effect::Blackout`]): credit-carrying control
+//!   packets die at egress.
 //!
 //! Determinism: the plan owns its RNG seed, and every fault decision is a
 //! pure function of (plan, packet transmission order). An **empty plan draws
@@ -34,6 +60,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::packet::{NodeId, Packet, PacketKind, PortId, TrafficClass};
+use crate::queues::DropReason;
 use crate::rng::SimRng;
 use crate::units::{Time, PS_PER_MS, PS_PER_NS, PS_PER_SEC, PS_PER_US};
 
@@ -120,8 +147,7 @@ pub struct CorruptionRule {
     /// Which links the rule targets.
     pub links: LinkFilter,
 }
-
-/// What happens to a link inside a [`LinkWindow`].
+/// What happens to a link inside a link window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowKind {
     /// The link carries nothing; queued packets stall, in-flight packets
@@ -135,21 +161,19 @@ pub enum WindowKind {
     },
 }
 
-/// A scheduled `[from, until)` window during which matching links are down
-/// or degraded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkWindow {
+/// A scheduled `[from, until)` window and what happens inside it: a
+/// [`Fault`] in the plan as written, an [`Effect`] in the index as run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window<W> {
     /// Window start (inclusive).
     pub from: Time,
     /// Window end (exclusive).
     pub until: Time,
-    /// Which links the window covers.
-    pub links: LinkFilter,
-    /// Down or degraded.
-    pub kind: WindowKind,
+    /// What happens in between.
+    pub what: W,
 }
 
-impl LinkWindow {
+impl<W> Window<W> {
     /// Is `t` inside the window?
     #[inline]
     pub fn covers(&self, t: Time) -> bool {
@@ -163,68 +187,35 @@ impl LinkWindow {
     }
 }
 
-/// Which node a node-fault directive targets.
-///
-/// The `--faults` grammar names workload hosts by index; the harness
-/// resolves indices against its host list (which excludes any arbiter)
-/// before installing the plan, so a spec is portable across topologies.
+/// What a window of the plan *as written* says. Symbolic: a crash names a
+/// host index, an arbiter outage and a partition name nothing, and only
+/// [`FaultIndex::new`] gives them a topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeSelector {
-    /// The i-th workload host, resolved at install time (modulo host count).
-    Host(usize),
-    /// A concrete node id (already resolved, or builder-targeted).
-    Node(NodeId),
-}
-
-/// What kind of node fault a [`NodeWindow`] models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeFaultKind {
-    /// Host crash/restart: per-flow transport state is wiped, queued packets
-    /// die, flows touching the host abort and relaunch on restart.
-    Crash,
-    /// Arbiter/controller outage: same mechanics as a crash, but drops are
-    /// accounted as [`crate::queues::DropReason::ArbiterDown`] and workload
-    /// flows are not aborted (only control state dies).
+pub enum Fault {
+    /// The matching links are down (`down=`) or degraded (`degrade=`).
+    Link(LinkFilter, WindowKind),
+    /// The i-th workload host (modulo the host count) is dead: `crash=I@`.
+    Crash(usize),
+    /// The arbiter / credit source is out: `arbiter=`.
     ArbiterOutage,
+    /// The upper half of the workload hosts is cut off: `partition=`.
+    Partition,
 }
 
-/// A scheduled `[from, until)` window during which one node is dead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeWindow {
-    /// Window start (inclusive): the crash instant.
-    pub from: Time,
-    /// Window end (exclusive): the restart instant.
-    pub until: Time,
-    /// The node that dies.
-    pub node: NodeSelector,
-    /// Crash or arbiter outage.
-    pub kind: NodeFaultKind,
-}
-
-impl NodeWindow {
-    /// Is `t` inside the window?
-    #[inline]
-    pub fn covers(&self, t: Time) -> bool {
-        self.from <= t && t < self.until
-    }
-
-    /// Does the window overlap the half-open interval `[t0, t1)`?
-    #[inline]
-    pub fn overlaps(&self, t0: Time, t1: Time) -> bool {
-        self.from < t1 && t0 < self.until
-    }
-
-    /// The resolved node, if resolution has happened.
-    #[inline]
-    pub fn node_id(&self) -> Option<NodeId> {
-        match self.node {
-            NodeSelector::Node(n) => Some(n),
-            NodeSelector::Host(_) => None,
+impl Fault {
+    /// Where the fault's class stands in the order the grammar prints:
+    /// link windows, crashes, arbiter outages, partitions.
+    fn rank(&self) -> u8 {
+        match self {
+            Fault::Link(..) => 0,
+            Fault::Crash(_) => 1,
+            Fault::ArbiterOutage => 2,
+            Fault::Partition => 3,
         }
     }
 }
 
-/// A complete, seeded fault schedule for one run.
+/// A complete, seeded fault schedule for one run, as written.
 ///
 /// Plain data (`Clone + Send + Sync`), so it can ride inside scheme
 /// parameters through the parallel experiment runner. The default plan is
@@ -235,23 +226,13 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Bernoulli corruption rules, evaluated in order (first match draws).
     pub corruption: Vec<CorruptionRule>,
-    /// Scheduled down/degraded windows.
-    pub windows: Vec<LinkWindow>,
-    /// Node crash / arbiter-outage windows (`crash=` directives, plus
-    /// resolved `arbiter=` windows on schemes that have an arbiter host).
-    pub node_windows: Vec<NodeWindow>,
-    /// Raw `arbiter=` windows, awaiting resolution: on schemes with an
-    /// arbiter host they become [`NodeWindow`]s; on credit-based schemes
-    /// without one they become credit blackouts (the credit *source* —
-    /// the receiver NIC pacer in ExpressPass — stalls).
-    pub arbiter_outages: Vec<(Time, Time)>,
-    /// Raw `partition=` windows, awaiting resolution into coordinated
-    /// [`LinkFilter::Adjacent`] down windows over half the host set.
-    pub partitions: Vec<(Time, Time)>,
-    /// Resolved credit blackouts: during `[from, until)` every
-    /// credit-carrying control packet dies at egress with an
-    /// `ArbiterDown` drop. No RNG, no events — a pure per-transmit check.
-    pub blackouts: Vec<(Time, Time)>,
+    /// Every scheduled window, in the class order the grammar prints — link
+    /// windows, crashes, arbiter outages, partitions — and in call order
+    /// within a class (the builder methods keep it so). Plan equality,
+    /// `Display`, the shrinker's visiting order and the install order all
+    /// read this one list, so directive order *across* classes is not part
+    /// of a plan.
+    pub windows: Vec<Window<Fault>>,
 }
 
 impl FaultPlan {
@@ -267,238 +248,58 @@ impl FaultPlan {
         self
     }
 
-    /// Add a link-down window over `[from, until)`.
-    pub fn with_down(mut self, from: Time, until: Time, links: LinkFilter) -> FaultPlan {
-        assert!(from < until, "empty down window {from}..{until}");
-        self.windows.push(LinkWindow { from, until, links, kind: WindowKind::Down });
+    /// Add a window after the last one of its class.
+    fn with_window(mut self, from: Time, until: Time, what: Fault) -> FaultPlan {
+        assert!(from < until, "empty {what:?} window {from}..{until}");
+        let at = self.windows.partition_point(|w| w.what.rank() <= what.rank());
+        self.windows.insert(at, Window { from, until, what });
         self
+    }
+
+    /// Add a link-down window over `[from, until)`.
+    pub fn with_down(self, from: Time, until: Time, links: LinkFilter) -> FaultPlan {
+        self.with_window(from, until, Fault::Link(links, WindowKind::Down))
     }
 
     /// Add a degraded-rate window over `[from, until)` with an integer
     /// serialization-time multiplier.
     pub fn with_degraded(
-        mut self,
+        self,
         from: Time,
         until: Time,
         slowdown: u32,
         links: LinkFilter,
     ) -> FaultPlan {
-        assert!(from < until, "empty degraded window {from}..{until}");
         assert!(slowdown >= 1, "degraded slowdown must be >= 1");
-        self.windows.push(LinkWindow { from, until, links, kind: WindowKind::Degraded { slowdown } });
-        self
+        self.with_window(from, until, Fault::Link(links, WindowKind::Degraded { slowdown }))
     }
 
-    /// Crash the `host`-th workload host over `[from, until)` (resolved
-    /// against the harness's host list at install time).
-    pub fn with_crash(mut self, from: Time, until: Time, host: usize) -> FaultPlan {
-        assert!(from < until, "empty crash window {from}..{until}");
-        self.node_windows.push(NodeWindow {
-            from,
-            until,
-            node: NodeSelector::Host(host),
-            kind: NodeFaultKind::Crash,
-        });
-        self
-    }
-
-    /// Crash a concrete node over `[from, until)` (builder-only; bypasses
-    /// host-index resolution).
-    pub fn with_node_crash(mut self, from: Time, until: Time, node: NodeId) -> FaultPlan {
-        assert!(from < until, "empty crash window {from}..{until}");
-        self.node_windows.push(NodeWindow {
-            from,
-            until,
-            node: NodeSelector::Node(node),
-            kind: NodeFaultKind::Crash,
-        });
-        self
+    /// Crash the `host`-th workload host over `[from, until)`.
+    pub fn with_crash(self, from: Time, until: Time, host: usize) -> FaultPlan {
+        self.with_window(from, until, Fault::Crash(host))
     }
 
     /// Take the arbiter/controller down over `[from, until)`.
-    pub fn with_arbiter_outage(mut self, from: Time, until: Time) -> FaultPlan {
-        assert!(from < until, "empty arbiter window {from}..{until}");
-        self.arbiter_outages.push((from, until));
-        self
+    pub fn with_arbiter_outage(self, from: Time, until: Time) -> FaultPlan {
+        self.with_window(from, until, Fault::ArbiterOutage)
     }
 
     /// Partition the host set in half over `[from, until)`: every link
     /// adjacent to the upper half goes dark.
-    pub fn with_partition(mut self, from: Time, until: Time) -> FaultPlan {
-        assert!(from < until, "empty partition window {from}..{until}");
-        self.partitions.push((from, until));
-        self
+    pub fn with_partition(self, from: Time, until: Time) -> FaultPlan {
+        self.with_window(from, until, Fault::Partition)
     }
 
-    /// True when the plan injects nothing. Six `Vec::is_empty` tests, so the
-    /// engine evaluates it once, at install ([`FaultIndex::active`]): an
-    /// empty plan then costs one flag per event and draws no randomness; an
-    /// installed plan costs O(open windows) per transmission.
+    /// True when the plan injects nothing.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.corruption.is_empty()
-            && self.windows.is_empty()
-            && self.node_windows.is_empty()
-            && self.arbiter_outages.is_empty()
-            && self.partitions.is_empty()
-            && self.blackouts.is_empty()
+        self.corruption.is_empty() && self.windows.is_empty()
     }
 
     /// True when the plan carries node- or control-plane faults (crashes,
-    /// arbiter outages, partitions) in raw or resolved form.
+    /// arbiter outages, partitions).
     pub fn has_node_faults(&self) -> bool {
-        !self.node_windows.is_empty()
-            || !self.arbiter_outages.is_empty()
-            || !self.partitions.is_empty()
-            || !self.blackouts.is_empty()
-    }
-
-    /// True when every node-fault directive has been resolved to concrete
-    /// nodes / link windows (see [`FaultPlan::resolve`]).
-    pub fn is_resolved(&self) -> bool {
-        self.arbiter_outages.is_empty()
-            && self.partitions.is_empty()
-            && self.node_windows.iter().all(|w| w.node_id().is_some())
-    }
-
-    /// Resolve host-index selectors and control-plane directives against a
-    /// concrete topology: `hosts` is the workload host list (arbiter
-    /// excluded), `arbiter` the arbiter node for centralized schemes.
-    ///
-    /// - `crash=i@..` windows bind to `hosts[i % len]`.
-    /// - `arbiter=..` windows become a crash-like [`NodeWindow`] on the
-    ///   arbiter when one exists, else a credit blackout (ExpressPass-style
-    ///   credit-source stall).
-    /// - `partition=..` windows expand to coordinated
-    ///   [`LinkFilter::Adjacent`] down windows over the upper half of the
-    ///   host set.
-    ///
-    /// Idempotent; a plan without node faults is untouched.
-    pub fn resolve(&mut self, hosts: &[NodeId], arbiter: Option<NodeId>) {
-        for w in &mut self.node_windows {
-            if let NodeSelector::Host(i) = w.node {
-                assert!(!hosts.is_empty(), "crash directive with no hosts to resolve against");
-                w.node = NodeSelector::Node(hosts[i % hosts.len()]);
-            }
-        }
-        for (from, until) in self.arbiter_outages.drain(..) {
-            match arbiter {
-                Some(a) => self.node_windows.push(NodeWindow {
-                    from,
-                    until,
-                    node: NodeSelector::Node(a),
-                    kind: NodeFaultKind::ArbiterOutage,
-                }),
-                None => self.blackouts.push((from, until)),
-            }
-        }
-        for (from, until) in self.partitions.drain(..) {
-            // Upper half goes dark; with fewer than two hosts there is
-            // nothing to partition.
-            for &h in hosts.get(hosts.len().div_ceil(2)..).unwrap_or(&[]) {
-                self.windows.push(LinkWindow {
-                    from,
-                    until,
-                    links: LinkFilter::Adjacent(h),
-                    kind: WindowKind::Down,
-                });
-            }
-        }
-    }
-
-    /// Is `n` inside a crash/outage window at `t`? Requires a resolved plan.
-    #[inline]
-    pub fn node_down_at(&self, n: NodeId, t: Time) -> bool {
-        self.node_windows
-            .iter()
-            .any(|w| w.covers(t) && w.node == NodeSelector::Node(n))
-    }
-
-    /// The drop reason for traffic dying at dead node `n` at `t`:
-    /// `ArbiterDown` if an arbiter-outage window covers it, else `NodeDown`.
-    #[inline]
-    pub fn node_drop_reason(&self, n: NodeId, t: Time) -> crate::queues::DropReason {
-        let arbiter = self.node_windows.iter().any(|w| {
-            w.kind == NodeFaultKind::ArbiterOutage
-                && w.covers(t)
-                && w.node == NodeSelector::Node(n)
-        });
-        if arbiter {
-            crate::queues::DropReason::ArbiterDown
-        } else {
-            crate::queues::DropReason::NodeDown
-        }
-    }
-
-    /// Is the egress link `(node, port) -> to` down at `t`? True for link
-    /// down windows and whenever either endpoint node is crashed.
-    #[inline]
-    pub fn link_down_at(&self, node: NodeId, port: PortId, to: NodeId, t: Time) -> bool {
-        self.windows.iter().any(|w| {
-            w.kind == WindowKind::Down && w.covers(t) && w.links.matches(node, port, to)
-        }) || self
-            .node_windows
-            .iter()
-            .any(|w| w.covers(t) && (w.node == NodeSelector::Node(node) || w.node == NodeSelector::Node(to)))
-    }
-
-    /// If a down window (link or node) on `(node, port) -> to` overlaps
-    /// `[t0, t1)`, the drop reason for the cut: node faults take precedence
-    /// over link windows so the taxonomy names the root cause. Used to cut
-    /// packets whose serialization straddles a window start.
-    #[inline]
-    pub fn cut_reason(
-        &self,
-        node: NodeId,
-        port: PortId,
-        to: NodeId,
-        t0: Time,
-        t1: Time,
-    ) -> Option<crate::queues::DropReason> {
-        for w in &self.node_windows {
-            if w.overlaps(t0, t1)
-                && (w.node == NodeSelector::Node(node) || w.node == NodeSelector::Node(to))
-            {
-                return Some(match w.kind {
-                    NodeFaultKind::ArbiterOutage => crate::queues::DropReason::ArbiterDown,
-                    NodeFaultKind::Crash => crate::queues::DropReason::NodeDown,
-                });
-            }
-        }
-        for w in &self.windows {
-            if w.kind == WindowKind::Down && w.overlaps(t0, t1) && w.links.matches(node, port, to)
-            {
-                return Some(crate::queues::DropReason::LinkDown);
-            }
-        }
-        None
-    }
-
-    /// Does a credit blackout kill this transmission? True only for
-    /// credit-carrying control packets inside a blackout window.
-    #[inline]
-    pub fn blackout_kills(&self, pkt: &Packet, t: Time) -> bool {
-        !self.blackouts.is_empty()
-            && PacketFilter::Credit.matches(pkt)
-            && self.blackouts.iter().any(|b| span_covers(b, t))
-    }
-
-    /// Serialization-time multiplier for `(node, port) -> to` at `t` (1 =
-    /// full rate). Overlapping degraded windows compound via the maximum.
-    #[inline]
-    pub fn slowdown_at(&self, node: NodeId, port: PortId, to: NodeId, t: Time) -> u32 {
-        self.windows
-            .iter()
-            .filter_map(|w| match w.kind {
-                WindowKind::Degraded { slowdown }
-                    if w.covers(t) && w.links.matches(node, port, to) =>
-                {
-                    Some(slowdown)
-                }
-                _ => None,
-            })
-            .max()
-            .unwrap_or(1)
+        self.windows.iter().any(|w| !matches!(w.what, Fault::Link(..)))
     }
 
     /// Draw the corruption verdict for one transmission of `pkt` on
@@ -523,20 +324,124 @@ impl FaultPlan {
     }
 }
 
-/// Is `t` inside the half-open blackout `[from, until)`?
-#[inline]
-fn span_covers(&(from, until): &(Time, Time), t: Time) -> bool {
-    from <= t && t < until
+/// What a window does to one concrete topology.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Effect {
+    /// The matching links are down or degraded.
+    Link(LinkFilter, WindowKind),
+    /// Host crash/restart: per-flow transport state is wiped, queued packets
+    /// die as [`DropReason::NodeDown`], flows touching the host abort and
+    /// relaunch on restart.
+    Crash(NodeId),
+    /// Arbiter/controller host outage: same mechanics as a crash, but drops
+    /// are accounted as [`DropReason::ArbiterDown`] and workload flows are
+    /// not aborted (only control state dies).
+    ArbiterDown(NodeId),
+    /// Credit blackout: every credit-carrying control packet dies at egress
+    /// as [`DropReason::ArbiterDown`]. No RNG, no events — a pure
+    /// per-transmit check.
+    Blackout,
 }
 
-/// A resolved plan plus the subset of it that is open right now.
+impl Effect {
+    /// Why `(node, port) -> to` carries nothing under this effect, if it
+    /// does not: a down window on the link, or a dead node at either end.
+    #[inline]
+    fn severs(&self, node: NodeId, port: PortId, to: NodeId) -> Option<DropReason> {
+        match *self {
+            Effect::Link(links, WindowKind::Down) if links.matches(node, port, to) => {
+                Some(DropReason::LinkDown)
+            }
+            Effect::Crash(n) if n == node || n == to => Some(DropReason::NodeDown),
+            Effect::ArbiterDown(n) if n == node || n == to => Some(DropReason::ArbiterDown),
+            _ => None,
+        }
+    }
+}
+
+/// Is `n` inside a crash/outage window of `ws` at `t`?
+#[inline]
+pub fn node_down_at(ws: &[Window<Effect>], n: NodeId, t: Time) -> bool {
+    ws.iter()
+        .any(|w| w.covers(t) && matches!(w.what, Effect::Crash(d) | Effect::ArbiterDown(d) if d == n))
+}
+
+/// The drop reason for traffic dying at dead node `n` at `t`: `ArbiterDown`
+/// if an arbiter-outage window covers it, else `NodeDown`.
+#[inline]
+pub fn node_drop_reason(ws: &[Window<Effect>], n: NodeId, t: Time) -> DropReason {
+    if ws.iter().any(|w| w.covers(t) && w.what == Effect::ArbiterDown(n)) {
+        DropReason::ArbiterDown
+    } else {
+        DropReason::NodeDown
+    }
+}
+
+/// Is the egress link `(node, port) -> to` down at `t`? True for link down
+/// windows and whenever either endpoint node is dead.
+#[inline]
+pub fn link_down_at(
+    ws: &[Window<Effect>],
+    node: NodeId,
+    port: PortId,
+    to: NodeId,
+    t: Time,
+) -> bool {
+    ws.iter().any(|w| w.covers(t) && w.what.severs(node, port, to).is_some())
+}
+
+/// If a window severing `(node, port) -> to` overlaps `[t0, t1)`, the drop
+/// reason for the cut: node faults take precedence over link windows so the
+/// taxonomy names the root cause, and the first node window in list order
+/// names it. Used to cut packets whose serialization straddles a window
+/// start.
+#[inline]
+pub fn cut_reason(
+    ws: &[Window<Effect>],
+    node: NodeId,
+    port: PortId,
+    to: NodeId,
+    t0: Time,
+    t1: Time,
+) -> Option<DropReason> {
+    let mut cuts =
+        ws.iter().filter(|w| w.overlaps(t0, t1)).filter_map(|w| w.what.severs(node, port, to));
+    cuts.clone().find(|&r| r != DropReason::LinkDown).or_else(|| cuts.next())
+}
+
+/// Does a credit blackout kill this transmission? True only for
+/// credit-carrying control packets inside a blackout window.
+#[inline]
+pub fn blackout_kills(ws: &[Window<Effect>], pkt: &Packet, t: Time) -> bool {
+    ws.iter().any(|w| w.what == Effect::Blackout && w.covers(t))
+        && PacketFilter::Credit.matches(pkt)
+}
+
+/// Serialization-time multiplier for `(node, port) -> to` at `t` (1 = full
+/// rate). Overlapping degraded windows compound via the maximum.
+#[inline]
+pub fn slowdown_at(ws: &[Window<Effect>], node: NodeId, port: PortId, to: NodeId, t: Time) -> u32 {
+    ws.iter()
+        .filter_map(|w| match w.what {
+            Effect::Link(links, WindowKind::Degraded { slowdown })
+                if w.covers(t) && links.matches(node, port, to) =>
+            {
+                Some(slowdown)
+            }
+            _ => None,
+        })
+        .max()
+        .unwrap_or(1)
+}
+
+/// A plan bound to one topology, plus the subset of it that is open right
+/// now.
 ///
-/// The engine asks the plan the same questions at every transmission and
-/// every switch arrival, while windows are open for a small fraction of a
-/// run. The index keeps the link windows, node windows and blackouts that
-/// cover the current instant as a plan of their own ([`FaultIndex::open_at`])
-/// and answers point queries from that subset alone, so a query costs
-/// O(open windows) instead of O(plan).
+/// The engine asks the same questions at every transmission and every switch
+/// arrival, while windows are open for a small fraction of a run. The index
+/// keeps the windows that cover the current instant ([`FaultIndex::open_at`])
+/// and the predicates above answer point queries from that subset alone, so
+/// a query costs O(open windows) instead of O(plan).
 ///
 /// The open set is a pure function of (plan, `now`): [`FaultIndex::advance`]
 /// recomputes it by a full `covers(now)` scan whenever `now` reaches the next
@@ -546,10 +451,13 @@ fn span_covers(&(from, until): &(Time, Time), t: Time) -> bool {
 #[derive(Debug)]
 pub struct FaultIndex {
     plan: FaultPlan,
+    /// The plan's windows on this topology: link windows (declared, then
+    /// partition-expanded), node windows (crashes, then arbiter outages),
+    /// blackouts. First-match precedence reads this order.
+    windows: Vec<Window<Effect>>,
     active: bool,
-    /// Windows and blackouts of `plan` covering `[at, valid_until)`, in
-    /// plan order (first-match precedence carries over).
-    open: FaultPlan,
+    /// The windows covering `[at, valid_until)`, in `windows` order.
+    open: Vec<Window<Effect>>,
     at: Time,
     /// Earliest window boundary after `at`.
     valid_until: Time,
@@ -559,18 +467,54 @@ pub struct FaultIndex {
 
 impl Default for FaultIndex {
     fn default() -> FaultIndex {
-        FaultIndex::new(FaultPlan::default(), 0)
+        FaultIndex::new(&FaultPlan::default(), &[], None, 0)
     }
 }
 
 impl FaultIndex {
-    /// Index the resolved `plan`, starting at `now`.
-    pub fn new(plan: FaultPlan, now: Time) -> FaultIndex {
-        assert!(plan.is_resolved(), "fault index over an unresolved plan");
+    /// Bind `plan` to a topology, starting at `now`: `hosts` is the workload
+    /// host list (arbiter excluded), `arbiter` the arbiter node of a
+    /// centralized scheme.
+    ///
+    /// - `crash=i@..` binds to `hosts[i % len]`.
+    /// - `arbiter=..` is a crash-like [`Effect::ArbiterDown`] on the arbiter
+    ///   when one exists, else a credit [`Effect::Blackout`]
+    ///   (ExpressPass-style credit-source stall).
+    /// - `partition=..` expands to coordinated [`LinkFilter::Adjacent`] down
+    ///   windows over the upper half of the host set; with fewer than two
+    ///   hosts there is nothing to partition.
+    pub fn new(
+        plan: &FaultPlan,
+        hosts: &[NodeId],
+        arbiter: Option<NodeId>,
+        now: Time,
+    ) -> FaultIndex {
+        // `windows` collects the link windows, then takes the other two.
+        let (mut windows, mut nodes, mut blackouts) = (Vec::new(), Vec::new(), Vec::new());
+        for w in &plan.windows {
+            let during = |what| Window { from: w.from, until: w.until, what };
+            match w.what {
+                Fault::Link(links, kind) => windows.push(during(Effect::Link(links, kind))),
+                Fault::Crash(i) => {
+                    assert!(!hosts.is_empty(), "crash directive with no hosts to bind to");
+                    nodes.push(during(Effect::Crash(hosts[i % hosts.len()])));
+                }
+                Fault::ArbiterOutage => match arbiter {
+                    Some(a) => nodes.push(during(Effect::ArbiterDown(a))),
+                    None => blackouts.push(during(Effect::Blackout)),
+                },
+                Fault::Partition => windows.extend(hosts[hosts.len().div_ceil(2)..].iter().map(
+                    |&h| during(Effect::Link(LinkFilter::Adjacent(h), WindowKind::Down)),
+                )),
+            }
+        }
+        windows.append(&mut nodes);
+        windows.append(&mut blackouts);
         let mut idx = FaultIndex {
-            active: !plan.is_empty(),
-            plan,
-            open: FaultPlan::default(),
+            active: !(plan.corruption.is_empty() && windows.is_empty()),
+            plan: plan.clone(),
+            windows,
+            open: Vec::new(),
             at: now,
             valid_until: Time::MAX,
             next_start: Time::MAX,
@@ -579,12 +523,19 @@ impl FaultIndex {
         idx
     }
 
-    /// The full plan.
+    /// The plan as written.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
-    /// Does the plan inject anything at all? Evaluated once, at install.
+    /// Every window of the run, open or not.
+    pub fn windows(&self) -> &[Window<Effect>] {
+        &self.windows
+    }
+
+    /// Does the plan inject anything at all? Evaluated once, at install: an
+    /// empty plan then costs one flag per event and draws no randomness; an
+    /// installed plan costs O(open windows) per transmission.
     #[inline]
     pub fn active(&self) -> bool {
         self.active
@@ -600,29 +551,22 @@ impl FaultIndex {
     }
 
     fn refresh(&mut self, now: Time) {
-        let (plan, open) = (&self.plan, &mut self.open);
-        open.windows.clear();
-        open.windows.extend(plan.windows.iter().filter(|w| w.covers(now)).cloned());
-        open.node_windows.clear();
-        open.node_windows.extend(plan.node_windows.iter().filter(|w| w.covers(now)).cloned());
-        open.blackouts.clear();
-        open.blackouts.extend(plan.blackouts.iter().filter(|b| span_covers(b, now)));
-        let spans = (plan.windows.iter().map(|w| (w.from, w.until)))
-            .chain(plan.node_windows.iter().map(|w| (w.from, w.until)))
-            .chain(plan.blackouts.iter().copied());
-        let starts = spans.clone().map(|s| s.0);
-        self.next_start = starts.filter(|&t| t > now).min().unwrap_or(Time::MAX);
-        let next_end = spans.map(|s| s.1).filter(|&t| t > now).min().unwrap_or(Time::MAX);
+        self.open.clear();
+        self.open.extend(self.windows.iter().filter(|w| w.covers(now)));
+        let next = |edge: fn(&Window<Effect>) -> Time| {
+            self.windows.iter().map(edge).filter(|&t| t > now).min().unwrap_or(Time::MAX)
+        };
+        let (next_start, next_end) = (next(|w| w.from), next(|w| w.until));
         self.at = now;
-        self.valid_until = self.next_start.min(next_end);
+        self.valid_until = next_start.min(next_end);
+        self.next_start = next_start;
     }
 
-    /// The windows and blackouts open at `t`, as a plan: its point queries
-    /// (`node_down_at`, `link_down_at`, `slowdown_at`, `node_drop_reason`,
-    /// `blackout_kills`) at `t` answer as the full plan's do. `t` must be
-    /// the instant the index was advanced to.
+    /// The windows open at `t`: the point predicates at `t` answer over them
+    /// as they do over [`FaultIndex::windows`]. `t` must be the instant the
+    /// index was advanced to.
     #[inline]
-    pub fn open_at(&self, t: Time) -> &FaultPlan {
+    pub fn open_at(&self, t: Time) -> &[Window<Effect>] {
         debug_assert!(
             self.at <= t && t < self.valid_until,
             "fault index at [{}, {}) queried at {t}",
@@ -632,18 +576,10 @@ impl FaultIndex {
         &self.open
     }
 
-    /// Is every window closed at `t`? Then no link and no node is down or
-    /// degraded.
-    #[inline]
-    pub fn nothing_open(&self, t: Time) -> bool {
-        let open = self.open_at(t);
-        open.windows.is_empty() && open.node_windows.is_empty()
-    }
-
-    /// [`FaultPlan::cut_reason`] for a serialization `[t0, t1)` starting at
-    /// the instant the index was advanced to. Only a window open at `t0` or
-    /// starting inside the interval can overlap it, so the full plan is
-    /// scanned only when the packet straddles a window start.
+    /// [`cut_reason`] for a serialization `[t0, t1)` starting at the instant
+    /// the index was advanced to. Only a window open at `t0` or starting
+    /// inside the interval can overlap it, so the whole list is scanned only
+    /// when the packet straddles a window start.
     #[inline]
     pub fn cut_reason(
         &self,
@@ -652,12 +588,9 @@ impl FaultIndex {
         to: NodeId,
         t0: Time,
         t1: Time,
-    ) -> Option<crate::queues::DropReason> {
-        if t1 <= self.next_start {
-            self.open_at(t0).cut_reason(node, port, to, t0, t1)
-        } else {
-            self.plan.cut_reason(node, port, to, t0, t1)
-        }
+    ) -> Option<DropReason> {
+        let ws = if t1 <= self.next_start { self.open_at(t0) } else { &self.windows };
+        cut_reason(ws, node, port, to, t0, t1)
     }
 }
 
@@ -680,7 +613,13 @@ fn parse_time(s: &str) -> Result<Time, String> {
     if v < 0.0 {
         return Err(format!("negative time '{s}'"));
     }
-    Ok((v * scale as f64).round() as Time)
+    let ps = (v * scale as f64).round();
+    // `as Time` would saturate and the window silently end at `Time::MAX`.
+    // (`v` is a non-negative number or +inf here, never NaN.)
+    if ps >= 2f64.powi(64) {
+        return Err(format!("time '{s}' does not fit in picoseconds"));
+    }
+    Ok(ps as Time)
 }
 
 /// Parse a non-empty half-open window `FROM..UNTIL`.
@@ -708,6 +647,72 @@ fn parse_prob(s: &str) -> Result<f64, String> {
     Ok(v)
 }
 
+/// The corruption directives: grammar key and the packets it targets.
+const LOSS_KEYS: [(&str, PacketFilter); 8] = [
+    ("loss", PacketFilter::Any),
+    ("data-loss", PacketFilter::Data),
+    ("ctrl-loss", PacketFilter::Control),
+    ("credit-loss", PacketFilter::Credit),
+    ("ack-loss", PacketFilter::Ack),
+    ("probe-loss", PacketFilter::Probe),
+    ("sched-loss", PacketFilter::Scheduled),
+    ("unsched-loss", PacketFilter::Unscheduled),
+];
+
+impl FaultPlan {
+    /// Apply one `KEY=VALUE` directive of the `--faults` grammar.
+    fn with_directive(mut self, key: &str, val: &str) -> Result<FaultPlan, String> {
+        if let Some(&(_, filter)) = LOSS_KEYS.iter().find(|(k, _)| *k == key) {
+            return Ok(self.with_loss(parse_prob(val)?, filter, LinkFilter::All));
+        }
+        // A window that takes nothing before or after an `@`.
+        let bare = |extra: &str| {
+            if val.contains('@') {
+                return Err(format!("'{key}' takes no @{extra}"));
+            }
+            parse_window(val)
+        };
+        Ok(match key {
+            "seed" => {
+                self.seed = val.parse().map_err(|_| format!("bad seed '{val}'"))?;
+                self
+            }
+            "down" => {
+                let (from, until) = bare("factor")?;
+                self.with_down(from, until, LinkFilter::All)
+            }
+            "degrade" => {
+                let (range, n) = val
+                    .split_once('@')
+                    .ok_or("'degrade' needs an @factor, e.g. degrade=1ms..2ms@4")?;
+                let n: u32 = n.parse().map_err(|_| format!("bad slowdown '{n}'"))?;
+                if n < 1 {
+                    return Err("slowdown must be >= 1".into());
+                }
+                let (from, until) = parse_window(range)?;
+                self.with_degraded(from, until, n, LinkFilter::All)
+            }
+            "crash" => {
+                let (host, range) = val
+                    .split_once('@')
+                    .ok_or("'crash' needs a host index, e.g. crash=0@1ms..2ms")?;
+                let host = host.parse().map_err(|_| format!("bad host index '{host}'"))?;
+                let (from, until) = parse_window(range)?;
+                self.with_crash(from, until, host)
+            }
+            "arbiter" => {
+                let (from, until) = bare("host")?;
+                self.with_arbiter_outage(from, until)
+            }
+            "partition" => {
+                let (from, until) = bare("host")?;
+                self.with_partition(from, until)
+            }
+            _ => return Err(format!("unknown fault directive '{key}'")),
+        })
+    }
+}
+
 impl FromStr for FaultPlan {
     type Err = String;
 
@@ -725,91 +730,15 @@ impl FromStr for FaultPlan {
     /// - `seed=N` — corruption RNG seed (default 0)
     ///
     /// All link directives apply to every link; class/direction targeting
-    /// beyond this grammar is available through the builder API.
+    /// beyond this grammar is available through the builder API. Every
+    /// error names the directive it is about.
     fn from_str(s: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for tok in s.split(',').map(str::trim).filter(|t| !t.is_empty()) {
             let (key, val) = tok
                 .split_once('=')
                 .ok_or_else(|| format!("fault directive '{tok}' is not KEY=VALUE"))?;
-            let filter = match key {
-                "loss" => Some(PacketFilter::Any),
-                "data-loss" => Some(PacketFilter::Data),
-                "ctrl-loss" => Some(PacketFilter::Control),
-                "credit-loss" => Some(PacketFilter::Credit),
-                "ack-loss" => Some(PacketFilter::Ack),
-                "probe-loss" => Some(PacketFilter::Probe),
-                "sched-loss" => Some(PacketFilter::Scheduled),
-                "unsched-loss" => Some(PacketFilter::Unscheduled),
-                _ => None,
-            };
-            if let Some(filter) = filter {
-                plan = plan.with_loss(parse_prob(val)?, filter, LinkFilter::All);
-                continue;
-            }
-            match key {
-                "seed" => {
-                    plan.seed = val.parse().map_err(|_| format!("bad seed '{val}'"))?;
-                }
-                "down" | "degrade" => {
-                    let (range, slow) = match val.split_once('@') {
-                        Some((r, n)) => {
-                            if key == "down" {
-                                return Err(format!("'down' takes no @factor: '{tok}'"));
-                            }
-                            let n: u32 =
-                                n.parse().map_err(|_| format!("bad slowdown '{n}' in '{tok}'"))?;
-                            if n < 1 {
-                                return Err(format!("slowdown must be >= 1 in '{tok}'"));
-                            }
-                            (r, Some(n))
-                        }
-                        None => {
-                            if key == "degrade" {
-                                return Err(format!(
-                                    "'degrade' needs an @factor, e.g. degrade=1ms..2ms@4"
-                                ));
-                            }
-                            (val, None)
-                        }
-                    };
-                    let (from, until) = range
-                        .split_once("..")
-                        .ok_or_else(|| format!("window '{range}' is not FROM..UNTIL"))?;
-                    let (from, until) = (parse_time(from)?, parse_time(until)?);
-                    if from >= until {
-                        return Err(format!("empty window '{range}'"));
-                    }
-                    plan = match slow {
-                        Some(n) => plan.with_degraded(from, until, n, LinkFilter::All),
-                        None => plan.with_down(from, until, LinkFilter::All),
-                    };
-                }
-                "crash" => {
-                    let (host, range) = val.split_once('@').ok_or_else(|| {
-                        format!("'crash' needs a host index, e.g. crash=0@1ms..2ms: '{tok}'")
-                    })?;
-                    let host: usize =
-                        host.parse().map_err(|_| format!("bad host index '{host}' in '{tok}'"))?;
-                    let (from, until) = parse_window(range)?;
-                    plan = plan.with_crash(from, until, host);
-                }
-                "arbiter" => {
-                    if val.contains('@') {
-                        return Err(format!("'arbiter' takes no @host: '{tok}'"));
-                    }
-                    let (from, until) = parse_window(val)?;
-                    plan = plan.with_arbiter_outage(from, until);
-                }
-                "partition" => {
-                    if val.contains('@') {
-                        return Err(format!("'partition' takes no @host: '{tok}'"));
-                    }
-                    let (from, until) = parse_window(val)?;
-                    plan = plan.with_partition(from, until);
-                }
-                _ => return Err(format!("unknown fault directive '{key}'")),
-            }
+            plan = plan.with_directive(key, val).map_err(|e| format!("{e} in '{tok}'"))?;
         }
         Ok(plan)
     }
@@ -831,77 +760,35 @@ fn fmt_time(t: Time) -> String {
     format!("{t}")
 }
 
+impl fmt::Display for Window<Fault> {
+    /// The window's directive. Link targeting beyond [`LinkFilter::All`]
+    /// (builder-only) is not expressible and renders as the all-links form.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let span = format!("{}..{}", fmt_time(self.from), fmt_time(self.until));
+        match self.what {
+            Fault::Link(_, WindowKind::Down) => write!(f, "down={span}"),
+            Fault::Link(_, WindowKind::Degraded { slowdown }) => {
+                write!(f, "degrade={span}@{slowdown}")
+            }
+            Fault::Crash(host) => write!(f, "crash={host}@{span}"),
+            Fault::ArbiterOutage => write!(f, "arbiter={span}"),
+            Fault::Partition => write!(f, "partition={span}"),
+        }
+    }
+}
+
 impl fmt::Display for FaultPlan {
     /// The canonical `--faults` spec for this plan: `Display` then
     /// [`FromStr`] round-trips to an equal plan for every plan the grammar
-    /// can express. Link targeting beyond [`LinkFilter::All`] (builder-only)
-    /// is not expressible and renders as the all-links directive.
+    /// can express.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        let mut sep = |f: &mut fmt::Formatter<'_>| -> fmt::Result {
-            if first {
-                first = false;
-                Ok(())
-            } else {
-                write!(f, ", ")
-            }
+        let key = |filter| {
+            LOSS_KEYS.iter().find(|(_, of)| *of == filter).expect("every filter has a key").0
         };
-        for rule in &self.corruption {
-            let key = match rule.filter {
-                PacketFilter::Any => "loss",
-                PacketFilter::Data => "data-loss",
-                PacketFilter::Control => "ctrl-loss",
-                PacketFilter::Credit => "credit-loss",
-                PacketFilter::Ack => "ack-loss",
-                PacketFilter::Probe => "probe-loss",
-                PacketFilter::Scheduled => "sched-loss",
-                PacketFilter::Unscheduled => "unsched-loss",
-            };
-            sep(f)?;
-            write!(f, "{key}={}", rule.prob)?;
-        }
-        for w in &self.windows {
-            sep(f)?;
-            match w.kind {
-                WindowKind::Down => {
-                    write!(f, "down={}..{}", fmt_time(w.from), fmt_time(w.until))?;
-                }
-                WindowKind::Degraded { slowdown } => {
-                    write!(f, "degrade={}..{}@{slowdown}", fmt_time(w.from), fmt_time(w.until))?;
-                }
-            }
-        }
-        for w in &self.node_windows {
-            sep(f)?;
-            // Resolved selectors project the raw node id into the host-index
-            // position (like builder-only link filters, they are outside
-            // the grammar and render on a best-effort basis).
-            let idx = match w.node {
-                NodeSelector::Host(i) => i,
-                NodeSelector::Node(n) => n.0 as usize,
-            };
-            match w.kind {
-                NodeFaultKind::Crash => {
-                    write!(f, "crash={idx}@{}..{}", fmt_time(w.from), fmt_time(w.until))?;
-                }
-                NodeFaultKind::ArbiterOutage => {
-                    write!(f, "arbiter={}..{}", fmt_time(w.from), fmt_time(w.until))?;
-                }
-            }
-        }
-        for &(from, until) in &self.arbiter_outages {
-            sep(f)?;
-            write!(f, "arbiter={}..{}", fmt_time(from), fmt_time(until))?;
-        }
-        for &(from, until) in &self.partitions {
-            sep(f)?;
-            write!(f, "partition={}..{}", fmt_time(from), fmt_time(until))?;
-        }
-        if self.seed != 0 {
-            sep(f)?;
-            write!(f, "seed={}", self.seed)?;
-        }
-        Ok(())
+        let rules = self.corruption.iter().map(|r| format!("{}={}", key(r.filter), r.prob));
+        let windows = self.windows.iter().map(|w| w.to_string());
+        let seed = (self.seed != 0).then(|| format!("seed={}", self.seed));
+        f.write_str(&rules.chain(windows).chain(seed).collect::<Vec<_>>().join(", "))
     }
 }
 
@@ -924,6 +811,11 @@ mod tests {
         }
     }
 
+    /// Every window of a run of `plan` on `hosts` and `arbiter`.
+    fn bound(plan: &FaultPlan, hosts: &[NodeId], arbiter: Option<NodeId>) -> Vec<Window<Effect>> {
+        FaultIndex::new(plan, hosts, arbiter, 0).windows().to_vec()
+    }
+
     #[test]
     fn empty_plan_is_inert() {
         let plan = FaultPlan::default();
@@ -940,11 +832,13 @@ mod tests {
         ));
         // No rule matched, so the stream is untouched.
         assert_eq!(rng.next_u64(), before);
-        assert!(!plan.link_down_at(NodeId(0), PortId(0), NodeId(1), 0));
-        assert_eq!(plan.slowdown_at(NodeId(0), PortId(0), NodeId(1), 0), 1);
-        assert!(!plan.node_down_at(NodeId(0), 0));
         assert!(!plan.has_node_faults());
-        assert!(plan.is_resolved());
+        let idx = FaultIndex::new(&plan, &[NodeId(0), NodeId(1)], Some(NodeId(2)), 0);
+        assert!(!idx.active());
+        assert!(idx.windows().is_empty() && idx.open_at(0).is_empty());
+        assert!(!link_down_at(idx.open_at(0), NodeId(0), PortId(0), NodeId(1), 0));
+        assert_eq!(slowdown_at(idx.open_at(0), NodeId(0), PortId(0), NodeId(1), 0), 1);
+        assert!(!node_down_at(idx.open_at(0), NodeId(0), 0));
     }
 
     #[test]
@@ -967,12 +861,7 @@ mod tests {
 
     #[test]
     fn windows_cover_and_overlap_half_open() {
-        let w = LinkWindow {
-            from: ms(1),
-            until: ms(2),
-            links: LinkFilter::All,
-            kind: WindowKind::Down,
-        };
+        let w = Window { from: ms(1), until: ms(2), what: Fault::Partition };
         assert!(w.covers(ms(1)));
         assert!(!w.covers(ms(2)));
         assert!(w.overlaps(0, ms(1) + 1));
@@ -986,17 +875,16 @@ mod tests {
         let plan = FaultPlan::new(7)
             .with_down(ms(1), ms(2), LinkFilter::Node(NodeId(3)))
             .with_degraded(ms(1), ms(3), 4, LinkFilter::Link(NodeId(5), PortId(2)));
-        let far = NodeId(99);
-        assert!(plan.link_down_at(NodeId(3), PortId(0), far, ms(1)));
-        assert!(!plan.link_down_at(NodeId(4), PortId(0), far, ms(1)));
-        use crate::queues::DropReason;
+        let (ws, far) = (bound(&plan, &[], None), NodeId(99));
+        assert!(link_down_at(&ws, NodeId(3), PortId(0), far, ms(1)));
+        assert!(!link_down_at(&ws, NodeId(4), PortId(0), far, ms(1)));
         assert_eq!(
-            plan.cut_reason(NodeId(3), PortId(9), far, ms(2) - 1, ms(2)),
+            cut_reason(&ws, NodeId(3), PortId(9), far, ms(2) - 1, ms(2)),
             Some(DropReason::LinkDown)
         );
-        assert_eq!(plan.cut_reason(NodeId(3), PortId(9), far, ms(2), ms(3)), None);
-        assert_eq!(plan.slowdown_at(NodeId(5), PortId(2), far, ms(2)), 4);
-        assert_eq!(plan.slowdown_at(NodeId(5), PortId(1), far, ms(2)), 1);
+        assert_eq!(cut_reason(&ws, NodeId(3), PortId(9), far, ms(2), ms(3)), None);
+        assert_eq!(slowdown_at(&ws, NodeId(5), PortId(2), far, ms(2)), 4);
+        assert_eq!(slowdown_at(&ws, NodeId(5), PortId(1), far, ms(2)), 1);
     }
 
     #[test]
@@ -1009,74 +897,168 @@ mod tests {
 
     #[test]
     fn node_windows_cut_links_on_both_endpoints() {
-        let mut plan = FaultPlan::new(0).with_crash(ms(1), ms(2), 0);
+        let plan = FaultPlan::new(0).with_crash(ms(1), ms(2), 0);
         assert!(plan.has_node_faults());
-        assert!(!plan.is_resolved());
-        plan.resolve(&[NodeId(7), NodeId(8)], None);
-        assert!(plan.is_resolved());
-        assert!(plan.node_down_at(NodeId(7), ms(1)));
-        assert!(!plan.node_down_at(NodeId(7), ms(2)), "restart instant is alive");
-        assert!(!plan.node_down_at(NodeId(8), ms(1)));
+        let ws = bound(&plan, &[NodeId(7), NodeId(8)], None);
+        assert!(node_down_at(&ws, NodeId(7), ms(1)));
+        assert!(!node_down_at(&ws, NodeId(7), ms(2)), "restart instant is alive");
+        assert!(!node_down_at(&ws, NodeId(8), ms(1)));
         // The crashed node's egress and every link toward it are down.
-        assert!(plan.link_down_at(NodeId(7), PortId(0), NodeId(2), ms(1)));
-        assert!(plan.link_down_at(NodeId(2), PortId(5), NodeId(7), ms(1)));
-        assert!(!plan.link_down_at(NodeId(2), PortId(5), NodeId(8), ms(1)));
-        use crate::queues::DropReason;
+        assert!(link_down_at(&ws, NodeId(7), PortId(0), NodeId(2), ms(1)));
+        assert!(link_down_at(&ws, NodeId(2), PortId(5), NodeId(7), ms(1)));
+        assert!(!link_down_at(&ws, NodeId(2), PortId(5), NodeId(8), ms(1)));
         assert_eq!(
-            plan.cut_reason(NodeId(2), PortId(5), NodeId(7), ms(2) - 1, ms(2)),
+            cut_reason(&ws, NodeId(2), PortId(5), NodeId(7), ms(2) - 1, ms(2)),
             Some(DropReason::NodeDown)
         );
-        assert_eq!(plan.cut_reason(NodeId(2), PortId(5), NodeId(7), ms(2), ms(3)), None);
-        assert_eq!(plan.node_drop_reason(NodeId(7), ms(1)), DropReason::NodeDown);
+        assert_eq!(cut_reason(&ws, NodeId(2), PortId(5), NodeId(7), ms(2), ms(3)), None);
+        assert_eq!(node_drop_reason(&ws, NodeId(7), ms(1)), DropReason::NodeDown);
     }
 
     #[test]
     fn arbiter_outage_resolves_to_node_window_or_blackout() {
-        use crate::queues::DropReason;
-        // With an arbiter host: a crash-like window with arbiter taxonomy.
-        let mut with_arb = FaultPlan::new(0).with_arbiter_outage(ms(1), ms(2));
-        with_arb.resolve(&[NodeId(1)], Some(NodeId(9)));
-        assert!(with_arb.is_resolved());
-        assert!(with_arb.node_down_at(NodeId(9), ms(1)));
-        assert_eq!(with_arb.node_drop_reason(NodeId(9), ms(1)), DropReason::ArbiterDown);
-        assert_eq!(
-            with_arb.cut_reason(NodeId(9), PortId(0), NodeId(1), ms(1), ms(1) + 1),
-            Some(DropReason::ArbiterDown)
-        );
-        // Without one: a credit blackout killing credit-carrying packets.
-        let mut no_arb = FaultPlan::new(0).with_arbiter_outage(ms(1), ms(2));
-        no_arb.resolve(&[NodeId(1)], None);
-        assert!(no_arb.is_resolved());
-        assert_eq!(no_arb.blackouts, vec![(ms(1), ms(2))]);
+        let plan = FaultPlan::new(0).with_arbiter_outage(ms(1), ms(2));
+        assert!(plan.has_node_faults());
         let credit = pkt(PacketKind::Credit, TrafficClass::Control);
         let data = pkt(PacketKind::Data, TrafficClass::Scheduled);
-        assert!(no_arb.blackout_kills(&credit, ms(1)));
-        assert!(!no_arb.blackout_kills(&credit, ms(2)), "half-open window");
-        assert!(!no_arb.blackout_kills(&data, ms(1)), "data rides through a credit stall");
+        // With an arbiter host: a crash-like window with arbiter taxonomy.
+        let with_arb = bound(&plan, &[NodeId(1)], Some(NodeId(9)));
+        let during = |what| Window { from: ms(1), until: ms(2), what };
+        assert_eq!(with_arb, [during(Effect::ArbiterDown(NodeId(9)))]);
+        assert!(node_down_at(&with_arb, NodeId(9), ms(1)));
+        assert_eq!(node_drop_reason(&with_arb, NodeId(9), ms(1)), DropReason::ArbiterDown);
+        assert_eq!(
+            cut_reason(&with_arb, NodeId(9), PortId(0), NodeId(1), ms(1), ms(1) + 1),
+            Some(DropReason::ArbiterDown)
+        );
+        assert!(!blackout_kills(&with_arb, &credit, ms(1)), "the arbiter died, not the credits");
+        // Without one: a credit blackout killing credit-carrying packets.
+        let no_arb = bound(&plan, &[NodeId(1)], None);
+        assert_eq!(no_arb, [during(Effect::Blackout)]);
+        assert!(blackout_kills(&no_arb, &credit, ms(1)));
+        assert!(!blackout_kills(&no_arb, &credit, ms(2)), "half-open window");
+        assert!(!blackout_kills(&no_arb, &data, ms(1)), "data rides through a credit stall");
+        assert!(!node_down_at(&no_arb, NodeId(1), ms(1)), "and no node goes down");
+        assert!(!link_down_at(&no_arb, NodeId(1), PortId(0), NodeId(0), ms(1)));
     }
 
     #[test]
     fn partition_expands_to_adjacent_down_windows_over_upper_half() {
         let hosts = [NodeId(4), NodeId(5), NodeId(6), NodeId(7)];
-        let mut plan = FaultPlan::new(0).with_partition(ms(1), ms(2));
-        plan.resolve(&hosts, None);
-        assert!(plan.is_resolved());
-        assert_eq!(plan.windows.len(), 2, "upper half = two hosts");
-        for (w, h) in plan.windows.iter().zip([NodeId(6), NodeId(7)]) {
-            assert_eq!(w.kind, WindowKind::Down);
-            assert_eq!(w.links, LinkFilter::Adjacent(h));
-        }
+        let plan = FaultPlan::new(0).with_partition(ms(1), ms(2));
+        // The arbiter is not a workload host: no partition darkens it.
+        let ws = bound(&plan, &hosts, Some(NodeId(8)));
+        let dark = |h| Window {
+            from: ms(1),
+            until: ms(2),
+            what: Effect::Link(LinkFilter::Adjacent(NodeId(h)), WindowKind::Down),
+        };
+        assert_eq!(ws, [dark(6), dark(7)], "upper half = two hosts");
         // Cross-partition links are dark, intra-lower-half links are not.
-        assert!(plan.link_down_at(NodeId(0), PortId(2), NodeId(6), ms(1)));
-        assert!(plan.link_down_at(NodeId(7), PortId(0), NodeId(0), ms(1)));
-        assert!(!plan.link_down_at(NodeId(4), PortId(0), NodeId(5), ms(1)));
+        assert!(link_down_at(&ws, NodeId(0), PortId(2), NodeId(6), ms(1)));
+        assert!(link_down_at(&ws, NodeId(7), PortId(0), NodeId(0), ms(1)));
+        assert!(!link_down_at(&ws, NodeId(4), PortId(0), NodeId(5), ms(1)));
+        assert!(!link_down_at(&ws, NodeId(0), PortId(3), NodeId(8), ms(1)));
+        // Five hosts: the upper half is the last two. One host: nothing.
+        assert_eq!(bound(&plan, &hosts[..3], None), [dark(6)]);
+        assert_eq!(bound(&plan, &hosts[..1], None), []);
     }
 
     #[test]
     fn host_selector_resolution_wraps_modulo_host_count() {
-        let mut plan = FaultPlan::new(0).with_crash(ms(1), ms(2), 5);
-        plan.resolve(&[NodeId(10), NodeId(11)], None);
-        assert_eq!(plan.node_windows[0].node, NodeSelector::Node(NodeId(11)));
+        let plan = FaultPlan::new(0).with_crash(ms(1), ms(2), 5);
+        let ws = bound(&plan, &[NodeId(10), NodeId(11)], None);
+        assert_eq!(ws, [Window { from: ms(1), until: ms(2), what: Effect::Crash(NodeId(11)) }]);
+    }
+
+    #[test]
+    fn builders_keep_windows_in_the_class_order_the_grammar_prints() {
+        let all = LinkFilter::All;
+        let scrambled = FaultPlan::new(4)
+            .with_partition(ms(7), ms(8))
+            .with_crash(ms(3), ms(4), 2)
+            .with_degraded(ms(1), ms(2), 3, all)
+            .with_arbiter_outage(ms(5), ms(6))
+            .with_crash(us(1), us(2), 0)
+            .with_down(0, 1, all);
+        let whats: Vec<Fault> = scrambled.windows.iter().map(|w| w.what).collect();
+        assert_eq!(
+            whats,
+            [
+                Fault::Link(all, WindowKind::Degraded { slowdown: 3 }),
+                Fault::Link(all, WindowKind::Down),
+                Fault::Crash(2),
+                Fault::Crash(0),
+                Fault::ArbiterOutage,
+                Fault::Partition,
+            ],
+            "class order across kinds, call order within one"
+        );
+        let canonical = FaultPlan::new(4)
+            .with_degraded(ms(1), ms(2), 3, all)
+            .with_down(0, 1, all)
+            .with_crash(ms(3), ms(4), 2)
+            .with_crash(us(1), us(2), 0)
+            .with_arbiter_outage(ms(5), ms(6))
+            .with_partition(ms(7), ms(8));
+        assert_eq!(scrambled, canonical, "call order across kinds is not part of a plan");
+        let swapped = FaultPlan::new(4).with_crash(us(1), us(2), 0).with_crash(ms(3), ms(4), 2);
+        assert_ne!(swapped.windows, canonical.windows[2..4], "call order within a kind is");
+    }
+
+    #[test]
+    fn bound_windows_keep_the_install_order() {
+        // Link windows (declared, then partition-expanded), node windows
+        // (crashes, then arbiter outages), blackouts: the engine schedules
+        // its events in this order and `WindowStart.window` indexes it.
+        let spec = "partition=7ms..8ms, arbiter=5ms..6ms, crash=1@3ms..4ms, down=1ms..2ms";
+        let plan: FaultPlan = spec.parse().unwrap();
+        let hosts = [NodeId(1), NodeId(2)];
+        let what = |ws: Vec<Window<Effect>>| ws.iter().map(|w| w.what).collect::<Vec<_>>();
+        let down = |links| Effect::Link(links, WindowKind::Down);
+        assert_eq!(
+            what(bound(&plan, &hosts, Some(NodeId(3)))),
+            [
+                down(LinkFilter::All),
+                down(LinkFilter::Adjacent(NodeId(2))),
+                Effect::Crash(NodeId(2)),
+                Effect::ArbiterDown(NodeId(3)),
+            ]
+        );
+        assert_eq!(
+            what(bound(&plan, &hosts, None)),
+            [
+                down(LinkFilter::All),
+                down(LinkFilter::Adjacent(NodeId(2))),
+                Effect::Crash(NodeId(2)),
+                Effect::Blackout,
+            ]
+        );
+    }
+
+    #[test]
+    fn index_opens_and_closes_windows_at_their_boundaries() {
+        let plan = FaultPlan::new(0)
+            .with_down(10, 20, LinkFilter::All)
+            .with_crash(20, 30, 0)
+            .with_degraded(15, 40, 2, LinkFilter::All);
+        let mut idx = FaultIndex::new(&plan, &[NodeId(5)], None, 0);
+        assert!(idx.active() && idx.open_at(0).is_empty());
+        let open_at = |idx: &mut FaultIndex, t| {
+            idx.advance(t);
+            idx.open_at(t).iter().map(|w| w.from).collect::<Vec<_>>()
+        };
+        assert_eq!(open_at(&mut idx, 9), []);
+        assert_eq!(open_at(&mut idx, 10), [10]);
+        assert_eq!(open_at(&mut idx, 19), [10, 15]);
+        assert_eq!(open_at(&mut idx, 20), [15, 20], "abutting: one closes as the other opens");
+        assert_eq!(open_at(&mut idx, 39), [15]);
+        assert_eq!(open_at(&mut idx, 40), []);
+        // A cut that straddles the next start sees the unopened window.
+        let mut idx = FaultIndex::new(&plan, &[NodeId(5)], None, 0);
+        idx.advance(5);
+        let cut = |until| idx.cut_reason(NodeId(1), PortId(0), NodeId(2), 5, until);
+        assert_eq!((cut(10), cut(11)), (None, Some(DropReason::LinkDown)));
     }
 
     #[test]
@@ -1114,11 +1096,15 @@ mod tests {
         assert!((plan.corruption[0].prob - 0.005).abs() < 1e-12);
         assert_eq!(plan.corruption[0].filter, PacketFilter::Any);
         assert_eq!(plan.corruption[1].filter, PacketFilter::Credit);
-        assert_eq!(plan.windows.len(), 2);
-        assert_eq!(plan.windows[0].kind, WindowKind::Down);
-        assert_eq!(plan.windows[0].from, ms(1));
-        assert_eq!(plan.windows[0].until, ms(1) + us(500));
-        assert_eq!(plan.windows[1].kind, WindowKind::Degraded { slowdown: 4 });
+        let during =
+            |from, until, kind| Window { from, until, what: Fault::Link(LinkFilter::All, kind) };
+        assert_eq!(
+            plan.windows,
+            [
+                during(ms(1), ms(1) + us(500), WindowKind::Down),
+                during(ms(2), ms(3), WindowKind::Degraded { slowdown: 4 }),
+            ]
+        );
     }
 
     #[test]
@@ -1162,9 +1148,8 @@ mod tests {
     fn display_projects_builder_only_link_filters_to_all() {
         let plan = FaultPlan::new(0).with_down(ms(1), ms(2), LinkFilter::Node(NodeId(3)));
         let reparsed: FaultPlan = plan.to_string().parse().unwrap();
-        assert_eq!(reparsed.windows[0].links, LinkFilter::All);
-        assert_eq!(reparsed.windows[0].from, ms(1));
-        assert_eq!(reparsed.windows[0].until, ms(2));
+        let what = Fault::Link(LinkFilter::All, WindowKind::Down);
+        assert_eq!(reparsed.windows, [Window { from: ms(1), until: ms(2), what }]);
     }
 
     #[test]
@@ -1194,6 +1179,18 @@ mod tests {
         assert!(err("partition=2ms..1ms").contains("empty window"));
         assert!(err("partition=0@1ms..2ms").contains("takes no @host"));
         assert!(err("partition=1xs..2xs").contains("unknown time unit"));
+        // A time past 2^64 ps used to saturate to `Time::MAX` silently.
+        let huge = "degrade=1ms..99999999999999999999s@2";
+        assert!(err(huge).contains("does not fit in picoseconds"), "{}", err(huge));
+        assert!(err("down=0..18446744073709551616").contains("does not fit"));
+        let inf = format!("down=0..{}", "9".repeat(400));
+        assert!(err(&inf).contains("does not fit"), "a digit string that parses to +inf");
+        assert!(err("crash=0@1e30..2").contains("unknown time unit"));
+        // Every error names the directive it is about.
+        for bad in ["loss=2", "down=1xs..2xs", "degrade=1..2@0", huge, "seed=x", "loss", "a=b"] {
+            let spec = format!("loss=0.1, {bad}, down=1ms..2ms");
+            assert!(err(&spec).contains(&format!("'{bad}'")), "{}", err(&spec));
+        }
     }
 
     #[test]
@@ -1203,5 +1200,9 @@ mod tests {
         assert_eq!(parse_time("1s").unwrap(), PS_PER_SEC);
         assert_eq!(parse_time("1200").unwrap(), 1200);
         assert!(parse_time("4parsecs").is_err());
+        // The largest f64 below 2^64 still fits; 2^64 itself does not.
+        assert_eq!(parse_time("18446744073709549568").unwrap(), 18_446_744_073_709_549_568);
+        assert!(parse_time("18446744073709551616").is_err());
+        assert!(parse_time("18447000s").is_err());
     }
 }

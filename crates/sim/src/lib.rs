@@ -92,8 +92,7 @@ pub mod units;
 pub use endpoint::{Ctx, Endpoint};
 pub use event::{Event, EventQueue, SchedulerKind};
 pub use faults::{
-    CorruptionRule, FaultPlan, LinkFilter, LinkWindow, NodeFaultKind, NodeSelector, NodeWindow,
-    PacketFilter, WindowKind,
+    CorruptionRule, Effect, Fault, FaultPlan, LinkFilter, PacketFilter, Window, WindowKind,
 };
 pub use flowmap::{FlowKey, FlowMap, TimerTable};
 pub use metrics::{AbortCause, FlowRecord, Metrics};

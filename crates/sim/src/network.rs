@@ -2,10 +2,10 @@
 
 use crate::endpoint::{Actions, Ctx, Endpoint};
 use crate::event::{Event, EventQueue, SchedulerKind};
-use crate::faults::{FaultIndex, FaultPlan, NodeFaultKind};
+use crate::faults::{self, Effect, FaultIndex, FaultPlan, LinkFilter};
 use crate::metrics::{AbortCause, Metrics};
 use crate::node::{Node, NodeKind};
-use crate::packet::{FlowDesc, NodeId, PortId};
+use crate::packet::{FlowDesc, NodeId, Packet, PortId};
 use crate::pool::{PacketPool, PacketRef};
 use crate::port::{Link, Port};
 use crate::queues::{DropReason, EnqueueOutcome, Poll, QueueDisc};
@@ -134,7 +134,11 @@ impl<T: Tracer> Network<T> {
         &self.pool
     }
 
-    /// Install a fault schedule and arm its window-transition events.
+    /// Bind a fault plan to this topology and arm its window-transition
+    /// events. `hosts` is the workload host list the plan's `crash=` indices
+    /// and `partition=` halves refer to and `arbiter` the node an `arbiter=`
+    /// outage takes down (see [`FaultIndex::new`]); scenario code goes
+    /// through the harness, which knows both.
     ///
     /// Call before the run starts; window times already in the past are
     /// clamped to `now`. Installing an empty plan is free — no events are
@@ -143,34 +147,26 @@ impl<T: Tracer> Network<T> {
     /// # Panics
     /// Panics if a non-empty plan is already installed: its window events
     /// are in the queue and would index into the new plan's windows.
-    pub fn set_fault_plan(&mut self, mut plan: FaultPlan) {
+    pub fn set_fault_plan(&mut self, plan: &FaultPlan, hosts: &[NodeId], arbiter: Option<NodeId>) {
         assert!(
             !self.faults.active(),
             "set_fault_plan over an installed plan: its window events are already queued"
         );
-        if !plan.is_resolved() {
-            // The harness resolves plans against its own host list (which
-            // knows about the arbiter); direct engine users get host-index
-            // resolution against every host node, with no arbiter notion.
-            let hosts: Vec<NodeId> =
-                self.nodes.iter().filter(|n| n.is_host()).map(|n| n.id).collect();
-            plan.resolve(&hosts, None);
-        }
         self.fault_rng = SimRng::seed_from_u64(plan.seed ^ 0xae01_f417);
         let now = self.queue.now();
-        for (i, w) in plan.windows.iter().enumerate() {
-            self.queue.schedule_at(w.from.max(now), Event::FaultWindow { window: i, start: true });
-            self.queue.schedule_at(w.until.max(now), Event::FaultWindow { window: i, start: false });
+        self.faults = FaultIndex::new(plan, hosts, arbiter, now);
+        // Link windows first, then node windows; a blackout is a
+        // per-transmit check and has no events.
+        for (window, w) in self.faults.windows().iter().enumerate() {
+            if w.what != Effect::Blackout {
+                self.queue.schedule_at(w.from.max(now), Event::Fault { window, start: true });
+                self.queue.schedule_at(w.until.max(now), Event::Fault { window, start: false });
+            }
         }
-        for (i, w) in plan.node_windows.iter().enumerate() {
-            self.queue.schedule_at(w.from.max(now), Event::NodeFault { window: i, start: true });
-            self.queue.schedule_at(w.until.max(now), Event::NodeFault { window: i, start: false });
-        }
-        self.faults = FaultIndex::new(plan, now);
     }
 
-    /// The installed fault plan (empty unless [`Network::set_fault_plan`]
-    /// was called).
+    /// The installed fault plan, as written (empty unless
+    /// [`Network::set_fault_plan`] was called).
     pub fn fault_plan(&self) -> &FaultPlan {
         self.faults.plan()
     }
@@ -382,8 +378,7 @@ impl<T: Tracer> Network<T> {
             Event::FlowArrival { flow } => {
                 let flow = *flow;
                 let now = self.queue.now();
-                let open = self.faults.open_at(now);
-                if open.node_down_at(flow.src, now) || open.node_down_at(flow.dst, now) {
+                if self.endpoint_down(&flow, now) {
                     // The flow arrives while an endpoint is dead: abort on
                     // the spot and relaunch when the crash window ends.
                     self.abort_flow(flow, AbortCause::NodeCrash, true);
@@ -391,30 +386,109 @@ impl<T: Tracer> Network<T> {
                     self.with_endpoint(flow.src, |ep, ctx| ep.on_flow_arrival(flow, ctx));
                 }
             }
-            Event::FaultWindow { window, start } => self.on_fault_window(window, start),
-            Event::NodeFault { window, start } => self.on_node_fault(window, start),
+            Event::Fault { window, start } => self.on_fault(window, start),
         }
     }
 
-    /// A fault window transitioned: surface it to telemetry and re-kick
-    /// every port it covers — waking queues that stalled while their link
-    /// was down and re-evaluating pacing under a changed degrade factor.
-    fn on_fault_window(&mut self, window: usize, start: bool) {
-        let w = self.faults.plan().windows[window].clone();
-        if T::ENABLED {
-            let now = self.queue.now();
-            let ev = if start {
-                FaultEvent::WindowStart { window, kind: w.kind }
-            } else {
-                FaultEvent::WindowEnd { window, kind: w.kind }
-            };
-            self.tracer.fault_event(now, &ev);
+    /// Is either endpoint of `flow` a dead node at `now`?
+    fn endpoint_down(&self, flow: &FlowDesc, now: Time) -> bool {
+        let open = self.faults.open_at(now);
+        faults::node_down_at(open, flow.src, now) || faults::node_down_at(open, flow.dst, now)
+    }
+
+    /// A fault window transitioned. A link window is surfaced to telemetry
+    /// and every port it covers re-kicked — waking queues that stalled while
+    /// their link was down and re-evaluating pacing under a changed degrade
+    /// factor. A node window takes its node down or brings it back.
+    fn on_fault(&mut self, window: usize, start: bool) {
+        let now = self.queue.now();
+        match self.faults.windows()[window].what {
+            Effect::Link(links, kind) => {
+                if T::ENABLED {
+                    let ev = if start {
+                        FaultEvent::WindowStart { window, kind }
+                    } else {
+                        FaultEvent::WindowEnd { window, kind }
+                    };
+                    self.tracer.fault_event(now, &ev);
+                }
+                self.rekick(links);
+            }
+            Effect::Crash(node) if start => self.node_down(node, true, now),
+            Effect::ArbiterDown(node) if start => self.node_down(node, false, now),
+            Effect::Crash(node) | Effect::ArbiterDown(node) => self.node_up(node, now),
+            Effect::Blackout => unreachable!("blackouts schedule no events"),
         }
+    }
+
+    /// `node` goes dark. Every packet sitting in its egress queues dies with
+    /// the window's taxonomy, the endpoint (if any) wipes its per-flow
+    /// transport state, and — for a crash — every incomplete flow touching
+    /// the node aborts and queues for relaunch at the window end. An arbiter
+    /// outage aborts nothing: workload flows never terminate at the arbiter,
+    /// they merely lose its control traffic.
+    fn node_down(&mut self, node: NodeId, abort_flows: bool, now: Time) {
+        if T::ENABLED {
+            self.tracer.fault_event(now, &FaultEvent::NodeCrash { node });
+        }
+        self.purge_ports(node, now);
+        if self.has_endpoint(node) {
+            self.with_endpoint(node, |ep, ctx| ep.on_crash(ctx));
+        }
+        if abort_flows {
+            // Abort in flow-id order: `flows()` iterates the record slab
+            // in insertion order, which is schedule order — deterministic.
+            let touched: Vec<FlowDesc> = self
+                .metrics
+                .flows()
+                .filter(|rec| {
+                    rec.completed_at.is_none()
+                        && rec.aborted.is_none()
+                        && rec.desc.start <= now
+                        && (rec.desc.src == node || rec.desc.dst == node)
+                })
+                .map(|rec| rec.desc)
+                .collect();
+            for desc in touched {
+                self.abort_flow(desc, AbortCause::NodeCrash, true);
+            }
+        }
+    }
+
+    /// `node` comes back. Pending flows whose endpoints are all alive again
+    /// are relaunched through a fresh `FlowArrival`, then the node's ports
+    /// and every port feeding it are re-kicked.
+    fn node_up(&mut self, node: NodeId, now: Time) {
+        if T::ENABLED {
+            self.tracer.fault_event(now, &FaultEvent::NodeRestart { node });
+        }
+        for desc in std::mem::take(&mut self.pending_restart) {
+            if self.endpoint_down(&desc, now) {
+                self.pending_restart.push(desc);
+                continue;
+            }
+            self.metrics.restart_flow(desc.id);
+            self.restarted = true;
+            if T::ENABLED {
+                self.tracer.fault_event(now, &FaultEvent::FlowRestarted { flow: desc.id });
+            }
+            self.notify_endpoints(desc, |ep, desc, ctx| ep.on_flow_restart(desc, ctx));
+            // Relaunch keeps the original descriptor (and original
+            // `start`), so the recorded FCT honestly spans the outage.
+            self.queue.schedule_at(now, Event::FlowArrival { flow: Box::new(desc) });
+        }
+        // Wake every port stalled by the crash: the node's own egress plus
+        // every port whose link feeds it.
+        self.rekick(LinkFilter::Adjacent(node));
+    }
+
+    /// Try to transmit on every port `links` covers.
+    fn rekick(&mut self, links: LinkFilter) {
         let mut touched = Vec::new();
         for n in &self.nodes {
             for (pi, p) in n.ports.iter().enumerate() {
                 let pid = PortId(pi as u16);
-                if w.links.matches(n.id, pid, p.link.to) {
+                if links.matches(n.id, pid, p.link.to) {
                     touched.push((n.id, pid));
                 }
             }
@@ -424,90 +498,17 @@ impl<T: Tracer> Network<T> {
         }
     }
 
-    /// A node-fault window transitioned.
-    ///
-    /// Start: the node goes dark. Every packet sitting in its egress queues
-    /// dies with the window's taxonomy, the endpoint (if any) wipes its
-    /// per-flow transport state, and every incomplete flow touching the node
-    /// aborts. Crash-kind aborts queue for relaunch at the window end;
-    /// arbiter-outage windows abort nothing (workload flows never terminate
-    /// at the arbiter — they merely lose its control traffic).
-    ///
-    /// End: the node comes back. Its ports and every port feeding it are
-    /// re-kicked, and pending flows whose endpoints are all alive again are
-    /// relaunched through a fresh `FlowArrival`.
-    fn on_node_fault(&mut self, window: usize, start: bool) {
-        let w = self.faults.plan().node_windows[window].clone();
-        let node = w.node_id().expect("node window installed unresolved");
-        let now = self.queue.now();
-        if start {
-            if T::ENABLED {
-                self.tracer.fault_event(now, &FaultEvent::NodeCrash { node });
-            }
-            self.purge_ports(node, now);
-            if self.has_endpoint(node) {
-                self.with_endpoint(node, |ep, ctx| ep.on_crash(ctx));
-            }
-            if matches!(w.kind, NodeFaultKind::Crash) {
-                // Abort in flow-id order: `flows()` iterates the record slab
-                // in insertion order, which is schedule order — deterministic.
-                let touched: Vec<FlowDesc> = self
-                    .metrics
-                    .flows()
-                    .filter(|rec| {
-                        rec.completed_at.is_none()
-                            && rec.aborted.is_none()
-                            && rec.desc.start <= now
-                            && (rec.desc.src == node || rec.desc.dst == node)
-                    })
-                    .map(|rec| rec.desc)
-                    .collect();
-                for desc in touched {
-                    self.abort_flow(desc, AbortCause::NodeCrash, true);
-                }
-            }
-        } else {
-            if T::ENABLED {
-                self.tracer.fault_event(now, &FaultEvent::NodeRestart { node });
-            }
-            // Relaunch aborted flows whose endpoints are both back up.
-            let pending = std::mem::take(&mut self.pending_restart);
-            let mut keep = Vec::new();
-            for desc in pending {
-                let open = self.faults.open_at(now);
-                if open.node_down_at(desc.src, now) || open.node_down_at(desc.dst, now) {
-                    keep.push(desc);
-                    continue;
-                }
-                self.metrics.restart_flow(desc.id);
-                self.restarted = true;
-                if T::ENABLED {
-                    self.tracer.fault_event(now, &FaultEvent::FlowRestarted { flow: desc.id });
-                }
-                if self.has_endpoint(desc.src) {
-                    self.with_endpoint(desc.src, move |ep, ctx| ep.on_flow_restart(desc, ctx));
-                }
-                if desc.dst != desc.src && self.has_endpoint(desc.dst) {
-                    self.with_endpoint(desc.dst, move |ep, ctx| ep.on_flow_restart(desc, ctx));
-                }
-                // Relaunch keeps the original descriptor (and original
-                // `start`), so the recorded FCT honestly spans the outage.
-                self.queue.schedule_at(now, Event::FlowArrival { flow: Box::new(desc) });
-            }
-            self.pending_restart.extend(keep);
-            // Wake every port stalled by the crash: the node's own egress
-            // plus every port whose link feeds it.
-            let mut touched = Vec::new();
-            for n in &self.nodes {
-                for (pi, p) in n.ports.iter().enumerate() {
-                    if n.id == node || p.link.to == node {
-                        touched.push((n.id, PortId(pi as u16)));
-                    }
-                }
-            }
-            for (n, p) in touched {
-                self.try_transmit(n, p);
-            }
+    /// Run `f` on the endpoint at each end of `desc` that has one.
+    fn notify_endpoints(
+        &mut self,
+        desc: FlowDesc,
+        f: fn(&mut dyn Endpoint, FlowDesc, &mut Ctx<'_>),
+    ) {
+        if self.has_endpoint(desc.src) {
+            self.with_endpoint(desc.src, |ep, ctx| f(ep, desc, ctx));
+        }
+        if desc.dst != desc.src && self.has_endpoint(desc.dst) {
+            self.with_endpoint(desc.dst, |ep, ctx| f(ep, desc, ctx));
         }
     }
 
@@ -522,30 +523,26 @@ impl<T: Tracer> Network<T> {
             let now = self.queue.now();
             self.tracer.fault_event(now, &FaultEvent::FlowAborted { flow: desc.id, cause });
         }
-        if self.has_endpoint(desc.src) {
-            self.with_endpoint(desc.src, move |ep, ctx| ep.on_flow_abort(desc, ctx));
-        }
-        if desc.dst != desc.src && self.has_endpoint(desc.dst) {
-            self.with_endpoint(desc.dst, move |ep, ctx| ep.on_flow_abort(desc, ctx));
-        }
+        self.notify_endpoints(desc, |ep, desc, ctx| ep.on_flow_abort(desc, ctx));
         if restartable {
             self.pending_restart.push(desc);
         }
     }
 
-    /// Drop a packet at `node`'s NIC before it reaches the endpoint — the
-    /// host is dead (`reason` is the node window's taxonomy) or the packet is
-    /// a straggler from a pre-relaunch flow incarnation. Accounts the drop
-    /// and surfaces a `PacketKilled` fault event so in-flight ledgers stay
-    /// balanced.
-    fn kill_at_host(&mut self, node: NodeId, r: PacketRef, now: Time, reason: DropReason) {
+    /// The one way a packet dies to the fault plan — on the wire out of
+    /// (`node`, `port`), purged from that port's queue, or at `node`'s NIC
+    /// (port 0) because the host is dead or the packet is a straggler from
+    /// a pre-relaunch flow incarnation. Accounts the drop, surfaces a
+    /// `PacketKilled` fault event so in-flight ledgers stay balanced, and
+    /// recycles the slot: nothing downstream will ever read it.
+    fn kill(&mut self, node: NodeId, port: PortId, r: PacketRef, now: Time, reason: DropReason) {
         self.record_ref(node, r, TraceKind::Drop(reason));
-        self.metrics.note_drop(reason, self.pool.get(r).class);
+        let p = self.pool.get(r);
+        self.metrics.note_drop(reason, p.class);
         if T::ENABLED {
-            let p = self.pool.get(r);
             let ev = FaultEvent::PacketKilled {
                 node,
-                port: PortId(0),
+                port,
                 flow: p.flow,
                 seq: p.seq,
                 kind: p.kind,
@@ -571,7 +568,7 @@ impl<T: Tracer> Network<T> {
     /// stale-but-harmless wire traffic after restart, which the recovery
     /// layer must tolerate anyway (tombstones / receive-book dedupe).
     fn purge_ports(&mut self, node: NodeId, now: Time) {
-        let reason = self.faults.open_at(now).node_drop_reason(node, now);
+        let reason = faults::node_drop_reason(self.faults.open_at(now), node, now);
         for pi in 0..self.nodes[node.0 as usize].ports.len() {
             let port = PortId(pi as u16);
             loop {
@@ -589,44 +586,20 @@ impl<T: Tracer> Network<T> {
                         Poll::NotBefore(_) | Poll::Empty => break,
                     }
                 };
-                self.record_ref(node, r, TraceKind::Drop(reason));
-                self.metrics.note_drop(reason, self.pool.get(r).class);
                 if T::ENABLED {
-                    let (rec, ev) = {
-                        let p = self.pool.get(r);
-                        let port_ref = &self.nodes[node.0 as usize].ports[pi];
-                        (
-                            QueueRecord {
-                                at: now,
-                                node,
-                                port,
-                                ev: QueueEvent::Dequeue,
-                                flow: p.flow,
-                                seq: p.seq,
-                                kind: p.kind,
-                                class: p.class,
-                                size: p.size,
-                                payload: p.payload,
-                                qlen_bytes: port_ref.queue.bytes(),
-                                qlen_pkts: port_ref.queue.pkts(),
-                            },
-                            FaultEvent::PacketKilled {
-                                node,
-                                port,
-                                flow: p.flow,
-                                seq: p.seq,
-                                kind: p.kind,
-                                class: p.class,
-                                payload: p.payload,
-                                reason,
-                            },
-                        )
-                    };
+                    let rec = dequeue_record(
+                        now,
+                        node,
+                        port,
+                        self.pool.get(r),
+                        &self.nodes[node.0 as usize].ports[pi],
+                    );
                     self.tracer.queue_event(&rec);
-                    self.tracer.fault_event(now, &ev);
+                }
+                self.kill(node, port, r, now, reason);
+                if T::ENABLED {
                     self.sample_bands(now, node, port);
                 }
-                self.pool.free(r);
             }
         }
     }
@@ -636,12 +609,11 @@ impl<T: Tracer> Network<T> {
         let now = self.queue.now();
         if self.faults.active() && self.nodes[node.0 as usize].is_host() {
             let open = self.faults.open_at(now);
-            if open.node_down_at(node, now) {
+            if faults::node_down_at(open, node, now) {
                 // Delivery to a crashed host: the packet dies at the NIC with
                 // the node window's taxonomy, never reaching the endpoint.
-                let reason = open.node_drop_reason(node, now);
-                self.kill_at_host(node, r, now, reason);
-                return;
+                let reason = faults::node_drop_reason(open, node, now);
+                return self.kill(node, PortId(0), r, now, reason);
             }
             // Reject stragglers from a dead flow incarnation: a cumulative
             // grant/credit packet sent pre-crash must not inflate the
@@ -650,16 +622,15 @@ impl<T: Tracer> Network<T> {
             if self.restarted
                 && pkt.incarnation < self.metrics.flow(pkt.flow).map_or(0, |rec| rec.restarts)
             {
-                self.kill_at_host(node, r, now, DropReason::StaleIncarnation);
-                return;
+                return self.kill(node, PortId(0), r, now, DropReason::StaleIncarnation);
             }
         }
-        let faults = &self.faults;
+        let open = self.faults.open_at(now);
         let pool = &mut self.pool;
         let Node { kind, ports, .. } = &mut self.nodes[node.0 as usize];
         match kind {
             NodeKind::Switch { table } => {
-                let port = if faults.nothing_open(now) {
+                let port = if open.is_empty() {
                     // Equal to `select_avoiding` with nothing down, same RNG
                     // draw included.
                     table.select(pool.get(r))
@@ -667,9 +638,9 @@ impl<T: Tracer> Network<T> {
                     // Down links (including links into crashed nodes) are
                     // visible to routing: steer around them while an
                     // alternative next hop is up.
-                    let (open, ports) = (faults.open_at(now), &*ports);
+                    let ports = &*ports;
                     table.select_avoiding(pool.get(r), |p| {
-                        open.link_down_at(node, p, ports[p.0 as usize].link.to, now)
+                        faults::link_down_at(open, node, p, ports[p.0 as usize].link.to, now)
                     })
                 };
                 pool.get_mut(r).hops += 1;
@@ -781,16 +752,16 @@ impl<T: Tracer> Network<T> {
         let mut deq_rec = None;
         let faults_active = self.faults.active();
         let next = {
-            let faults = &self.faults;
-            let open = faults.open_at(now);
+            let index = &self.faults;
+            let open = index.open_at(now);
             let fault_rng = &mut self.fault_rng;
             let pool = &mut self.pool;
             let p = &mut self.nodes[node.0 as usize].ports[port.0 as usize];
             if p.busy {
                 Next::Idle
-            } else if faults_active && open.link_down_at(node, port, p.link.to, now) {
+            } else if faults_active && faults::link_down_at(open, node, port, p.link.to, now) {
                 // Link is down: leave the queue untouched. The window-end
-                // FaultWindow event re-kicks this port.
+                // `Fault` event re-kicks this port.
                 Next::Idle
             } else {
                 let prev = p.queue.bytes();
@@ -805,27 +776,14 @@ impl<T: Tracer> Network<T> {
                         p.stats.payload_tx += pkt.payload as u64;
                         let mut ser = p.serialize(pkt.size as u64);
                         if faults_active {
-                            ser *= open.slowdown_at(node, port, p.link.to, now) as Time;
+                            ser *= faults::slowdown_at(open, node, port, p.link.to, now) as Time;
                         }
                         if T::ENABLED {
-                            deq_rec = Some(QueueRecord {
-                                at: now,
-                                node,
-                                port,
-                                ev: QueueEvent::Dequeue,
-                                flow: pkt.flow,
-                                seq: pkt.seq,
-                                kind: pkt.kind,
-                                class: pkt.class,
-                                size: pkt.size,
-                                payload: pkt.payload,
-                                qlen_bytes: p.queue.bytes(),
-                                qlen_pkts: p.queue.pkts(),
-                            });
+                            deq_rec = Some(dequeue_record(now, node, port, pkt, p));
                         }
                         let free_at = now + ser;
                         if let Some(reason) = (faults_active)
-                            .then(|| faults.cut_reason(node, port, p.link.to, now, free_at))
+                            .then(|| index.cut_reason(node, port, p.link.to, now, free_at))
                             .flatten()
                         {
                             // The link flaps — or one of its endpoints dies —
@@ -836,14 +794,14 @@ impl<T: Tracer> Network<T> {
                             // link faults).
                             p.stats.fault_kills += 1;
                             Next::Kill { free_at, pkt: r, reason }
-                        } else if faults_active && open.blackout_kills(pool.get(r), now) {
+                        } else if faults_active && faults::blackout_kills(open, pool.get(r), now) {
                             // Arbiter outage on a distributed credit source:
                             // the credit stream dies at the egress. Checked
                             // before corruption so blackout kills draw no RNG.
                             p.stats.fault_kills += 1;
                             Next::Kill { free_at, pkt: r, reason: DropReason::ArbiterDown }
                         } else if faults_active
-                            && faults.plan().corrupts(node, port, p.link.to, pool.get(r), fault_rng)
+                            && index.plan().corrupts(node, port, p.link.to, pool.get(r), fault_rng)
                         {
                             p.stats.fault_kills += 1;
                             Next::Kill { free_at, pkt: r, reason: DropReason::Corruption }
@@ -870,48 +828,24 @@ impl<T: Tracer> Network<T> {
                 }
             }
         };
+        if T::ENABLED {
+            if let Some(rec) = deq_rec {
+                self.tracer.queue_event(&rec);
+                self.tracer.link_tx(now, node, port, rec.size as u64);
+                self.sample_bands(now, node, port);
+            }
+        }
         match next {
             Next::Send { to, at_dst, free_at, pkt } => {
                 self.record_ref(node, pkt, TraceKind::Transmit);
-                if T::ENABLED {
-                    if let Some(rec) = deq_rec {
-                        let size = self.pool.get(pkt).size as u64;
-                        self.tracer.queue_event(&rec);
-                        self.tracer.link_tx(now, node, port, size);
-                        self.sample_bands(now, node, port);
-                    }
-                }
                 let ingress = self.nodes[to.0 as usize].ingress_delay;
                 self.queue.schedule_at(free_at, Event::PortFree { node, port });
                 self.queue.schedule_at(at_dst + ingress, Event::Arrival { node: to, pkt });
             }
             Next::Kill { free_at, pkt, reason } => {
-                self.record_ref(node, pkt, TraceKind::Drop(reason));
-                self.metrics.note_drop(reason, self.pool.get(pkt).class);
-                if T::ENABLED {
-                    if let Some(rec) = deq_rec {
-                        let size = self.pool.get(pkt).size as u64;
-                        self.tracer.queue_event(&rec);
-                        self.tracer.link_tx(now, node, port, size);
-                        self.sample_bands(now, node, port);
-                    }
-                    let p = self.pool.get(pkt);
-                    let ev = FaultEvent::PacketKilled {
-                        node,
-                        port,
-                        flow: p.flow,
-                        seq: p.seq,
-                        kind: p.kind,
-                        class: p.class,
-                        payload: p.payload,
-                        reason,
-                    };
-                    self.tracer.fault_event(now, &ev);
-                }
                 // The transmitter was still occupied for the serialization
-                // time; only the arrival is suppressed. The slot is recycled
-                // now — nothing downstream will ever read it.
-                self.pool.free(pkt);
+                // time; only the arrival is suppressed.
+                self.kill(node, port, pkt, now, reason);
                 self.queue.schedule_at(free_at, Event::PortFree { node, port });
             }
             Next::Kick(t) => {
@@ -999,6 +933,25 @@ impl<T: Tracer> Network<T> {
             self.enqueue_egress(host, PortId(0), r);
         }
         self.actions_scratch = actions;
+    }
+}
+
+/// The telemetry record of `pkt` leaving `port`'s queue (already polled, so
+/// the occupancy is the queue's after the dequeue).
+fn dequeue_record(now: Time, node: NodeId, port: PortId, pkt: &Packet, p: &Port) -> QueueRecord {
+    QueueRecord {
+        at: now,
+        node,
+        port,
+        ev: QueueEvent::Dequeue,
+        flow: pkt.flow,
+        seq: pkt.seq,
+        kind: pkt.kind,
+        class: pkt.class,
+        size: pkt.size,
+        payload: pkt.payload,
+        qlen_bytes: p.queue.bytes(),
+        qlen_pkts: p.queue.pkts(),
     }
 }
 
@@ -1135,11 +1088,8 @@ mod tests {
     fn corruption_kills_packets_on_the_wire() {
         use crate::faults::{FaultPlan, LinkFilter, PacketFilter};
         let (mut net, h0, h1) = two_hosts_one_switch();
-        net.set_fault_plan(FaultPlan::new(1).with_loss(
-            1.0,
-            PacketFilter::Data,
-            LinkFilter::Node(h0),
-        ));
+        let plan = FaultPlan::new(1).with_loss(1.0, PacketFilter::Data, LinkFilter::Node(h0));
+        net.set_fault_plan(&plan, &[h0, h1], None);
         net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 2_920, start: 0 });
         assert!(!net.run_to_completion(us(1000)), "all data corrupted at the NIC");
         assert_eq!(net.metrics.payload_delivered, 0);
@@ -1158,7 +1108,8 @@ mod tests {
         let (mut net, h0, h1) = two_hosts_one_switch();
         // Every link is down for the first 50 us; the flow arrives at t=0,
         // waits in the NIC queue, and completes untouched after the flap.
-        net.set_fault_plan(FaultPlan::new(0).with_down(0, us(50), LinkFilter::All));
+        let plan = FaultPlan::new(0).with_down(0, us(50), LinkFilter::All);
+        net.set_fault_plan(&plan, &[h0, h1], None);
         net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 14_600, start: 0 });
         assert!(net.run_to_completion(us(1000)));
         let done = net.metrics.flow(FlowId(1)).unwrap().completed_at.unwrap();
@@ -1172,11 +1123,9 @@ mod tests {
         let (mut net, h0, h1) = two_hosts_one_switch();
         // The first packet starts serializing at t=0 (832 ns at 10G); a down
         // window opening at 100 ns cuts it on the wire.
-        net.set_fault_plan(FaultPlan::new(0).with_down(
-            100 * crate::units::PS_PER_NS,
-            us(2),
-            LinkFilter::Node(h0),
-        ));
+        let plan =
+            FaultPlan::new(0).with_down(100 * crate::units::PS_PER_NS, us(2), LinkFilter::Node(h0));
+        net.set_fault_plan(&plan, &[h0, h1], None);
         net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 1_460, start: 0 });
         net.run_to_completion(us(100));
         assert_eq!(net.metrics.drops_by_reason(crate::queues::DropReason::LinkDown), 1);
@@ -1187,12 +1136,12 @@ mod tests {
     fn crashed_sender_purges_queue_aborts_and_relaunches() {
         use crate::faults::FaultPlan;
         let (mut net, h0, h1) = two_hosts_one_switch();
-        // Host 0 (index 1 of the engine host list is h1; Host(0) -> h0)
-        // crashes just after the flow starts blasting: the packet on the
+        // Host 0 crashes just after the flow starts blasting: the packet on the
         // wire is cut and the nine queued behind it are purged, all under
         // the NodeDown taxonomy. The flow aborts, then relaunches when the
         // host comes back and completes from scratch.
-        net.set_fault_plan(FaultPlan::new(0).with_crash(100 * crate::units::PS_PER_NS, us(50), 0));
+        let plan = FaultPlan::new(0).with_crash(100 * crate::units::PS_PER_NS, us(50), 0);
+        net.set_fault_plan(&plan, &[h0, h1], None);
         net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 14_600, start: 0 });
         assert!(net.run_to_completion(us(1000)));
         assert_eq!(net.metrics.drops_by_reason(DropReason::NodeDown), 10);
@@ -1210,7 +1159,7 @@ mod tests {
     fn flow_arriving_during_crash_window_defers_to_restart() {
         use crate::faults::FaultPlan;
         let (mut net, h0, h1) = two_hosts_one_switch();
-        net.set_fault_plan(FaultPlan::new(0).with_crash(0, us(50), 0));
+        net.set_fault_plan(&FaultPlan::new(0).with_crash(0, us(50), 0), &[h0, h1], None);
         net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 1_460, start: us(10) });
         assert!(net.run_to_completion(us(1000)));
         let rec = net.metrics.flow(FlowId(1)).unwrap();
@@ -1228,7 +1177,7 @@ mod tests {
         // The single packet is past the switch when the receiver dies at
         // 3 us; it arrives at a dead NIC and is killed as NodeDown. The
         // abort queues the flow, which relaunches at 10 us and completes.
-        net.set_fault_plan(FaultPlan::new(0).with_node_crash(us(3), us(10), h1));
+        net.set_fault_plan(&FaultPlan::new(0).with_crash(us(3), us(10), 1), &[h0, h1], None);
         net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 1_460, start: 0 });
         assert!(net.run_to_completion(us(1000)));
         assert_eq!(net.metrics.drops_by_reason(DropReason::NodeDown), 1);
@@ -1249,7 +1198,7 @@ mod tests {
         // the relaunch. Found by the guided fuzzer as a Homa
         // credit-conservation violation (a pre-crash cumulative grant
         // doubled the restarted sender's budget).
-        net.set_fault_plan(FaultPlan::new(0).with_node_crash(us(3), us(3) + 1_000, h1));
+        net.set_fault_plan(&FaultPlan::new(0).with_crash(us(3), us(3) + 1_000, 1), &[h0, h1], None);
         net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 14_600, start: 0 });
         assert!(net.run_to_completion(us(1000)));
         let rec = net.metrics.flow(FlowId(1)).unwrap();
@@ -1274,7 +1223,7 @@ mod tests {
         // other nine — two already past the NIC, seven still queued in it —
         // reach h1 after the relaunch and must all die as stale: skipping
         // the lookup before the first restart may not exempt them.
-        net.set_fault_plan(FaultPlan::new(0).with_node_crash(us(3), us(3) + 1_000, h1));
+        net.set_fault_plan(&FaultPlan::new(0).with_crash(us(3), us(3) + 1_000, 1), &[h0, h1], None);
         net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 14_600, start: 0 });
         assert!(net.run_to_completion(us(1000)));
         assert_eq!(net.metrics.drops_by_reason(DropReason::NodeDown), 1);
@@ -1287,23 +1236,24 @@ mod tests {
     #[should_panic(expected = "set_fault_plan over an installed plan")]
     fn installing_over_a_live_plan_panics() {
         use crate::faults::{FaultPlan, LinkFilter};
-        let (mut net, _, _) = two_hosts_one_switch();
+        let (mut net, h0, h1) = two_hosts_one_switch();
         // Over the empty default (and over an explicit empty plan): legal.
-        net.set_fault_plan(FaultPlan::new(3));
-        net.set_fault_plan(FaultPlan::new(0).with_down(us(1), us(2), LinkFilter::All));
-        // The first plan's two window events are queued; a second plan with
-        // no link windows would send them out of bounds.
-        net.set_fault_plan(FaultPlan::new(0).with_crash(us(1), us(2), 0));
+        net.set_fault_plan(&FaultPlan::new(3), &[h0, h1], None);
+        let flap = FaultPlan::new(0).with_down(us(1), us(2), LinkFilter::All);
+        net.set_fault_plan(&flap, &[h0, h1], None);
+        // The first plan's two window events are queued and would index
+        // into the second plan's windows.
+        net.set_fault_plan(&FaultPlan::new(0).with_crash(us(1), us(2), 0), &[h0, h1], None);
     }
 
     #[test]
     fn partition_stalls_cross_traffic_then_recovers() {
         use crate::faults::FaultPlan;
         let (mut net, h0, h1) = two_hosts_one_switch();
-        // A partition resolves to Down windows on every link adjacent to the
-        // upper half of the host list ({h1} here): traffic stalls in queues
-        // rather than dying, and drains once the partition heals.
-        net.set_fault_plan(FaultPlan::new(0).with_partition(0, us(50)));
+        // A partition is a down window on every link adjacent to the upper
+        // half of the host list ({h1} here): traffic stalls in queues rather
+        // than dying, and drains once the partition heals.
+        net.set_fault_plan(&FaultPlan::new(0).with_partition(0, us(50)), &[h0, h1], None);
         net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 14_600, start: 0 });
         assert!(net.run_to_completion(us(1000)));
         let rec = net.metrics.flow(FlowId(1)).unwrap();
@@ -1322,8 +1272,9 @@ mod tests {
             let (mut net, h0, h1) = two_hosts_one_switch();
             if with_plan {
                 let spec = "crash=0@4s..5s,arbiter=6s..7s,partition=8s..9s";
-                net.set_fault_plan(spec.parse().expect("static fault spec parses"));
-                assert!(net.fault_plan().is_resolved() && !net.fault_plan().is_empty());
+                let plan = spec.parse().expect("static fault spec parses");
+                net.set_fault_plan(&plan, &[h0, h1], None);
+                assert!(net.faults.active() && net.fault_plan().to_string().contains("arbiter"));
             }
             net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 146_000, start: 0 });
             assert!(net.run_to_completion(us(10_000)));
@@ -1337,7 +1288,7 @@ mod tests {
         let run = |with_plan: bool| {
             let (mut net, h0, h1) = two_hosts_one_switch();
             if with_plan {
-                net.set_fault_plan(crate::faults::FaultPlan::new(99));
+                net.set_fault_plan(&crate::faults::FaultPlan::new(99), &[h0, h1], None);
             }
             net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 146_000, start: 0 });
             assert!(net.run_to_completion(us(10_000)));
@@ -1352,7 +1303,7 @@ mod tests {
         let fct = |plan: Option<FaultPlan>| {
             let (mut net, h0, h1) = two_hosts_one_switch();
             if let Some(p) = plan {
-                net.set_fault_plan(p);
+                net.set_fault_plan(&p, &[h0, h1], None);
             }
             net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 146_000, start: 0 });
             assert!(net.run_to_completion(us(100_000)));

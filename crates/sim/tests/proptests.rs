@@ -6,7 +6,10 @@
 //! the fixed seed.
 
 use aeolus_sim::event::{Event, EventQueue, SchedulerKind};
-use aeolus_sim::faults::FaultIndex;
+use aeolus_sim::faults::{
+    blackout_kills, cut_reason, link_down_at, node_down_at, node_drop_reason, slowdown_at,
+    FaultIndex,
+};
 use aeolus_sim::{
     DropReason, EnqueueOutcome, FaultPlan, FlowId, LinkFilter, NodeId, Packet, PacketFilter,
     PacketKind, PacketPool, Poll, PortId, PriorityBank, QueueDisc, RangeSet, RedEcnQueue, SimRng,
@@ -316,8 +319,9 @@ fn red_ecn_fifo_equals_one_level_selective_bank() {
     assert!(both_rules > 0 && marks > 0, "mix never reached the two documented differences");
 }
 
-/// The time index over a fault plan answers every engine query exactly as a
-/// full scan of the plan does: random plans over every directive
+/// The time index over a fault plan answers every engine query from its open
+/// subset exactly as a full scan of the run's windows does: random plans
+/// over every directive
 /// (overlapping, nested and abutting windows on a 300 ps grid) are queried
 /// at monotone times that hit every boundary exactly and skip others
 /// entirely, with serialisations `[t, t1)` that touch and straddle the next
@@ -353,7 +357,6 @@ fn fault_index_matches_full_scan() {
                 _ => plan.with_partition(from, until),
             };
         }
-        plan.resolve(&hosts, arbiter);
 
         // Every boundary and its neighbours, plus a few instants in between;
         // a random half is dropped so `advance` also jumps several
@@ -364,33 +367,35 @@ fn fault_index_matches_full_scan() {
         times.retain(|_| rng.chance(0.5));
         times.sort_unstable();
 
-        let mut idx = FaultIndex::new(plan.clone(), 0);
+        let mut idx = FaultIndex::new(&plan, &hosts, arbiter, 0);
         assert_eq!(idx.plan(), &plan);
-        assert_eq!(idx.active(), !plan.is_empty(), "case {case}");
+        // The reference: every window of the run, scanned in full.
+        let all = idx.windows().to_vec();
+        let inert = plan.corruption.is_empty() && all.is_empty();
+        assert_eq!(idx.active(), !inert, "case {case}");
         for &t in &times {
             idx.advance(t);
             let open = idx.open_at(t);
-            // The open set is exactly the covering windows, in plan order —
+            // The open set is exactly the covering windows, in list order —
             // whatever instants were visited before `t`.
-            let covering: Vec<_> = plan.windows.iter().filter(|w| w.covers(t)).cloned().collect();
-            assert_eq!(open.windows, covering, "case {case} t {t}");
-            let covering: Vec<_> =
-                plan.node_windows.iter().filter(|w| w.covers(t)).cloned().collect();
-            assert_eq!(open.node_windows, covering, "case {case} t {t}");
-            let mut anything_down = false;
+            let covering: Vec<_> = all.iter().filter(|w| w.covers(t)).copied().collect();
+            assert_eq!(open, covering, "case {case} t {t}");
             for n in (0..10).map(NodeId) {
-                assert_eq!(open.node_down_at(n, t), plan.node_down_at(n, t), "case {case} t {t}");
-                if plan.node_down_at(n, t) {
-                    assert_eq!(open.node_drop_reason(n, t), plan.node_drop_reason(n, t));
+                let dead = node_down_at(&all, n, t);
+                assert_eq!(node_down_at(open, n, t), dead, "case {case} t {t}");
+                if dead {
+                    assert_eq!(node_drop_reason(open, n, t), node_drop_reason(&all, n, t));
                 }
                 for (port, to) in [(PortId(0), NodeId(10)), (PortId(1), NodeId((n.0 + 3) % 10))] {
                     let ctx = format!("case {case} t {t} link {n:?}/{port:?}->{to:?}");
-                    let down = plan.link_down_at(n, port, to, t);
-                    anything_down |= down || plan.slowdown_at(n, port, to, t) > 1;
-                    assert_eq!(open.link_down_at(n, port, to, t), down, "{ctx}");
                     assert_eq!(
-                        open.slowdown_at(n, port, to, t),
-                        plan.slowdown_at(n, port, to, t),
+                        link_down_at(open, n, port, to, t),
+                        link_down_at(&all, n, port, to, t),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        slowdown_at(open, n, port, to, t),
+                        slowdown_at(&all, n, port, to, t),
                         "{ctx}"
                     );
                     // Serialisations ending just after `t`, exactly at and
@@ -399,17 +404,96 @@ fn fault_index_matches_full_scan() {
                     for t1 in [t + 1, next, next + 1, t + 1 + rng.below(SPAN)] {
                         assert_eq!(
                             idx.cut_reason(n, port, to, t, t1),
-                            plan.cut_reason(n, port, to, t, t1),
+                            cut_reason(&all, n, port, to, t, t1),
                             "{ctx} until {t1}"
                         );
                     }
                 }
             }
-            assert!(!(idx.nothing_open(t) && anything_down), "case {case} t {t}");
             for pkt in [&credit, &data] {
-                let kills = plan.blackout_kills(pkt, t);
-                assert_eq!(open.blackout_kills(pkt, t), kills, "case {case} t {t}");
+                let kills = blackout_kills(&all, pkt, t);
+                assert_eq!(blackout_kills(open, pkt, t), kills, "case {case} t {t}");
             }
         }
     }
+}
+
+/// `FaultPlan::from_str` on hostile input: valid specs with bytes flipped,
+/// inserted, deleted and spliced, grammar fragments glued at random, and raw
+/// random bytes. Every input is either rejected with an error that names one
+/// of its directives, or parses to a plan whose `Display` parses back to the
+/// same plan and is a fixpoint. Nothing panics — including the builder
+/// asserts behind the parser and times past what picoseconds can hold.
+#[test]
+fn fault_spec_parser_survives_hostile_input() {
+    const SEEDS: [&str; 6] = [
+        "loss=0.5%, credit-loss=0.02, down=1ms..1.5ms, degrade=2ms..3ms@4, seed=9",
+        "crash=3@200us..500us, arbiter=1ms..1500us, partition=2ms..2500us",
+        "data-loss=0.1,ctrl-loss=25%,ack-loss=1,probe-loss=0.5,sched-loss=1e-3,unsched-loss=0",
+        "degrade=1ms..99999999999999999999s@2",
+        "down=0..18446744073709549568, crash=18446744073709551615@1..2, seed=18446744073709551615",
+        "",
+    ];
+    const FRAGMENTS: [&str; 28] = [
+        "loss", "credit-loss", "down", "degrade", "crash", "arbiter", "partition", "seed", "=",
+        "==", ",", ", ", "..", "...", "@", "%", "-", "+", ".", "0", "1", "9", "e", "ns", "us",
+        "ms", "s", "ps",
+    ];
+    let mut rng = SimRng::seed_from_u64(0x405_711e);
+    let (mut parsed, mut rejected) = (0, 0);
+    for case in 0..40 * CASES {
+        let mut bytes = SEEDS[rng.index(SEEDS.len())].as_bytes().to_vec();
+        match rng.index(3) {
+            // Mutate a valid spec a few bytes at a time.
+            0 => {
+                for _ in 0..1 + rng.index(3) {
+                    let at = rng.index(bytes.len() + 1);
+                    match rng.index(5) {
+                        // A digit for a digit keeps most specs well-formed.
+                        0 if bytes.get(at).is_some_and(u8::is_ascii_digit) => {
+                            bytes[at] = b'0' + rng.below(10) as u8;
+                        }
+                        0 | 4 if at < bytes.len() => bytes[at] ^= 1 << rng.index(8),
+                        1 if at < bytes.len() => drop(bytes.remove(at)),
+                        2 => bytes.insert(at, rng.below(256) as u8),
+                        _ => {
+                            let frag = FRAGMENTS[rng.index(FRAGMENTS.len())].as_bytes();
+                            bytes.splice(at..at, frag.iter().copied());
+                        }
+                    }
+                }
+            }
+            // Glue grammar fragments together.
+            1 => {
+                bytes.clear();
+                for _ in 0..rng.index(12) {
+                    bytes.extend(FRAGMENTS[rng.index(FRAGMENTS.len())].as_bytes());
+                }
+            }
+            // Raw bytes.
+            _ => bytes = (0..rng.index(24)).map(|_| rng.below(256) as u8).collect(),
+        }
+        let input = String::from_utf8_lossy(&bytes).into_owned();
+        match input.parse::<FaultPlan>() {
+            Err(e) => {
+                rejected += 1;
+                let named = input
+                    .split(',')
+                    .map(str::trim)
+                    .any(|tok| !tok.is_empty() && e.contains(&format!("'{tok}'")));
+                assert!(named, "case {case}: error '{e}' names no directive of {input:?}");
+            }
+            Ok(plan) => {
+                parsed += 1;
+                let shown = plan.to_string();
+                let back: FaultPlan = shown.parse().unwrap_or_else(|e| {
+                    panic!("case {case}: {input:?} printed as '{shown}', which fails: {e}")
+                });
+                assert_eq!(back, plan, "case {case}: {input:?} printed as '{shown}'");
+                assert_eq!(back.to_string(), shown, "case {case}: display not a fixpoint");
+            }
+        }
+    }
+    // Both branches must carry weight, or the loop proves nothing.
+    assert!(parsed > 200 && rejected > 200, "{parsed} parsed, {rejected} rejected");
 }

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use aeolus_sim::units::us;
-use aeolus_sim::{LinkFilter, SimRng, LOSS_CAUSE_LABELS};
+use aeolus_sim::{Fault, LinkFilter, SimRng, LOSS_CAUSE_LABELS};
 
 use crate::fuzz::{scheme_pool, shrink, CheckedRun, RunSignals, Scenario};
 
@@ -319,7 +319,7 @@ pub fn mutate(rng: &mut SimRng, a: &Scenario, b: &Scenario) -> Scenario {
         // Perturb fault windows: shift every wire-fault window later and
         // halve-or-double its duration.
         3 => {
-            for w in &mut m.faults.windows {
+            for w in m.faults.windows.iter_mut().filter(|w| matches!(w.what, Fault::Link(..))) {
                 let dur = (w.until - w.from).max(1);
                 let dur = if rng.chance(0.5) { dur * 2 } else { (dur / 2).max(1) };
                 w.from += us(rng.below(100));
@@ -356,7 +356,9 @@ pub fn mutate(rng: &mut SimRng, a: &Scenario, b: &Scenario) -> Scenario {
     // resizing by pinning it to All (index-targeted filters are not in the
     // generator's grammar today).
     for w in &mut m.faults.windows {
-        w.links = LinkFilter::All;
+        if let Fault::Link(links, _) = &mut w.what {
+            *links = LinkFilter::All;
+        }
     }
     m
 }

@@ -416,10 +416,10 @@ fn panic_message(payload: &Box<dyn Any + Send>) -> String {
 
 /// Greedily shrink a failing scenario while `fails` keeps returning
 /// `Some(_)`. Passes, iterated to a fixpoint: drop flows, drop corruption
-/// rules, drop fault windows, drop node-fault directives (crashes, arbiter
-/// outages, partitions), halve window and outage durations, halve flow
-/// sizes, zero start times, shrink the topology. Returns the minimal
-/// scenario and its failure message.
+/// rules, drop fault windows (in plan order: link windows, crashes, arbiter
+/// outages, partitions), halve window durations, halve flow sizes, zero
+/// start times, shrink the topology. Returns the minimal scenario and its
+/// failure message.
 ///
 /// Generic over the failure predicate so shrinking itself is testable
 /// without running a simulation; the fuzzer passes `|s| s.check()`.
@@ -457,7 +457,7 @@ pub fn shrink(
             }
         }
 
-        // Drop corruption rules and fault windows.
+        // Drop corruption rules, then fault windows of every kind.
         let mut i = 0;
         while i < scenario.faults.corruption.len() {
             let mut cand = scenario.clone();
@@ -479,77 +479,13 @@ pub fn shrink(
             }
         }
 
-        // Drop node-fault directives: crash windows, arbiter outages,
-        // partitions.
-        let mut i = 0;
-        while i < scenario.faults.node_windows.len() {
-            let mut cand = scenario.clone();
-            cand.faults.node_windows.remove(i);
-            if attempt(&mut scenario, &mut msg, cand) {
-                progressed = true;
-            } else {
-                i += 1;
-            }
-        }
-        let mut i = 0;
-        while i < scenario.faults.arbiter_outages.len() {
-            let mut cand = scenario.clone();
-            cand.faults.arbiter_outages.remove(i);
-            if attempt(&mut scenario, &mut msg, cand) {
-                progressed = true;
-            } else {
-                i += 1;
-            }
-        }
-        let mut i = 0;
-        while i < scenario.faults.partitions.len() {
-            let mut cand = scenario.clone();
-            cand.faults.partitions.remove(i);
-            if attempt(&mut scenario, &mut msg, cand) {
-                progressed = true;
-            } else {
-                i += 1;
-            }
-        }
-
         // Halve remaining window durations (keeping them non-empty).
         for i in 0..scenario.faults.windows.len() {
-            let w = &scenario.faults.windows[i];
+            let w = scenario.faults.windows[i];
             let dur = w.until - w.from;
             if dur >= 2 {
                 let mut cand = scenario.clone();
                 cand.faults.windows[i].until = w.from + dur / 2;
-                if attempt(&mut scenario, &mut msg, cand) {
-                    progressed = true;
-                }
-            }
-        }
-        for i in 0..scenario.faults.node_windows.len() {
-            let w = &scenario.faults.node_windows[i];
-            let dur = w.until - w.from;
-            if dur >= 2 {
-                let mut cand = scenario.clone();
-                cand.faults.node_windows[i].until = w.from + dur / 2;
-                if attempt(&mut scenario, &mut msg, cand) {
-                    progressed = true;
-                }
-            }
-        }
-        for i in 0..scenario.faults.arbiter_outages.len() {
-            let (from, until) = scenario.faults.arbiter_outages[i];
-            if until - from >= 2 {
-                let mut cand = scenario.clone();
-                cand.faults.arbiter_outages[i].1 = from + (until - from) / 2;
-                if attempt(&mut scenario, &mut msg, cand) {
-                    progressed = true;
-                }
-            }
-        }
-        for i in 0..scenario.faults.partitions.len() {
-            let (from, until) = scenario.faults.partitions[i];
-            if until - from >= 2 {
-                let mut cand = scenario.clone();
-                cand.faults.partitions[i].1 = from + (until - from) / 2;
                 if attempt(&mut scenario, &mut msg, cand) {
                     progressed = true;
                 }
@@ -627,6 +563,7 @@ pub fn fuzz(cases: usize, seed: u64) -> Option<FuzzReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aeolus_sim::Fault;
 
     #[test]
     fn random_scenarios_round_trip_through_the_spec() {
@@ -653,9 +590,10 @@ mod tests {
         // Failure requires a crash window; the arbiter outage and partition
         // riding along must be stripped, and the crash window's duration
         // must halve down to the 1 ps floor.
-        let fails = |s: &Scenario| {
-            (!s.faults.node_windows.is_empty()).then(|| "needs a crash".to_string())
+        let crashes = |s: &Scenario| {
+            s.faults.windows.iter().filter(|w| matches!(w.what, Fault::Crash(_))).count()
         };
+        let fails = |s: &Scenario| (crashes(s) > 0).then(|| "needs a crash".to_string());
         let mut start = Scenario::random(5);
         start.faults = FaultPlan::new(3)
             .with_crash(us(10), us(900), 1)
@@ -663,10 +601,9 @@ mod tests {
             .with_partition(us(30), us(500));
         let (min, msg) = shrink(start, &fails);
         assert_eq!(msg, "needs a crash");
-        assert_eq!(min.faults.node_windows.len(), 1, "{min}");
-        assert!(min.faults.arbiter_outages.is_empty(), "outage was irrelevant: {min}");
-        assert!(min.faults.partitions.is_empty(), "partition was irrelevant: {min}");
-        let w = &min.faults.node_windows[0];
+        assert_eq!(crashes(&min), 1, "{min}");
+        assert_eq!(min.faults.windows.len(), 1, "outage and partition were irrelevant: {min}");
+        let w = &min.faults.windows[0];
         assert_eq!(w.until - w.from, 1, "crash window halved to the floor: {min}");
         assert!(min.flows.is_empty(), "flows were irrelevant: {min}");
     }

@@ -7,8 +7,10 @@ use std::fmt;
 use aeolus_sim::topology::{
     fat_tree_with, leaf_spine_with, single_switch_with, LinkParams, Topology,
 };
-use aeolus_sim::units::{fmt_time, Time};
-use aeolus_sim::{AbortCause, FlowDesc, FlowId, Metrics, Network, NodeId, NullTracer, Tracer};
+use aeolus_sim::units::Time;
+use aeolus_sim::{
+    AbortCause, FaultPlan, FlowDesc, FlowId, Metrics, Network, NodeId, NullTracer, Tracer,
+};
 
 use crate::registry::{Scheme, SchemeParams};
 
@@ -99,33 +101,6 @@ impl fmt::Display for StuckFlow {
         )
     }
 }
-
-/// Diagnostics from [`Harness::run_watchdog`] when some flow hung: the
-/// global watchdog tripped, and these are the per-flow stuck states.
-#[derive(Debug, Clone)]
-pub struct WatchdogReport {
-    /// The horizon the run was given.
-    pub horizon: Time,
-    /// Every hung flow (neither completed nor aborted), in flow-id order.
-    pub stuck: Vec<StuckFlow>,
-}
-
-impl fmt::Display for WatchdogReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "watchdog: {} flow(s) still incomplete at horizon {}",
-            self.stuck.len(),
-            fmt_time(self.horizon)
-        )?;
-        for s in &self.stuck {
-            writeln!(f, "  {s}")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for WatchdogReport {}
 
 /// Terminal state of one flow after a (possibly fault-injected) run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -271,22 +246,27 @@ impl<T: Tracer> Harness<T> {
             params.arbiter = Some(arbiter);
             topo.net.set_endpoint(arbiter, scheme.make_arbiter(&params));
         }
-        if !params.faults.is_empty() {
-            // Bind symbolic node faults (`crash=i`, `arbiter=`, `partition=`)
-            // here, where both the workload host list (arbiter already
-            // excluded) and the arbiter's identity are known — the engine's
-            // fallback resolution has neither.
-            let mut plan = params.faults.clone();
-            if !plan.is_resolved() {
-                plan.resolve(&topo.hosts, params.arbiter);
-            }
-            topo.net.set_fault_plan(plan);
-        }
         let hosts = topo.hosts.clone();
         for h in hosts {
             topo.net.set_endpoint(h, scheme.make_endpoint(&params));
         }
-        Harness { topo, scheme, params }
+        let mut h = Harness { topo, scheme, params };
+        let plan = h.params.faults.clone();
+        h.install_faults(&plan);
+        h
+    }
+
+    /// Install `plan` on the network — the one place a fault plan meets a
+    /// topology. Its symbols (`crash=i`, `arbiter=`, `partition=`) are bound
+    /// here because only the harness knows both the workload host list
+    /// (arbiter already excluded) and whether the scheme has an arbiter
+    /// host to take down or a distributed credit source to black out.
+    ///
+    /// [`SchemeBuilder::faults`](crate::SchemeBuilder::faults) ends up here
+    /// at build time; call it directly only when the plan must go in after
+    /// a scheduler swap, which needs an empty event queue.
+    pub fn install_faults(&mut self, plan: &FaultPlan) {
+        self.topo.net.set_fault_plan(plan, &self.topo.hosts, self.params.arbiter);
     }
 
     /// All host node ids.
@@ -312,11 +292,8 @@ impl<T: Tracer> Harness<T> {
     /// loop fails loudly with enough context to debug it. Aborted-with-cause
     /// flows are settled, not stuck: the watchdog is a hang detector, and an
     /// explicit abort is graceful degradation.
-    pub fn run_watchdog(&mut self, horizon: Time) -> Result<(), WatchdogReport> {
-        match self.run_degradation(horizon) {
-            Ok(_) => Ok(()),
-            Err(report) => Err(WatchdogReport { horizon, stuck: report.stuck }),
-        }
+    pub fn run_watchdog(&mut self, horizon: Time) -> Result<(), DegradationReport> {
+        self.run_degradation(horizon).map(drop)
     }
 
     /// Run to the horizon and classify every flow's terminal state. `Err`

@@ -32,7 +32,7 @@ pub use corpus::{
     mutate, run_campaign, CampaignConfig, CampaignFailure, CampaignOutcome, Corpus, Signature,
 };
 pub use dctcp::{DctcpConfig, DctcpEndpoint};
-pub use harness::{DegradationReport, FlowOutcome, Harness, StuckFlow, TopoSpec, WatchdogReport};
+pub use harness::{DegradationReport, FlowOutcome, Harness, StuckFlow, TopoSpec};
 pub use expresspass::{XPassConfig, XPassEndpoint};
 pub use fastpass::{ArbiterEndpoint, FastpassConfig, FastpassEndpoint};
 pub use fuzz::{fuzz, shrink, CheckedRun, FlowSpec, FuzzReport, RunSignals, Scenario};

@@ -340,9 +340,9 @@ fn watchdog_reports_stuck_flows_with_diagnostics() {
     let flows = incast_flows(&h, &[10_000; 2]);
     h.schedule(&flows);
     let report = h.run_watchdog(ms(50)).expect_err("nothing can complete under 100% loss");
-    assert_eq!(report.stuck.len(), 2);
+    assert_eq!((report.stuck.len(), report.hung(), report.flows.len()), (2, 2, 2));
     let text = report.to_string();
-    assert!(text.contains("2 flow(s) still incomplete"), "got: {text}");
+    assert!(text.contains("0 completed") && text.contains("2 hung"), "got: {text}");
     assert!(text.contains("never got a byte through"), "got: {text}");
 }
 

@@ -186,6 +186,13 @@ cargo run --release -q -p aeolus-experiments --bin repro -- \
     --trace expresspass-aeolus --faults "$fault_spec" --trace-out "$fault_dir/c.jsonl" --jobs 4
 cmp "$fault_dir/a.jsonl" "$fault_dir/b.jsonl"
 cmp "$fault_dir/a.jsonl" "$fault_dir/c.jsonl"
+# Directive order across kinds is not behaviour: the plan keeps its windows
+# in one canonical class order, so the same directives permuted are the same
+# plan and the same capture.
+cargo run --release -q -p aeolus-experiments --bin repro -- \
+    --trace expresspass-aeolus --trace-out "$fault_dir/d.jsonl" \
+    --faults 'seed=7,partition=1010us..1200us,crash=1@30us..400us,down=200us..500us,loss=1%,degrade=20us..150us@3'
+cmp "$fault_dir/a.jsonl" "$fault_dir/d.jsonl"
 # And the schedule must actually have injected faults: corruption drops,
 # packets cut on the wire at a window start, kills at the crashed host and
 # a straggler rejected after the relaunch all reach the fault-event stream.
@@ -194,7 +201,18 @@ for reason in corruption link_down node_down stale_incarnation; do
         echo "faulted trace contains no $reason kills" >&2; exit 1;
     }
 done
-echo "fault determinism: $(wc -l < "$fault_dir/a.jsonl") JSONL lines bit-identical across reruns and --jobs 1/4"
+echo "fault determinism: $(wc -l < "$fault_dir/a.jsonl") JSONL lines bit-identical across reruns, --jobs 1/4 and directive order"
+
+# One install point: `--trace` binds a plan the way every experiment does,
+# through the harness, which knows Fastpass has an arbiter host. An
+# `arbiter=` window must crash that host (the engine alone used to record a
+# credit blackout instead, with no node event at all).
+cargo run --release -q -p aeolus-experiments --bin repro -- \
+    --trace fastpass-aeolus --faults 'arbiter=100us..300us' --trace-out "$fault_dir/arbiter.jsonl"
+grep -q '"ev":"node_crash"' "$fault_dir/arbiter.jsonl" || {
+    echo "traced Fastpass arbiter outage crashed no node" >&2; exit 1;
+}
+echo "fastpass --trace: arbiter outage crashes the arbiter host"
 
 # Dormant node-fault gate: a plan whose crash / arbiter / partition windows
 # all open *after* the run ends must be bit-identical to running with no
