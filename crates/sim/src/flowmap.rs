@@ -173,6 +173,30 @@ impl<K: FlowKey, V> FlowMap<K, V> {
         self.find(key).is_some()
     }
 
+    /// The slab slot holding `key`: a handle for [`Self::at`] /
+    /// [`Self::at_mut`] that skips the hash probe. It stays valid until
+    /// `key` is removed (or the map cleared); after that the slot is
+    /// recycled, so a handle kept past removal aliases whatever key is
+    /// inserted next.
+    #[inline]
+    pub fn slot_of(&self, key: K) -> Option<u32> {
+        self.find(key)
+    }
+
+    /// The entry in `slot`. Panics on a slot no live key occupies.
+    #[inline]
+    pub fn at(&self, slot: u32) -> (K, &V) {
+        let (k, v) = self.slots[slot as usize].as_ref().expect("live slot");
+        (*k, v)
+    }
+
+    /// The entry in `slot`, mutably. Panics on a slot no live key occupies.
+    #[inline]
+    pub fn at_mut(&mut self, slot: u32) -> (K, &mut V) {
+        let (k, v) = self.slots[slot as usize].as_mut().expect("live slot");
+        (*k, v)
+    }
+
     /// Insert `val` under `key`, returning the previous value if any.
     pub fn insert(&mut self, key: K, val: V) -> Option<V> {
         if let Some(s) = self.find(key) {
@@ -515,6 +539,26 @@ mod tests {
         m.keys_into(&mut keys);
         keys.sort_unstable();
         assert_eq!(keys, vec![FlowId(1), FlowId(3), FlowId(5)]);
+    }
+
+    #[test]
+    fn slot_handles_are_stable_until_removal_then_recycled() {
+        let mut m: FlowMap<FlowId, u64> = FlowMap::new();
+        m.insert(FlowId(5), 50);
+        let s = m.slot_of(FlowId(5)).unwrap();
+        // Growth and rehashes move the index, never the slab.
+        for k in 100..400 {
+            m.insert(FlowId(k), k);
+        }
+        assert_eq!(m.slot_of(FlowId(5)), Some(s));
+        assert_eq!(m.at(s), (FlowId(5), &50));
+        *m.at_mut(s).1 += 1;
+        assert_eq!(m.get(FlowId(5)), Some(&51));
+        m.remove(FlowId(5));
+        assert_eq!(m.slot_of(FlowId(5)), None);
+        m.insert(FlowId(6), 60);
+        assert_eq!(m.slot_of(FlowId(6)), Some(s), "the freed slot goes to the next insert");
+        assert_eq!(m.at(s), (FlowId(6), &60), "a handle kept past removal aliases it");
     }
 
     #[test]

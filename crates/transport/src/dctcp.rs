@@ -287,7 +287,7 @@ impl Endpoint for DctcpEndpoint {
         }
         match pkt.kind {
             PacketKind::Data => {
-                let rf = self.flows.recv.get_or_insert_with(pkt.flow, || RecvFlow {
+                let rf = self.flows.recv_or_insert_with(pkt.flow, || RecvFlow {
                     book: RecvBook::new(),
                     received: RangeSet::new(),
                     ce_pending: false,

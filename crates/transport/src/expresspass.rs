@@ -194,11 +194,11 @@ impl XPassEndpoint {
         // of this receiver's aggregate credit capacity (the real DPDK
         // receiver rate-limits its own credit NIC the same way); the
         // feedback loop then handles remote bottlenecks.
-        let active = self.flows.recv.values().filter(|rf| !rf.book.is_complete()).count().max(1);
+        let active = self.flows.recv_active_len().max(1);
         let local_cap = self.max_rate_bps(ctx) / active as f64;
         let credit_grant = self.cfg.base.mtu_payload as u64;
         let rate_bps = {
-            let rf = match self.flows.recv.get_mut(flow) {
+            let rf = match self.flows.recv_mut(flow) {
                 Some(rf) => rf,
                 None => return,
             };
@@ -224,7 +224,7 @@ impl XPassEndpoint {
         let max_rate = self.max_rate_bps(ctx);
         let period = self.cfg.feedback_period();
         let reschedule = {
-            let rf = match self.flows.recv.get_mut(flow) {
+            let rf = match self.flows.recv_mut(flow) {
                 Some(rf) => rf,
                 None => return,
             };
@@ -377,6 +377,9 @@ impl Endpoint for XPassEndpoint {
                     pkt.class == TrafficClass::Unscheduled || mode == FirstRttMode::LowPrio;
                 if let (true, Some((s, e))) = (want_ack, v.acked_range) {
                     ctx.send(ack_packet(pkt.flow, ctx.host, pkt.src, s, e));
+                }
+                if v.completed {
+                    self.flows.recv_done(pkt.flow);
                 }
             }
             PacketKind::Probe => self.ensure_recv_flow(&pkt, ctx).on_probe(&pkt, ctx),

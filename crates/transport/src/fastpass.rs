@@ -336,7 +336,9 @@ impl Endpoint for FastpassEndpoint {
                 let probe_mode = self.cfg.base.mode.probe_recovery();
                 let rf = self.flows.recv_arrival(&pkt, ctx.now, Strikes::default);
                 rf.proto.reset();
-                rf.on_data(&pkt, probe_mode, ctx);
+                if rf.on_data(&pkt, probe_mode, ctx) {
+                    self.flows.recv_done(pkt.flow);
+                }
             }
             PacketKind::Probe => {
                 self.flows.recv_entry(&pkt, ctx.now, Strikes::default).on_probe(&pkt, ctx);

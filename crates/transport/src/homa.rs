@@ -126,25 +126,17 @@ impl HomaEndpoint {
         }
     }
 
-    /// Recompute grants after any receive-side event: SRPT-sorted incomplete
-    /// messages, top `overcommit` granted one RTT-bytes past what arrived.
+    /// Recompute grants after any receive-side event: the `OVERCOMMIT`
+    /// incomplete messages first in SRPT order are each granted one
+    /// RTT-bytes past what arrived.
     fn regrant(&mut self, ctx: &mut Ctx<'_>) {
         let rtt_bytes = self.cfg.base.rtt_bytes(ctx.line_rate);
-        // Sorting (remaining, id) makes the SRPT ranking independent of map
-        // iteration order; the scratch is reused so this allocates nothing
-        // in steady state.
+        // The scratch is reused so this allocates nothing in steady state.
         let mut active = std::mem::take(&mut self.srpt_scratch);
-        active.clear();
-        active.extend(self.flows.recv.iter().filter_map(|(id, rf)| {
-            if rf.book.is_complete() {
-                return None;
-            }
-            rf.book.remaining().map(|rem| (rem, id))
-        }));
-        active.sort_unstable();
-        for (rank, &(_, id)) in active.iter().take(OVERCOMMIT).enumerate() {
+        self.flows.srpt_top(OVERCOMMIT, &mut active);
+        for (rank, &(_, id)) in active.iter().enumerate() {
             let prio = self.cfg.sched_prio(rank);
-            let rf = self.flows.recv.get_mut(id).expect("active flow");
+            let rf = self.flows.recv_mut(id).expect("active flow");
             let mtu = self.cfg.base.mtu_payload as u64;
             // Release arrival-clocked (real Homa grants per received packet):
             // an initial kick when a message first gets scheduled, then a
@@ -351,7 +343,9 @@ impl Endpoint for HomaEndpoint {
                 if pkt.class != TrafficClass::Unscheduled {
                     rf.proto.returned(pkt.payload as u64);
                 }
-                rf.on_data(&pkt, probe_mode, ctx);
+                if rf.on_data(&pkt, probe_mode, ctx) {
+                    self.flows.recv_done(pkt.flow);
+                }
                 self.regrant(ctx);
                 self.arm_scan(ctx);
             }

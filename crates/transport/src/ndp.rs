@@ -90,7 +90,7 @@ impl NdpEndpoint {
     /// Queue up to one pull for `flow` (the arrival-clocked path).
     fn maybe_enqueue_pull(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.cfg.mtu_payload as u64;
-        if let Some(rf) = self.flows.recv.get_mut(flow) {
+        if let Some(rf) = self.flows.recv_mut(flow) {
             if Self::pull_deficit(rf, mtu) > 0 {
                 rf.proto.issue(1);
                 self.pull_queue.push_back(flow);
@@ -103,7 +103,7 @@ impl NdpEndpoint {
     /// batch of losses at once; the pacer still spaces them at line rate).
     fn drain_pull_deficit(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.cfg.mtu_payload as u64;
-        if let Some(rf) = self.flows.recv.get_mut(flow) {
+        if let Some(rf) = self.flows.recv_mut(flow) {
             for _ in 0..Self::pull_deficit(rf, mtu) {
                 rf.proto.issue(1);
                 self.pull_queue.push_back(flow);
@@ -128,7 +128,7 @@ impl NdpEndpoint {
             None => return,
         };
         let spacing = self.pull_spacing(ctx);
-        if let Some(rf) = self.flows.recv.get(flow) {
+        if let Some(rf) = self.flows.recv(flow) {
             if !rf.book.is_complete() {
                 let pull = Packet::control(
                     flow,
@@ -267,6 +267,9 @@ impl Endpoint for NdpEndpoint {
                 let v = rf.book.on_data(&pkt, ctx);
                 if let Some((s, e)) = v.acked_range {
                     ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, s, e));
+                }
+                if v.completed {
+                    self.flows.recv_done(pkt.flow);
                 }
                 self.maybe_enqueue_pull(pkt.flow, ctx);
                 self.arm_backstop(ctx);

@@ -99,28 +99,29 @@ impl PHostEndpoint {
         // BDP: an unbounded window lets a backlogged sender overload the
         // downlink later.
         let window = self.cfg.base.rtt_bytes(ctx.line_rate).div_ceil(mtu).max(1);
-        // SRPT: smallest remaining first. The seed's BTreeMap scan broke
-        // remaining-bytes ties by smallest flow id implicitly (min_by_key
-        // keeps the first minimum in key order); slot order is different,
-        // so the id is now an explicit tie-break key.
+        // SRPT: smallest remaining first, ties broken by smallest flow id,
+        // so the choice does not depend on the active set's order. The same
+        // pass counts the flows with a deficit, for `more` below.
+        let mut wanting = 0usize;
         let best = self
             .flows
-            .recv
-            .iter()
+            .recv_active()
             .filter(|(_, rf)| rf.deficit(mtu, 1, window) > 0)
+            .inspect(|_| wanting += 1)
             .min_by_key(|(id, rf)| (rf.book.remaining().unwrap_or(u64::MAX), *id))
             .map(|(id, rf)| (id, rf.sender));
         if let Some((id, sender)) = best {
-            let rf = self.flows.recv.get_mut(id).expect("chosen flow");
+            let spacing = self.token_spacing(ctx);
+            let rf = self.flows.recv_mut(id).expect("chosen flow");
             rf.proto.issue(1);
             let tok = Packet::control(id, ctx.host, sender, rf.proto.issued(), PacketKind::Pull);
             // Each token authorizes one MTU of transmission: pHost's credit.
             ctx.emit(TransportEvent::CreditIssue { flow: id, bytes: mtu });
             ctx.send(tok);
-            let spacing = self.token_spacing(ctx);
             self.next_token_at = ctx.now + spacing;
-            // More work pending? Keep ticking.
-            let more = self.flows.recv.values().any(|rf| rf.deficit(mtu, 1, window) > 0);
+            // More work pending — another flow's, or still this one's? Keep
+            // ticking.
+            let more = wanting > 1 || rf.deficit(mtu, 1, window) > 0;
             if more {
                 self.pacer_armed = true;
                 ctx.set_timer_in_with(spacing, self.timers.arm(TimerKind::TokenTick));
@@ -228,7 +229,9 @@ impl Endpoint for PHostEndpoint {
                 if pkt.class != TrafficClass::Unscheduled {
                     rf.proto.returned(1);
                 }
-                rf.on_data(&pkt, probe_mode, ctx);
+                if rf.on_data(&pkt, probe_mode, ctx) {
+                    self.flows.recv_done(pkt.flow);
+                }
                 self.arm_receiver(ctx);
             }
             PacketKind::Probe => {

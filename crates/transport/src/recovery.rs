@@ -9,7 +9,9 @@
 //!
 //! * [`FlowTable`] — send and receive flow maps plus the tombstones of
 //!   aborted flows, with the one implementation of peer-silent give-up,
-//!   engine abort, restart and crash wipe.
+//!   engine abort, restart and crash wipe — and the set of receive flows
+//!   still in progress ([`FlowTable::recv_active`]), so no credit, grant,
+//!   token or stall loop walks the flows a host has finished with.
 //! * [`SendState`] — the sender half shared by the five proactive
 //!   endpoints: "heard from peer", ACK → loss declaration, retransmit cause
 //!   attribution and the silence-gated capped-backoff [`Retry`] verdict.
@@ -81,7 +83,8 @@ pub fn stall_after(cfg: &BaseConfig) -> Time {
     (8 * cfg.base_rtt).max(ms(1))
 }
 
-/// Per-host flow state: both roles' flow maps and the tombstones.
+/// Per-host flow state: both roles' flow maps, the set of receive flows
+/// still in progress, and the tombstones.
 ///
 /// When a flow aborts — engine-initiated after a node crash, or
 /// transport-initiated after the peer-silence watchdog fires — its id is
@@ -91,14 +94,32 @@ pub fn stall_after(cfg: &BaseConfig) -> Time {
 pub struct FlowTable<S, R> {
     /// Flows this host sends.
     pub send: FlowMap<FlowId, S>,
-    /// Flows this host receives.
-    pub recv: FlowMap<FlowId, R>,
+    /// Flows this host receives ([`Self::recv`], [`Self::recv_mut`]).
+    /// Completed ones stay for duplicate suppression, so nothing scans this
+    /// map: loops over "flows that still want something" read the active
+    /// set. Private so that entries come and go only through the methods
+    /// that keep that set exact.
+    recv: FlowMap<FlowId, R>,
+    /// The incomplete receive flows, as `recv` slot handles (no hash probe
+    /// per member). A flow enters on first contact ([`Self::recv_entry`]),
+    /// leaves when its last byte is booked ([`Self::recv_done`]) and when
+    /// its entry is removed — the handle dropped *before* the entry, because
+    /// the map recycles the slot. **Unordered** (`swap_remove`), and that is
+    /// safe only because every reader reduces order-independently: a length,
+    /// a sort or minimum on the unique `(remaining, id)`, an `any`, per-flow
+    /// updates whose emitted batches are sorted by id. A new reader must too.
+    active: Vec<u32>,
     dead: FlowMap<FlowId, ()>,
 }
 
 impl<S, R> Default for FlowTable<S, R> {
     fn default() -> Self {
-        FlowTable { send: FlowMap::new(), recv: FlowMap::new(), dead: FlowMap::new() }
+        FlowTable {
+            send: FlowMap::new(),
+            recv: FlowMap::new(),
+            active: Vec::new(),
+            dead: FlowMap::new(),
+        }
     }
 }
 
@@ -120,7 +141,7 @@ impl<S, R> FlowTable<S, R> {
     /// Engine-initiated abort: drop local state and bury the id.
     pub fn abort(&mut self, flow: FlowId) {
         self.send.remove(flow);
-        self.recv.remove(flow);
+        self.remove_recv(flow);
         self.dead.insert(flow, ());
     }
 
@@ -129,15 +150,62 @@ impl<S, R> FlowTable<S, R> {
     pub fn restart(&mut self, flow: FlowId) {
         self.dead.remove(flow);
         self.send.remove(flow);
-        self.recv.remove(flow);
+        self.remove_recv(flow);
     }
 
     /// A host crash wipes every byte of transport state, tombstones
     /// included (the engine re-buries each aborted flow right after).
     pub fn crash(&mut self) {
         self.send.clear();
+        self.active.clear();
         self.recv.clear();
         self.dead.clear();
+    }
+
+    /// Receive-side state of `flow`, if any.
+    pub fn recv(&self, flow: FlowId) -> Option<&R> {
+        self.recv.get(flow)
+    }
+
+    /// Receive-side state of `flow`, mutably.
+    pub fn recv_mut(&mut self, flow: FlowId) -> Option<&mut R> {
+        self.recv.get_mut(flow)
+    }
+
+    /// Receive-side state of `flow`, made by `make` on first contact, that
+    /// never joins the active set: for a receiver with no loop over its
+    /// flows (DCTCP). The receiver-driven endpoints use
+    /// [`Self::recv_entry`].
+    pub fn recv_or_insert_with(&mut self, flow: FlowId, make: impl FnOnce() -> R) -> &mut R {
+        self.recv.get_or_insert_with(flow, make)
+    }
+
+    /// The receive flow `flow` is complete: it leaves the active set (its
+    /// entry stays, for duplicate suppression). Call it on the `completed`
+    /// verdict of [`RecvBook::on_data`], which fires once per flow. O(active
+    /// flows) per completion, nothing per packet.
+    pub fn recv_done(&mut self, flow: FlowId) {
+        let left = self.leave_active(flow);
+        debug_assert!(left, "{flow:?} completed without being active");
+    }
+
+    /// How many receive flows are still incomplete. O(1).
+    pub fn recv_active_len(&self) -> usize {
+        self.active.len()
+    }
+
+    /// Drop `flow`'s handle from the active set, if it holds one.
+    fn leave_active(&mut self, flow: FlowId) -> bool {
+        let Some(slot) = self.recv.slot_of(flow) else { return false };
+        let at = self.active.iter().position(|&s| s == slot);
+        at.map(|i| self.active.swap_remove(i)).is_some()
+    }
+
+    /// Remove `flow`'s receive entry, handle first: the map recycles the
+    /// slot, so a handle that outlived the entry would alias the next flow.
+    fn remove_recv(&mut self, flow: FlowId) {
+        self.leave_active(flow);
+        self.recv.remove(flow);
     }
 
     /// One fire of `flow`'s §6 first-contact retry timer, driven by the
@@ -500,8 +568,10 @@ impl<X> RecvFlow<X> {
     /// Book a data packet and answer it the Aeolus way: a per-packet ACK
     /// for unscheduled data in the probe-recovery modes, and a completion
     /// ACK (the RPC-reply analogue) in every mode so senders can retire
-    /// state and stop their timers.
-    pub fn on_data(&mut self, pkt: &Packet, probe_mode: bool, ctx: &mut Ctx<'_>) {
+    /// state and stop their timers. Returns whether this packet completed
+    /// the message — the caller's cue for [`FlowTable::recv_done`].
+    #[must_use = "a completed flow must leave the table's active set"]
+    pub fn on_data(&mut self, pkt: &Packet, probe_mode: bool, ctx: &mut Ctx<'_>) -> bool {
         let v = self.book.on_data(pkt, ctx);
         if probe_mode && pkt.class == TrafficClass::Unscheduled {
             if let Some((s, e)) = v.acked_range {
@@ -511,6 +581,7 @@ impl<X> RecvFlow<X> {
         if v.completed {
             ctx.send(ack_packet(pkt.flow, ctx.host, self.sender, 0, pkt.flow_size));
         }
+        v.completed
     }
 
     /// The first `cap` missing ranges of a `size`-byte message.
@@ -525,8 +596,9 @@ impl RecvFlow<CreditLedger> {
     /// ledger (1 where it counts packets, `mtu` where it counts bytes, so
     /// the accounting stays exact when retransmitted chunks are fragmented)
     /// — but never more than `window` outstanding. Zero once complete or
-    /// while the size is unknown (checked first: receivers scan every flow
-    /// they have ever seen with this).
+    /// while the size is unknown (an active flow can be either: the
+    /// completing packet's own handler still asks, and a flow is active
+    /// before any header has told its size).
     pub fn deficit(&self, mtu: u64, unit: u64, window: u64) -> u64 {
         match self.book.remaining() {
             None | Some(0) => 0,
@@ -548,13 +620,25 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
         now: Time,
         proto: impl FnOnce() -> X,
     ) -> &mut RecvFlow<X> {
-        let rf = self.recv.get_or_insert_with(pkt.flow, || RecvFlow {
-            sender: pkt.src,
-            book: RecvBook::new(),
-            last_arrival: now,
-            last_progress: now,
-            proto: proto(),
-        });
+        let slot = match self.recv.slot_of(pkt.flow) {
+            Some(slot) => slot,
+            None => {
+                let fresh = RecvFlow {
+                    sender: pkt.src,
+                    book: RecvBook::new(),
+                    last_arrival: now,
+                    last_progress: now,
+                    proto: proto(),
+                };
+                self.recv.insert(pkt.flow, fresh);
+                // A new flow has received nothing, so it is incomplete
+                // whether or not this header tells its size.
+                let slot = self.recv.slot_of(pkt.flow).expect("just inserted");
+                self.active.push(slot);
+                slot
+            }
+        };
+        let rf = self.recv.at_mut(slot).1;
         rf.book.learn_size(pkt.flow_size);
         rf
     }
@@ -571,13 +655,38 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
         rf
     }
 
+    /// The incomplete receive flows, in no particular order — see the
+    /// `active` field for what a reader may do with them.
+    pub fn recv_active(&self) -> impl Iterator<Item = (FlowId, &RecvFlow<X>)> {
+        self.active.iter().map(|&slot| {
+            let (id, rf) = self.recv.at(slot);
+            debug_assert!(!rf.book.is_complete(), "{id:?} is complete but still active");
+            (id, rf)
+        })
+    }
+
+    /// SRPT's head: the `n` incomplete receive flows of known size with the
+    /// fewest bytes remaining, left in `out` as ranked `(remaining, id)` —
+    /// unique keys, so the choice and the ranks do not depend on the active
+    /// set's order. Only those `n` are sorted (PDQ's bounded "most critical
+    /// flows" list): a heavy incast keeps thousands of messages waiting, and
+    /// this runs per data packet.
+    pub fn srpt_top(&self, n: usize, out: &mut Vec<(u64, FlowId)>) {
+        out.clear();
+        out.extend(self.recv_active().filter_map(|(id, rf)| Some((rf.book.remaining()?, id))));
+        if n > 0 && out.len() > n {
+            out.select_nth_unstable(n - 1);
+        }
+        out.truncate(n);
+        out.sort_unstable();
+    }
+
     /// Give up on every incomplete receive flow whose sender has been dead
     /// past [`PEER_SILENCE`] despite backed-off re-requests.
     pub fn reap_silent_senders(&mut self, ctx: &mut Ctx<'_>) {
         let mut silent: Vec<FlowId> = self
-            .recv
-            .iter()
-            .filter(|(_, rf)| !rf.book.is_complete() && peer_silent(rf.last_progress, ctx.now))
+            .recv_active()
+            .filter(|(_, rf)| peer_silent(rf.last_progress, ctx.now))
             .map(|(id, _)| id)
             .collect();
         silent.sort_unstable();
@@ -592,19 +701,16 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
     /// re-request (empty = not stalled). Stalled flows are charged a timeout and
     /// backed off one scan period. Returns whether anything is still
     /// incomplete (re-arm the scan) and the batches in flow-id order, so
-    /// emission never depends on slot order.
+    /// emission never depends on the order of the active set.
     pub fn stall_scan(
         &mut self,
         ctx: &mut Ctx<'_>,
         mut stalled: impl FnMut(&mut RecvFlow<X>, u64) -> Vec<(u64, u64)>,
     ) -> (bool, Vec<ResendBatch>) {
-        let mut any_incomplete = false;
         let mut resends: Vec<ResendBatch> = Vec::new();
-        for (id, rf) in self.recv.iter_mut() {
-            if rf.book.is_complete() {
-                continue;
-            }
-            any_incomplete = true;
+        for &slot in &self.active {
+            let (id, rf) = self.recv.at_mut(slot);
+            debug_assert!(!rf.book.is_complete(), "{id:?} is complete but still active");
             let Some(size) = rf.book.core.size() else { continue };
             let missing = stalled(rf, size);
             if !missing.is_empty() {
@@ -614,7 +720,7 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
             }
         }
         resends.sort_unstable_by_key(|&(id, _, _)| id);
-        (any_incomplete, resends)
+        (!self.active.is_empty(), resends)
     }
 }
 
@@ -630,6 +736,7 @@ pub fn send_resends(resends: Vec<ResendBatch>, ctx: &mut Ctx<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::request_packet;
     use aeolus_core::AeolusConfig;
     use aeolus_sim::units::us;
 
@@ -757,6 +864,220 @@ mod tests {
         assert_eq!(stale_after(&cfg, None), ms(1), "NDP's backstop has no RTO in any mode");
         cfg.base_rtt = us(200);
         assert_eq!((stale_after(&cfg, None), stall_after(&cfg)), (ms(4), us(1600)));
+    }
+
+    type Table = FlowTable<(), RecvFlow<CreditLedger>>;
+
+    // The two hosts of `with_ctx`'s network (node 0 is its switch).
+    const ME: NodeId = NodeId(1);
+    const PEER: NodeId = NodeId(2);
+    const CHUNK: u32 = 1000;
+
+    /// Flow `id` as the model's sender would describe it: 1–5 chunks.
+    fn desc(id: u64) -> FlowDesc {
+        FlowDesc { id: FlowId(id), src: PEER, dst: ME, size: (1 + id % 5) * CHUNK as u64, start: 0 }
+    }
+
+    /// Chunk `k` of flow `id` as a data packet (it carries the size, as
+    /// every data packet `data_packet` builds does).
+    fn chunk(id: u64, k: u64) -> Packet {
+        data_packet(&desc(id), k * CHUNK as u64, CHUNK, TrafficClass::Unscheduled, false)
+    }
+
+    /// What every endpoint does with a data packet, minus the protocol: open
+    /// or find the flow, book the bytes, tell the table on completion.
+    fn deliver(t: &mut Table, pkt: &Packet) {
+        let rf = t.recv_arrival(pkt, 0, CreditLedger::default);
+        if rf.book.core.on_data(pkt.seq, pkt.payload, true, pkt.flow_size).completed {
+            t.recv_done(pkt.flow);
+        }
+    }
+
+    fn deliver_all(t: &mut Table, id: u64) {
+        for k in 0..desc(id).size / CHUNK as u64 {
+            deliver(t, &chunk(id, k));
+        }
+    }
+
+    /// The active set against the scan it replaces: every entry of `recv`
+    /// filtered for "incomplete".
+    fn assert_active_is_the_incomplete_flows(t: &Table, step: &str) {
+        let mut active: Vec<FlowId> = t.active.iter().map(|&slot| t.recv.at(slot).0).collect();
+        let mut scan: Vec<FlowId> =
+            t.recv.iter().filter(|(_, rf)| !rf.book.is_complete()).map(|(id, _)| id).collect();
+        active.sort_unstable();
+        scan.sort_unstable();
+        assert_eq!(active, scan, "after {step}");
+        assert_eq!(t.recv_active_len(), scan.len(), "after {step}");
+    }
+
+    /// Only the engine can make a `Ctx`, so `body` runs as `ME`'s
+    /// flow-arrival handler on a two-host switch.
+    fn with_ctx<F: FnOnce(&mut Ctx<'_>) + 'static>(body: F) {
+        use aeolus_sim::topology::{single_switch, LinkParams};
+        use aeolus_sim::units::Rate;
+        use aeolus_sim::{DropTailQueue, Endpoint, PortRole, QueueDisc};
+
+        struct Script<F>(Option<F>);
+        impl<F: FnOnce(&mut Ctx<'_>)> Endpoint for Script<F> {
+            fn on_flow_arrival(&mut self, _flow: FlowDesc, ctx: &mut Ctx<'_>) {
+                (self.0.take().expect("one arrival"))(ctx);
+            }
+            fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+            fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
+        }
+
+        let qf = |_: Rate, _: PortRole| Box::new(DropTailQueue::new(1 << 20)) as Box<dyn QueueDisc>;
+        let mut topo = single_switch(2, LinkParams::uniform(Rate::gbps(10), us(1)), &qf);
+        assert_eq!(topo.hosts, [ME, PEER]);
+        topo.net.set_endpoint(ME, Box::new(Script(Some(body))));
+        topo.net.set_endpoint(PEER, Box::new(Script(None::<F>)));
+        topo.net.schedule_flow(FlowDesc { id: FlowId(0), src: ME, dst: PEER, size: 1, start: 0 });
+        topo.net.run_to_completion(ms(1));
+    }
+
+    /// A stall scan that finds every flow it is shown stalled: how many it
+    /// was shown, and the batches it returned.
+    fn scan_everything(t: &mut Table, ctx: &mut Ctx<'_>) -> (usize, Vec<ResendBatch>) {
+        let mut shown = 0;
+        let (any_incomplete, batches) = t.stall_scan(ctx, |rf, size| {
+            shown += 1;
+            rf.missing(size, 8)
+        });
+        assert_eq!(any_incomplete, t.recv_active_len() > 0);
+        (shown, batches)
+    }
+
+    /// The model test of the active set: a seeded mix of everything that
+    /// can happen to a receive flow, with the set compared against the full
+    /// scan after every step.
+    #[test]
+    fn active_set_equals_the_incomplete_scan_under_a_random_history() {
+        with_ctx(|ctx| {
+            let mut rng = aeolus_sim::SimRng::seed_from_u64(0xAE01);
+            let mut t = Table::default();
+            let mut fresh = 1_000u64;
+            let (mut seen, mut most_done) = ([0usize; 8], 0);
+            for step in 0..20_000 {
+                let id = 1 + rng.below(40);
+                let op = if step % 400 == 399 { 7 } else { rng.index(7) };
+                seen[op] += 1;
+                let what = match op {
+                    // First contact (or a repeat) by request, the size known
+                    // or — a header that does not carry it — learned later.
+                    0 if !t.is_dead(FlowId(id)) => {
+                        let mut req = request_packet(&desc(id));
+                        if rng.chance(0.5) {
+                            req.flow_size = 0;
+                        }
+                        t.recv_entry(&req, 0, CreditLedger::default);
+                        "request"
+                    }
+                    1 if !t.is_dead(FlowId(id)) => {
+                        let probe = probe_packet(&desc(id), desc(id).size);
+                        t.recv_arrival(&probe, 0, CreditLedger::default).on_probe(&probe, ctx);
+                        "probe"
+                    }
+                    // Data: first contact, progress, the completing packet
+                    // or a duplicate after completion, as it falls.
+                    2 | 3 if !t.is_dead(FlowId(id)) => {
+                        deliver(&mut t, &chunk(id, rng.below(desc(id).size / CHUNK as u64)));
+                        "data"
+                    }
+                    4 => {
+                        // An abort frees the slot; the next new flow takes it.
+                        let freed = t.recv.slot_of(FlowId(id));
+                        t.abort(FlowId(id));
+                        fresh += 1;
+                        deliver(&mut t, &chunk(fresh, 0));
+                        if freed.is_some() {
+                            assert_eq!(t.recv.slot_of(FlowId(fresh)), freed, "slot not reused");
+                        }
+                        "abort + new flow in the freed slot"
+                    }
+                    5 => {
+                        t.restart(FlowId(id));
+                        "restart"
+                    }
+                    6 => {
+                        let known =
+                            t.recv_active().filter(|(_, rf)| rf.book.core.size().is_some()).count();
+                        assert_eq!(scan_everything(&mut t, ctx).0, known, "step {step}");
+                        "stall scan"
+                    }
+                    7 => {
+                        t.crash();
+                        "crash"
+                    }
+                    _ => "packet of a dead flow, dropped",
+                };
+                assert_active_is_the_incomplete_flows(&t, &format!("step {step}: {what} on {id}"));
+                most_done = most_done.max(t.recv.len() - t.recv_active_len());
+            }
+            assert!(seen.iter().all(|&n| n > 0), "an operation never ran: {seen:?}");
+            assert!(most_done >= 10, "completed flows should stay, inactive: {most_done}");
+        });
+    }
+
+    /// The set is unordered; nothing a reader computes from it may be. Two
+    /// tables meet the same flows in different orders (and lose different
+    /// members to `swap_remove` on the way) and must agree on the stall
+    /// scan's batches and on SRPT's head.
+    #[test]
+    fn scan_batches_and_srpt_head_do_not_depend_on_first_contact_order() {
+        with_ctx(|ctx| {
+            let build = |order: &[u64]| {
+                let mut t = Table::default();
+                for &id in order {
+                    deliver(&mut t, &chunk(id, 0));
+                    if id % 7 == 0 {
+                        deliver_all(&mut t, id);
+                    }
+                    if id % 11 == 0 {
+                        t.abort(FlowId(id));
+                    }
+                }
+                t
+            };
+            let ids: Vec<u64> = (1..=60).collect();
+            let mut shuffled = ids.clone();
+            aeolus_sim::SimRng::seed_from_u64(7).shuffle(&mut shuffled);
+            let (mut a, mut b) = (build(&ids), build(&shuffled));
+            assert_ne!(a.active, b.active, "the two histories should order the set differently");
+
+            let (mut top_a, mut top_b) = (Vec::new(), Vec::new());
+            a.srpt_top(6, &mut top_a);
+            b.srpt_top(6, &mut top_b);
+            let mut full: Vec<(u64, FlowId)> =
+                a.recv_active().map(|(id, rf)| (rf.book.remaining().unwrap(), id)).collect();
+            full.sort_unstable();
+            assert_eq!(top_a, full[..6], "the bounded selection is the full sort's head");
+            assert_eq!(top_a, top_b);
+
+            let batches_a = scan_everything(&mut a, ctx).1;
+            let batches_b = scan_everything(&mut b, ctx).1;
+            assert!(batches_a.len() > 6 && batches_a.windows(2).all(|w| w[0].0 < w[1].0));
+            assert_eq!(batches_a, batches_b);
+        });
+    }
+
+    /// Cost follows the flows in progress, not the flows ever seen — pinned
+    /// by counting scan visits instead of reading a clock.
+    #[test]
+    fn a_scan_visits_active_flows_only_however_long_the_history() {
+        with_ctx(|ctx| {
+            let mut t = Table::default();
+            for id in 1..=2_000 {
+                deliver_all(&mut t, id);
+            }
+            assert_eq!((t.recv.len(), t.recv_active_len()), (2_000, 0));
+            assert_eq!(scan_everything(&mut t, ctx).0, 0);
+            for id in 2_001..=2_003 {
+                t.recv_entry(&request_packet(&desc(id)), 0, CreditLedger::default);
+            }
+            assert_eq!((t.recv.len(), t.recv_active_len()), (2_003, 3));
+            assert_eq!(scan_everything(&mut t, ctx).0, 3);
+        });
     }
 
     #[test]

@@ -418,3 +418,33 @@ fn homa_burst_priorities_follow_message_size() {
         "small message burst prio {p_small} must beat large message's {p_large}"
     );
 }
+
+#[test]
+fn a_receiver_with_nothing_left_to_receive_goes_quiet() {
+    // Completion has to reach the receiver's flow table (`recv_done`), or
+    // its stall scan finds "incomplete" flows forever and never stops
+    // re-arming. Every proactive family, a 7:1 incast with churn.
+    for scheme in [
+        Scheme::ExpressPassAeolus,
+        Scheme::HomaAeolus,
+        Scheme::Homa { rto: ms(10) },
+        Scheme::NdpAeolus,
+        Scheme::PHostAeolus,
+        Scheme::FastpassAeolus,
+    ] {
+        let mut h = SchemeBuilder::new(scheme).topology(testbed()).build();
+        let hosts = h.hosts().to_vec();
+        let flows =
+            aeolus_workloads::incast_rounds(&hosts[1..], hosts[0], 20_000, 5, ms(1), 0, 1);
+        h.schedule(&flows);
+        assert!(h.run(ms(500)), "{scheme}: incast did not complete");
+        // Whatever timers were pending at completion die at their next fire.
+        // Both windows end well inside `PEER_SILENCE` (400 ms), after which
+        // the silent-sender reaper would clear a leaked flow away.
+        let net = h.network_mut();
+        net.run_until(net.now() + ms(100));
+        let settled = net.events_processed();
+        net.run_until(net.now() + ms(100));
+        assert_eq!(net.events_processed(), settled, "{scheme}: still busy after completion");
+    }
+}

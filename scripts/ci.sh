@@ -10,6 +10,13 @@ cargo test -q --workspace
 # the global allocator after warm-up (counting-allocator integration test).
 cargo test --release -q --test zero_alloc
 
+# Churn guard: a receiver's cost per event must follow the flows it is
+# receiving, not every flow it has ever seen. 7:1 x 20 KB incast at 300 and
+# 3000 rounds, four receiver-driven families; exits non-zero if ns/event at
+# 3000 rounds exceeds 2x the 300-round figure (a flow-table walk reads above
+# 4x, host noise is +-30 %). ~2 s.
+cargo run --release -q --example incast_churn -- --check
+
 # The repo benchmark is its own workspace, so the commands above never see
 # it: run its unit tests (one of them: committed BENCHMARK.json == generated
 # manifest), then pin its simulations bit-for-bit. Each workload's `#detail`
