@@ -17,7 +17,7 @@ pub trait Endpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>);
     /// A packet addressed to this host arrived.
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>);
-    /// A timer set through [`Ctx::set_timer_in`] fired.
+    /// A timer armed through [`Ctx::set_timer_in_with`] fired.
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>);
     /// The host crashed (fault injection): wipe all per-flow transport
     /// state — flowmap slots, timers, credit/grant ledgers. Timers already
@@ -56,21 +56,12 @@ pub struct Ctx<'a> {
     pub(crate) tracer: &'a mut dyn TraceSink,
     pub(crate) trace_enabled: bool,
     pub(crate) actions: &'a mut Actions,
-    pub(crate) next_token: &'a mut u64,
 }
 
 impl<'a> Ctx<'a> {
     /// Queue `pkt` for transmission on this host's NIC.
     pub fn send(&mut self, pkt: Packet) {
         self.actions.sends.push(pkt);
-    }
-
-    /// Arm a timer to fire `delay` from now; returns its token.
-    pub fn set_timer_in(&mut self, delay: Time) -> u64 {
-        let token = *self.next_token;
-        *self.next_token += 1;
-        self.actions.timers.push((self.now + delay, token));
-        token
     }
 
     /// Arm a timer to fire `delay` from now under a caller-chosen token
@@ -115,7 +106,6 @@ mod tests {
     fn timer_tokens_are_unique_and_absolute() {
         let mut metrics = Metrics::new();
         let mut actions = Actions::default();
-        let mut next = 7u64;
         let mut sink = crate::telemetry::NullTracer;
         let mut ctx = Ctx {
             now: 1000,
@@ -125,12 +115,12 @@ mod tests {
             tracer: &mut sink,
             trace_enabled: false,
             actions: &mut actions,
-            next_token: &mut next,
         };
-        let a = ctx.set_timer_in(50);
-        let b = ctx.set_timer_in(20);
-        assert_ne!(a, b);
-        assert_eq!(actions.timers, vec![(1050, 7), (1020, 8)]);
-        assert_eq!(next, 9);
+        // Fire times are absolute; tokens are the caller's, kept verbatim —
+        // overlapping token spaces included.
+        ctx.set_timer_in_with(50, 7);
+        ctx.set_timer_in_with(20, 8);
+        ctx.set_timer_in_with(0, 7);
+        assert_eq!(actions.timers, vec![(1050, 7), (1020, 8), (1000, 7)]);
     }
 }

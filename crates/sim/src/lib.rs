@@ -96,7 +96,7 @@ pub use faults::{
 };
 pub use flowmap::{FlowKey, FlowMap, TimerTable};
 pub use metrics::{AbortCause, FlowRecord, Metrics};
-pub use network::{Network, TraceEvent, TraceKind};
+pub use network::Network;
 pub use oracle::{CheckedTracer, OracleProfile, OracleSignals, LOSS_CAUSE_LABELS};
 pub use packet::{
     Ecn, FlowDesc, FlowId, NodeId, Packet, PacketKind, PortId, TrafficClass, CREDIT_BYTES,

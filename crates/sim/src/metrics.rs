@@ -117,8 +117,6 @@ pub struct Metrics {
     pub payload_sent: u64,
     /// Unique payload bytes delivered to receivers — the numerator.
     pub payload_delivered: u64,
-    /// ECN CE marks applied by switches.
-    pub ce_marks: u64,
     /// Packets trimmed by NDP-style switches.
     pub trimmed: u64,
     /// Completed flow count (cached).

@@ -14,36 +14,6 @@ use crate::routing::{RoutePolicy, RouteTable};
 use crate::telemetry::{FaultEvent, HostEvent, NullTracer, QueueEvent, QueueRecord, Tracer};
 use crate::units::{Rate, Time};
 
-/// One recorded event of a traced flow's packet life.
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    /// When it happened.
-    pub at: Time,
-    /// Node where it happened.
-    pub node: NodeId,
-    /// What happened.
-    pub what: TraceKind,
-    /// Packet kind (protocol meaning).
-    pub kind: crate::packet::PacketKind,
-    /// Packet class.
-    pub class: crate::packet::TrafficClass,
-    /// Sequence / offset field of the packet.
-    pub seq: u64,
-    /// Switch priority the packet carried.
-    pub priority: u8,
-}
-
-/// What a [`TraceEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Packet arrived at a node (host delivery or switch ingress).
-    Arrive,
-    /// Packet was dropped at an egress queue.
-    Drop(crate::queues::DropReason),
-    /// Packet started serializing out of an egress port.
-    Transmit,
-}
-
 /// A simulated network: topology, endpoints, event queue and metrics.
 ///
 /// Generic over a [`Tracer`]; the default [`NullTracer`] compiles every
@@ -55,13 +25,7 @@ pub struct Network<T: Tracer = NullTracer> {
     queue: EventQueue,
     /// Run metrics.
     pub metrics: Metrics,
-    uid: u64,
-    next_token: u64,
     events_processed: u64,
-    /// Flows whose packets are being traced (empty = tracing off).
-    traced: std::collections::HashSet<crate::packet::FlowId>,
-    /// Recorded trace events, in order.
-    trace: Vec<TraceEvent>,
     /// Telemetry sink for engine-level events.
     tracer: T,
     /// Scratch for per-band queue occupancy sampling (avoids a per-event
@@ -112,11 +76,7 @@ impl<T: Tracer> Network<T> {
             nodes: Vec::new(),
             queue: EventQueue::new(),
             metrics: Metrics::new(),
-            uid: 0,
-            next_token: 0,
             events_processed: 0,
-            traced: std::collections::HashSet::new(),
-            trace: Vec::new(),
             tracer,
             band_scratch: Vec::new(),
             faults: FaultIndex::default(),
@@ -182,12 +142,6 @@ impl<T: Tracer> Network<T> {
         &mut self.tracer
     }
 
-    /// Record every arrival/transmit/drop of `flow`'s packets (any kind:
-    /// data, credits, ACKs, probes…). Call before running.
-    pub fn trace_flow(&mut self, flow: crate::packet::FlowId) {
-        self.traced.insert(flow);
-    }
-
     /// Switch the event scheduler implementation. Used by benchmarks and
     /// determinism cross-checks; must be called before any event is
     /// scheduled or processed.
@@ -205,30 +159,6 @@ impl<T: Tracer> Network<T> {
     /// Which event scheduler this network runs on.
     pub fn scheduler(&self) -> SchedulerKind {
         self.queue.scheduler()
-    }
-
-    /// The recorded trace, in event order.
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
-    }
-
-    #[inline]
-    fn record_ref(&mut self, node: NodeId, r: PacketRef, what: TraceKind) {
-        if !self.traced.is_empty() {
-            let pkt = self.pool.get(r);
-            if self.traced.contains(&pkt.flow) {
-                let ev = TraceEvent {
-                    at: self.queue.now(),
-                    node,
-                    what,
-                    kind: pkt.kind,
-                    class: pkt.class,
-                    seq: pkt.seq,
-                    priority: pkt.priority,
-                };
-                self.trace.push(ev);
-            }
-        }
     }
 
     /// Current simulated time.
@@ -316,20 +246,9 @@ impl<T: Tracer> Network<T> {
         &self.nodes[id.0 as usize]
     }
 
-    /// Mutable access to a node's port (to read/mutate queue state in tests
-    /// and experiment probes).
-    pub fn port_mut(&mut self, id: NodeId, port: PortId) -> &mut Port {
-        &mut self.nodes[id.0 as usize].ports[port.0 as usize]
-    }
-
     /// Immutable access to a node's port.
     pub fn port(&self, id: NodeId, port: PortId) -> &Port {
         &self.nodes[id.0 as usize].ports[port.0 as usize]
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Run until the event queue is exhausted or simulated time exceeds
@@ -536,7 +455,6 @@ impl<T: Tracer> Network<T> {
     /// `PacketKilled` fault event so in-flight ledgers stay balanced, and
     /// recycles the slot: nothing downstream will ever read it.
     fn kill(&mut self, node: NodeId, port: PortId, r: PacketRef, now: Time, reason: DropReason) {
-        self.record_ref(node, r, TraceKind::Drop(reason));
         let p = self.pool.get(r);
         self.metrics.note_drop(reason, p.class);
         if T::ENABLED {
@@ -605,7 +523,6 @@ impl<T: Tracer> Network<T> {
     }
 
     fn handle_arrival(&mut self, node: NodeId, r: PacketRef) {
-        self.record_ref(node, r, TraceKind::Arrive);
         let now = self.queue.now();
         if self.faults.active() && self.nodes[node.0 as usize].is_host() {
             let open = self.faults.open_at(now);
@@ -643,7 +560,6 @@ impl<T: Tracer> Network<T> {
                         faults::link_down_at(open, node, p, ports[p.0 as usize].link.to, now)
                     })
                 };
-                pool.get_mut(r).hops += 1;
                 self.enqueue_egress(node, port, r);
             }
             NodeKind::Host { .. } => {
@@ -689,27 +605,21 @@ impl<T: Tracer> Network<T> {
             let outcome = p.queue.enqueue(pkt, pool, now);
             p.stats.on_qlen_change(prev, now);
             p.stats.observe_qlen(p.queue.bytes());
-            if matches!(outcome, EnqueueOutcome::Dropped { .. }) {
-                p.stats.drops += 1;
-            }
             (outcome, p.queue.bytes(), p.queue.pkts())
         };
-        let ev = match &outcome {
+        let ev = match outcome {
             EnqueueOutcome::Queued => QueueEvent::Enqueue,
             EnqueueOutcome::QueuedMarked => QueueEvent::EnqueueMarked,
-            EnqueueOutcome::QueuedTrimmed => QueueEvent::EnqueueTrimmed,
-            EnqueueOutcome::Dropped { reason, .. } => QueueEvent::Drop(*reason),
-        };
-        match outcome {
-            EnqueueOutcome::Queued => {}
-            EnqueueOutcome::QueuedMarked => self.metrics.ce_marks += 1,
-            EnqueueOutcome::QueuedTrimmed => self.metrics.trimmed += 1,
+            EnqueueOutcome::QueuedTrimmed => {
+                self.metrics.trimmed += 1;
+                QueueEvent::EnqueueTrimmed
+            }
             EnqueueOutcome::Dropped { reason, pkt } => {
-                self.record_ref(node, pkt, TraceKind::Drop(reason));
                 self.metrics.note_drop(reason, self.pool.get(pkt).class);
                 self.pool.free(pkt);
+                QueueEvent::Drop(reason)
             }
-        }
+        };
         if T::ENABLED {
             let (flow, seq, kind, class, size, payload) = info.expect("captured when enabled");
             self.tracer.queue_event(&QueueRecord {
@@ -772,7 +682,6 @@ impl<T: Tracer> Network<T> {
                         p.stats.observe_qlen(p.queue.bytes());
                         let pkt = pool.get(r);
                         p.stats.bytes_tx += pkt.size as u64;
-                        p.stats.pkts_tx += 1;
                         p.stats.payload_tx += pkt.payload as u64;
                         let mut ser = p.serialize(pkt.size as u64);
                         if faults_active {
@@ -837,7 +746,6 @@ impl<T: Tracer> Network<T> {
         }
         match next {
             Next::Send { to, at_dst, free_at, pkt } => {
-                self.record_ref(node, pkt, TraceKind::Transmit);
                 let ingress = self.nodes[to.0 as usize].ingress_delay;
                 self.queue.schedule_at(free_at, Event::PortFree { node, port });
                 self.queue.schedule_at(at_dst + ingress, Event::Arrival { node: to, pkt });
@@ -886,7 +794,6 @@ impl<T: Tracer> Network<T> {
                 tracer: &mut self.tracer,
                 trace_enabled: T::ENABLED,
                 actions: &mut actions,
-                next_token: &mut self.next_token,
             };
             f(ep.as_mut(), &mut ctx);
         }
@@ -899,9 +806,6 @@ impl<T: Tracer> Network<T> {
         }
         actions.timers.clear();
         for mut pkt in actions.sends.drain(..) {
-            pkt.uid = self.uid;
-            self.uid += 1;
-            pkt.sent_at = now;
             pkt.src = host;
             // Stamp the ECMP hash once; every switch on the path reuses it.
             pkt.route_hash = crate::routing::fnv1a(pkt.flow.0, pkt.path_tag);
@@ -994,7 +898,11 @@ mod tests {
     }
 
     fn two_hosts_one_switch() -> (Network, NodeId, NodeId) {
-        let mut net = Network::new();
+        two_hosts_one_switch_with(NullTracer)
+    }
+
+    fn two_hosts_one_switch_with<T: Tracer>(tracer: T) -> (Network<T>, NodeId, NodeId) {
+        let mut net = Network::with_tracer(tracer);
         let sw = net.add_switch(RoutePolicy::EcmpHash, 1, 0);
         let h0 = net.add_host(0);
         let h1 = net.add_host(0);
@@ -1065,23 +973,28 @@ mod tests {
 
     #[test]
     fn flow_tracing_records_the_packet_journey() {
-        let (mut net, h0, h1) = two_hosts_one_switch();
-        net.trace_flow(FlowId(1));
+        use crate::telemetry::RecordingTracer;
+        let (mut net, h0, h1) = two_hosts_one_switch_with(RecordingTracer::new());
         net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 2_920, start: 0 });
-        // An untraced flow leaves no events.
         net.schedule_flow(FlowDesc { id: FlowId(2), src: h1, dst: h0, size: 1_460, start: 0 });
         net.run_to_completion(us(1000));
-        let trace = net.trace();
-        assert!(!trace.is_empty());
+        let trace = net.tracer().flow_records(FlowId(1));
         for w in trace.windows(2) {
-            assert!(w[0].at <= w[1].at, "trace must be time-ordered");
+            assert!(w[0].at <= w[1].at, "a flow's records must be time-ordered");
         }
-        // The journey: host tx, switch arrive, switch tx, host arrive — two
-        // packets, so at least 8 events.
-        assert!(trace.len() >= 8, "saw {} events", trace.len());
-        let transmits = trace.iter().filter(|e| e.what == TraceKind::Transmit).count();
-        let arrives = trace.iter().filter(|e| e.what == TraceKind::Arrive).count();
-        assert_eq!(transmits, arrives, "every transmit arrives on a lossless path");
+        // The journey: queued and sent at the NIC, queued and sent at the
+        // switch — two packets, two hops, nothing lost on the way.
+        let sw = net.port(h0, PortId(0)).link.to;
+        for hop in [h0, sw] {
+            let at_hop = |ev| trace.iter().filter(|r| r.node == hop && r.ev == ev).count();
+            assert_eq!(at_hop(QueueEvent::Enqueue), 2, "arrivals at {hop:?}");
+            assert_eq!(at_hop(QueueEvent::Dequeue), 2, "transmissions by {hop:?}");
+        }
+        assert_eq!(trace.len(), 8, "and nothing else: {trace:?}");
+        // The other flow's life is its own filter over the same capture.
+        let other = net.tracer().flow_records(FlowId(2));
+        assert_eq!(other.len(), 4);
+        assert!(other.iter().all(|r| r.flow == FlowId(2) && r.node != h0));
     }
 
     #[test]

@@ -201,11 +201,6 @@ impl CheckedTracer {
         }
     }
 
-    /// Replace the protocol-check profile (e.g. after a scheme is chosen).
-    pub fn set_profile(&mut self, profile: OracleProfile) {
-        self.profile = profile;
-    }
-
     /// The active profile.
     pub fn profile(&self) -> OracleProfile {
         self.profile

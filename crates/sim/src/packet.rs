@@ -109,8 +109,6 @@ pub enum PacketKind {
 /// buffering; `payload` is the number of application bytes it carries.
 #[derive(Debug, Clone)]
 pub struct Packet {
-    /// Globally unique id (assigned by the network, monotonically).
-    pub uid: u64,
     /// Flow this packet belongs to.
     pub flow: FlowId,
     /// Source host.
@@ -138,8 +136,6 @@ pub struct Packet {
     pub trimmed: bool,
     /// True if this packet is a retransmission of earlier bytes.
     pub retransmit: bool,
-    /// Time the packet left its source host NIC queue entry point.
-    pub sent_at: Time,
     /// Path tag chosen by the sender; per-flow ECMP hashes it, and NDP-style
     /// spraying rewrites it per packet.
     pub path_tag: u64,
@@ -151,8 +147,6 @@ pub struct Packet {
     /// ExpressPass: the credit sequence number this data packet consumes
     /// (echoed back so the receiver can measure credit loss). 0 = none.
     pub credit_echo: u64,
-    /// Hop count, incremented at each switch traversal.
-    pub hops: u8,
     /// Flow incarnation this packet belongs to, stamped by the network at
     /// injection (= the flow's restart count). A packet still in flight
     /// when its flow aborts and relaunches carries the old incarnation and
@@ -174,7 +168,6 @@ impl Packet {
         flow_size: u64,
     ) -> Packet {
         Packet {
-            uid: 0,
             flow,
             src,
             dst,
@@ -191,11 +184,9 @@ impl Packet {
             flow_size,
             trimmed: false,
             retransmit: false,
-            sent_at: 0,
             path_tag: 0,
             route_hash: 0,
             credit_echo: 0,
-            hops: 0,
             incarnation: 0,
         }
     }
@@ -203,7 +194,6 @@ impl Packet {
     /// A minimum-size control packet of the given kind.
     pub fn control(flow: FlowId, src: NodeId, dst: NodeId, seq: u64, kind: PacketKind) -> Packet {
         Packet {
-            uid: 0,
             flow,
             src,
             dst,
@@ -217,11 +207,9 @@ impl Packet {
             flow_size: 0,
             trimmed: false,
             retransmit: false,
-            sent_at: 0,
             path_tag: 0,
             route_hash: 0,
             credit_echo: 0,
-            hops: 0,
             incarnation: 0,
         }
     }

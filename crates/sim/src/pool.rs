@@ -201,8 +201,8 @@ mod tests {
     fn get_mut_mutates_in_place() {
         let mut pool = PacketPool::new();
         let r = pool.insert(pkt(7));
-        pool.get_mut(r).hops += 3;
-        assert_eq!(pool.get(r).hops, 3);
+        pool.get_mut(r).priority += 3;
+        assert_eq!(pool.get(r).priority, 3);
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub struct Link {
 pub struct PortStats {
     /// Total wire bytes transmitted.
     pub bytes_tx: u64,
-    /// Packets transmitted.
-    pub pkts_tx: u64,
     /// Data payload bytes transmitted.
     pub payload_tx: u64,
     /// Maximum queue occupancy observed (bytes).
@@ -30,9 +28,6 @@ pub struct PortStats {
     pub qlen_integral: u128,
     /// Last time the queue occupancy changed.
     pub qlen_last_change: Time,
-    /// Packets dropped at this port, by coarse reason index
-    /// (see [`crate::metrics::Metrics`] for the global per-reason counters).
-    pub drops: u64,
     /// Packets killed on the wire by fault injection (corruption or a link
     /// going down mid-serialization) — always 0 without a fault plan.
     pub fault_kills: u64,
@@ -59,15 +54,6 @@ impl PortStats {
             return 0.0;
         }
         self.qlen_integral as f64 / horizon as f64
-    }
-
-    /// Link utilization over the window `[from, to]` given cumulative
-    /// `bytes_tx` sampled externally — helper for whole-run utilization.
-    pub fn utilization(&self, rate: Rate, window: Time) -> f64 {
-        if window == 0 {
-            return 0.0;
-        }
-        (self.bytes_tx as f64 * 8.0) / (rate.bps() as f64 * window as f64 / crate::units::PS_PER_SEC as f64)
     }
 }
 
@@ -116,7 +102,6 @@ impl Port {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::{us, PS_PER_SEC};
 
     #[test]
     fn qlen_integral_accumulates_time_weighted() {
@@ -129,16 +114,5 @@ mod tests {
         assert_eq!(s.qlen_integral, 10_000);
         assert_eq!(s.qlen_max, 1000);
         assert!((s.avg_qlen(10) - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_of_saturated_link_is_one() {
-        let mut s = PortStats::default();
-        let rate = Rate::gbps(100);
-        let window = us(10);
-        s.bytes_tx = rate.bytes_in(window);
-        let u = s.utilization(rate, window);
-        assert!((u - 1.0).abs() < 1e-3, "utilization {u}");
-        let _ = PS_PER_SEC; // silence unused import in some cfgs
     }
 }

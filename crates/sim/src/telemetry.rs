@@ -599,19 +599,27 @@ impl RecordingTracer {
         self.ports.iter()
     }
 
-    /// The trace of one port, if any events touched it.
-    pub fn port_trace(&self, node: NodeId, port: PortId) -> Option<&PortTrace> {
-        self.ports.get(&(node, port))
+    /// One flow's life as a filter over the capture: every retained queue
+    /// record of `flow` on any port, in `(at, node, port)` order (ring order
+    /// within one port and instant). A `Dequeue` on a port of N is a
+    /// transmission by N; an `Enqueue*` / `Drop` at a switch is the packet's
+    /// arrival there; the `Dequeue` on the port whose [`PortTrace::to`] is a
+    /// host is what that host is about to receive.
+    pub fn flow_records(&self, flow: FlowId) -> Vec<QueueRecord> {
+        let mut recs: Vec<QueueRecord> = self
+            .ports
+            .values()
+            .flat_map(|pt| pt.ring.iter())
+            .filter(|rec| rec.flow == flow)
+            .copied()
+            .collect();
+        recs.sort_by_key(|rec| (rec.at, rec.node, rec.port));
+        recs
     }
 
     /// Transport events in emission order.
     pub fn transport_events(&self) -> &[(Time, NodeId, TransportEvent)] {
         &self.transport
-    }
-
-    /// Fault-injection events in emission order (empty without a fault plan).
-    pub fn fault_events(&self) -> &[(Time, FaultEvent)] {
-        &self.faults
     }
 
     /// Current in-flight payload bytes of a class.

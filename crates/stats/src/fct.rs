@@ -43,8 +43,6 @@ pub struct FctSummary {
     pub p999_us: f64,
     /// Maximum FCT in µs.
     pub max_us: f64,
-    /// Mean slowdown.
-    pub mean_slowdown: f64,
     /// 99th-percentile slowdown.
     pub p99_slowdown: f64,
 }
@@ -110,7 +108,6 @@ impl FctAggregator {
             p99_us: fct.percentile(99.0),
             p999_us: fct.percentile(99.9),
             max_us: fct.max(),
-            mean_slowdown: slow.mean(),
             p99_slowdown: slow.percentile(99.0),
         }
     }

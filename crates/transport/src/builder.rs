@@ -1,9 +1,9 @@
 //! Fluent construction of runnable scenarios.
 //!
 //! [`SchemeBuilder`] is the one way to construct a [`Harness`]: every knob —
-//! topology, scheme parameters, fault plan, telemetry tracer, workload — is
-//! named, optional knobs have paper defaults, and the tracer changes the
-//! harness type statically so `NullTracer` runs carry no overhead.
+//! topology, scheme parameters, fault plan, telemetry tracer — is named,
+//! optional knobs have paper defaults, and the tracer changes the harness
+//! type statically so `NullTracer` runs carry no overhead.
 //!
 //! ```
 //! use aeolus_transport::{Scheme, SchemeBuilder, TopoSpec};
@@ -18,9 +18,8 @@
 //! ```
 
 use aeolus_sim::topology::LinkParams;
-use aeolus_sim::units::{us, Time};
-use aeolus_sim::{FlowDesc, NullTracer, Tracer};
-use aeolus_workloads::{poisson_flows, PoissonConfig, Workload};
+use aeolus_sim::units::us;
+use aeolus_sim::{NullTracer, Tracer};
 
 use crate::harness::{Harness, TopoSpec};
 use crate::registry::{Scheme, SchemeParams};
@@ -35,28 +34,19 @@ pub struct SchemeBuilder<T: Tracer = NullTracer> {
     params: SchemeParams,
     spec: TopoSpec,
     tracer: T,
-    workload: Option<Workload>,
-    load: f64,
-    flows: usize,
-    seed: u64,
 }
 
 impl SchemeBuilder {
     /// Start building a scenario for `scheme`.
     ///
     /// Defaults: the paper's 8-host 10 Gbps single-switch testbed, paper
-    /// [`SchemeParams`] (base RTT derived from the topology), no tracer, no
-    /// workload.
+    /// [`SchemeParams`] (base RTT derived from the topology), no tracer.
     pub fn new(scheme: Scheme) -> SchemeBuilder {
         SchemeBuilder {
             scheme,
             params: SchemeParams::new(0),
             spec: TopoSpec::SingleSwitch { hosts: 8, link: LinkParams::uniform(aeolus_sim::Rate::gbps(10), us(3)) },
             tracer: NullTracer,
-            workload: None,
-            load: 0.6,
-            flows: 200,
-            seed: 1,
         }
     }
 }
@@ -86,41 +76,7 @@ impl<T: Tracer> SchemeBuilder<T> {
     /// default [`NullTracer`] compiles every hook away, while e.g.
     /// [`aeolus_sim::RecordingTracer`] captures typed events.
     pub fn tracer<U: Tracer>(self, tracer: U) -> SchemeBuilder<U> {
-        SchemeBuilder {
-            scheme: self.scheme,
-            params: self.params,
-            spec: self.spec,
-            tracer,
-            workload: self.workload,
-            load: self.load,
-            flows: self.flows,
-            seed: self.seed,
-        }
-    }
-
-    /// Drive the scenario with Poisson arrivals sized by this empirical
-    /// workload (used by [`SchemeBuilder::build_run`]).
-    pub fn workload(mut self, w: Workload) -> Self {
-        self.workload = Some(w);
-        self
-    }
-
-    /// Target offered load for the workload (fraction of host capacity).
-    pub fn load(mut self, load: f64) -> Self {
-        self.load = load;
-        self
-    }
-
-    /// Number of flows the workload generates.
-    pub fn flows(mut self, flows: usize) -> Self {
-        self.flows = flows;
-        self
-    }
-
-    /// RNG seed for workload generation.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+        SchemeBuilder { scheme: self.scheme, params: self.params, spec: self.spec, tracer }
     }
 
     /// Build the harness: topology wired with the scheme's queue
@@ -147,39 +103,13 @@ impl<T: Tracer> SchemeBuilder<T> {
         let oracle = aeolus_sim::CheckedTracer::with_profile(self.scheme.oracle_profile());
         self.tracer(oracle).build()
     }
-
-    /// Build the harness, schedule the configured workload's flows and run
-    /// until they complete (or `horizon`). Returns the harness (metrics and
-    /// tracer inside), the generated flows, and the completion status.
-    ///
-    /// Panics if no [`SchemeBuilder::workload`] was set, or if the
-    /// parameters fail [`SchemeParams::validate`].
-    pub fn build_run(self, horizon: Time) -> (Harness<T>, Vec<FlowDesc>, bool) {
-        if let Err(e) = self.params.validate() {
-            panic!("invalid config for scheme '{}': {e}", self.scheme.name());
-        }
-        let w = self.workload.expect("SchemeBuilder::build_run needs a workload");
-        let mut h = Harness::with_tracer(self.scheme, self.params, self.spec, self.tracer);
-        let cfg = PoissonConfig {
-            load: self.load,
-            host_rate: h.topo.host_rate,
-            flows: self.flows,
-            seed: self.seed,
-            first_id: 1,
-            start: 0,
-        };
-        let flows = poisson_flows(&cfg, h.hosts(), &w.dist());
-        h.schedule(&flows);
-        let done = h.run(horizon);
-        (h, flows, done)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aeolus_sim::units::ms;
-    use aeolus_sim::RecordingTracer;
+    use aeolus_sim::{FlowDesc, RecordingTracer};
 
     #[test]
     fn builder_defaults_match_explicit_construction() {
@@ -238,18 +168,5 @@ mod tests {
         let tracer = h.topo.net.tracer();
         assert!(tracer.ports().next().is_some(), "ports registered");
         assert!(tracer.ports().any(|(_, p)| !p.ring.is_empty()), "queue events recorded");
-    }
-
-    #[test]
-    fn build_run_drives_a_workload_end_to_end() {
-        let (h, flows, done) = SchemeBuilder::new(Scheme::HomaAeolus)
-            .workload(Workload::WebSearch)
-            .flows(20)
-            .load(0.3)
-            .seed(7)
-            .build_run(ms(2_000));
-        assert!(done, "workload must complete");
-        assert_eq!(flows.len(), 20);
-        assert_eq!(h.metrics().completed_count(), 20);
     }
 }

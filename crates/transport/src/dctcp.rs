@@ -65,8 +65,6 @@ struct SendFlow {
     cut_this_window: bool,
     /// Duplicate-ACK counter for fast retransmit.
     dup_acks: u32,
-    /// Highest cumulative ACK seen.
-    last_ack: u64,
     /// Outstanding retransmission request (fast retransmit pending send).
     rtx_seq: Option<u64>,
     /// Generation for the RTO timer (stale timers are ignored).
@@ -191,7 +189,6 @@ impl DctcpEndpoint {
                 let newly = ack_to - sf.acked;
                 sf.acked = ack_to;
                 sf.dup_acks = 0;
-                sf.last_ack = ack_to;
                 // Window growth: slow start or congestion avoidance.
                 if sf.cwnd < sf.ssthresh {
                     sf.cwnd += newly as f64;
@@ -268,7 +265,6 @@ impl Endpoint for DctcpEndpoint {
                 window_end: cwnd as u64,
                 cut_this_window: false,
                 dup_acks: 0,
-                last_ack: 0,
                 rtx_seq: None,
                 rto_gen: 0,
                 completed: false,

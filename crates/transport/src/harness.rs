@@ -131,8 +131,6 @@ impl FlowOutcome {
 /// and none are [`FlowOutcome::Hung`].
 #[derive(Debug, Clone)]
 pub struct DegradationReport {
-    /// The horizon the run was given.
-    pub horizon: Time,
     /// Every flow's outcome, in flow-id order.
     pub flows: Vec<(FlowId, FlowOutcome)>,
     /// Stuck-state diagnostics for each hung flow (empty when graceful).
@@ -323,7 +321,7 @@ impl<T: Tracer> Harness<T> {
             flows.push((r.desc.id, outcome));
         }
         flows.sort_unstable_by_key(|(id, _)| id.0);
-        let report = DegradationReport { horizon, flows, stuck };
+        let report = DegradationReport { flows, stuck };
         if report.is_graceful() { Ok(report) } else { Err(report) }
     }
 
@@ -353,15 +351,41 @@ impl<T: Tracer> Harness<T> {
         let rate = self.topo.host_rate;
         // All packets serialized at the NIC, plus the last packet's
         // serialization at the bottleneck hop, plus the one-way base delay.
-        let mut t = 0;
-        for _ in 0..full {
-            t += rate.serialize(wire(mtu));
-        }
+        let mut t = full * rate.serialize(wire(mtu));
         if rest > 0 {
             t += rate.serialize(wire(rest));
         }
         let last = if rest > 0 { rest } else { mtu.min(size) };
         t += rate.serialize(wire(last));
         t + self.topo.base_rtt / 2
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aeolus_sim::units::{us, Rate};
+
+    #[test]
+    fn ideal_fct_matches_the_per_packet_walk() {
+        for gbps in [10, 100] {
+            let link = LinkParams::uniform(Rate::gbps(gbps), us(3));
+            let spec = TopoSpec::SingleSwitch { hosts: 2, link };
+            let h = Harness::with_tracer(Scheme::HomaAeolus, SchemeParams::new(0), spec, NullTracer);
+            let (mtu, rate) = (h.params.mtu_payload as u64, h.topo.host_rate);
+            // The reference: serialize the flow packet by packet.
+            let walk = |size: u64| {
+                let (mut t, mut left, mut last) = (0, size, 0);
+                while left > 0 {
+                    last = left.min(mtu);
+                    t += rate.serialize(last + 40);
+                    left -= last;
+                }
+                t + rate.serialize(last + 40) + h.topo.base_rtt / 2
+            };
+            for size in [1, mtu - 1, mtu, mtu + 1, 2 * mtu + 7, 30_000_000] {
+                assert_eq!(h.ideal_fct(size), walk(size), "{size} B at {gbps} G");
+            }
+        }
     }
 }

@@ -389,27 +389,47 @@ fn fastpass_arbiter_host_is_reserved() {
     assert!(!h.hosts().contains(&h.params.arbiter.unwrap()));
 }
 
+/// Which priority band (`p0`..`p7`) the run's first unscheduled packet was
+/// queued in: armed by that packet's enqueue record — at its sender's NIC,
+/// the first hop — and read off the band sample the engine takes right after.
+#[derive(Default)]
+struct FirstBurstBand {
+    armed: bool,
+    band: Option<usize>,
+}
+
+impl aeolus_sim::TraceSink for FirstBurstBand {
+    fn queue_event(&mut self, rec: &aeolus_sim::QueueRecord) {
+        self.armed = self.band.is_none()
+            && rec.class == aeolus_sim::TrafficClass::Unscheduled
+            && rec.ev == aeolus_sim::QueueEvent::Enqueue;
+    }
+
+    fn queue_bands(&mut self, _at: u64, _node: NodeId, _port: aeolus_sim::PortId, bands: &[(&'static str, u64)]) {
+        if std::mem::take(&mut self.armed) {
+            self.band = bands.iter().position(|&(_, bytes)| bytes > 0);
+        }
+    }
+}
+
+impl aeolus_sim::Tracer for FirstBurstBand {
+    const ENABLED: bool = true;
+}
+
 #[test]
 fn homa_burst_priorities_follow_message_size() {
     // Homa's unscheduled packets carry size-derived priorities: a small
     // message's burst must ride a strictly higher priority (lower number)
-    // than a large message's. Verified via the packet trace.
+    // than a large message's. Verified on the sender's NIC priority bank.
     let first_burst_prio = |size: u64| {
-        let mut h = SchemeBuilder::new(Scheme::Homa { rto: ms(10) }).topology(testbed()).build();
+        let mut h = SchemeBuilder::new(Scheme::Homa { rto: ms(10) })
+            .topology(testbed())
+            .tracer(FirstBurstBand::default())
+            .build();
         let hosts = h.hosts().to_vec();
-        h.topo.net.trace_flow(FlowId(9));
         h.schedule(&[FlowDesc { id: FlowId(9), src: hosts[1], dst: hosts[0], size, start: 0 }]);
         assert!(h.run(ms(500)));
-        h.topo
-            .net
-            .trace()
-            .iter()
-            .find(|ev| {
-                matches!(ev.what, aeolus_sim::TraceKind::Transmit)
-                    && ev.class == aeolus_sim::TrafficClass::Unscheduled
-            })
-            .map(|ev| ev.priority)
-            .expect("burst packet in trace")
+        h.network().tracer().band.expect("burst packet queued")
     };
     let p_small = first_burst_prio(2_000);
     let p_large = first_burst_prio(2_000_000);

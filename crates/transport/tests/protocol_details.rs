@@ -1,24 +1,40 @@
-//! Protocol micro-behaviors, measured from packet traces: credit pacing on
+//! Protocol micro-behaviors, measured from a recorded run: credit pacing on
 //! the wire, trim→NACK→retransmit latency, probe positioning, and window
 //! dynamics — details the end-to-end FCT tests cannot see.
 
 use aeolus_sim::topology::LinkParams;
-use aeolus_sim::units::{ms, us, Rate};
-use aeolus_sim::{FlowDesc, FlowId, PacketKind, TraceKind, TrafficClass};
+use aeolus_sim::units::{ms, us, Rate, Time};
+use aeolus_sim::{
+    FlowId, NodeId, PacketKind, QueueEvent, QueueRecord, RecordingTracer, TrafficClass,
+};
 use aeolus_transport::{Harness, Scheme, SchemeBuilder, TopoSpec};
 
 fn testbed() -> TopoSpec {
     TopoSpec::SingleSwitch { hosts: 8, link: LinkParams::uniform(Rate::gbps(10), us(3)) }
 }
 
-/// Harness with one traced flow scheduled.
-fn traced(scheme: Scheme, size: u64) -> Harness {
-    let mut h = SchemeBuilder::new(scheme).topology(testbed()).build();
+/// A completed, recorded run of a `senders`:1 incast of `size`-byte flows into
+/// host 0 — flow `i` from host `i`, all starting at 0 — and the life of flow 1.
+/// The default rings hold every run here whole (the 2 MB ExpressPass flow
+/// leaves 2,762 records on the receiver's NIC, of 4,096 kept per port).
+fn traced(scheme: Scheme, senders: usize, size: u64) -> (Harness<RecordingTracer>, Vec<QueueRecord>) {
+    let mut h =
+        SchemeBuilder::new(scheme).topology(testbed()).tracer(RecordingTracer::new()).build();
     let hosts = h.hosts().to_vec();
-    h.topo.net.trace_flow(FlowId(1));
-    h.schedule(&[FlowDesc { id: FlowId(1), src: hosts[1], dst: hosts[0], size, start: 0 }]);
-    assert!(h.run(ms(500)));
-    h
+    h.schedule(&aeolus_workloads::incast_round(&hosts[1..=senders], hosts[0], size, 0, 1));
+    assert!(h.run(ms(1000)));
+    let tracer = h.network().tracer();
+    assert!(tracer.ports().all(|(_, pt)| pt.ring.dropped() == 0), "a ring overflowed");
+    let life = tracer.flow_records(FlowId(1));
+    (h, life)
+}
+
+/// When `node` put a packet of the flow matching `pick` on the wire.
+fn transmits(life: &[QueueRecord], node: NodeId, pick: impl Fn(&QueueRecord) -> bool) -> Vec<Time> {
+    life.iter()
+        .filter(|r| r.node == node && r.ev == QueueEvent::Dequeue && pick(r))
+        .map(|r| r.at)
+        .collect()
 }
 
 #[test]
@@ -26,20 +42,8 @@ fn expresspass_credits_are_paced_at_the_credit_interval() {
     // Steady-state credits leaving the receiver must be spaced by one
     // (MTU + credit) serialization time — the switch-throttle-compatible
     // cadence that makes induced data exactly fill the link.
-    let h = traced(Scheme::ExpressPass, 2_000_000);
-    let receiver = h.hosts()[0];
-    let credit_txs: Vec<u64> = h
-        .topo
-        .net
-        .trace()
-        .iter()
-        .filter(|ev| {
-            ev.node == receiver
-                && ev.kind == PacketKind::Credit
-                && matches!(ev.what, TraceKind::Transmit)
-        })
-        .map(|ev| ev.at)
-        .collect();
+    let (h, life) = traced(Scheme::ExpressPass, 1, 2_000_000);
+    let credit_txs = transmits(&life, h.hosts()[0], |r| r.kind == PacketKind::Credit);
     assert!(credit_txs.len() > 100, "need a steady-state credit stream");
     // Skip the ramp; measure the median gap in the second half.
     let tail = &credit_txs[credit_txs.len() / 2..];
@@ -57,22 +61,16 @@ fn expresspass_credits_are_paced_at_the_credit_interval() {
 
 #[test]
 fn aeolus_probe_is_the_last_first_rtt_transmission() {
-    let h = traced(Scheme::ExpressPassAeolus, 15_000);
+    let (h, life) = traced(Scheme::ExpressPassAeolus, 1, 15_000);
     let sender = h.hosts()[1];
-    let trace = h.topo.net.trace();
-    let probe_tx = trace
+    // One NIC port, so the sender's transmissions keep their ring order.
+    let sent: Vec<&QueueRecord> =
+        life.iter().filter(|r| r.node == sender && r.ev == QueueEvent::Dequeue).collect();
+    let probe_tx =
+        sent.iter().position(|r| r.kind == PacketKind::Probe).expect("probe transmitted");
+    let last_burst_tx = sent
         .iter()
-        .position(|ev| {
-            ev.node == sender && ev.kind == PacketKind::Probe && matches!(ev.what, TraceKind::Transmit)
-        })
-        .expect("probe transmitted");
-    let last_burst_tx = trace
-        .iter()
-        .rposition(|ev| {
-            ev.node == sender
-                && ev.class == TrafficClass::Unscheduled
-                && matches!(ev.what, TraceKind::Transmit)
-        })
+        .rposition(|r| r.class == TrafficClass::Unscheduled)
         .expect("burst transmitted");
     assert!(
         probe_tx > last_burst_tx,
@@ -82,80 +80,35 @@ fn aeolus_probe_is_the_last_first_rtt_transmission() {
 
 #[test]
 fn ndp_trim_to_retransmit_takes_about_one_rtt() {
-    // Overload the receiver so trims occur, then check that a trimmed
-    // packet's payload is retransmitted roughly one RTT after the trim
+    // Overload the receiver so trims occur, then check that every NACK the
+    // sender is handed is followed by a retransmission within 4 RTTs
     // (header races back, NACK out, pull clocks the retransmission).
-    let mut h = SchemeBuilder::new(Scheme::Ndp).topology(testbed()).build();
-    let hosts = h.hosts().to_vec();
-    h.topo.net.trace_flow(FlowId(1));
-    let mut flows = vec![FlowDesc { id: FlowId(1), src: hosts[1], dst: hosts[0], size: 60_000, start: 0 }];
-    for i in 2..7 {
-        flows.push(FlowDesc {
-            id: FlowId(i as u64),
-            src: hosts[i],
-            dst: hosts[0],
-            size: 60_000,
-            start: 0,
-        });
-    }
-    h.schedule(&flows);
-    assert!(h.run(ms(1000)));
-    let trace = h.topo.net.trace();
-    // Find the first trimmed-header arrival at the receiver and the next
-    // retransmission of those bytes by the sender.
-    let receiver = hosts[0];
-    let sender = hosts[1];
-    let (t_trim, seq) = trace
-        .iter()
-        .find_map(|ev| {
-            (ev.node == receiver
-                && matches!(ev.what, TraceKind::Arrive)
-                && ev.kind == PacketKind::Data
-                && ev.class == TrafficClass::Unscheduled)
-                .then_some(())?;
-            None
-        })
-        .unwrap_or((0, u64::MAX));
-    let _ = (t_trim, seq);
-    // Simpler, robust check: every NACK the sender receives is followed by a
-    // retransmission transmit within 2 RTTs.
+    let (h, life) = traced(Scheme::Ndp, 6, 60_000);
+    let sender = h.hosts()[1];
     let rtt = h.params.base_rtt;
-    let nacks: Vec<u64> = trace
+    // A control packet reaches a host off the last-hop port feeding it.
+    let (sw, down) = h.topo.host_ingress[1];
+    let nacks: Vec<u64> = life
         .iter()
-        .filter(|ev| {
-            ev.node == sender && ev.kind == PacketKind::Nack && matches!(ev.what, TraceKind::Arrive)
+        .filter(|r| {
+            (r.node, r.port) == (sw, down) && r.ev == QueueEvent::Dequeue && r.kind == PacketKind::Nack
         })
-        .map(|ev| ev.at)
+        .map(|r| r.at)
         .collect();
     assert!(!nacks.is_empty(), "overload must produce NACKs");
+    let data_txs = transmits(&life, sender, |r| r.kind == PacketKind::Data);
     for &t in nacks.iter().take(5) {
-        let resent = trace.iter().any(|ev| {
-            ev.node == sender
-                && matches!(ev.what, TraceKind::Transmit)
-                && ev.kind == PacketKind::Data
-                && ev.at > t
-                && ev.at < t + 4 * rtt
-        });
+        let resent = data_txs.iter().any(|&at| at > t && at < t + 4 * rtt);
         assert!(resent, "NACK at {t} not answered within 4 RTTs");
     }
 }
 
 #[test]
 fn dctcp_slow_start_doubles_the_flight_per_rtt() {
-    let h = traced(Scheme::Dctcp { rto: ms(10) }, 500_000);
-    let sender = h.hosts()[1];
+    let (h, life) = traced(Scheme::Dctcp { rto: ms(10) }, 1, 500_000);
     let rtt = h.params.base_rtt;
     // Count data transmissions per RTT epoch; early epochs must grow.
-    let txs: Vec<u64> = h
-        .topo
-        .net
-        .trace()
-        .iter()
-        .filter(|ev| {
-            ev.node == sender && ev.kind == PacketKind::Data && matches!(ev.what, TraceKind::Transmit)
-        })
-        .map(|ev| ev.at)
-        .collect();
+    let txs = transmits(&life, h.hosts()[1], |r| r.kind == PacketKind::Data);
     let epoch = |t: u64| (t / rtt) as usize;
     let mut per_epoch = vec![0usize; epoch(*txs.last().unwrap()) + 1];
     for &t in &txs {
@@ -188,21 +141,10 @@ fn dctcp_slow_start_doubles_the_flight_per_rtt() {
 
 #[test]
 fn fastpass_slots_are_evenly_spaced() {
-    let h = traced(Scheme::Fastpass, 100_000);
-    let sender = h.hosts()[1];
-    let txs: Vec<u64> = h
-        .topo
-        .net
-        .trace()
-        .iter()
-        .filter(|ev| {
-            ev.node == sender
-                && ev.kind == PacketKind::Data
-                && ev.class == TrafficClass::Scheduled
-                && matches!(ev.what, TraceKind::Transmit)
-        })
-        .map(|ev| ev.at)
-        .collect();
+    let (h, life) = traced(Scheme::Fastpass, 1, 100_000);
+    let txs = transmits(&life, h.hosts()[1], |r| {
+        r.kind == PacketKind::Data && r.class == TrafficClass::Scheduled
+    });
     assert!(txs.len() >= 10, "scheduled slots expected, saw {}", txs.len());
     let slot = Rate::gbps(10).serialize(1500);
     for w in txs.windows(2) {

@@ -1,64 +1,67 @@
 //! Annotated packet journey of one Aeolus flow.
 //!
-//! Traces every packet event (arrivals, transmissions, drops) of a single
-//! flow competing in a 7:1 incast under ExpressPass+Aeolus, and prints the
-//! protocol timeline: request, line-rate unscheduled burst, selective drops
-//! at the congested port, probe, per-packet ACKs, credits and the scheduled
-//! retransmissions that repair the first RTT.
+//! Records a 7:1 incast under ExpressPass+Aeolus and prints one flow's life
+//! as a filter over the capture: request, line-rate unscheduled burst,
+//! selective drops at the congested port (with the queue depth each one
+//! saw), probe, per-packet ACKs, credits and the scheduled retransmissions
+//! that repair the first RTT.
 //!
 //! ```text
 //! cargo run --release --example packet_trace
 //! ```
 
 use aeolus::prelude::*;
-use aeolus::sim::{TraceKind, PacketKind};
+use aeolus::sim::{PacketKind, QueueEvent, RecordingTracer};
 
 fn main() {
     let spec =
         TopoSpec::SingleSwitch { hosts: 8, link: LinkParams::uniform(Rate::gbps(10), us(3)) };
-    let mut h = SchemeBuilder::new(Scheme::ExpressPassAeolus).topology(spec).build();
+    let mut h = SchemeBuilder::new(Scheme::ExpressPassAeolus)
+        .topology(spec)
+        .tracer(RecordingTracer::new())
+        .build();
     let hosts = h.hosts().to_vec();
-    // Six competing bursts plus the traced victim.
-    let mut flows: Vec<FlowDesc> = (0..6)
-        .map(|i| FlowDesc {
-            id: FlowId(i + 1),
-            src: hosts[i as usize + 1],
-            dst: hosts[0],
-            size: 40_000,
-            start: 0,
-        })
-        .collect();
+    // Seven 40 KB bursts into one receiver; the last sender's is the victim.
+    let flows = incast_round(&hosts[1..], hosts[0], 40_000, 0, 1);
     let victim = FlowId(7);
-    flows.push(FlowDesc { id: victim, src: hosts[7], dst: hosts[0], size: 40_000, start: 0 });
-    h.topo.net.trace_flow(victim);
     h.schedule(&flows);
     assert!(h.run(ms(100)));
 
     println!("packet timeline of flow {victim:?} (40 KB into a 7:1 incast):\n");
-    println!("{:>10}  {:<7} {:<22} {:<12} {:>8}", "t (us)", "node", "event", "class", "seq");
+    println!(
+        "{:>10}  {:<10} {:<22} {:<12} {:>8} {:>9}",
+        "t (us)", "node", "event", "class", "seq", "qlen (B)"
+    );
+    let life = h.network().tracer().flow_records(victim);
     let mut shown = 0;
-    for ev in h.topo.net.trace() {
-        let what = match ev.what {
-            TraceKind::Arrive => "arrive".to_string(),
-            TraceKind::Transmit => "transmit".to_string(),
-            TraceKind::Drop(r) => format!("DROP ({r:?})"),
+    for rec in &life {
+        let at_switch = h.topo.switches.contains(&rec.node);
+        let what = match rec.ev {
+            QueueEvent::Dequeue => "transmit".to_string(),
+            QueueEvent::Drop(r) => format!("DROP ({r:?})"),
+            // A host queueing its own packet is not news; its transmit is.
+            _ if !at_switch => continue,
+            QueueEvent::Enqueue => "arrive".to_string(),
+            QueueEvent::EnqueueMarked => "arrive (CE marked)".to_string(),
+            QueueEvent::EnqueueTrimmed => "arrive (trimmed)".to_string(),
         };
         // Compress the middle of the run: show everything interesting.
-        let interesting = !matches!(ev.kind, PacketKind::Data | PacketKind::Ack { .. })
-            || matches!(ev.what, TraceKind::Drop(_))
+        let interesting = !matches!(rec.kind, PacketKind::Data | PacketKind::Ack { .. })
+            || matches!(rec.ev, QueueEvent::Drop(_))
             || shown < 40;
         if interesting {
             println!(
-                "{:>10.2}  {:<7} {:<22} {:<12} {:>8}",
-                ev.at as f64 / 1e6,
-                format!("{:?}", ev.node),
+                "{:>10.2}  {:<10} {:<22} {:<12} {:>8} {:>9}",
+                rec.at as f64 / 1e6,
+                format!("{:?}", rec.node),
                 what,
-                format!("{:?}", ev.class),
-                ev.seq
+                format!("{:?}", rec.class),
+                rec.seq,
+                rec.qlen_bytes
             );
             shown += 1;
         }
     }
     let fct = h.metrics().flow(victim).unwrap().fct().unwrap();
-    println!("\nflow completed in {:.2} us; {} trace events total", fct as f64 / 1e6, h.topo.net.trace().len());
+    println!("\nflow completed in {:.2} us; {} queue records total", fct as f64 / 1e6, life.len());
 }

@@ -10,6 +10,21 @@ cargo test -q --workspace
 # the global allocator after warm-up (counting-allocator integration test).
 cargo test --release -q --test zero_alloc
 
+# Doc-name gate: every CamelCase name inside backticks in DESIGN.md /
+# README.md must still occur in the sources, so a deleted type cannot live
+# on in the prose.
+for name in $(grep -ohE '`[^`]+`' DESIGN.md README.md \
+    | grep -oE '\b[A-Z][a-z0-9]+([A-Z][a-z0-9]*)+\b' | sort -u); do
+    grep -rqw --include='*.rs' "$name" crates src examples benchmark/src || {
+        echo "DESIGN.md / README.md name \`$name\` is in no source file" >&2; exit 1; }
+done
+
+# One flow's life read off the Tracer seam: the example must run, show the
+# victim's selective drops and see it complete.
+trace_txt="$(cargo run --release -q --example packet_trace)"
+grep -q 'DROP' <<<"$trace_txt" && grep -q '^flow completed in ' <<<"$trace_txt" || {
+    echo "packet_trace printed no DROP line or no completion line" >&2; exit 1; }
+
 # Churn guard: a receiver's cost per event must follow the flows it is
 # receiving, not every flow it has ever seen. 7:1 x 20 KB incast at 300 and
 # 3000 rounds, four receiver-driven families; exits non-zero if ns/event at
