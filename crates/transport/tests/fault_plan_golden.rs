@@ -105,8 +105,8 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// What one digested run observed; the digest covers every field but
-/// itself. Printed whole on a mismatch.
+/// What one digested run observed; the digest covers the drop matrix, every
+/// flow's outcome and the fault-event stream. Printed whole on a mismatch.
 #[derive(Debug, PartialEq, Eq)]
 struct Observed {
     events: u64,
@@ -150,8 +150,8 @@ fn run(scheme: Scheme, hosts: usize, spec: &str) -> Observed {
     h.topo.net.tracer_mut().finish(now);
 
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    // Not hashed: how many events the engine spends is cost, not behaviour.
     let events = h.network().events_processed();
-    fnv(&mut digest, &events.to_le_bytes());
     for ((reason, class), n) in h.metrics().drops() {
         fnv(&mut digest, format!("{reason:?}/{class:?}={n};").as_bytes());
     }
@@ -229,7 +229,7 @@ fn directive_order_across_kinds_is_not_behaviour() {
             node_crashes: 2,
             restarted_flows: 4,
             kills: 51,
-            digest: 0x57fa4bf10895a792,
+            digest: 0x0485448929bb475b,
         },
     );
 }
@@ -248,7 +248,7 @@ fn fastpass_arbiter_outage_crashes_the_arbiter_host_only() {
             node_crashes: 3,
             restarted_flows: 3,
             kills: 20,
-            digest: 0xf211868983be7dee,
+            digest: 0xd8e92f9521391ec8,
         },
     );
 }
