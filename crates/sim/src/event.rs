@@ -76,6 +76,50 @@ pub enum Event {
     },
 }
 
+impl Event {
+    /// Name of each kind, in [`Event::kind`] order.
+    pub const KINDS: [&'static str; 6] =
+        ["arrival", "port_free", "port_kick", "timer", "flow_arrival", "fault"];
+
+    /// Index of this event's kind into [`Event::KINDS`].
+    #[inline]
+    pub fn kind(&self) -> usize {
+        match self {
+            Event::Arrival { .. } => 0,
+            Event::PortFree { .. } => 1,
+            Event::PortKick { .. } => 2,
+            Event::Timer { .. } => 3,
+            Event::FlowArrival { .. } => 4,
+            Event::Fault { .. } => 5,
+        }
+    }
+}
+
+/// A place in the event order, taken with [`EventQueue::reserve`] at the
+/// moment an event *would* be scheduled and filled — or not — later.
+///
+/// An event is worth queueing only if something will observe it, but its
+/// rank among same-picosecond events is behaviour: every `schedule_at` made
+/// after the reservation must keep the rank it would have had. A `Place`
+/// separates the two: reserving consumes the sequence number, so the order
+/// of everything else is fixed either way, and the event itself goes in
+/// under that number only when [`EventQueue::fill`] is called.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Place {
+    at: Time,
+    seq: u64,
+}
+
+impl Place {
+    /// The place before every event: passed on any queue, at any time.
+    pub const START: Place = Place { at: 0, seq: 0 };
+
+    /// The time this place was reserved for.
+    pub fn at(&self) -> Time {
+        self.at
+    }
+}
+
 struct Scheduled {
     at: Time,
     seq: u64,
@@ -453,6 +497,11 @@ enum Impl {
 /// Event queue with the current simulated time.
 pub struct EventQueue {
     now: Time,
+    /// Sequence number of the event last popped — with `now`, the place in
+    /// the order the run has reached. 0 (no event's number) before the first.
+    now_seq: u64,
+    /// Next sequence number to hand out; starts at 1 so that
+    /// [`Place::START`] precedes every real place.
     seq: u64,
     imp: Impl,
 }
@@ -476,7 +525,7 @@ impl EventQueue {
             SchedulerKind::TimingWheel => Impl::Wheel(WheelScheduler::new()),
             SchedulerKind::BinaryHeap => Impl::Heap(HeapScheduler::new()),
         };
-        EventQueue { now: 0, seq: 0, imp }
+        EventQueue { now: 0, now_seq: 0, seq: 1, imp }
     }
 
     /// Which scheduler this queue runs on.
@@ -498,14 +547,60 @@ impl EventQueue {
     /// # Panics
     /// Panics if `at` is in the past — a causality bug in the caller.
     pub fn schedule_at(&mut self, at: Time, event: Event) {
+        let place = self.reserve(at);
+        self.push(place, event);
+    }
+
+    /// Take the place in the event order a `schedule_at(at, ..)` made now
+    /// would get, without queueing anything: `len()` and the pop sequence
+    /// are untouched until (and unless) the place is [filled](Self::fill).
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past — a causality bug in the caller.
+    pub fn reserve(&mut self, at: Time) -> Place {
         assert!(at >= self.now, "event scheduled in the past: {} < {}", at, self.now);
         let seq = self.seq;
         self.seq += 1;
-        let s = Scheduled { at, seq, event };
+        Place { at, seq }
+    }
+
+    /// Queue `event` at a reserved `place`: it pops exactly where a
+    /// `schedule_at` made at reservation time would have. Both schedulers
+    /// order by `(at, seq)` wherever an event lands — the cursor buffer, a
+    /// bucket, the overflow heap — so a late fill under an old number needs
+    /// nothing from them. Filling one place twice is the caller's bug.
+    ///
+    /// # Panics
+    /// Panics if the run is already past `place`: the event could no longer
+    /// fire where it was promised.
+    pub fn fill(&mut self, place: Place, event: Event) {
+        assert!(!self.passed(place), "place {place:?} filled after the run passed it");
+        self.push(place, event);
+    }
+
+    /// Has the run reached `place` — is the event being dispatched the one
+    /// filled into it, or one ordered after it?
+    #[inline]
+    pub fn passed(&self, place: Place) -> bool {
+        (place.at, place.seq) <= (self.now, self.now_seq)
+    }
+
+    #[inline]
+    fn push(&mut self, place: Place, event: Event) {
+        let s = Scheduled { at: place.at, seq: place.seq, event };
         match &mut self.imp {
             Impl::Wheel(w) => w.push(s),
             Impl::Heap(h) => h.push(s),
         }
+    }
+
+    /// Advance the clock to a popped event's place and hand it out.
+    #[inline]
+    fn reached(&mut self, s: Scheduled) -> (Time, Event) {
+        debug_assert!((s.at, s.seq) > (self.now, self.now_seq));
+        self.now = s.at;
+        self.now_seq = s.seq;
+        (s.at, s.event)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -514,9 +609,7 @@ impl EventQueue {
             Impl::Wheel(w) => w.pop()?,
             Impl::Heap(h) => h.pop()?,
         };
-        debug_assert!(s.at >= self.now);
-        self.now = s.at;
-        Some((s.at, s.event))
+        Some(self.reached(s))
     }
 
     /// Pop the next event only if it fires at or before `limit`, advancing
@@ -528,9 +621,7 @@ impl EventQueue {
             Impl::Wheel(w) => w.pop_at_or_before(limit)?,
             Impl::Heap(h) => h.pop_at_or_before(limit)?,
         };
-        debug_assert!(s.at >= self.now);
-        self.now = s.at;
-        Some((s.at, s.event))
+        Some(self.reached(s))
     }
 
     /// Timestamp of the next pending event without popping it.

@@ -284,7 +284,7 @@ impl<T: Tracer> Network<T> {
         match ev {
             Event::Arrival { node, pkt } => self.handle_arrival(node, pkt),
             Event::PortFree { node, port } => {
-                self.nodes[node.0 as usize].ports[port.0 as usize].busy = false;
+                self.nodes[node.0 as usize].ports[port.0 as usize].free_armed = false;
                 self.try_transmit(node, port);
             }
             Event::PortKick { node, port } => {
@@ -650,15 +650,25 @@ impl<T: Tracer> Network<T> {
     }
 
     /// If the transmitter of (`node`, `port`) is idle and the queue can
-    /// provide a packet, serialize it onto the link.
+    /// provide a packet, serialize it onto the link. If it is still held by
+    /// the previous packet, make sure a `PortFree` will call back here.
     fn try_transmit(&mut self, node: NodeId, port: PortId) {
         let now = self.queue.now();
         enum Next {
-            Send { to: NodeId, at_dst: Time, free_at: Time, pkt: PacketRef },
-            Kill { free_at: Time, pkt: PacketRef, reason: DropReason },
+            Send { to: NodeId, at_dst: Time, pkt: PacketRef },
+            Kill { pkt: PacketRef, reason: DropReason },
             Kick(Time),
             Idle,
         }
+        // Queue the `PortFree` reserved at `p.free` if a packet is waiting
+        // for it and it is not queued yet (the dedupe `kick_at` does for
+        // `PortKick`).
+        let arm_free = |queue: &mut EventQueue, p: &mut Port| {
+            if p.queue.pkts() > 0 && !p.free_armed {
+                p.free_armed = true;
+                queue.fill(p.free, Event::PortFree { node, port });
+            }
+        };
         let mut deq_rec = None;
         let faults_active = self.faults.active();
         let next = {
@@ -666,8 +676,12 @@ impl<T: Tracer> Network<T> {
             let open = index.open_at(now);
             let fault_rng = &mut self.fault_rng;
             let pool = &mut self.pool;
+            let queue = &mut self.queue;
             let p = &mut self.nodes[node.0 as usize].ports[port.0 as usize];
-            if p.busy {
+            if !queue.passed(p.free) {
+                // Held: the wire is occupied until the run reaches `p.free`.
+                // Whatever is queued now waits for that instant.
+                arm_free(queue, p);
                 Next::Idle
             } else if faults_active && faults::link_down_at(open, node, port, p.link.to, now) {
                 // Link is down: leave the queue untouched. The window-end
@@ -677,7 +691,6 @@ impl<T: Tracer> Network<T> {
                 let prev = p.queue.bytes();
                 match p.queue.poll(pool, now) {
                     Poll::Ready(r) => {
-                        p.busy = true;
                         p.stats.on_qlen_change(prev, now);
                         p.stats.observe_qlen(p.queue.bytes());
                         let pkt = pool.get(r);
@@ -691,6 +704,14 @@ impl<T: Tracer> Network<T> {
                             deq_rec = Some(dequeue_record(now, node, port, pkt, p));
                         }
                         let free_at = now + ser;
+                        // Hold the transmitter for the serialization time —
+                        // also when a fault below suppresses the arrival —
+                        // by taking the `PortFree`'s place in the order; the
+                        // event itself is queued only if a packet is left
+                        // behind to be sent when it fires.
+                        debug_assert!(!p.free_armed, "transmitting ahead of a queued PortFree");
+                        p.free = queue.reserve(free_at);
+                        arm_free(queue, p);
                         if let Some(reason) = (faults_active)
                             .then(|| index.cut_reason(node, port, p.link.to, now, free_at))
                             .flatten()
@@ -702,23 +723,22 @@ impl<T: Tracer> Network<T> {
                             // taxonomy distinct (node vs control-plane vs
                             // link faults).
                             p.stats.fault_kills += 1;
-                            Next::Kill { free_at, pkt: r, reason }
+                            Next::Kill { pkt: r, reason }
                         } else if faults_active && faults::blackout_kills(open, pool.get(r), now) {
                             // Arbiter outage on a distributed credit source:
                             // the credit stream dies at the egress. Checked
                             // before corruption so blackout kills draw no RNG.
                             p.stats.fault_kills += 1;
-                            Next::Kill { free_at, pkt: r, reason: DropReason::ArbiterDown }
+                            Next::Kill { pkt: r, reason: DropReason::ArbiterDown }
                         } else if faults_active
                             && index.plan().corrupts(node, port, p.link.to, pool.get(r), fault_rng)
                         {
                             p.stats.fault_kills += 1;
-                            Next::Kill { free_at, pkt: r, reason: DropReason::Corruption }
+                            Next::Kill { pkt: r, reason: DropReason::Corruption }
                         } else {
                             Next::Send {
                                 to: p.link.to,
                                 at_dst: free_at + p.link.delay,
-                                free_at,
                                 pkt: r,
                             }
                         }
@@ -745,17 +765,13 @@ impl<T: Tracer> Network<T> {
             }
         }
         match next {
-            Next::Send { to, at_dst, free_at, pkt } => {
+            Next::Send { to, at_dst, pkt } => {
                 let ingress = self.nodes[to.0 as usize].ingress_delay;
-                self.queue.schedule_at(free_at, Event::PortFree { node, port });
                 self.queue.schedule_at(at_dst + ingress, Event::Arrival { node: to, pkt });
             }
-            Next::Kill { free_at, pkt, reason } => {
-                // The transmitter was still occupied for the serialization
-                // time; only the arrival is suppressed.
-                self.kill(node, port, pkt, now, reason);
-                self.queue.schedule_at(free_at, Event::PortFree { node, port });
-            }
+            // The transmitter is occupied all the same; only the arrival
+            // is suppressed.
+            Next::Kill { pkt, reason } => self.kill(node, port, pkt, now, reason),
             Next::Kick(t) => {
                 self.queue.schedule_at(t, Event::PortKick { node, port });
             }

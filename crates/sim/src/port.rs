@@ -1,5 +1,6 @@
 //! Egress ports: a queue discipline feeding a link.
 
+use crate::event::Place;
 use crate::packet::NodeId;
 use crate::queues::QueueDisc;
 use crate::units::{Rate, Time};
@@ -66,8 +67,15 @@ pub struct Port {
     pub ser_ps_per_byte: u64,
     /// The queue discipline.
     pub queue: Box<dyn QueueDisc>,
-    /// Whether the transmitter is currently serializing a packet.
-    pub busy: bool,
+    /// The place in the event order at which the transmitter frees: it is
+    /// serializing a packet until the run passes this place, idle after.
+    /// Reserved at every transmission, where the `PortFree` event would
+    /// have been scheduled.
+    pub(crate) free: Place,
+    /// Whether a `PortFree` event has been queued at `free`. That happens
+    /// only once a packet waits behind the wire; a transmitter that frees
+    /// onto an empty queue needs no event to tell it so.
+    pub(crate) free_armed: bool,
     /// Pending pacing kick, if any (dedupes `PortKick` events).
     pub kick_at: Option<Time>,
     /// Statistics.
@@ -81,7 +89,8 @@ impl Port {
             link,
             ser_ps_per_byte: link.rate.ps_per_byte().unwrap_or(0),
             queue,
-            busy: false,
+            free: Place::START,
+            free_armed: false,
             kick_at: None,
             stats: PortStats::default(),
         }

@@ -224,7 +224,7 @@ fn directive_order_across_kinds_is_not_behaviour() {
         Scheme::ExpressPassAeolus,
         5,
         &Observed {
-            events: 2_344,
+            events: 1_698,
             window_starts: 5,
             node_crashes: 2,
             restarted_flows: 4,
@@ -243,7 +243,7 @@ fn fastpass_arbiter_outage_crashes_the_arbiter_host_only() {
         Scheme::FastpassAeolus,
         6,
         &Observed {
-            events: 1_529,
+            events: 1_307,
             window_starts: 5,
             node_crashes: 3,
             restarted_flows: 3,
