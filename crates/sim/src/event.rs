@@ -913,6 +913,124 @@ mod tests {
         }
     }
 
+    /// Everything left in `q`, as `(time, token)`.
+    fn drain(q: &mut EventQueue) -> Vec<(Time, u64)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| match e {
+                Event::Timer { token, .. } => (t, token),
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
+    /// A reserved place filled later pops exactly where a `schedule_at` made
+    /// at reservation time would have — whether the fill lands in the tick
+    /// being drained (`cur`), in a later bucket or beyond the wheel horizon
+    /// (overflow), and whether it comes early or at the last moment, when
+    /// the event ranked just ahead of the place is the one being dispatched.
+    /// A `fill` that takes a fresh sequence number pops 99 after 3 instead.
+    #[test]
+    fn a_place_filled_late_pops_where_the_schedule_would_have() {
+        let horizon = (WHEEL_SIZE as u64) << TICK_SHIFT;
+        for (label, at) in
+            [("cur", 15), ("bucket", 10 + (3 << TICK_SHIFT)), ("overflow", 10 + 2 * horizon)]
+        {
+            for kind in BOTH {
+                for last_moment in [false, true] {
+                    // `reserved`: take the place and fill it later; otherwise
+                    // the reference, scheduling on the spot.
+                    let run = |reserved: bool| {
+                        let mut q = EventQueue::with_scheduler(kind);
+                        q.schedule_at(10, timer(0));
+                        q.schedule_at(at, timer(1));
+                        let place = if reserved {
+                            Some(q.reserve(at))
+                        } else {
+                            q.schedule_at(at, timer(99));
+                            None
+                        };
+                        q.schedule_at(at, timer(2));
+                        let mut popped = vec![q.pop().map(|(t, _)| (t, 0)).unwrap()];
+                        q.schedule_at(at, timer(3));
+                        if last_moment {
+                            popped.push(q.pop().map(|(t, _)| (t, 1)).unwrap());
+                            assert_eq!(q.now(), at);
+                        }
+                        if let Some(place) = place {
+                            assert_eq!(place.at(), at);
+                            assert!(!q.passed(place));
+                            q.fill(place, timer(99));
+                        }
+                        popped.extend(drain(&mut q));
+                        popped
+                    };
+                    let want = vec![(10, 0), (at, 1), (at, 99), (at, 2), (at, 3)];
+                    assert_eq!(run(false), want, "{label} {kind:?}: reference");
+                    assert_eq!(run(true), want, "{label} {kind:?} last_moment={last_moment}");
+                }
+            }
+        }
+    }
+
+    /// Reserving queues nothing: `len()` and the pop sequence are those of a
+    /// queue that never heard of the place. Fails if `reserve` counts the
+    /// place as pending or parks a placeholder event.
+    #[test]
+    fn an_unfilled_reservation_leaves_the_queue_untouched() {
+        let horizon = (WHEEL_SIZE as u64) << TICK_SHIFT;
+        for kind in BOTH {
+            let run = |reserve: bool| {
+                let mut q = EventQueue::with_scheduler(kind);
+                let mut lens = Vec::new();
+                for (i, at) in [5, 5, 9 << TICK_SHIFT, 3 * horizon].into_iter().enumerate() {
+                    q.schedule_at(at, timer(i as u64));
+                    if reserve {
+                        q.reserve(at);
+                        q.reserve(at + 1);
+                    }
+                    lens.push(q.len());
+                }
+                (lens, drain(&mut q), q.is_empty())
+            };
+            assert_eq!(run(true), run(false), "{kind:?}");
+            assert_eq!(run(true).0, vec![1, 2, 3, 4]);
+        }
+    }
+
+    /// `passed` follows `(at, seq)` order, not time alone: at one picosecond
+    /// a place is open while the event ranked before it is dispatched and
+    /// passed once the one ranked after it is. Fails if `passed` compares
+    /// times only (either way round).
+    fn pass_a_place_then_fill_it(kind: SchedulerKind) {
+        let mut q = EventQueue::with_scheduler(kind);
+        assert!(q.passed(Place::START), "nothing is held before the first event");
+        q.schedule_at(10, timer(0));
+        let place = q.reserve(10);
+        q.schedule_at(10, timer(1));
+        assert!(!q.passed(place));
+        q.pop();
+        assert_eq!(q.now(), 10);
+        assert!(!q.passed(place), "the event ranked before the place is being dispatched");
+        q.fill(place, timer(99));
+        assert!(matches!(q.pop(), Some((10, Event::Timer { token: 99, .. }))));
+        assert!(q.passed(place), "the place's own event is being dispatched");
+        q.pop();
+        assert!(q.passed(place));
+        q.fill(place, timer(98));
+    }
+
+    #[test]
+    #[should_panic(expected = "filled after the run passed it")]
+    fn filling_a_passed_place_panics_on_the_wheel() {
+        pass_a_place_then_fill_it(SchedulerKind::TimingWheel);
+    }
+
+    #[test]
+    #[should_panic(expected = "filled after the run passed it")]
+    fn filling_a_passed_place_panics_on_the_heap() {
+        pass_a_place_then_fill_it(SchedulerKind::BinaryHeap);
+    }
+
     #[test]
     fn len_tracks_pending_events() {
         let mut q = EventQueue::new();

@@ -25,7 +25,8 @@ pub struct Network<T: Tracer = NullTracer> {
     queue: EventQueue,
     /// Run metrics.
     pub metrics: Metrics,
-    events_processed: u64,
+    /// Events dispatched so far, by [`Event::kind`].
+    event_mix: [u64; Event::KINDS.len()],
     /// Telemetry sink for engine-level events.
     tracer: T,
     /// Scratch for per-band queue occupancy sampling (avoids a per-event
@@ -76,7 +77,7 @@ impl<T: Tracer> Network<T> {
             nodes: Vec::new(),
             queue: EventQueue::new(),
             metrics: Metrics::new(),
-            events_processed: 0,
+            event_mix: [0; Event::KINDS.len()],
             tracer,
             band_scratch: Vec::new(),
             faults: FaultIndex::default(),
@@ -168,7 +169,13 @@ impl<T: Tracer> Network<T> {
 
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.event_mix.iter().sum()
+    }
+
+    /// Events processed so far by kind, in [`Event::KINDS`] order — what the
+    /// run spent its events on.
+    pub fn event_mix(&self) -> [u64; Event::KINDS.len()] {
+        self.event_mix
     }
 
     /// Add a switch with the given routing policy, RNG seed (for spraying)
@@ -262,7 +269,6 @@ impl<T: Tracer> Network<T> {
             && self.pending_restart.is_empty())
         {
             let Some((_, ev)) = self.queue.pop_at_or_before(horizon) else { break };
-            self.events_processed += 1;
             self.dispatch(ev);
         }
         self.metrics.all_complete()
@@ -272,12 +278,12 @@ impl<T: Tracer> Network<T> {
     /// are processed).
     pub fn run_until(&mut self, until: Time) {
         while let Some((_, ev)) = self.queue.pop_at_or_before(until) {
-            self.events_processed += 1;
             self.dispatch(ev);
         }
     }
 
     fn dispatch(&mut self, ev: Event) {
+        self.event_mix[ev.kind()] += 1;
         // Time only moves between events: advancing here keeps the open set
         // current for every fault query the handlers below make.
         self.faults.advance(self.queue.now());
@@ -1249,6 +1255,176 @@ mod tests {
             degraded > 3 * clean && degraded < 6 * clean,
             "4x slowdown should roughly quadruple the FCT: {clean} -> {degraded}"
         );
+    }
+
+    fn mix_of<T: Tracer>(net: &Network<T>, kind: &str) -> u64 {
+        net.event_mix()[Event::KINDS.iter().position(|k| *k == kind).expect("an event kind")]
+    }
+
+    /// 1500 B on the wire at 10 Gbps.
+    const SER: Time = 1_200 * crate::units::PS_PER_NS;
+
+    #[test]
+    fn packets_spaced_wider_than_their_serialization_need_no_port_free() {
+        // Twenty MTU packets 2 us apart over two hops: every transmitter
+        // frees onto an empty queue, so nothing ever waits for a `PortFree`.
+        // Fails if a transmission queues the event regardless of what is
+        // behind it.
+        let (mut net, h0, h1) = two_hosts_one_switch();
+        for i in 0..20 {
+            let start = i * us(2);
+            net.schedule_flow(FlowDesc { id: FlowId(i), src: h0, dst: h1, size: 1_460, start });
+        }
+        assert!(net.run_to_completion(us(1000)));
+        assert_eq!(mix_of(&net, "port_free"), 0);
+        assert_eq!(mix_of(&net, "arrival"), 40);
+        assert_eq!(mix_of(&net, "flow_arrival"), 20);
+        assert_eq!(net.events_processed(), 60);
+        // The same packets back to back: each one but the last leaves a
+        // successor behind at the NIC, and reaches the switch on the very
+        // picosecond its predecessor clears that port.
+        let (mut net, h0, h1) = two_hosts_one_switch();
+        net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 20 * 1_460, start: 0 });
+        assert!(net.run_to_completion(us(1000)));
+        assert_eq!(mix_of(&net, "port_free"), 19 + 19);
+        assert_eq!(mix_of(&net, "arrival"), 40);
+    }
+
+    /// Sends each flow as one packet whose priority is the tens digit of the
+    /// flow id (0 is served first); counts deliveries like [`Blaster`].
+    struct OneShot;
+
+    impl Endpoint for OneShot {
+        fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
+            let mut pkt = Packet::data(
+                flow.id,
+                flow.src,
+                flow.dst,
+                0,
+                flow.size as u32,
+                TrafficClass::Scheduled,
+                flow.size,
+            );
+            pkt.priority = (flow.id.0 / 10) as u8;
+            ctx.send(pkt);
+        }
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+            ctx.metrics.deliver(pkt.flow, pkt.payload as u64, ctx.now);
+        }
+        fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
+    }
+
+    /// Flow 10 (low priority) and flow 2 (high priority), `payload` bytes
+    /// each and sent at `start` from two hosts, reach a two-level priority
+    /// port in that order on the very picosecond it finishes serializing
+    /// flow 1. Returns the three flow ids in wire order.
+    fn wire_order_of_a_tie(payload: u64, start: Time) -> Vec<u64> {
+        let mut net = Network::new();
+        let sw = net.add_switch(RoutePolicy::EcmpHash, 1, 0);
+        let hosts: Vec<NodeId> = (0..4).map(|_| net.add_host(0)).collect();
+        let q = || Box::new(DropTailQueue::new(1 << 30)) as Box<dyn QueueDisc>;
+        for &h in &hosts {
+            net.connect(h, sw, Rate::gbps(10), us(1), q());
+            net.set_endpoint(h, Box::new(OneShot));
+        }
+        let dst = hosts[3];
+        let bank = Box::new(crate::queues::PriorityBank::new(2, 1 << 30));
+        let out = net.connect(sw, dst, Rate::gbps(10), us(1), bank);
+        net.add_route(sw, dst, out);
+        let flow = |id, src: usize, size, start| FlowDesc {
+            id: FlowId(id),
+            src: hosts[src],
+            dst,
+            size,
+            start,
+        };
+        // Flow 1 is at the switch at 2.2 us and holds the port until 3.4 us.
+        net.schedule_flow(flow(1, 0, 1_460, 0));
+        net.schedule_flow(flow(10, 1, payload, start));
+        net.schedule_flow(flow(2, 2, payload, start));
+        assert!(net.run_to_completion(us(100)));
+        let at_switch = start + (payload + HEADER_BYTES as u64) * 800 + us(1);
+        assert_eq!(at_switch, 2 * SER + us(1), "not a tie");
+        let mut order = vec![1, 10, 2];
+        order.sort_by_key(|&id| net.metrics.flow(FlowId(id)).unwrap().completed_at);
+        order
+    }
+
+    #[test]
+    fn an_arrival_on_the_freeing_picosecond_keeps_its_rank() {
+        // The transmitter frees at a *place* in the event order, not at a
+        // time. Both orders below are as the engine produced them while
+        // every transmission still queued its `PortFree`.
+        //
+        // MTU packets put on their wires at 1.2 us, before flow 1 took the
+        // switch port at 2.2 us: their arrivals rank ahead of the place, find
+        // the port held and queue up, and the high priority goes first. This
+        // is the common case — back-to-back MTU packets over equal-rate
+        // links — and "idle once `now >= free_at`" sends 10 ahead of 2.
+        assert_eq!(wire_order_of_a_tie(1_460, SER), vec![1, 2, 10]);
+        // 64 B packets sent 51.2 ns + 1 us before the tie, after flow 1 took
+        // the port: their arrivals rank behind the place, so the first finds
+        // the port free and goes at once, whatever its sibling's priority.
+        // "Held while `now <= free_at`" would fill a place already passed.
+        assert_eq!(wire_order_of_a_tie(24, 2 * SER - 64 * 800), vec![1, 10, 2]);
+    }
+
+    #[test]
+    fn a_killed_packet_holds_the_transmitter_for_its_serialization_time() {
+        use crate::faults::{FaultPlan, LinkFilter};
+        let (mut net, h0, h1) = two_hosts_one_switch();
+        // A 100 ns flap cuts the first packet on the wire; the queue behind
+        // it is empty, so no `PortFree` is queued — and the window's end
+        // re-kicks a port that is still clocking the dead bits out. The
+        // second packet arrives mid-way and must wait for 1.2 us, not leave
+        // at 0.5 us. Fails if only a `Send` reserves the place.
+        let ns = crate::units::PS_PER_NS;
+        let plan = FaultPlan::new(0).with_down(100 * ns, 200 * ns, LinkFilter::Node(h0));
+        net.set_fault_plan(&plan, &[h0, h1], None);
+        net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 1_460, start: 0 });
+        net.schedule_flow(FlowDesc { id: FlowId(2), src: h0, dst: h1, size: 1_460, start: 500 * ns });
+        assert!(!net.run_to_completion(us(100)));
+        assert_eq!(net.metrics.drops_by_reason(DropReason::LinkDown), 1);
+        assert_eq!(mix_of(&net, "port_free"), 1);
+        let done = net.metrics.flow(FlowId(2)).unwrap().completed_at;
+        assert_eq!(done, Some(SER + 2 * SER + 2 * us(1)));
+    }
+
+    #[test]
+    fn fault_windows_over_a_held_port_leave_no_stalled_queue() {
+        use crate::faults::{FaultPlan, LinkFilter};
+        let ns = crate::units::PS_PER_NS;
+        // Packet 1 leaves at 0 and is cut by a down window opening at
+        // 300 ns; packets 2 and 3 queue up behind the held port at 500 ns.
+        // Whether the window ends while the port is still held (900 ns: the
+        // re-kick finds it held, the armed `PortFree` restarts it at 1.2 us)
+        // or after it freed (2 us: the `PortFree` finds the link down, the
+        // re-kick restarts it), both packets leave as soon as wire and link
+        // allow. Fails — packet 3 never leaves — if the `PortFree` arm does
+        // not clear `free_armed`.
+        for (until, first_tx) in [(900 * ns, SER), (us(2), us(2))] {
+            let (mut net, h0, h1) = two_hosts_one_switch();
+            let plan = FaultPlan::new(0).with_down(300 * ns, until, LinkFilter::Node(h0));
+            net.set_fault_plan(&plan, &[h0, h1], None);
+            net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 1_460, start: 0 });
+            net.schedule_flow(FlowDesc { id: FlowId(2), src: h0, dst: h1, size: 2_920, start: 500 * ns });
+            net.run_to_completion(us(100));
+            assert_eq!(net.metrics.drops_by_reason(DropReason::LinkDown), 1);
+            let done = net.metrics.flow(FlowId(2)).unwrap().completed_at;
+            assert_eq!(done, Some(first_tx + 3 * SER + 2 * us(1)), "window until {until}");
+        }
+        // A crash purges the nine packets an armed `PortFree` was queued
+        // for, and the host restarts 0.5 us later with the dead first packet
+        // still on the wire: the relaunch waits for that `PortFree` at
+        // 1.2 us, then sends all ten. Fails if the purge frees the port.
+        let (mut net, h0, h1) = two_hosts_one_switch();
+        net.set_fault_plan(&FaultPlan::new(0).with_crash(100 * ns, 600 * ns, 0), &[h0, h1], None);
+        net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 14_600, start: 0 });
+        assert!(net.run_to_completion(us(1000)));
+        assert_eq!(net.metrics.drops_by_reason(DropReason::NodeDown), 10);
+        let rec = net.metrics.flow(FlowId(1)).unwrap();
+        assert_eq!(rec.restarts, 1);
+        assert_eq!(rec.completed_at, Some(SER + 11 * SER + 2 * us(1)));
     }
 
     #[test]

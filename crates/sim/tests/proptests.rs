@@ -48,6 +48,80 @@ fn event_queue_is_a_stable_priority_queue() {
     }
 }
 
+/// Wheel-vs-heap differential over random interleavings of schedule /
+/// reserve / fill / pop, each also checked against a sorted-list model in
+/// which a place ranks by the moment it was *reserved*: a place filled late
+/// — into the tick being drained, a later bucket or the overflow heap —
+/// pops where a `schedule_at` made at reservation time would have, `passed`
+/// agrees with the model, and an abandoned reservation never shows in
+/// `len()`.
+#[test]
+fn reserved_places_rank_by_reservation_on_wheel_and_heap() {
+    // The wheel's horizon (4096 ticks of 2^16 ps); deltas straddle it.
+    const HORIZON: u64 = 1 << 28;
+    let mut rng = SimRng::seed_from_u64(0x91ace);
+    for case in 0..CASES {
+        let ops: Vec<(u64, u64, u64)> = (0..1 + rng.index(299))
+            .map(|_| (rng.below(8), rng.below(6), rng.below(1 << 20)))
+            .collect();
+        let run = |kind: SchedulerKind| {
+            let mut q = EventQueue::with_scheduler(kind);
+            // Model: pending events as `(at, rank)`, rank = index of the op
+            // that scheduled or reserved; `reached` = the last one popped.
+            let mut model: Vec<(Time, usize)> = Vec::new();
+            let mut reached = None;
+            let mut open = Vec::new();
+            let mut popped = Vec::new();
+            let pop = |q: &mut EventQueue, model: &mut Vec<(Time, usize)>| {
+                let (t, Event::Timer { token, .. }) = q.pop()? else { unreachable!() };
+                let first = (0..model.len()).min_by_key(|&i| model[i]).expect("model is empty");
+                assert_eq!((t, token as usize), model.swap_remove(first), "case {case} ({kind:?})");
+                assert_eq!(q.now(), t);
+                Some((t, token as usize))
+            };
+            for (i, &(op, span, r)) in ops.iter().enumerate() {
+                let at = q.now()
+                    + match span {
+                        0 => 0,
+                        1 => r % 64,
+                        2 => r,
+                        3 => (r % 16) << 18,
+                        4 => HORIZON - 32 + r % 64,
+                        _ => 3 * HORIZON + r,
+                    };
+                match op {
+                    0..=2 => {
+                        q.schedule_at(at, Event::Timer { node: NodeId(0), token: i as u64 });
+                        model.push((at, i));
+                    }
+                    3 | 4 => open.push((q.reserve(at), i)),
+                    5 if !open.is_empty() => {
+                        let (place, rank) = open.swap_remove(r as usize % open.len());
+                        let passed = Some((place.at(), rank)) <= reached;
+                        assert_eq!(q.passed(place), passed, "case {case} ({kind:?}) op {i}");
+                        if !passed {
+                            q.fill(place, Event::Timer { node: NodeId(0), token: rank as u64 });
+                            model.push((place.at(), rank));
+                        }
+                    }
+                    _ => {
+                        if let Some(ev) = pop(&mut q, &mut model) {
+                            reached = Some(ev);
+                            popped.push(ev);
+                        }
+                    }
+                }
+                assert_eq!(q.len(), model.len(), "case {case} ({kind:?}) op {i}");
+            }
+            popped.extend(std::iter::from_fn(|| pop(&mut q, &mut model)));
+            assert!(model.is_empty() && q.is_empty());
+            popped
+        };
+        let (wheel, heap) = (run(SchedulerKind::TimingWheel), run(SchedulerKind::BinaryHeap));
+        assert_eq!(wheel, heap, "case {case}: schedulers disagree");
+    }
+}
+
 /// RangeSet agrees with a naive boolean-vector model.
 #[test]
 fn rangeset_matches_naive_model() {
