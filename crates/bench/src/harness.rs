@@ -16,6 +16,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use aeolus_sim::event::{Event, EventMix};
+
 /// Iteration policy for a suite.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchConfig {
@@ -51,6 +53,9 @@ pub struct Sample {
     pub p90_ns: u64,
     /// Work units per iteration (e.g. events processed), if meaningful.
     pub units: u64,
+    /// For a simulation bench run with [`Suite::bench_events`]: `units` split
+    /// by event kind ([`Event::KINDS`] order). Bit-exact, unlike the times.
+    pub event_mix: Option<EventMix>,
 }
 
 impl Sample {
@@ -94,14 +99,28 @@ impl Suite {
     /// performed (return 1 if only wall time is interesting). Prints a
     /// one-line summary and records the sample.
     pub fn bench<F: FnMut() -> u64>(&mut self, name: &str, mut f: F) -> &Sample {
+        self.run(name, || (f(), None))
+    }
+
+    /// [`Suite::bench`] for a simulation: `f` returns the events it
+    /// processed by kind; their sum is the work-unit count and the split is
+    /// recorded with the sample.
+    pub fn bench_events<F: FnMut() -> EventMix>(&mut self, name: &str, mut f: F) -> &Sample {
+        self.run(name, || {
+            let mix = f();
+            (mix.iter().sum(), Some(mix))
+        })
+    }
+
+    fn run(&mut self, name: &str, mut f: impl FnMut() -> (u64, Option<EventMix>)) -> &Sample {
         for _ in 0..self.cfg.warmup {
             std::hint::black_box(f());
         }
         let mut times = Vec::with_capacity(self.cfg.iters);
-        let mut units = 0u64;
+        let mut last = (0u64, None);
         for _ in 0..self.cfg.iters {
             let t0 = Instant::now();
-            units = std::hint::black_box(f());
+            last = std::hint::black_box(f());
             times.push(t0.elapsed().as_nanos() as u64);
         }
         times.sort_unstable();
@@ -111,7 +130,8 @@ impl Suite {
             median_ns: percentile(&times, 50),
             p10_ns: percentile(&times, 10),
             p90_ns: percentile(&times, 90),
-            units,
+            units: last.0,
+            event_mix: last.1,
         };
         let rate = if s.units > 1 {
             format!("  {:>12.0} units/s", s.units_per_sec())
@@ -170,7 +190,7 @@ pub fn to_json(suites: &[&Suite]) -> String {
         for (j, s) in suite.samples.iter().enumerate() {
             let _ = write!(
                 out,
-                "        {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}, \"units\": {}, \"units_per_sec\": {:.1}}}{}\n",
+                "        {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}, \"units\": {}, \"units_per_sec\": {:.1}{}}}{}\n",
                 escape(&s.name),
                 s.iters,
                 s.median_ns,
@@ -178,6 +198,7 @@ pub fn to_json(suites: &[&Suite]) -> String {
                 s.p90_ns,
                 s.units,
                 s.units_per_sec(),
+                s.event_mix.map_or(String::new(), |mix| event_mix_json(&mix)),
                 if j + 1 == suite.samples.len() { "" } else { "," }
             );
         }
@@ -189,6 +210,16 @@ pub fn to_json(suites: &[&Suite]) -> String {
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// `, "event_mix": {"arrival": n, ..}, "events_per_arrival": x` — what a
+/// simulation spent its events on, and how many it needed per packet hop.
+fn event_mix_json(mix: &EventMix) -> String {
+    let kinds: Vec<String> =
+        Event::KINDS.iter().zip(mix).map(|(kind, n)| format!("\"{kind}\": {n}")).collect();
+    // `KINDS[0]` is the arrival: one per packet per hop.
+    let per_arrival = mix.iter().sum::<u64>() as f64 / mix[0].max(1) as f64;
+    format!(", \"event_mix\": {{{}}}, \"events_per_arrival\": {per_arrival:.4}", kinds.join(", "))
 }
 
 fn escape(s: &str) -> String {
@@ -246,5 +277,20 @@ mod tests {
         // Balanced braces/brackets.
         assert_eq!(js.matches('{').count(), js.matches('}').count());
         assert_eq!(js.matches('[').count(), js.matches(']').count());
+    }
+
+    #[test]
+    fn simulation_benches_record_their_event_mix() {
+        let mut suite = Suite::with_config("j", BenchConfig { warmup: 0, iters: 1 });
+        let s = suite.bench_events("sim", || [8, 3, 0, 1, 0, 0]);
+        assert_eq!((s.units, s.event_mix), (12, Some([8, 3, 0, 1, 0, 0])));
+        suite.bench("plain", || 12);
+        let js = to_json(&[&suite]);
+        let want = r#""event_mix": {"arrival": 8, "port_free": 3, "port_kick": 0, "timer": 1, "flow_arrival": 0, "fault": 0}, "events_per_arrival": 1.5000}"#;
+        assert!(js.contains(want), "{js}");
+        assert_eq!(js.matches("event_mix").count(), 1, "only where it was measured");
+        // The trajectory's line scanner still reads the bench line.
+        let parsed = crate::trajectory::parse_report(&js);
+        assert_eq!(parsed["j/sim"].1, 12);
     }
 }

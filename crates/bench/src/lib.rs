@@ -5,7 +5,7 @@
 pub mod harness;
 pub mod trajectory;
 
-use aeolus_sim::event::{Event, EventQueue, SchedulerKind};
+use aeolus_sim::event::{Event, EventMix, EventQueue, SchedulerKind};
 use aeolus_sim::topology::LinkParams;
 use aeolus_sim::units::{ms, us, Rate};
 use aeolus_sim::{
@@ -253,16 +253,21 @@ pub fn timer_stream_events(kind: SchedulerKind, n: u64) -> u64 {
 }
 
 /// Run the canned 7:1 incast (Fig 8 shape) end-to-end under the given
-/// scheduler and return the total events processed — the engine-macro
-/// work-unit count for events/sec comparisons.
-pub fn incast_sim_events(kind: SchedulerKind, msg: u64, rounds: usize) -> u64 {
+/// scheduler and return the events processed, by kind — summed, the
+/// engine-macro work-unit count.
+pub fn incast_sim_event_mix(kind: SchedulerKind, msg: u64, rounds: usize) -> EventMix {
     let mut h = SchemeBuilder::new(Scheme::ExpressPassAeolus).topology(bench_testbed()).build();
     h.topo.net.set_scheduler(kind);
     let hosts = h.hosts().to_vec();
     let flows = incast_rounds(&hosts[1..], hosts[0], msg, rounds, ms(2), 0, 1);
     h.schedule(&flows);
     h.run(ms(1000));
-    h.topo.net.events_processed()
+    h.topo.net.event_mix()
+}
+
+/// [`incast_sim_event_mix`], summed.
+pub fn incast_sim_events(kind: SchedulerKind, msg: u64, rounds: usize) -> u64 {
+    incast_sim_event_mix(kind, msg, rounds).iter().sum()
 }
 
 /// The same incast kernel as [`incast_sim_events`] but with a

@@ -18,11 +18,11 @@ use aeolus_bench::alloc_counter::CountingAlloc;
 use aeolus_bench::harness::{write_json, BenchConfig, Suite};
 use aeolus_bench::trajectory::{find_all_snapshots, trajectory_delta};
 use aeolus_bench::{
-    batched_dequeue, boxed_churn, btreemap_churn, flowmap_churn, incast_sim_events,
-    incast_sim_events_recorded, pool_churn, route_lookup, steady_incast_alloc_window,
-    timer_stream_events,
+    batched_dequeue, boxed_churn, btreemap_churn, flowmap_churn, incast_sim_event_mix,
+    incast_sim_events, incast_sim_events_recorded, pool_churn, route_lookup,
+    steady_incast_alloc_window, timer_stream_events,
 };
-use aeolus_experiments::{fig09, set_jobs, take_events_processed, Scale};
+use aeolus_experiments::{fig09, set_jobs, take_event_mix, take_events_processed, Scale};
 use aeolus_sim::event::SchedulerKind;
 
 // Counting shim so the `alloc` suite can report allocator hits; one relaxed
@@ -83,7 +83,9 @@ fn main() {
     engine.bench("timer_stream_200k_heap", || {
         timer_stream_events(SchedulerKind::BinaryHeap, TIMER_EVENTS)
     });
-    engine.bench("incast_sim_wheel", || incast_sim_events(SchedulerKind::TimingWheel, 30_000, 3));
+    engine.bench_events("incast_sim_wheel", || {
+        incast_sim_event_mix(SchedulerKind::TimingWheel, 30_000, 3)
+    });
     engine.bench("incast_sim_heap", || incast_sim_events(SchedulerKind::BinaryHeap, 30_000, 3));
     engine.bench("incast_sim_wheel_recorded", || {
         incast_sim_events_recorded(SchedulerKind::TimingWheel, 30_000, 3)
@@ -108,10 +110,10 @@ fn main() {
     if !engine_only {
         take_events_processed(); // reset the events counter
         set_jobs(1);
-        figures.bench("fig09_quick_serial", || {
+        figures.bench_events("fig09_quick_serial", || {
             let r = fig09::run(Scale::Quick);
             std::hint::black_box(r.sections.len());
-            take_events_processed()
+            take_event_mix()
         });
         if cpus < 2 {
             // A parallel fan-out on one core measures thread overhead, not

@@ -37,7 +37,10 @@ use crate::runner::{RunConfig, RunOutput};
 
 /// Bump whenever [`RunOutput`]'s contents, the cell-key text, or run
 /// semantics change: old entries then miss instead of lying.
-const SCHEMA: u32 = 1;
+///
+/// 2: `PortFree` became an on-demand event — every cell's `events` fell
+/// while its key stayed put, so a v1 entry would fail `--cache-verify`.
+const SCHEMA: u32 = 2;
 
 /// Cache directory; `None` disables the cache (the default).
 static DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
@@ -301,7 +304,7 @@ mod tests {
         assert_eq!(back.agg.len(), out.agg.len());
         // Wrong key, wrong schema and truncation all read as misses.
         assert!(decode("00", &text).is_none());
-        assert!(decode(&key, &text.replace("v1", "v999")).is_none());
+        assert!(decode(&key, &text.replace(&format!("v{SCHEMA}"), "v999")).is_none());
         let cut = &text[..text.len() - 4];
         assert!(decode(&key, cut).is_none());
     }

@@ -39,7 +39,7 @@ pub fn queue_stats(threshold: u64, senders: usize) -> (f64, u64) {
     let (sw, port) = h.topo.host_ingress[0];
     let p = h.topo.net.port(sw, port);
     let span = h.topo.net.now().max(1);
-    crate::runner::note_events(h.topo.net.events_processed());
+    crate::runner::note_events(h.topo.net.event_mix());
     (p.stats.avg_qlen(span), p.stats.qlen_max)
 }
 

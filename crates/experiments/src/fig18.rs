@@ -49,7 +49,7 @@ pub fn goodput(scheme: Scheme, scale: Scale, load: f64) -> f64 {
     h.schedule(&flows);
     h.run(window + ms(2_000));
     let makespan = h.topo.net.now().max(1);
-    crate::runner::note_events(h.topo.net.events_processed());
+    crate::runner::note_events(h.topo.net.event_mix());
     let delivered_bits = h.metrics().payload_delivered as f64 * 8.0;
     let capacity_bits = hosts.len() as f64
         * h.topo.host_rate.bps() as f64

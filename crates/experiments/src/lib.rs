@@ -49,7 +49,8 @@ pub use cache::{cache_enabled, cache_stats, set_cache_dir, set_cache_verify, Cac
 pub use report::Report;
 pub use runner::{
     checked, collect, default_faults, jobs, parallel_map, run_flows, run_many, run_workload,
-    set_checked, set_default_faults, set_jobs, take_events_processed, RunConfig, RunOutput,
+    set_checked, set_default_faults, set_jobs, take_event_mix, take_events_processed, RunConfig,
+    RunOutput,
 };
 pub use aeolus_transport::corpus::{
     run_campaign, CampaignConfig, CampaignFailure, CampaignOutcome, Corpus, Signature,

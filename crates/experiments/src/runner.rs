@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use aeolus_sim::units::{ms, Time, PS_PER_SEC};
-use aeolus_sim::{FaultPlan, FlowDesc, Tracer};
+use aeolus_sim::{Event, EventMix, FaultPlan, FlowDesc, Tracer};
 use aeolus_stats::{FctAggregator, FctSample};
 use aeolus_transport::{Harness, Scheme, SchemeBuilder, SchemeParams, TopoSpec};
 use aeolus_workloads::{poisson_flows, PoissonConfig, Workload};
@@ -18,8 +18,10 @@ use aeolus_workloads::{poisson_flows, PoissonConfig, Workload};
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Events processed by every harness collected since the last
-/// [`take_events_processed`] — the engine-throughput counter `repro` reports.
-static EVENTS_PROCESSED: AtomicU64 = AtomicU64::new(0);
+/// [`take_event_mix`], by [`Event::kind`] — summed, the engine-throughput
+/// counter `repro` reports.
+static EVENT_MIX: [AtomicU64; Event::KINDS.len()] =
+    [const { AtomicU64::new(0) }; Event::KINDS.len()];
 
 /// Set the worker-thread cap for [`parallel_map`] (0 or `set_jobs(1)` keeps
 /// runs serial; 0 restores auto-detection).
@@ -36,10 +38,15 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Drain the global events-processed counter (events simulated by all runs
-/// collected since the previous call).
+/// Drain the global event counters (events simulated by all runs collected
+/// since the previous call), by kind in [`Event::KINDS`] order.
+pub fn take_event_mix() -> EventMix {
+    std::array::from_fn(|k| EVENT_MIX[k].swap(0, Ordering::Relaxed))
+}
+
+/// [`take_event_mix`], summed.
 pub fn take_events_processed() -> u64 {
-    EVENTS_PROCESSED.swap(0, Ordering::Relaxed)
+    take_event_mix().iter().sum()
 }
 
 /// Session-wide default fault plan (`repro --faults <spec>`). Applied by
@@ -60,10 +67,13 @@ pub fn default_faults() -> FaultPlan {
     DEFAULT_FAULTS.lock().unwrap().clone().unwrap_or_default()
 }
 
-/// Credit events to the global counter — for experiment kernels that drive a
-/// harness directly instead of going through [`collect`].
-pub fn note_events(n: u64) {
-    EVENTS_PROCESSED.fetch_add(n, Ordering::Relaxed);
+/// Credit a finished network's events to the global counters — for
+/// experiment kernels that drive a harness directly instead of going through
+/// [`collect`].
+pub fn note_events(mix: EventMix) {
+    for (total, n) in EVENT_MIX.iter().zip(mix) {
+        total.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 /// Session-wide conformance-checking switch (`repro --check`). When set,
@@ -250,7 +260,7 @@ pub fn collect<T: Tracer>(h: &Harness<T>) -> RunOutput {
     let capacity_bits =
         h.hosts().len() as f64 * h.topo.host_rate.bps() as f64 * span as f64 / PS_PER_SEC as f64;
     let events = h.topo.net.events_processed();
-    EVENTS_PROCESSED.fetch_add(events, Ordering::Relaxed);
+    note_events(h.topo.net.event_mix());
     RunOutput {
         efficiency: m.transfer_efficiency(),
         flows_with_timeouts: m.flows_with_timeouts(),

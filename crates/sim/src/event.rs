@@ -95,6 +95,9 @@ impl Event {
     }
 }
 
+/// Event counts by kind, in [`Event::KINDS`] order.
+pub type EventMix = [u64; Event::KINDS.len()];
+
 /// A place in the event order, taken with [`EventQueue::reserve`] at the
 /// moment an event *would* be scheduled and filled — or not — later.
 ///
@@ -113,11 +116,6 @@ pub struct Place {
 impl Place {
     /// The place before every event: passed on any queue, at any time.
     pub const START: Place = Place { at: 0, seq: 0 };
-
-    /// The time this place was reserved for.
-    pub fn at(&self) -> Time {
-        self.at
-    }
 }
 
 struct Scheduled {
@@ -957,7 +955,6 @@ mod tests {
                             assert_eq!(q.now(), at);
                         }
                         if let Some(place) = place {
-                            assert_eq!(place.at(), at);
                             assert!(!q.passed(place));
                             q.fill(place, timer(99));
                         }

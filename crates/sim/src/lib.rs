@@ -90,7 +90,7 @@ pub mod topology;
 pub mod units;
 
 pub use endpoint::{Ctx, Endpoint};
-pub use event::{Event, EventQueue, Place, SchedulerKind};
+pub use event::{Event, EventMix, EventQueue, Place, SchedulerKind};
 pub use faults::{
     CorruptionRule, Effect, Fault, FaultPlan, LinkFilter, PacketFilter, Window, WindowKind,
 };

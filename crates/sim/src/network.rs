@@ -1,7 +1,7 @@
 //! The network engine: nodes, wiring, and the event dispatch loop.
 
 use crate::endpoint::{Actions, Ctx, Endpoint};
-use crate::event::{Event, EventQueue, SchedulerKind};
+use crate::event::{Event, EventMix, EventQueue, SchedulerKind};
 use crate::faults::{self, Effect, FaultIndex, FaultPlan, LinkFilter};
 use crate::metrics::{AbortCause, Metrics};
 use crate::node::{Node, NodeKind};
@@ -26,7 +26,7 @@ pub struct Network<T: Tracer = NullTracer> {
     /// Run metrics.
     pub metrics: Metrics,
     /// Events dispatched so far, by [`Event::kind`].
-    event_mix: [u64; Event::KINDS.len()],
+    event_mix: EventMix,
     /// Telemetry sink for engine-level events.
     tracer: T,
     /// Scratch for per-band queue occupancy sampling (avoids a per-event
@@ -174,7 +174,7 @@ impl<T: Tracer> Network<T> {
 
     /// Events processed so far by kind, in [`Event::KINDS`] order — what the
     /// run spent its events on.
-    pub fn event_mix(&self) -> [u64; Event::KINDS.len()] {
+    pub fn event_mix(&self) -> EventMix {
         self.event_mix
     }
 

@@ -94,14 +94,14 @@ fn reserved_places_rank_by_reservation_on_wheel_and_heap() {
                         q.schedule_at(at, Event::Timer { node: NodeId(0), token: i as u64 });
                         model.push((at, i));
                     }
-                    3 | 4 => open.push((q.reserve(at), i)),
+                    3 | 4 => open.push((q.reserve(at), at, i)),
                     5 if !open.is_empty() => {
-                        let (place, rank) = open.swap_remove(r as usize % open.len());
-                        let passed = Some((place.at(), rank)) <= reached;
+                        let (place, at, rank) = open.swap_remove(r as usize % open.len());
+                        let passed = Some((at, rank)) <= reached;
                         assert_eq!(q.passed(place), passed, "case {case} ({kind:?}) op {i}");
                         if !passed {
                             q.fill(place, Event::Timer { node: NodeId(0), token: rank as u64 });
-                            model.push((place.at(), rank));
+                            model.push((at, rank));
                         }
                     }
                     _ => {
