@@ -245,7 +245,7 @@ impl<T: Tracer> Network<T> {
         assert!(self.nodes[desc.src.0 as usize].is_host(), "flow src must be a host");
         assert!(self.nodes[desc.dst.0 as usize].is_host(), "flow dst must be a host");
         self.metrics.flow_scheduled(desc);
-        self.queue.schedule_at(desc.start, Event::FlowArrival { flow: Box::new(desc) });
+        self.queue.schedule_at(desc.start, Event::FlowArrival { flow: desc.id });
     }
 
     /// Immutable access to a node (for tests and stats readers).
@@ -301,7 +301,7 @@ impl<T: Tracer> Network<T> {
                 self.with_endpoint(node, |ep, ctx| ep.on_timer(token, ctx));
             }
             Event::FlowArrival { flow } => {
-                let flow = *flow;
+                let flow = self.metrics.flow(flow).expect("arrival of an unscheduled flow").desc;
                 let now = self.queue.now();
                 if self.endpoint_down(&flow, now) {
                     // The flow arrives while an endpoint is dead: abort on
@@ -400,7 +400,7 @@ impl<T: Tracer> Network<T> {
             self.notify_endpoints(desc, |ep, desc, ctx| ep.on_flow_restart(desc, ctx));
             // Relaunch keeps the original descriptor (and original
             // `start`), so the recorded FCT honestly spans the outage.
-            self.queue.schedule_at(now, Event::FlowArrival { flow: Box::new(desc) });
+            self.queue.schedule_at(now, Event::FlowArrival { flow: desc.id });
         }
         // Wake every port stalled by the crash: the node's own egress plus
         // every port whose link feeds it.

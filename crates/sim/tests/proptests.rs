@@ -11,9 +11,9 @@ use aeolus_sim::faults::{
     FaultIndex,
 };
 use aeolus_sim::{
-    DropReason, EnqueueOutcome, FaultPlan, FlowId, LinkFilter, NodeId, Packet, PacketFilter,
-    PacketKind, PacketPool, Poll, PortId, PriorityBank, QueueDisc, RangeSet, RedEcnQueue, SimRng,
-    Time, TrafficClass,
+    ms, ns, us, DropReason, EnqueueOutcome, FaultPlan, FlowId, LinkFilter, NodeId, Packet,
+    PacketFilter, PacketKind, PacketPool, Poll, PortId, PriorityBank, QueueDisc, RangeSet,
+    RedEcnQueue, SimRng, Time, TrafficClass,
 };
 
 /// Random cases per property (each case is a full scenario).
@@ -48,21 +48,25 @@ fn event_queue_is_a_stable_priority_queue() {
     }
 }
 
+/// The wheel's fine level spans one period (4096 ticks of 2^12 ps, ≈16.8 µs)
+/// and its coarse level 4096 periods (≈68.7 ms); the overflow heap holds
+/// what lies beyond.
+const FINE_PERIOD: Time = 1 << 24;
+const COARSE_HORIZON: Time = FINE_PERIOD << 12;
+
 /// Wheel-vs-heap differential over random interleavings of schedule /
 /// reserve / fill / pop, each also checked against a sorted-list model in
 /// which a place ranks by the moment it was *reserved*: a place filled late
-/// — into the tick being drained, a later bucket or the overflow heap —
-/// pops where a `schedule_at` made at reservation time would have, `passed`
-/// agrees with the model, and an abandoned reservation never shows in
-/// `len()`.
+/// — into the cursor bucket, a later fine bucket, a coarse bucket or the
+/// overflow heap — pops where a `schedule_at` made at reservation time
+/// would have, `passed` agrees with the model, and an abandoned reservation
+/// never shows in `len()`.
 #[test]
 fn reserved_places_rank_by_reservation_on_wheel_and_heap() {
-    // The wheel's horizon (4096 ticks of 2^16 ps); deltas straddle it.
-    const HORIZON: u64 = 1 << 28;
     let mut rng = SimRng::seed_from_u64(0x91ace);
     for case in 0..CASES {
         let ops: Vec<(u64, u64, u64)> = (0..1 + rng.index(299))
-            .map(|_| (rng.below(8), rng.below(6), rng.below(1 << 20)))
+            .map(|_| (rng.below(8), rng.below(7), rng.below(1 << 20)))
             .collect();
         let run = |kind: SchedulerKind| {
             let mut q = EventQueue::with_scheduler(kind);
@@ -80,14 +84,16 @@ fn reserved_places_rank_by_reservation_on_wheel_and_heap() {
                 Some((t, token as usize))
             };
             for (i, &(op, span, r)) in ops.iter().enumerate() {
+                // Spans straddle one period and one coarse horizon ahead.
                 let at = q.now()
                     + match span {
                         0 => 0,
                         1 => r % 64,
                         2 => r,
                         3 => (r % 16) << 18,
-                        4 => HORIZON - 32 + r % 64,
-                        _ => 3 * HORIZON + r,
+                        4 => FINE_PERIOD - 32 + r % 64,
+                        5 => COARSE_HORIZON - 32 + r % 64,
+                        _ => 3 * COARSE_HORIZON + r,
                     };
                 match op {
                     0..=2 => {
@@ -118,6 +124,62 @@ fn reserved_places_rank_by_reservation_on_wheel_and_heap() {
             popped
         };
         let (wheel, heap) = (run(SchedulerKind::TimingWheel), run(SchedulerKind::BinaryHeap));
+        assert_eq!(wheel, heap, "case {case}: schedulers disagree");
+    }
+}
+
+/// Wheel-vs-heap differential on a self-sustaining stream whose delays are
+/// drawn from the mix measured on the packet-level workloads: 7 % zero (a
+/// handler's same-instant follow-up), 15 % ~120 ns (an MTU frame at
+/// 100 Gbps), 46 % ~1 µs (a hop at 10 Gbps), 20 % ~8 µs (an RTT), 10 %
+/// timers at 2–10 ms and 2 % beyond the coarse horizon. Every pop schedules
+/// 0–2 events, one in ten through a place reserved now and filled after the
+/// next pop (abandoned if the run passed it), so the stream keeps the
+/// fine level busy, cascades coarse buckets full of out-of-order fills and
+/// migrates overflow timers, pop for pop against the heap.
+#[test]
+fn wheel_matches_heap_on_the_measured_delay_mix() {
+    let delay = |rng: &mut SimRng| match rng.below(100) {
+        0..7 => 0,
+        7..22 => ns(100) + rng.below(ns(40)),
+        22..68 => ns(500) + rng.below(us(1)),
+        68..88 => us(6) + rng.below(us(4)),
+        88..98 => ms(2) + rng.below(ms(8)),
+        _ => COARSE_HORIZON + rng.below(COARSE_HORIZON),
+    };
+    for case in 0..8u64 {
+        let run = |kind: SchedulerKind| {
+            let mut rng = SimRng::seed_from_u64(0xde1a7 ^ case);
+            let mut q = EventQueue::with_scheduler(kind);
+            let timer = |token| Event::Timer { node: NodeId(0), token };
+            let mut token = 0u64;
+            for _ in 0..256 {
+                q.schedule_at(delay(&mut rng), timer(token));
+                token += 1;
+            }
+            let (mut popped, mut open) = (Vec::new(), None);
+            while popped.len() < 6000 {
+                let Some((t, Event::Timer { token: got, .. })) = q.pop() else { break };
+                popped.push((t, got));
+                if let Some((place, token)) = open.take() {
+                    if !q.passed(place) {
+                        q.fill(place, timer(token));
+                    }
+                }
+                for _ in 0..[0, 1, 1, 2][rng.index(4)] {
+                    let at = t + delay(&mut rng);
+                    if open.is_none() && rng.chance(0.1) {
+                        open = Some((q.reserve(at), token));
+                    } else {
+                        q.schedule_at(at, timer(token));
+                    }
+                    token += 1;
+                }
+            }
+            popped
+        };
+        let (wheel, heap) = (run(SchedulerKind::TimingWheel), run(SchedulerKind::BinaryHeap));
+        assert!(heap.len() > 3000, "case {case}: stream died after {} pops", heap.len());
         assert_eq!(wheel, heap, "case {case}: schedulers disagree");
     }
 }
