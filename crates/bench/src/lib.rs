@@ -226,9 +226,11 @@ pub fn batched_dequeue(n: u64) -> u64 {
 
 /// Pop `n` events through an [`EventQueue`] under `kind`, re-scheduling a
 /// new timer after every pop (the self-sustaining pattern of a real DES hot
-/// loop). Deltas mix sub-tick, in-wheel and overflow horizons so both the
-/// current-tick heap, the wheel buckets and the overflow heap are exercised.
-/// Returns the number of events processed (= `n`).
+/// loop). Deltas mix sub-16 ns bursts, the next 150 µs and a 0.3–5.3 ms tail,
+/// so the wheel's fine buckets, coarse buckets and cascades are all
+/// exercised. The draws are the ones every `BENCH_<n>.json` row was measured
+/// with; keep them so the rows stay comparable. Returns the number of events
+/// processed (= `n`).
 pub fn timer_stream_events(kind: SchedulerKind, n: u64) -> u64 {
     let mut q = EventQueue::with_scheduler(kind);
     let mut rng = SimRng::seed_from_u64(0x5eed_cafe);
@@ -239,7 +241,9 @@ pub fn timer_stream_events(kind: SchedulerKind, n: u64) -> u64 {
     while popped < n {
         let (t, _ev) = q.pop().expect("self-sustaining stream drained early");
         popped += 1;
-        // 70% short (intra-wheel), 25% sub-tick burst, 5% far future (overflow).
+        // 70% within 150 µs (fine level or a few coarse periods), 25% a
+        // sub-16 ns burst (the current fine buckets), 5% 0.3–5.3 ms (the
+        // coarse level; the overflow heap starts at 68.7 ms).
         let delta = if rng.chance(0.70) {
             1 + rng.below(us(150))
         } else if rng.chance(0.833) {

@@ -35,9 +35,9 @@ pub struct PortStats {
 }
 
 impl PortStats {
-    /// Account a queue-occupancy change at `now`; call with the occupancy
-    /// *before* the change has been applied… actually with the previous
-    /// occupancy `prev_bytes` held since the last change.
+    /// Account a queue-occupancy change at `now`: `prev_bytes` is the
+    /// occupancy the queue held from the last change until `now`, i.e. the
+    /// value before this change.
     pub fn on_qlen_change(&mut self, prev_bytes: u64, now: Time) {
         let dt = now.saturating_sub(self.qlen_last_change);
         self.qlen_integral += prev_bytes as u128 * dt as u128;
