@@ -9,8 +9,9 @@ use aeolus_sim::event::{Event, EventMix, EventQueue, SchedulerKind};
 use aeolus_sim::topology::LinkParams;
 use aeolus_sim::units::{ms, us, Rate};
 use aeolus_sim::{
-    DropTailQueue, EnqueueOutcome, FlowDesc, FlowId, FlowMap, NodeId, Packet, PacketPool,
-    PacketRef, Poll, QueueDisc, RecordingTracer, RoutePolicy, RouteTable, SimRng, TrafficClass,
+    CheckedTracer, DropTailQueue, EnqueueOutcome, FlowDesc, FlowId, FlowMap, NodeId, NullTracer,
+    Packet, PacketPool, PacketRef, Poll, QueueDisc, RecordingTracer, RoutePolicy, RouteTable,
+    SimRng, Tracer, TrafficClass,
 };
 use aeolus_transport::{Scheme, SchemeBuilder, TopoSpec};
 use aeolus_workloads::incast_rounds;
@@ -260,13 +261,7 @@ pub fn timer_stream_events(kind: SchedulerKind, n: u64) -> u64 {
 /// scheduler and return the events processed, by kind — summed, the
 /// engine-macro work-unit count.
 pub fn incast_sim_event_mix(kind: SchedulerKind, msg: u64, rounds: usize) -> EventMix {
-    let mut h = SchemeBuilder::new(Scheme::ExpressPassAeolus).topology(bench_testbed()).build();
-    h.topo.net.set_scheduler(kind);
-    let hosts = h.hosts().to_vec();
-    let flows = incast_rounds(&hosts[1..], hosts[0], msg, rounds, ms(2), 0, 1);
-    h.schedule(&flows);
-    h.run(ms(1000));
-    h.topo.net.event_mix()
+    incast_sim_traced(kind, msg, rounds, NullTracer)
 }
 
 /// [`incast_sim_event_mix`], summed.
@@ -279,16 +274,33 @@ pub fn incast_sim_events(kind: SchedulerKind, msg: u64, rounds: usize) -> u64 {
 /// (ring buffers, time series, transport events) relative to the
 /// compiled-away `NullTracer` default.
 pub fn incast_sim_events_recorded(kind: SchedulerKind, msg: u64, rounds: usize) -> u64 {
-    let mut h = SchemeBuilder::new(Scheme::ExpressPassAeolus)
-        .topology(bench_testbed())
-        .tracer(RecordingTracer::new())
-        .build();
+    incast_sim_traced(kind, msg, rounds, RecordingTracer::new()).iter().sum()
+}
+
+/// The same incast kernel under the conformance oracle, as `--check` and
+/// `build_checked` install it: a [`CheckedTracer`] with the scheme's
+/// protocol-check profile — measures the cost of checking every event.
+pub fn incast_sim_events_checked(kind: SchedulerKind, msg: u64, rounds: usize) -> u64 {
+    let oracle = CheckedTracer::with_profile(INCAST_SCHEME.oracle_profile());
+    incast_sim_traced(kind, msg, rounds, oracle).iter().sum()
+}
+
+/// The scheme every incast kernel runs.
+const INCAST_SCHEME: Scheme = Scheme::ExpressPassAeolus;
+
+fn incast_sim_traced<T: Tracer>(
+    kind: SchedulerKind,
+    msg: u64,
+    rounds: usize,
+    tracer: T,
+) -> EventMix {
+    let mut h = SchemeBuilder::new(INCAST_SCHEME).topology(bench_testbed()).tracer(tracer).build();
     h.topo.net.set_scheduler(kind);
     let hosts = h.hosts().to_vec();
     let flows = incast_rounds(&hosts[1..], hosts[0], msg, rounds, ms(2), 0, 1);
     h.schedule(&flows);
     h.run(ms(1000));
-    h.topo.net.events_processed()
+    h.topo.net.event_mix()
 }
 
 #[cfg(test)]
@@ -330,5 +342,12 @@ mod tests {
         let plain = incast_sim_events(SchedulerKind::TimingWheel, 30_000, 2);
         let recorded = incast_sim_events_recorded(SchedulerKind::TimingWheel, 30_000, 2);
         assert_eq!(plain, recorded, "the tracer must be a passive observer");
+    }
+
+    #[test]
+    fn checked_tracer_does_not_perturb_the_simulation() {
+        let plain = incast_sim_events(SchedulerKind::TimingWheel, 30_000, 2);
+        let checked = incast_sim_events_checked(SchedulerKind::TimingWheel, 30_000, 2);
+        assert_eq!(plain, checked, "the oracle must be a passive observer");
     }
 }

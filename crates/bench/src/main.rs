@@ -19,7 +19,8 @@ use aeolus_bench::harness::{write_json, BenchConfig, Suite};
 use aeolus_bench::trajectory::{find_all_snapshots, trajectory_delta};
 use aeolus_bench::{
     batched_dequeue, boxed_churn, btreemap_churn, flowmap_churn, incast_sim_event_mix,
-    incast_sim_events, incast_sim_events_recorded, pool_churn, route_lookup,
+    incast_sim_events, incast_sim_events_checked, incast_sim_events_recorded, pool_churn,
+    route_lookup,
     steady_incast_alloc_window, timer_stream_events,
 };
 use aeolus_experiments::{fig09, set_jobs, take_event_mix, take_events_processed, Scale};
@@ -90,6 +91,9 @@ fn main() {
     engine.bench("incast_sim_wheel_recorded", || {
         incast_sim_events_recorded(SchedulerKind::TimingWheel, 30_000, 3)
     });
+    engine.bench("incast_sim_wheel_checked", || {
+        incast_sim_events_checked(SchedulerKind::TimingWheel, 30_000, 3)
+    });
 
     // Hot-path structure kernels: the per-event data structures the engine
     // and transports lean on (slab flow state, CSR route lookup, cached-size
@@ -149,6 +153,10 @@ fn main() {
     println!(
         "tracing cost: NullTracer run is {:.2}x the RecordingTracer run (events/s)",
         speedup(&engine, "incast_sim_wheel", "incast_sim_wheel_recorded")
+    );
+    println!(
+        "oracle cost:  NullTracer run is {:.2}x the CheckedTracer run (events/s)",
+        speedup(&engine, "incast_sim_wheel", "incast_sim_wheel_checked")
     );
     println!(
         "flow state:   slab FlowMap is {:.2}x BTreeMap churn (ops/s)",

@@ -37,9 +37,13 @@
 //! Violations panic with a `conformance violation [check] …` message that
 //! carries the event, flow and port context, so a failing run points at the
 //! first bad event instead of a corrupted figure three layers later.
+//!
+//! The ledgers are dense so the oracle runs near engine speed: port models
+//! sit in a `[node][port]` table (node and port ids are indices into
+//! `Network::nodes` and a node's ports) and flow models in a [`FlowMap`].
+//! Every hook does one lookup.
 
-use std::collections::BTreeMap;
-
+use crate::flowmap::FlowMap;
 use crate::metrics::Metrics;
 use crate::packet::{FlowId, NodeId, PacketKind, PortId, TrafficClass, MIN_PACKET_BYTES};
 use crate::queues::DropReason;
@@ -86,7 +90,6 @@ impl OracleProfile {
 /// Independent occupancy model of one egress queue.
 #[derive(Debug, Default)]
 struct PortModel {
-    rate_bps: u64,
     rate: Option<Rate>,
     bytes: u64,
     pkts: usize,
@@ -171,8 +174,9 @@ pub struct CheckedTracer {
     profile: OracleProfile,
     now: Time,
     events: u64,
-    ports: BTreeMap<(NodeId, PortId), PortModel>,
-    flows: BTreeMap<FlowId, FlowModel>,
+    /// Queue ledgers indexed `[node][port]`, grown on first sight.
+    ports: Vec<Vec<PortModel>>,
+    flows: FlowMap<FlowId, FlowModel>,
     /// Run-wide behavioral signals (port maxima folded in by `signals()`).
     sig: OracleSignals,
 }
@@ -195,8 +199,8 @@ impl CheckedTracer {
             profile,
             now: 0,
             events: 0,
-            ports: BTreeMap::new(),
-            flows: BTreeMap::new(),
+            ports: Vec::new(),
+            flows: FlowMap::new(),
             sig: OracleSignals::default(),
         }
     }
@@ -218,7 +222,7 @@ impl CheckedTracer {
     pub fn signals(&self) -> OracleSignals {
         let mut s = self.sig;
         s.events_checked = self.events;
-        for pm in self.ports.values() {
+        for pm in self.ports.iter().flatten() {
             s.max_queue_bytes = s.max_queue_bytes.max(pm.max_bytes);
             s.max_queue_pkts = s.max_queue_pkts.max(pm.max_pkts);
         }
@@ -247,7 +251,8 @@ impl CheckedTracer {
                     ),
                 );
             }
-            if self.flows.get(&r.desc.id).is_some_and(|f| f.aborted) {
+            let fm = self.flows.get(r.desc.id);
+            if fm.is_some_and(|f| f.aborted) {
                 self.fail(
                     "abort-completion",
                     format!(
@@ -256,11 +261,7 @@ impl CheckedTracer {
                     ),
                 );
             }
-            let covered = self
-                .flows
-                .get(&r.desc.id)
-                .map(|f| f.delivered.covered_in(0, r.desc.size))
-                .unwrap_or(0);
+            let covered = fm.map(|f| f.delivered.covered_in(0, r.desc.size)).unwrap_or(0);
             if covered != r.desc.size {
                 self.fail(
                     "delivery-coverage",
@@ -294,16 +295,36 @@ impl CheckedTracer {
     }
 
     fn flow_mut(&mut self, flow: FlowId) -> &mut FlowModel {
-        self.flows.entry(flow).or_default()
+        self.flows.get_or_insert_with(flow, FlowModel::default)
+    }
+
+    /// The ledger of `(node, port)`, created on first sight (a registration,
+    /// or a hook on a port that was never registered).
+    #[inline]
+    fn port_mut(&mut self, node: NodeId, port: PortId) -> &mut PortModel {
+        let (n, p) = (node.0 as usize, port.0 as usize);
+        if self.ports.get(n).is_none_or(|row| p >= row.len()) {
+            self.grow_ports(n, p);
+        }
+        &mut self.ports[n][p]
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow_ports(&mut self, n: usize, p: usize) {
+        if n >= self.ports.len() {
+            self.ports.resize_with(n + 1, Vec::new);
+        }
+        let row = &mut self.ports[n];
+        if p >= row.len() {
+            row.resize_with(p + 1, PortModel::default);
+        }
     }
 }
 
 impl TraceSink for CheckedTracer {
-    fn port_registered(&mut self, node: NodeId, port: PortId, rate: Rate, to: NodeId) {
-        let _ = to;
-        let pm = self.ports.entry((node, port)).or_default();
-        pm.rate_bps = rate.bps();
-        pm.rate = Some(rate);
+    fn port_registered(&mut self, node: NodeId, port: PortId, rate: Rate, _to: NodeId) {
+        self.port_mut(node, port).rate = Some(rate);
     }
 
     fn queue_event(&mut self, rec: &QueueRecord) {
@@ -342,7 +363,7 @@ impl TraceSink for CheckedTracer {
                 _ => {}
             }
         }
-        let pm = self.ports.entry((rec.node, rec.port)).or_default();
+        let pm = self.port_mut(rec.node, rec.port);
         match rec.ev {
             QueueEvent::Enqueue | QueueEvent::EnqueueMarked => {
                 pm.bytes += rec.size as u64;
@@ -375,7 +396,6 @@ impl TraceSink for CheckedTracer {
             }
             QueueEvent::Drop(_) => {}
         }
-        let pm = &self.ports[&(rec.node, rec.port)];
         if pm.bytes != rec.qlen_bytes || pm.pkts != rec.qlen_pkts {
             let (b, p) = (pm.bytes, pm.pkts);
             self.fail(
@@ -396,7 +416,7 @@ impl TraceSink for CheckedTracer {
 
     fn link_tx(&mut self, at: Time, node: NodeId, port: PortId, wire_bytes: u64) {
         self.see(at);
-        let pm = self.ports.entry((node, port)).or_default();
+        let pm = self.port_mut(node, port);
         if let Some(rate) = pm.rate {
             if at < pm.busy_until {
                 let busy = pm.busy_until;
@@ -481,8 +501,11 @@ impl TraceSink for CheckedTracer {
             TransportEvent::BurstStart { flow, bytes } => {
                 let fm = self.flow_mut(flow);
                 fm.bursts += 1;
-                let bursts = fm.bursts;
-                if profile.burst_budget && (fm.burst_open || bursts > 1) {
+                let (bursts, was_open) = (fm.bursts, fm.burst_open);
+                fm.burst_open = true;
+                fm.burst_budget = bytes;
+                fm.burst_total += bytes;
+                if profile.burst_budget && (was_open || bursts > 1) {
                     self.fail(
                         "burst-budget",
                         format!(
@@ -492,26 +515,22 @@ impl TraceSink for CheckedTracer {
                         ),
                     );
                 }
-                let fm = self.flow_mut(flow);
-                fm.burst_open = true;
-                fm.burst_budget = bytes;
-                fm.burst_total += bytes;
             }
             TransportEvent::BurstStop { flow, sent } => {
-                let budget = self.flow_mut(flow).burst_budget;
+                let fm = self.flow_mut(flow);
+                let (budget, was_open) = (fm.burst_budget, fm.burst_open);
+                fm.burst_open = false;
                 if budget > 0 {
                     let fill = (sent.saturating_mul(100) / budget).min(400) as u32;
                     self.sig.burst_fill_pct = self.sig.burst_fill_pct.max(fill);
                 }
-                let fm = self.flow_mut(flow);
                 if profile.burst_budget {
-                    if !fm.burst_open {
+                    if !was_open {
                         self.fail(
                             "burst-budget",
                             format!("flow={} stopped a burst that never started (host={})", flow.0, host.0),
                         );
                     }
-                    let budget = fm.burst_budget;
                     if sent > budget {
                         self.fail(
                             "burst-budget",
@@ -523,7 +542,6 @@ impl TraceSink for CheckedTracer {
                         );
                     }
                 }
-                self.flow_mut(flow).burst_open = false;
             }
             TransportEvent::LossDetected { flow, bytes, .. } => {
                 self.flow_mut(flow).detected += bytes;
@@ -629,6 +647,61 @@ mod tests {
         t.queue_event(&rec(QueueEvent::Drop(DropReason::BufferFull), 1500, 1500, 1));
         t.queue_event(&rec(QueueEvent::Dequeue, 1500, 0, 0));
         assert_eq!(t.events_checked(), 5);
+    }
+
+    /// The dense ledgers: ports registered out of `(node, port)` order, a
+    /// port nobody registered and two flow ids far apart each get their own
+    /// entry, and `signals()` folds in every port's high-water mark. Fails if
+    /// a ledger is keyed by node or port alone, if a hook on an unregistered
+    /// port borrows a registered port's rate, if flows share a ledger, or if
+    /// `signals()` skips a node's ports.
+    #[test]
+    fn dense_ledgers_keep_every_port_and_flow_apart() {
+        let mut t = CheckedTracer::new();
+        t.port_registered(NodeId(3), PortId(2), Rate::gbps(10), NodeId(0));
+        t.port_registered(NodeId(0), PortId(1), Rate::gbps(40), NodeId(3));
+        let at = |mut r: QueueRecord, at: Time, node: u32, port: u16| {
+            (r.at, r.node, r.port) = (at, NodeId(node), PortId(port));
+            r
+        };
+        // Never registered: its ledger is created on first sight, rate-less.
+        t.queue_event(&at(rec(QueueEvent::Enqueue, 1500, 1500, 1), 100, 5, 7));
+        t.queue_event(&at(rec(QueueEvent::Enqueue, 1500, 3000, 2), 101, 5, 7));
+        t.queue_event(&at(rec(QueueEvent::Enqueue, 9000, 9000, 1), 102, 0, 1));
+        t.queue_event(&at(rec(QueueEvent::Dequeue, 9000, 0, 0), 103, 0, 1));
+        // 1500 B at 10 Gbps hold the wire for 1.2 us; the rate-less port
+        // checks no causality.
+        t.link_tx(104, NodeId(3), PortId(2), 1500);
+        t.link_tx(104, NodeId(5), PortId(7), 1500);
+        let (a, b) = (FlowId(1), FlowId(1 << 40));
+        t.transport_event(105, NodeId(0), &TransportEvent::CreditIssue { flow: a, bytes: 1000 });
+        t.transport_event(106, NodeId(0), &TransportEvent::CreditIssue { flow: b, bytes: 4000 });
+        // Over-consumption if `b` read `a`'s ledger.
+        t.transport_event(107, NodeId(3), &TransportEvent::CreditReceipt { flow: b, bytes: 3000 });
+
+        let ledger = |n: usize, p: usize| {
+            let pm = &t.ports[n][p];
+            (pm.rate, pm.bytes, pm.pkts, pm.max_bytes, pm.max_pkts, pm.busy_until)
+        };
+        assert_eq!(ledger(3, 2), (Some(Rate::gbps(10)), 0, 0, 0, 0, 104 + 1_200_000));
+        assert_eq!(ledger(0, 1), (Some(Rate::gbps(40)), 0, 0, 9000, 1, 0));
+        assert_eq!(ledger(5, 7), (None, 3000, 2, 3000, 2, 0));
+        let touched = [(0, 1), (3, 2), (5, 7)];
+        for (n, row) in t.ports.iter().enumerate() {
+            for (p, pm) in row.iter().enumerate() {
+                if !touched.contains(&(n, p)) {
+                    assert_eq!((pm.rate, pm.max_bytes, pm.busy_until), (None, 0, 0), "[{n}][{p}]");
+                }
+            }
+        }
+        assert_eq!(t.flows.len(), 2);
+        let credit = |f| t.flows.get(f).map(|m: &FlowModel| (m.issued, m.receipts));
+        assert_eq!(credit(a), Some((1000, 0)));
+        assert_eq!(credit(b), Some((4000, 3000)));
+        let sig = t.signals();
+        assert_eq!((sig.max_queue_bytes, sig.max_queue_pkts), (9000, 2));
+        assert_eq!(sig.credit_fill_pct, 75);
+        assert_eq!(sig.events_checked, 9);
     }
 
     #[test]

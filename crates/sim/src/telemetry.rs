@@ -17,8 +17,7 @@
 //! defaults, and [`Tracer`] adds the `ENABLED` associated const that makes
 //! static dispatch free.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
+use std::collections::VecDeque;
 
 use crate::faults::WindowKind;
 use crate::metrics::AbortCause;
@@ -445,19 +444,53 @@ pub struct PortTrace {
     /// Bytes serialized per sample window (utilization probe).
     pub tx: RateSeries,
     /// Sampled per-band occupancy (disciplines report their internal
-    /// structure: priority levels, control vs data, credit queue, …).
-    pub bands: BTreeMap<&'static str, TimeSeries>,
+    /// structure: priority levels, control vs data, credit queue, …), kept
+    /// sorted by band name.
+    pub bands: Vec<(&'static str, TimeSeries)>,
+    /// `band_of[i]`: where in `bands` the series of the `i`-th band of the
+    /// last sample sits (a discipline reports its bands in a fixed order).
+    band_of: Vec<usize>,
 }
+
+impl PortTrace {
+    /// Feed one per-band occupancy sample. A cached position is confirmed by
+    /// comparing name pointers, never strings; only a miss (a band not seen
+    /// at this position before, or one moved by an insert) searches by name,
+    /// inserting a new band at its sorted place.
+    fn observe_bands(&mut self, at: Time, bands: &[(&'static str, u64)], interval: Time) {
+        self.band_of.resize(bands.len(), 0);
+        for (slot, &(name, bytes)) in self.band_of.iter_mut().zip(bands) {
+            if !self.bands.get(*slot).is_some_and(|&(n, _)| std::ptr::eq(n, name)) {
+                *slot = match self.bands.binary_search_by(|&(n, _)| n.cmp(name)) {
+                    Ok(i) => i,
+                    Err(i) => {
+                        self.bands.insert(i, (name, TimeSeries::new(interval)));
+                        i
+                    }
+                };
+            }
+            self.bands[*slot].1.observe(at, bytes);
+        }
+    }
+}
+
+/// `RecordingTracer::index` entry of a port with no trace.
+const NO_PORT: u32 = u32::MAX;
 
 /// In-memory recorder implementing every [`TraceSink`] hook.
 ///
-/// All interior maps are `BTreeMap`s and all buffers append in event order,
-/// so two runs processing identical event streams produce byte-identical
-/// [`RecordingTracer::to_jsonl`] output.
+/// Port traces are kept in `(node, port)` order, found through a dense
+/// `[node][port]` index (node and port ids are indices, so a hook does two
+/// array reads, not a tree walk); bands are kept in name order and every
+/// buffer appends in event order. So two runs processing identical event
+/// streams produce byte-identical [`RecordingTracer::to_jsonl`] output.
 #[derive(Debug)]
 pub struct RecordingTracer {
     cfg: RecordingConfig,
-    ports: BTreeMap<(NodeId, PortId), PortTrace>,
+    /// Port traces sorted by `(node, port)`.
+    ports: Vec<((NodeId, PortId), PortTrace)>,
+    /// `index[node][port]`: position in `ports`, or [`NO_PORT`].
+    index: Vec<Vec<u32>>,
     transport: Vec<(Time, NodeId, TransportEvent)>,
     faults: Vec<(Time, FaultEvent)>,
     inflight: [u64; 3],
@@ -568,7 +601,8 @@ impl RecordingTracer {
         let mk = || TimeSeries::new(cfg.sample_every);
         RecordingTracer {
             cfg,
-            ports: BTreeMap::new(),
+            ports: Vec::new(),
+            index: Vec::new(),
             transport: Vec::new(),
             faults: Vec::new(),
             inflight: [0; 3],
@@ -582,10 +616,10 @@ impl RecordingTracer {
 
     /// Flush all time series up to `end` (call once after the run).
     pub fn finish(&mut self, end: Time) {
-        for pt in self.ports.values_mut() {
+        for (_, pt) in &mut self.ports {
             pt.depth.finish(end);
             pt.tx.finish(end);
-            for s in pt.bands.values_mut() {
+            for (_, s) in &mut pt.bands {
                 s.finish(end);
             }
         }
@@ -596,7 +630,7 @@ impl RecordingTracer {
 
     /// Recorded ports in deterministic `(node, port)` order.
     pub fn ports(&self) -> impl Iterator<Item = (&(NodeId, PortId), &PortTrace)> {
-        self.ports.iter()
+        self.ports.iter().map(|(key, pt)| (key, pt))
     }
 
     /// One flow's life as a filter over the capture: every retained queue
@@ -608,8 +642,8 @@ impl RecordingTracer {
     pub fn flow_records(&self, flow: FlowId) -> Vec<QueueRecord> {
         let mut recs: Vec<QueueRecord> = self
             .ports
-            .values()
-            .flat_map(|pt| pt.ring.iter())
+            .iter()
+            .flat_map(|(_, pt)| pt.ring.iter())
             .filter(|rec| rec.flow == flow)
             .copied()
             .collect();
@@ -632,173 +666,235 @@ impl RecordingTracer {
         &self.inflight_series[class_idx(class)]
     }
 
-    fn port_entry(&mut self, node: NodeId, port: PortId, rate: Rate, to: NodeId) -> &mut PortTrace {
+    /// Position of `(node, port)`'s trace in `ports`, if it has one.
+    #[inline]
+    fn slot(&self, node: NodeId, port: PortId) -> Option<usize> {
+        let i = *self.index.get(node.0 as usize)?.get(port.0 as usize)?;
+        (i != NO_PORT).then_some(i as usize)
+    }
+
+    /// Position of `(node, port)`'s trace, creating it at its sorted place
+    /// if absent (the first registration of a port wins). Registration is
+    /// rare, so the index entries of every trace it shifts are rewritten.
+    fn register(&mut self, node: NodeId, port: PortId, rate: Rate, to: NodeId) -> usize {
+        if let Some(i) = self.slot(node, port) {
+            return i;
+        }
         let cfg = self.cfg;
-        self.ports.entry((node, port)).or_insert_with(|| PortTrace {
+        let at = self.ports.partition_point(|&(key, _)| key < (node, port));
+        let trace = PortTrace {
             rate,
             to,
             ring: RingBuffer::new(cfg.ring_capacity),
             depth: TimeSeries::new(cfg.sample_every),
             tx: RateSeries::new(cfg.sample_every),
-            bands: BTreeMap::new(),
-        })
+            bands: Vec::new(),
+            band_of: Vec::new(),
+        };
+        self.ports.insert(at, ((node, port), trace));
+        let n = node.0 as usize;
+        if n >= self.index.len() {
+            self.index.resize_with(n + 1, Vec::new);
+        }
+        let row = &mut self.index[n];
+        if port.0 as usize >= row.len() {
+            row.resize(port.0 as usize + 1, NO_PORT);
+        }
+        for (i, &((n, p), _)) in self.ports.iter().enumerate().skip(at) {
+            self.index[n.0 as usize][p.0 as usize] = i as u32;
+        }
+        at
     }
 
     /// Serialize the full capture as deterministic JSONL: one `meta` line,
     /// then `port`, `queue`, `transport`, `fault` (only when a fault plan
-    /// acted) and `series` lines, every map iterated in `BTreeMap` order.
+    /// acted) and `series` lines, ports in `(node, port)` order and bands in
+    /// name order.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"meta\",\"version\":1,\"ports\":{},\"transport_events\":{},\"sample_interval_ps\":{}}}",
-            self.ports.len(),
-            self.transport.len(),
-            self.cfg.sample_every
-        );
-        for (&(node, port), pt) in &self.ports {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"port\",\"node\":{},\"port\":{},\"to\":{},\"rate_bps\":{},\"ring_len\":{},\"ring_dropped\":{}}}",
-                node.0,
-                port.0,
-                pt.to.0,
-                pt.rate.bps(),
-                pt.ring.len(),
-                pt.ring.dropped()
-            );
+        let mut w = Jsonl(Vec::new());
+        w.line("meta")
+            .int("version", 1)
+            .int("ports", self.ports.len() as u64)
+            .int("transport_events", self.transport.len() as u64)
+            .int("sample_interval_ps", self.cfg.sample_every)
+            .end();
+        for ((node, port), pt) in &self.ports {
+            w.line("port")
+                .int("node", node.0 as u64)
+                .int("port", port.0 as u64)
+                .int("to", pt.to.0 as u64)
+                .int("rate_bps", pt.rate.bps())
+                .int("ring_len", pt.ring.len() as u64)
+                .int("ring_dropped", pt.ring.dropped())
+                .end();
         }
-        for (&(node, port), pt) in &self.ports {
+        for ((node, port), pt) in &self.ports {
             for rec in pt.ring.iter() {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"queue\",\"at\":{},\"node\":{},\"port\":{},\"ev\":\"{}\"",
-                    rec.at,
-                    node.0,
-                    port.0,
-                    queue_ev_str(rec.ev)
-                );
+                w.line("queue")
+                    .int("at", rec.at)
+                    .int("node", node.0 as u64)
+                    .int("port", port.0 as u64)
+                    .str("ev", queue_ev_str(rec.ev));
                 if let QueueEvent::Drop(reason) = rec.ev {
-                    let _ = write!(out, ",\"reason\":\"{}\"", reason_str(reason));
+                    w.str("reason", reason_str(reason));
                 }
-                let _ = writeln!(
-                    out,
-                    ",\"flow\":{},\"seq\":{},\"kind\":\"{}\",\"class\":\"{}\",\"size\":{},\"payload\":{},\"qlen\":{},\"qpkts\":{}}}",
-                    rec.flow.0,
-                    rec.seq,
-                    kind_str(rec.kind),
-                    class_str(rec.class),
-                    rec.size,
-                    rec.payload,
-                    rec.qlen_bytes,
-                    rec.qlen_pkts
-                );
+                w.int("flow", rec.flow.0)
+                    .int("seq", rec.seq)
+                    .str("kind", kind_str(rec.kind))
+                    .str("class", class_str(rec.class))
+                    .int("size", rec.size as u64)
+                    .int("payload", rec.payload as u64)
+                    .int("qlen", rec.qlen_bytes)
+                    .int("qpkts", rec.qlen_pkts as u64)
+                    .end();
             }
         }
         for &(at, host, ev) in &self.transport {
-            let _ = write!(out, "{{\"type\":\"transport\",\"at\":{at},\"host\":{},", host.0);
-            let _ = match ev {
+            w.line("transport").int("at", at).int("host", host.0 as u64);
+            match ev {
                 TransportEvent::CreditIssue { flow, bytes } => {
-                    writeln!(out, "\"ev\":\"credit_issue\",\"flow\":{},\"bytes\":{bytes}}}", flow.0)
+                    w.str("ev", "credit_issue").int("flow", flow.0).int("bytes", bytes)
                 }
                 TransportEvent::CreditReceipt { flow, bytes } => {
-                    writeln!(out, "\"ev\":\"credit_receipt\",\"flow\":{},\"bytes\":{bytes}}}", flow.0)
+                    w.str("ev", "credit_receipt").int("flow", flow.0).int("bytes", bytes)
                 }
                 TransportEvent::BurstStart { flow, bytes } => {
-                    writeln!(out, "\"ev\":\"burst_start\",\"flow\":{},\"bytes\":{bytes}}}", flow.0)
+                    w.str("ev", "burst_start").int("flow", flow.0).int("bytes", bytes)
                 }
                 TransportEvent::BurstStop { flow, sent } => {
-                    writeln!(out, "\"ev\":\"burst_stop\",\"flow\":{},\"sent\":{sent}}}", flow.0)
+                    w.str("ev", "burst_stop").int("flow", flow.0).int("sent", sent)
                 }
-                TransportEvent::LossDetected { flow, bytes, cause } => writeln!(
-                    out,
-                    "\"ev\":\"loss_detected\",\"flow\":{},\"bytes\":{bytes},\"cause\":\"{}\"}}",
-                    flow.0,
-                    cause_str(cause)
-                ),
-                TransportEvent::Retransmit { flow, bytes, cause } => writeln!(
-                    out,
-                    "\"ev\":\"retransmit\",\"flow\":{},\"bytes\":{bytes},\"cause\":\"{}\"}}",
-                    flow.0,
-                    cause_str(cause)
-                ),
-            };
+                TransportEvent::LossDetected { flow, bytes, cause } => w
+                    .str("ev", "loss_detected")
+                    .int("flow", flow.0)
+                    .int("bytes", bytes)
+                    .str("cause", cause_str(cause)),
+                TransportEvent::Retransmit { flow, bytes, cause } => w
+                    .str("ev", "retransmit")
+                    .int("flow", flow.0)
+                    .int("bytes", bytes)
+                    .str("cause", cause_str(cause)),
+            }
+            .end();
         }
         for &(at, ev) in &self.faults {
-            let _ = write!(out, "{{\"type\":\"fault\",\"at\":{at},");
-            let _ = match ev {
-                FaultEvent::WindowStart { window, kind } => writeln!(
-                    out,
-                    "\"ev\":\"window_start\",\"window\":{window},\"kind\":\"{}\"}}",
-                    window_kind_str(kind)
-                ),
-                FaultEvent::WindowEnd { window, kind } => writeln!(
-                    out,
-                    "\"ev\":\"window_end\",\"window\":{window},\"kind\":\"{}\"}}",
-                    window_kind_str(kind)
-                ),
-                FaultEvent::PacketKilled { node, port, flow, seq, kind, class, payload, reason } => {
-                    writeln!(
-                        out,
-                        "\"ev\":\"killed\",\"node\":{},\"port\":{},\"flow\":{},\"seq\":{seq},\"kind\":\"{}\",\"class\":\"{}\",\"payload\":{payload},\"reason\":\"{}\"}}",
-                        node.0,
-                        port.0,
-                        flow.0,
-                        kind_str(kind),
-                        class_str(class),
-                        reason_str(reason)
-                    )
-                }
+            w.line("fault").int("at", at);
+            match ev {
+                FaultEvent::WindowStart { window, kind } => w
+                    .str("ev", "window_start")
+                    .int("window", window as u64)
+                    .str("kind", window_kind_str(kind)),
+                FaultEvent::WindowEnd { window, kind } => w
+                    .str("ev", "window_end")
+                    .int("window", window as u64)
+                    .str("kind", window_kind_str(kind)),
+                FaultEvent::PacketKilled { node, port, flow, seq, kind, class, payload, reason } => w
+                    .str("ev", "killed")
+                    .int("node", node.0 as u64)
+                    .int("port", port.0 as u64)
+                    .int("flow", flow.0)
+                    .int("seq", seq)
+                    .str("kind", kind_str(kind))
+                    .str("class", class_str(class))
+                    .int("payload", payload as u64)
+                    .str("reason", reason_str(reason)),
                 FaultEvent::NodeCrash { node } => {
-                    writeln!(out, "\"ev\":\"node_crash\",\"node\":{}}}", node.0)
+                    w.str("ev", "node_crash").int("node", node.0 as u64)
                 }
                 FaultEvent::NodeRestart { node } => {
-                    writeln!(out, "\"ev\":\"node_restart\",\"node\":{}}}", node.0)
+                    w.str("ev", "node_restart").int("node", node.0 as u64)
                 }
-                FaultEvent::FlowAborted { flow, cause } => writeln!(
-                    out,
-                    "\"ev\":\"flow_aborted\",\"flow\":{},\"cause\":\"{}\"}}",
-                    flow.0,
-                    abort_cause_str(cause)
-                ),
+                FaultEvent::FlowAborted { flow, cause } => w
+                    .str("ev", "flow_aborted")
+                    .int("flow", flow.0)
+                    .str("cause", abort_cause_str(cause)),
                 FaultEvent::FlowRestarted { flow } => {
-                    writeln!(out, "\"ev\":\"flow_restarted\",\"flow\":{}}}", flow.0)
+                    w.str("ev", "flow_restarted").int("flow", flow.0)
                 }
-            };
+            }
+            .end();
         }
-        let series_line = |out: &mut String, name: &str, loc: Option<(NodeId, PortId)>, samples: &[(Time, u64)]| {
-            let _ = write!(out, "{{\"type\":\"series\",\"name\":\"{name}\"");
-            if let Some((node, port)) = loc {
-                let _ = write!(out, ",\"node\":{},\"port\":{}", node.0, port.0);
-            }
-            let _ = write!(out, ",\"samples\":[");
-            for (i, (t, v)) in samples.iter().enumerate() {
-                let _ = write!(out, "{}[{t},{v}]", if i == 0 { "" } else { "," });
-            }
-            out.push_str("]}\n");
-        };
-        for (&(node, port), pt) in &self.ports {
-            series_line(&mut out, "depth", Some((node, port)), pt.depth.samples());
-            series_line(&mut out, "tx_bytes", Some((node, port)), pt.tx.samples());
+        for (loc, pt) in &self.ports {
+            let loc = Some(*loc);
+            w.series(["depth", ""], loc, pt.depth.samples());
+            w.series(["tx_bytes", ""], loc, pt.tx.samples());
             for (band, s) in &pt.bands {
-                series_line(&mut out, &format!("band:{band}"), Some((node, port)), s.samples());
+                w.series(["band:", band], loc, s.samples());
             }
         }
         for class in [TrafficClass::Scheduled, TrafficClass::Unscheduled, TrafficClass::Control] {
-            series_line(
-                &mut out,
-                &format!("inflight:{}", class_str(class)),
-                None,
-                self.inflight_series[class_idx(class)].samples(),
-            );
+            let samples = self.inflight_series[class_idx(class)].samples();
+            w.series(["inflight:", class_str(class)], None, samples);
         }
-        out
+        String::from_utf8(w.0).expect("every piece of the capture is a str")
+    }
+}
+
+/// The JSONL output buffer of [`RecordingTracer::to_jsonl`]. Numbers are
+/// written by hand: going through `fmt` per field was most of a capture's
+/// cost.
+struct Jsonl(Vec<u8>);
+
+impl Jsonl {
+    /// Append `s` verbatim.
+    fn raw(&mut self, s: &str) -> &mut Jsonl {
+        self.0.extend_from_slice(s.as_bytes());
+        self
+    }
+
+    /// Append the decimal digits of `v`.
+    fn num(&mut self, mut v: u64) -> &mut Jsonl {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.0.extend_from_slice(&digits[i..]);
+        self
+    }
+
+    /// Open a line: `{"type":"<ty>"`.
+    fn line(&mut self, ty: &str) -> &mut Jsonl {
+        self.raw("{\"type\":\"").raw(ty).raw("\"")
+    }
+
+    /// Append a number field: `,"<key>":<v>`.
+    fn int(&mut self, key: &str, v: u64) -> &mut Jsonl {
+        self.raw(",\"").raw(key).raw("\":").num(v)
+    }
+
+    /// Append a string field: `,"<key>":"<s>"`.
+    fn str(&mut self, key: &str, s: &str) -> &mut Jsonl {
+        self.raw(",\"").raw(key).raw("\":\"").raw(s).raw("\"")
+    }
+
+    /// Close a line.
+    fn end(&mut self) {
+        self.raw("}\n");
+    }
+
+    /// One `series` line; `name` is written as its two parts joined.
+    fn series(&mut self, name: [&str; 2], loc: Option<(NodeId, PortId)>, samples: &[(Time, u64)]) {
+        self.line("series").raw(",\"name\":\"").raw(name[0]).raw(name[1]).raw("\"");
+        if let Some((node, port)) = loc {
+            self.int("node", node.0 as u64).int("port", port.0 as u64);
+        }
+        self.raw(",\"samples\":[");
+        for (i, &(t, v)) in samples.iter().enumerate() {
+            self.raw(if i == 0 { "[" } else { ",[" }).num(t).raw(",").num(v).raw("]");
+        }
+        self.raw("]}\n");
     }
 }
 
 impl TraceSink for RecordingTracer {
     fn port_registered(&mut self, node: NodeId, port: PortId, rate: Rate, to: NodeId) {
-        self.port_entry(node, port, rate, to);
+        self.register(node, port, rate, to);
     }
 
     fn queue_event(&mut self, rec: &QueueRecord) {
@@ -815,29 +911,27 @@ impl TraceSink for RecordingTracer {
                 _ => {}
             }
         }
-        let pt = match self.ports.get_mut(&(rec.node, rec.port)) {
-            Some(pt) => pt,
+        let i = match self.slot(rec.node, rec.port) {
+            Some(i) => i,
             // A queue event on an unregistered port (hand-wired networks
             // bypassing `port_registered` cannot happen through the engine,
             // but stay total): synthesize a placeholder registration.
-            None => self.port_entry(rec.node, rec.port, Rate::gbps(0), rec.node),
+            None => self.register(rec.node, rec.port, Rate::gbps(0), rec.node),
         };
+        let pt = &mut self.ports[i].1;
         pt.depth.observe(rec.at, rec.qlen_bytes);
         pt.ring.push(*rec);
     }
 
     fn queue_bands(&mut self, at: Time, node: NodeId, port: PortId, bands: &[(&'static str, u64)]) {
-        let interval = self.cfg.sample_every;
-        if let Some(pt) = self.ports.get_mut(&(node, port)) {
-            for &(name, bytes) in bands {
-                pt.bands.entry(name).or_insert_with(|| TimeSeries::new(interval)).observe(at, bytes);
-            }
+        if let Some(i) = self.slot(node, port) {
+            self.ports[i].1.observe_bands(at, bands, self.cfg.sample_every);
         }
     }
 
     fn link_tx(&mut self, at: Time, node: NodeId, port: PortId, wire_bytes: u64) {
-        if let Some(pt) = self.ports.get_mut(&(node, port)) {
-            pt.tx.add(at, wire_bytes);
+        if let Some(i) = self.slot(node, port) {
+            self.ports[i].1.tx.add(at, wire_bytes);
         }
     }
 
@@ -1044,5 +1138,144 @@ mod tests {
             assert_eq!(line.matches('{').count(), line.matches('}').count());
             assert_eq!(line.matches('[').count(), line.matches(']').count());
         }
+    }
+
+    /// A hand-built capture that reaches every rendering path of `to_jsonl`:
+    /// ports registered out of `(node, port)` order, a queue event on a port
+    /// that was never registered, a drop with its reason, bands first seen
+    /// out of alphabetical order (a third joining between them later), the
+    /// values 0 and `u64::MAX`, every fault shape that carries numbers, and
+    /// every transport line.
+    fn golden_capture() -> RecordingTracer {
+        let cfg = RecordingConfig { ring_capacity: 8, sample_every: 10 };
+        let mut t = RecordingTracer::with_config(cfg);
+        t.port_registered(NodeId(2), PortId(1), Rate::gbps(100), NodeId(0));
+        t.port_registered(NodeId(0), PortId(1), Rate::gbps(10), NodeId(2));
+        t.port_registered(NodeId(2), PortId(0), Rate::gbps(40), NodeId(1));
+        let (sched, unsched) = (TrafficClass::Scheduled, TrafficClass::Unscheduled);
+        let (max, max_node) = (u64::MAX, NodeId(u32::MAX));
+        // `at`, node, port, event, flow, seq, class, size, qlen bytes / pkts.
+        let rec = |at, node, port, ev, flow, seq, class, size: u32, qlen_bytes, qlen_pkts| {
+            QueueRecord {
+                at,
+                node: NodeId(node),
+                port: PortId(port),
+                ev,
+                flow: FlowId(flow),
+                seq,
+                kind: PacketKind::Data,
+                class,
+                size,
+                payload: size.saturating_sub(40),
+                qlen_bytes,
+                qlen_pkts,
+            }
+        };
+        let host = |at, flow, seq, class, payload| HostEvent {
+            at,
+            flow: FlowId(flow),
+            seq,
+            class,
+            payload,
+            retransmit: false,
+        };
+        t.packet_launched(&host(0, 0, 0, unsched, 1460));
+        t.packet_launched(&host(1, 1, 1460, sched, 2920));
+        t.queue_event(&rec(0, 2, 1, QueueEvent::Enqueue, 0, 0, unsched, 0, 0, 0));
+        t.queue_event(&rec(1, 2, 1, QueueEvent::EnqueueMarked, 1, 1460, sched, 1500, 1500, 1));
+        t.queue_bands(1, NodeId(2), PortId(1), &[("data", 1500), ("ctrl", 0)]);
+        let drop = QueueEvent::Drop(DropReason::SelectiveDrop);
+        t.queue_event(&rec(3, 2, 1, drop, max, max, unsched, 1500, max, 1));
+        // Port (1, 3) was never registered.
+        t.queue_event(&rec(4, 1, 3, QueueEvent::EnqueueTrimmed, 7, 2920, sched, 1500, 64, 1));
+        t.queue_bands(12, NodeId(2), PortId(1), &[("data", max), ("credit", 84), ("ctrl", 64)]);
+        t.link_tx(6, NodeId(0), PortId(1), 1500);
+        t.link_tx(14, NodeId(2), PortId(1), max);
+        t.queue_event(&rec(15, 2, 1, QueueEvent::Dequeue, 1, 1460, sched, 1500, 0, 0));
+        t.packet_delivered(&host(16, 1, 1460, sched, 1460));
+        let f = FlowId(7);
+        let (cause, last) = (LossCause::SackGap, LossCause::LastResort);
+        for (at, host, ev) in [
+            (2, 0, TransportEvent::CreditIssue { flow: f, bytes: 0 }),
+            (2, 1, TransportEvent::CreditReceipt { flow: f, bytes: 1460 }),
+            (5, 1, TransportEvent::BurstStart { flow: f, bytes: max }),
+            (6, 1, TransportEvent::BurstStop { flow: f, sent: 0 }),
+            (9, 1, TransportEvent::LossDetected { flow: f, bytes: 1460, cause }),
+            (17, 1, TransportEvent::Retransmit { flow: FlowId(max), bytes: 1460, cause: last }),
+        ] {
+            t.transport_event(at, NodeId(host), &ev);
+        }
+        let killed = FaultEvent::PacketKilled {
+            node: NodeId(0),
+            port: PortId(1),
+            flow: f,
+            seq: 2920,
+            kind: PacketKind::Data,
+            class: sched,
+            payload: 1460,
+            reason: DropReason::Corruption,
+        };
+        let degraded = WindowKind::Degraded { slowdown: 3 };
+        for (at, ev) in [
+            (7, FaultEvent::WindowStart { window: 0, kind: WindowKind::Down }),
+            (8, killed),
+            (11, FaultEvent::WindowEnd { window: usize::MAX, kind: degraded }),
+            (13, FaultEvent::NodeCrash { node: NodeId(0) }),
+            (18, FaultEvent::NodeRestart { node: max_node }),
+            (19, FaultEvent::FlowAborted { flow: FlowId(0), cause: AbortCause::PeerSilent }),
+            (20, FaultEvent::FlowRestarted { flow: FlowId(0) }),
+        ] {
+            t.fault_event(at, &ev);
+        }
+        t.finish(30);
+        t
+    }
+
+    /// Every byte of `to_jsonl` on [`golden_capture`]: the capture format is
+    /// a contract that tools and byte-compares rely on. Fails if bands render
+    /// in insertion order, ports in registration order, or the digit writer
+    /// prints 0 as nothing.
+    #[test]
+    fn jsonl_golden_bytes() {
+        let expect = concat!(
+            r#"{"type":"meta","version":1,"ports":4,"transport_events":6,"sample_interval_ps":10}"#, "\n",
+            r#"{"type":"port","node":0,"port":1,"to":2,"rate_bps":10000000000,"ring_len":0,"ring_dropped":0}"#, "\n",
+            r#"{"type":"port","node":1,"port":3,"to":1,"rate_bps":0,"ring_len":1,"ring_dropped":0}"#, "\n",
+            r#"{"type":"port","node":2,"port":0,"to":1,"rate_bps":40000000000,"ring_len":0,"ring_dropped":0}"#, "\n",
+            r#"{"type":"port","node":2,"port":1,"to":0,"rate_bps":100000000000,"ring_len":4,"ring_dropped":0}"#, "\n",
+            r#"{"type":"queue","at":4,"node":1,"port":3,"ev":"enqueue_trimmed","flow":7,"seq":2920,"kind":"data","class":"sched","size":1500,"payload":1460,"qlen":64,"qpkts":1}"#, "\n",
+            r#"{"type":"queue","at":0,"node":2,"port":1,"ev":"enqueue","flow":0,"seq":0,"kind":"data","class":"unsched","size":0,"payload":0,"qlen":0,"qpkts":0}"#, "\n",
+            r#"{"type":"queue","at":1,"node":2,"port":1,"ev":"enqueue_marked","flow":1,"seq":1460,"kind":"data","class":"sched","size":1500,"payload":1460,"qlen":1500,"qpkts":1}"#, "\n",
+            r#"{"type":"queue","at":3,"node":2,"port":1,"ev":"drop","reason":"selective_drop","flow":18446744073709551615,"seq":18446744073709551615,"kind":"data","class":"unsched","size":1500,"payload":1460,"qlen":18446744073709551615,"qpkts":1}"#, "\n",
+            r#"{"type":"queue","at":15,"node":2,"port":1,"ev":"dequeue","flow":1,"seq":1460,"kind":"data","class":"sched","size":1500,"payload":1460,"qlen":0,"qpkts":0}"#, "\n",
+            r#"{"type":"transport","at":2,"host":0,"ev":"credit_issue","flow":7,"bytes":0}"#, "\n",
+            r#"{"type":"transport","at":2,"host":1,"ev":"credit_receipt","flow":7,"bytes":1460}"#, "\n",
+            r#"{"type":"transport","at":5,"host":1,"ev":"burst_start","flow":7,"bytes":18446744073709551615}"#, "\n",
+            r#"{"type":"transport","at":6,"host":1,"ev":"burst_stop","flow":7,"sent":0}"#, "\n",
+            r#"{"type":"transport","at":9,"host":1,"ev":"loss_detected","flow":7,"bytes":1460,"cause":"sack_gap"}"#, "\n",
+            r#"{"type":"transport","at":17,"host":1,"ev":"retransmit","flow":18446744073709551615,"bytes":1460,"cause":"last_resort"}"#, "\n",
+            r#"{"type":"fault","at":7,"ev":"window_start","window":0,"kind":"down"}"#, "\n",
+            r#"{"type":"fault","at":8,"ev":"killed","node":0,"port":1,"flow":7,"seq":2920,"kind":"data","class":"sched","payload":1460,"reason":"corruption"}"#, "\n",
+            r#"{"type":"fault","at":11,"ev":"window_end","window":18446744073709551615,"kind":"degraded"}"#, "\n",
+            r#"{"type":"fault","at":13,"ev":"node_crash","node":0}"#, "\n",
+            r#"{"type":"fault","at":18,"ev":"node_restart","node":4294967295}"#, "\n",
+            r#"{"type":"fault","at":19,"ev":"flow_aborted","flow":0,"cause":"peer_silent"}"#, "\n",
+            r#"{"type":"fault","at":20,"ev":"flow_restarted","flow":0}"#, "\n",
+            r#"{"type":"series","name":"depth","node":0,"port":1,"samples":[[10,0],[20,0],[30,0]]}"#, "\n",
+            r#"{"type":"series","name":"tx_bytes","node":0,"port":1,"samples":[[10,1500],[20,0],[30,0]]}"#, "\n",
+            r#"{"type":"series","name":"depth","node":1,"port":3,"samples":[[10,64],[20,64],[30,64]]}"#, "\n",
+            r#"{"type":"series","name":"tx_bytes","node":1,"port":3,"samples":[[10,0],[20,0],[30,0]]}"#, "\n",
+            r#"{"type":"series","name":"depth","node":2,"port":0,"samples":[[10,0],[20,0],[30,0]]}"#, "\n",
+            r#"{"type":"series","name":"tx_bytes","node":2,"port":0,"samples":[[10,0],[20,0],[30,0]]}"#, "\n",
+            r#"{"type":"series","name":"depth","node":2,"port":1,"samples":[[10,18446744073709551615],[20,0],[30,0]]}"#, "\n",
+            r#"{"type":"series","name":"tx_bytes","node":2,"port":1,"samples":[[10,0],[20,18446744073709551615],[30,0]]}"#, "\n",
+            r#"{"type":"series","name":"band:credit","node":2,"port":1,"samples":[[10,0],[20,84],[30,84]]}"#, "\n",
+            r#"{"type":"series","name":"band:ctrl","node":2,"port":1,"samples":[[10,0],[20,64],[30,64]]}"#, "\n",
+            r#"{"type":"series","name":"band:data","node":2,"port":1,"samples":[[10,1500],[20,18446744073709551615],[30,18446744073709551615]]}"#, "\n",
+            r#"{"type":"series","name":"inflight:sched","samples":[[10,1460],[20,0],[30,0]]}"#, "\n",
+            r#"{"type":"series","name":"inflight:unsched","samples":[[10,0],[20,0],[30,0]]}"#, "\n",
+            r#"{"type":"series","name":"inflight:ctrl","samples":[[10,0],[20,0],[30,0]]}"#, "\n",
+        );
+        assert_eq!(golden_capture().to_jsonl(), expect);
     }
 }
