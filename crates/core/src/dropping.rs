@@ -7,13 +7,13 @@
 //! them, and receivers ignore the marks). This module provides the
 //! configured queue and the marking helpers.
 
-use aeolus_sim::{Ecn, Packet, QueueDisc, RedEcnQueue, TrafficClass};
+use aeolus_sim::{Ecn, Packet, RedEcnQueue, TrafficClass};
 
 use crate::config::AeolusConfig;
 
 /// Build the Aeolus selective-dropping queue for one switch port.
-pub fn selective_drop_queue(cfg: &AeolusConfig) -> Box<dyn QueueDisc> {
-    Box::new(RedEcnQueue::new(cfg.drop_threshold, cfg.port_buffer))
+pub fn selective_drop_queue(cfg: &AeolusConfig) -> RedEcnQueue {
+    RedEcnQueue::new(cfg.drop_threshold, cfg.port_buffer)
 }
 
 /// Apply the Aeolus marking rule to an outgoing packet: the ECN field is the
@@ -28,7 +28,7 @@ pub fn mark(pkt: &mut Packet) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeolus_sim::{EnqueueOutcome, FlowId, NodeId, PacketPool, PacketRef, Poll};
+    use aeolus_sim::{EnqueueOutcome, FlowId, NodeId, PacketPool, PacketRef, Poll, QueueDisc};
 
     fn data(pool: &mut PacketPool, class: TrafficClass, seq: u64) -> PacketRef {
         let mut p = Packet::data(FlowId(1), NodeId(0), NodeId(1), seq, 1460, class, 1 << 20);

@@ -40,6 +40,22 @@ use crate::units::Time;
 /// copy back straight after stalls store forwarding — a pop copies the
 /// event three times on its way to `Network::dispatch`. (Fields are listed
 /// so that every variant still fits in 16 bytes.)
+///
+/// The same stall returns at any call boundary an event crosses through
+/// memory. `Network<T>` is generic, so its run loop and handlers are
+/// compiled in the crate that names `T`, where this crate's methods are
+/// ordinary out-of-line calls: the caller stored the event on its stack in
+/// 4- and 8-byte pieces and the callee read it back as one 16-byte load.
+/// That is why the hand-off chain below — `schedule_at` / `reserve` /
+/// `fill` / `pop_at_or_before`, `push`, the wheel's `push` / `file` /
+/// `pop_at_or_before` and `Slab::alloc` — is `#[inline(always)]`: plain
+/// `#[inline]` leaves LLVM free to keep `file` and the wheel's pop out of
+/// line, and it did. The event is built in registers and stored once, into
+/// its slab node. The heap's push is inlined too, for the same reason: an
+/// out-of-line callee takes a 16-byte enum through memory, and the wheel arm
+/// then read the event back from that same stack slot. The heap's pop
+/// stays out of line, so the reference scheduler is not copied into every
+/// call site.
 #[derive(Debug, Clone, Copy)]
 #[repr(u32)]
 pub enum Event {
@@ -203,12 +219,13 @@ impl HeapScheduler {
         HeapScheduler { heap: BinaryHeap::new() }
     }
 
-    #[inline]
+    /// Inlined with the wheel's (see [`Event`]).
+    #[inline(always)]
     fn push(&mut self, s: Scheduled) {
         self.heap.push(s);
     }
 
-    #[inline]
+    #[inline(never)]
     fn pop_at_or_before(&mut self, limit: Time) -> Option<Scheduled> {
         if self.heap.peek()?.at > limit {
             return None;
@@ -276,28 +293,34 @@ impl Slab {
         Slab { chunks: Vec::new(), len: 0, free: NIL }
     }
 
-    /// A slot holding `s`, recycled when one is free.
-    #[inline]
+    /// A slot holding `s`, recycled when one is free. `s` is stored once,
+    /// on the one path every slot takes.
+    #[inline(always)]
     fn alloc(&mut self, s: Scheduled) -> u32 {
-        let node = Node { s, next: NIL };
         let slot = self.free;
-        if slot != NIL {
+        let slot = if slot != NIL {
             self.free = self[slot].next;
-            self[slot] = node;
-            return slot;
-        }
-        let slot = self.len;
-        if (slot as usize).is_multiple_of(CHUNK) {
-            // Slots past `len` are never read, whatever they hold. Built on
-            // the heap: a 40 KB array on the stack would give every inlined
-            // caller a 40 KB frame and a stack probe per schedule.
-            let chunk: Box<[Node]> = vec![node; CHUNK].into();
-            self.chunks.push(chunk.try_into().unwrap_or_else(|_| unreachable!("CHUNK nodes")));
+            slot
         } else {
-            self[slot] = node;
-        }
-        self.len += 1;
+            if (self.len as usize).is_multiple_of(CHUNK) {
+                self.grow();
+            }
+            self.len += 1;
+            self.len - 1
+        };
+        self[slot] = Node { s, next: NIL };
         slot
+    }
+
+    /// Add a chunk of placeholder nodes: slots past `len` are never read.
+    /// Built on the heap: a 40 KB array on the stack would give every
+    /// inlined caller a 40 KB frame and a stack probe per schedule.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let blank = Scheduled { at: 0, seq: 0, event: Event::Fault { start: false, window: 0 } };
+        let chunk: Box<[Node]> = vec![Node { s: blank, next: NIL }; CHUNK].into();
+        self.chunks.push(chunk.try_into().unwrap_or_else(|_| unreachable!("CHUNK nodes")));
     }
 
     #[inline]
@@ -478,14 +501,14 @@ impl WheelScheduler {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, s: Scheduled) {
         self.len += 1;
         self.file(s);
     }
 
     /// Put `s` where the invariants say it belongs.
-    #[inline]
+    #[inline(always)]
     fn file(&mut self, s: Scheduled) {
         let period = s.at >> PERIOD_SHIFT;
         let current = self.cursor >> LEVEL_BITS;
@@ -506,7 +529,7 @@ impl WheelScheduler {
 
     /// Pop the next event only if it fires at or before `limit`; otherwise
     /// leave it pending (the cursor may have moved up to it).
-    #[inline]
+    #[inline(always)]
     fn pop_at_or_before(&mut self, limit: Time) -> Option<Scheduled> {
         if self.len == 0 {
             return None;
@@ -635,6 +658,7 @@ impl EventQueue {
     ///
     /// # Panics
     /// Panics if `at` is in the past — a causality bug in the caller.
+    #[inline(always)]
     pub fn schedule_at(&mut self, at: Time, event: Event) {
         let place = self.reserve(at);
         self.push(place, event);
@@ -646,6 +670,7 @@ impl EventQueue {
     ///
     /// # Panics
     /// Panics if `at` is in the past — a causality bug in the caller.
+    #[inline(always)]
     pub fn reserve(&mut self, at: Time) -> Place {
         assert!(at >= self.now, "event scheduled in the past: {} < {}", at, self.now);
         let seq = self.seq;
@@ -663,6 +688,7 @@ impl EventQueue {
     /// # Panics
     /// Panics if the run is already past `place`: the event could no longer
     /// fire where it was promised.
+    #[inline(always)]
     pub fn fill(&mut self, place: Place, event: Event) {
         assert!(!self.passed(place), "place {place:?} filled after the run passed it");
         self.push(place, event);
@@ -675,12 +701,11 @@ impl EventQueue {
         (place.at, place.seq) <= (self.now, self.now_seq)
     }
 
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, place: Place, event: Event) {
-        let s = Scheduled { at: place.at, seq: place.seq, event };
         match &mut self.imp {
-            Impl::Wheel(w) => w.push(s),
-            Impl::Heap(h) => h.push(s),
+            Impl::Wheel(w) => w.push(Scheduled { at: place.at, seq: place.seq, event }),
+            Impl::Heap(h) => h.push(Scheduled { at: place.at, seq: place.seq, event }),
         }
     }
 
@@ -693,6 +718,7 @@ impl EventQueue {
     /// the clock to its timestamp; returns `None` (and leaves the event
     /// pending) otherwise — one scheduler lookup per event, the run loops'
     /// form of "peek, compare, pop".
+    #[inline(always)]
     pub fn pop_at_or_before(&mut self, limit: Time) -> Option<(Time, Event)> {
         let s = match &mut self.imp {
             Impl::Wheel(w) => w.pop_at_or_before(limit)?,
@@ -809,6 +835,19 @@ mod tests {
         // the pool: a field nothing reads does not earn its bytes.
         let pkt = std::mem::size_of::<crate::packet::Packet>();
         assert!(pkt <= 104, "{pkt}");
+    }
+
+    /// Every port holds its discipline inline, so the largest `Queue`
+    /// variant sets the size of every port on the fabric, and every switch
+    /// hop touches one. A variant that grows — say `PriorityBank` holding
+    /// its eight FIFOs as an inline `[ByteFifo; 8]` — fails here; box the
+    /// rarely used state of such a discipline instead.
+    #[test]
+    fn queue_and_port_stay_small() {
+        let queue = std::mem::size_of::<crate::queues::Queue>();
+        assert!(queue <= 136, "Queue is {queue} B");
+        let port = std::mem::size_of::<crate::port::Port>();
+        assert!(port <= 272, "Port is {port} B");
     }
 
     /// Each level's bucket array stays at 32 KB: every `Network` builds one

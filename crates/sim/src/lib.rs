@@ -54,7 +54,7 @@
 //! let sw = net.add_switch(RoutePolicy::EcmpHash, 7, 0);
 //! let a = net.add_host(0);
 //! let b = net.add_host(0);
-//! let q = || Box::new(DropTailQueue::new(1 << 20)) as Box<dyn QueueDisc>;
+//! let q = || DropTailQueue::new(1 << 20);
 //! net.connect(a, sw, Rate::gbps(10), us(1), q());
 //! net.connect(b, sw, Rate::gbps(10), us(1), q());
 //! let pa = net.connect(sw, a, Rate::gbps(10), us(1), q());
@@ -105,8 +105,8 @@ pub use packet::{
 pub use pool::{PacketPool, PacketRef};
 pub use port::{Link, Port, PortStats};
 pub use queues::{
-    Color, DropReason, DropTailQueue, EnqueueOutcome, Poll, PoolHandle, PriorityBank, QueueDisc,
-    RedEcnQueue, SharedPool, TrimmingQueue, WredProfile, WredQueue, XPassQueue,
+    Color, DropReason, DropTailQueue, EnqueueOutcome, Poll, PoolHandle, PriorityBank, Queue,
+    QueueDisc, RedEcnQueue, SharedPool, TrimmingQueue, WredProfile, WredQueue, XPassQueue,
 };
 pub use rangeset::RangeSet;
 pub use rng::SimRng;

@@ -8,7 +8,7 @@ use crate::node::{Node, NodeKind};
 use crate::packet::{FlowDesc, NodeId, Packet, PortId};
 use crate::pool::{PacketPool, PacketRef};
 use crate::port::{Link, Port};
-use crate::queues::{DropReason, EnqueueOutcome, Poll, QueueDisc};
+use crate::queues::{DropReason, EnqueueOutcome, Poll, Queue};
 use crate::rng::SimRng;
 use crate::routing::{RoutePolicy, RouteTable};
 use crate::telemetry::{FaultEvent, HostEvent, NullTracer, QueueEvent, QueueRecord, Tracer};
@@ -220,7 +220,7 @@ impl<T: Tracer> Network<T> {
         to: NodeId,
         rate: Rate,
         delay: Time,
-        queue: Box<dyn QueueDisc>,
+        queue: impl Into<Queue>,
     ) -> PortId {
         assert!((to.0 as usize) < self.nodes.len(), "link to unknown node");
         let node = &mut self.nodes[from.0 as usize];
@@ -930,7 +930,7 @@ mod tests {
         let h1 = net.add_host(0);
         let rate = Rate::gbps(10);
         let delay = us(1);
-        let q = || Box::new(DropTailQueue::new(1 << 30)) as Box<dyn QueueDisc>;
+        let q = || DropTailQueue::new(1 << 30);
         net.connect(h0, sw, rate, delay, q());
         net.connect(h1, sw, rate, delay, q());
         let p0 = net.connect(sw, h0, rate, delay, q());
@@ -1322,13 +1322,13 @@ mod tests {
         let mut net = Network::new();
         let sw = net.add_switch(RoutePolicy::EcmpHash, 1, 0);
         let hosts: Vec<NodeId> = (0..4).map(|_| net.add_host(0)).collect();
-        let q = || Box::new(DropTailQueue::new(1 << 30)) as Box<dyn QueueDisc>;
+        let q = || DropTailQueue::new(1 << 30);
         for &h in &hosts {
             net.connect(h, sw, Rate::gbps(10), us(1), q());
             net.set_endpoint(h, Box::new(OneShot));
         }
         let dst = hosts[3];
-        let bank = Box::new(crate::queues::PriorityBank::new(2, 1 << 30));
+        let bank = crate::queues::PriorityBank::new(2, 1 << 30);
         let out = net.connect(sw, dst, Rate::gbps(10), us(1), bank);
         net.add_route(sw, dst, out);
         let flow = |id, src: usize, size, start| FlowDesc {

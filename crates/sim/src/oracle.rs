@@ -609,14 +609,50 @@ impl Tracer for CheckedTracer {
     const ENABLED: bool = true;
 }
 
+/// Disciplines with planted bugs, for the oracle's own tests.
+#[cfg(test)]
+pub(crate) mod planted {
+    use crate::pool::{PacketPool, PacketRef};
+    use crate::queues::{DropReason, DropTailQueue, EnqueueOutcome, Poll, QueueDisc};
+    use crate::units::Time;
+
+    /// A selective-dropping queue with the planted Aeolus bug: the SPF
+    /// threshold is applied to *every* packet, scheduled ones included. A
+    /// port holds it through its own test-only [`crate::queues::Queue`]
+    /// variant.
+    pub struct BuggySpfQueue {
+        pub(crate) inner: DropTailQueue,
+        pub(crate) threshold: u64,
+    }
+
+    impl QueueDisc for BuggySpfQueue {
+        fn enqueue(&mut self, pkt: PacketRef, pool: &mut PacketPool, now: Time) -> EnqueueOutcome {
+            if self.inner.bytes() >= self.threshold {
+                // BUG: no `droppable()` check before the selective drop.
+                return EnqueueOutcome::Dropped { reason: DropReason::SelectiveDrop, pkt };
+            }
+            self.inner.enqueue(pkt, pool, now)
+        }
+        fn poll(&mut self, pool: &mut PacketPool, now: Time) -> Poll {
+            self.inner.poll(pool, now)
+        }
+        fn bytes(&self) -> u64 {
+            self.inner.bytes()
+        }
+        fn pkts(&self) -> usize {
+            self.inner.pkts()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::planted::BuggySpfQueue;
     use super::*;
     use crate::endpoint::{Ctx, Endpoint};
     use crate::network::Network;
     use crate::packet::{FlowDesc, Packet, PacketKind};
-    use crate::pool::{PacketPool, PacketRef};
-    use crate::queues::{DropTailQueue, EnqueueOutcome, Poll, QueueDisc};
+    use crate::queues::DropTailQueue;
     use crate::routing::RoutePolicy;
     use crate::telemetry::LossCause;
     use crate::units::us;
@@ -926,32 +962,6 @@ mod tests {
         t_covered.assert_flows_complete(&m);
     }
 
-    /// A selective-dropping queue with the planted Aeolus bug: the SPF
-    /// threshold is applied to *every* packet, scheduled ones included.
-    struct BuggySpfQueue {
-        inner: DropTailQueue,
-        threshold: u64,
-    }
-
-    impl QueueDisc for BuggySpfQueue {
-        fn enqueue(&mut self, pkt: PacketRef, pool: &mut PacketPool, now: Time) -> EnqueueOutcome {
-            if self.inner.bytes() >= self.threshold {
-                // BUG: no `droppable()` check before the selective drop.
-                return EnqueueOutcome::Dropped { reason: DropReason::SelectiveDrop, pkt };
-            }
-            self.inner.enqueue(pkt, pool, now)
-        }
-        fn poll(&mut self, pool: &mut PacketPool, now: Time) -> Poll {
-            self.inner.poll(pool, now)
-        }
-        fn bytes(&self) -> u64 {
-            self.inner.bytes()
-        }
-        fn pkts(&self) -> usize {
-            self.inner.pkts()
-        }
-    }
-
     /// Sends the whole flow as scheduled data at line rate.
     struct Blaster;
 
@@ -992,8 +1002,8 @@ mod tests {
         let h0 = net.add_host(0);
         let h1 = net.add_host(0);
         let rate = Rate::gbps(10);
-        let good = || Box::new(DropTailQueue::new(1 << 30)) as Box<dyn QueueDisc>;
-        let buggy = Box::new(BuggySpfQueue { inner: DropTailQueue::new(1 << 30), threshold: 3000 });
+        let good = || DropTailQueue::new(1 << 30);
+        let buggy = BuggySpfQueue { inner: DropTailQueue::new(1 << 30), threshold: 3000 };
         // 4:1 oversubscription into the buggy egress so its queue builds
         // past the SPF threshold.
         net.connect(h0, sw, Rate::gbps(40), us(1), good());
@@ -1017,7 +1027,7 @@ mod tests {
         let h0 = net.add_host(0);
         let h1 = net.add_host(0);
         let rate = Rate::gbps(10);
-        let q = || Box::new(DropTailQueue::new(1 << 30)) as Box<dyn QueueDisc>;
+        let q = || DropTailQueue::new(1 << 30);
         net.connect(h0, sw, rate, us(1), q());
         net.connect(h1, sw, rate, us(1), q());
         let p0 = net.connect(sw, h0, rate, us(1), q());

@@ -1,9 +1,14 @@
 //! Packet model.
 //!
 //! One `Packet` struct serves every protocol in the reproduction. Protocol
-//! semantics live in [`PacketKind`]; the switch only ever looks at wire size,
-//! [`TrafficClass`], [`Ecn`] code point and priority — exactly the fields a
-//! commodity switch can act on, which is the deployability point of Aeolus.
+//! semantics live in [`PacketKind`]. A switch reads only header fields a
+//! commodity switch can act on, which is the deployability point of Aeolus:
+//! `dst` and the ECMP `route_hash` to forward; wire `size`, the [`Ecn`] code
+//! point and `priority` to queue (selective dropping sees the
+//! [`TrafficClass`] only through ECN, the way Aeolus encodes it). The two
+//! baseline ports that are not commodity features read one field more each:
+//! ExpressPass's paced credit queue whether `kind` is a credit, NDP's
+//! cutting-payload queue the `trimmed` flag.
 
 use crate::units::Time;
 

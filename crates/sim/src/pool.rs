@@ -21,7 +21,7 @@
 use crate::packet::Packet;
 
 /// Stable handle to a pooled [`Packet`]. Copyable and 4 bytes wide, so
-/// events and queue entries move a handle instead of a ~120-byte struct.
+/// events and queue entries move a handle instead of the 104-byte struct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PacketRef(u32);
 

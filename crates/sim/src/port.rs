@@ -2,7 +2,7 @@
 
 use crate::event::Place;
 use crate::packet::NodeId;
-use crate::queues::QueueDisc;
+use crate::queues::Queue;
 use crate::units::{Rate, Time};
 
 /// A point-to-point link leaving an egress port.
@@ -65,8 +65,9 @@ pub struct Port {
     /// Exact serialization cost in ps/byte when the line rate divides the
     /// picosecond grid (all paper rates do); 0 = fall back to the division.
     pub ser_ps_per_byte: u64,
-    /// The queue discipline.
-    pub queue: Box<dyn QueueDisc>,
+    /// The queue discipline, held inline: the engine reads its occupancy on
+    /// every enqueue and dequeue, and this keeps that a read of the port.
+    pub queue: Queue,
     /// The place in the event order at which the transmitter frees: it is
     /// serializing a packet until the run passes this place, idle after.
     /// Reserved at every transmission, where the `PortFree` event would
@@ -84,11 +85,11 @@ pub struct Port {
 
 impl Port {
     /// A port transmitting through `link` with the given discipline.
-    pub fn new(link: Link, queue: Box<dyn QueueDisc>) -> Port {
+    pub fn new(link: Link, queue: impl Into<Queue>) -> Port {
         Port {
             link,
             ser_ps_per_byte: link.rate.ps_per_byte().unwrap_or(0),
-            queue,
+            queue: queue.into(),
             free: Place::START,
             free_armed: false,
             kick_at: None,

@@ -27,6 +27,7 @@ impl DropTailQueue {
 }
 
 impl QueueDisc for DropTailQueue {
+    #[inline]
     fn enqueue(&mut self, pkt: PacketRef, pool: &mut PacketPool, _now: Time) -> EnqueueOutcome {
         let sz = pool.get(pkt).size;
         if self.fifo.bytes() + sz as u64 > self.cap_bytes {
@@ -41,6 +42,7 @@ impl QueueDisc for DropTailQueue {
         EnqueueOutcome::Queued
     }
 
+    #[inline]
     fn poll(&mut self, _pool: &mut PacketPool, _now: Time) -> Poll {
         match self.fifo.pop() {
             // The fifo caches the wire size, so even the shared-buffer
@@ -55,10 +57,12 @@ impl QueueDisc for DropTailQueue {
         }
     }
 
+    #[inline]
     fn bytes(&self) -> u64 {
         self.fifo.bytes()
     }
 
+    #[inline]
     fn pkts(&self) -> usize {
         self.fifo.len()
     }
@@ -69,6 +73,7 @@ mod tests {
     use super::super::testutil::data_ref;
     use super::super::SharedPool;
     use super::*;
+    use crate::queues::Queue;
     use crate::packet::TrafficClass;
 
     #[test]
@@ -131,7 +136,7 @@ mod tests {
     #[test]
     fn conforms_to_oracle_ledger_under_seeded_churn() {
         for seed in 0..8 {
-            crate::queues::testutil::oracle_audit(|| Box::new(DropTailQueue::new(8_000)), seed, 600);
+            crate::queues::testutil::oracle_audit(|| Queue::from(DropTailQueue::new(8_000)), seed, 600);
         }
     }
 
@@ -140,7 +145,7 @@ mod tests {
         for seed in 0..4 {
             let shared = SharedPool::new(6_000);
             crate::queues::testutil::oracle_audit(
-                || Box::new(DropTailQueue::new(16_000).with_pool(shared.clone())),
+                || Queue::from(DropTailQueue::new(16_000).with_pool(shared.clone())),
                 seed,
                 600,
             );

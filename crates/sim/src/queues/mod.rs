@@ -1,7 +1,10 @@
 //! Egress queue disciplines.
 //!
-//! Every switch/NIC port owns one boxed [`QueueDisc`]. The disciplines model
-//! exactly the commodity-switch features the paper relies on:
+//! Every switch/NIC port holds one [`Queue`] inline: an enum over the
+//! disciplines below, so a packet's enqueue, poll and occupancy reads are a
+//! `match` on the port itself, with no pointer to chase and no virtual call.
+//! The disciplines model exactly the commodity-switch features the paper
+//! relies on:
 //!
 //! * [`DropTailQueue`] — plain FIFO with a byte cap (optionally drawing from
 //!   a switch-wide shared buffer pool, used by the Table 5 experiment).
@@ -40,7 +43,8 @@
 //! * **Bands.** FIFOs report one `fifo` band, banks `p0`..`p7`.
 //!
 //! [`WredQueue`] is wired into no scheme: it is §4.1's second deployment
-//! path, kept as the differential reference for the first.
+//! path, kept as the differential reference for the first. It implements
+//! [`QueueDisc`] but is not a [`Queue`] variant, so no port can hold it.
 
 mod droptail;
 mod priority;
@@ -153,6 +157,131 @@ pub trait QueueDisc {
     }
 }
 
+/// The discipline of one port, held inline in the [`crate::port::Port`]:
+/// one variant per concrete type a scheme's queue factory builds, the
+/// ExpressPass port once per data queue it wraps.
+///
+/// Each call is one `match` on the variant and a direct, inlinable call
+/// into it; the variant is decided when the port is built and never
+/// changes. Build one with `From` / `.into()` from the concrete discipline.
+pub enum Queue {
+    /// Plain drop-tail FIFO.
+    DropTail(DropTailQueue),
+    /// RED/ECN FIFO: selective dropping.
+    RedEcn(RedEcnQueue),
+    /// Strict-priority bank.
+    Priority(PriorityBank),
+    /// NDP cutting-payload queue.
+    Trimming(TrimmingQueue),
+    /// ExpressPass credit queue over a drop-tail FIFO.
+    XPassDropTail(XPassQueue<DropTailQueue>),
+    /// ExpressPass credit queue over a RED/ECN FIFO.
+    XPassRedEcn(XPassQueue<RedEcnQueue>),
+    /// ExpressPass credit queue over a priority bank.
+    XPassPriority(XPassQueue<PriorityBank>),
+    /// The oracle tests' selective-dropping queue with a planted bug.
+    #[cfg(test)]
+    BuggySpf(crate::oracle::planted::BuggySpfQueue),
+}
+
+/// `$body` with `$q` bound to the discipline inside `$queue`.
+macro_rules! each_variant {
+    ($queue:expr, $q:ident => $body:expr) => {
+        match $queue {
+            Queue::DropTail($q) => $body,
+            Queue::RedEcn($q) => $body,
+            Queue::Priority($q) => $body,
+            Queue::Trimming($q) => $body,
+            Queue::XPassDropTail($q) => $body,
+            Queue::XPassRedEcn($q) => $body,
+            Queue::XPassPriority($q) => $body,
+            #[cfg(test)]
+            Queue::BuggySpf($q) => $body,
+        }
+    };
+}
+
+macro_rules! queue_from {
+    ($($variant:ident($disc:ty)),* $(,)?) => {$(
+        impl From<$disc> for Queue {
+            fn from(q: $disc) -> Queue {
+                Queue::$variant(q)
+            }
+        }
+    )*};
+}
+
+queue_from!(
+    DropTail(DropTailQueue),
+    RedEcn(RedEcnQueue),
+    Priority(PriorityBank),
+    Trimming(TrimmingQueue),
+    XPassDropTail(XPassQueue<DropTailQueue>),
+    XPassRedEcn(XPassQueue<RedEcnQueue>),
+    XPassPriority(XPassQueue<PriorityBank>),
+);
+
+#[cfg(test)]
+queue_from!(BuggySpf(crate::oracle::planted::BuggySpfQueue));
+
+/// The [`QueueDisc`] methods, callable without the trait in scope.
+impl Queue {
+    /// See [`QueueDisc::enqueue`].
+    #[inline]
+    pub fn enqueue(&mut self, pkt: PacketRef, pool: &mut PacketPool, now: Time) -> EnqueueOutcome {
+        each_variant!(self, q => q.enqueue(pkt, pool, now))
+    }
+
+    /// See [`QueueDisc::poll`].
+    #[inline]
+    pub fn poll(&mut self, pool: &mut PacketPool, now: Time) -> Poll {
+        each_variant!(self, q => q.poll(pool, now))
+    }
+
+    /// See [`QueueDisc::bytes`].
+    #[inline]
+    pub fn bytes(&self) -> u64 {
+        each_variant!(self, q => q.bytes())
+    }
+
+    /// See [`QueueDisc::pkts`].
+    #[inline]
+    pub fn pkts(&self) -> usize {
+        each_variant!(self, q => q.pkts())
+    }
+
+    /// See [`QueueDisc::bands`].
+    pub fn bands(&self, out: &mut Vec<(&'static str, u64)>) {
+        each_variant!(self, q => q.bands(out))
+    }
+}
+
+impl QueueDisc for Queue {
+    #[inline]
+    fn enqueue(&mut self, pkt: PacketRef, pool: &mut PacketPool, now: Time) -> EnqueueOutcome {
+        Queue::enqueue(self, pkt, pool, now)
+    }
+
+    #[inline]
+    fn poll(&mut self, pool: &mut PacketPool, now: Time) -> Poll {
+        Queue::poll(self, pool, now)
+    }
+
+    #[inline]
+    fn bytes(&self) -> u64 {
+        Queue::bytes(self)
+    }
+
+    #[inline]
+    fn pkts(&self) -> usize {
+        Queue::pkts(self)
+    }
+
+    fn bands(&self, out: &mut Vec<(&'static str, u64)>) {
+        Queue::bands(self, out)
+    }
+}
+
 /// A switch-wide shared buffer pool (dynamic thresholding disabled — plain
 /// complete sharing, as in the Table 5 incast experiment where unscheduled
 /// packets in a low-priority queue starve the high-priority queue of buffer).
@@ -213,25 +342,30 @@ impl ByteFifo {
         ByteFifo { q: VecDeque::new(), bytes: 0 }
     }
 
+    #[inline]
     pub fn push(&mut self, pkt: PacketRef, size: u32) {
         self.bytes += size as u64;
         self.q.push_back((pkt, size));
     }
 
+    #[inline]
     pub fn pop(&mut self) -> Option<(PacketRef, u32)> {
         let (pkt, size) = self.q.pop_front()?;
         self.bytes -= size as u64;
         Some((pkt, size))
     }
 
+    #[inline]
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.q.len()
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.q.is_empty()
     }
@@ -267,12 +401,15 @@ pub(crate) mod testutil {
     /// [`crate::CheckedTracer`] ledger exactly as the engine would. Any
     /// occupancy lie (leaked, double-counted, or silently discarded packet),
     /// illegal drop classification, or pool-slot leak panics with the
-    /// violating event. Shared by the per-discipline conformance tests.
-    pub fn oracle_audit<F>(make: F, seed: u64, ops: usize)
+    /// violating event. Shared by the per-discipline conformance tests; the
+    /// disciplines a port can hold are audited through [`super::Queue`], the
+    /// way the engine drives them.
+    pub fn oracle_audit<Q, F>(make: F, seed: u64, ops: usize)
     where
-        F: Fn() -> Box<dyn super::QueueDisc>,
+        Q: super::QueueDisc,
+        F: Fn() -> Q,
     {
-        use super::{EnqueueOutcome, Poll, QueueDisc};
+        use super::{EnqueueOutcome, Poll};
         use crate::oracle::{CheckedTracer, OracleProfile};
         use crate::packet::{Packet, PortId};
         use crate::rng::SimRng;
@@ -288,7 +425,7 @@ pub(crate) mod testutil {
         let node = NodeId(7);
         let port = PortId(3);
 
-        let record = |disc: &dyn QueueDisc,
+        let record = |disc: &Q,
                       at: Time,
                       ev: QueueEvent,
                       pkt: &Packet|
@@ -334,19 +471,19 @@ pub(crate) mod testutil {
                 let r = pool.insert(pkt);
                 match disc.enqueue(r, &mut pool, now) {
                     EnqueueOutcome::Queued => {
-                        oracle.queue_event(&record(&*disc, now, QueueEvent::Enqueue, &shadow));
+                        oracle.queue_event(&record(&disc, now, QueueEvent::Enqueue, &shadow));
                     }
                     EnqueueOutcome::QueuedMarked => {
                         oracle
-                            .queue_event(&record(&*disc, now, QueueEvent::EnqueueMarked, &shadow));
+                            .queue_event(&record(&disc, now, QueueEvent::EnqueueMarked, &shadow));
                     }
                     EnqueueOutcome::QueuedTrimmed => {
                         oracle
-                            .queue_event(&record(&*disc, now, QueueEvent::EnqueueTrimmed, &shadow));
+                            .queue_event(&record(&disc, now, QueueEvent::EnqueueTrimmed, &shadow));
                     }
                     EnqueueOutcome::Dropped { reason, pkt } => {
                         oracle.queue_event(&record(
-                            &*disc,
+                            &disc,
                             now,
                             QueueEvent::Drop(reason),
                             &shadow,
@@ -360,7 +497,7 @@ pub(crate) mod testutil {
                     match disc.poll(&mut pool, now) {
                         Poll::Ready(r) => {
                             let pkt = pool.get(r).clone();
-                            oracle.queue_event(&record(&*disc, now, QueueEvent::Dequeue, &pkt));
+                            oracle.queue_event(&record(&disc, now, QueueEvent::Dequeue, &pkt));
                             pool.free(r);
                         }
                         Poll::NotBefore(t) => {
@@ -379,7 +516,7 @@ pub(crate) mod testutil {
             match disc.poll(&mut pool, now) {
                 Poll::Ready(r) => {
                     let pkt = pool.get(r).clone();
-                    oracle.queue_event(&record(&*disc, now, QueueEvent::Dequeue, &pkt));
+                    oracle.queue_event(&record(&disc, now, QueueEvent::Dequeue, &pkt));
                     pool.free(r);
                 }
                 Poll::NotBefore(t) => {

@@ -61,6 +61,7 @@ impl PriorityBank {
 }
 
 impl QueueDisc for PriorityBank {
+    #[inline]
     fn enqueue(&mut self, pkt: PacketRef, pool: &mut PacketPool, _now: Time) -> EnqueueOutcome {
         let p = pool.get(pkt);
         let sz = p.size;
@@ -84,6 +85,7 @@ impl QueueDisc for PriorityBank {
         EnqueueOutcome::Queued
     }
 
+    #[inline]
     fn poll(&mut self, _pool: &mut PacketPool, _now: Time) -> Poll {
         for q in self.queues.iter_mut() {
             if let Some((pkt, sz)) = q.pop() {
@@ -98,10 +100,12 @@ impl QueueDisc for PriorityBank {
         Poll::Empty
     }
 
+    #[inline]
     fn bytes(&self) -> u64 {
         self.bytes
     }
 
+    #[inline]
     fn pkts(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
     }
@@ -126,6 +130,7 @@ mod tests {
     use super::super::testutil::data_pkt;
     use super::super::SharedPool;
     use super::*;
+    use crate::queues::Queue;
     use crate::packet::TrafficClass;
 
     fn pkt_at(pool: &mut PacketPool, prio: u8, seq: u64) -> PacketRef {
@@ -240,7 +245,7 @@ mod tests {
     fn conforms_to_oracle_ledger_under_seeded_churn() {
         for seed in 0..8 {
             crate::queues::testutil::oracle_audit(
-                || Box::new(PriorityBank::new(8, 12_000).with_selective_threshold(4_000)),
+                || Queue::from(PriorityBank::new(8, 12_000).with_selective_threshold(4_000)),
                 seed,
                 600,
             );

@@ -46,6 +46,7 @@ impl RedEcnQueue {
 }
 
 impl QueueDisc for RedEcnQueue {
+    #[inline]
     fn enqueue(&mut self, pkt: PacketRef, pool: &mut PacketPool, _now: Time) -> EnqueueOutcome {
         let sz = pool.get(pkt).size;
         if self.fifo.bytes() + sz as u64 > self.cap_bytes {
@@ -63,6 +64,7 @@ impl QueueDisc for RedEcnQueue {
         EnqueueOutcome::Queued
     }
 
+    #[inline]
     fn poll(&mut self, _pool: &mut PacketPool, _now: Time) -> Poll {
         match self.fifo.pop() {
             Some((pkt, _)) => Poll::Ready(pkt),
@@ -70,10 +72,12 @@ impl QueueDisc for RedEcnQueue {
         }
     }
 
+    #[inline]
     fn bytes(&self) -> u64 {
         self.fifo.bytes()
     }
 
+    #[inline]
     fn pkts(&self) -> usize {
         self.fifo.len()
     }
@@ -83,6 +87,7 @@ impl QueueDisc for RedEcnQueue {
 mod tests {
     use super::super::testutil::{ctrl_ref, data_ref};
     use super::*;
+    use crate::queues::Queue;
     use crate::packet::{Ecn, FlowId, NodeId, Packet, PacketKind, TrafficClass};
 
     /// 6 KB threshold = 4 MTU packets, the paper default.
@@ -252,7 +257,7 @@ mod tests {
     #[test]
     fn conforms_to_oracle_ledger_under_seeded_churn() {
         for seed in 0..8 {
-            crate::queues::testutil::oracle_audit(|| Box::new(RedEcnQueue::new(3_000, 9_000)), seed, 600);
+            crate::queues::testutil::oracle_audit(|| Queue::from(RedEcnQueue::new(3_000, 9_000)), seed, 600);
         }
     }
 }

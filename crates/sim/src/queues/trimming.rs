@@ -38,6 +38,7 @@ impl TrimmingQueue {
 }
 
 impl QueueDisc for TrimmingQueue {
+    #[inline]
     fn enqueue(&mut self, pkt: PacketRef, pool: &mut PacketPool, _now: Time) -> EnqueueOutcome {
         let is_payload = pool.get(pkt).is_data();
         if !is_payload {
@@ -66,6 +67,7 @@ impl QueueDisc for TrimmingQueue {
         EnqueueOutcome::Queued
     }
 
+    #[inline]
     fn poll(&mut self, _pool: &mut PacketPool, _now: Time) -> Poll {
         if let Some((pkt, _)) = self.control.pop() {
             return Poll::Ready(pkt);
@@ -76,10 +78,12 @@ impl QueueDisc for TrimmingQueue {
         }
     }
 
+    #[inline]
     fn bytes(&self) -> u64 {
         self.control.bytes() + self.data.bytes()
     }
 
+    #[inline]
     fn pkts(&self) -> usize {
         self.control.len() + self.data.len()
     }
@@ -94,6 +98,7 @@ impl QueueDisc for TrimmingQueue {
 mod tests {
     use super::super::testutil::{ctrl_ref, data_ref};
     use super::*;
+    use crate::queues::Queue;
     use crate::packet::{PacketKind, TrafficClass, MIN_PACKET_BYTES};
 
     fn queue() -> TrimmingQueue {
@@ -180,7 +185,7 @@ mod tests {
     #[test]
     fn conforms_to_oracle_ledger_under_seeded_churn() {
         for seed in 0..8 {
-            crate::queues::testutil::oracle_audit(|| Box::new(TrimmingQueue::new(4, 2_000)), seed, 600);
+            crate::queues::testutil::oracle_audit(|| Queue::from(TrimmingQueue::new(4, 2_000)), seed, 600);
         }
     }
 }

@@ -302,7 +302,7 @@ mod tests {
     fn conforms_to_oracle_ledger_under_seeded_churn() {
         for seed in 0..8 {
             crate::queues::testutil::oracle_audit(
-                || Box::new(WredQueue::new(WredProfile::aeolus(3_000, 9_000), 9_000)),
+                || WredQueue::new(WredProfile::aeolus(3_000, 9_000), 9_000),
                 seed,
                 600,
             );

@@ -10,16 +10,18 @@
 //!
 //! The data path is delegated to an inner [`QueueDisc`], so the same port
 //! can run plain drop-tail (original ExpressPass), RED/ECN selective
-//! dropping (ExpressPass+Aeolus) or a priority bank (the §5.5 strawman).
+//! dropping (ExpressPass+Aeolus) or a priority bank (the §5.5 strawman). The
+//! inner queue is a type parameter, held inline: each composition is its own
+//! [`super::Queue`] variant, and its data path is a direct call.
 
 use super::{ByteFifo, DropReason, EnqueueOutcome, Poll, QueueDisc};
 use crate::packet::PacketKind;
 use crate::pool::{PacketPool, PacketRef};
 use crate::units::{Rate, Time};
 
-/// ExpressPass egress discipline: paced credit queue + inner data queue.
-pub struct XPassQueue {
-    data: Box<dyn QueueDisc>,
+/// ExpressPass egress discipline: paced credit queue + inner data queue `D`.
+pub struct XPassQueue<D> {
+    data: D,
     credits: ByteFifo,
     /// Credit queue cap in packets (ExpressPass default: 8).
     credit_cap_pkts: usize,
@@ -31,18 +33,18 @@ pub struct XPassQueue {
     pub credits_dropped: u64,
 }
 
-impl XPassQueue {
+impl<D: QueueDisc> XPassQueue<D> {
     /// Build for a port of rate `link`, pacing credits so induced data fills
     /// the forward path. `data_mtu_wire` is the wire size of a full data
     /// packet (payload + headers), `credit_size` of a credit packet. Data
     /// packets are handled by `data`.
     pub fn new(
-        data: Box<dyn QueueDisc>,
+        data: D,
         link: Rate,
         data_mtu_wire: u32,
         credit_size: u32,
         credit_cap_pkts: usize,
-    ) -> XPassQueue {
+    ) -> XPassQueue<D> {
         XPassQueue {
             data,
             credits: ByteFifo::new(),
@@ -59,7 +61,8 @@ impl XPassQueue {
     }
 }
 
-impl QueueDisc for XPassQueue {
+impl<D: QueueDisc> QueueDisc for XPassQueue<D> {
+    #[inline]
     fn enqueue(&mut self, pkt: PacketRef, pool: &mut PacketPool, now: Time) -> EnqueueOutcome {
         let p = pool.get(pkt);
         if p.kind == PacketKind::Credit {
@@ -74,6 +77,7 @@ impl QueueDisc for XPassQueue {
         self.data.enqueue(pkt, pool, now)
     }
 
+    #[inline]
     fn poll(&mut self, pool: &mut PacketPool, now: Time) -> Poll {
         if !self.credits.is_empty() && now >= self.next_credit_at {
             let (pkt, _) = self.credits.pop().expect("non-empty credit queue");
@@ -99,10 +103,12 @@ impl QueueDisc for XPassQueue {
         }
     }
 
+    #[inline]
     fn bytes(&self) -> u64 {
         self.data.bytes() + self.credits.bytes()
     }
 
+    #[inline]
     fn pkts(&self) -> usize {
         self.data.pkts() + self.credits.len()
     }
@@ -118,6 +124,7 @@ mod tests {
     use super::super::testutil::data_ref;
     use super::super::{DropTailQueue, RedEcnQueue};
     use super::*;
+    use crate::queues::Queue;
     use crate::packet::{FlowId, NodeId, Packet, TrafficClass, CREDIT_BYTES};
 
     fn credit(pool: &mut PacketPool, seq: u64) -> PacketRef {
@@ -126,9 +133,9 @@ mod tests {
         pool.insert(p)
     }
 
-    fn queue() -> XPassQueue {
+    fn queue() -> XPassQueue<DropTailQueue> {
         XPassQueue::new(
-            Box::new(DropTailQueue::new(200_000)),
+            DropTailQueue::new(200_000),
             Rate::gbps(100),
             1540,
             CREDIT_BYTES,
@@ -208,7 +215,7 @@ mod tests {
         // ExpressPass+Aeolus port in one object.
         let mut pool = PacketPool::new();
         let mut q = XPassQueue::new(
-            Box::new(RedEcnQueue::new(6_000, 200_000)),
+            RedEcnQueue::new(6_000, 200_000),
             Rate::gbps(100),
             1540,
             CREDIT_BYTES,
@@ -238,15 +245,7 @@ mod tests {
     fn conforms_to_oracle_ledger_under_seeded_churn() {
         for seed in 0..8 {
             crate::queues::testutil::oracle_audit(
-                || {
-                    Box::new(XPassQueue::new(
-                        Box::new(DropTailQueue::new(8_000)),
-                        Rate::gbps(10),
-                        1_500,
-                        84,
-                        4,
-                    ))
-                },
+                || Queue::from(XPassQueue::new(DropTailQueue::new(8_000), Rate::gbps(10), 1_500, 84, 4)),
                 seed,
                 600,
             );

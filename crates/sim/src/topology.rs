@@ -15,7 +15,7 @@
 
 use crate::network::Network;
 use crate::packet::{NodeId, PortId};
-use crate::queues::QueueDisc;
+use crate::queues::Queue;
 use crate::routing::RoutePolicy;
 use crate::telemetry::{NullTracer, Tracer};
 use crate::units::{Rate, Time};
@@ -33,7 +33,7 @@ pub enum PortRole {
 }
 
 /// Factory producing an egress queue for a port of the given rate and role.
-pub type QueueFactory<'a> = dyn Fn(Rate, PortRole) -> Box<dyn QueueDisc> + 'a;
+pub type QueueFactory<'a> = dyn Fn(Rate, PortRole) -> Queue + 'a;
 
 impl<T: Tracer> Topology<T> {
     /// Validate routing: every switch must know a next hop for every host,
@@ -431,8 +431,8 @@ mod tests {
     use crate::queues::DropTailQueue;
     use crate::units::us;
 
-    fn qf(_r: Rate, _role: PortRole) -> Box<dyn QueueDisc> {
-        Box::new(DropTailQueue::new(1 << 30))
+    fn qf(_r: Rate, _role: PortRole) -> Queue {
+        DropTailQueue::new(1 << 30).into()
     }
 
     struct Echoless;

@@ -916,7 +916,7 @@ mod tests {
     fn with_ctx<F: FnOnce(&mut Ctx<'_>) + 'static>(body: F) {
         use aeolus_sim::topology::{single_switch, LinkParams};
         use aeolus_sim::units::Rate;
-        use aeolus_sim::{DropTailQueue, Endpoint, PortRole, QueueDisc};
+        use aeolus_sim::{DropTailQueue, Endpoint, PortRole, Queue};
 
         struct Script<F>(Option<F>);
         impl<F: FnOnce(&mut Ctx<'_>)> Endpoint for Script<F> {
@@ -927,7 +927,7 @@ mod tests {
             fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
         }
 
-        let qf = |_: Rate, _: PortRole| Box::new(DropTailQueue::new(1 << 20)) as Box<dyn QueueDisc>;
+        let qf = |_: Rate, _: PortRole| Queue::from(DropTailQueue::new(1 << 20));
         let mut topo = single_switch(2, LinkParams::uniform(Rate::gbps(10), us(1)), &qf);
         assert_eq!(topo.hosts, [ME, PEER]);
         topo.net.set_endpoint(ME, Box::new(Script(Some(body))));

@@ -34,8 +34,8 @@ use aeolus_core::AeolusConfig;
 use aeolus_sim::topology::PortRole;
 use aeolus_sim::units::{ms, us, Time};
 use aeolus_sim::{
-    DropTailQueue, Endpoint, FaultPlan, OracleProfile, PoolHandle, PriorityBank, QueueDisc, Rate,
-    RedEcnQueue, RoutePolicy, TrimmingQueue, XPassQueue, CREDIT_BYTES,
+    DropTailQueue, Endpoint, FaultPlan, OracleProfile, PoolHandle, PriorityBank, Queue, QueueDisc,
+    Rate, RedEcnQueue, RoutePolicy, TrimmingQueue, XPassQueue, CREDIT_BYTES,
 };
 
 use crate::common::{BaseConfig, FirstRttMode};
@@ -228,6 +228,21 @@ enum BaseQueue {
     Trim,
 }
 
+/// `data` as a port's queue, behind ExpressPass's paced credit queue when
+/// `xpass` gives the port's (rate, data MTU on the wire).
+fn with_credits<D>(data: D, xpass: Option<(Rate, u32)>) -> Queue
+where
+    D: Into<Queue> + QueueDisc,
+    XPassQueue<D>: Into<Queue>,
+{
+    match xpass {
+        Some((rate, mtu_wire)) => {
+            XPassQueue::new(data, rate, mtu_wire, CREDIT_BYTES, CREDIT_CAP).into()
+        }
+        None => data.into(),
+    }
+}
+
 impl Scheme {
     /// Every named scheme, RTO-carrying variants at their paper defaults.
     pub fn all() -> impl Iterator<Item = Scheme> {
@@ -355,7 +370,7 @@ impl Scheme {
         rate: Rate,
         role: PortRole,
         pool: Option<&PoolHandle>,
-    ) -> Box<dyn QueueDisc> {
+    ) -> Queue {
         let (family, mode) = (self.family(), self.mode());
         let (nic, k) = (role == PortRole::HostNic, p.aeolus.drop_threshold);
         // Match one — the family's native port.
@@ -392,9 +407,11 @@ impl Scheme {
             // shares the finite (or switch-wide) buffer — §5.5's failure.
             FirstRttMode::LowPrio => (base, shared) = (BaseQueue::Bank(8), pool),
         }
-        let queue: Box<dyn QueueDisc> = match (base, red_k) {
-            (BaseQueue::Fifo, None) => Box::new(DropTailQueue::new(cap)),
-            (BaseQueue::Fifo, Some(k)) => Box::new(RedEcnQueue::new(k, cap)),
+        // ExpressPass wraps the data queue in its paced credit queue.
+        let xpass = (family == Family::ExpressPass).then(|| (rate, p.mtu_wire()));
+        match (base, red_k) {
+            (BaseQueue::Fifo, None) => with_credits(DropTailQueue::new(cap), xpass),
+            (BaseQueue::Fifo, Some(k)) => with_credits(RedEcnQueue::new(k, cap), xpass),
             (BaseQueue::Bank(levels), _) => {
                 let mut bank = PriorityBank::new(levels, cap);
                 if let Some(k) = red_k {
@@ -403,15 +420,10 @@ impl Scheme {
                 if let Some(pool) = shared {
                     bank = bank.with_pool(pool.clone());
                 }
-                Box::new(bank)
+                with_credits(bank, xpass)
             }
-            (BaseQueue::Trim, _) if nic => Box::new(TrimmingQueue::new(usize::MAX, HUGE)),
-            (BaseQueue::Trim, _) => Box::new(TrimmingQueue::new(TRIM_CAP_PKTS, HUGE)),
-        };
-        if family == Family::ExpressPass {
-            Box::new(XPassQueue::new(queue, rate, p.mtu_wire(), CREDIT_BYTES, CREDIT_CAP))
-        } else {
-            queue
+            (BaseQueue::Trim, _) if nic => TrimmingQueue::new(usize::MAX, HUGE).into(),
+            (BaseQueue::Trim, _) => TrimmingQueue::new(TRIM_CAP_PKTS, HUGE).into(),
         }
     }
 
