@@ -1,34 +1,15 @@
 //! Aeolus configuration.
 
+use aeolus_sim::bdp_bytes;
 use aeolus_sim::units::{Rate, Time};
-use aeolus_sim::{bdp_bytes, MIN_PACKET_BYTES};
 
-/// How first-RTT losses are detected and recovered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryMode {
-    /// Aeolus: per-packet ACKs + probe, retransmit once as scheduled.
-    ProbeBased,
-    /// Strawman used by the §5.5 priority-queueing comparison: a
-    /// retransmission timeout of the given duration.
-    Rto(Time),
-}
-
-/// Configuration of the Aeolus building block.
+/// The three knobs of the Aeolus building block. Everything else a run
+/// needs — MTU, port buffer, the first-RTT mode and its RTO — belongs to the
+/// transport that hosts the block.
 #[derive(Debug, Clone, Copy)]
 pub struct AeolusConfig {
     /// Selective-dropping threshold at switches, bytes (paper default 6 KB).
     pub drop_threshold: u64,
-    /// Per-port physical buffer, bytes (paper default 200 KB).
-    pub port_buffer: u64,
-    /// MTU payload bytes (paper: 1.5 KB wire MTU).
-    pub mtu_payload: u32,
-    /// Probe packet wire size (minimum Ethernet frame).
-    pub probe_size: u32,
-    /// Loss detection / recovery mode.
-    pub recovery: RecoveryMode,
-    /// Whether new flows burst unscheduled packets in the first RTT at all
-    /// (disabled to model plain ExpressPass-style "wait for credit").
-    pub precredit_burst: bool,
     /// §6 resilience extension: if the sender has heard *nothing* back (no
     /// credit/grant/pull, no ACK, no probe ACK) for this many base RTTs, it
     /// retransmits its request and probe — covering the extreme case where
@@ -41,47 +22,29 @@ pub struct AeolusConfig {
 
 impl Default for AeolusConfig {
     fn default() -> Self {
-        AeolusConfig {
-            drop_threshold: 6_000,
-            port_buffer: 200_000,
-            mtu_payload: 1_460,
-            probe_size: MIN_PACKET_BYTES,
-            recovery: RecoveryMode::ProbeBased,
-            precredit_burst: true,
-            probe_retry_rtts: 20,
-            burst_budget_frac: 1.0,
-        }
+        AeolusConfig { drop_threshold: 6_000, probe_retry_rtts: 20, burst_budget_frac: 1.0 }
     }
 }
 
 impl AeolusConfig {
     /// Bytes a new flow may burst pre-credit: one bandwidth-delay product of
-    /// the host link (§3.1 "a BDP worth of unscheduled packets at line-rate").
-    pub fn burst_budget(&self, line_rate: Rate, base_rtt: Time) -> u64 {
+    /// the host link (§3.1 "a BDP worth of unscheduled packets at line-rate"),
+    /// never less than one `mtu_payload` packet.
+    pub fn burst_budget(&self, line_rate: Rate, base_rtt: Time, mtu_payload: u32) -> u64 {
         let bdp = bdp_bytes(line_rate, base_rtt) as f64 * self.burst_budget_frac;
-        (bdp as u64).max(self.mtu_payload as u64)
+        (bdp as u64).max(mtu_payload as u64)
     }
 
-    /// Reject nonsensical configurations with a descriptive error.
-    ///
-    /// A config that passes validation can be handed to any scheme builder
-    /// without panicking deep inside the simulator; the checks mirror the
-    /// physical constraints a real switch/NIC would impose.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.mtu_payload == 0 {
-            return Err("mtu_payload must be positive (no zero-byte MTUs)".into());
-        }
-        if self.probe_size == 0 {
-            return Err("probe_size must be positive (probes occupy the wire)".into());
-        }
-        if self.port_buffer == 0 {
-            return Err("port_buffer must be positive (a switch needs some buffer)".into());
-        }
-        if self.drop_threshold > self.port_buffer {
+    /// Reject nonsensical knobs with a descriptive error, against the
+    /// physical `port_buffer` the run's switches use: a threshold above it
+    /// would mean selective dropping never engages before the buffer
+    /// overflows.
+    pub fn validate(&self, port_buffer: u64) -> Result<(), String> {
+        if self.drop_threshold > port_buffer {
             return Err(format!(
                 "drop_threshold ({} B) exceeds port_buffer ({} B): selective dropping \
                  would never engage before the buffer overflows",
-                self.drop_threshold, self.port_buffer
+                self.drop_threshold, port_buffer
             ));
         }
         if !self.burst_budget_frac.is_finite() || self.burst_budget_frac < 0.0 {
@@ -89,11 +52,6 @@ impl AeolusConfig {
                 "burst_budget_frac ({}) must be a finite value >= 0",
                 self.burst_budget_frac
             ));
-        }
-        if let RecoveryMode::Rto(rto) = self.recovery {
-            if rto == 0 {
-                return Err("RTO recovery needs a positive timeout".into());
-            }
         }
         Ok(())
     }
@@ -106,56 +64,42 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        let c = AeolusConfig::default();
-        assert_eq!(c.drop_threshold, 6_000, "6 KB = 4 packets");
-        assert_eq!(c.port_buffer, 200_000);
-        assert_eq!(c.probe_size, 64);
-        assert_eq!(c.recovery, RecoveryMode::ProbeBased);
-        assert!(c.precredit_burst);
-        assert_eq!(c.probe_retry_rtts, 20);
+        let AeolusConfig { drop_threshold, probe_retry_rtts, burst_budget_frac } =
+            AeolusConfig::default();
+        assert_eq!(drop_threshold, 6_000, "6 KB = 4 packets");
+        assert_eq!(probe_retry_rtts, 20);
+        assert_eq!(burst_budget_frac, 1.0, "one BDP");
     }
 
     #[test]
     fn validate_accepts_the_paper_defaults() {
-        assert_eq!(AeolusConfig::default().validate(), Ok(()));
+        assert_eq!(AeolusConfig::default().validate(200_000), Ok(()));
     }
 
     #[test]
     fn validate_rejects_threshold_above_buffer() {
-        let c = AeolusConfig { drop_threshold: 300_000, port_buffer: 200_000, ..Default::default() };
-        let err = c.validate().unwrap_err();
+        let c = AeolusConfig { drop_threshold: 300_000, ..Default::default() };
+        let err = c.validate(200_000).unwrap_err();
         assert!(err.contains("drop_threshold"), "unhelpful error: {err}");
         assert!(err.contains("port_buffer"));
     }
 
     #[test]
-    fn validate_rejects_zero_mtu_probe_and_buffer() {
-        let c = AeolusConfig { mtu_payload: 0, ..Default::default() };
-        assert!(c.validate().unwrap_err().contains("mtu_payload"));
-        let c = AeolusConfig { probe_size: 0, ..Default::default() };
-        assert!(c.validate().unwrap_err().contains("probe_size"));
-        let c = AeolusConfig { port_buffer: 0, drop_threshold: 0, ..Default::default() };
-        assert!(c.validate().unwrap_err().contains("port_buffer"));
-    }
-
-    #[test]
-    fn validate_rejects_bad_burst_fraction_and_zero_rto() {
+    fn validate_rejects_bad_burst_fraction() {
         let c = AeolusConfig { burst_budget_frac: -0.5, ..Default::default() };
-        assert!(c.validate().unwrap_err().contains("burst_budget_frac"));
+        assert!(c.validate(200_000).unwrap_err().contains("burst_budget_frac"));
         let c = AeolusConfig { burst_budget_frac: f64::NAN, ..Default::default() };
-        assert!(c.validate().is_err());
-        let c = AeolusConfig { recovery: RecoveryMode::Rto(0), ..Default::default() };
-        assert!(c.validate().unwrap_err().contains("RTO"));
-        let c = AeolusConfig { recovery: RecoveryMode::Rto(1), ..Default::default() };
-        assert_eq!(c.validate(), Ok(()));
+        assert!(c.validate(200_000).is_err());
+        let c = AeolusConfig { burst_budget_frac: 0.0, ..Default::default() };
+        assert_eq!(c.validate(200_000), Ok(()), "0 bursts one MTU");
     }
 
     #[test]
     fn burst_budget_is_bdp() {
         let c = AeolusConfig::default();
         // 100 Gbps x 4.5 us = 56.25 KB.
-        assert_eq!(c.burst_budget(Rate::gbps(100), us(4) + 500_000), 56_250);
+        assert_eq!(c.burst_budget(Rate::gbps(100), us(4) + 500_000, 1_460), 56_250);
         // Never below one MTU, so tiny-RTT topologies still burst something.
-        assert_eq!(c.burst_budget(Rate::mbps(1), us(1)), 1_460);
+        assert_eq!(c.burst_budget(Rate::mbps(1), us(1), 1_460), 1_460);
     }
 }

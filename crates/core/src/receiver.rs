@@ -1,45 +1,20 @@
-//! Receiver-side Aeolus state for one flow: duplicate suppression, per-packet
-//! ACK policy for unscheduled packets, and probe handling.
+//! Receiver-side Aeolus state for one flow: the receive ledger every
+//! transport books its data into — duplicate suppression, message-size
+//! learning, and delivery of unique bytes into the run metrics.
 
-use aeolus_sim::RangeSet;
+use aeolus_sim::{Ctx, Packet, RangeSet};
 
-/// What the transport should do after handing a data packet to the receiver
-/// state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DataVerdict {
-    /// Payload bytes not seen before (0 for duplicates).
-    pub new_bytes: u64,
-    /// Whether the whole message is now complete.
-    pub completed: bool,
-    /// Whether a per-packet ACK should be sent (Aeolus ACKs unscheduled
-    /// packets individually; scheduled packets are acked per the base
-    /// protocol's own rules).
-    pub send_ack: bool,
-}
-
-/// Per-flow receiver state for the Aeolus building block.
-#[derive(Debug)]
+/// Per-flow receive ledger: which bytes of the message have arrived.
+#[derive(Debug, Default)]
 pub struct PreCreditReceiver {
     /// Message size, learned from the first packet/probe header that
     /// arrives (Data/Request/Probe all carry `flow_size`).
     size: Option<u64>,
     received: RangeSet,
     completed: bool,
-    probe_seen: bool,
-}
-
-impl Default for PreCreditReceiver {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PreCreditReceiver {
-    /// Fresh state; size is learned from headers.
-    pub fn new() -> PreCreditReceiver {
-        PreCreditReceiver { size: None, received: RangeSet::new(), completed: false, probe_seen: false }
-    }
-
     /// Note the flow size from any header that carries it.
     pub fn learn_size(&mut self, size: u64) {
         if size > 0 {
@@ -50,38 +25,30 @@ impl PreCreditReceiver {
         }
     }
 
-    /// Process data bytes `[seq, seq+len)`; `unscheduled` selects the ACK
-    /// policy.
-    pub fn on_data(&mut self, seq: u64, len: u32, unscheduled: bool, flow_size: u64) -> DataVerdict {
-        self.learn_size(flow_size);
-        let new_bytes = self.received.insert(seq, seq + len as u64);
-        let completed = !self.completed && self.is_complete();
-        if completed {
-            self.completed = true;
+    /// Book a data packet: its bytes not seen before are delivered into
+    /// `ctx.metrics`. Returns whether this packet completed the message —
+    /// true once per flow, never again on duplicates.
+    pub fn on_data(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) -> bool {
+        let (new_bytes, completed) = self.record(pkt);
+        if new_bytes > 0 {
+            ctx.metrics.deliver(pkt.flow, new_bytes, ctx.now);
         }
-        DataVerdict { new_bytes, completed, send_ack: unscheduled }
+        completed
     }
 
-    /// Process an Aeolus probe carrying `probe_seq`; returns true if a probe
-    /// ACK should be sent (always — probes are themselves protected).
-    pub fn on_probe(&mut self, probe_seq: u64, flow_size: u64) -> bool {
-        self.learn_size(flow_size);
-        self.probe_seen = true;
-        let _ = probe_seq;
-        true
+    /// The ledger half of [`Self::on_data`]: (new bytes, completed).
+    fn record(&mut self, pkt: &Packet) -> (u64, bool) {
+        debug_assert!(pkt.is_data());
+        self.learn_size(pkt.flow_size);
+        let new_bytes = self.received.insert(pkt.seq, pkt.seq + pkt.payload as u64);
+        let completed = !self.completed && self.is_complete();
+        self.completed |= completed;
+        (new_bytes, completed)
     }
 
     /// Whether the full message has arrived.
     pub fn is_complete(&self) -> bool {
-        match self.size {
-            Some(s) => self.received.covered() >= s,
-            None => false,
-        }
-    }
-
-    /// Unique bytes received so far.
-    pub fn received_bytes(&self) -> u64 {
-        self.received.covered()
+        self.size.is_some_and(|s| self.received.covered() >= s)
     }
 
     /// Message size if known.
@@ -94,11 +61,6 @@ impl PreCreditReceiver {
         self.size.map(|s| s.saturating_sub(self.received.covered()))
     }
 
-    /// Whether a probe has been seen for this flow.
-    pub fn probe_seen(&self) -> bool {
-        self.probe_seen
-    }
-
     /// Missing ranges below `upto` (for Homa RESEND requests).
     pub fn missing_below(&self, upto: u64) -> Vec<(u64, u64)> {
         self.received.gaps(upto)
@@ -109,58 +71,66 @@ impl PreCreditReceiver {
     pub fn received_below(&self, upto: u64) -> u64 {
         self.received.covered_in(0, upto)
     }
+
+    /// End of the in-order prefix: a cumulative ACK point.
+    pub fn contiguous_prefix(&self) -> u64 {
+        self.received.contiguous_prefix()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aeolus_sim::{FlowId, NodeId, TrafficClass};
 
-    #[test]
-    fn unscheduled_data_gets_per_packet_ack() {
-        let mut r = PreCreditReceiver::new();
-        let v = r.on_data(0, 1000, true, 3000);
-        assert_eq!(v, DataVerdict { new_bytes: 1000, completed: false, send_ack: true });
-        let v = r.on_data(1000, 1000, false, 3000);
-        assert!(!v.send_ack, "scheduled data follows the base protocol's ACK rules");
+    fn data(seq: u64, len: u32, size: u64) -> Packet {
+        Packet::data(FlowId(1), NodeId(0), NodeId(1), seq, len, TrafficClass::Unscheduled, size)
     }
 
     #[test]
-    fn duplicates_add_no_bytes_but_still_ack() {
-        let mut r = PreCreditReceiver::new();
-        r.on_data(0, 1000, true, 3000);
-        let v = r.on_data(0, 1000, true, 3000);
-        assert_eq!(v.new_bytes, 0);
-        assert!(v.send_ack, "duplicate unscheduled packets are re-ACKed");
-        assert_eq!(r.received_bytes(), 1000);
+    fn duplicates_add_no_bytes() {
+        let mut r = PreCreditReceiver::default();
+        assert_eq!(r.record(&data(0, 1000, 3000)), (1000, false));
+        assert_eq!(r.record(&data(0, 1000, 3000)), (0, false));
+        assert_eq!(r.remaining(), Some(2000));
     }
 
     #[test]
     fn completion_fires_exactly_once() {
-        let mut r = PreCreditReceiver::new();
-        r.on_data(0, 1000, true, 2000);
-        let v = r.on_data(1000, 1000, false, 2000);
-        assert!(v.completed);
-        let v = r.on_data(1000, 1000, false, 2000);
-        assert!(!v.completed, "completion must not re-fire on duplicates");
+        let mut r = PreCreditReceiver::default();
+        r.record(&data(0, 1000, 2000));
+        assert_eq!(r.record(&data(1000, 1000, 2000)), (1000, true));
+        assert_eq!(r.record(&data(1000, 1000, 2000)), (0, false), "no re-fire on duplicates");
         assert!(r.is_complete());
     }
 
     #[test]
     fn size_learned_from_probe_when_all_data_dropped() {
-        let mut r = PreCreditReceiver::new();
+        let mut r = PreCreditReceiver::default();
         assert!(!r.is_complete());
         assert_eq!(r.remaining(), None);
-        assert!(r.on_probe(5000, 5000));
+        r.learn_size(5000); // the probe's header
         assert_eq!(r.size(), Some(5000));
         assert_eq!(r.remaining(), Some(5000));
-        assert!(r.probe_seen());
     }
 
     #[test]
     fn missing_ranges_reported_for_resend() {
-        let mut r = PreCreditReceiver::new();
-        r.on_data(0, 1000, true, 5000);
-        r.on_data(2000, 1000, true, 5000);
+        let mut r = PreCreditReceiver::default();
+        r.record(&data(0, 1000, 5000));
+        r.record(&data(2000, 1000, 5000));
         assert_eq!(r.missing_below(4000), vec![(1000, 2000), (3000, 4000)]);
+        assert_eq!(r.received_below(2500), 1500);
+    }
+
+    #[test]
+    fn cumulative_ack_point_stops_at_the_first_gap() {
+        let mut r = PreCreditReceiver::default();
+        r.record(&data(2000, 1000, 5000));
+        assert_eq!(r.contiguous_prefix(), 0);
+        r.record(&data(0, 1000, 5000));
+        assert_eq!(r.contiguous_prefix(), 1000);
+        r.record(&data(1000, 1000, 5000));
+        assert_eq!(r.contiguous_prefix(), 3000, "filling the gap jumps past buffered bytes");
     }
 }

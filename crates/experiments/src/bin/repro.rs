@@ -11,16 +11,21 @@
 //! repro --list
 //! ```
 //!
-//! `--faults` injects a deterministic wire-fault schedule into every run:
-//! a comma-separated spec like `loss=0.01,down=2ms..2.3ms,seed=7` (see
-//! `FaultPlan::from_str` for the full grammar). Experiments that carry their
-//! own explicit plan (the chaos sweep) ignore the session default.
+//! `--faults` injects a deterministic wire-fault schedule: a comma-separated
+//! spec like `loss=0.01,down=2ms..2.3ms,seed=7` (see `FaultPlan::from_str`
+//! for the full grammar).
 //!
-//! `--check` installs the conformance oracle on every workload-driven run:
-//! queue ledgers, drop legality, transmit causality, byte/credit
-//! conservation and per-scheme protocol invariants are verified online, and
-//! the first violating event aborts the run with full context. Numbers are
-//! unchanged — the oracle only observes.
+//! `--check` installs the conformance oracle: queue ledgers, drop legality,
+//! transmit causality, byte/credit conservation and per-scheme protocol
+//! invariants are verified online, and the first violating event aborts the
+//! run with full context. Numbers are unchanged — the oracle only observes.
+//!
+//! Both flags reach only the cells run through `run_workload`: fig1, fig3,
+//! fig4, fig9, fig10, fig12, fig13, fig14, table1, table3, table4, phost,
+//! reactive, and ablation's threshold and burst-budget arms. `--trace` also
+//! honours `--faults`. fig5, fig8, fig11, fig15–fig18, table5, fastpass,
+//! validate and ablation's loss arm build their harnesses directly and
+//! ignore both; chaos and chaos_nodes carry their own plans.
 //!
 //! `repro fuzz` runs seeded random scenarios (scheme × topology × workload ×
 //! faults) under the full oracle and, on failure, greedily shrinks the case
@@ -38,8 +43,8 @@
 //!
 //! Experiment runs are served from a content-addressed cache under
 //! `results/cache`: each cell is keyed on a hash of everything that
-//! determines its output (scheme, spec, params, workload, load, seed,
-//! session faults, schema version), so a re-run with identical code and
+//! determines its output (scheme, spec, params with the effective fault
+//! plan, workload, load, seed, schema version), so a re-run with identical code and
 //! config skips the simulation. `--no-cache` forces recompute;
 //! `--cache-verify` re-simulates a sample of hits and panics on any byte
 //! divergence. `--check` bypasses the cache entirely.

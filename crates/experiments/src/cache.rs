@@ -4,10 +4,11 @@
 //! Every [`RunConfig`] that [`crate::run_workload`] executes is condensed
 //! into a **cell key**: a hash over the canonical text of everything that
 //! determines the run's output — scheme (with its parameters), topology,
-//! normalized scheme params (including the per-run fault plan), workload,
-//! load (as exact f64 bits), flow count, seed, drain, the session-wide
-//! `--faults` default, and a schema version that is bumped whenever the
-//! output format or run semantics change. Simulations are single-threaded
+//! normalized scheme params (including the fault plan, into which
+//! [`crate::run_workload`] has already folded the session-wide `--faults`
+//! default), workload, load (as exact f64 bits), flow count, seed, drain,
+//! and a schema version that is bumped whenever the output format or run
+//! semantics change. Simulations are single-threaded
 //! and deterministic, so equal keys imply bit-identical outputs — which
 //! makes the cache sound and the verify mode meaningful.
 //!
@@ -110,7 +111,7 @@ fn fnv1a64(basis: u64, bytes: &[u8]) -> u64 {
 fn key_text(cfg: &RunConfig) -> String {
     format!(
         "schema={SCHEMA}\nscheme={:?}\nspec={:?}\nparams={:?}\nworkload={:?}\nload={:016x}\n\
-         n_flows={}\nseed={}\ndrain={}\nsession_faults={}\n",
+         n_flows={}\nseed={}\ndrain={}\n",
         cfg.scheme,
         cfg.spec,
         cfg.params,
@@ -119,7 +120,6 @@ fn key_text(cfg: &RunConfig) -> String {
         cfg.n_flows,
         cfg.seed,
         cfg.drain,
-        crate::runner::default_faults(),
     )
 }
 
@@ -288,6 +288,17 @@ mod tests {
         let mut d = a.clone();
         d.scheme = Scheme::Homa { rto: aeolus_sim::units::ms(10) };
         assert_ne!(cell_key(&a), cell_key(&d), "scheme (with params) must key");
+    }
+
+    #[test]
+    fn key_hashes_the_fault_plan_the_params_carry() {
+        // `run_workload` folds the session's `--faults` default into
+        // `params.faults` before keying, so the plan in the params is the
+        // key's one fault term.
+        let clean = small_cfg(1);
+        let mut faulted = clean.clone();
+        faulted.params.faults = "loss=1%, seed=7".parse().unwrap();
+        assert_ne!(cell_key(&clean), cell_key(&faulted), "the plan must key");
     }
 
     #[test]

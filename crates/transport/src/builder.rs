@@ -83,8 +83,8 @@ impl<T: Tracer> SchemeBuilder<T> {
     /// discipline, one endpoint per host, tracer installed on the network.
     ///
     /// Panics if the parameters fail [`SchemeParams::validate`] (which
-    /// includes [`aeolus_core::AeolusConfig::validate`] on the effective
-    /// config) — better a descriptive error at build time than a confusing
+    /// includes [`aeolus_core::AeolusConfig::validate`] against the port
+    /// buffer) — better a descriptive error at build time than a confusing
     /// one deep inside the simulator.
     pub fn build(self) -> Harness<T> {
         if let Err(e) = self.params.validate() {
@@ -125,21 +125,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "drop_threshold")]
+    #[should_panic(expected = "burst_budget_frac")]
     fn build_rejects_invalid_aeolus_config() {
         let mut p = SchemeParams::new(0);
-        p.aeolus.drop_threshold = 1 << 40; // far above any port buffer
-        p.aeolus.port_buffer = 1_000;
+        p.aeolus.burst_budget_frac = f64::NAN;
         let _ = SchemeBuilder::new(Scheme::ExpressPassAeolus).params(p).build();
     }
 
     #[test]
     #[should_panic(expected = "drop_threshold")]
     fn build_rejects_physical_buffer_below_threshold() {
-        // The physical port buffer overrides aeolus.port_buffer at queue
-        // construction; a threshold above it used to be clamped silently.
+        // A threshold above the port buffer used to be clamped silently.
         let mut p = SchemeParams::new(0);
         p.port_buffer = 4_000; // below the 6 KB default drop threshold
+        let _ = SchemeBuilder::new(Scheme::ExpressPassAeolus).params(p).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "mtu_payload")]
+    fn build_rejects_zero_mtu() {
+        let p = SchemeParams { mtu_payload: 0, ..SchemeParams::new(0) };
         let _ = SchemeBuilder::new(Scheme::ExpressPassAeolus).params(p).build();
     }
 

@@ -106,6 +106,12 @@ pub fn ack_packet(flow: FlowId, me: NodeId, sender: NodeId, start: u64, end: u64
     Packet::control(flow, me, sender, start, PacketKind::Ack { of_probe: false, end })
 }
 
+/// Build the per-packet ACK of data packet `pkt`: it echoes the byte range
+/// the packet covered.
+pub fn data_ack_packet(pkt: &Packet, me: NodeId, sender: NodeId) -> Packet {
+    ack_packet(pkt.flow, me, sender, pkt.seq, pkt.seq + pkt.payload as u64)
+}
+
 /// Build a probe ACK.
 pub fn probe_ack_packet(flow: FlowId, me: NodeId, sender: NodeId, probe_seq: u64) -> Packet {
     Packet::control(flow, me, sender, probe_seq, PacketKind::Ack { of_probe: true, end: probe_seq })
@@ -118,7 +124,8 @@ pub struct BaseConfig {
     pub mtu_payload: u32,
     /// Base round-trip time of the topology (sets burst budgets / BDP).
     pub base_rtt: Time,
-    /// Aeolus parameters (threshold etc.); used when the mode is `Aeolus`.
+    /// The Aeolus knobs: burst budget fraction and probe retry (the drop
+    /// threshold is the switches' business, see `Scheme::make_queue`).
     pub aeolus: AeolusConfig,
     /// First-RTT handling.
     pub mode: FirstRttMode,
@@ -136,7 +143,7 @@ impl BaseConfig {
     /// One RTT's worth of bytes at `line_rate`: the first-RTT burst budget
     /// (§3.1) and the window every receiver-driven loop keeps outstanding.
     pub fn rtt_bytes(&self, line_rate: Rate) -> u64 {
-        self.aeolus.burst_budget(line_rate, self.base_rtt)
+        self.aeolus.burst_budget(line_rate, self.base_rtt, self.mtu_payload)
     }
 
     /// Wire size of a full data packet.

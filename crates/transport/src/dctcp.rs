@@ -12,14 +12,14 @@
 //! fraction). Losses (buffer overflow) recover via triple-duplicate-ACK fast
 //! retransmit plus a retransmission timeout.
 
+use aeolus_core::PreCreditReceiver;
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Ecn, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, RangeSet, TimerTable,
-    TrafficClass, TransportEvent,
+    Ctx, Ecn, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, TimerTable, TrafficClass,
+    TransportEvent,
 };
 
 use crate::common::{data_packet, BaseConfig};
-use crate::receiver_table::RecvBook;
 use crate::recovery::{peer_silent, FlowTable};
 
 /// DCTCP tunables.
@@ -77,9 +77,8 @@ struct SendFlow {
 }
 
 struct RecvFlow {
-    book: RecvBook,
-    /// Out-of-order bytes received (for cumulative ACK computation).
-    received: RangeSet,
+    /// The receive ledger; its in-order prefix is the cumulative ACK point.
+    book: PreCreditReceiver,
     /// Whether any CE-marked packet arrived since the last ACK (echoed).
     ce_pending: bool,
 }
@@ -284,12 +283,9 @@ impl Endpoint for DctcpEndpoint {
         match pkt.kind {
             PacketKind::Data => {
                 let rf = self.flows.recv_or_insert_with(pkt.flow, || RecvFlow {
-                    book: RecvBook::new(),
-                    received: RangeSet::new(),
+                    book: PreCreditReceiver::default(),
                     ce_pending: false,
                 });
-                rf.book.learn_size(pkt.flow_size);
-                rf.received.insert(pkt.seq, pkt.seq + pkt.payload as u64);
                 rf.book.on_data(&pkt, ctx);
                 if pkt.ecn == Ecn::Ce {
                     rf.ce_pending = true;
@@ -297,7 +293,7 @@ impl Endpoint for DctcpEndpoint {
                 // Cumulative ACK; the CE echo rides the `of_probe` slot's
                 // sibling field (`seq` = 1 marks echo) — we use a dedicated
                 // convention: seq 1 = CE echoed, 0 = not.
-                let ack_to = rf.received.contiguous_prefix();
+                let ack_to = rf.book.contiguous_prefix();
                 let echo = rf.ce_pending;
                 rf.ce_pending = false;
                 let mut ack = Packet::control(

@@ -23,7 +23,7 @@ use aeolus_sim::{
     TransportEvent, CREDIT_BYTES,
 };
 
-use crate::common::{ack_packet, request_packet, BaseConfig, FirstRttMode};
+use crate::common::{data_ack_packet, request_packet, BaseConfig, FirstRttMode};
 use crate::recovery::{
     self, launch_first_rtt, peer_silent, send_resends, FlowTable, SendState, Strikes,
 };
@@ -360,7 +360,7 @@ impl Endpoint for XPassEndpoint {
                 let rf = self.ensure_recv_flow(&pkt, ctx);
                 rf.touch(ctx.now);
                 rf.proto.strikes.reset();
-                let v = rf.book.on_data(&pkt, ctx);
+                let completed = rf.book.on_data(&pkt, ctx);
                 if pkt.credit_echo > 0 {
                     // Credit-loss accounting: a gap in the echoed credit
                     // sequence means those credits were throttled away.
@@ -375,10 +375,10 @@ impl Endpoint for XPassEndpoint {
                 // the oracle ACK unscheduled too (dedup/GC — harmless 64 B).
                 let want_ack =
                     pkt.class == TrafficClass::Unscheduled || mode == FirstRttMode::LowPrio;
-                if let (true, Some((s, e))) = (want_ack, v.acked_range) {
-                    ctx.send(ack_packet(pkt.flow, ctx.host, pkt.src, s, e));
+                if want_ack {
+                    ctx.send(data_ack_packet(&pkt, ctx.host, pkt.src));
                 }
-                if v.completed {
+                if completed {
                     self.flows.recv_done(pkt.flow);
                 }
             }

@@ -22,7 +22,6 @@ pub mod fuzz;
 pub mod homa;
 pub mod ndp;
 pub mod phost;
-pub mod receiver_table;
 pub mod recovery;
 pub mod registry;
 
@@ -39,5 +38,4 @@ pub use fuzz::{fuzz, shrink, CheckedRun, FlowSpec, FuzzReport, RunSignals, Scena
 pub use homa::{HomaConfig, HomaEndpoint};
 pub use ndp::NdpEndpoint;
 pub use phost::{PHostConfig, PHostEndpoint};
-pub use receiver_table::{BookVerdict, RecvBook};
 pub use registry::{ParseSchemeError, Scheme, SchemeParams};

@@ -21,7 +21,7 @@ use aeolus_sim::{
     Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, TimerTable, TransportEvent,
 };
 
-use crate::common::{ack_packet, BaseConfig};
+use crate::common::{data_ack_packet, BaseConfig};
 use crate::recovery::{self, launch_first_rtt, CreditLedger, FlowTable, SendState};
 
 #[derive(Debug, Clone, Copy)]
@@ -264,11 +264,9 @@ impl Endpoint for NdpEndpoint {
             PacketKind::Data => {
                 let rf = self.ensure_recv_flow(&pkt, ctx);
                 rf.proto.returned(1);
-                let v = rf.book.on_data(&pkt, ctx);
-                if let Some((s, e)) = v.acked_range {
-                    ctx.send(ack_packet(pkt.flow, ctx.host, rf.sender, s, e));
-                }
-                if v.completed {
+                let completed = rf.book.on_data(&pkt, ctx);
+                ctx.send(data_ack_packet(&pkt, ctx.host, rf.sender));
+                if completed {
                     self.flows.recv_done(pkt.flow);
                 }
                 self.maybe_enqueue_pull(pkt.flow, ctx);
@@ -281,7 +279,7 @@ impl Endpoint for NdpEndpoint {
                 // The probe arrives behind every surviving burst packet
                 // (one FIFO path), so the burst loss is exact arithmetic:
                 // write the lost packets' credits off and top up the pulls.
-                let burst_lost = pkt.seq.saturating_sub(rf.book.core.received_below(pkt.seq));
+                let burst_lost = pkt.seq.saturating_sub(rf.book.received_below(pkt.seq));
                 rf.proto.write_off(burst_lost.div_ceil(mtu));
                 self.drain_pull_deficit(pkt.flow, ctx);
                 self.arm_backstop(ctx);

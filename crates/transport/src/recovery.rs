@@ -28,7 +28,7 @@
 //!   skeleton; each caller's closure is a ledger's staleness test at the
 //!   protocol's threshold plus its range cap.
 
-use aeolus_core::PreCreditSender;
+use aeolus_core::{PreCreditReceiver, PreCreditSender};
 use aeolus_sim::telemetry::FaultEvent;
 use aeolus_sim::units::{ms, Time};
 use aeolus_sim::{
@@ -37,9 +37,9 @@ use aeolus_sim::{
 };
 
 use crate::common::{
-    ack_packet, data_packet, probe_ack_packet, probe_packet, BaseConfig, FirstRttMode,
+    ack_packet, data_ack_packet, data_packet, probe_ack_packet, probe_packet, BaseConfig,
+    FirstRttMode,
 };
-use crate::receiver_table::RecvBook;
 
 /// Peer-death threshold: a flow that has heard nothing from its peer for
 /// this long while retrying aborts with cause `PeerSilent` instead of
@@ -182,8 +182,8 @@ impl<S, R> FlowTable<S, R> {
 
     /// The receive flow `flow` is complete: it leaves the active set (its
     /// entry stays, for duplicate suppression). Call it on the `completed`
-    /// verdict of [`RecvBook::on_data`], which fires once per flow. O(active
-    /// flows) per completion, nothing per packet.
+    /// verdict of [`PreCreditReceiver::on_data`], which fires once per flow.
+    /// O(active flows) per completion, nothing per packet.
     pub fn recv_done(&mut self, flow: FlowId) {
         let left = self.leave_active(flow);
         debug_assert!(left, "{flow:?} completed without being active");
@@ -536,8 +536,8 @@ impl Strikes {
 pub struct RecvFlow<X> {
     /// The sending host.
     pub sender: NodeId,
-    /// Dedupe, size and delivery bookkeeping.
-    pub book: RecvBook,
+    /// The receive ledger: dedupe, size and delivery into the metrics.
+    pub book: PreCreditReceiver,
     /// Last arrival, rewound to "now" by the stall scan to back off.
     pub last_arrival: Time,
     /// Last *real* arrival — never rewound, so it measures true peer
@@ -559,9 +559,8 @@ impl<X> RecvFlow<X> {
         now.saturating_sub(self.last_arrival)
     }
 
-    /// Book a probe and answer it.
-    pub fn on_probe(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) {
-        self.book.core.on_probe(pkt.seq, pkt.flow_size);
+    /// Answer a probe (its size header was booked on arrival).
+    pub fn on_probe(&self, pkt: &Packet, ctx: &mut Ctx<'_>) {
         ctx.send(probe_ack_packet(pkt.flow, ctx.host, self.sender, pkt.seq));
     }
 
@@ -572,21 +571,19 @@ impl<X> RecvFlow<X> {
     /// the message — the caller's cue for [`FlowTable::recv_done`].
     #[must_use = "a completed flow must leave the table's active set"]
     pub fn on_data(&mut self, pkt: &Packet, probe_mode: bool, ctx: &mut Ctx<'_>) -> bool {
-        let v = self.book.on_data(pkt, ctx);
+        let completed = self.book.on_data(pkt, ctx);
         if probe_mode && pkt.class == TrafficClass::Unscheduled {
-            if let Some((s, e)) = v.acked_range {
-                ctx.send(ack_packet(pkt.flow, ctx.host, self.sender, s, e));
-            }
+            ctx.send(data_ack_packet(pkt, ctx.host, self.sender));
         }
-        if v.completed {
+        if completed {
             ctx.send(ack_packet(pkt.flow, ctx.host, self.sender, 0, pkt.flow_size));
         }
-        v.completed
+        completed
     }
 
     /// The first `cap` missing ranges of a `size`-byte message.
     pub fn missing(&self, size: u64, cap: usize) -> Vec<(u64, u64)> {
-        self.book.core.missing_below(size).into_iter().take(cap).collect()
+        self.book.missing_below(size).into_iter().take(cap).collect()
     }
 }
 
@@ -625,7 +622,7 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
             None => {
                 let fresh = RecvFlow {
                     sender: pkt.src,
-                    book: RecvBook::new(),
+                    book: PreCreditReceiver::default(),
                     last_arrival: now,
                     last_progress: now,
                     proto: proto(),
@@ -711,7 +708,7 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
         for &slot in &self.active {
             let (id, rf) = self.recv.at_mut(slot);
             debug_assert!(!rf.book.is_complete(), "{id:?} is complete but still active");
-            let Some(size) = rf.book.core.size() else { continue };
+            let Some(size) = rf.book.size() else { continue };
             let missing = stalled(rf, size);
             if !missing.is_empty() {
                 ctx.metrics.note_timeout(id);
@@ -886,16 +883,21 @@ mod tests {
 
     /// What every endpoint does with a data packet, minus the protocol: open
     /// or find the flow, book the bytes, tell the table on completion.
-    fn deliver(t: &mut Table, pkt: &Packet) {
+    /// The run metrics learn of each flow on its first chunk, as the engine
+    /// would have scheduled it.
+    fn deliver(t: &mut Table, pkt: &Packet, ctx: &mut Ctx<'_>) {
+        if ctx.metrics.flow(pkt.flow).is_none() {
+            ctx.metrics.flow_scheduled(desc(pkt.flow.0));
+        }
         let rf = t.recv_arrival(pkt, 0, CreditLedger::default);
-        if rf.book.core.on_data(pkt.seq, pkt.payload, true, pkt.flow_size).completed {
+        if rf.book.on_data(pkt, ctx) {
             t.recv_done(pkt.flow);
         }
     }
 
-    fn deliver_all(t: &mut Table, id: u64) {
+    fn deliver_all(t: &mut Table, id: u64, ctx: &mut Ctx<'_>) {
         for k in 0..desc(id).size / CHUNK as u64 {
-            deliver(t, &chunk(id, k));
+            deliver(t, &chunk(id, k), ctx);
         }
     }
 
@@ -981,7 +983,7 @@ mod tests {
                     // Data: first contact, progress, the completing packet
                     // or a duplicate after completion, as it falls.
                     2 | 3 if !t.is_dead(FlowId(id)) => {
-                        deliver(&mut t, &chunk(id, rng.below(desc(id).size / CHUNK as u64)));
+                        deliver(&mut t, &chunk(id, rng.below(desc(id).size / CHUNK as u64)), ctx);
                         "data"
                     }
                     4 => {
@@ -989,7 +991,7 @@ mod tests {
                         let freed = t.recv.slot_of(FlowId(id));
                         t.abort(FlowId(id));
                         fresh += 1;
-                        deliver(&mut t, &chunk(fresh, 0));
+                        deliver(&mut t, &chunk(fresh, 0), ctx);
                         if freed.is_some() {
                             assert_eq!(t.recv.slot_of(FlowId(fresh)), freed, "slot not reused");
                         }
@@ -1001,7 +1003,7 @@ mod tests {
                     }
                     6 => {
                         let known =
-                            t.recv_active().filter(|(_, rf)| rf.book.core.size().is_some()).count();
+                            t.recv_active().filter(|(_, rf)| rf.book.size().is_some()).count();
                         assert_eq!(scan_everything(&mut t, ctx).0, known, "step {step}");
                         "stall scan"
                     }
@@ -1026,12 +1028,12 @@ mod tests {
     #[test]
     fn scan_batches_and_srpt_head_do_not_depend_on_first_contact_order() {
         with_ctx(|ctx| {
-            let build = |order: &[u64]| {
+            let build = |order: &[u64], ctx: &mut Ctx<'_>| {
                 let mut t = Table::default();
                 for &id in order {
-                    deliver(&mut t, &chunk(id, 0));
+                    deliver(&mut t, &chunk(id, 0), ctx);
                     if id % 7 == 0 {
-                        deliver_all(&mut t, id);
+                        deliver_all(&mut t, id, ctx);
                     }
                     if id % 11 == 0 {
                         t.abort(FlowId(id));
@@ -1042,7 +1044,7 @@ mod tests {
             let ids: Vec<u64> = (1..=60).collect();
             let mut shuffled = ids.clone();
             aeolus_sim::SimRng::seed_from_u64(7).shuffle(&mut shuffled);
-            let (mut a, mut b) = (build(&ids), build(&shuffled));
+            let (mut a, mut b) = (build(&ids, ctx), build(&shuffled, ctx));
             assert_ne!(a.active, b.active, "the two histories should order the set differently");
 
             let (mut top_a, mut top_b) = (Vec::new(), Vec::new());
@@ -1068,7 +1070,7 @@ mod tests {
         with_ctx(|ctx| {
             let mut t = Table::default();
             for id in 1..=2_000 {
-                deliver_all(&mut t, id);
+                deliver_all(&mut t, id, ctx);
             }
             assert_eq!((t.recv.len(), t.recv_active_len()), (2_000, 0));
             assert_eq!(scan_everything(&mut t, ctx).0, 0);

@@ -105,7 +105,7 @@ pub struct SchemeParams {
     pub base_rtt: Time,
     /// MTU payload bytes.
     pub mtu_payload: u32,
-    /// Aeolus knobs (threshold, buffers).
+    /// Aeolus knobs (drop threshold, probe retry, burst budget).
     pub aeolus: AeolusConfig,
     /// Per-port buffer for finite-buffer schemes (paper default 200 KB).
     pub port_buffer: u64,
@@ -148,23 +148,17 @@ impl SchemeParams {
         self.mtu_payload + aeolus_sim::HEADER_BYTES
     }
 
-    /// Validate the parameter set, including the **effective** Aeolus
-    /// config: queue construction substitutes the physical [`port_buffer`]
-    /// for `aeolus.port_buffer`, so the threshold/buffer relation must hold
-    /// against the value actually used — a threshold above the physical
-    /// buffer would mean selective dropping never engages. (This used to be
-    /// papered over with a silent `buffer.max(threshold)` clamp.)
-    ///
-    /// [`port_buffer`]: SchemeParams::port_buffer
+    /// Validate the parameter set: the MTU and port buffer the run uses, and
+    /// the Aeolus knobs against that buffer — a drop threshold above it
+    /// would mean selective dropping never engages.
     pub fn validate(&self) -> Result<(), String> {
-        self.aeolus.validate()?;
-        self.effective_aeolus().validate()
-    }
-
-    /// The Aeolus config queues and endpoints actually run with: the
-    /// physical port buffer in place of `aeolus.port_buffer`.
-    fn effective_aeolus(&self) -> AeolusConfig {
-        AeolusConfig { port_buffer: self.port_buffer, ..self.aeolus }
+        if self.mtu_payload == 0 {
+            return Err("mtu_payload must be positive (no zero-byte MTUs)".into());
+        }
+        if self.port_buffer == 0 {
+            return Err("port_buffer must be positive (a switch needs some buffer)".into());
+        }
+        self.aeolus.validate(self.port_buffer)
     }
 }
 
@@ -351,7 +345,7 @@ impl Scheme {
         BaseConfig {
             mtu_payload: p.mtu_payload,
             base_rtt: p.base_rtt,
-            aeolus: p.effective_aeolus(),
+            aeolus: p.aeolus,
             mode: self.mode(),
             // SACK gap inference needs in-order delivery; any scheme whose
             // fabric sprays packets must rely on the probe alone.
@@ -513,10 +507,14 @@ mod tests {
         p.port_buffer = 4_000; // below the 6 KB default drop threshold
         let err = p.validate().unwrap_err();
         assert!(err.contains("drop_threshold"), "unhelpful error: {err}");
-        // The aeolus config's own pair is still checked too.
-        let mut p = params();
-        p.aeolus.port_buffer = 1_000;
-        assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn params_validate_rejects_zero_mtu_and_buffer() {
+        let p = SchemeParams { mtu_payload: 0, ..params() };
+        assert!(p.validate().unwrap_err().contains("mtu_payload"));
+        let p = SchemeParams { port_buffer: 0, ..params() };
+        assert!(p.validate().unwrap_err().contains("port_buffer"));
     }
 
     #[test]

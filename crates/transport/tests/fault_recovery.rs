@@ -6,6 +6,7 @@
 //! hand-sequenced ACKs, with the watchdog turning any hang into a loud
 //! per-flow diagnostic instead of a test timeout.
 
+use aeolus_core::AeolusConfig;
 use aeolus_sim::topology::LinkParams;
 use aeolus_sim::units::{ms, us};
 use aeolus_sim::{DropReason, FaultPlan, FlowDesc, FlowId, LinkFilter, PacketFilter, Rate};
@@ -108,6 +109,13 @@ fn control_blackout_retries_reestablish_contact() {
     }
 }
 
+/// Every probe dies on the wire, and 30% of the unscheduled burst with it.
+fn probe_blackout() -> FaultPlan {
+    FaultPlan::new(43)
+        .with_loss(1.0, PacketFilter::Probe, LinkFilter::All)
+        .with_loss(0.3, PacketFilter::Unscheduled, LinkFilter::All)
+}
+
 #[test]
 fn probe_loss_with_retry_disabled_still_completes() {
     // The probe_retry_rtts = 0 regime: every probe dies on the wire and no
@@ -116,9 +124,7 @@ fn probe_loss_with_retry_disabled_still_completes() {
     // retransmissions riding ordinary credits.
     let mut params = SchemeParams::new(0);
     params.aeolus.probe_retry_rtts = 0;
-    params.faults = FaultPlan::new(43)
-        .with_loss(1.0, PacketFilter::Probe, LinkFilter::All)
-        .with_loss(0.3, PacketFilter::Unscheduled, LinkFilter::All);
+    params.faults = probe_blackout();
     let h = run_faulted(Scheme::ExpressPassAeolus, params, &[30_000; 2], ms(2000));
     let m = h.metrics();
     assert_eq!(m.completed_count(), 2);
@@ -135,11 +141,41 @@ fn probe_retry_repairs_lost_probes_when_enabled() {
     // declared instead of waiting for the last resort.
     let mut params = SchemeParams::new(0);
     assert!(params.aeolus.probe_retry_rtts > 0, "default must enable the retry");
-    params.faults = FaultPlan::new(43)
-        .with_loss(1.0, PacketFilter::Probe, LinkFilter::All)
-        .with_loss(0.3, PacketFilter::Unscheduled, LinkFilter::All);
+    params.faults = probe_blackout();
     let h = run_faulted(Scheme::ExpressPassAeolus, params, &[30_000; 2], ms(2000));
     assert_eq!(h.metrics().completed_count(), 2);
+}
+
+#[test]
+fn every_aeolus_knob_changes_a_run() {
+    // Destructured without `..`: a new knob does not compile until it has a
+    // case here showing that a non-default value moves a canned run.
+    let AeolusConfig { drop_threshold, probe_retry_rtts, burst_budget_frac } =
+        AeolusConfig::default();
+    // The 7:1 ExpressPass+Aeolus testbed incast: its selective drops and
+    // event mix.
+    let incast = |aeolus: AeolusConfig| {
+        let params = SchemeParams { aeolus, ..SchemeParams::new(0) };
+        let h = run_faulted(Scheme::ExpressPassAeolus, params, &[40_000; 7], ms(2000));
+        (h.metrics().drops_by_reason(DropReason::SelectiveDrop), h.network().event_mix())
+    };
+    let base = incast(AeolusConfig::default());
+    assert!(base.0 > 0, "the 7:1 incast must trip selective dropping");
+    let deeper = AeolusConfig { drop_threshold: 2 * drop_threshold, ..Default::default() };
+    assert_ne!(incast(deeper), base, "drop_threshold");
+    let half_bdp = AeolusConfig { burst_budget_frac: burst_budget_frac / 2.0, ..Default::default() };
+    assert_ne!(incast(half_bdp), base, "burst_budget_frac");
+    // The probe blackout, with the §6 retry off and at its default. The
+    // messages outlive the retry's 2 ms floor; 30 KB ones finish before
+    // any retry timer could fire.
+    let blackout = |probe_retry_rtts| {
+        let mut params = SchemeParams::new(0);
+        params.aeolus.probe_retry_rtts = probe_retry_rtts;
+        params.faults = probe_blackout();
+        let h = run_faulted(Scheme::ExpressPassAeolus, params, &[3_000_000; 2], ms(2000));
+        h.network().event_mix()
+    };
+    assert_ne!(blackout(0), blackout(probe_retry_rtts), "probe_retry_rtts");
 }
 
 #[test]

@@ -18,6 +18,15 @@ for name in $(grep -ohE '`[^`]+`' DESIGN.md README.md \
     grep -rqw --include='*.rs' "$name" crates src examples benchmark/src || {
         echo "DESIGN.md / README.md name \`$name\` is in no source file" >&2; exit 1; }
 done
+# The same for backticked `Type::member` paths: some source file that names
+# the type must also name the member, so `AeolusConfig::some_field` cannot
+# outlive its field.
+for path in $(grep -ohE '`[^`]+`' DESIGN.md README.md \
+    | grep -oE '\b[A-Z][A-Za-z0-9]*::[A-Za-z_][A-Za-z0-9_]*' | sort -u); do
+    files="$(grep -rlw --include='*.rs' "${path%%::*}" crates src examples benchmark/src)" \
+        && grep -qw -- "${path#*::}" $files || {
+        echo "DESIGN.md / README.md path \`$path\` resolves in no source file" >&2; exit 1; }
+done
 
 # One flow's life read off the Tracer seam: the example must run, show the
 # victim's selective drops and see it complete.

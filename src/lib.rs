@@ -42,7 +42,7 @@ pub use aeolus_workloads as workloads;
 
 /// Everything needed to run a simulation in one import.
 pub mod prelude {
-    pub use aeolus_core::{AeolusConfig, RecoveryMode};
+    pub use aeolus_core::AeolusConfig;
     pub use aeolus_sim::topology::LinkParams;
     pub use aeolus_sim::units::{kb, mb, ms, ns, secs, us, Rate, Time};
     pub use aeolus_sim::{
