@@ -134,31 +134,31 @@ fn render_summary(
     );
     let _ = writeln!(out, "queue depth per egress port (time left to right, '@' = port max):");
     for (&(node, port), pt) in tracer.ports() {
-        let depths: Vec<u64> = pt.depth.samples().iter().map(|&(_, v)| v).collect();
+        let depths = pt.depth.values();
         let max = depths.iter().copied().max().unwrap_or(0);
         if max == 0 {
             continue;
         }
-        let drops = pt.ring.iter().filter(|r| matches!(r.ev, aeolus_sim::QueueEvent::Drop(_))).count();
+        let drops =
+            pt.records().filter(|r| matches!(r.ev, aeolus_sim::QueueEvent::Drop(_))).count();
         let _ = writeln!(
             out,
             "  n{:<3} p{:<2} -> n{:<3} |{}| max {:>7} B, {} drop(s) in ring",
             node.0,
             port.0,
             pt.to.0,
-            sparkline(&depths, 72),
+            sparkline(depths, 72),
             max,
             drops,
         );
     }
-    let ev = tracer.transport_events();
     let count = |pred: fn(&aeolus_sim::TransportEvent) -> bool| {
-        ev.iter().filter(|(_, _, e)| pred(e)).count()
+        tracer.transport_events().filter(|(_, _, e)| pred(e)).count()
     };
     let _ = writeln!(
         out,
         "transport events: {} total — {} credit issues, {} bursts, {} losses detected, {} retransmits",
-        ev.len(),
+        tracer.transport_events().len(),
         count(|e| matches!(e, aeolus_sim::TransportEvent::CreditIssue { .. })),
         count(|e| matches!(e, aeolus_sim::TransportEvent::BurstStart { .. })),
         count(|e| matches!(e, aeolus_sim::TransportEvent::LossDetected { .. })),

@@ -73,16 +73,19 @@ impl<'a> Ctx<'a> {
         self.actions.timers.push((self.now + delay, token));
     }
 
-    /// Whether a recording tracer is attached. Handlers can skip building
-    /// expensive event payloads when this is false (emitting through
-    /// [`Ctx::emit`] is already a no-op then).
+    /// Whether the engine runs with an enabled tracer ([`crate::Tracer::ENABLED`]:
+    /// the recorder, the conformance oracle, or any sink of the caller's).
+    /// Handlers can skip building expensive event payloads when this is
+    /// false (emitting through [`Ctx::emit`] is already a no-op then).
     pub fn tracing(&self) -> bool {
         self.trace_enabled
     }
 
     /// Report a transport-level telemetry event (credit issue/receipt,
-    /// burst start/stop, loss detection, retransmission). No-op unless the
-    /// engine runs with a recording tracer.
+    /// burst start/stop, loss detection, retransmission) to the tracer's
+    /// [`TraceSink::transport_event`]: the recorder logs it, the
+    /// conformance oracle checks it. No-op unless the engine runs with an
+    /// enabled tracer.
     pub fn emit(&mut self, ev: TransportEvent) {
         if self.trace_enabled {
             self.tracer.transport_event(self.now, self.host, &ev);
@@ -90,7 +93,9 @@ impl<'a> Ctx<'a> {
     }
 
     /// Report a fault-recovery event (e.g. a transport-initiated flow abort
-    /// after a peer-silence threshold). No-op unless tracing.
+    /// after a peer-silence threshold) to the tracer's
+    /// [`TraceSink::fault_event`]. No-op unless the engine runs with an
+    /// enabled tracer.
     pub fn emit_fault(&mut self, ev: FaultEvent) {
         if self.trace_enabled {
             self.tracer.fault_event(self.now, &ev);

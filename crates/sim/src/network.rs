@@ -496,28 +496,24 @@ impl<T: Tracer> Network<T> {
         for pi in 0..self.nodes[node.0 as usize].ports.len() {
             let port = PortId(pi as u16);
             loop {
-                let r = {
+                let (r, qlen_bytes, qlen_pkts) = {
                     let pool = &mut self.pool;
                     let p = &mut self.nodes[node.0 as usize].ports[pi];
                     let prev = p.queue.bytes();
                     match p.queue.poll(pool, now) {
                         Poll::Ready(r) => {
                             p.stats.on_qlen_change(prev, now);
-                            p.stats.observe_qlen(p.queue.bytes());
+                            let qlen = p.queue.bytes();
+                            p.stats.observe_qlen(qlen);
                             p.stats.fault_kills += 1;
-                            r
+                            (r, qlen, p.queue.pkts())
                         }
                         Poll::NotBefore(_) | Poll::Empty => break,
                     }
                 };
                 if T::ENABLED {
-                    let rec = dequeue_record(
-                        now,
-                        node,
-                        port,
-                        self.pool.get(r),
-                        &self.nodes[node.0 as usize].ports[pi],
-                    );
+                    let pkt = self.pool.get(r);
+                    let rec = dequeue_record(now, node, port, pkt, qlen_bytes, qlen_pkts);
                     self.tracer.queue_event(&rec);
                 }
                 self.kill(node, port, r, now, reason);
@@ -610,8 +606,9 @@ impl<T: Tracer> Network<T> {
             let prev = p.queue.bytes();
             let outcome = p.queue.enqueue(pkt, pool, now);
             p.stats.on_qlen_change(prev, now);
-            p.stats.observe_qlen(p.queue.bytes());
-            (outcome, p.queue.bytes(), p.queue.pkts())
+            let qlen = p.queue.bytes();
+            p.stats.observe_qlen(qlen);
+            (outcome, qlen, p.queue.pkts())
         };
         let ev = match outcome {
             EnqueueOutcome::Queued => QueueEvent::Enqueue,
@@ -647,8 +644,12 @@ impl<T: Tracer> Network<T> {
         self.try_transmit(node, port);
     }
 
-    /// Feed the queue's per-band occupancy to the tracer (tracing on only).
+    /// Feed the queue's per-band occupancy to the tracer, if it reads band
+    /// samples ([`Tracer::BANDS`]).
     fn sample_bands(&mut self, now: Time, node: NodeId, port: PortId) {
+        if !T::BANDS {
+            return;
+        }
         self.band_scratch.clear();
         let p = &self.nodes[node.0 as usize].ports[port.0 as usize];
         p.queue.bands(&mut self.band_scratch);
@@ -675,7 +676,9 @@ impl<T: Tracer> Network<T> {
                 queue.fill(p.free, Event::PortFree { node, port });
             }
         };
-        let mut deq_rec = None;
+        // What a tracer is told of a dequeue: the packet and the queue's
+        // occupancy after it.
+        let mut dequeued = None;
         let faults_active = self.faults.active();
         let next = {
             let index = &self.faults;
@@ -698,16 +701,17 @@ impl<T: Tracer> Network<T> {
                 match p.queue.poll(pool, now) {
                     Poll::Ready(r) => {
                         p.stats.on_qlen_change(prev, now);
-                        p.stats.observe_qlen(p.queue.bytes());
+                        let qlen = p.queue.bytes();
+                        p.stats.observe_qlen(qlen);
+                        if T::ENABLED {
+                            dequeued = Some((r, qlen, p.queue.pkts()));
+                        }
                         let pkt = pool.get(r);
                         p.stats.bytes_tx += pkt.size as u64;
                         p.stats.payload_tx += pkt.payload as u64;
                         let mut ser = p.serialize(pkt.size as u64);
                         if faults_active {
                             ser *= faults::slowdown_at(open, node, port, p.link.to, now) as Time;
-                        }
-                        if T::ENABLED {
-                            deq_rec = Some(dequeue_record(now, node, port, pkt, p));
                         }
                         let free_at = now + ser;
                         // Hold the transmitter for the serialization time —
@@ -764,7 +768,10 @@ impl<T: Tracer> Network<T> {
             }
         };
         if T::ENABLED {
-            if let Some(rec) = deq_rec {
+            if let Some((r, qlen_bytes, qlen_pkts)) = dequeued {
+                // The packet is still in the pool: a kill below frees it.
+                let pkt = self.pool.get(r);
+                let rec = dequeue_record(now, node, port, pkt, qlen_bytes, qlen_pkts);
                 self.tracer.queue_event(&rec);
                 self.tracer.link_tx(now, node, port, rec.size as u64);
                 self.sample_bands(now, node, port);
@@ -862,9 +869,17 @@ impl<T: Tracer> Network<T> {
     }
 }
 
-/// The telemetry record of `pkt` leaving `port`'s queue (already polled, so
-/// the occupancy is the queue's after the dequeue).
-fn dequeue_record(now: Time, node: NodeId, port: PortId, pkt: &Packet, p: &Port) -> QueueRecord {
+/// The telemetry record of `pkt` leaving `port`'s queue, which then holds
+/// `qlen_bytes` in `qlen_pkts` packets.
+#[inline]
+fn dequeue_record(
+    now: Time,
+    node: NodeId,
+    port: PortId,
+    pkt: &Packet,
+    qlen_bytes: u64,
+    qlen_pkts: usize,
+) -> QueueRecord {
     QueueRecord {
         at: now,
         node,
@@ -876,8 +891,8 @@ fn dequeue_record(now: Time, node: NodeId, port: PortId, pkt: &Packet, p: &Port)
         class: pkt.class,
         size: pkt.size,
         payload: pkt.payload,
-        qlen_bytes: p.queue.bytes(),
-        qlen_pkts: p.queue.pkts(),
+        qlen_bytes,
+        qlen_pkts,
     }
 }
 

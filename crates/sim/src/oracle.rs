@@ -300,18 +300,21 @@ impl CheckedTracer {
 
     /// The ledger of `(node, port)`, created on first sight (a registration,
     /// or a hook on a port that was never registered).
+    ///
+    /// The test and the indexing sit on one path with no call between
+    /// them, so the index is bounds-checked once.
     #[inline]
     fn port_mut(&mut self, node: NodeId, port: PortId) -> &mut PortModel {
         let (n, p) = (node.0 as usize, port.0 as usize);
-        if self.ports.get(n).is_none_or(|row| p >= row.len()) {
-            self.grow_ports(n, p);
+        if self.ports.get(n).is_some_and(|row| p < row.len()) {
+            return &mut self.ports[n][p];
         }
-        &mut self.ports[n][p]
+        self.grow_ports(n, p)
     }
 
     #[cold]
     #[inline(never)]
-    fn grow_ports(&mut self, n: usize, p: usize) {
+    fn grow_ports(&mut self, n: usize, p: usize) -> &mut PortModel {
         if n >= self.ports.len() {
             self.ports.resize_with(n + 1, Vec::new);
         }
@@ -319,6 +322,7 @@ impl CheckedTracer {
         if p >= row.len() {
             row.resize_with(p + 1, PortModel::default);
         }
+        &mut row[p]
     }
 }
 
@@ -408,10 +412,6 @@ impl TraceSink for CheckedTracer {
                 ),
             );
         }
-    }
-
-    fn queue_bands(&mut self, at: Time, _node: NodeId, _port: PortId, _bands: &[(&'static str, u64)]) {
-        self.see(at);
     }
 
     fn link_tx(&mut self, at: Time, node: NodeId, port: PortId, wire_bytes: u64) {
@@ -607,6 +607,9 @@ impl TraceSink for CheckedTracer {
 
 impl Tracer for CheckedTracer {
     const ENABLED: bool = true;
+    /// No check reads band occupancy: a band sample only repeated the clock
+    /// check of the queue event it follows, at the same instant.
+    const BANDS: bool = false;
 }
 
 /// Disciplines with planted bugs, for the oracle's own tests.
@@ -1046,6 +1049,109 @@ mod tests {
         let sig = net.tracer().signals();
         assert_eq!(sig.events_checked, net.tracer().events_checked());
         assert!(sig.max_queue_bytes > 0 && sig.max_queue_pkts > 0);
+    }
+
+    /// Counts the hooks the engine calls, by kind, and hands each to the
+    /// oracle. `BANDS` is the band gate the spy declares to the engine.
+    #[derive(Default)]
+    struct Spy<const BANDS: bool> {
+        oracle: CheckedTracer,
+        registrations: u64,
+        bands: u64,
+        /// Every other hook: the ones the oracle checks.
+        checked: u64,
+    }
+
+    impl<const BANDS: bool> TraceSink for Spy<BANDS> {
+        fn port_registered(&mut self, node: NodeId, port: PortId, rate: Rate, to: NodeId) {
+            self.registrations += 1;
+            self.oracle.port_registered(node, port, rate, to);
+        }
+        fn queue_event(&mut self, rec: &QueueRecord) {
+            self.checked += 1;
+            self.oracle.queue_event(rec);
+        }
+        fn queue_bands(&mut self, at: Time, node: NodeId, port: PortId, bands: &[(&'static str, u64)]) {
+            self.bands += 1;
+            self.oracle.queue_bands(at, node, port, bands);
+        }
+        fn link_tx(&mut self, at: Time, node: NodeId, port: PortId, wire_bytes: u64) {
+            self.checked += 1;
+            self.oracle.link_tx(at, node, port, wire_bytes);
+        }
+        fn packet_launched(&mut self, ev: &HostEvent) {
+            self.checked += 1;
+            self.oracle.packet_launched(ev);
+        }
+        fn packet_delivered(&mut self, ev: &HostEvent) {
+            self.checked += 1;
+            self.oracle.packet_delivered(ev);
+        }
+        fn transport_event(&mut self, at: Time, host: NodeId, ev: &TransportEvent) {
+            self.checked += 1;
+            self.oracle.transport_event(at, host, ev);
+        }
+        fn fault_event(&mut self, at: Time, ev: &FaultEvent) {
+            self.checked += 1;
+            self.oracle.fault_event(at, ev);
+        }
+    }
+
+    impl<const BANDS: bool> Tracer for Spy<BANDS> {
+        const ENABLED: bool = true;
+        const BANDS: bool = BANDS;
+    }
+
+    /// A 50 KB flow across one switch under `tracer`, run to completion.
+    fn blaster_run<T: Tracer>(tracer: T) -> Network<T> {
+        let mut net = Network::with_tracer(tracer);
+        let sw = net.add_switch(RoutePolicy::EcmpHash, 1, 0);
+        let h0 = net.add_host(0);
+        let h1 = net.add_host(0);
+        let rate = Rate::gbps(10);
+        let q = || DropTailQueue::new(1 << 30);
+        net.connect(h0, sw, rate, us(1), q());
+        net.connect(h1, sw, rate, us(1), q());
+        let p0 = net.connect(sw, h0, rate, us(1), q());
+        let p1 = net.connect(sw, h1, rate, us(1), q());
+        net.add_route(sw, h0, p0);
+        net.add_route(sw, h1, p1);
+        net.set_endpoint(h0, Box::new(Blaster));
+        net.set_endpoint(h1, Box::new(Blaster));
+        net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 50_000, start: 0 });
+        assert!(net.run_to_completion(us(10_000)));
+        net
+    }
+
+    /// The oracle opts out of band samples: the engine never sends it one,
+    /// and the oracle still checks every other hook exactly once. Run beside
+    /// a spy that asks for bands, the hook calls differ by exactly the band
+    /// samples. Fails if `CheckedTracer::BANDS` is on, if the engine ignores
+    /// the gate, or if a band sample counts as a checked event.
+    #[test]
+    fn the_oracle_is_never_sent_band_samples() {
+        let off = blaster_run(Spy::<{ <CheckedTracer as Tracer>::BANDS }>::default());
+        let on = blaster_run(Spy::<true>::default());
+        let (off, on) = (off.tracer(), on.tracer());
+        assert_eq!(off.bands, 0, "a CheckedTracer run was sent band samples");
+        assert!(on.bands > 0, "a tracer that reads bands is sent them");
+        assert_eq!((off.registrations, off.checked), (on.registrations, on.checked));
+        let calls = on.registrations + on.bands + on.checked;
+        assert_eq!(off.oracle.events_checked(), calls - on.bands - on.registrations);
+        assert_eq!(on.oracle.events_checked(), off.oracle.events_checked());
+        assert_eq!(on.oracle.signals(), off.oracle.signals());
+    }
+
+    /// Without band samples the clock is still checked on the queue event
+    /// they used to follow.
+    #[test]
+    #[should_panic(expected = "conformance violation [clock]")]
+    fn backwards_queue_event_is_caught() {
+        let mut t = CheckedTracer::new();
+        t.queue_event(&rec(QueueEvent::Enqueue, 1500, 1500, 1));
+        let mut back = rec(QueueEvent::Dequeue, 1500, 0, 0);
+        back.at -= 1;
+        t.queue_event(&back);
     }
 
     #[test]

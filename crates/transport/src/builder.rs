@@ -172,6 +172,6 @@ mod tests {
         assert!(h.run(ms(10)));
         let tracer = h.topo.net.tracer();
         assert!(tracer.ports().next().is_some(), "ports registered");
-        assert!(tracer.ports().any(|(_, p)| !p.ring.is_empty()), "queue events recorded");
+        assert!(tracer.ports().any(|(_, p)| p.ring_len() > 0), "queue events recorded");
     }
 }

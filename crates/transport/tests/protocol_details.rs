@@ -24,7 +24,7 @@ fn traced(scheme: Scheme, senders: usize, size: u64) -> (Harness<RecordingTracer
     h.schedule(&aeolus_workloads::incast_round(&hosts[1..=senders], hosts[0], size, 0, 1));
     assert!(h.run(ms(1000)));
     let tracer = h.network().tracer();
-    assert!(tracer.ports().all(|(_, pt)| pt.ring.dropped() == 0), "a ring overflowed");
+    assert!(tracer.ports().all(|(_, pt)| pt.ring_dropped() == 0), "a ring overflowed");
     let life = tracer.flow_records(FlowId(1));
     (h, life)
 }
