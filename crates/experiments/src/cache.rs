@@ -44,7 +44,10 @@ use crate::runner::{RunConfig, RunOutput};
 ///
 /// 2: `PortFree` became an on-demand event — every cell's `events` fell
 /// while its key stayed put, so a v1 entry would fail `--cache-verify`.
-const SCHEMA: u32 = 2;
+///
+/// 3: a DCTCP flow keeps one queued RTO event instead of one per re-arm —
+/// the DCTCP cells' `events` fell under unchanged keys.
+const SCHEMA: u32 = 3;
 
 /// One cache directory and the counters of the session that reads it.
 pub struct Cache {
