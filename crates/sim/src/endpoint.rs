@@ -2,10 +2,12 @@
 //!
 //! An [`Endpoint`] is installed on each host and receives flow arrivals,
 //! packets and timer callbacks. Handlers interact with the network only
-//! through the [`Ctx`] passed in — sends and timers are buffered as actions
-//! and applied by the engine after the handler returns, which keeps the
-//! borrow structure simple and the event order deterministic.
+//! through the [`Ctx`] passed in. Timers go straight into the event queue;
+//! sends are buffered and put on the NIC by the engine after the handler
+//! returns, so a handler's timers always take their places in the event
+//! order before the events its sends cause.
 
+use crate::event::{Event, EventQueue, Place};
 use crate::metrics::Metrics;
 use crate::packet::{FlowDesc, NodeId, Packet};
 use crate::telemetry::{FaultEvent, TraceSink, TransportEvent};
@@ -17,7 +19,8 @@ pub trait Endpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>);
     /// A packet addressed to this host arrived.
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>);
-    /// A timer armed through [`Ctx::set_timer_in_with`] fired.
+    /// A timer armed through [`Ctx::set_timer_in_with`] or
+    /// [`Ctx::fill_timer`] fired.
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>);
     /// The host crashed (fault injection): wipe all per-flow transport
     /// state — flowmap slots, timers, credit/grant ledgers. Timers already
@@ -34,16 +37,8 @@ pub trait Endpoint {
     fn on_flow_restart(&mut self, _flow: FlowDesc, _ctx: &mut Ctx<'_>) {}
 }
 
-/// Buffered actions produced by an endpoint handler.
-#[derive(Default)]
-pub struct Actions {
-    /// Packets to enqueue on this host's NIC, in order.
-    pub sends: Vec<Packet>,
-    /// Timers to arm: (absolute fire time, token).
-    pub timers: Vec<(Time, u64)>,
-}
-
-/// Handler context: simulation time, host identity, and action buffers.
+/// Handler context: simulation time, host identity, the event queue and
+/// the send buffer.
 pub struct Ctx<'a> {
     /// Current simulated time.
     pub now: Time,
@@ -55,13 +50,15 @@ pub struct Ctx<'a> {
     pub metrics: &'a mut Metrics,
     pub(crate) tracer: &'a mut dyn TraceSink,
     pub(crate) trace_enabled: bool,
-    pub(crate) actions: &'a mut Actions,
+    /// Packets to enqueue on this host's NIC, in order.
+    pub(crate) sends: &'a mut Vec<Packet>,
+    pub(crate) queue: &'a mut EventQueue,
 }
 
 impl<'a> Ctx<'a> {
     /// Queue `pkt` for transmission on this host's NIC.
     pub fn send(&mut self, pkt: Packet) {
-        self.actions.sends.push(pkt);
+        self.sends.push(pkt);
     }
 
     /// Arm a timer to fire `delay` from now under a caller-chosen token
@@ -70,7 +67,37 @@ impl<'a> Ctx<'a> {
     /// never affect event ordering — events order by `(time, seq)` — so
     /// per-endpoint token spaces may overlap freely.
     pub fn set_timer_in_with(&mut self, delay: Time, token: u64) {
-        self.actions.timers.push((self.now + delay, token));
+        self.queue.schedule_at(self.now + delay, Event::Timer { node: self.host, token });
+    }
+
+    /// Take the place in the event order a timer set `delay` from now would
+    /// get, without queueing anything (see [`Place`]). A deadline re-armed
+    /// many times can keep one queued event: reserve at every re-arm, and
+    /// [fill](Ctx::fill_timer) only the place that is due.
+    pub fn reserve_timer_in(&mut self, delay: Time) -> Place {
+        self.queue.reserve(self.now + delay)
+    }
+
+    /// Queue a timer with `token` at a place taken by
+    /// [`Ctx::reserve_timer_in`]: it fires exactly where a timer set at
+    /// reservation time would have.
+    ///
+    /// # Panics
+    /// Panics if the run is already past `place`.
+    pub fn fill_timer(&mut self, place: Place, token: u64) {
+        self.queue.fill(place, Event::Timer { node: self.host, token });
+    }
+
+    /// Has the run reached `place`: is the event being handled the one
+    /// filled into it, or one ordered after it?
+    pub fn passed(&self, place: Place) -> bool {
+        self.queue.passed(place)
+    }
+
+    /// Is the event being handled the one filled into `place`? A timer
+    /// handler tells its live deadline from stale ones with this.
+    pub fn fired(&self, place: Place) -> bool {
+        self.queue.dispatching(place)
     }
 
     /// Whether the engine runs with an enabled tracer ([`crate::Tracer::ENABLED`]:
@@ -110,22 +137,38 @@ mod tests {
     #[test]
     fn timer_tokens_are_unique_and_absolute() {
         let mut metrics = Metrics::new();
-        let mut actions = Actions::default();
+        let mut sends = Vec::new();
         let mut sink = crate::telemetry::NullTracer;
+        let mut queue = EventQueue::new();
+        queue.schedule_at(1000, Event::FlowArrival { flow: crate::packet::FlowId(0) });
+        queue.pop();
         let mut ctx = Ctx {
             now: 1000,
-            host: NodeId(0),
+            host: NodeId(3),
             line_rate: Rate::gbps(100),
             metrics: &mut metrics,
             tracer: &mut sink,
             trace_enabled: false,
-            actions: &mut actions,
+            sends: &mut sends,
+            queue: &mut queue,
         };
         // Fire times are absolute; tokens are the caller's, kept verbatim —
         // overlapping token spaces included.
         ctx.set_timer_in_with(50, 7);
         ctx.set_timer_in_with(20, 8);
         ctx.set_timer_in_with(0, 7);
-        assert_eq!(actions.timers, vec![(1050, 7), (1020, 8), (1000, 7)]);
+        // A reserved place holds its rank (before the timer set after it at
+        // the same time) but queues nothing until it is filled.
+        let place = ctx.reserve_timer_in(20);
+        ctx.set_timer_in_with(20, 9);
+        assert!(!ctx.passed(place) && !ctx.fired(place));
+        ctx.fill_timer(place, 10);
+        let mut fired = Vec::new();
+        while let Some((at, ev)) = queue.pop() {
+            let Event::Timer { node, token } = ev else { panic!("not a timer: {ev:?}") };
+            assert_eq!(node, NodeId(3));
+            fired.push((at, token));
+        }
+        assert_eq!(fired, vec![(1000, 7), (1020, 8), (1020, 10), (1020, 9), (1050, 7)]);
     }
 }

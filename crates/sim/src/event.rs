@@ -88,7 +88,7 @@ pub enum Event {
     Timer {
         /// The host whose endpoint armed the timer.
         node: NodeId,
-        /// The token passed to `Ctx::set_timer_in_with`.
+        /// The token passed to `Ctx::set_timer_in_with` or `Ctx::fill_timer`.
         token: u64,
     },
     /// A new application flow arrives at its source host.
@@ -701,6 +701,12 @@ impl EventQueue {
         (place.at, place.seq) <= (self.now, self.now_seq)
     }
 
+    /// Is the event being dispatched the one filled into `place`?
+    #[inline]
+    pub fn dispatching(&self, place: Place) -> bool {
+        (place.at, place.seq) == (self.now, self.now_seq)
+    }
+
     #[inline(always)]
     fn push(&mut self, place: Place, event: Event) {
         match &mut self.imp {
@@ -1238,7 +1244,8 @@ mod tests {
     /// `passed` follows `(at, seq)` order, not time alone: at one picosecond
     /// a place is open while the event ranked before it is dispatched and
     /// passed once the one ranked after it is. Fails if `passed` compares
-    /// times only (either way round).
+    /// times only (either way round). `dispatching` holds for the place's
+    /// own event and for no neighbour at the same picosecond.
     fn pass_a_place_then_fill_it(kind: SchedulerKind) {
         let mut q = EventQueue::with_scheduler(kind);
         assert!(q.passed(Place::START), "nothing is held before the first event");
@@ -1249,11 +1256,14 @@ mod tests {
         q.pop();
         assert_eq!(q.now(), 10);
         assert!(!q.passed(place), "the event ranked before the place is being dispatched");
+        assert!(!q.dispatching(place));
         q.fill(place, timer(99));
         assert!(matches!(q.pop(), Some((10, Event::Timer { token: 99, .. }))));
         assert!(q.passed(place), "the place's own event is being dispatched");
+        assert!(q.dispatching(place));
         q.pop();
         assert!(q.passed(place));
+        assert!(!q.dispatching(place), "the event ranked after the place is being dispatched");
         q.fill(place, timer(98));
     }
 

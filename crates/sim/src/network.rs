@@ -1,6 +1,6 @@
 //! The network engine: nodes, wiring, and the event dispatch loop.
 
-use crate::endpoint::{Actions, Ctx, Endpoint};
+use crate::endpoint::{Ctx, Endpoint};
 use crate::event::{Event, EventMix, EventQueue, SchedulerKind};
 use crate::faults::{self, Effect, FaultIndex, FaultPlan, LinkFilter};
 use crate::metrics::{AbortCause, Metrics};
@@ -45,10 +45,10 @@ pub struct Network<T: Tracer = NullTracer> {
     /// packets by value; the engine pools them and moves 4-byte
     /// [`PacketRef`] handles through queues and events instead.
     pool: PacketPool,
-    /// Reusable [`Actions`] buffers for endpoint dispatch — taken before
-    /// each callback and put back drained, so steady-state dispatch never
+    /// Reusable send buffer for endpoint dispatch — taken before each
+    /// callback and put back drained, so steady-state dispatch never
     /// allocates.
-    actions_scratch: Actions,
+    sends_scratch: Vec<Packet>,
     /// Flows aborted by a node crash, waiting for both endpoints to come
     /// back up so they can relaunch. Scanned at every node-window end.
     pending_restart: Vec<FlowDesc>,
@@ -83,7 +83,7 @@ impl<T: Tracer> Network<T> {
             faults: FaultIndex::default(),
             fault_rng: SimRng::seed_from_u64(0),
             pool: PacketPool::new(),
-            actions_scratch: Actions::default(),
+            sends_scratch: Vec::new(),
             pending_restart: Vec::new(),
             restarted: false,
         }
@@ -170,6 +170,11 @@ impl<T: Tracer> Network<T> {
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.event_mix.iter().sum()
+    }
+
+    /// Events queued and not yet processed ([`EventQueue::len`]).
+    pub fn pending_events(&self) -> usize {
+        self.queue.len()
     }
 
     /// Events processed so far by kind, in [`Event::KINDS`] order — what the
@@ -792,8 +797,8 @@ impl<T: Tracer> Network<T> {
         }
     }
 
-    /// Run `f` against the endpoint installed on `host`, then apply the
-    /// actions it buffered (sends through the NIC, timer arming).
+    /// Run `f` against the endpoint installed on `host` (its timers go
+    /// straight into the queue), then send what it buffered through the NIC.
     fn with_endpoint<F>(&mut self, host: NodeId, f: F)
     where
         F: FnOnce(&mut dyn Endpoint, &mut Ctx<'_>),
@@ -808,12 +813,12 @@ impl<T: Tracer> Network<T> {
             NodeKind::Host { endpoint } => endpoint.take().expect("endpoint not installed"),
             NodeKind::Switch { .. } => panic!("endpoint dispatch on a switch"),
         };
-        // Reuse the scratch buffers: endpoint dispatch is the single hottest
-        // call site, and a fresh `Actions` per dispatch would allocate twice
-        // per event in steady state. `take` leaves a default in place, so a
+        // Reuse the scratch buffer: endpoint dispatch is the single hottest
+        // call site, and a fresh buffer per dispatch would allocate on
+        // every event that sends. `take` leaves a default in place, so a
         // (hypothetical) re-entrant dispatch degrades to allocation, not UB.
-        let mut actions = std::mem::take(&mut self.actions_scratch);
-        debug_assert!(actions.sends.is_empty() && actions.timers.is_empty());
+        let mut sends = std::mem::take(&mut self.sends_scratch);
+        debug_assert!(sends.is_empty());
         {
             let mut ctx = Ctx {
                 now,
@@ -822,7 +827,8 @@ impl<T: Tracer> Network<T> {
                 metrics: &mut self.metrics,
                 tracer: &mut self.tracer,
                 trace_enabled: T::ENABLED,
-                actions: &mut actions,
+                sends: &mut sends,
+                queue: &mut self.queue,
             };
             f(ep.as_mut(), &mut ctx);
         }
@@ -830,11 +836,7 @@ impl<T: Tracer> Network<T> {
             NodeKind::Host { endpoint } => *endpoint = Some(ep),
             NodeKind::Switch { .. } => unreachable!(),
         }
-        for &(at, token) in &actions.timers {
-            self.queue.schedule_at(at, Event::Timer { node: host, token });
-        }
-        actions.timers.clear();
-        for mut pkt in actions.sends.drain(..) {
+        for mut pkt in sends.drain(..) {
             pkt.src = host;
             // Stamp the ECMP hash once; every switch on the path reuses it.
             pkt.route_hash = crate::routing::fnv1a(pkt.flow.0, pkt.path_tag);
@@ -865,7 +867,7 @@ impl<T: Tracer> Network<T> {
             let r = self.pool.insert(pkt);
             self.enqueue_egress(host, PortId(0), r);
         }
-        self.actions_scratch = actions;
+        self.sends_scratch = sends;
     }
 }
 

@@ -11,11 +11,16 @@
 //! (`cwnd ← cwnd·(1 − α/2)` once per window, with `α` an EWMA of the marked
 //! fraction). Losses (buffer overflow) recover via triple-duplicate-ACK fast
 //! retransmit plus a retransmission timeout.
+//!
+//! The RTO is re-armed on every ACK that makes progress, so a flow keeps
+//! one queued timer event however often it re-arms: each re-arm only
+//! reserves the new deadline's place in the event order, and the queued
+//! event, when it fires before that place, fills it (see `on_timer`).
 
 use aeolus_core::PreCreditReceiver;
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Ecn, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, TimerTable, TrafficClass,
+    Ctx, Ecn, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Place, TrafficClass,
     TransportEvent,
 };
 
@@ -67,8 +72,12 @@ struct SendFlow {
     dup_acks: u32,
     /// Outstanding retransmission request (fast retransmit pending send).
     rtx_seq: Option<u64>,
-    /// Generation for the RTO timer (stale timers are ignored).
-    rto_gen: u64,
+    /// The live RTO deadline: the place reserved at the last re-arm.
+    rto_due: Place,
+    /// The place of the one RTO event queued for this flow: `rto_due` itself,
+    /// or an earlier deadline that moves on to `rto_due` when it fires.
+    /// [`Place::START`] (already passed) until the first arm.
+    rto_queued: Place,
     completed: bool,
     /// Most recent loss signal, for retransmission attribution.
     last_loss: Option<LossCause>,
@@ -87,13 +96,12 @@ struct RecvFlow {
 pub struct DctcpEndpoint {
     cfg: DctcpConfig,
     flows: FlowTable<SendFlow, RecvFlow>,
-    timers: TimerTable<(FlowId, u64)>,
 }
 
 impl DctcpEndpoint {
     /// A fresh endpoint.
     pub fn new(cfg: DctcpConfig) -> DctcpEndpoint {
-        DctcpEndpoint { cfg, flows: FlowTable::default(), timers: TimerTable::new() }
+        DctcpEndpoint { cfg, flows: FlowTable::default() }
     }
 
     fn mtu(&self) -> u32 {
@@ -132,21 +140,24 @@ impl DctcpEndpoint {
         }
     }
 
+    /// Move the RTO deadline to `rto` from now. The new deadline takes its
+    /// place in the event order here but is queued only when no earlier
+    /// one is: a flow's queued RTO event is passed only while it is being
+    /// handled (or before the first arm).
     fn arm_rto(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let rto = self.cfg.rto;
         if let Some(sf) = self.flows.send.get_mut(flow) {
-            sf.rto_gen += 1;
-            let token = self.timers.arm((flow, sf.rto_gen));
-            ctx.set_timer_in_with(rto, token);
+            sf.rto_due = ctx.reserve_timer_in(rto);
+            if ctx.passed(sf.rto_queued) {
+                ctx.fill_timer(sf.rto_due, flow.0);
+                sf.rto_queued = sf.rto_due;
+            }
         }
     }
 
-    fn on_rto(&mut self, flow: FlowId, gen: u64, ctx: &mut Ctx<'_>) {
+    fn on_rto(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.mtu();
         let Some(sf) = self.flows.send.get_mut(flow) else { return };
-        if sf.completed || gen != sf.rto_gen {
-            return;
-        }
         if peer_silent(sf.last_heard, ctx.now) {
             // No ACK past the death threshold despite go-back-N
             // retransmissions: the receiver is dead — abort rather than
@@ -232,8 +243,7 @@ impl DctcpEndpoint {
         };
         if done {
             if let Some(sf) = self.flows.send.get_mut(flow) {
-                sf.completed = true;
-                sf.rto_gen += 1; // cancel RTO
+                sf.completed = true; // the queued RTO finds nothing to do
             }
             return;
         }
@@ -265,7 +275,8 @@ impl Endpoint for DctcpEndpoint {
                 cut_this_window: false,
                 dup_acks: 0,
                 rtx_seq: None,
-                rto_gen: 0,
+                rto_due: Place::START,
+                rto_queued: Place::START,
                 completed: false,
                 last_loss: None,
                 last_heard: ctx.now,
@@ -316,16 +327,27 @@ impl Endpoint for DctcpEndpoint {
         }
     }
 
+    /// The token is the flow id. Only the event queued at `rto_queued`
+    /// acts: any other RTO event for this flow id was queued by an earlier
+    /// incarnation (before an abort or a crash) and does nothing.
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        if let Some((flow, gen)) = self.timers.fire(token) {
-            self.on_rto(flow, gen, ctx);
+        let flow = FlowId(token);
+        let Some(sf) = self.flows.send.get_mut(flow) else { return };
+        if sf.completed || !ctx.fired(sf.rto_queued) {
+            return;
         }
+        if sf.rto_due != sf.rto_queued {
+            // Re-armed since this event was queued: wait for the latest.
+            ctx.fill_timer(sf.rto_due, token);
+            sf.rto_queued = sf.rto_due;
+            return;
+        }
+        self.on_rto(flow, ctx);
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        // The timer generation bump makes all queued tokens stale.
+        // Queued RTO events find no flow, or a relaunch that queued its own.
         self.flows.crash();
-        self.timers.clear();
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
