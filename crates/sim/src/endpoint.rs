@@ -23,9 +23,13 @@ pub trait Endpoint {
     /// [`Ctx::fill_timer`] fired.
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>);
     /// The host crashed (fault injection): wipe all per-flow transport
-    /// state — flowmap slots, timers, credit/grant ledgers. Timers already
-    /// in the event queue will still fire; they must go stale, not
-    /// misfire (use [`crate::flowmap::TimerTable::clear`]).
+    /// state — flowmap slots, timers, credit/grant ledgers, the markers of
+    /// finished flows. Timers already in the event queue will still fire;
+    /// they must go stale, not misfire: a [`crate::flowmap::TimerTable`]
+    /// token goes stale through [`crate::flowmap::TimerTable::clear`], a
+    /// timer filled into a reserved [`Place`] through the place, which no
+    /// state left after the wipe names ([`Ctx::fired`] tells it from a
+    /// relaunched flow's own).
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {}
     /// A flow this endpoint participates in (as sender or receiver) was
     /// aborted by the engine. Drop its state and tombstone the flow id so

@@ -273,24 +273,25 @@ struct Node {
     next: u32,
 }
 
-/// Nodes per slab chunk (40 KB).
-const CHUNK: usize = 1024;
+/// A node no slot holds yet: the placeholder a growing slab writes over.
+const BLANK: Node = Node {
+    s: Scheduled { at: 0, seq: 0, event: Event::Fault { start: false, window: 0 } },
+    next: NIL,
+};
 
-/// The recycling node store behind both levels, in fixed-size chunks so
-/// that growing never copies. A doubling `Vec` kept its old buffer resident
-/// while filling the new one: with the ~150,000 stale RTO timers a DCTCP
-/// cell keeps pending, that cost `fabric_steady` +10 % peak RSS.
+/// The recycling node store behind both levels: one `Vec` of nodes and a
+/// free list threaded through it. It grows by doubling until the run's
+/// high-water of pending events (a few thousand: a DCTCP flow keeps one
+/// queued RTO) and never shrinks.
 struct Slab {
-    chunks: Vec<Box<[Node; CHUNK]>>,
-    /// Slots ever handed out.
-    len: u32,
+    nodes: Vec<Node>,
     /// Head of the free-slot list, threaded through `Node::next`.
     free: u32,
 }
 
 impl Slab {
     fn new() -> Slab {
-        Slab { chunks: Vec::new(), len: 0, free: NIL }
+        Slab { nodes: Vec::new(), free: NIL }
     }
 
     /// A slot holding `s`, recycled when one is free. `s` is stored once,
@@ -302,25 +303,11 @@ impl Slab {
             self.free = self[slot].next;
             slot
         } else {
-            if (self.len as usize).is_multiple_of(CHUNK) {
-                self.grow();
-            }
-            self.len += 1;
-            self.len - 1
+            self.nodes.push(BLANK);
+            (self.nodes.len() - 1) as u32
         };
         self[slot] = Node { s, next: NIL };
         slot
-    }
-
-    /// Add a chunk of placeholder nodes: slots past `len` are never read.
-    /// Built on the heap: a 40 KB array on the stack would give every
-    /// inlined caller a 40 KB frame and a stack probe per schedule.
-    #[cold]
-    #[inline(never)]
-    fn grow(&mut self) {
-        let blank = Scheduled { at: 0, seq: 0, event: Event::Fault { start: false, window: 0 } };
-        let chunk: Box<[Node]> = vec![Node { s: blank, next: NIL }; CHUNK].into();
-        self.chunks.push(chunk.try_into().unwrap_or_else(|_| unreachable!("CHUNK nodes")));
     }
 
     #[inline]
@@ -334,14 +321,14 @@ impl Index<u32> for Slab {
     type Output = Node;
     #[inline]
     fn index(&self, slot: u32) -> &Node {
-        &self.chunks[slot as usize / CHUNK][slot as usize % CHUNK]
+        &self.nodes[slot as usize]
     }
 }
 
 impl IndexMut<u32> for Slab {
     #[inline]
     fn index_mut(&mut self, slot: u32) -> &mut Node {
-        &mut self.chunks[slot as usize / CHUNK][slot as usize % CHUNK]
+        &mut self.nodes[slot as usize]
     }
 }
 

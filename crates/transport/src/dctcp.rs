@@ -20,12 +20,12 @@
 use aeolus_core::PreCreditReceiver;
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Ecn, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Place, TrafficClass,
-    TransportEvent,
+    Ctx, Ecn, Endpoint, FlowDesc, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind, Place,
+    TrafficClass, TransportEvent,
 };
 
 use crate::common::{data_packet, BaseConfig};
-use crate::recovery::{peer_silent, FlowTable};
+use crate::recovery::{peer_silent, Done, FlowTable};
 
 /// DCTCP tunables.
 #[derive(Debug, Clone, Copy)]
@@ -78,7 +78,6 @@ struct SendFlow {
     /// or an earlier deadline that moves on to `rto_due` when it fires.
     /// [`Place::START`] (already passed) until the first arm.
     rto_queued: Place,
-    completed: bool,
     /// Most recent loss signal, for retransmission attribution.
     last_loss: Option<LossCause>,
     /// Last time any ACK arrived (peer-death watchdog).
@@ -92,16 +91,53 @@ struct RecvFlow {
     ce_pending: bool,
 }
 
+/// What a finished sender keeps: its send frontier and its duplicate-ACK
+/// count, which restarts at zero when the last ACK completes the flow. A
+/// third duplicate still fast retransmits — from the acknowledged end, so
+/// an empty packet — and sends every byte from the frontier on (behind the
+/// cumulative ACK point after a go-back-N) before it re-arms the RTO. One
+/// word, so that the marker stays a 24 B map slot: the frontier in the low
+/// 62 bits, the count (3 = spent) in the top two.
+#[derive(Debug, Clone, Copy)]
+struct Finished(u64);
+
+impl Finished {
+    const COUNT_SHIFT: u32 = 62;
+
+    fn new(next_seq: u64) -> Finished {
+        assert!(next_seq >> Self::COUNT_SHIFT == 0, "a flow of 4 EiB");
+        Finished(next_seq)
+    }
+
+    fn next_seq(self) -> u64 {
+        self.0 & ((1 << Self::COUNT_SHIFT) - 1)
+    }
+
+    /// Count one more duplicate ACK: whether it is the third.
+    fn duplicate(&mut self) -> bool {
+        let count = self.0 >> Self::COUNT_SHIFT;
+        if count < 3 {
+            self.0 += 1 << Self::COUNT_SHIFT;
+        }
+        count == 2
+    }
+}
+
 /// The per-host DCTCP endpoint.
 pub struct DctcpEndpoint {
     cfg: DctcpConfig,
-    flows: FlowTable<SendFlow, RecvFlow>,
+    flows: FlowTable<SendFlow, RecvFlow, Finished>,
+    /// The queued RTO places of finished flows, each until it fires: a
+    /// finished flow's third duplicate ACK queues a fresh RTO event only
+    /// when its last one is behind it. Holds the flows finished within the
+    /// last RTO.
+    rto_pending: FlowMap<FlowId, Place>,
 }
 
 impl DctcpEndpoint {
     /// A fresh endpoint.
     pub fn new(cfg: DctcpConfig) -> DctcpEndpoint {
-        DctcpEndpoint { cfg, flows: FlowTable::default() }
+        DctcpEndpoint { cfg, flows: FlowTable::default(), rto_pending: FlowMap::new() }
     }
 
     fn mtu(&self) -> u32 {
@@ -182,13 +218,20 @@ impl DctcpEndpoint {
     }
 
     /// Cumulative-ACK processing with ECN echo (the DCTCP control law).
-    fn on_ack(&mut self, flow: FlowId, ack_to: u64, ce_echo: bool, ctx: &mut Ctx<'_>) {
+    fn on_ack(
+        &mut self,
+        flow: FlowId,
+        from: NodeId,
+        ack_to: u64,
+        ce_echo: bool,
+        ctx: &mut Ctx<'_>,
+    ) {
         let mtu = self.mtu() as f64;
         let g = self.cfg.g;
         let (progress, done) = {
-            let sf = match self.flows.send.get_mut(flow) {
-                Some(sf) => sf,
-                None => return,
+            let Some(sf) = self.flows.send.get_mut(flow) else {
+                self.on_finished_ack(flow, from, ctx);
+                return;
             };
             sf.acks_total += 1;
             sf.last_heard = ctx.now;
@@ -242,15 +285,60 @@ impl DctcpEndpoint {
             }
         };
         if done {
-            if let Some(sf) = self.flows.send.get_mut(flow) {
-                sf.completed = true; // the queued RTO finds nothing to do
+            let sf = self.flows.send.get(flow).expect("just acknowledged");
+            let finished = Finished::new(sf.next_seq);
+            // The queued RTO will find nothing to do.
+            if !ctx.passed(sf.rto_queued) {
+                self.rto_pending.insert(flow, sf.rto_queued);
             }
+            let done = Done::new(sf.desc.size, finished);
+            self.flows.retire_send(flow, done);
             return;
         }
         if progress {
             self.pump(flow, ctx);
             self.arm_rto(flow, ctx);
         }
+    }
+
+    /// An ACK (from `receiver`) of a flow this host finished sending: a
+    /// duplicate, as every byte is acknowledged. The third one reacts as a
+    /// live flow's would; with nothing in flight, the window lets the whole
+    /// unsent tail out.
+    fn on_finished_ack(&mut self, flow: FlowId, receiver: NodeId, ctx: &mut Ctx<'_>) {
+        let mtu = self.mtu() as u64;
+        let Some(done) = self.flows.finished_send(flow) else { return };
+        if !done.proto.duplicate() {
+            return;
+        }
+        let size = done.size();
+        let cause = LossCause::SackGap;
+        ctx.emit(TransportEvent::LossDetected { flow, bytes: 0, cause });
+        // `start` is not on the wire.
+        let desc = FlowDesc { id: flow, src: ctx.host, dst: receiver, size, start: 0 };
+        let mut rtx = data_packet(&desc, size, 0, TrafficClass::Scheduled, true);
+        rtx.ecn = Ecn::Ect0;
+        ctx.emit(TransportEvent::Retransmit { flow, bytes: 0, cause });
+        ctx.send(rtx);
+        let mut seq = done.proto.next_seq();
+        while seq < size {
+            let len = mtu.min(size - seq) as u32;
+            let mut pkt = data_packet(&desc, seq, len, TrafficClass::Scheduled, false);
+            pkt.ecn = Ecn::Ect0;
+            ctx.send(pkt);
+            seq += len as u64;
+        }
+        let due = ctx.reserve_timer_in(self.cfg.rto);
+        if !self.rto_pending.contains_key(flow) {
+            ctx.fill_timer(due, flow.0);
+        }
+    }
+}
+
+#[cfg(test)]
+impl DctcpEndpoint {
+    pub(crate) fn holding(&self, flow: FlowId) -> crate::recovery::Holding {
+        self.flows.holding(flow)
     }
 }
 
@@ -277,7 +365,6 @@ impl Endpoint for DctcpEndpoint {
                 rtx_seq: None,
                 rto_due: Place::START,
                 rto_queued: Place::START,
-                completed: false,
                 last_loss: None,
                 last_heard: ctx.now,
             },
@@ -293,20 +380,32 @@ impl Endpoint for DctcpEndpoint {
         }
         match pkt.kind {
             PacketKind::Data => {
-                let rf = self.flows.recv_or_insert_with(pkt.flow, || RecvFlow {
-                    book: PreCreditReceiver::default(),
-                    ce_pending: false,
-                });
-                rf.book.on_data(&pkt, ctx);
-                if pkt.ecn == Ecn::Ce {
-                    rf.ce_pending = true;
-                }
+                let fresh = || RecvFlow { book: PreCreditReceiver::default(), ce_pending: false };
                 // Cumulative ACK; the CE echo rides the `of_probe` slot's
                 // sibling field (`seq` = 1 marks echo) — we use a dedicated
                 // convention: seq 1 = CE echoed, 0 = not.
-                let ack_to = rf.book.contiguous_prefix();
-                let echo = rf.ce_pending;
-                rf.ce_pending = false;
+                let (ack_to, echo) = match self.flows.recv_or_insert_with(pkt.flow, fresh) {
+                    Some(rf) => {
+                        let completed = rf.book.on_data(&pkt, ctx);
+                        if pkt.ecn == Ecn::Ce {
+                            rf.ce_pending = true;
+                        }
+                        let ack_to = rf.book.contiguous_prefix();
+                        let echo = rf.ce_pending;
+                        rf.ce_pending = false;
+                        if completed {
+                            self.flows.retire_recv(pkt.flow, Done::new(ack_to, ()));
+                        }
+                        (ack_to, echo)
+                    }
+                    // Received whole: the ACK covers the message and echoes
+                    // this packet's mark alone.
+                    None => {
+                        let done = self.flows.finished_recv(pkt.flow);
+                        let done = done.expect("only a marked flow is refused");
+                        (done.size(), pkt.ecn == Ecn::Ce)
+                    }
+                };
                 let mut ack = Packet::control(
                     pkt.flow,
                     ctx.host,
@@ -319,7 +418,7 @@ impl Endpoint for DctcpEndpoint {
             }
             PacketKind::Ack { end, .. } => {
                 let ce_echo = pkt.seq == 1;
-                self.on_ack(pkt.flow, end, ce_echo, ctx);
+                self.on_ack(pkt.flow, pkt.src, end, ce_echo, ctx);
             }
             other => {
                 debug_assert!(false, "unexpected packet kind for DCTCP: {other:?}");
@@ -329,11 +428,17 @@ impl Endpoint for DctcpEndpoint {
 
     /// The token is the flow id. Only the event queued at `rto_queued`
     /// acts: any other RTO event for this flow id was queued by an earlier
-    /// incarnation (before an abort or a crash) and does nothing.
+    /// incarnation (before an abort or a crash) and does nothing, as does
+    /// the RTO of a finished flow.
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         let flow = FlowId(token);
-        let Some(sf) = self.flows.send.get_mut(flow) else { return };
-        if sf.completed || !ctx.fired(sf.rto_queued) {
+        let Some(sf) = self.flows.send.get_mut(flow) else {
+            if self.rto_pending.get(flow).is_some_and(|&queued| ctx.fired(queued)) {
+                self.rto_pending.remove(flow);
+            }
+            return;
+        };
+        if !ctx.fired(sf.rto_queued) {
             return;
         }
         if sf.rto_due != sf.rto_queued {
@@ -348,6 +453,7 @@ impl Endpoint for DctcpEndpoint {
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
         // Queued RTO events find no flow, or a relaunch that queued its own.
         self.flows.crash();
+        self.rto_pending.clear();
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {

@@ -25,7 +25,8 @@ use aeolus_sim::{
 
 use crate::common::{data_ack_packet, request_packet, BaseConfig, FirstRttMode};
 use crate::recovery::{
-    self, launch_first_rtt, peer_silent, send_resends, FlowTable, SendState, Strikes,
+    self, answer_probe, launch_first_rtt, peer_silent, send_resends, Done, FlowTable, SendState,
+    Strikes,
 };
 
 // The feedback law's constants: the values the ExpressPass paper (Cho et
@@ -149,10 +150,11 @@ impl XPassEndpoint {
 
     /// Ensure receive-side state exists (created on Request, first data or
     /// probe — whichever wins the race) and its credit loop and the stall
-    /// scan are running.
-    fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) -> &mut RecvFlow {
+    /// scan are running. `None` once the flow is received whole; the stall
+    /// scan is armed all the same.
+    fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) -> Option<&mut RecvFlow> {
         let rate_bps = self.max_rate_bps(ctx) * INIT_RATE_FRAC;
-        let rf = self.flows.recv_entry(pkt, ctx.now, || Credits {
+        let mut rf = self.flows.recv_entry(pkt, ctx.now, || Credits {
             strikes: Strikes::default(),
             next_credit_seq: 1,
             rate_bps,
@@ -164,7 +166,7 @@ impl XPassEndpoint {
             credits_sent_period: 0,
             ticking: false,
         });
-        if !rf.proto.ticking && !rf.book.is_complete() {
+        if let Some(rf) = rf.as_deref_mut().filter(|rf| !rf.proto.ticking) {
             rf.proto.ticking = true;
             ctx.set_timer_in_with(0, self.timers.arm(TimerKind::CreditTick(pkt.flow)));
             let period = self.cfg.feedback_period();
@@ -198,14 +200,8 @@ impl XPassEndpoint {
         let local_cap = self.max_rate_bps(ctx) / active as f64;
         let credit_grant = self.cfg.base.mtu_payload as u64;
         let rate_bps = {
-            let rf = match self.flows.recv_mut(flow) {
-                Some(rf) => rf,
-                None => return,
-            };
-            if rf.book.is_complete() {
-                rf.proto.ticking = false;
-                return;
-            }
+            // A finished flow is gone: its credit loop stops.
+            let Some(rf) = self.flows.recv_mut(flow) else { return };
             let c = &mut rf.proto;
             let mut credit =
                 Packet::control(flow, ctx.host, rf.sender, c.next_credit_seq, PacketKind::Credit);
@@ -223,11 +219,8 @@ impl XPassEndpoint {
     fn on_feedback(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let max_rate = self.max_rate_bps(ctx);
         let period = self.cfg.feedback_period();
-        let reschedule = {
-            let rf = match self.flows.recv_mut(flow) {
-                Some(rf) => rf,
-                None => return,
-            };
+        {
+            let Some(rf) = self.flows.recv_mut(flow) else { return };
             let idle = rf.idle(ctx.now);
             let c = &mut rf.proto;
             let total = c.delivered_period + c.lost_period;
@@ -261,11 +254,8 @@ impl XPassEndpoint {
             c.delivered_period = 0;
             c.lost_period = 0;
             c.credits_sent_period = 0;
-            !rf.book.is_complete()
-        };
-        if reschedule {
-            ctx.set_timer_in_with(period, self.timers.arm(TimerKind::Feedback(flow)));
         }
+        ctx.set_timer_in_with(period, self.timers.arm(TimerKind::Feedback(flow)));
     }
 
     /// The silence-gated §6 retry. Before first contact, silence for a whole
@@ -313,6 +303,13 @@ impl XPassEndpoint {
     }
 }
 
+#[cfg(test)]
+impl XPassEndpoint {
+    pub(crate) fn holding(&self, flow: FlowId) -> crate::recovery::Holding {
+        self.flows.holding(flow)
+    }
+}
+
 impl Endpoint for XPassEndpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
         let base = self.cfg.base;
@@ -350,29 +347,36 @@ impl Endpoint for XPassEndpoint {
                 self.ensure_recv_flow(&pkt, ctx);
             }
             PacketKind::Credit => {
+                let mtu = self.cfg.base.mtu_payload as u64;
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.on_credit(self.cfg.base.mtu_payload as u64, ctx);
+                    tx.on_credit(mtu, ctx);
+                } else if self.flows.finished_send(pkt.flow).is_some() {
+                    // Booked, with nothing left to spend it on.
+                    ctx.emit(TransportEvent::CreditReceipt { flow: pkt.flow, bytes: mtu });
                 }
                 self.pump_scheduled(pkt.flow, pkt.seq, ctx);
             }
             PacketKind::Data => {
                 let mode = self.cfg.base.mode;
-                let rf = self.ensure_recv_flow(&pkt, ctx);
-                rf.touch(ctx.now);
-                rf.proto.strikes.reset();
-                let completed = rf.book.on_data(&pkt, ctx);
-                if pkt.credit_echo > 0 {
-                    // Credit-loss accounting: a gap in the echoed credit
-                    // sequence means those credits were throttled away.
-                    if pkt.credit_echo > rf.proto.last_echo {
-                        rf.proto.lost_period += pkt.credit_echo - rf.proto.last_echo - 1;
-                        rf.proto.last_echo = pkt.credit_echo;
+                let mut completed = false;
+                if let Some(rf) = self.ensure_recv_flow(&pkt, ctx) {
+                    rf.touch(ctx.now);
+                    rf.proto.strikes.reset();
+                    completed = rf.book.on_data(&pkt, ctx);
+                    if pkt.credit_echo > 0 {
+                        // Credit-loss accounting: a gap in the echoed credit
+                        // sequence means those credits were throttled away.
+                        if pkt.credit_echo > rf.proto.last_echo {
+                            rf.proto.lost_period += pkt.credit_echo - rf.proto.last_echo - 1;
+                            rf.proto.last_echo = pkt.credit_echo;
+                        }
+                        rf.proto.delivered_period += 1;
                     }
-                    rf.proto.delivered_period += 1;
                 }
                 // Aeolus ACKs unscheduled packets; the RTO strawman ACKs
                 // everything (its only loss signal); plain ExpressPass and
                 // the oracle ACK unscheduled too (dedup/GC — harmless 64 B).
+                // A finished flow's duplicates are ACKed alike.
                 let want_ack =
                     pkt.class == TrafficClass::Unscheduled || mode == FirstRttMode::LowPrio;
                 if want_ack {
@@ -382,18 +386,30 @@ impl Endpoint for XPassEndpoint {
                     self.flows.recv_done(pkt.flow);
                 }
             }
-            PacketKind::Probe => self.ensure_recv_flow(&pkt, ctx).on_probe(&pkt, ctx),
+            PacketKind::Probe => {
+                self.ensure_recv_flow(&pkt, ctx);
+                answer_probe(&pkt, ctx);
+            }
             PacketKind::Resend { end } => {
                 // Receiver-detected stall: requeue the range; it rides out
                 // on the next credits.
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
                     tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
+                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
+                    done.requeue(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
                 }
             }
             PacketKind::Ack { of_probe, end } => {
                 let infer = self.cfg.base.sack_inference();
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
                     tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
+                    // The receiver sends no completion ACK, so only a
+                    // message its ACKs cover — unscheduled bytes, or every
+                    // byte under the RTO strawman — is known done here.
+                    if tx.core.fully_acked() {
+                        let done = Done::new(tx.desc.size, ());
+                        self.flows.retire_send(pkt.flow, done);
+                    }
                 }
             }
             other => {

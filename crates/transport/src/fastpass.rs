@@ -30,7 +30,8 @@ use aeolus_sim::{
 
 use crate::common::BaseConfig;
 use crate::recovery::{
-    self, backoff, launch_first_rtt, peer_silent, send_resends, FlowTable, SendState, Strikes,
+    self, answer_data, answer_probe, backoff, launch_first_rtt, peer_silent, send_resends, Done,
+    FlowTable, SendState, Strikes,
 };
 
 /// Maximum timeslots requested at once (pipelined batches). A choice of
@@ -178,6 +179,12 @@ pub struct FastpassEndpoint {
     flows: FlowTable<SendFlow, RecvFlow>,
     timers: TimerTable<TimerKind>,
     stall_scan_armed: bool,
+    /// `(slots_left, stride)` of the finished send flows whose granted
+    /// timeslots are still ticking: a flow can finish mid-schedule, and a
+    /// Schedule can answer a request after the flow finished. The slots
+    /// fire as before with nothing to send; a flow leaves when its last
+    /// slot fires.
+    idle_slots: FlowMap<FlowId, (u32, Time)>,
 }
 
 impl FastpassEndpoint {
@@ -188,6 +195,7 @@ impl FastpassEndpoint {
             flows: FlowTable::default(),
             timers: TimerTable::new(),
             stall_scan_armed: false,
+            idle_slots: FlowMap::new(),
         }
     }
 
@@ -200,7 +208,7 @@ impl FastpassEndpoint {
     fn request_slots(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let retry_base = self.retry_base();
         let Some(sf) = self.flows.send.get_mut(flow) else { return };
-        if sf.requesting || sf.tx.completed || !sf.tx.core.has_work() {
+        if sf.requesting || !sf.tx.core.has_work() {
             return;
         }
         sf.requesting = true;
@@ -220,7 +228,7 @@ impl FastpassEndpoint {
     /// exponential backoff.
     fn on_request_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let Some(sf) = self.flows.send.get_mut(flow) else { return };
-        if !sf.requesting || sf.tx.completed {
+        if !sf.requesting {
             return;
         }
         if peer_silent(sf.tx.last_heard, ctx.now) {
@@ -282,7 +290,10 @@ impl FastpassEndpoint {
     /// Fire one scheduled slot: send the next chunk.
     fn on_slot(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.cfg.base.mtu_payload;
-        let Some(sf) = self.flows.send.get_mut(flow) else { return };
+        let Some(sf) = self.flows.send.get_mut(flow) else {
+            self.on_idle_slot(flow, ctx);
+            return;
+        };
         sf.slots_left = sf.slots_left.saturating_sub(1);
         if let Some(pkt) = sf.tx.next_scheduled(mtu, LossCause::Probe, ctx) {
             ctx.send(pkt);
@@ -292,6 +303,24 @@ impl FastpassEndpoint {
         } else if sf.tx.core.has_work() {
             self.request_slots(flow, ctx);
         }
+    }
+
+    /// A slot of a finished flow: spent on nothing.
+    fn on_idle_slot(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
+        let Some((left, stride)) = self.idle_slots.get_mut(flow) else { return };
+        *left = left.saturating_sub(1);
+        if *left > 0 {
+            ctx.set_timer_in_with(*stride, self.timers.arm(TimerKind::Slot(flow)));
+        } else {
+            self.idle_slots.remove(flow);
+        }
+    }
+}
+
+#[cfg(test)]
+impl FastpassEndpoint {
+    pub(crate) fn holding(&self, flow: FlowId) -> crate::recovery::Holding {
+        self.flows.holding(flow)
     }
 }
 
@@ -319,11 +348,17 @@ impl Endpoint for FastpassEndpoint {
         }
         match pkt.kind {
             PacketKind::Schedule { start, slots, stride } => {
-                let Some(sf) = self.flows.send.get_mut(pkt.flow) else { return };
-                sf.requesting = false;
-                sf.request_fires = 0;
-                sf.slots_left = slots;
-                sf.stride = stride;
+                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
+                    sf.requesting = false;
+                    sf.request_fires = 0;
+                    sf.slots_left = slots;
+                    sf.stride = stride;
+                } else if self.flows.finished_send(pkt.flow).is_some() {
+                    // The answer to a request the flow outlived.
+                    self.idle_slots.insert(pkt.flow, (slots, stride));
+                } else {
+                    return;
+                }
                 ctx.emit(TransportEvent::CreditReceipt {
                     flow: pkt.flow,
                     bytes: slots as u64 * self.cfg.base.mtu_payload as u64,
@@ -334,32 +369,48 @@ impl Endpoint for FastpassEndpoint {
             PacketKind::Data => {
                 self.arm_stall_scan(ctx);
                 let probe_mode = self.cfg.base.mode.probe_recovery();
-                let rf = self.flows.recv_arrival(&pkt, ctx.now, Strikes::default);
-                rf.proto.reset();
-                if rf.on_data(&pkt, probe_mode, ctx) {
-                    self.flows.recv_done(pkt.flow);
+                match self.flows.recv_arrival(&pkt, ctx.now, Strikes::default) {
+                    Some(rf) => {
+                        rf.proto.reset();
+                        if rf.on_data(&pkt, probe_mode, ctx) {
+                            self.flows.recv_done(pkt.flow);
+                        }
+                    }
+                    None => answer_data(&pkt, probe_mode, ctx),
                 }
             }
             PacketKind::Probe => {
-                self.flows.recv_entry(&pkt, ctx.now, Strikes::default).on_probe(&pkt, ctx);
+                self.flows.recv_entry(&pkt, ctx.now, Strikes::default);
+                answer_probe(&pkt, ctx);
                 self.arm_stall_scan(ctx);
             }
             PacketKind::Resend { end } => {
                 // Receiver-detected stall: a scheduled packet died on the
                 // wire. Requeue the range and ask the arbiter for slots to
                 // carry it.
-                let Some(sf) = self.flows.send.get_mut(pkt.flow) else { return };
-                sf.tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
-                if sf.slots_left == 0 {
-                    self.request_slots(pkt.flow, ctx);
+                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
+                    sf.tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
+                    if sf.slots_left == 0 {
+                        self.request_slots(pkt.flow, ctx);
+                    }
+                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
+                    done.requeue(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
                 }
             }
             PacketKind::Ack { of_probe, end } => {
                 let infer = self.cfg.base.sack_inference();
                 let Some(sf) = self.flows.send.get_mut(pkt.flow) else { return };
-                sf.tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
-                // Losses revealed by the probe may need timeslots.
-                if of_probe && sf.slots_left == 0 {
+                // Done at the completion ACK, not at full coverage: a message
+                // the per-packet ACKs covered first can still ask the arbiter
+                // for slots (a stale lost range counts as work) until then.
+                if sf.tx.on_ack(pkt.seq, end, of_probe, infer, ctx) {
+                    if sf.slots_left > 0 {
+                        self.idle_slots.insert(pkt.flow, (sf.slots_left, sf.stride));
+                    }
+                    let done = Done::new(sf.tx.desc.size, ());
+                    self.flows.retire_send(pkt.flow, done);
+                } else if of_probe && sf.slots_left == 0 {
+                    // Losses revealed by the probe may need timeslots.
                     self.request_slots(pkt.flow, ctx);
                 }
             }
@@ -384,6 +435,7 @@ impl Endpoint for FastpassEndpoint {
         self.flows.crash();
         self.timers.clear();
         self.stall_scan_armed = false;
+        self.idle_slots.clear();
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {

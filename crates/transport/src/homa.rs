@@ -22,7 +22,8 @@ use aeolus_sim::{
 
 use crate::common::{data_packet, BaseConfig, FirstRttMode};
 use crate::recovery::{
-    self, launch_first_rtt, peer_silent, send_resends, CreditLedger, FlowTable, SendState,
+    self, answer_data, answer_probe, launch_first_rtt, peer_silent, send_resends, CreditLedger,
+    Done, FlowTable, SendState,
 };
 
 /// Total switch priority levels: the 8 of a commodity switch, as in the
@@ -95,7 +96,6 @@ struct SendFlow {
     /// Scheduled bytes sent against grants.
     sent_sched: u64,
     grant_prio: u8,
-    native_prio: u8,
 }
 
 /// The grant ledger counts bytes: grants are a cumulative scheduled-byte
@@ -106,7 +106,9 @@ type RecvFlow = recovery::RecvFlow<CreditLedger>;
 /// The per-host Homa endpoint.
 pub struct HomaEndpoint {
     cfg: HomaConfig,
-    flows: FlowTable<SendFlow, RecvFlow>,
+    /// A finished sender keeps its highest grant offset: a late grant is
+    /// booked only for what it adds.
+    flows: FlowTable<SendFlow, RecvFlow, u64>,
     timers: TimerTable<TimerKind>,
     scan_armed: bool,
     /// Reusable SRPT scratch for `regrant` (runs per data packet — a fresh
@@ -182,17 +184,18 @@ impl HomaEndpoint {
     /// Blind-mode recovery paths; probe-recovery modes requeue instead).
     fn resend_unscheduled(
         cfg: &HomaConfig,
-        sf: &SendFlow,
+        desc: &FlowDesc,
         from: u64,
         to: u64,
         cause: LossCause,
         ctx: &mut Ctx<'_>,
     ) {
+        let native_prio = cfg.unsched_prio(desc.size);
         let mut seq = from;
         while seq < to {
             let len = cfg.base.mtu_payload.min((to - seq) as u32);
-            let mut pkt = data_packet(&sf.tx.desc, seq, len, TrafficClass::Unscheduled, true);
-            cfg.base.mode.stamp_unscheduled(&mut pkt, sf.native_prio, LEVELS - 1);
+            let mut pkt = data_packet(desc, seq, len, TrafficClass::Unscheduled, true);
+            cfg.base.mode.stamp_unscheduled(&mut pkt, native_prio, LEVELS - 1);
             ctx.emit(TransportEvent::Retransmit { flow: pkt.flow, bytes: len as u64, cause });
             ctx.send(pkt);
             seq += len as u64;
@@ -255,9 +258,6 @@ impl HomaEndpoint {
         let naive = self.cfg.naive_rto;
         let rtt_bytes = self.cfg.base.rtt_bytes(ctx.line_rate);
         let Some(sf) = self.flows.send.get_mut(flow) else { return };
-        if sf.tx.completed {
-            return;
-        }
         if peer_silent(sf.tx.last_heard, ctx.now) {
             self.flows.give_up(flow, ctx);
             return;
@@ -275,7 +275,7 @@ impl HomaEndpoint {
             // flow); the receiver's RESEND machinery drives range recovery.
             let first = if naive { rtt_bytes } else { self.cfg.base.mtu_payload as u64 };
             let upto = sf.tx.desc.size.min(first);
-            Self::resend_unscheduled(&self.cfg, sf, 0, upto, LossCause::Timeout, ctx);
+            Self::resend_unscheduled(&self.cfg, &sf.tx.desc, 0, upto, LossCause::Timeout, ctx);
         }
         // Naive mode keeps firing at a fixed cadence for a while (the
         // measured waste); both modes back off exponentially eventually so
@@ -298,6 +298,13 @@ impl HomaEndpoint {
         if let Some(delay) = rearm {
             ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ProbeRetry(flow)));
         }
+    }
+}
+
+#[cfg(test)]
+impl HomaEndpoint {
+    pub(crate) fn holding(&self, flow: FlowId) -> crate::recovery::Holding {
+        self.flows.holding(flow)
     }
 }
 
@@ -326,7 +333,6 @@ impl Endpoint for HomaEndpoint {
                 granted: 0,
                 sent_sched: 0,
                 grant_prio: self.cfg.sched_prio(0),
-                native_prio,
             },
         );
     }
@@ -339,18 +345,23 @@ impl Endpoint for HomaEndpoint {
         match pkt.kind {
             PacketKind::Data => {
                 let probe_mode = self.cfg.base.mode.probe_recovery();
-                let rf = self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default);
-                if pkt.class != TrafficClass::Unscheduled {
-                    rf.proto.returned(pkt.payload as u64);
-                }
-                if rf.on_data(&pkt, probe_mode, ctx) {
-                    self.flows.recv_done(pkt.flow);
+                match self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default) {
+                    Some(rf) => {
+                        if pkt.class != TrafficClass::Unscheduled {
+                            rf.proto.returned(pkt.payload as u64);
+                        }
+                        if rf.on_data(&pkt, probe_mode, ctx) {
+                            self.flows.recv_done(pkt.flow);
+                        }
+                    }
+                    None => answer_data(&pkt, probe_mode, ctx),
                 }
                 self.regrant(ctx);
                 self.arm_scan(ctx);
             }
             PacketKind::Probe => {
-                self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default).on_probe(&pkt, ctx);
+                self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default);
+                answer_probe(&pkt, ctx);
                 self.regrant(ctx);
                 self.arm_scan(ctx);
             }
@@ -366,6 +377,14 @@ impl Endpoint for HomaEndpoint {
                         sf.granted = pkt.seq;
                     }
                     sf.tx.core.end_burst();
+                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
+                    // Booked like a live sender's grant, never spent.
+                    let granted = &mut done.proto;
+                    if pkt.seq > *granted {
+                        let bytes = pkt.seq - *granted;
+                        ctx.emit(TransportEvent::CreditReceipt { flow: pkt.flow, bytes });
+                        *granted = pkt.seq;
+                    }
                 }
                 self.pump_scheduled(pkt.flow, ctx);
             }
@@ -382,7 +401,20 @@ impl Endpoint for HomaEndpoint {
                         sf.tx.heard(ctx.now);
                         let (from, to) = (pkt.seq, end.min(sf.tx.desc.size));
                         sf.tx.note_loss(to.saturating_sub(from), LossCause::Stall, ctx);
-                        Self::resend_unscheduled(&self.cfg, sf, from, to, LossCause::Stall, ctx);
+                        let desc = &sf.tx.desc;
+                        Self::resend_unscheduled(&self.cfg, desc, from, to, LossCause::Stall, ctx);
+                    }
+                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
+                    done.requeue(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
+                    if !probe_mode {
+                        // Blind mode resends whatever is asked for, however
+                        // finished: the flow as it went out, rebuilt from
+                        // the marker (`start` is not on the wire).
+                        let size = done.size();
+                        let desc =
+                            FlowDesc { id: pkt.flow, src: ctx.host, dst: pkt.src, size, start: 0 };
+                        let (from, to) = (pkt.seq, end.min(size));
+                        Self::resend_unscheduled(&self.cfg, &desc, from, to, LossCause::Stall, ctx);
                     }
                 }
                 if probe_mode {
@@ -394,6 +426,10 @@ impl Endpoint for HomaEndpoint {
                 if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
                     // Newly detected losses may fit the open grant window.
                     sf.tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
+                    if sf.tx.core.fully_acked() {
+                        let done = Done::new(sf.tx.desc.size, sf.granted);
+                        self.flows.retire_send(pkt.flow, done);
+                    }
                 }
                 self.pump_scheduled(pkt.flow, ctx);
             }

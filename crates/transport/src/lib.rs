@@ -24,6 +24,8 @@ pub mod ndp;
 pub mod phost;
 pub mod recovery;
 pub mod registry;
+#[cfg(test)]
+mod stragglers;
 
 pub use builder::SchemeBuilder;
 pub use common::{BaseConfig, FirstRttMode};

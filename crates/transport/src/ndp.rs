@@ -22,7 +22,9 @@ use aeolus_sim::{
 };
 
 use crate::common::{data_ack_packet, BaseConfig};
-use crate::recovery::{self, launch_first_rtt, CreditLedger, FlowTable, SendState};
+use crate::recovery::{
+    self, answer_probe, launch_first_rtt, CreditLedger, Done, FlowTable, SendState,
+};
 
 #[derive(Debug, Clone, Copy)]
 enum TimerKind {
@@ -128,23 +130,15 @@ impl NdpEndpoint {
             None => return,
         };
         let spacing = self.pull_spacing(ctx);
+        // A flow that finished (or aborted) while queued is gone: its pull
+        // is skipped.
         if let Some(rf) = self.flows.recv(flow) {
-            if !rf.book.is_complete() {
-                let pull = Packet::control(
-                    flow,
-                    ctx.host,
-                    rf.sender,
-                    rf.proto.issued(),
-                    PacketKind::Pull,
-                );
-                // Each pull funds one MTU of transmission: NDP's credit.
-                ctx.emit(TransportEvent::CreditIssue {
-                    flow,
-                    bytes: self.cfg.mtu_payload as u64,
-                });
-                ctx.send(pull);
-                self.next_pull_at = ctx.now + spacing;
-            }
+            let pull =
+                Packet::control(flow, ctx.host, rf.sender, rf.proto.issued(), PacketKind::Pull);
+            // Each pull funds one MTU of transmission: NDP's credit.
+            ctx.emit(TransportEvent::CreditIssue { flow, bytes: self.cfg.mtu_payload as u64 });
+            ctx.send(pull);
+            self.next_pull_at = ctx.now + spacing;
         }
         self.arm_pull_pacer(ctx);
     }
@@ -212,7 +206,9 @@ impl NdpEndpoint {
         }
     }
 
-    fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &Ctx<'_>) -> &mut RecvFlow {
+    /// `pkt`'s receive flow, opened on first contact; `None` once received
+    /// whole.
+    fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &Ctx<'_>) -> Option<&mut RecvFlow> {
         let (cfg, line_rate) = (self.cfg, ctx.line_rate);
         self.flows.recv_arrival(pkt, ctx.now, || {
             // Everything that opens a receive flow here (data, trimmed
@@ -221,6 +217,13 @@ impl NdpEndpoint {
             let iw = cfg.rtt_bytes(line_rate).min(pkt.flow_size);
             CreditLedger::with_prepaid(iw.div_ceil(cfg.mtu_payload as u64))
         })
+    }
+}
+
+#[cfg(test)]
+impl NdpEndpoint {
+    pub(crate) fn holding(&self, flow: FlowId) -> crate::recovery::Holding {
+        self.flows.holding(flow)
     }
 }
 
@@ -255,17 +258,22 @@ impl Endpoint for NdpEndpoint {
                 // A cut-payload header: it returns its transmission credit
                 // (the payload is gone, so the credit frees immediately);
                 // NACK so the sender requeues the bytes, then keep pulling.
-                let rf = self.ensure_recv_flow(&pkt, ctx);
-                rf.proto.returned(1);
-                ctx.send(Packet::control(pkt.flow, ctx.host, rf.sender, pkt.seq, PacketKind::Nack));
+                // A finished flow's header is NACKed all the same.
+                if let Some(rf) = self.ensure_recv_flow(&pkt, ctx) {
+                    rf.proto.returned(1);
+                }
+                ctx.send(Packet::control(pkt.flow, ctx.host, pkt.src, pkt.seq, PacketKind::Nack));
                 self.maybe_enqueue_pull(pkt.flow, ctx);
                 self.arm_backstop(ctx);
             }
             PacketKind::Data => {
-                let rf = self.ensure_recv_flow(&pkt, ctx);
-                rf.proto.returned(1);
-                let completed = rf.book.on_data(&pkt, ctx);
-                ctx.send(data_ack_packet(&pkt, ctx.host, rf.sender));
+                // Every full data packet is ACKed, a finished flow's too.
+                let mut completed = false;
+                if let Some(rf) = self.ensure_recv_flow(&pkt, ctx) {
+                    rf.proto.returned(1);
+                    completed = rf.book.on_data(&pkt, ctx);
+                }
+                ctx.send(data_ack_packet(&pkt, ctx.host, pkt.src));
                 if completed {
                     self.flows.recv_done(pkt.flow);
                 }
@@ -274,13 +282,15 @@ impl Endpoint for NdpEndpoint {
             }
             PacketKind::Probe => {
                 let mtu = self.cfg.mtu_payload as u64;
-                let rf = self.ensure_recv_flow(&pkt, ctx);
-                rf.on_probe(&pkt, ctx);
-                // The probe arrives behind every surviving burst packet
-                // (one FIFO path), so the burst loss is exact arithmetic:
-                // write the lost packets' credits off and top up the pulls.
-                let burst_lost = pkt.seq.saturating_sub(rf.book.received_below(pkt.seq));
-                rf.proto.write_off(burst_lost.div_ceil(mtu));
+                answer_probe(&pkt, ctx);
+                if let Some(rf) = self.ensure_recv_flow(&pkt, ctx) {
+                    // The probe arrives behind every surviving burst packet
+                    // (one FIFO path), so the burst loss is exact
+                    // arithmetic: write the lost packets' credits off and
+                    // top up the pulls.
+                    let burst_lost = pkt.seq.saturating_sub(rf.book.received_below(pkt.seq));
+                    rf.proto.write_off(burst_lost.div_ceil(mtu));
+                }
                 self.drain_pull_deficit(pkt.flow, ctx);
                 self.arm_backstop(ctx);
             }
@@ -292,11 +302,17 @@ impl Endpoint for NdpEndpoint {
                 if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
                     let end = (pkt.seq + mtu).min(sf.tx.desc.size);
                     sf.tx.requeue(pkt.seq, end, LossCause::Nack, ctx);
+                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
+                    done.requeue(pkt.flow, pkt.seq, pkt.seq + mtu, LossCause::Nack, ctx);
                 }
             }
             PacketKind::Pull => {
+                let mtu = self.cfg.mtu_payload as u64;
                 if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    sf.tx.on_credit(self.cfg.mtu_payload as u64, ctx);
+                    sf.tx.on_credit(mtu, ctx);
+                } else if self.flows.finished_send(pkt.flow).is_some() {
+                    // Booked, with nothing left to spend it on.
+                    ctx.emit(TransportEvent::CreditReceipt { flow: pkt.flow, bytes: mtu });
                 }
                 self.pump_one(pkt.flow, ctx);
             }
@@ -305,6 +321,13 @@ impl Endpoint for NdpEndpoint {
                     // Spraying reorders packets: never infer loss from ACK
                     // gaps here.
                     sf.tx.on_ack(pkt.seq, end, of_probe, false, ctx);
+                    // The receiver ACKs every packet and sends no completion
+                    // ACK: the sender is done when the ACKs cover the
+                    // message.
+                    if sf.tx.core.fully_acked() {
+                        let done = Done::new(sf.tx.desc.size, ());
+                        self.flows.retire_send(pkt.flow, done);
+                    }
                 }
             }
             other => {
@@ -334,7 +357,7 @@ impl Endpoint for NdpEndpoint {
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
         // Pending pull-queue entries for the flow become harmless no-ops
-        // (`on_pull_tick` checks state at send time).
+        // (`on_pull_tick` finds no state).
         self.flows.abort(flow.id);
     }
 

@@ -27,7 +27,10 @@ use aeolus_sim::{
 };
 
 use crate::common::{request_packet, BaseConfig};
-use crate::recovery::{self, launch_first_rtt, send_resends, CreditLedger, FlowTable, SendState};
+use crate::recovery::{
+    self, answer_data, answer_probe, launch_first_rtt, send_resends, CreditLedger, Done, FlowTable,
+    SendState,
+};
 
 /// pHost tunables.
 #[derive(Debug, Clone, Copy)]
@@ -195,6 +198,13 @@ impl PHostEndpoint {
     }
 }
 
+#[cfg(test)]
+impl PHostEndpoint {
+    pub(crate) fn holding(&self, flow: FlowId) -> crate::recovery::Holding {
+        self.flows.holding(flow)
+    }
+}
+
 impl Endpoint for PHostEndpoint {
     fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
         let base = self.cfg.base;
@@ -225,23 +235,32 @@ impl Endpoint for PHostEndpoint {
             }
             PacketKind::Data => {
                 let probe_mode = self.cfg.base.mode.probe_recovery();
-                let rf = self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default);
-                if pkt.class != TrafficClass::Unscheduled {
-                    rf.proto.returned(1);
-                }
-                if rf.on_data(&pkt, probe_mode, ctx) {
-                    self.flows.recv_done(pkt.flow);
+                match self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default) {
+                    Some(rf) => {
+                        if pkt.class != TrafficClass::Unscheduled {
+                            rf.proto.returned(1);
+                        }
+                        if rf.on_data(&pkt, probe_mode, ctx) {
+                            self.flows.recv_done(pkt.flow);
+                        }
+                    }
+                    None => answer_data(&pkt, probe_mode, ctx),
                 }
                 self.arm_receiver(ctx);
             }
             PacketKind::Probe => {
-                self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default).on_probe(&pkt, ctx);
+                self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default);
+                answer_probe(&pkt, ctx);
                 self.arm_receiver(ctx);
             }
             PacketKind::Pull => {
                 // A token.
+                let mtu = self.cfg.base.mtu_payload as u64;
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.on_credit(self.cfg.base.mtu_payload as u64, ctx);
+                    tx.on_credit(mtu, ctx);
+                } else if self.flows.finished_send(pkt.flow).is_some() {
+                    // Booked, with nothing left to spend it on.
+                    ctx.emit(TransportEvent::CreditReceipt { flow: pkt.flow, bytes: mtu });
                 }
                 self.pump_one(pkt.flow, ctx);
             }
@@ -250,12 +269,18 @@ impl Endpoint for PHostEndpoint {
                 // the range; the extended token budget clocks it out.
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
                     tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
+                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
+                    done.requeue(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
                 }
             }
             PacketKind::Ack { of_probe, end } => {
                 let infer = self.cfg.base.sack_inference();
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
                     tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
+                    if tx.core.fully_acked() {
+                        let done = Done::new(tx.desc.size, ());
+                        self.flows.retire_send(pkt.flow, done);
+                    }
                 }
             }
             other => {

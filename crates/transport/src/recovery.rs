@@ -7,11 +7,12 @@
 //! keeps it alive under faults, so the endpoints differ only in their
 //! credit / grant / pull / slot pacing loops:
 //!
-//! * [`FlowTable`] — send and receive flow maps plus the tombstones of
-//!   aborted flows, with the one implementation of peer-silent give-up,
-//!   engine abort, restart and crash wipe — and the set of receive flows
-//!   still in progress ([`FlowTable::recv_active`]), so no credit, grant,
-//!   token or stall loop walks the flows a host has finished with.
+//! * [`FlowTable`] — send and receive flow maps of the flows in progress,
+//!   the tombstones of aborted flows and the [`Done`] markers of finished
+//!   ones, with the one implementation of peer-silent give-up, engine
+//!   abort, restart and crash wipe — and the set of receive flows still in
+//!   progress ([`FlowTable::recv_active`]), so no credit, grant, token or
+//!   stall loop walks the flows a host has finished with.
 //! * [`SendState`] — the sender half shared by the five proactive
 //!   endpoints: "heard from peer", ACK → loss declaration, retransmit cause
 //!   attribution and the silence-gated capped-backoff [`Retry`] verdict.
@@ -27,6 +28,8 @@
 //! * [`RecvFlow`] and [`FlowTable::stall_scan`] — the receiver stall-scan
 //!   skeleton; each caller's closure is a ledger's staleness test at the
 //!   protocol's threshold plus its range cap.
+
+use std::num::NonZeroU64;
 
 use aeolus_core::{PreCreditReceiver, PreCreditSender};
 use aeolus_sim::telemetry::FaultEvent;
@@ -84,46 +87,62 @@ pub fn stall_after(cfg: &BaseConfig) -> Time {
 }
 
 /// Per-host flow state: both roles' flow maps, the set of receive flows
-/// still in progress, and the tombstones.
+/// still in progress, the tombstones, and the markers of finished flows.
 ///
 /// When a flow aborts — engine-initiated after a node crash, or
 /// transport-initiated after the peer-silence watchdog fires — its id is
 /// buried so stale in-flight packets (data still crossing the fabric, paced
 /// credits that survived the purge) cannot resurrect per-flow state. A
 /// restart raises the tombstone again before the flow relaunches.
-pub struct FlowTable<S, R> {
-    /// Flows this host sends.
+///
+/// When a flow finishes, its state goes and a [`Done`] marker takes its
+/// place: a receive flow at its last byte ([`Self::recv_done`]), a send
+/// flow once the whole message is acknowledged ([`Self::retire_send`]) —
+/// which an ExpressPass sender learns only of a message its receiver ACKs
+/// whole (DESIGN.md, "The active set"). A straggler — a duplicate, a late probe or credit, a timer — finds the
+/// marker ([`Self::finished_send`], [`Self::finished_recv`]; the receive
+/// lookups return `None` for it) and gets the reaction the full state would
+/// have produced, without re-creating any. So the table holds the flows in
+/// progress plus one small marker per finished flow, whatever the history.
+/// `D` is what the protocol's sender reactions read besides the size.
+pub struct FlowTable<S, R, D = ()> {
+    /// Flows this host sends, until it learns the whole message arrived.
     pub send: FlowMap<FlowId, S>,
-    /// Flows this host receives ([`Self::recv`], [`Self::recv_mut`]).
-    /// Completed ones stay for duplicate suppression, so nothing scans this
-    /// map: loops over "flows that still want something" read the active
-    /// set. Private so that entries come and go only through the methods
-    /// that keep that set exact.
+    /// Flows this host receives and has not received whole ([`Self::recv`],
+    /// [`Self::recv_mut`]). Private so that entries come and go only through
+    /// the methods that keep the active set exact.
     recv: FlowMap<FlowId, R>,
-    /// The incomplete receive flows, as `recv` slot handles (no hash probe
-    /// per member). A flow enters on first contact ([`Self::recv_entry`]),
-    /// leaves when its last byte is booked ([`Self::recv_done`]) and when
-    /// its entry is removed — the handle dropped *before* the entry, because
-    /// the map recycles the slot. **Unordered** (`swap_remove`), and that is
-    /// safe only because every reader reduces order-independently: a length,
-    /// a sort or minimum on the unique `(remaining, id)`, an `any`, per-flow
-    /// updates whose emitted batches are sorted by id. A new reader must too.
+    /// The receive flows in `recv` that joined the active set — every
+    /// entry of the receiver-driven endpoints, none of DCTCP's — as `recv`
+    /// slot handles (no hash probe per member). A flow enters on first
+    /// contact ([`Self::recv_entry`]) and leaves when its entry is removed,
+    /// the handle dropped *before* the entry because the map recycles the
+    /// slot. **Unordered** (`swap_remove`), and that is safe only because
+    /// every reader reduces order-independently: a length, a sort or
+    /// minimum on the unique `(remaining, id)`, an `any`, per-flow updates
+    /// whose emitted batches are sorted by id. A new reader must too.
     active: Vec<u32>,
     dead: FlowMap<FlowId, ()>,
+    /// Markers of the send flows retired by [`Self::retire_send`].
+    sent: FlowMap<FlowId, Done<D>>,
+    /// Markers of the receive flows retired by [`Self::retire_recv`].
+    received: FlowMap<FlowId, Done>,
 }
 
-impl<S, R> Default for FlowTable<S, R> {
+impl<S, R, D> Default for FlowTable<S, R, D> {
     fn default() -> Self {
         FlowTable {
             send: FlowMap::new(),
             recv: FlowMap::new(),
             active: Vec::new(),
             dead: FlowMap::new(),
+            sent: FlowMap::new(),
+            received: FlowMap::new(),
         }
     }
 }
 
-impl<S, R> FlowTable<S, R> {
+impl<S, R, D> FlowTable<S, R, D> {
     /// Whether `flow` was aborted: its packets are dropped on sight.
     pub fn is_dead(&self, flow: FlowId) -> bool {
         self.dead.contains_key(flow)
@@ -138,7 +157,8 @@ impl<S, R> FlowTable<S, R> {
         }
     }
 
-    /// Engine-initiated abort: drop local state and bury the id.
+    /// Engine-initiated abort: drop local state and bury the id. Only an
+    /// incomplete flow aborts, so there is no marker to drop.
     pub fn abort(&mut self, flow: FlowId) {
         self.send.remove(flow);
         self.remove_recv(flow);
@@ -153,16 +173,20 @@ impl<S, R> FlowTable<S, R> {
         self.remove_recv(flow);
     }
 
-    /// A host crash wipes every byte of transport state, tombstones
-    /// included (the engine re-buries each aborted flow right after).
+    /// A host crash wipes every byte of transport state, tombstones and
+    /// markers included (the engine re-buries each aborted flow right
+    /// after). A straggler of a flow finished before the crash then meets
+    /// an empty table, as a first contact.
     pub fn crash(&mut self) {
         self.send.clear();
         self.active.clear();
         self.recv.clear();
         self.dead.clear();
+        self.sent.clear();
+        self.received.clear();
     }
 
-    /// Receive-side state of `flow`, if any.
+    /// Receive-side state of `flow`, if it is in progress.
     pub fn recv(&self, flow: FlowId) -> Option<&R> {
         self.recv.get(flow)
     }
@@ -174,24 +198,61 @@ impl<S, R> FlowTable<S, R> {
 
     /// Receive-side state of `flow`, made by `make` on first contact, that
     /// never joins the active set: for a receiver with no loop over its
-    /// flows (DCTCP). The receiver-driven endpoints use
-    /// [`Self::recv_entry`].
-    pub fn recv_or_insert_with(&mut self, flow: FlowId, make: impl FnOnce() -> R) -> &mut R {
-        self.recv.get_or_insert_with(flow, make)
+    /// flows (DCTCP). `None` for a flow already received whole. The
+    /// receiver-driven endpoints use [`Self::recv_entry`].
+    pub fn recv_or_insert_with(
+        &mut self,
+        flow: FlowId,
+        make: impl FnOnce() -> R,
+    ) -> Option<&mut R> {
+        if let Some(slot) = self.recv.slot_of(flow) {
+            return Some(self.recv.at_mut(slot).1);
+        }
+        if self.received.contains_key(flow) {
+            return None;
+        }
+        Some(self.recv.get_or_insert_with(flow, make))
     }
 
-    /// The receive flow `flow` is complete: it leaves the active set (its
-    /// entry stays, for duplicate suppression). Call it on the `completed`
-    /// verdict of [`PreCreditReceiver::on_data`], which fires once per flow.
-    /// O(active flows) per completion, nothing per packet.
-    pub fn recv_done(&mut self, flow: FlowId) {
-        let left = self.leave_active(flow);
-        debug_assert!(left, "{flow:?} completed without being active");
+    /// The receive flow `flow` is complete: its entry (and active-set
+    /// handle) goes, `done` stays.
+    pub fn retire_recv(&mut self, flow: FlowId, done: Done) {
+        self.remove_recv(flow);
+        self.received.insert(flow, done);
+    }
+
+    /// The send flow `flow` has the whole message acknowledged: its entry
+    /// goes, `done` stays.
+    pub fn retire_send(&mut self, flow: FlowId, done: Done<D>) {
+        self.send.remove(flow);
+        self.sent.insert(flow, done);
+    }
+
+    /// The marker of a send flow this host finished.
+    pub fn finished_send(&mut self, flow: FlowId) -> Option<&mut Done<D>> {
+        self.sent.get_mut(flow)
+    }
+
+    /// The marker of a receive flow this host finished.
+    pub fn finished_recv(&self, flow: FlowId) -> Option<&Done> {
+        self.received.get(flow)
     }
 
     /// How many receive flows are still incomplete. O(1).
     pub fn recv_active_len(&self) -> usize {
         self.active.len()
+    }
+
+    /// What the table holds of `flow`, for tests.
+    #[cfg(test)]
+    pub(crate) fn holding(&self, flow: FlowId) -> Holding {
+        Holding {
+            send: self.send.contains_key(flow),
+            recv: self.recv.contains_key(flow),
+            active: self.recv_active_len(),
+            sent: self.sent.contains_key(flow),
+            received: self.received.contains_key(flow),
+        }
     }
 
     /// Drop `flow`'s handle from the active set, if it holds one.
@@ -242,6 +303,18 @@ impl<S, R> FlowTable<S, R> {
     }
 }
 
+/// What a [`FlowTable`] holds of one flow (and how many flows are
+/// active), for tests.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Holding {
+    pub send: bool,
+    pub recv: bool,
+    pub active: usize,
+    pub sent: bool,
+    pub received: bool,
+}
+
 /// What a fired retry timer should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Retry {
@@ -258,6 +331,41 @@ pub enum Retry {
         /// Delay until the next fire.
         rearm_in: Time,
     },
+}
+
+/// What a host keeps of a flow it has finished with (see [`FlowTable`]):
+/// the message size, and `proto`, whatever else the protocol's straggler
+/// reactions read. A finished flow has at least one byte, and the niche of
+/// the non-zero size keeps a `Done` with its id in a 16 B map slot.
+#[derive(Debug, Clone, Copy)]
+pub struct Done<D = ()> {
+    size: NonZeroU64,
+    /// The protocol's fields (DESIGN.md lists them per transport).
+    pub proto: D,
+}
+
+impl<D> Done<D> {
+    /// The marker of a finished `size`-byte flow.
+    pub fn new(size: u64, proto: D) -> Done<D> {
+        Done { size: NonZeroU64::new(size).expect("a finished flow has bytes"), proto }
+    }
+
+    /// The message size.
+    pub fn size(&self) -> u64 {
+        self.size.get()
+    }
+
+    /// A receiver's loss report (NACK, RESEND) for `[start, end)` reaching
+    /// the finished sender of `flow`. Every byte was sent and acknowledged,
+    /// so the sender reports the bytes it would requeue — the range clamped
+    /// to the message, as [`SendState::requeue`] clamps to what was sent —
+    /// and has nothing to retransmit.
+    pub fn requeue(&self, flow: FlowId, start: u64, end: u64, cause: LossCause, ctx: &mut Ctx<'_>) {
+        let end = end.min(self.size());
+        if start < end {
+            ctx.emit(TransportEvent::LossDetected { flow, bytes: end - start, cause });
+        }
+    }
 }
 
 /// Sender-side per-flow state shared by the proactive endpoints.
@@ -277,8 +385,6 @@ pub struct SendState {
     pub probe_seq: Option<u64>,
     /// Most recent loss signal, for retransmission attribution.
     pub last_loss: Option<LossCause>,
-    /// Set when the receiver's completion ACK arrives.
-    pub completed: bool,
 }
 
 impl SendState {
@@ -314,19 +420,29 @@ impl SendState {
     /// Handle `Ack { of_probe, end }` carrying `seq`: a probe ACK declares
     /// the unacked burst tail lost, an ACK of the whole message completes
     /// the flow, any other ACK declares the gap before it lost when `infer`
-    /// (SACK inference is safe only on in-order fabrics).
-    pub fn on_ack(&mut self, seq: u64, end: u64, of_probe: bool, infer: bool, ctx: &mut Ctx<'_>) {
+    /// (SACK inference is safe only on in-order fabrics). Returns whether
+    /// this is the receiver's completion ACK.
+    pub fn on_ack(
+        &mut self,
+        seq: u64,
+        end: u64,
+        of_probe: bool,
+        infer: bool,
+        ctx: &mut Ctx<'_>,
+    ) -> bool {
         self.heard(ctx.now);
         let whole = seq == 0 && end >= self.desc.size;
         if of_probe {
             let lost = self.core.on_probe_ack();
             self.note_loss(lost, LossCause::Probe, ctx);
+            false
         } else if infer && !whole {
             let lost = self.core.on_ack(seq, end);
             self.note_loss(lost, LossCause::SackGap, ctx);
+            false
         } else {
-            self.completed |= whole;
             self.core.on_ack_no_infer(seq, end);
+            whole
         }
     }
 
@@ -427,7 +543,6 @@ pub fn launch_first_rtt(
         retry_fires: 0,
         probe_seq,
         last_loss: None,
-        completed: false,
     };
     tx.send_probe(probe_prio, ctx);
     tx
@@ -559,22 +674,15 @@ impl<X> RecvFlow<X> {
         now.saturating_sub(self.last_arrival)
     }
 
-    /// Answer a probe (its size header was booked on arrival).
-    pub fn on_probe(&self, pkt: &Packet, ctx: &mut Ctx<'_>) {
-        ctx.send(probe_ack_packet(pkt.flow, ctx.host, self.sender, pkt.seq));
-    }
-
     /// Book a data packet and answer it the Aeolus way: a per-packet ACK
     /// for unscheduled data in the probe-recovery modes, and a completion
     /// ACK (the RPC-reply analogue) in every mode so senders can retire
     /// state and stop their timers. Returns whether this packet completed
     /// the message — the caller's cue for [`FlowTable::recv_done`].
-    #[must_use = "a completed flow must leave the table's active set"]
+    #[must_use = "a completed flow must leave the table"]
     pub fn on_data(&mut self, pkt: &Packet, probe_mode: bool, ctx: &mut Ctx<'_>) -> bool {
         let completed = self.book.on_data(pkt, ctx);
-        if probe_mode && pkt.class == TrafficClass::Unscheduled {
-            ctx.send(data_ack_packet(pkt, ctx.host, self.sender));
-        }
+        answer_data(pkt, probe_mode, ctx);
         if completed {
             ctx.send(ack_packet(pkt.flow, ctx.host, self.sender, 0, pkt.flow_size));
         }
@@ -592,33 +700,48 @@ impl RecvFlow<CreditLedger> {
     /// remaining bytes in whole `mtu` packets — each worth `unit` of the
     /// ledger (1 where it counts packets, `mtu` where it counts bytes, so
     /// the accounting stays exact when retransmitted chunks are fragmented)
-    /// — but never more than `window` outstanding. Zero once complete or
-    /// while the size is unknown (an active flow can be either: the
-    /// completing packet's own handler still asks, and a flow is active
-    /// before any header has told its size).
+    /// — but never more than `window` outstanding. Zero while the size is
+    /// unknown: a flow is active before any header has told its size.
     pub fn deficit(&self, mtu: u64, unit: u64, window: u64) -> u64 {
-        match self.book.remaining() {
-            None | Some(0) => 0,
-            Some(rem) => self.proto.deficit((rem.div_ceil(mtu) * unit).min(window)),
-        }
+        let want = |rem: u64| (rem.div_ceil(mtu) * unit).min(window);
+        self.book.remaining().map_or(0, |rem| self.proto.deficit(want(rem)))
+    }
+}
+
+/// Answer a probe (its size header was booked on arrival, if its flow is
+/// still in progress). The ACK goes to the prober, the flow's sender.
+pub fn answer_probe(pkt: &Packet, ctx: &mut Ctx<'_>) {
+    ctx.send(probe_ack_packet(pkt.flow, ctx.host, pkt.src, pkt.seq));
+}
+
+/// The Aeolus per-packet ACK of data packet `pkt`, sent to its sender in
+/// the probe-recovery modes for unscheduled data. A flow's data gets it
+/// whether or not the flow is still in progress ([`RecvFlow::on_data`]):
+/// a finished flow's duplicate books nothing and is answered with this
+/// alone, its completion ACK having gone out once.
+pub fn answer_data(pkt: &Packet, probe_mode: bool, ctx: &mut Ctx<'_>) {
+    if probe_mode && pkt.class == TrafficClass::Unscheduled {
+        ctx.send(data_ack_packet(pkt, ctx.host, pkt.src));
     }
 }
 
 /// A batch of missing ranges to re-request from one sender.
 pub type ResendBatch = (FlowId, NodeId, Vec<(u64, u64)>);
 
-impl<S, X> FlowTable<S, RecvFlow<X>> {
+impl<S, X, D> FlowTable<S, RecvFlow<X>, D> {
     /// Receive-side state for `pkt`'s flow, created on first contact
     /// (request, data or probe — whichever wins the race), with the message
-    /// size learned from the header.
+    /// size learned from the header. `None` for a flow this host has
+    /// received whole: the packet is a straggler.
     pub fn recv_entry(
         &mut self,
         pkt: &Packet,
         now: Time,
         proto: impl FnOnce() -> X,
-    ) -> &mut RecvFlow<X> {
+    ) -> Option<&mut RecvFlow<X>> {
         let slot = match self.recv.slot_of(pkt.flow) {
             Some(slot) => slot,
+            None if self.received.contains_key(pkt.flow) => return None,
             None => {
                 let fresh = RecvFlow {
                     sender: pkt.src,
@@ -636,8 +759,11 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
             }
         };
         let rf = self.recv.at_mut(slot).1;
+        // Replies go to `pkt.src` ([`answer_probe`], [`answer_data`]), the
+        // same host whether or not the flow is still in progress.
+        debug_assert_eq!(rf.sender, pkt.src, "{:?} from a second sender", pkt.flow);
         rf.book.learn_size(pkt.flow_size);
-        rf
+        Some(rf)
     }
 
     /// [`Self::recv_entry`] for a packet that counts as an arrival.
@@ -646,10 +772,23 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
         pkt: &Packet,
         now: Time,
         proto: impl FnOnce() -> X,
-    ) -> &mut RecvFlow<X> {
-        let rf = self.recv_entry(pkt, now, proto);
+    ) -> Option<&mut RecvFlow<X>> {
+        let rf = self.recv_entry(pkt, now, proto)?;
         rf.touch(now);
-        rf
+        Some(rf)
+    }
+
+    /// The receive flow `flow` is complete: it leaves the active set and
+    /// the table, and its marker stays ([`Self::retire_recv`]). Call it on
+    /// the `completed` verdict of [`PreCreditReceiver::on_data`], which
+    /// fires once per flow. O(active flows) per completion, nothing per
+    /// packet.
+    pub fn recv_done(&mut self, flow: FlowId) {
+        let size = self.recv.get(flow).and_then(|rf| rf.book.size());
+        let size = size.expect("a completed flow knows its size");
+        let active = self.recv.slot_of(flow).is_some_and(|slot| self.active.contains(&slot));
+        debug_assert!(active, "{flow:?} completed without being active");
+        self.retire_recv(flow, Done::new(size, ()));
     }
 
     /// The incomplete receive flows, in no particular order — see the
@@ -732,6 +871,8 @@ pub fn send_resends(resends: Vec<ResendBatch>, ctx: &mut Ctx<'_>) {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
     use crate::common::request_packet;
     use aeolus_core::AeolusConfig;
@@ -756,7 +897,6 @@ mod tests {
             retry_fires: 0,
             probe_seq: Some(9_000),
             last_loss: None,
-            completed: false,
         }
     }
 
@@ -882,14 +1022,14 @@ mod tests {
     }
 
     /// What every endpoint does with a data packet, minus the protocol: open
-    /// or find the flow, book the bytes, tell the table on completion.
-    /// The run metrics learn of each flow on its first chunk, as the engine
-    /// would have scheduled it.
+    /// or find the flow, book the bytes, tell the table on completion (a
+    /// finished flow's packet books nothing). The run metrics learn of each
+    /// flow on its first chunk, as the engine would have scheduled it.
     fn deliver(t: &mut Table, pkt: &Packet, ctx: &mut Ctx<'_>) {
         if ctx.metrics.flow(pkt.flow).is_none() {
             ctx.metrics.flow_scheduled(desc(pkt.flow.0));
         }
-        let rf = t.recv_arrival(pkt, 0, CreditLedger::default);
+        let Some(rf) = t.recv_arrival(pkt, 0, CreditLedger::default) else { return };
         if rf.book.on_data(pkt, ctx) {
             t.recv_done(pkt.flow);
         }
@@ -901,8 +1041,9 @@ mod tests {
         }
     }
 
-    /// The active set against the scan it replaces: every entry of `recv`
-    /// filtered for "incomplete".
+    /// The active set against the scan it replaced — every entry of `recv`
+    /// filtered for "incomplete" — which is every entry: a completed flow
+    /// leaves `recv` for a marker, and no flow is both.
     fn assert_active_is_the_incomplete_flows(t: &Table, step: &str) {
         let mut active: Vec<FlowId> = t.active.iter().map(|&slot| t.recv.at(slot).0).collect();
         let mut scan: Vec<FlowId> =
@@ -910,7 +1051,8 @@ mod tests {
         active.sort_unstable();
         scan.sort_unstable();
         assert_eq!(active, scan, "after {step}");
-        assert_eq!(t.recv_active_len(), scan.len(), "after {step}");
+        assert_eq!(t.recv_active_len(), t.recv.len(), "after {step}: a complete flow stayed");
+        assert!(t.recv.iter().all(|(id, _)| t.finished_recv(id).is_none()), "after {step}");
     }
 
     /// Only the engine can make a `Ctx`, so `body` runs as `ME`'s
@@ -960,6 +1102,9 @@ mod tests {
             let mut t = Table::default();
             let mut fresh = 1_000u64;
             let (mut seen, mut most_done) = ([0usize; 8], 0);
+            // The chunks each flow has delivered since it (re)started or the
+            // last crash wiped the table: a flow with all of them is done.
+            let mut got: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
             for step in 0..20_000 {
                 let id = 1 + rng.below(40);
                 let op = if step % 400 == 399 { 7 } else { rng.index(7) };
@@ -977,28 +1122,37 @@ mod tests {
                     }
                     1 if !t.is_dead(FlowId(id)) => {
                         let probe = probe_packet(&desc(id), desc(id).size);
-                        t.recv_arrival(&probe, 0, CreditLedger::default).on_probe(&probe, ctx);
+                        t.recv_arrival(&probe, 0, CreditLedger::default);
+                        answer_probe(&probe, ctx);
                         "probe"
                     }
                     // Data: first contact, progress, the completing packet
                     // or a duplicate after completion, as it falls.
                     2 | 3 if !t.is_dead(FlowId(id)) => {
-                        deliver(&mut t, &chunk(id, rng.below(desc(id).size / CHUNK as u64)), ctx);
+                        let k = rng.below(desc(id).size / CHUNK as u64);
+                        deliver(&mut t, &chunk(id, k), ctx);
+                        got.entry(id).or_default().insert(k);
                         "data"
                     }
-                    4 => {
+                    // Only an incomplete flow aborts or relaunches.
+                    4 if t.finished_recv(FlowId(id)).is_none() => {
                         // An abort frees the slot; the next new flow takes it.
                         let freed = t.recv.slot_of(FlowId(id));
                         t.abort(FlowId(id));
-                        fresh += 1;
+                        got.remove(&id);
+                        // A fresh flow of two chunks or more: one chunk
+                        // leaves it open, in the slot.
+                        fresh += if fresh % 5 == 4 { 2 } else { 1 };
                         deliver(&mut t, &chunk(fresh, 0), ctx);
+                        got.entry(fresh).or_default().insert(0);
                         if freed.is_some() {
                             assert_eq!(t.recv.slot_of(FlowId(fresh)), freed, "slot not reused");
                         }
                         "abort + new flow in the freed slot"
                     }
-                    5 => {
+                    5 if t.finished_recv(FlowId(id)).is_none() => {
                         t.restart(FlowId(id));
+                        got.remove(&id);
                         "restart"
                     }
                     6 => {
@@ -1009,15 +1163,27 @@ mod tests {
                     }
                     7 => {
                         t.crash();
+                        got.clear();
                         "crash"
                     }
-                    _ => "packet of a dead flow, dropped",
+                    _ => "packet of a dead flow, or an abort of a finished one: skipped",
                 };
-                assert_active_is_the_incomplete_flows(&t, &format!("step {step}: {what} on {id}"));
-                most_done = most_done.max(t.recv.len() - t.recv_active_len());
+                let step = format!("step {step}: {what} on {id}");
+                assert_active_is_the_incomplete_flows(&t, &step);
+                // Completed flows left `recv` and are recognised as done —
+                // all of them and only them.
+                let done: Vec<u64> = got
+                    .iter()
+                    .filter(|&(&f, chunks)| chunks.len() as u64 == desc(f).size / CHUNK as u64)
+                    .map(|(&f, _)| f)
+                    .collect();
+                let mut marked: Vec<u64> = t.received.iter().map(|(f, _)| f.0).collect();
+                marked.sort_unstable();
+                assert_eq!(marked, done, "{step}");
+                most_done = most_done.max(done.len());
             }
             assert!(seen.iter().all(|&n| n > 0), "an operation never ran: {seen:?}");
-            assert!(most_done >= 10, "completed flows should stay, inactive: {most_done}");
+            assert!(most_done >= 10, "completed flows should be marked done: {most_done}");
         });
     }
 
@@ -1045,7 +1211,8 @@ mod tests {
             let mut shuffled = ids.clone();
             aeolus_sim::SimRng::seed_from_u64(7).shuffle(&mut shuffled);
             let (mut a, mut b) = (build(&ids, ctx), build(&shuffled, ctx));
-            assert_ne!(a.active, b.active, "the two histories should order the set differently");
+            let order = |t: &Table| t.active.iter().map(|&s| t.recv.at(s).0).collect::<Vec<_>>();
+            assert_ne!(order(&a), order(&b), "the two histories should order the set differently");
 
             let (mut top_a, mut top_b) = (Vec::new(), Vec::new());
             a.srpt_top(6, &mut top_a);
@@ -1072,14 +1239,53 @@ mod tests {
             for id in 1..=2_000 {
                 deliver_all(&mut t, id, ctx);
             }
-            assert_eq!((t.recv.len(), t.recv_active_len()), (2_000, 0));
+            assert_eq!((t.recv.len(), t.received.len(), t.recv_active_len()), (0, 2_000, 0));
             assert_eq!(scan_everything(&mut t, ctx).0, 0);
             for id in 2_001..=2_003 {
                 t.recv_entry(&request_packet(&desc(id)), 0, CreditLedger::default);
             }
-            assert_eq!((t.recv.len(), t.recv_active_len()), (2_003, 3));
+            assert_eq!((t.recv.len(), t.recv_active_len()), (3, 3));
             assert_eq!(scan_everything(&mut t, ctx).0, 3);
         });
+    }
+
+    /// A finished flow keeps a marker, not its state: its stragglers find
+    /// no entry and open none, until a crash wipes the marker too — then a
+    /// straggler is a first contact again, as it always was after a crash.
+    #[test]
+    fn a_finished_flow_is_a_marker_until_a_crash() {
+        with_ctx(|ctx| {
+            let mut t = Table::default();
+            deliver_all(&mut t, 4, ctx);
+            let size = desc(4).size;
+            assert_eq!(t.finished_recv(FlowId(4)).map(Done::size), Some(size));
+            assert!(t.recv_entry(&chunk(4, 0), 0, CreditLedger::default).is_none());
+            assert!(t.recv_arrival(&request_packet(&desc(4)), 0, CreditLedger::default).is_none());
+            assert_eq!((t.recv.len(), t.recv_active_len()), (0, 0), "a straggler re-opened it");
+            t.crash();
+            assert!(t.finished_recv(FlowId(4)).is_none());
+            let rf = t.recv_entry(&chunk(4, 0), 0, CreditLedger::default).expect("fresh book");
+            assert_eq!(rf.book.remaining(), Some(size));
+            assert_eq!(t.recv_active_len(), 1);
+
+            let mut senders: FlowTable<u8, u8, u64> = FlowTable::default();
+            senders.send.insert(FlowId(9), 1);
+            senders.retire_send(FlowId(9), Done::new(3_000, 17));
+            assert!(senders.send.get(FlowId(9)).is_none());
+            let done = senders.finished_send(FlowId(9)).expect("marked");
+            assert_eq!((done.size(), done.proto), (3_000, 17));
+            senders.crash();
+            assert!(senders.finished_send(FlowId(9)).is_none());
+        });
+    }
+
+    /// The marker's cost: a 16 B map slot with its id where the protocol
+    /// keeps nothing more, 24 B with a `u64` (Homa's grant offset).
+    #[test]
+    fn a_marker_slot_is_16_bytes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<(FlowId, Done)>>(), 16);
+        assert_eq!(size_of::<Option<(FlowId, Done<u64>)>>(), 24);
     }
 
     #[test]

@@ -264,7 +264,7 @@ impl Scheme {
     }
 
     /// The retransmission timeout this scheme carries, if any.
-    fn rto(mut self) -> Option<Time> {
+    pub(crate) fn rto(mut self) -> Option<Time> {
         self.rto_slot().copied()
     }
 
@@ -341,7 +341,7 @@ impl Scheme {
         }
     }
 
-    fn base_config(&self, p: &SchemeParams) -> BaseConfig {
+    pub(crate) fn base_config(&self, p: &SchemeParams) -> BaseConfig {
         BaseConfig {
             mtu_payload: p.mtu_payload,
             base_rtt: p.base_rtt,

@@ -9,6 +9,10 @@ cargo test -q --workspace
 # Zero-alloc proof in release mode: steady-state forwarding must not touch
 # the global allocator after warm-up (counting-allocator integration test).
 cargo test --release -q --test zero_alloc
+# Memory-scaling bound on the same optimised build the benchmark runs: a
+# finished flow costs its metrics record and two done markers, whatever
+# the history (live-byte counting allocator, N vs 4N incast rounds).
+cargo test --release -q --test memory_scaling
 
 # Doc-name gate: every CamelCase name inside backticks in DESIGN.md /
 # README.md must still occur in the sources, so a deleted type cannot live
