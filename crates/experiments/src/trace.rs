@@ -135,7 +135,7 @@ fn render_summary(
     let _ = writeln!(out, "queue depth per egress port (time left to right, '@' = port max):");
     for (&(node, port), pt) in tracer.ports() {
         let depths = pt.depth.values();
-        let max = depths.iter().copied().max().unwrap_or(0);
+        let max = depths.clone().max().unwrap_or(0);
         if max == 0 {
             continue;
         }

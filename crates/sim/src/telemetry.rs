@@ -339,29 +339,112 @@ impl<T> RingBuffer<T> {
     }
 }
 
-/// `(boundary_time, value)` pairs of a series whose `k`-th value was taken
-/// at boundary `(k + 1) · interval`.
-fn timed(interval: Time, values: &[u64]) -> impl ExactSizeIterator<Item = (Time, u64)> + '_ {
-    values.iter().enumerate().map(move |(k, &v)| ((k as Time + 1) * interval, v))
+/// `repeat` consecutive samples of `value`: the unit a [`TimeSeries`] or
+/// [`RateSeries`] stores, 16 bytes however many boundaries it spans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    value: u64,
+    repeat: u64,
 }
+
+/// The boundary clock and the samples of one series, kept as runs: a new
+/// run starts only when the value changes, so an idle stretch costs
+/// nothing and a series costs 16 bytes per change, not 8 per boundary.
+#[derive(Debug, Clone)]
+struct Runs {
+    interval: Time,
+    /// The first boundary not yet sampled: `(len + 1) · interval`.
+    next_at: Time,
+    runs: Vec<Run>,
+}
+
+impl Runs {
+    fn new(interval: Time) -> Runs {
+        assert!(interval > 0, "sample interval must be positive");
+        Runs { interval, next_at: interval, runs: Vec::new() }
+    }
+
+    /// Move the clock past every boundary up to and including `end`, and
+    /// return how many it crossed: one division, however long the gap.
+    #[inline]
+    fn cross(&mut self, end: Time) -> u64 {
+        if end < self.next_at {
+            return 0;
+        }
+        let k = (end - self.next_at) / self.interval + 1;
+        self.next_at += k * self.interval;
+        k
+    }
+
+    /// Append `repeat` samples of `value`, extending the last run when it
+    /// holds the same value.
+    #[inline]
+    fn push(&mut self, value: u64, repeat: u64) {
+        if repeat == 0 {
+            return;
+        }
+        match self.runs.last_mut() {
+            Some(run) if run.value == value => run.repeat += repeat,
+            _ => self.runs.push(Run { value, repeat }),
+        }
+    }
+
+    fn values(&self) -> SeriesValues<'_> {
+        let len = (self.next_at / self.interval - 1) as usize;
+        SeriesValues { runs: self.runs.iter(), value: 0, repeat: 0, len }
+    }
+}
+
+/// The samples of a [`TimeSeries`] or [`RateSeries`], one per boundary,
+/// read from its runs: the `k`-th was taken at `(k + 1) · interval`. Its
+/// length is known without walking it.
+#[derive(Debug, Clone)]
+pub struct SeriesValues<'a> {
+    runs: std::slice::Iter<'a, Run>,
+    /// The run being read and how many of its samples are left.
+    value: u64,
+    repeat: u64,
+    /// Samples left in all.
+    len: usize,
+}
+
+impl Iterator for SeriesValues<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.repeat == 0 {
+            let run = self.runs.next()?;
+            (self.value, self.repeat) = (run.value, run.repeat);
+        }
+        self.repeat -= 1;
+        self.len -= 1;
+        Some(self.value)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
+    }
+}
+
+impl ExactSizeIterator for SeriesValues<'_> {}
 
 /// Sample-and-hold time series: `observe` records the signal value at event
 /// times; samples are taken at fixed boundaries `interval, 2·interval, …`,
-/// each reporting the value held just *before* the boundary. Only the
-/// values are stored: a sample's time is its boundary.
+/// each reporting the value held just *before* the boundary. The samples
+/// are stored as `(value, repeat)` runs of 16 bytes, and a sample's time is
+/// its boundary, so a signal that holds still costs nothing however many
+/// boundaries pass.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
-    interval: Time,
-    next_at: Time,
+    runs: Runs,
     held: u64,
-    values: Vec<u64>,
 }
 
 impl TimeSeries {
     /// A series sampled every `interval` (> 0) picoseconds, starting at 0.
     pub fn new(interval: Time) -> TimeSeries {
-        assert!(interval > 0, "sample interval must be positive");
-        TimeSeries { interval, next_at: interval, held: 0, values: Vec::new() }
+        TimeSeries { runs: Runs::new(interval), held: 0 }
     }
 
     /// The signal changed to `v` at time `at` (`at` must not decrease
@@ -372,44 +455,40 @@ impl TimeSeries {
         self.held = v;
     }
 
-    /// Flush sample boundaries up to and including `end`.
+    /// Flush sample boundaries up to and including `end`: each of them
+    /// holds the current value.
     #[inline]
     pub fn finish(&mut self, end: Time) {
-        while self.next_at <= end {
-            self.values.push(self.held);
-            self.next_at += self.interval;
-        }
+        let k = self.runs.cross(end);
+        self.runs.push(self.held, k);
     }
 
     /// The sampled values, one per boundary: the `k`-th was taken at
     /// `(k + 1) · interval`.
-    pub fn values(&self) -> &[u64] {
-        &self.values
+    pub fn values(&self) -> SeriesValues<'_> {
+        self.runs.values()
     }
 
     /// The configured sampling interval.
     pub fn interval(&self) -> Time {
-        self.interval
+        self.runs.interval
     }
 }
 
 /// Per-window accumulator: `add` credits bytes to the current window;
 /// each sample reports the bytes accumulated in the window *ending* at the
-/// boundary (link utilization = sample / (rate · interval)). Only the
-/// values are stored, as in [`TimeSeries`].
+/// boundary (link utilization = sample / (rate · interval)). Stored as
+/// runs, as in [`TimeSeries`]: a stretch of idle windows is one run of 0.
 #[derive(Debug, Clone)]
 pub struct RateSeries {
-    interval: Time,
-    next_at: Time,
+    runs: Runs,
     acc: u64,
-    values: Vec<u64>,
 }
 
 impl RateSeries {
     /// A windowed byte counter with windows of `interval` (> 0) picoseconds.
     pub fn new(interval: Time) -> RateSeries {
-        assert!(interval > 0, "window must be positive");
-        RateSeries { interval, next_at: interval, acc: 0, values: Vec::new() }
+        RateSeries { runs: Runs::new(interval), acc: 0 }
     }
 
     /// Credit `bytes` to the window containing `at`.
@@ -419,25 +498,27 @@ impl RateSeries {
         self.acc += bytes;
     }
 
-    /// Flush windows up to and including `end`.
+    /// Flush windows up to and including `end`: the first closes with the
+    /// bytes credited so far, every later one with none.
     #[inline]
     pub fn finish(&mut self, end: Time) {
-        while self.next_at <= end {
-            self.values.push(self.acc);
+        let k = self.runs.cross(end);
+        if k > 0 {
+            self.runs.push(self.acc, 1);
+            self.runs.push(0, k - 1);
             self.acc = 0;
-            self.next_at += self.interval;
         }
     }
 
     /// The byte totals of the completed windows: the `k`-th ended at
     /// `(k + 1) · interval`.
-    pub fn values(&self) -> &[u64] {
-        &self.values
+    pub fn values(&self) -> SeriesValues<'_> {
+        self.runs.values()
     }
 
     /// The configured window length.
     pub fn interval(&self) -> Time {
-        self.interval
+        self.runs.interval
     }
 }
 
@@ -915,8 +996,10 @@ impl RecordingTracer {
 
     /// A guess at the length of [`RecordingTracer::to_jsonl`] from the
     /// capture's line and sample counts, at a typical length each (a queue
-    /// line runs 140–180 bytes, a series sample 14–20). `to_jsonl` reserves
-    /// it, and its buffer grows past it only on an unusual capture.
+    /// line runs 140–180 bytes, a series sample 14–20). A series' sample
+    /// count is read off its clock, not by walking its runs. `to_jsonl`
+    /// reserves the guess, and its buffer grows past it only on an unusual
+    /// capture.
     fn jsonl_estimate(&self) -> usize {
         const LINE: usize = 160;
         const SAMPLE: usize = 20;
@@ -1072,18 +1155,17 @@ impl RecordingTracer {
             }
             .lit("}\n");
         }
-        let every = self.cfg.sample_every;
         for pt in &self.ports {
             let loc = Some(pt.key);
-            w.series(["depth", ""], loc, every, pt.depth.values());
-            w.series(["tx_bytes", ""], loc, every, pt.tx.values());
+            w.series(["depth", ""], loc, &pt.depth.runs);
+            w.series(["tx_bytes", ""], loc, &pt.tx.runs);
             for (band, s) in &pt.bands {
-                w.series(["band:", band], loc, every, s.values());
+                w.series(["band:", band], loc, &s.runs);
             }
         }
         for class in CLASSES {
-            let values = self.inflight_series[class_idx(class)].values();
-            w.series(["inflight:", class_str(class)], None, every, values);
+            let runs = &self.inflight_series[class_idx(class)].runs;
+            w.series(["inflight:", class_str(class)], None, runs);
         }
         String::from_utf8(w.0).expect("every piece of the capture is a str")
     }
@@ -1142,26 +1224,23 @@ impl Jsonl {
         self
     }
 
-    /// One `series` line of samples taken every `interval`; `name` is
-    /// written as its two parts joined.
-    fn series(
-        &mut self,
-        name: [&str; 2],
-        loc: Option<(NodeId, PortId)>,
-        interval: Time,
-        values: &[u64],
-    ) {
+    /// One `series` line, a `[time, value]` pair per sample read from the
+    /// runs; `name` is written as its two parts joined.
+    fn series(&mut self, name: [&str; 2], loc: Option<(NodeId, PortId)>, s: &Runs) {
         self.lit("{\"type\":\"series\",\"name\":\"").lit(name[0]).lit(name[1]).lit("\"");
         if let Some((node, port)) = loc {
             self.lit(",\"node\":").num(node.0 as u64).lit(",\"port\":").num(port.0 as u64);
         }
         self.lit(",\"samples\":[");
-        let mut open = "[";
-        for (t, v) in timed(interval, values) {
-            self.lit(open).num(t).lit(",").num(v);
-            open = "],[";
+        let (mut at, mut open) = (0, "[");
+        for run in &s.runs {
+            for _ in 0..run.repeat {
+                at += s.interval;
+                self.lit(open).num(at).lit(",").num(run.value);
+                open = "],[";
+            }
         }
-        self.lit(if values.is_empty() { "]}\n" } else { "]]}\n" });
+        self.lit(if s.runs.is_empty() { "]}\n" } else { "]]}\n" });
     }
 }
 
@@ -1294,7 +1373,7 @@ mod tests {
         s.observe(3, 100); // signal becomes 100 at t=3
         s.observe(15, 200); // boundary 10 passes holding 100
         s.finish(30); // boundaries 20, 30 hold 200
-        assert_eq!(s.values(), &[100, 200, 200], "samples at 10, 20, 30");
+        assert_eq!(s.values().collect::<Vec<_>>(), [100, 200, 200], "samples at 10, 20, 30");
     }
 
     #[test]
@@ -1303,7 +1382,7 @@ mod tests {
         s.observe(0, 7);
         s.observe(10, 9); // at == boundary: the sample sees the pre-change 7
         s.finish(20);
-        assert_eq!(s.values(), &[7, 9], "samples at 10, 20");
+        assert_eq!(s.values().collect::<Vec<_>>(), [7, 9], "samples at 10, 20");
     }
 
     #[test]
@@ -1312,7 +1391,7 @@ mod tests {
         s.observe(2, 42);
         s.observe(23, 1); // boundaries 5,10,15,20 all hold 42
         s.finish(25);
-        assert_eq!(s.values(), &[42, 42, 42, 42, 1], "samples at 5, 10, …, 25");
+        assert_eq!(s.values().collect::<Vec<_>>(), [42, 42, 42, 42, 1], "samples at 5, 10, …, 25");
     }
 
     #[test]
@@ -1320,11 +1399,11 @@ mod tests {
         let mut s = TimeSeries::new(100);
         s.observe(1, 5);
         s.observe(99, 6);
-        assert!(s.values().is_empty());
+        assert_eq!(s.values().len(), 0);
         s.finish(99);
-        assert!(s.values().is_empty(), "finish before the first boundary emits nothing");
+        assert_eq!(s.values().len(), 0, "finish before the first boundary emits nothing");
         s.finish(100);
-        assert_eq!(s.values(), &[6], "one sample, at 100");
+        assert_eq!(s.values().collect::<Vec<_>>(), [6], "one sample, at 100");
     }
 
     #[test]
@@ -1334,7 +1413,99 @@ mod tests {
         r.add(9, 50); // window (0,10] = 150
         r.add(25, 30); // window (10,20] = 0, (20,30] gets 30
         r.finish(30);
-        assert_eq!(r.values(), &[150, 0, 30], "windows ending at 10, 20, 30");
+        assert_eq!(r.values().collect::<Vec<_>>(), [150, 0, 30], "windows ending at 10, 20, 30");
+    }
+
+    /// The per-boundary series the runs replace: one stored value per
+    /// boundary, flushed a boundary at a time.
+    struct Naive {
+        interval: Time,
+        next_at: Time,
+        /// The held value of a [`TimeSeries`], the window's bytes of a
+        /// [`RateSeries`].
+        cur: u64,
+        rate: bool,
+        values: Vec<u64>,
+    }
+
+    impl Naive {
+        fn finish(&mut self, end: Time) {
+            while self.next_at <= end {
+                self.values.push(self.cur);
+                if self.rate {
+                    self.cur = 0;
+                }
+                self.next_at += self.interval;
+            }
+        }
+    }
+
+    /// Random `observe` / `add` / `finish` sequences give the same samples
+    /// as the per-boundary model: times on a boundary, just before one and
+    /// between, gaps of 0, 1 and many boundaries, and a last `finish` past
+    /// 2^40 ps. Fails if `finish` crosses one boundary too few or too many,
+    /// or if a `RateSeries` repeats its last window's bytes into the idle
+    /// windows after it.
+    #[test]
+    fn random_series_sequences_match_per_boundary_model() {
+        for seed in 0..64u64 {
+            let mut rng = crate::rng::SimRng::seed_from_u64(0x5E41E5 ^ seed);
+            let interval = [1, 3, 10, 1000, (1 << 28) + 7][seed as usize % 5];
+            let rate = seed % 2 == 1;
+            let (mut ts, mut rs) = (TimeSeries::new(interval), RateSeries::new(interval));
+            let mut model = Naive { interval, next_at: interval, cur: 0, rate, values: Vec::new() };
+            let samples = |ts: &TimeSeries, rs: &RateSeries| {
+                let values = if rate { rs.values() } else { ts.values() };
+                (values.len(), values.collect::<Vec<_>>())
+            };
+            let mut at: Time = 0;
+            for step in 0..300 {
+                at = match rng.below(5) {
+                    0 => at,
+                    1 => at.max(model.next_at),
+                    2 => at.max(model.next_at - 1),
+                    3 => at + rng.below(interval) + 1,
+                    _ => at + interval * rng.range_u64(2, 40) + rng.below(interval),
+                };
+                let v = [0, 0, 1, 1460, u64::MAX >> 8][rng.below(5) as usize];
+                match (rate, rng.below(4)) {
+                    (_, 0) => {
+                        ts.finish(at);
+                        rs.finish(at);
+                        model.finish(at);
+                    }
+                    (false, _) => {
+                        ts.observe(at, v);
+                        model.finish(at);
+                        model.cur = v;
+                    }
+                    (true, _) => {
+                        rs.add(at, v);
+                        model.finish(at);
+                        model.cur += v;
+                    }
+                }
+                assert_eq!(
+                    samples(&ts, &rs),
+                    (model.values.len(), model.values.clone()),
+                    "seed {seed}, step {step}, at {at}"
+                );
+            }
+            // A last long gap: at the widest interval, 2^40 ps (4096
+            // boundaries) to past 2^40 ps; at the others, which the model
+            // cannot walk to 2^40 ps one boundary at a time, 1000 boundaries.
+            let gap =
+                if interval > 1 << 20 { at.max(1 << 40) - at + (1 << 40) } else { 1000 * interval };
+            let end = at + gap + rng.below(interval);
+            ts.finish(end);
+            rs.finish(end);
+            model.finish(end);
+            assert_eq!(
+                samples(&ts, &rs),
+                (model.values.len(), model.values),
+                "seed {seed}: last gap"
+            );
+        }
     }
 
     fn host_ev(at: Time, class: TrafficClass, seq: u64) -> HostEvent {
@@ -1687,5 +1858,6 @@ mod tests {
         assert_eq!(size_of::<QueueRecord>(), 80);
         assert_eq!(size_of::<TransportSlot>(), 32);
         assert_eq!(size_of::<(Time, NodeId, TransportEvent)>(), 40);
+        assert_eq!(size_of::<Run>(), 16);
     }
 }

@@ -88,28 +88,34 @@ const SPARK_RAMP: [char; 9] = [' ', '.', ':', '-', '=', '+', '*', '#', '@'];
 /// Render a compact one-line sparkline of `values`, rescaled to `width`
 /// columns (each column shows the maximum of the values it covers, so
 /// short spikes stay visible). All-zero input renders as spaces; empty
-/// input as the empty string.
-pub fn sparkline(values: &[u64], width: usize) -> String {
-    if values.is_empty() || width == 0 {
+/// input as the empty string. One pass over `values`.
+pub fn sparkline(mut values: impl ExactSizeIterator<Item = u64>, width: usize) -> String {
+    let n = values.len();
+    if n == 0 || width == 0 {
         return String::new();
     }
-    let width = width.min(values.len()).max(1);
-    let max = values.iter().copied().max().unwrap_or(0);
-    let mut out = String::with_capacity(width);
-    for col in 0..width {
-        let lo = col * values.len() / width;
-        let hi = ((col + 1) * values.len() / width).max(lo + 1);
-        let v = values[lo..hi].iter().copied().max().unwrap_or(0);
-        let level = if max == 0 {
-            0
-        } else {
-            // Nonzero values never map to the blank level.
-            let scaled = (v as u128 * (SPARK_RAMP.len() - 1) as u128).div_ceil(max as u128);
-            scaled as usize
-        };
-        out.push(SPARK_RAMP[level]);
-    }
-    out
+    let width = width.min(n);
+    // Column `c` covers values `c·n/width .. (c+1)·n/width`: at least one
+    // each, since `width ≤ n`.
+    let cols: Vec<u64> = (0..width)
+        .map(|c| {
+            let take = (c + 1) * n / width - c * n / width;
+            values.by_ref().take(take).max().unwrap_or(0)
+        })
+        .collect();
+    let max = cols.iter().copied().max().unwrap_or(0);
+    cols.into_iter()
+        .map(|v| {
+            let level = if max == 0 {
+                0
+            } else {
+                // Nonzero values never map to the blank level.
+                let scaled = (v as u128 * (SPARK_RAMP.len() - 1) as u128).div_ceil(max as u128);
+                scaled as usize
+            };
+            SPARK_RAMP[level]
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -159,14 +165,14 @@ mod tests {
     fn sparkline_scales_and_preserves_spikes() {
         let mut v = vec![0u64; 100];
         v[50] = 1000; // a one-sample spike must survive downsampling
-        let s = sparkline(&v, 20);
+        let s = sparkline(v.iter().copied(), 20);
         assert_eq!(s.chars().count(), 20);
         assert!(s.contains('@'), "max maps to the top ramp char: {s:?}");
-        let zeros = sparkline(&[0, 0, 0], 3);
+        let zeros = sparkline([0, 0, 0].into_iter(), 3);
         assert_eq!(zeros, "   ");
-        assert_eq!(sparkline(&[], 10), "");
+        assert_eq!(sparkline([].into_iter(), 10), "");
         // Nonzero values never render blank, however small.
-        let tiny = sparkline(&[1, 1_000_000], 2);
+        let tiny = sparkline([1, 1_000_000].into_iter(), 2);
         assert!(!tiny.starts_with(' '), "small nonzero visible: {tiny:?}");
     }
 }

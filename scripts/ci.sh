@@ -13,6 +13,9 @@ cargo test --release -q --test zero_alloc
 # finished flow costs its metrics record and two done markers, whatever
 # the history (live-byte counting allocator, N vs 4N incast rounds).
 cargo test --release -q --test memory_scaling
+# Recorder memory on the same build: idle time past the last event adds no
+# series storage (live-byte counting allocator, flushes 10 ms and 1 s late).
+cargo test --release -q --test recorder_memory
 
 # Doc-name gate: every CamelCase name inside backticks in DESIGN.md /
 # README.md must still occur in the sources, so a deleted type cannot live

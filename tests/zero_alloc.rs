@@ -9,10 +9,13 @@
 //! that the packet pool never grows again.
 //!
 //! Kept as its own integration-test binary on purpose: the allocation
-//! counter is process-global, so no other test may run concurrently.
+//! counter is process-global, so no other test may run concurrently. The
+//! tests of this binary take [`SERIAL`] for their whole run, since libtest
+//! runs them on parallel threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use aeolus::prelude::*;
 use aeolus::sim::topology::LinkParams;
@@ -63,8 +66,19 @@ fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Held by each test for its whole run, so that no test allocates inside
+/// another's measurement window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Take [`SERIAL`]; a test that panicked while holding it leaves the
+/// counter as usable as before.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn steady_state_forwarding_allocates_nothing() {
+    let _serial = serial();
     // 7-to-1 incast of elephants over a single 10G switch: every link and
     // queue stays busy for the whole run, and no flow completes inside the
     // measurement window (1 GiB at ~10G is ≫ the 300 ms horizon).
@@ -116,6 +130,7 @@ fn steady_state_forwarding_allocates_nothing() {
 
 #[test]
 fn pool_reports_recycling_stats() {
+    let _serial = serial();
     // Sanity on the observability surface the benches and docs rely on:
     // after a completed run every packet is back in the pool.
     let spec =
