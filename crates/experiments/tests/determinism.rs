@@ -69,11 +69,12 @@ fn serial_rerun_and_parallel_runs_are_bit_identical() {
 /// arbiter-outage windows open and close during the incast — must be just
 /// as deterministic as a clean run: reruns and both schedulers bit-identical,
 /// per scheme family. This pins the slab-backed per-flow state
-/// (`FlowMap`/`TimerTable`), the fault RNG and the fault plan's open-window
-/// index to one behavior: flow churn under loss exercises slot recycling,
-/// timer-token reuse and the sorted stall/backstop scans far harder than a
-/// clean incast does, and same-instant window boundaries, arrivals and
-/// restarts pop in different orders under the two schedulers.
+/// (`FlowMap`), the engine's stale-timer drop, the fault RNG and the fault
+/// plan's open-window index to one behavior: flow churn under loss
+/// exercises slot recycling, timers outliving a crash and the sorted
+/// stall/backstop scans far harder than a clean incast does, and
+/// same-instant window boundaries, arrivals and restarts pop in different
+/// orders under the two schedulers.
 #[test]
 fn faulted_runs_are_bit_identical_across_reruns_and_schedulers() {
     let plans = [

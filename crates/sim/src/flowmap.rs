@@ -1,26 +1,20 @@
-//! Dense per-flow state containers for the event hot path.
+//! Dense per-flow state for the event hot path.
 //!
 //! The seed kept per-flow transport state and timer bookkeeping in
 //! `BTreeMap`s: every packet paid an O(log n) pointer chase through tree
-//! nodes scattered across the heap. The two containers here replace that
-//! with flat storage:
+//! nodes scattered across the heap. [`FlowMap`] replaces that with flat
+//! storage: a slab of values plus an open-addressing hash index. Lookup is
+//! one multiply-shift hash and (usually) one probe into a contiguous array.
+//! Iteration in **slot order** is deterministic for a given operation
+//! history but is *not* key order — behavior-affecting scans must sort keys
+//! first (see [`FlowMap::keys_into`]), which the transports do with a
+//! reusable scratch `Vec` at timer cadence, never per packet. Slots recycle
+//! through a free list, so steady-state churn (insert/remove per flow)
+//! allocates nothing.
 //!
-//! * [`FlowMap`] — a slab of values plus an open-addressing hash index.
-//!   Lookup is one multiply-shift hash and (usually) one probe into a
-//!   contiguous array. Iteration in **slot order** is deterministic for a
-//!   given operation history but is *not* key order — behavior-affecting
-//!   scans must sort keys first (see [`FlowMap::keys_into`]), which the
-//!   transports do with a reusable scratch `Vec` at timer cadence, never
-//!   per packet.
-//! * [`TimerTable`] — generation-checked timer payloads. `arm` hands out a
-//!   token encoding `(generation << 32) | slot`; a stale token (slot reused
-//!   since) fires as `None`, exactly like the seed's `BTreeMap::remove`
-//!   miss. Tokens never enter event *ordering* (events order by
-//!   `(time, seq)`), so swapping the token scheme preserves bit-exact
-//!   schedules.
-//!
-//! Both recycle slots through free lists, so steady-state churn
-//! (insert/remove per flow, arm/fire per timer) allocates nothing.
+//! Timers need no table: an endpoint arms a [`crate::Timer`] — a kind and
+//! a flow — and the engine carries it in the event and drops it once its
+//! incarnation has ended.
 
 /// Key types usable in a [`FlowMap`]: cheap to copy, totally ordered (for
 /// report-time sorting) and reducible to a `u64` for hashing.
@@ -346,87 +340,6 @@ impl<K: FlowKey, V> FlowMap<K, V> {
     }
 }
 
-/// Generation-checked timer payload slab.
-///
-/// `arm(payload)` stores the payload and returns a token; `fire(token)`
-/// takes it back out exactly once. Firing a token whose slot has since been
-/// recycled returns `None` — the moral equivalent of the seed's
-/// "token not in the BTreeMap, ignore" path, without the tree.
-#[derive(Debug, Default)]
-pub struct TimerTable<T> {
-    /// `(generation, payload)`; `None` payload = disarmed slot.
-    slots: Vec<(u32, Option<T>)>,
-    free: Vec<u32>,
-    live: usize,
-}
-
-impl<T> TimerTable<T> {
-    /// An empty table.
-    pub const fn new() -> TimerTable<T> {
-        TimerTable { slots: Vec::new(), free: Vec::new(), live: 0 }
-    }
-
-    /// Number of armed timers.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no timer is armed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Store `payload` and return the token to schedule with.
-    pub fn arm(&mut self, payload: T) -> u64 {
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push((0, None));
-                s
-            }
-        };
-        let (gen, p) = &mut self.slots[slot as usize];
-        debug_assert!(p.is_none(), "armed into a live slot");
-        *p = Some(payload);
-        self.live += 1;
-        ((*gen as u64) << 32) | slot as u64
-    }
-
-    /// Take the payload for `token`; `None` if the token is stale (already
-    /// fired, or the slot was recycled for a newer timer).
-    pub fn fire(&mut self, token: u64) -> Option<T> {
-        let slot = (token & 0xffff_ffff) as usize;
-        let gen = (token >> 32) as u32;
-        let (g, p) = self.slots.get_mut(slot)?;
-        if *g != gen || p.is_none() {
-            return None;
-        }
-        let payload = p.take();
-        *g = g.wrapping_add(1);
-        self.free.push(slot as u32);
-        self.live -= 1;
-        payload
-    }
-
-    /// Disarm every timer at once (host crash wipe). Each live slot's
-    /// generation is bumped so tokens already scheduled into the event queue
-    /// go stale — without the bump, a fresh `arm` could recycle the slot at
-    /// the old generation and a pre-crash token would fire the new timer.
-    pub fn clear(&mut self) {
-        self.free.clear();
-        for (slot, (gen, p)) in self.slots.iter_mut().enumerate() {
-            if p.take().is_some() {
-                *gen = gen.wrapping_add(1);
-            }
-            self.free.push(slot as u32);
-        }
-        self.live = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,49 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn timer_tokens_fire_exactly_once() {
-        let mut t: TimerTable<&str> = TimerTable::new();
-        let a = t.arm("rto");
-        let b = t.arm("probe");
-        assert_ne!(a, b);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.fire(a), Some("rto"));
-        assert_eq!(t.fire(a), None, "second fire is stale");
-        assert_eq!(t.fire(b), Some("probe"));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn recycled_slot_invalidates_old_token() {
-        let mut t: TimerTable<u32> = TimerTable::new();
-        let old = t.arm(1);
-        assert_eq!(t.fire(old), Some(1));
-        let new = t.arm(2);
-        assert_eq!(new & 0xffff_ffff, old & 0xffff_ffff, "slot is reused");
-        assert_ne!(new, old, "generation differs");
-        assert_eq!(t.fire(old), None, "stale token must not steal the new payload");
-        assert_eq!(t.fire(new), Some(2));
-    }
-
-    #[test]
-    fn clear_goes_stale_and_slots_recycle_safely() {
-        let mut t: TimerTable<&str> = TimerTable::new();
-        let a = t.arm("rto");
-        let b = t.arm("probe");
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.fire(a), None, "pre-clear token is stale");
-        assert_eq!(t.fire(b), None);
-        // Recycled slots after the wipe must not answer to old tokens.
-        let c = t.arm("fresh");
-        assert_ne!(c, a);
-        assert_ne!(c, b);
-        assert_eq!(t.fire(a), None, "old token must not steal the recycled slot");
-        assert_eq!(t.fire(c), Some("fresh"));
-        assert_eq!(t.slots.len(), 2, "clear recycles slots instead of leaking them");
-    }
-
-    #[test]
     fn flowmap_clear_wipes_and_reuses_capacity() {
         let mut m: FlowMap<FlowId, u32> = FlowMap::new();
         for i in 0..16 {
@@ -622,15 +492,5 @@ mod tests {
         assert_eq!(m.len(), 16);
         assert_eq!(m.slots.len(), cap, "clear keeps the slab capacity");
         assert_eq!(m.get(FlowId(20)), Some(&20));
-    }
-
-    #[test]
-    fn timer_churn_reuses_slots() {
-        let mut t: TimerTable<u64> = TimerTable::new();
-        for i in 0..10_000u64 {
-            let tok = t.arm(i);
-            assert_eq!(t.fire(tok), Some(i));
-        }
-        assert_eq!(t.slots.len(), 1, "ping-pong churn must reuse one slot");
     }
 }

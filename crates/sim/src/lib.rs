@@ -47,7 +47,7 @@
 //!             ctx.metrics.deliver(pkt.flow, pkt.payload as u64, ctx.now);
 //!         }
 //!     }
-//!     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
+//!     fn on_timer(&mut self, _timer: Timer, _ctx: &mut Ctx<'_>) {}
 //! }
 //!
 //! let mut net = Network::new();
@@ -89,12 +89,12 @@ pub mod telemetry;
 pub mod topology;
 pub mod units;
 
-pub use endpoint::{Ctx, Endpoint};
+pub use endpoint::{Ctx, Endpoint, Timer};
 pub use event::{Event, EventMix, EventQueue, Place, SchedulerKind};
 pub use faults::{
     CorruptionRule, Effect, Fault, FaultPlan, LinkFilter, PacketFilter, Window, WindowKind,
 };
-pub use flowmap::{FlowKey, FlowMap, TimerTable};
+pub use flowmap::{FlowKey, FlowMap};
 pub use metrics::{AbortCause, FlowRecord, Metrics};
 pub use network::Network;
 pub use oracle::{CheckedTracer, OracleProfile, OracleSignals, LOSS_CAUSE_LABELS};

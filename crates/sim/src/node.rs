@@ -21,6 +21,9 @@ pub enum NodeKind {
         /// The installed endpoint; `None` only transiently while a handler
         /// runs, or before installation.
         endpoint: Option<Box<dyn Endpoint>>,
+        /// How often the host has crashed (wrapping): the stamp that tells
+        /// its live timers from those armed before its last crash.
+        crashes: u16,
     },
 }
 

@@ -990,7 +990,7 @@ mod tests {
                 ctx.metrics.deliver(pkt.flow, pkt.payload as u64, ctx.now);
             }
         }
-        fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, _timer: crate::Timer, _ctx: &mut Ctx<'_>) {}
     }
 
     /// The planted-bug mutation check from the issue: a switch applying the

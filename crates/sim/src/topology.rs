@@ -453,7 +453,7 @@ mod tests {
                 ctx.metrics.deliver(pkt.flow, pkt.payload as u64, ctx.now);
             }
         }
-        fn on_timer(&mut self, _t: u64, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, _t: crate::endpoint::Timer, _ctx: &mut Ctx<'_>) {}
     }
 
     fn all_pairs_complete(mut topo: Topology, horizon: crate::units::Time) {

@@ -19,7 +19,7 @@
 
 use aeolus_sim::units::{Time, PS_PER_SEC};
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, TimerTable, TrafficClass,
+    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
     TransportEvent, CREDIT_BYTES,
 };
 
@@ -58,18 +58,20 @@ impl XPassConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum TimerKind {
-    CreditTick(FlowId),
-    Feedback(FlowId),
-    Rto(FlowId),
-    /// §6 probe-retry: resend request+probe if nothing was heard at all.
-    ProbeRetry(FlowId),
-    /// Receiver-side stall scan: detects flows whose sender went idle while
-    /// bytes are still missing (a scheduled packet was lost to transient
-    /// buffer overflow — rare, but unrecoverable without this backstop).
-    StallScan,
-}
+// Timer kinds ([`Timer::kind`]).
+/// Receiver: send a flow's next credit.
+const CREDIT_TICK: u8 = 0;
+/// Receiver: a flow's credit-rate feedback period ended.
+const FEEDBACK: u8 = 1;
+/// Sender: the RTO strawman's timeout.
+const RTO: u8 = 2;
+/// §6 probe-retry: resend request+probe if nothing was heard at all.
+const PROBE_RETRY: u8 = 3;
+/// Receiver-side stall scan (a host timer): detects flows whose sender went
+/// idle while bytes are still missing (a scheduled packet was lost to
+/// transient buffer overflow — rare, but unrecoverable without this
+/// backstop).
+const STALL_SCAN: u8 = 4;
 
 /// The receiver's credit loop state for one flow.
 struct Credits {
@@ -99,7 +101,6 @@ type RecvFlow = recovery::RecvFlow<Credits>;
 pub struct XPassEndpoint {
     cfg: XPassConfig,
     flows: FlowTable<SendState, RecvFlow>,
-    timers: TimerTable<TimerKind>,
     stall_scan_armed: bool,
 }
 
@@ -109,7 +110,6 @@ impl XPassEndpoint {
         XPassEndpoint {
             cfg,
             flows: FlowTable::default(),
-            timers: TimerTable::new(),
             stall_scan_armed: false,
         }
     }
@@ -127,7 +127,7 @@ impl XPassEndpoint {
         send_resends(resends, ctx);
         if any_incomplete {
             self.stall_scan_armed = true;
-            ctx.set_timer_in_with(stall_after, self.timers.arm(TimerKind::StallScan));
+            ctx.set_timer_in_with(stall_after, Timer::host(STALL_SCAN));
         }
     }
 
@@ -168,14 +168,14 @@ impl XPassEndpoint {
         });
         if let Some(rf) = rf.as_deref_mut().filter(|rf| !rf.proto.ticking) {
             rf.proto.ticking = true;
-            ctx.set_timer_in_with(0, self.timers.arm(TimerKind::CreditTick(pkt.flow)));
+            ctx.set_timer_in_with(0, Timer::flow(CREDIT_TICK, pkt.flow));
             let period = self.cfg.feedback_period();
-            ctx.set_timer_in_with(period, self.timers.arm(TimerKind::Feedback(pkt.flow)));
+            ctx.set_timer_in_with(period, Timer::flow(FEEDBACK, pkt.flow));
         }
         if !self.stall_scan_armed {
             self.stall_scan_armed = true;
             let delay = recovery::stall_after(&self.cfg.base);
-            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::StallScan));
+            ctx.set_timer_in_with(delay, Timer::host(STALL_SCAN));
         }
         rf
     }
@@ -213,7 +213,7 @@ impl XPassEndpoint {
             c.rate_bps.min(local_cap)
         };
         let interval = self.credit_interval(rate_bps);
-        ctx.set_timer_in_with(interval, self.timers.arm(TimerKind::CreditTick(flow)));
+        ctx.set_timer_in_with(interval, Timer::flow(CREDIT_TICK, flow));
     }
 
     fn on_feedback(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
@@ -255,7 +255,7 @@ impl XPassEndpoint {
             c.lost_period = 0;
             c.credits_sent_period = 0;
         }
-        ctx.set_timer_in_with(period, self.timers.arm(TimerKind::Feedback(flow)));
+        ctx.set_timer_in_with(period, Timer::flow(FEEDBACK, flow));
     }
 
     /// The silence-gated §6 retry. Before first contact, silence for a whole
@@ -281,7 +281,7 @@ impl XPassEndpoint {
             },
         );
         if let Some(delay) = rearm {
-            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ProbeRetry(flow)));
+            ctx.set_timer_in_with(delay, Timer::flow(PROBE_RETRY, flow));
         }
     }
 
@@ -299,7 +299,7 @@ impl XPassEndpoint {
         let unacked = tx.core.unacked_ranges();
         let lost = tx.core.force_mark_lost(&unacked);
         tx.note_loss(lost, LossCause::Timeout, ctx);
-        ctx.set_timer_in_with(rto, self.timers.arm(TimerKind::Rto(flow)));
+        ctx.set_timer_in_with(rto, Timer::flow(RTO, flow));
     }
 }
 
@@ -328,11 +328,11 @@ impl Endpoint for XPassEndpoint {
             tx.core.disable_last_resort();
         }
         if let Some(rto) = self.cfg.rto {
-            ctx.set_timer_in_with(rto, self.timers.arm(TimerKind::Rto(flow.id)));
+            ctx.set_timer_in_with(rto, Timer::flow(RTO, flow.id));
         }
         if base.aeolus.probe_retry_rtts > 0 {
-            let token = self.timers.arm(TimerKind::ProbeRetry(flow.id));
-            ctx.set_timer_in_with(recovery::retry_base(&base), token);
+            let retry = Timer::flow(PROBE_RETRY, flow.id);
+            ctx.set_timer_in_with(recovery::retry_base(&base), retry);
         }
         self.flows.send.insert(flow.id, tx);
     }
@@ -418,21 +418,19 @@ impl Endpoint for XPassEndpoint {
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        match self.timers.fire(token) {
-            Some(TimerKind::CreditTick(f)) => self.on_credit_tick(f, ctx),
-            Some(TimerKind::Feedback(f)) => self.on_feedback(f, ctx),
-            Some(TimerKind::Rto(f)) => self.on_rto(f, ctx),
-            Some(TimerKind::ProbeRetry(f)) => self.on_probe_retry(f, ctx),
-            Some(TimerKind::StallScan) => self.on_stall_scan(ctx),
-            None => {}
+    fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
+        match (timer.kind, timer.flow) {
+            (CREDIT_TICK, Some(f)) => self.on_credit_tick(f, ctx),
+            (FEEDBACK, Some(f)) => self.on_feedback(f, ctx),
+            (RTO, Some(f)) => self.on_rto(f, ctx),
+            (PROBE_RETRY, Some(f)) => self.on_probe_retry(f, ctx),
+            (STALL_SCAN, None) => self.on_stall_scan(ctx),
+            _ => unreachable!("not an ExpressPass timer: {timer:?}"),
         }
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        // The timer generation bump makes all queued tokens stale.
         self.flows.crash();
-        self.timers.clear();
         self.stall_scan_armed = false;
     }
 

@@ -16,7 +16,7 @@
 
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, TimerTable, TrafficClass,
+    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
     TransportEvent,
 };
 
@@ -73,16 +73,14 @@ impl HomaConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum TimerKind {
-    /// Sender-side RTO for one flow (Blind mode).
-    SenderRto(FlowId),
-    /// §6 probe-retry for probe-recovery modes: total silence means even
-    /// the probe was lost — resend it.
-    ProbeRetry(FlowId),
-    /// Receiver-side scan for stalled incomplete messages.
-    ResendScan,
-}
+// Timer kinds ([`Timer::kind`]).
+/// Sender-side RTO for one flow (Blind mode).
+const SENDER_RTO: u8 = 0;
+/// §6 probe-retry for probe-recovery modes: total silence means even the
+/// probe was lost — resend it.
+const PROBE_RETRY: u8 = 1;
+/// Receiver-side scan for stalled incomplete messages (a host timer).
+const RESEND_SCAN: u8 = 2;
 
 struct SendFlow {
     /// Shared sender state. Once anything (grant, RESEND, ACK) has been
@@ -109,7 +107,6 @@ pub struct HomaEndpoint {
     /// A finished sender keeps its highest grant offset: a late grant is
     /// booked only for what it adds.
     flows: FlowTable<SendFlow, RecvFlow, u64>,
-    timers: TimerTable<TimerKind>,
     scan_armed: bool,
     /// Reusable SRPT scratch for `regrant` (runs per data packet — a fresh
     /// `Vec` each call would churn the allocator on the hot path).
@@ -122,7 +119,6 @@ impl HomaEndpoint {
         HomaEndpoint {
             cfg,
             flows: FlowTable::default(),
-            timers: TimerTable::new(),
             scan_armed: false,
             srpt_scratch: Vec::new(),
         }
@@ -208,7 +204,7 @@ impl HomaEndpoint {
         }
         self.scan_armed = true;
         let delay = recovery::stale_after(&self.cfg.base, self.cfg.rto) / 2;
-        ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ResendScan));
+        ctx.set_timer_in_with(delay, Timer::host(RESEND_SCAN));
     }
 
     fn on_resend_scan(&mut self, ctx: &mut Ctx<'_>) {
@@ -282,7 +278,7 @@ impl HomaEndpoint {
         // a stuck flow cannot melt the run.
         let fires = sf.rto_fires;
         let shift = if naive { (fires / 16).min(6) } else { (fires / 2).min(8) };
-        ctx.set_timer_in_with(rto << shift, self.timers.arm(TimerKind::SenderRto(flow)));
+        ctx.set_timer_in_with(rto << shift, Timer::flow(SENDER_RTO, flow));
     }
 
     fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
@@ -296,7 +292,7 @@ impl HomaEndpoint {
             |tx, ctx| tx.send_probe(cfg.unsched_prio(tx.desc.size), ctx),
         );
         if let Some(delay) = rearm {
-            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ProbeRetry(flow)));
+            ctx.set_timer_in_with(delay, Timer::flow(PROBE_RETRY, flow));
         }
     }
 }
@@ -320,10 +316,10 @@ impl Endpoint for HomaEndpoint {
             base.mode.stamp_unscheduled(pkt, native_prio, lowest)
         });
         if let (FirstRttMode::Blind, Some(rto)) = (base.mode, self.cfg.rto) {
-            ctx.set_timer_in_with(rto, self.timers.arm(TimerKind::SenderRto(flow.id)));
+            ctx.set_timer_in_with(rto, Timer::flow(SENDER_RTO, flow.id));
         } else if base.mode.probe_recovery() && base.aeolus.probe_retry_rtts > 0 {
-            let token = self.timers.arm(TimerKind::ProbeRetry(flow.id));
-            ctx.set_timer_in_with(recovery::retry_base(&base), token);
+            let retry = Timer::flow(PROBE_RETRY, flow.id);
+            ctx.set_timer_in_with(recovery::retry_base(&base), retry);
         }
         self.flows.send.insert(
             flow.id,
@@ -439,19 +435,17 @@ impl Endpoint for HomaEndpoint {
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        match self.timers.fire(token) {
-            Some(TimerKind::SenderRto(f)) => self.on_sender_rto(f, ctx),
-            Some(TimerKind::ProbeRetry(f)) => self.on_probe_retry(f, ctx),
-            Some(TimerKind::ResendScan) => self.on_resend_scan(ctx),
-            None => {}
+    fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
+        match (timer.kind, timer.flow) {
+            (SENDER_RTO, Some(f)) => self.on_sender_rto(f, ctx),
+            (PROBE_RETRY, Some(f)) => self.on_probe_retry(f, ctx),
+            (RESEND_SCAN, None) => self.on_resend_scan(ctx),
+            _ => unreachable!("not a Homa timer: {timer:?}"),
         }
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        // The timer generation bump makes all queued tokens stale.
         self.flows.crash();
-        self.timers.clear();
         self.scan_armed = false;
     }
 

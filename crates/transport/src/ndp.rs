@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, TimerTable, TransportEvent,
+    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Timer, TransportEvent,
 };
 
 use crate::common::{data_ack_packet, BaseConfig};
@@ -26,16 +26,14 @@ use crate::recovery::{
     self, answer_probe, launch_first_rtt, CreditLedger, Done, FlowTable, SendState,
 };
 
-#[derive(Debug, Clone, Copy)]
-enum TimerKind {
-    /// The per-host pull pacer tick.
-    PullTick,
-    /// Stall backstop scan.
-    Backstop,
-    /// §6 probe-retry (Aeolus mode): total silence means even the probe was
-    /// lost — resend it.
-    ProbeRetry(FlowId),
-}
+// Timer kinds ([`Timer::kind`]).
+/// The per-host pull pacer tick (a host timer).
+const PULL_TICK: u8 = 0;
+/// Stall backstop scan (a host timer).
+const BACKSTOP: u8 = 1;
+/// §6 probe-retry (Aeolus mode): total silence means even the probe was
+/// lost — resend it.
+const PROBE_RETRY: u8 = 2;
 
 struct SendFlow {
     tx: SendState,
@@ -53,7 +51,6 @@ type RecvFlow = recovery::RecvFlow<CreditLedger>;
 pub struct NdpEndpoint {
     cfg: BaseConfig,
     flows: FlowTable<SendFlow, RecvFlow>,
-    timers: TimerTable<TimerKind>,
     /// Round-robin pull queue across flows (one entry = one pull to send).
     pull_queue: VecDeque<FlowId>,
     pull_pacer_armed: bool,
@@ -69,7 +66,6 @@ impl NdpEndpoint {
         NdpEndpoint {
             cfg,
             flows: FlowTable::default(),
-            timers: TimerTable::new(),
             pull_queue: VecDeque::new(),
             pull_pacer_armed: false,
             next_pull_at: 0,
@@ -120,7 +116,7 @@ impl NdpEndpoint {
         }
         self.pull_pacer_armed = true;
         let delay = self.next_pull_at.saturating_sub(ctx.now);
-        ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::PullTick));
+        ctx.set_timer_in_with(delay, Timer::host(PULL_TICK));
     }
 
     fn on_pull_tick(&mut self, ctx: &mut Ctx<'_>) {
@@ -149,7 +145,7 @@ impl NdpEndpoint {
         }
         self.backstop_armed = true;
         let backstop = recovery::stale_after(&self.cfg, None);
-        ctx.set_timer_in_with(backstop, self.timers.arm(TimerKind::Backstop));
+        ctx.set_timer_in_with(backstop, Timer::host(BACKSTOP));
     }
 
     fn on_backstop(&mut self, ctx: &mut Ctx<'_>) {
@@ -202,7 +198,7 @@ impl NdpEndpoint {
             |tx, ctx| tx.send_probe(7, ctx),
         );
         if let Some(delay) = rearm {
-            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::ProbeRetry(flow)));
+            ctx.set_timer_in_with(delay, Timer::flow(PROBE_RETRY, flow));
         }
     }
 
@@ -242,8 +238,8 @@ impl Endpoint for NdpEndpoint {
         // Aeolus mode): last-resort duplication only feeds trim loops.
         tx.core.disable_last_resort();
         if base.mode.probe_recovery() && base.aeolus.probe_retry_rtts > 0 {
-            let token = self.timers.arm(TimerKind::ProbeRetry(flow.id));
-            ctx.set_timer_in_with(recovery::retry_base(&base), token);
+            let retry = Timer::flow(PROBE_RETRY, flow.id);
+            ctx.set_timer_in_with(recovery::retry_base(&base), retry);
         }
         self.flows.send.insert(flow.id, SendFlow { tx, tag });
     }
@@ -336,19 +332,17 @@ impl Endpoint for NdpEndpoint {
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        match self.timers.fire(token) {
-            Some(TimerKind::PullTick) => self.on_pull_tick(ctx),
-            Some(TimerKind::Backstop) => self.on_backstop(ctx),
-            Some(TimerKind::ProbeRetry(f)) => self.on_probe_retry(f, ctx),
-            None => {}
+    fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
+        match (timer.kind, timer.flow) {
+            (PULL_TICK, None) => self.on_pull_tick(ctx),
+            (BACKSTOP, None) => self.on_backstop(ctx),
+            (PROBE_RETRY, Some(f)) => self.on_probe_retry(f, ctx),
+            _ => unreachable!("not an NDP timer: {timer:?}"),
         }
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        // The timer generation bump makes all queued tokens stale.
         self.flows.crash();
-        self.timers.clear();
         self.pull_queue.clear();
         self.pull_pacer_armed = false;
         self.next_pull_at = 0;

@@ -22,7 +22,7 @@
 
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, TimerTable, TrafficClass,
+    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
     TransportEvent,
 };
 
@@ -42,17 +42,16 @@ pub struct PHostConfig {
     pub rto: Option<Time>,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum TimerKind {
-    /// The receiver's token pacer tick.
-    TokenTick,
-    /// Stalled-flow scan (token re-issue / missing-range recovery).
-    StallScan,
-    /// §6-style initial-contact retry: if the RTS, the whole burst *and* the
-    /// probe died on the way, the receiver never learns the flow exists —
-    /// re-send the RTS (and probe) until something comes back.
-    RtsRetry(FlowId),
-}
+// Timer kinds ([`Timer::kind`]).
+/// The receiver's token pacer tick (a host timer).
+const TOKEN_TICK: u8 = 0;
+/// Stalled-flow scan (a host timer): token re-issue / missing-range
+/// recovery.
+const STALL_SCAN: u8 = 1;
+/// §6-style initial-contact retry: if the RTS, the whole burst *and* the
+/// probe died on the way, the receiver never learns the flow exists —
+/// re-send the RTS (and probe) until something comes back.
+const RTS_RETRY: u8 = 2;
 
 /// The token ledger counts packets: each token authorizes one, and each
 /// scheduled (token-induced) data packet received returns it.
@@ -62,7 +61,6 @@ type RecvFlow = recovery::RecvFlow<CreditLedger>;
 pub struct PHostEndpoint {
     cfg: PHostConfig,
     flows: FlowTable<SendState, RecvFlow>,
-    timers: TimerTable<TimerKind>,
     pacer_armed: bool,
     next_token_at: Time,
     scan_armed: bool,
@@ -74,7 +72,6 @@ impl PHostEndpoint {
         PHostEndpoint {
             cfg,
             flows: FlowTable::default(),
-            timers: TimerTable::new(),
             pacer_armed: false,
             next_token_at: 0,
             scan_armed: false,
@@ -91,7 +88,7 @@ impl PHostEndpoint {
         }
         self.pacer_armed = true;
         let delay = self.next_token_at.saturating_sub(ctx.now);
-        ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::TokenTick));
+        ctx.set_timer_in_with(delay, Timer::host(TOKEN_TICK));
     }
 
     /// One pacer tick: give a token to the SRPT-best flow with a deficit.
@@ -127,7 +124,7 @@ impl PHostEndpoint {
             let more = wanting > 1 || rf.deficit(mtu, 1, window) > 0;
             if more {
                 self.pacer_armed = true;
-                ctx.set_timer_in_with(spacing, self.timers.arm(TimerKind::TokenTick));
+                ctx.set_timer_in_with(spacing, Timer::host(TOKEN_TICK));
             }
         }
     }
@@ -138,7 +135,7 @@ impl PHostEndpoint {
         if !self.scan_armed {
             self.scan_armed = true;
             let delay = recovery::stale_after(&self.cfg.base, self.cfg.rto) / 2;
-            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::StallScan));
+            ctx.set_timer_in_with(delay, Timer::host(STALL_SCAN));
         }
     }
 
@@ -162,7 +159,7 @@ impl PHostEndpoint {
         self.arm_pacer(ctx);
         if any_incomplete {
             self.scan_armed = true;
-            ctx.set_timer_in_with(stale / 2, self.timers.arm(TimerKind::StallScan));
+            ctx.set_timer_in_with(stale / 2, Timer::host(STALL_SCAN));
         }
     }
 
@@ -193,7 +190,7 @@ impl PHostEndpoint {
             },
         );
         if let Some(delay) = rearm {
-            ctx.set_timer_in_with(delay, self.timers.arm(TimerKind::RtsRetry(flow)));
+            ctx.set_timer_in_with(delay, Timer::flow(RTS_RETRY, flow));
         }
     }
 }
@@ -217,8 +214,8 @@ impl Endpoint for PHostEndpoint {
         // duplication would only waste tokens.
         tx.core.disable_last_resort();
         if base.aeolus.probe_retry_rtts > 0 {
-            let token = self.timers.arm(TimerKind::RtsRetry(flow.id));
-            ctx.set_timer_in_with(recovery::retry_base(&base), token);
+            let retry = Timer::flow(RTS_RETRY, flow.id);
+            ctx.set_timer_in_with(recovery::retry_base(&base), retry);
         }
         self.flows.send.insert(flow.id, tx);
     }
@@ -289,19 +286,17 @@ impl Endpoint for PHostEndpoint {
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        match self.timers.fire(token) {
-            Some(TimerKind::TokenTick) => self.on_token_tick(ctx),
-            Some(TimerKind::StallScan) => self.on_stall_scan(ctx),
-            Some(TimerKind::RtsRetry(f)) => self.on_rts_retry(f, ctx),
-            None => {}
+    fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
+        match (timer.kind, timer.flow) {
+            (TOKEN_TICK, None) => self.on_token_tick(ctx),
+            (STALL_SCAN, None) => self.on_stall_scan(ctx),
+            (RTS_RETRY, Some(f)) => self.on_rts_retry(f, ctx),
+            _ => unreachable!("not a pHost timer: {timer:?}"),
         }
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        // The timer generation bump makes all queued tokens stale.
         self.flows.crash();
-        self.timers.clear();
         self.pacer_armed = false;
         self.next_token_at = 0;
         self.scan_armed = false;

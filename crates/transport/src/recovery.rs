@@ -1068,7 +1068,7 @@ mod tests {
                 (self.0.take().expect("one arrival"))(ctx);
             }
             fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
-            fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
+            fn on_timer(&mut self, _timer: aeolus_sim::Timer, _ctx: &mut Ctx<'_>) {}
         }
 
         let qf = |_: Rate, _: PortRole| Queue::from(DropTailQueue::new(1 << 20));

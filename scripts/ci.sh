@@ -253,9 +253,9 @@ EOF
 # default builds dispatch the oracle's hooks to statically-inlined no-ops.
 cargo run --release -q -p aeolus-experiments --bin repro -- fuzz --cases 25 --seed 1
 
-# A second batch on a fresh seed: the slab-backed per-flow state (FlowMap /
-# TimerTable) replaced every transport's BTreeMaps, so widen the randomized
-# conformance coverage over flow churn, timer recycling and fault overlap.
+# A second batch on a fresh seed: the slab-backed per-flow state (FlowMap)
+# replaced every transport's BTreeMaps, so widen the randomized conformance
+# coverage over flow churn, stale timers and fault overlap.
 cargo run --release -q -p aeolus-experiments --bin repro -- fuzz --cases 25 --seed 6
 
 # Oracle smoke under a real experiment: fig1 at smoke scale with --check
