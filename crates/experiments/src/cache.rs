@@ -47,7 +47,10 @@ use crate::runner::{RunConfig, RunOutput};
 ///
 /// 3: a DCTCP flow keeps one queued RTO event instead of one per re-arm —
 /// the DCTCP cells' `events` fell under unchanged keys.
-const SCHEMA: u32 = 3;
+///
+/// 4: the engine drops the flow timers of an aborted incarnation — faulted
+/// cells whose crashes relaunch flows change outcome under unchanged keys.
+const SCHEMA: u32 = 4;
 
 /// One cache directory and the counters of the session that reads it.
 pub struct Cache {
