@@ -238,12 +238,14 @@ fn directive_order_across_kinds_is_not_behaviour() {
 fn fastpass_arbiter_outage_crashes_the_arbiter_host_only() {
     // Six hosts, the last reserved as the arbiter: `arbiter=` is a third
     // node crash, and the partition still darkens workload hosts 3 and 4 —
-    // never the arbiter, which is not in the host list it halves.
+    // never the arbiter, which is not in the host list it halves. `events`
+    // was re-pinned (1,307 -> 1,280) when a finished flow's granted slots
+    // stopped ticking; the digest did not move.
     assert_one_digest(
         Scheme::FastpassAeolus,
         6,
         &Observed {
-            events: 1_307,
+            events: 1_280,
             window_starts: 5,
             node_crashes: 3,
             restarted_flows: 3,
