@@ -88,7 +88,9 @@ pub enum Event {
     Timer {
         /// The host whose endpoint armed the timer.
         node: NodeId,
-        /// The token passed to `Ctx::set_timer_in_with` or `Ctx::fill_timer`.
+        /// The [`crate::Timer`] armed through `Ctx::set_timer_in_with` or
+        /// `Ctx::fill_timer`, packed by the engine with its incarnation
+        /// stamp. The scheduler never reads it.
         token: u64,
     },
     /// A new application flow arrives at its source host.
