@@ -240,9 +240,20 @@ impl<T: Tracer> Network<T> {
 
     /// Register `port` on switch `sw` as a next hop towards destination `dst`.
     pub fn add_route(&mut self, sw: NodeId, dst: NodeId, port: PortId) {
+        self.add_routes(sw, dst, std::slice::from_ref(&port));
+    }
+
+    /// Register the ECMP group `ports` on switch `sw` towards `dst`, after
+    /// the next hops it already has (see [`RouteTable::add_routes`]).
+    pub fn add_routes(&mut self, sw: NodeId, dst: NodeId, ports: &[PortId]) {
+        self.route_table_mut(sw).add_routes(dst, ports);
+    }
+
+    /// The routing table of switch `sw`.
+    pub fn route_table_mut(&mut self, sw: NodeId) -> &mut RouteTable {
         match &mut self.nodes[sw.0 as usize].kind {
-            NodeKind::Switch { table } => table.add_route(dst, port),
-            NodeKind::Host { .. } => panic!("add_route on a host"),
+            NodeKind::Switch { table } => table,
+            NodeKind::Host { .. } => panic!("{sw:?} is a host, not a switch"),
         }
     }
 

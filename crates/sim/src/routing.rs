@@ -7,12 +7,17 @@
 //!   and the packet's `path_tag` pins all packets of a flow to one path;
 //! * **per-packet spraying** (NDP) — every packet picks uniformly at random.
 //!
-//! The hot path is flat: ECMP groups are compacted into one contiguous port
-//! array (CSR layout) with per-destination `(start, len, mask)` metadata, so
-//! `select` is a bounds-checked slice index plus either a mask (power-of-two
-//! groups) or one modulo — no nested `Vec` pointer chase. The FNV flow hash
-//! is computed **once per packet** at network injection and carried in
-//! [`Packet::route_hash`]; each hop reuses it instead of re-hashing.
+//! The table is flat: all ECMP groups live back to back in one port array
+//! (CSR layout), in destination order, with per-destination `(start, len,
+//! mask)` metadata, so `select` is a bounds-checked slice index plus either a
+//! mask (power-of-two groups) or one modulo — no nested `Vec` pointer chase.
+//! The CSR is written once, at build, and is the only copy of the routes:
+//! `add_routes` appends when `dst` is the table's last destination (the order
+//! every topology builder uses) and splices in place otherwise. A group keeps
+//! its ports in first-add order and ignores duplicates, since ECMP picks a
+//! port by its position. The FNV flow hash is computed **once per packet** at
+//! network injection and carried in [`Packet::route_hash`]; each hop reuses
+//! it instead of re-hashing.
 
 use crate::packet::{NodeId, Packet, PortId};
 use crate::rng::SimRng;
@@ -67,15 +72,12 @@ struct GroupMeta {
 /// A switch routing table: for each destination node id, the ECMP group of
 /// candidate egress ports.
 pub struct RouteTable {
-    /// Build-time source of truth, indexed by `NodeId.0`; empty group =
-    /// unreachable (a wiring bug).
-    groups: Vec<Vec<PortId>>,
-    /// Compacted per-destination metadata (rebuilt lazily after edits).
+    /// Per-destination view into `flat`, indexed by `NodeId.0`; an empty
+    /// group = unreachable (a wiring bug). Groups lie in destination order,
+    /// so each `start` is the sum of the lengths before it.
     meta: Vec<GroupMeta>,
     /// All groups' ports, contiguous (CSR payload).
     flat: Vec<PortId>,
-    /// Set by `add_route`; the next `select` recompacts.
-    dirty: bool,
     policy: RoutePolicy,
     rng: SimRng,
     /// Reusable up-port scratch for `select_avoiding` (no per-call alloc).
@@ -86,10 +88,8 @@ impl RouteTable {
     /// A table for a network of `n_nodes` nodes.
     pub fn new(n_nodes: usize, policy: RoutePolicy, seed: u64) -> RouteTable {
         RouteTable {
-            groups: vec![Vec::new(); n_nodes],
-            meta: Vec::new(),
+            meta: vec![GroupMeta::default(); n_nodes],
             flat: Vec::new(),
-            dirty: true,
             policy,
             rng: SimRng::seed_from_u64(seed),
             avoid_scratch: Vec::new(),
@@ -99,36 +99,38 @@ impl RouteTable {
     /// Add `port` as a candidate next hop towards `dst`. The table grows on
     /// demand, so nodes may be numbered beyond the initial capacity.
     pub fn add_route(&mut self, dst: NodeId, port: PortId) {
+        self.add_routes(dst, std::slice::from_ref(&port));
+    }
+
+    /// Add `ports` as candidate next hops towards `dst`, after the ones it
+    /// already has; ports already in the group are skipped.
+    pub fn add_routes(&mut self, dst: NodeId, ports: &[PortId]) {
         let idx = dst.0 as usize;
-        if idx >= self.groups.len() {
-            self.groups.resize(idx + 1, Vec::new());
+        if idx >= self.meta.len() {
+            let empty = GroupMeta { start: self.flat.len() as u32, len: 0, mask: 0 };
+            self.meta.resize(idx + 1, empty);
         }
-        let g = &mut self.groups[idx];
-        if !g.contains(&port) {
-            g.push(port);
-            self.dirty = true;
+        let GroupMeta { start, len, .. } = self.meta[idx];
+        let mut end = start + len;
+        for &port in ports {
+            if !self.flat[start as usize..end as usize].contains(&port) {
+                self.flat.insert(end as usize, port);
+                end += 1;
+            }
         }
+        for later in &mut self.meta[idx + 1..] {
+            later.start += end - start - len;
+        }
+        let len = end - start;
+        let mask = if len.is_power_of_two() { len - 1 } else { 0 };
+        self.meta[idx] = GroupMeta { start, len, mask };
     }
 
     /// Candidate ports towards `dst` (for tests/topology validation).
     pub fn group(&self, dst: NodeId) -> &[PortId] {
-        self.groups.get(dst.0 as usize).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Recompact `groups` into the flat CSR arrays.
-    #[cold]
-    fn rebuild(&mut self) {
-        self.flat.clear();
-        self.meta.clear();
-        self.meta.reserve(self.groups.len());
-        for g in &self.groups {
-            let start = self.flat.len() as u32;
-            let len = g.len() as u32;
-            let mask = if len.is_power_of_two() { len - 1 } else { 0 };
-            self.flat.extend_from_slice(g);
-            self.meta.push(GroupMeta { start, len, mask });
-        }
-        self.dirty = false;
+        self.meta
+            .get(dst.0 as usize)
+            .map_or(&[], |m| &self.flat[m.start as usize..(m.start + m.len) as usize])
     }
 
     #[cold]
@@ -142,9 +144,6 @@ impl RouteTable {
     /// Panics if no route exists — topologies must be fully wired.
     #[inline]
     pub fn select(&mut self, pkt: &Packet) -> PortId {
-        if self.dirty {
-            self.rebuild();
-        }
         let m = match self.meta.get(pkt.dst.0 as usize) {
             Some(m) if m.len > 0 => *m,
             _ => Self::no_route(pkt.dst),
@@ -179,9 +178,6 @@ impl RouteTable {
         pkt: &Packet,
         is_down: impl Fn(PortId) -> bool,
     ) -> PortId {
-        if self.dirty {
-            self.rebuild();
-        }
         let m = match self.meta.get(pkt.dst.0 as usize) {
             Some(m) if m.len > 0 => *m,
             _ => Self::no_route(pkt.dst),
@@ -324,7 +320,7 @@ mod tests {
         }
     }
 
-    /// Routes added after a select (lazy growth) are picked up.
+    /// Routes added after a select are picked up.
     #[test]
     fn incremental_route_addition_rebuilds() {
         let mut t = RouteTable::new(2, RoutePolicy::EcmpHash, 1);

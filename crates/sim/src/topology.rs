@@ -240,9 +240,7 @@ pub fn leaf_spine_with<T: Tracer>(
             net.add_route(leaf, h, down);
             for (ol, &other_leaf) in leaf_ids.iter().enumerate() {
                 if ol != l {
-                    for &up in &leaf_up[ol] {
-                        net.add_route(other_leaf, h, up);
-                    }
+                    net.add_routes(other_leaf, h, &leaf_up[ol]);
                 }
             }
             for (s, &spine) in spine_ids.iter().enumerate() {
@@ -383,9 +381,7 @@ pub fn fat_tree_with<T: Tracer>(
                         if opd == pd && ot == t {
                             continue;
                         }
-                        for &up in &tor_up[opd][ot] {
-                            net.add_route(tor_ids[opd][ot], h, up);
-                        }
+                        net.add_routes(tor_ids[opd][ot], h, &tor_up[opd][ot]);
                     }
                 }
                 // * aggs in this pod: down to this ToR. Aggs in other pods:
@@ -398,16 +394,12 @@ pub fn fat_tree_with<T: Tracer>(
                         continue;
                     }
                     for a in 0..aggs_per_pod {
-                        for &up in &agg_up[opd][a] {
-                            net.add_route(agg_ids[opd][a], h, up);
-                        }
+                        net.add_routes(agg_ids[opd][a], h, &agg_up[opd][a]);
                     }
                 }
                 // * spines: down to any agg of this pod.
                 for (s, &spine) in spine_ids.iter().enumerate() {
-                    for &down in spine_down[s][pd].iter().take(aggs_per_pod) {
-                        net.add_route(spine, h, down);
-                    }
+                    net.add_routes(spine, h, &spine_down[s][pd]);
                 }
                 hosts.push(h);
                 host_ingress.push((tor_ids[pd][t], down));
@@ -525,10 +517,14 @@ mod tests {
 
     #[test]
     fn validate_routes_accepts_all_builders() {
+        let p = LinkParams::uniform(Rate::gbps(100), us(1));
         single_switch(8, LinkParams::uniform(Rate::gbps(10), us(1)), &qf).validate_routes();
-        leaf_spine(4, 4, 4, LinkParams::uniform(Rate::gbps(100), us(1)), &qf).validate_routes();
-        fat_tree(4, 4, 2, 2, 3, LinkParams::uniform(Rate::gbps(100), us(1)), &qf)
-            .validate_routes();
+        leaf_spine(4, 4, 4, p, &qf).validate_routes();
+        fat_tree(4, 4, 2, 2, 3, p, &qf).validate_routes();
+        // The full-scale shapes the paper runs: ExpressPass' 8-spine, 8-pod,
+        // 192-host fat tree and Homa/NDP's 8×8×64 leaf-spine.
+        fat_tree(8, 8, 4, 2, 6, p, &qf).validate_routes();
+        leaf_spine(8, 8, 8, p, &qf).validate_routes();
     }
 
     #[test]

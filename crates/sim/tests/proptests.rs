@@ -10,10 +10,11 @@ use aeolus_sim::faults::{
     blackout_kills, cut_reason, link_down_at, node_down_at, node_drop_reason, slowdown_at,
     FaultIndex,
 };
+use aeolus_sim::routing::fnv1a;
 use aeolus_sim::{
     ms, ns, us, DropReason, EnqueueOutcome, FaultPlan, FlowId, LinkFilter, NodeId, Packet,
     PacketFilter, PacketKind, PacketPool, Poll, PortId, PriorityBank, QueueDisc, RangeSet,
-    RedEcnQueue, SimRng, Time, TrafficClass,
+    RedEcnQueue, RoutePolicy, RouteTable, SimRng, Time, TrafficClass,
 };
 
 /// Random cases per property (each case is a full scenario).
@@ -227,6 +228,87 @@ fn rangeset_matches_naive_model() {
         // contiguous_prefix agrees.
         let prefix = model.iter().take_while(|&&b| b).count() as u64;
         assert_eq!(rs.contiguous_prefix(), prefix, "case {case}");
+    }
+}
+
+/// A route table agrees with a nested-`Vec` model of the same build: each
+/// group holds its ports in first-add order with duplicates ignored, so
+/// `group` is equal for every destination, `select` under `EcmpHash` picks
+/// the model group's `hash % len`-th port, and `select` under `Spray` picks
+/// what the same seed draws from the model group. Builds mix `add_route` and
+/// `add_routes`, ascending and out-of-order destinations, duplicate ports,
+/// destinations past the initial size, and selects between the adds.
+#[test]
+fn route_table_matches_nested_vec_model() {
+    let mut rng = SimRng::seed_from_u64(0x407e5);
+    for case in 0..CASES {
+        let initial = rng.index(8);
+        let seed = rng.below(1 << 32);
+        let mut ecmp = RouteTable::new(initial, RoutePolicy::EcmpHash, seed);
+        let mut spray = RouteTable::new(initial, RoutePolicy::Spray, seed);
+        let mut model: Vec<Vec<PortId>> = Vec::new();
+        let mut model_rng = SimRng::seed_from_u64(seed);
+        let mut next = 0u32;
+        let mut flow = 0u64;
+        for _ in 0..1 + rng.index(79) {
+            // Mostly the order the topology builders use: the last
+            // destination again or the next one up; else anywhere.
+            let dst = match rng.below(4) {
+                0 => rng.below(32) as u32,
+                1 => next.saturating_sub(1),
+                _ => next,
+            };
+            next = next.max(dst + 1);
+            let ports: Vec<PortId> =
+                (0..1 + rng.index(5)).map(|_| PortId(rng.below(6) as u16)).collect();
+            if rng.below(2) == 0 {
+                ecmp.add_routes(NodeId(dst), &ports);
+                spray.add_routes(NodeId(dst), &ports);
+            } else {
+                for &p in &ports {
+                    ecmp.add_route(NodeId(dst), p);
+                    spray.add_route(NodeId(dst), p);
+                }
+            }
+            if model.len() <= dst as usize {
+                model.resize(dst as usize + 1, Vec::new());
+            }
+            for p in ports {
+                if !model[dst as usize].contains(&p) {
+                    model[dst as usize].push(p);
+                }
+            }
+            // Selects towards routed destinations, mid-build and after it.
+            for _ in 0..rng.index(3) {
+                let dst = rng.index(model.len());
+                let group = &model[dst];
+                if group.is_empty() {
+                    continue;
+                }
+                flow += 1;
+                let mut pkt = Packet::data(
+                    FlowId(flow),
+                    NodeId(0),
+                    NodeId(dst as u32),
+                    0,
+                    1460,
+                    TrafficClass::Scheduled,
+                    1460,
+                );
+                pkt.path_tag = rng.below(4);
+                let h = fnv1a(pkt.flow.0, pkt.path_tag);
+                let want = group[(h % group.len() as u64) as usize];
+                assert_eq!(ecmp.select(&pkt), want, "case {case}: ECMP towards {dst}");
+                let want =
+                    if group.len() == 1 { group[0] } else { group[model_rng.index(group.len())] };
+                assert_eq!(spray.select(&pkt), want, "case {case}: spray towards {dst}");
+            }
+        }
+        for dst in 0..40 {
+            let want = model.get(dst).map_or(&[][..], Vec::as_slice);
+            assert_eq!(ecmp.group(NodeId(dst as u32)), want, "case {case}: group {dst}");
+            assert_eq!(spray.group(NodeId(dst as u32)), want, "case {case}: group {dst}");
+        }
     }
 }
 

@@ -5,13 +5,19 @@ Spawns the command given after `--` and stops it about HZ (1000) times a
 second with ptrace (PTRACE_SEIZE, then PTRACE_INTERRUPT / PTRACE_GETREGS /
 PTRACE_CONT per sample), walks its stack through the frame-pointer chain read
 from /proc/<pid>/mem, and resolves every address once at the end with
-`addr2line -a -i -f -C`, inlined frames included. It prints five tables:
+`addr2line -a -i -f -C`, inlined frames included. A sample stopped in a
+shared library (glibc keeps no frame pointers) is charged to its caller: the
+first of the SCAN (64) stack words above RSP that points into the
+executable's code is taken as the library call's return address, and the
+frame-pointer walk resumes at the first frame record above it; the header
+counts these samples. It prints five tables:
 
 * self       -- samples by the innermost frame of the sampled instruction;
 * self in crates/ -- samples charged to the innermost frame whose file path
   contains FOCUS (`crates/`), walking out through inlined frames and then
   callers, so a sample in an inlined `core::ptr::read` counts against the
-  simulator line that called it;
+  simulator line that called it (with no such frame, to the innermost frame
+  that has a source line);
 * lines      -- the same charge by `file:line`;
 * hot instructions -- sampled instruction addresses, with their location
   (and the instruction itself under `--disasm`, via objdump);
@@ -52,6 +58,10 @@ import time
 
 HZ = 1000.0
 DEPTH = 128
+SCAN = 64
+# A frame record lies at most this far above the return address found by
+# the scan.
+SPAN = 1 << 20
 FOCUS = "crates/"
 
 PTRACE_CONT = 7
@@ -62,7 +72,7 @@ PTRACE_EVENT_STOP = 128
 WALL = 0x40000000
 
 # Offsets into x86_64 `struct user_regs_struct` (27 unsigned longs).
-REG_RBP, REG_RIP, NREGS = 4, 16, 27
+REG_RBP, REG_RIP, REG_RSP, NREGS = 4, 16, 19, 27
 
 SKIP = 3
 
@@ -84,7 +94,7 @@ class Ptrace:
         if self.fn(PTRACE_GETREGS, pid, None, ctypes.cast(buf, ctypes.c_void_p)) == -1:
             err = ctypes.get_errno()
             raise OSError(err, os.strerror(err))
-        return buf[REG_RIP], buf[REG_RBP]
+        return buf[REG_RIP], buf[REG_RBP], buf[REG_RSP]
 
 
 def walk(mem, rip, rbp):
@@ -107,6 +117,38 @@ def walk(mem, rip, rbp):
             break
         fp = next_fp
     return tuple(frames)
+
+
+def inside(addr, ranges):
+    return any(lo <= addr < hi for lo, hi in ranges)
+
+
+def scan(mem, rsp, rbp, code):
+    """For a sample stopped outside the executable: the return address of
+    the library call -- the first of the SCAN words from RSP up that points
+    into `code` (the executable's text) -- and the caller's frame record to
+    resume the walk from. The caller's RBP is still in the register or was
+    saved on the stack by whichever frame reused RBP, so the record is the
+    first of RBP and the scanned words that lies above the return address
+    and holds another return address into `code` (0 when none does). None
+    when no scanned word points into `code`."""
+    try:
+        data = os.pread(mem, 8 * SCAN, rsp)
+    except OSError:
+        return None
+    words = struct.unpack(f"<{len(data) // 8}Q", data[: len(data) // 8 * 8])
+    at = next((i for i, w in enumerate(words) if inside(w, code)), None)
+    if at is None:
+        return None
+    slot = rsp + 8 * at
+    for fp in (w for w in (rbp,) + words if slot < w <= slot + SPAN and w % 8 == 0):
+        try:
+            ret = struct.unpack("<Q", os.pread(mem, 8, fp + 8))[0]
+        except (OSError, struct.error):
+            continue
+        if inside(ret, code):
+            return words[at], fp
+    return words[at], 0
 
 
 def wait_stop(pt, pid):
@@ -137,6 +179,7 @@ def sample(child, seconds):
     mem = os.open(f"/proc/{pid}/mem", os.O_RDONLY)
     stacks = collections.Counter()
     layout = None
+    scanned = 0
     period = 1.0 / HZ
     start = time.monotonic()
     alive = True
@@ -150,10 +193,17 @@ def sample(child, seconds):
             alive = False
             break
         try:
-            rip, rbp = pt.regs(pid)
-            stacks[walk(mem, rip, rbp)] += 1
+            rip, rbp, rsp = pt.regs(pid)
             # Read once the loader has mapped the shared libraries.
             layout = layout or exe_layout(pid)
+            code = layout[3]
+            found = None if inside(rip, code) else scan(mem, rsp, rbp, code)
+            if found:
+                ret, fp = found
+                stacks[(rip,) + walk(mem, ret - 1, fp)] += 1
+                scanned += 1
+            else:
+                stacks[walk(mem, rip, rbp)] += 1
         except OSError:
             pass
         if seconds is not None and time.monotonic() - start >= seconds:
@@ -165,15 +215,16 @@ def sample(child, seconds):
         # Stopped by the clock, with the tracee in an event stop.
         child.kill()
         child.wait()
-    return stacks, elapsed, layout
+    return stacks, elapsed, layout, scanned
 
 
 def exe_layout(pid):
-    """(path of the executable, its load base, the other mappings)."""
+    """(path of the executable, its load base, the other mappings, the
+    address ranges of its code)."""
     exe = os.readlink(f"/proc/{pid}/exe")
     with open(exe, "rb") as f:
         e_type = struct.unpack("<H", f.read(18)[16:18])[0]
-    base, others = None, []
+    base, others, code = None, [], []
     with open(f"/proc/{pid}/maps") as f:
         for line in f:
             parts = line.split()
@@ -182,10 +233,12 @@ def exe_layout(pid):
             if path == exe:
                 if int(parts[2], 16) == 0 and (base is None or lo < base):
                     base = lo
+                if "x" in parts[1]:
+                    code.append((lo, hi))
             elif path:
                 others.append((lo, hi, os.path.basename(path)))
     # ET_EXEC is linked at its final address; ET_DYN (PIE) is relocated.
-    return exe, (base or 0) if e_type == 3 else 0, others
+    return exe, (base or 0) if e_type == 3 else 0, others, code
 
 
 def symbolize(exe, offsets):
@@ -234,8 +287,8 @@ def disassemble(exe, off):
     return ""
 
 
-def report(stacks, elapsed, pid_layout, args):
-    exe, base, others = pid_layout
+def report(stacks, elapsed, pid_layout, scanned, args):
+    exe, base, others, _ = pid_layout
     total = sum(stacks.values())
 
     def lib_of(addr):
@@ -259,7 +312,10 @@ def report(stacks, elapsed, pid_layout, args):
         chains = [chain(a) for a in st]
         inner = chains[0][0]
         self_fn[inner[0]] += n
-        charged = next((fr for ch in chains for fr in ch if FOCUS in fr[1]), inner)
+        # Else the innermost frame with a source line: a library sample's
+        # caller in the executable.
+        resolved = next((ch[0] for ch in chains if ch[0][1]), inner)
+        charged = next((fr for ch in chains for fr in ch if FOCUS in fr[1]), resolved)
         self_focus[charged[0]] += n
         lines[f"{short(charged[1])}:{charged[2]}" if charged[1] else charged[0]] += n
         insns[st[0]] += n
@@ -274,7 +330,8 @@ def report(stacks, elapsed, pid_layout, args):
             print(f"{n:8d} {100.0 * n / total:6.2f}%  {label(key)}")
 
     print(f"# psample: {total} samples in {elapsed:.2f} s "
-          f"({total / max(elapsed, 1e-9):.0f} Hz), {len(stacks)} distinct stacks, {exe}")
+          f"({total / max(elapsed, 1e-9):.0f} Hz), {len(stacks)} distinct stacks, {exe}; "
+          f"{scanned} in shared libraries charged to their caller by stack scan")
     table_out("self (innermost frame)", self_fn)
     table_out(f"self in {FOCUS}", self_focus)
     table_out(f"lines in {FOCUS}", lines)
@@ -317,13 +374,13 @@ def main():
     child = subprocess.Popen(cmd, stdout=sys.stderr)
     old = signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        stacks, elapsed, layout = sample(child, args.seconds)
+        stacks, elapsed, layout, scanned = sample(child, args.seconds)
     finally:
         signal.signal(signal.SIGINT, old)
     if not stacks:
         print("psample: no samples taken", file=sys.stderr)
         sys.exit(1)
-    sys.exit(0 if report(stacks, elapsed, layout, args) else 1)
+    sys.exit(0 if report(stacks, elapsed, layout, scanned, args) else 1)
 
 
 if __name__ == "__main__":
