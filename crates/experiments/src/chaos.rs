@@ -109,7 +109,7 @@ fn run_cell(s: &Session, scheme: Scheme, cell: FaultCell, n_flows: usize) -> Cel
     // Generous horizon: hardened retries back off to at most ~128 ms, so a
     // flow that hasn't finished 400 ms after the last arrival is stuck, not
     // slow — the watchdog turns it into a loud failure with per-flow state.
-    if let Err(report) = h.run_watchdog(last_arrival + ms(400)) {
+    if let Err(report) = h.run_degradation(last_arrival + ms(400)) {
         panic!("chaos: {} under '{}' hung —\n{report}", scheme.label(), cell.label());
     }
     let m = h.metrics();

@@ -19,9 +19,9 @@
 //! [`Harness::run_degradation`]: aeolus_transport::Harness::run_degradation
 
 use aeolus_sim::units::{ms, us};
-use aeolus_sim::{AbortCause, DropReason, FaultPlan};
+use aeolus_sim::{AbortCause, DropReason, FaultPlan, Tracer};
 use aeolus_stats::TextTable;
-use aeolus_transport::{DegradationReport, Scheme, SchemeBuilder, SchemeParams};
+use aeolus_transport::{DegradationReport, Harness, Scheme, SchemeBuilder, SchemeParams};
 use aeolus_workloads::{poisson_flows, PoissonConfig, Workload};
 
 use crate::report::Report;
@@ -108,12 +108,29 @@ struct CellOutput {
     violations: Vec<String>,
 }
 
-fn run_cell(scheme: Scheme, cell: NodeCell, n_flows: usize) -> CellOutput {
+/// Run one cell, under the conformance oracle if `checked` (`repro
+/// --check`). The oracle's end-of-run completion audit is skipped: an
+/// abort is a legal outcome here.
+fn run_cell(scheme: Scheme, cell: NodeCell, n_flows: usize, checked: bool) -> CellOutput {
     let workload = Workload::WebServer;
     let mut params = SchemeParams::new(0);
     params.homa_cutoffs = homa_cutoffs_for(workload);
     params.faults = cell.plan();
-    let mut h = SchemeBuilder::new(scheme).params(params).topology(testbed()).build();
+    let builder = SchemeBuilder::new(scheme).params(params).topology(testbed());
+    if checked {
+        run_on(builder.build_checked(), scheme, cell, workload, n_flows)
+    } else {
+        run_on(builder.build(), scheme, cell, workload, n_flows)
+    }
+}
+
+fn run_on<T: Tracer>(
+    mut h: Harness<T>,
+    scheme: Scheme,
+    cell: NodeCell,
+    workload: Workload,
+    n_flows: usize,
+) -> CellOutput {
     let hosts = h.hosts().to_vec();
     let flows = poisson_flows(
         &PoissonConfig {
@@ -177,7 +194,8 @@ pub fn run(s: &Session, scale: Scale) -> Report {
         .iter()
         .flat_map(|&s| CELLS.iter().map(move |&c| (s, c)))
         .collect();
-    let results = s.parallel_map(&grid, |&(scheme, cell)| run_cell(scheme, cell, n_flows));
+    let results =
+        s.parallel_map(&grid, |&(scheme, cell)| run_cell(scheme, cell, n_flows, s.checked));
 
     let mut r = Report::new();
     let mut table = TextTable::new(vec![
@@ -235,7 +253,7 @@ mod tests {
     fn crash_cell_actually_bites() {
         // The single-crash cell must visibly touch the run for at least one
         // scheme: dead-NIC drops, restarted flows or crash aborts.
-        let c = run_cell(Scheme::ExpressPassAeolus, NodeCell::Crash1, 18);
+        let c = run_cell(Scheme::ExpressPassAeolus, NodeCell::Crash1, 18, false);
         assert!(c.violations.is_empty(), "{:?}", c.violations);
         assert!(
             c.nodedown_drops > 0 || c.report.restarted() > 0 || c.report.aborted() > 0,
@@ -276,7 +294,7 @@ mod tests {
 
     #[test]
     fn clean_cell_is_all_completions() {
-        let c = run_cell(Scheme::HomaAeolus, NodeCell::Clean, 18);
+        let c = run_cell(Scheme::HomaAeolus, NodeCell::Clean, 18, false);
         assert!(c.violations.is_empty(), "{:?}", c.violations);
         assert_eq!(c.report.completed(), c.report.flows.len());
         assert_eq!(c.nodedown_drops + c.arbiterdown_drops, 0);

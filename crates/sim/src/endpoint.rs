@@ -23,21 +23,18 @@ pub trait Endpoint {
     /// [`Ctx::fill_timer`] fired, in the incarnation it was armed in (see
     /// [`Timer`]).
     fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>);
-    /// The host crashed (fault injection): wipe all per-flow transport
-    /// state — flowmap slots, credit/grant ledgers, the markers of finished
-    /// flows. Timers need no wipe: the engine drops every timer armed
-    /// before the crash undelivered (see [`Timer`]), so a flag that says a
-    /// host timer is armed is reset here. The same holds for a flow timer
-    /// armed before its flow is relaunched, on either host.
+    /// The host crashed (fault injection): forget every byte of transport
+    /// state, as a freshly built endpoint. Timers need no wipe: the engine
+    /// drops every timer armed before the crash undelivered (see
+    /// [`Timer`]), as it does a flow timer armed before its flow is
+    /// relaunched, on either host.
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {}
     /// A flow this endpoint participates in (as sender or receiver) was
-    /// aborted by the engine. Drop its state and tombstone the flow id so
-    /// stale in-flight packets cannot resurrect it before a restart.
+    /// aborted by the engine: drop its state. Nothing grows it back: while
+    /// the flow is aborted the engine hands neither end any of its packets
+    /// and dispatches no arrival, and a restart relaunches it through
+    /// [`Endpoint::on_flow_arrival`] from that empty slate.
     fn on_flow_abort(&mut self, _flow: FlowDesc, _ctx: &mut Ctx<'_>) {}
-    /// A previously-aborted flow is about to be relaunched (the engine
-    /// re-delivers `on_flow_arrival` at the source right after this).
-    /// Clear the tombstone and any leftover incarnation state.
-    fn on_flow_restart(&mut self, _flow: FlowDesc, _ctx: &mut Ctx<'_>) {}
 }
 
 /// A timer as an endpoint arms it and gets it back: a kind of the

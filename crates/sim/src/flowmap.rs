@@ -93,22 +93,6 @@ impl<K: FlowKey, V> FlowMap<K, V> {
         self.len
     }
 
-    /// Drop every entry, keeping the allocated capacity (slab, free list and
-    /// index are reused by subsequent inserts). Used by crash-recovery
-    /// hardening to wipe per-flow transport state wholesale.
-    pub fn clear(&mut self) {
-        self.free.clear();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            *slot = None;
-            self.free.push(i as u32);
-        }
-        for b in self.index.iter_mut() {
-            *b = EMPTY;
-        }
-        self.len = 0;
-        self.tombs = 0;
-    }
-
     /// True when no entries are live.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -169,9 +153,8 @@ impl<K: FlowKey, V> FlowMap<K, V> {
 
     /// The slab slot holding `key`: a handle for [`Self::at`] /
     /// [`Self::at_mut`] that skips the hash probe. It stays valid until
-    /// `key` is removed (or the map cleared); after that the slot is
-    /// recycled, so a handle kept past removal aliases whatever key is
-    /// inserted next.
+    /// `key` is removed; after that the slot is recycled, so a handle kept
+    /// past removal aliases whatever key is inserted next.
     #[inline]
     pub fn slot_of(&self, key: K) -> Option<u32> {
         self.find(key)
@@ -472,25 +455,5 @@ mod tests {
         m.insert(FlowId(6), 60);
         assert_eq!(m.slot_of(FlowId(6)), Some(s), "the freed slot goes to the next insert");
         assert_eq!(m.at(s), (FlowId(6), &60), "a handle kept past removal aliases it");
-    }
-
-    #[test]
-    fn flowmap_clear_wipes_and_reuses_capacity() {
-        let mut m: FlowMap<FlowId, u32> = FlowMap::new();
-        for i in 0..16 {
-            m.insert(FlowId(i), i as u32);
-        }
-        let cap = m.slots.len();
-        m.clear();
-        assert!(m.is_empty());
-        for i in 0..16 {
-            assert_eq!(m.get(FlowId(i)), None);
-        }
-        for i in 16..32 {
-            m.insert(FlowId(i), i as u32);
-        }
-        assert_eq!(m.len(), 16);
-        assert_eq!(m.slots.len(), cap, "clear keeps the slab capacity");
-        assert_eq!(m.get(FlowId(20)), Some(&20));
     }
 }

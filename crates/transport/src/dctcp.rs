@@ -243,9 +243,8 @@ impl DctcpEndpoint {
             }
         };
         if done {
-            // The queued RTO will find no flow.
-            let size = self.flows.send.get(flow).expect("just acknowledged").desc.size;
-            self.flows.retire_send(flow, Done::new(size, ()));
+            // Nothing is kept: a later ACK, like the queued RTO, finds no flow.
+            self.flows.send.remove(flow);
             return;
         }
         if progress {
@@ -294,10 +293,6 @@ impl Endpoint for DctcpEndpoint {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.flows.is_dead(pkt.flow) {
-            // Stale wire traffic for an aborted flow must not resurrect it.
-            return;
-        }
         match pkt.kind {
             PacketKind::Data => {
                 let fresh = || RecvFlow { book: PreCreditReceiver::default(), ce_pending: false };
@@ -363,15 +358,11 @@ impl Endpoint for DctcpEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        self.flows.crash();
+        *self = Self::new(self.cfg);
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
         self.flows.abort(flow.id);
-    }
-
-    fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.flows.restart(flow.id);
     }
 }
 

@@ -338,10 +338,6 @@ impl Endpoint for XPassEndpoint {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.flows.is_dead(pkt.flow) {
-            // Stale wire traffic for an aborted flow must not resurrect it.
-            return;
-        }
         match pkt.kind {
             PacketKind::Request => {
                 self.ensure_recv_flow(&pkt, ctx);
@@ -430,15 +426,10 @@ impl Endpoint for XPassEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        self.flows.crash();
-        self.stall_scan_armed = false;
+        *self = Self::new(self.cfg);
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
         self.flows.abort(flow.id);
-    }
-
-    fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.flows.restart(flow.id);
     }
 }

@@ -121,9 +121,7 @@ impl Endpoint for ArbiterEndpoint {
         // reservations is safe (worst case transient slot conflicts, i.e.
         // queueing — never stalls), and senders' request-retry backstops
         // re-ask for anything scheduled into the outage.
-        self.slot = 0;
-        self.src_free.clear();
-        self.dst_free.clear();
+        *self = Self::new(self.mtu_wire);
     }
 }
 
@@ -318,10 +316,6 @@ impl Endpoint for FastpassEndpoint {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.flows.is_dead(pkt.flow) {
-            // Stale wire traffic for an aborted flow must not resurrect it.
-            return;
-        }
         match pkt.kind {
             PacketKind::Schedule { start, slots, stride } => {
                 let receipt = TransportEvent::CreditReceipt {
@@ -404,16 +398,11 @@ impl Endpoint for FastpassEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        self.flows.crash();
-        self.stall_scan_armed = false;
+        *self = Self::new(self.cfg);
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
         self.flows.abort(flow.id);
-    }
-
-    fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.flows.restart(flow.id);
     }
 }
 

@@ -284,19 +284,11 @@ impl<T: Tracer> Harness<T> {
         self.topo.net.run_to_completion(horizon)
     }
 
-    /// Run with a global watchdog: like [`Harness::run`], but a hung flow is
-    /// an *error* carrying per-flow stuck-state diagnostics instead of a
-    /// bare `false`. Chaos/fault experiments use this so a hung recovery
-    /// loop fails loudly with enough context to debug it. Aborted-with-cause
-    /// flows are settled, not stuck: the watchdog is a hang detector, and an
-    /// explicit abort is graceful degradation.
-    pub fn run_watchdog(&mut self, horizon: Time) -> Result<(), DegradationReport> {
-        self.run_degradation(horizon).map(drop)
-    }
-
     /// Run to the horizon and classify every flow's terminal state. `Err`
     /// iff any flow is [`FlowOutcome::Hung`] — completed, restarted and
     /// cleanly-aborted flows are all graceful degradation; a hang never is.
+    /// Its report lists each hung flow's stuck state, so a hung recovery
+    /// loop fails loudly with enough context to debug it.
     pub fn run_degradation(&mut self, horizon: Time) -> Result<DegradationReport, DegradationReport> {
         self.run(horizon);
         let mut flows = Vec::new();

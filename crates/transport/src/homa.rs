@@ -334,10 +334,6 @@ impl Endpoint for HomaEndpoint {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.flows.is_dead(pkt.flow) {
-            // Stale wire traffic for an aborted flow must not resurrect it.
-            return;
-        }
         match pkt.kind {
             PacketKind::Data => {
                 let probe_mode = self.cfg.base.mode.probe_recovery();
@@ -445,16 +441,11 @@ impl Endpoint for HomaEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        self.flows.crash();
-        self.scan_armed = false;
+        *self = Self::new(self.cfg.clone());
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
         self.flows.abort(flow.id);
-    }
-
-    fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.flows.restart(flow.id);
     }
 }
 

@@ -245,10 +245,6 @@ impl Endpoint for NdpEndpoint {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.flows.is_dead(pkt.flow) {
-            // Stale wire traffic for an aborted flow must not resurrect it.
-            return;
-        }
         match pkt.kind {
             PacketKind::Data if pkt.trimmed => {
                 // A cut-payload header: it returns its transmission credit
@@ -342,20 +338,12 @@ impl Endpoint for NdpEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        self.flows.crash();
-        self.pull_queue.clear();
-        self.pull_pacer_armed = false;
-        self.next_pull_at = 0;
-        self.backstop_armed = false;
+        *self = Self::new(self.cfg);
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
         // Pending pull-queue entries for the flow become harmless no-ops
         // (`on_pull_tick` finds no state).
         self.flows.abort(flow.id);
-    }
-
-    fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.flows.restart(flow.id);
     }
 }

@@ -221,10 +221,6 @@ impl Endpoint for PHostEndpoint {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if self.flows.is_dead(pkt.flow) {
-            // Stale wire traffic for an aborted flow must not resurrect it.
-            return;
-        }
         match pkt.kind {
             PacketKind::Request => {
                 self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default);
@@ -296,17 +292,10 @@ impl Endpoint for PHostEndpoint {
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {
-        self.flows.crash();
-        self.pacer_armed = false;
-        self.next_token_at = 0;
-        self.scan_armed = false;
+        *self = Self::new(self.cfg);
     }
 
     fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
         self.flows.abort(flow.id);
-    }
-
-    fn on_flow_restart(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
-        self.flows.restart(flow.id);
     }
 }

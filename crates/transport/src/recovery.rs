@@ -7,12 +7,13 @@
 //! keeps it alive under faults, so the endpoints differ only in their
 //! credit / grant / pull / slot pacing loops:
 //!
-//! * [`FlowTable`] — send and receive flow maps of the flows in progress,
-//!   the tombstones of aborted flows and the [`Done`] markers of finished
-//!   ones, with the one implementation of peer-silent give-up, engine
-//!   abort, restart and crash wipe — and the set of receive flows still in
-//!   progress ([`FlowTable::recv_active`]), so no credit, grant, token or
-//!   stall loop walks the flows a host has finished with.
+//! * [`FlowTable`] — send and receive flow maps of the flows in progress
+//!   and the [`Done`] markers of finished ones, with the one implementation
+//!   of peer-silent give-up and engine abort — and the set of receive flows
+//!   still in progress ([`FlowTable::recv_active`]), so no credit, grant,
+//!   token or stall loop walks the flows a host has finished with. An
+//!   aborted flow needs no entry: the engine hands neither of its ends any
+//!   of its packets until a restart, and a crash rebuilds the endpoint.
 //! * [`SendState`] — the sender half shared by the five proactive
 //!   endpoints: "heard from peer", ACK → loss declaration, retransmit cause
 //!   attribution and the silence-gated capped-backoff [`Retry`] verdict.
@@ -87,13 +88,14 @@ pub fn stall_after(cfg: &BaseConfig) -> Time {
 }
 
 /// Per-host flow state: both roles' flow maps, the set of receive flows
-/// still in progress, the tombstones, and the markers of finished flows.
+/// still in progress, and the markers of finished flows.
 ///
 /// When a flow aborts — engine-initiated after a node crash, or
-/// transport-initiated after the peer-silence watchdog fires — its id is
-/// buried so stale in-flight packets (data still crossing the fabric, paced
-/// credits that survived the purge) cannot resurrect per-flow state. A
-/// restart raises the tombstone again before the flow relaunches.
+/// transport-initiated after the peer-silence watchdog fires — its state
+/// goes and nothing marks it: the engine stops the flow's packets (data
+/// still crossing the fabric, paced credits that survived the purge) before
+/// either end until a restart, so none can resurrect per-flow state, and
+/// the relaunch starts from an empty slate.
 ///
 /// When a flow finishes, its state goes and a [`Done`] marker takes its
 /// place: a receive flow at its last byte ([`Self::recv_done`]), a send
@@ -122,7 +124,6 @@ pub struct FlowTable<S, R, D = ()> {
     /// minimum on the unique `(remaining, id)`, an `any`, per-flow updates
     /// whose emitted batches are sorted by id. A new reader must too.
     active: Vec<u32>,
-    dead: FlowMap<FlowId, ()>,
     /// Markers of the send flows retired by [`Self::retire_send`].
     sent: FlowMap<FlowId, Done<D>>,
     /// Markers of the receive flows retired by [`Self::retire_recv`].
@@ -135,7 +136,6 @@ impl<S, R, D> Default for FlowTable<S, R, D> {
             send: FlowMap::new(),
             recv: FlowMap::new(),
             active: Vec::new(),
-            dead: FlowMap::new(),
             sent: FlowMap::new(),
             received: FlowMap::new(),
         }
@@ -143,13 +143,8 @@ impl<S, R, D> Default for FlowTable<S, R, D> {
 }
 
 impl<S, R, D> FlowTable<S, R, D> {
-    /// Whether `flow` was aborted: its packets are dropped on sight.
-    pub fn is_dead(&self, flow: FlowId) -> bool {
-        self.dead.contains_key(flow)
-    }
-
-    /// Peer-silence abort (either role): drop local state, bury the id and
-    /// record the abort unless the flow already completed or aborted.
+    /// Peer-silence abort (either role): drop local state and record the
+    /// abort unless the flow already completed or aborted.
     pub fn give_up(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         self.abort(flow);
         if ctx.metrics.abort_flow(flow, AbortCause::PeerSilent) {
@@ -157,33 +152,11 @@ impl<S, R, D> FlowTable<S, R, D> {
         }
     }
 
-    /// Engine-initiated abort: drop local state and bury the id. Only an
-    /// incomplete flow aborts, so there is no marker to drop.
+    /// Engine-initiated abort: drop local state. Only an incomplete flow
+    /// aborts, so there is no marker to drop.
     pub fn abort(&mut self, flow: FlowId) {
         self.send.remove(flow);
         self.remove_recv(flow);
-        self.dead.insert(flow, ());
-    }
-
-    /// Raise the tombstone and drop any leftover state so the relaunch (a
-    /// fresh flow arrival) starts from a clean slate.
-    pub fn restart(&mut self, flow: FlowId) {
-        self.dead.remove(flow);
-        self.send.remove(flow);
-        self.remove_recv(flow);
-    }
-
-    /// A host crash wipes every byte of transport state, tombstones and
-    /// markers included (the engine re-buries each aborted flow right
-    /// after). A straggler of a flow finished before the crash then meets
-    /// an empty table, as a first contact.
-    pub fn crash(&mut self) {
-        self.send.clear();
-        self.active.clear();
-        self.recv.clear();
-        self.dead.clear();
-        self.sent.clear();
-        self.received.clear();
     }
 
     /// Receive-side state of `flow`, if it is in progress.
@@ -1103,8 +1076,11 @@ mod tests {
             let mut fresh = 1_000u64;
             let (mut seen, mut most_done) = ([0usize; 8], 0);
             // The chunks each flow has delivered since it (re)started or the
-            // last crash wiped the table: a flow with all of them is done.
+            // last crash rebuilt the table: a flow with all of them is done.
             let mut got: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+            // The flows aborted and not yet restarted: the engine hands the
+            // table none of their packets, whatever the table holds.
+            let mut aborted: BTreeSet<u64> = BTreeSet::new();
             for step in 0..20_000 {
                 let id = 1 + rng.below(40);
                 let op = if step % 400 == 399 { 7 } else { rng.index(7) };
@@ -1112,7 +1088,7 @@ mod tests {
                 let what = match op {
                     // First contact (or a repeat) by request, the size known
                     // or — a header that does not carry it — learned later.
-                    0 if !t.is_dead(FlowId(id)) => {
+                    0 if !aborted.contains(&id) => {
                         let mut req = request_packet(&desc(id));
                         if rng.chance(0.5) {
                             req.flow_size = 0;
@@ -1120,7 +1096,7 @@ mod tests {
                         t.recv_entry(&req, 0, CreditLedger::default);
                         "request"
                     }
-                    1 if !t.is_dead(FlowId(id)) => {
+                    1 if !aborted.contains(&id) => {
                         let probe = probe_packet(&desc(id), desc(id).size);
                         t.recv_arrival(&probe, 0, CreditLedger::default);
                         answer_probe(&probe, ctx);
@@ -1128,14 +1104,14 @@ mod tests {
                     }
                     // Data: first contact, progress, the completing packet
                     // or a duplicate after completion, as it falls.
-                    2 | 3 if !t.is_dead(FlowId(id)) => {
+                    2 | 3 if !aborted.contains(&id) => {
                         let k = rng.below(desc(id).size / CHUNK as u64);
                         deliver(&mut t, &chunk(id, k), ctx);
                         got.entry(id).or_default().insert(k);
                         "data"
                     }
-                    // Only an incomplete flow aborts or relaunches.
-                    4 if t.finished_recv(FlowId(id)).is_none() => {
+                    // Only an incomplete flow aborts.
+                    4 if t.finished_recv(FlowId(id)).is_none() && aborted.insert(id) => {
                         // An abort frees the slot; the next new flow takes it.
                         let freed = t.recv.slot_of(FlowId(id));
                         t.abort(FlowId(id));
@@ -1150,9 +1126,10 @@ mod tests {
                         }
                         "abort + new flow in the freed slot"
                     }
-                    5 if t.finished_recv(FlowId(id)).is_none() => {
-                        t.restart(FlowId(id));
-                        got.remove(&id);
+                    // Only an aborted flow relaunches, and the abort left
+                    // nothing to wipe.
+                    5 if aborted.remove(&id) => {
+                        assert!(t.recv.get(FlowId(id)).is_none(), "step {step}: a zombie");
                         "restart"
                     }
                     6 => {
@@ -1161,12 +1138,14 @@ mod tests {
                         assert_eq!(scan_everything(&mut t, ctx).0, known, "step {step}");
                         "stall scan"
                     }
+                    // A crash rebuilds the endpoint, table and all; the
+                    // aborted flows stay aborted.
                     7 => {
-                        t.crash();
+                        t = Table::default();
                         got.clear();
                         "crash"
                     }
-                    _ => "packet of a dead flow, or an abort of a finished one: skipped",
+                    _ => "an aborted flow's packet, or a finished one's abort: skipped",
                 };
                 let step = format!("step {step}: {what} on {id}");
                 assert_active_is_the_incomplete_flows(&t, &step);
@@ -1250,8 +1229,9 @@ mod tests {
     }
 
     /// A finished flow keeps a marker, not its state: its stragglers find
-    /// no entry and open none, until a crash wipes the marker too — then a
-    /// straggler is a first contact again, as it always was after a crash.
+    /// no entry and open none, until a crash rebuilds the endpoint and the
+    /// marker goes with its table — then a straggler is a first contact
+    /// again, as it always was after a crash.
     #[test]
     fn a_finished_flow_is_a_marker_until_a_crash() {
         with_ctx(|ctx| {
@@ -1262,8 +1242,7 @@ mod tests {
             assert!(t.recv_entry(&chunk(4, 0), 0, CreditLedger::default).is_none());
             assert!(t.recv_arrival(&request_packet(&desc(4)), 0, CreditLedger::default).is_none());
             assert_eq!((t.recv.len(), t.recv_active_len()), (0, 0), "a straggler re-opened it");
-            t.crash();
-            assert!(t.finished_recv(FlowId(4)).is_none());
+            t = Table::default();
             let rf = t.recv_entry(&chunk(4, 0), 0, CreditLedger::default).expect("fresh book");
             assert_eq!(rf.book.remaining(), Some(size));
             assert_eq!(t.recv_active_len(), 1);
@@ -1274,8 +1253,6 @@ mod tests {
             assert!(senders.send.get(FlowId(9)).is_none());
             let done = senders.finished_send(FlowId(9)).expect("marked");
             assert_eq!((done.size(), done.proto), (3_000, 17));
-            senders.crash();
-            assert!(senders.finished_send(FlowId(9)).is_none());
         });
     }
 
@@ -1286,18 +1263,5 @@ mod tests {
         use std::mem::size_of;
         assert_eq!(size_of::<Option<(FlowId, Done)>>(), 16);
         assert_eq!(size_of::<Option<(FlowId, Done<u64>)>>(), 24);
-    }
-
-    #[test]
-    fn tombstones_outlive_an_abort_until_restart_or_crash() {
-        let mut flows: FlowTable<u8, u8> = FlowTable::default();
-        flows.send.insert(FlowId(7), 1);
-        flows.abort(FlowId(7));
-        assert!(flows.is_dead(FlowId(7)) && flows.send.get(FlowId(7)).is_none());
-        flows.restart(FlowId(7));
-        assert!(!flows.is_dead(FlowId(7)));
-        flows.abort(FlowId(7));
-        flows.crash();
-        assert!(!flows.is_dead(FlowId(7)), "a crash wipes tombstones too");
     }
 }

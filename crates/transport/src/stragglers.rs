@@ -68,9 +68,6 @@ impl<E: Endpoint> Endpoint for Tap<E> {
     fn on_flow_abort(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
         self.inner.borrow_mut().on_flow_abort(flow, ctx);
     }
-    fn on_flow_restart(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
-        self.inner.borrow_mut().on_flow_restart(flow, ctx);
-    }
 }
 
 /// One packet a host put on its NIC: kind, sequence number, payload.
@@ -418,10 +415,13 @@ fn dctcp_answers_stragglers_with_its_cumulative_ack() {
     let whole = PacketKind::Ack { of_probe: false, end: size };
     assert_straggler::<E>(s, size, at, ce, &[(whole, 1, 0), (whole, 0, 0)], &[]);
 
-    let at = End::Sender;
-    // Every byte is acknowledged: a third duplicate has nothing to resend.
+    // Every byte is acknowledged: the sender keeps nothing, not even a
+    // marker, and a third duplicate has nothing to resend.
     let dups = |f: &FlowDesc| vec![ack(f, 0, size); 4];
-    assert_straggler::<E>(s, size, at, dups, &[], &[]);
+    let seen = straggle::<E>(s, size, End::Sender, FaultPlan::default(), dups);
+    let nothing = Holding { sent: false, ..finished(End::Sender) };
+    assert_eq!((seen.before, seen.after), (nothing, nothing));
+    assert_eq!((seen.sent, seen.events, seen.late_timers), (vec![], vec![], 0));
 }
 
 /// A crash wipes the markers with the rest of the table: a straggler then
@@ -445,4 +445,45 @@ fn after_a_crash_a_straggler_opens_a_fresh_book() {
     a_straggler_after_a_crash_opens_a_fresh_book::<FastpassEndpoint>(Scheme::FastpassAeolus, true);
     let dctcp = Scheme::Dctcp { rto: ms(10) };
     a_straggler_after_a_crash_opens_a_fresh_book::<DctcpEndpoint>(dctcp, false);
+}
+
+/// Flow B→A is aborted by B's long crash; A then crashes briefly and
+/// recovers while B is still down. The flow is still aborted, so its
+/// straggler reaching A — sent by a third host, B being dead — must open
+/// no entry there, though A's crash left it no trace of the flow: no zombie
+/// state waits at A for the relaunch to wipe.
+fn an_aborted_flow_stays_shut<E: Inspect>(scheme: Scheme) {
+    let (b_down, a_down) = ((us(20), ms(100)), (ms(20), ms(21)));
+    let faults = FaultPlan::default().with_crash(b_down.0, b_down.1, 1);
+    let faults = faults.with_crash(a_down.0, a_down.1, 0);
+    let link = LinkParams::uniform(Rate::gbps(10), us(3));
+    let spec = TopoSpec::SingleSwitch { hosts: 4, link };
+    let mut h = SchemeBuilder::new(scheme).topology(spec).faults(faults).build();
+    let (a, b, c) = (h.hosts()[0], h.hosts()[1], h.hosts()[2]);
+    let flow = FlowDesc { id: FLOW, src: b, dst: a, size: 1_000_000, start: 0 };
+    let tap = |script| {
+        let inner = Rc::new(RefCell::new(E::make(scheme, &h.params)));
+        (inner.clone(), Box::new(Tap { inner, script, late_timers: Rc::default() }))
+    };
+    let ((mine, at_a), (_, at_c)) = (tap(Vec::new()), tap(vec![unscheduled(&flow, 0)]));
+    h.network_mut().set_endpoint(a, at_a);
+    h.network_mut().set_endpoint(c, at_c);
+    h.schedule(&[flow, FlowDesc { id: CUE, src: c, dst: a, size: 1, start: LATE }]);
+    h.network_mut().run_until(LATE - 1);
+    let name = scheme.name();
+    assert!(h.metrics().flow(FLOW).expect("scheduled").aborted.is_some(), "{name}");
+    let nothing = Holding { received: false, ..finished(End::Receiver) };
+    assert_eq!(mine.borrow().holding(FLOW), nothing, "{name}: A kept state of the flow");
+    h.network_mut().run_until(LATE + ms(20));
+    assert_eq!(mine.borrow().holding(FLOW), nothing, "{name}: the straggler opened an entry");
+}
+
+#[test]
+fn an_aborted_flows_straggler_opens_nothing_after_a_crash() {
+    an_aborted_flow_stays_shut::<NdpEndpoint>(Scheme::NdpAeolus);
+    an_aborted_flow_stays_shut::<XPassEndpoint>(Scheme::ExpressPassAeolus);
+    an_aborted_flow_stays_shut::<HomaEndpoint>(Scheme::HomaAeolus);
+    an_aborted_flow_stays_shut::<PHostEndpoint>(Scheme::PHostAeolus);
+    an_aborted_flow_stays_shut::<FastpassEndpoint>(Scheme::FastpassAeolus);
+    an_aborted_flow_stays_shut::<DctcpEndpoint>(Scheme::Dctcp { rto: ms(10) });
 }

@@ -49,7 +49,7 @@ fn run_faulted(scheme: Scheme, params: SchemeParams, sizes: &[u64], horizon: u64
     let mut h = SchemeBuilder::new(scheme).params(params).topology(testbed()).build();
     let flows = incast_flows(&h, sizes);
     h.schedule(&flows);
-    if let Err(report) = h.run_watchdog(horizon) {
+    if let Err(report) = h.run_degradation(horizon) {
         panic!("{}: {report}", scheme.name());
     }
     h
@@ -375,7 +375,7 @@ fn watchdog_reports_stuck_flows_with_diagnostics() {
         SchemeBuilder::new(Scheme::ExpressPassAeolus).params(params).topology(testbed()).build();
     let flows = incast_flows(&h, &[10_000; 2]);
     h.schedule(&flows);
-    let report = h.run_watchdog(ms(50)).expect_err("nothing can complete under 100% loss");
+    let report = h.run_degradation(ms(50)).expect_err("nothing can complete under 100% loss");
     assert_eq!((report.stuck.len(), report.hung(), report.flows.len()), (2, 2, 2));
     let text = report.to_string();
     assert!(text.contains("0 completed") && text.contains("2 hung"), "got: {text}");
@@ -394,7 +394,7 @@ fn watchdog_treats_aborted_with_cause_as_settled() {
         SchemeBuilder::new(Scheme::ExpressPassAeolus).params(params).topology(testbed()).build();
     let flows = incast_flows(&h, &[60_000; 7]);
     h.schedule(&flows);
-    h.run_watchdog(ms(3000)).expect("aborted-with-cause flows are settled, not stuck");
+    h.run_degradation(ms(3000)).expect("aborted-with-cause flows are settled, not stuck");
     let aborted = h.metrics().flows().filter(|r| r.aborted.is_some()).count();
     assert!(aborted > 0, "the partition must have aborted the cut-off flows");
     assert_eq!(h.metrics().completed_count() + aborted, 7);

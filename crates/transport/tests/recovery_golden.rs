@@ -1,6 +1,6 @@
 //! Faulted runs pinned bit-for-bit. The clean-run goldens (the incast event
-//! count, fig09) never reach a retry timer, a silence gate, a tombstone or
-//! a crash wipe; these rows do, for every scheme of `fault_recovery.rs` and
+//! count, fig09) never reach a retry timer, a silence gate, the engine's
+//! aborted-flow delivery gate or a crash rebuild; these rows do, for every scheme of `fault_recovery.rs` and
 //! for the Blind / Hold / LowPrio baselines, so a refactor of the recovery
 //! and credit code can be proven behaviour-preserving.
 //!
@@ -9,9 +9,9 @@
 //!
 //! * `flap`: 0.5% corruption loss on everything, a 300 µs whole-fabric link
 //!   flap, a source-host crash/restart and a sink crash/restart — retries,
-//!   stall scans, flow abort/restart and the crash wipe in both roles.
+//!   stall scans, flow abort/restart and the crash rebuild in both roles.
 //! * `split`: a 600 ms pod partition — the peer-silence give-up and the
-//!   tombstones that keep stragglers from resurrecting aborted flows.
+//!   engine gate that keeps stragglers of an aborted flow from either end.
 //!
 //! Each row pins `(events processed, FNV-1a digest over every flow's
 //! completed_at / delivered / timeouts / retransmitted / restarts /

@@ -40,7 +40,7 @@ fn run_under(label: &str, scheme: Scheme, faults: FaultPlan) {
         .collect();
     h.schedule(&flows);
     // The watchdog turns a hung flow into a loud per-flow report.
-    if let Err(report) = h.run_watchdog(ms(500)) {
+    if let Err(report) = h.run_degradation(ms(500)) {
         panic!("{label}: {report}");
     }
     let m = h.metrics();

@@ -278,8 +278,10 @@ cargo run --release -q -p aeolus-experiments --bin repro -- chaos --scale smoke 
 # Node-chaos smoke: host crashes, pod partitions and an arbiter outage
 # over all six schemes, every cell classified per-flow by run_degradation.
 # A flow that neither completes nor aborts-with-cause is a VIOLATION line
-# and repro exits non-zero — so this run *is* the zero-hangs gate.
-cargo run --release -q -p aeolus-experiments --bin repro -- chaos_nodes --scale smoke --jobs 2
+# and repro exits non-zero — so this run *is* the zero-hangs gate. Under
+# --check the oracle watches every cell, so the abort, restart and crash
+# paths run under it too.
+cargo run --release -q -p aeolus-experiments --bin repro -- chaos_nodes --scale smoke --jobs 2 --check
 
 # Fault-schedule determinism gate: an identical --faults spec must produce
 # a bit-identical trace capture across reruns and worker counts. Every
