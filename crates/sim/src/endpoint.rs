@@ -8,7 +8,7 @@
 //! order before the events its sends cause.
 
 use crate::event::{Event, EventQueue, Place};
-use crate::metrics::Metrics;
+use crate::metrics::{FlowEnd, Metrics};
 use crate::packet::{FlowDesc, FlowId, NodeId, Packet};
 use crate::telemetry::{FaultEvent, TraceSink, TransportEvent};
 use crate::units::{Rate, Time};
@@ -192,6 +192,20 @@ impl<'a> Ctx<'a> {
     /// handler tells its live deadline from stale ones with this.
     pub fn fired(&self, place: Place) -> bool {
         self.queue.dispatching(place)
+    }
+
+    /// This host, `flow`'s `end`, is done with it: the endpoint drops the
+    /// flow's state and answers its stragglers from [`Ctx::finished`].
+    pub fn finish(&mut self, flow: FlowId, end: FlowEnd) {
+        self.metrics.finish(flow, end);
+    }
+
+    /// The size of `flow` if this host is its `end` and has finished it
+    /// ([`Ctx::finish`]) since it last crashed.
+    pub fn finished(&self, flow: FlowId, end: FlowEnd) -> Option<u64> {
+        let rec = self.metrics.flow(flow)?;
+        let host = [rec.desc.src, rec.desc.dst][end as usize];
+        (rec.is_done(end) && host == self.host).then_some(rec.desc.size)
     }
 
     /// Whether the engine runs with an enabled tracer ([`crate::Tracer::ENABLED`]:

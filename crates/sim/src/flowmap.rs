@@ -239,11 +239,6 @@ impl<K: FlowKey, V> FlowMap<K, V> {
         self.slots.iter().filter_map(|s| s.as_ref().map(|(_, v)| v))
     }
 
-    /// Iterate values mutably in slot order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.slots.iter_mut().filter_map(|s| s.as_mut().map(|(_, v)| v))
-    }
-
     /// Append every live key to `out` (unordered). Callers that need key
     /// order — the stall/resend scans whose emission order is
     /// behavior-affecting — sort the scratch afterwards:

@@ -95,7 +95,7 @@ pub use faults::{
     CorruptionRule, Effect, Fault, FaultPlan, LinkFilter, PacketFilter, Window, WindowKind,
 };
 pub use flowmap::{FlowKey, FlowMap};
-pub use metrics::{AbortCause, FlowRecord, Metrics};
+pub use metrics::{AbortCause, FlowEnd, FlowRecord, Metrics};
 pub use network::Network;
 pub use oracle::{CheckedTracer, OracleProfile, OracleSignals, LOSS_CAUSE_LABELS};
 pub use packet::{

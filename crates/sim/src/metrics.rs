@@ -6,7 +6,7 @@
 //! read time; the hot path never pays for ordering it doesn't use.
 
 use crate::flowmap::FlowMap;
-use crate::packet::{FlowDesc, FlowId, TrafficClass};
+use crate::packet::{FlowDesc, FlowId, NodeId, TrafficClass};
 use crate::queues::DropReason;
 use crate::units::Time;
 
@@ -76,6 +76,15 @@ impl AbortCause {
     }
 }
 
+/// One end of a flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlowEnd {
+    /// The sending host, `FlowDesc::src`.
+    Sender,
+    /// The receiving host, `FlowDesc::dst`.
+    Receiver,
+}
+
 /// Lifecycle record of one flow.
 #[derive(Debug, Clone)]
 pub struct FlowRecord {
@@ -93,12 +102,21 @@ pub struct FlowRecord {
     pub restarts: u32,
     /// Set while the flow is aborted; cleared again by a restart.
     pub aborted: Option<AbortCause>,
+    /// [`FlowRecord::is_done`] of each end, in [`FlowEnd`] order.
+    done: [bool; 2],
 }
 
 impl FlowRecord {
     /// Flow completion time, if the flow finished.
     pub fn fct(&self) -> Option<Time> {
         self.completed_at.map(|t| t - self.desc.start)
+    }
+
+    /// Whether `end` is done with the flow ([`crate::Ctx::finish`]): its
+    /// endpoint keeps no state of it and answers its stragglers from this
+    /// bit and the size. A crash of the end's host clears it.
+    pub fn is_done(&self, end: FlowEnd) -> bool {
+        self.done[end as usize]
     }
 }
 
@@ -143,6 +161,7 @@ impl Metrics {
                 retransmitted: 0,
                 restarts: 0,
                 aborted: None,
+                done: [false; 2],
             },
         );
         assert!(prev.is_none(), "duplicate flow id {:?}", desc.id);
@@ -201,6 +220,21 @@ impl Metrics {
         self.payload_delivered -= rec.delivered;
         rec.delivered = 0;
         rec.restarts += 1;
+    }
+
+    /// `end` of `flow` is done with it ([`FlowRecord::is_done`]).
+    pub(crate) fn finish(&mut self, flow: FlowId, end: FlowEnd) {
+        if let Some(rec) = self.flows.get_mut(flow) {
+            rec.done[end as usize] = true;
+        }
+    }
+
+    /// `host` crashed, its endpoint rebuilt: none of its ends is done.
+    pub fn forget_done(&mut self, host: NodeId) {
+        for (_, rec) in self.flows.iter_mut() {
+            let FlowDesc { src, dst, .. } = rec.desc;
+            rec.done = [rec.done[0] && src != host, rec.done[1] && dst != host];
+        }
     }
 
     /// Record a retransmission timeout on `flow`.
@@ -313,7 +347,6 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::NodeId;
 
     fn desc(id: u64, size: u64) -> FlowDesc {
         FlowDesc { id: FlowId(id), src: NodeId(0), dst: NodeId(1), size, start: 100 }

@@ -387,8 +387,10 @@ impl<T: Tracer> Network<T> {
         self.purge_ports(node, now);
         let kind = &mut self.nodes[node.0 as usize].kind;
         if let NodeKind::Host { endpoint: Some(_), crashes } = kind {
-            // Every timer the host armed so far goes stale.
+            // Every timer the host armed so far goes stale, and every end
+            // it was done with is forgotten with its endpoint.
             *crashes = crashes.wrapping_add(1);
+            self.metrics.forget_done(node);
             self.with_endpoint(node, |ep, ctx| ep.on_crash(ctx));
         }
         if abort_flows {
@@ -949,6 +951,7 @@ fn dequeue_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::FlowEnd;
     use crate::packet::{FlowId, Packet, PacketKind, TrafficClass, HEADER_BYTES};
     use crate::queues::DropTailQueue;
     use crate::units::{us, Rate};
@@ -1345,6 +1348,54 @@ mod tests {
         assert_eq!(*got.borrow(), vec![(hosts[1], PacketKind::Data), (hosts[2], PacketKind::Nack)]);
         assert_eq!(net.metrics.total_drops(), 0);
         assert!(net.metrics.flow(FlowId(1)).unwrap().aborted.is_some());
+    }
+
+    /// Sends each flow as one packet and marks its sender end done at once;
+    /// the receiver marks its end done when the packet lands.
+    struct Finisher;
+
+    impl Endpoint for Finisher {
+        fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
+            let size = flow.size as u32;
+            let class = TrafficClass::Scheduled;
+            ctx.send(Packet::data(flow.id, flow.src, flow.dst, 0, size, class, flow.size));
+            ctx.finish(flow.id, FlowEnd::Sender);
+        }
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+            ctx.metrics.deliver(pkt.flow, pkt.payload as u64, ctx.now);
+            // The sender's bit is set, but this host is not the sender.
+            assert_eq!(ctx.finished(pkt.flow, FlowEnd::Sender), None);
+            ctx.finish(pkt.flow, FlowEnd::Receiver);
+            assert_eq!(ctx.finished(pkt.flow, FlowEnd::Receiver), Some(pkt.flow_size));
+        }
+        fn on_timer(&mut self, _timer: Timer, _ctx: &mut Ctx<'_>) {}
+    }
+
+    #[test]
+    fn each_end_has_its_done_bit_and_a_crash_clears_its_hosts_only() {
+        // Flow 1 runs h0 -> h1 and flow 2 h1 -> h2. Both finish long before
+        // h1 crashes, which clears flow 1's receiver bit and flow 2's sender
+        // bit: the two ends h1 held.
+        let (mut net, hosts) = hosts_on_one_switch(NullTracer, 3);
+        let (h0, h1, h2) = (hosts[0], hosts[1], hosts[2]);
+        for &h in &hosts {
+            net.set_endpoint(h, Box::new(Finisher));
+        }
+        net.set_fault_plan(&FaultPlan::new(0).with_crash(us(50), us(60), 1), &hosts, None);
+        net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 1_000, start: 0 });
+        net.schedule_flow(FlowDesc { id: FlowId(2), src: h1, dst: h2, size: 1_000, start: 0 });
+        let done = |net: &Network, id| {
+            let rec = net.metrics.flow(FlowId(id)).expect("scheduled");
+            [rec.is_done(FlowEnd::Sender), rec.is_done(FlowEnd::Receiver)]
+        };
+        net.run_until(us(1));
+        assert_eq!([done(&net, 1), done(&net, 2)], [[true, false]; 2], "in flight");
+        net.run_until(us(40));
+        assert_eq!([done(&net, 1), done(&net, 2)], [[true, true]; 2], "delivered");
+        net.run_until(us(100));
+        assert_eq!([done(&net, 1), done(&net, 2)], [[true, false], [false, true]], "h1 crashed");
+        // The two bits sit in the padding beside `aborted`.
+        assert_eq!(std::mem::size_of::<crate::FlowRecord>(), 80);
     }
 
     #[test]

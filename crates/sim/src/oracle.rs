@@ -115,7 +115,8 @@ const fn cause_idx(c: crate::telemetry::LossCause) -> usize {
     }
 }
 
-/// Stable labels matching [`cause_idx`] order.
+/// Stable labels of the [`crate::telemetry::LossCause`] variants, in
+/// declaration order: the order of the oracle's per-cause counters.
 pub const LOSS_CAUSE_LABELS: [&str; 6] =
     ["probe", "sack-gap", "timeout", "nack", "stall", "last-resort"];
 

@@ -281,7 +281,7 @@ const RING_RESERVE_MAX: usize = 1 << 16;
 
 /// Fixed-capacity ring that overwrites its oldest entry when full and
 /// counts how many entries it has discarded. Its storage is reserved up
-/// front (up to [`RING_RESERVE_MAX`] entries), so a push into a ring of
+/// front (up to 65,536 entries), so a push into a ring of
 /// the default size never reallocates; once full, a push overwrites the
 /// oldest entry in place.
 #[derive(Debug, Clone)]

@@ -20,12 +20,12 @@
 use aeolus_core::PreCreditReceiver;
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Ecn, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Place, Timer,
+    Ctx, Ecn, Endpoint, FlowDesc, FlowEnd, FlowId, LossCause, Packet, PacketKind, Place, Timer,
     TrafficClass, TransportEvent,
 };
 
 use crate::common::{data_packet, BaseConfig};
-use crate::recovery::{peer_silent, Done, FlowTable};
+use crate::recovery::{peer_silent, FlowTable};
 
 /// DCTCP tunables.
 #[derive(Debug, Clone, Copy)]
@@ -299,7 +299,7 @@ impl Endpoint for DctcpEndpoint {
                 // Cumulative ACK; the CE echo rides the `of_probe` slot's
                 // sibling field (`seq` = 1 marks echo) — we use a dedicated
                 // convention: seq 1 = CE echoed, 0 = not.
-                let (ack_to, echo) = match self.flows.recv_or_insert_with(pkt.flow, fresh) {
+                let (ack_to, echo) = match self.flows.recv_or_insert_with(pkt.flow, ctx, fresh) {
                     Some(rf) => {
                         let completed = rf.book.on_data(&pkt, ctx);
                         if pkt.ecn == Ecn::Ce {
@@ -309,16 +309,15 @@ impl Endpoint for DctcpEndpoint {
                         let echo = rf.ce_pending;
                         rf.ce_pending = false;
                         if completed {
-                            self.flows.retire_recv(pkt.flow, Done::new(ack_to, ()));
+                            self.flows.recv_done(pkt.flow, ctx);
                         }
                         (ack_to, echo)
                     }
                     // Received whole: the ACK covers the message and echoes
                     // this packet's mark alone.
                     None => {
-                        let done = self.flows.finished_recv(pkt.flow);
-                        let done = done.expect("only a marked flow is refused");
-                        (done.size(), pkt.ecn == Ecn::Ce)
+                        let size = ctx.finished(pkt.flow, FlowEnd::Receiver);
+                        (size.expect("only a finished flow is refused"), pkt.ecn == Ecn::Ce)
                     }
                 };
                 let mut ack = Packet::control(

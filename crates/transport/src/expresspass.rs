@@ -19,14 +19,14 @@
 
 use aeolus_sim::units::{Time, PS_PER_SEC};
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
+    Ctx, Endpoint, FlowDesc, FlowEnd, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
     TransportEvent, CREDIT_BYTES,
 };
 
 use crate::common::{data_ack_packet, request_packet, BaseConfig, FirstRttMode};
 use crate::recovery::{
-    self, answer_probe, launch_first_rtt, peer_silent, send_resends, Done, FlowTable, SendState,
-    Strikes,
+    self, answer_probe, launch_first_rtt, peer_silent, requeue_finished, send_resends, FlowTable,
+    SendState, Strikes,
 };
 
 // The feedback law's constants: the values the ExpressPass paper (Cho et
@@ -154,7 +154,7 @@ impl XPassEndpoint {
     /// scan is armed all the same.
     fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) -> Option<&mut RecvFlow> {
         let rate_bps = self.max_rate_bps(ctx) * INIT_RATE_FRAC;
-        let mut rf = self.flows.recv_entry(pkt, ctx.now, || Credits {
+        let mut rf = self.flows.recv_entry(pkt, ctx, || Credits {
             strikes: Strikes::default(),
             next_credit_seq: 1,
             rate_bps,
@@ -346,7 +346,7 @@ impl Endpoint for XPassEndpoint {
                 let mtu = self.cfg.base.mtu_payload as u64;
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
                     tx.on_credit(mtu, ctx);
-                } else if self.flows.finished_send(pkt.flow).is_some() {
+                } else if ctx.finished(pkt.flow, FlowEnd::Sender).is_some() {
                     // Booked, with nothing left to spend it on.
                     ctx.emit(TransportEvent::CreditReceipt { flow: pkt.flow, bytes: mtu });
                 }
@@ -379,7 +379,7 @@ impl Endpoint for XPassEndpoint {
                     ctx.send(data_ack_packet(&pkt, ctx.host, pkt.src));
                 }
                 if completed {
-                    self.flows.recv_done(pkt.flow);
+                    self.flows.recv_done(pkt.flow, ctx);
                 }
             }
             PacketKind::Probe => {
@@ -391,8 +391,8 @@ impl Endpoint for XPassEndpoint {
                 // on the next credits.
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
                     tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
-                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
-                    done.requeue(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
+                } else if let Some(size) = ctx.finished(pkt.flow, FlowEnd::Sender) {
+                    requeue_finished(pkt.flow, size, pkt.seq, end, LossCause::Stall, ctx);
                 }
             }
             PacketKind::Ack { of_probe, end } => {
@@ -403,8 +403,8 @@ impl Endpoint for XPassEndpoint {
                     // message its ACKs cover — unscheduled bytes, or every
                     // byte under the RTO strawman — is known done here.
                     if tx.core.fully_acked() {
-                        let done = Done::new(tx.desc.size, ());
-                        self.flows.retire_send(pkt.flow, done);
+                        self.flows.send.remove(pkt.flow);
+                        ctx.finish(pkt.flow, FlowEnd::Sender);
                     }
                 }
             }

@@ -24,14 +24,14 @@
 
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind, Timer,
-    TransportEvent,
+    Ctx, Endpoint, FlowDesc, FlowEnd, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind,
+    Timer, TransportEvent,
 };
 
 use crate::common::BaseConfig;
 use crate::recovery::{
-    self, answer_data, answer_probe, backoff, launch_first_rtt, peer_silent, send_resends, Done,
-    FlowTable, SendState, Strikes,
+    self, answer_data, answer_probe, backoff, launch_first_rtt, peer_silent, requeue_finished,
+    send_resends, FlowTable, SendState, Strikes,
 };
 
 /// Maximum timeslots requested at once (pipelined batches). A choice of
@@ -330,7 +330,7 @@ impl Endpoint for FastpassEndpoint {
                     ctx.emit(receipt);
                     let fire_first = start.saturating_sub(ctx.now);
                     ctx.set_timer_in_with(fire_first, Timer::flow(SLOT, pkt.flow));
-                } else if self.flows.finished_send(pkt.flow).is_some() {
+                } else if ctx.finished(pkt.flow, FlowEnd::Sender).is_some() {
                     // The answer to a request the flow outlived: booked,
                     // with nothing to send in its slots.
                     ctx.emit(receipt);
@@ -339,18 +339,18 @@ impl Endpoint for FastpassEndpoint {
             PacketKind::Data => {
                 self.arm_stall_scan(ctx);
                 let probe_mode = self.cfg.base.mode.probe_recovery();
-                match self.flows.recv_arrival(&pkt, ctx.now, Strikes::default) {
+                match self.flows.recv_arrival(&pkt, ctx, Strikes::default) {
                     Some(rf) => {
                         rf.proto.reset();
                         if rf.on_data(&pkt, probe_mode, ctx) {
-                            self.flows.recv_done(pkt.flow);
+                            self.flows.recv_done(pkt.flow, ctx);
                         }
                     }
                     None => answer_data(&pkt, probe_mode, ctx),
                 }
             }
             PacketKind::Probe => {
-                self.flows.recv_entry(&pkt, ctx.now, Strikes::default);
+                self.flows.recv_entry(&pkt, ctx, Strikes::default);
                 answer_probe(&pkt, ctx);
                 self.arm_stall_scan(ctx);
             }
@@ -363,8 +363,8 @@ impl Endpoint for FastpassEndpoint {
                     if sf.slots_left == 0 {
                         self.request_slots(pkt.flow, ctx);
                     }
-                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
-                    done.requeue(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
+                } else if let Some(size) = ctx.finished(pkt.flow, FlowEnd::Sender) {
+                    requeue_finished(pkt.flow, size, pkt.seq, end, LossCause::Stall, ctx);
                 }
             }
             PacketKind::Ack { of_probe, end } => {
@@ -374,8 +374,8 @@ impl Endpoint for FastpassEndpoint {
                 // the per-packet ACKs covered first can still ask the arbiter
                 // for slots (a stale lost range counts as work) until then.
                 if sf.tx.on_ack(pkt.seq, end, of_probe, infer, ctx) {
-                    let done = Done::new(sf.tx.desc.size, ());
-                    self.flows.retire_send(pkt.flow, done);
+                    self.flows.send.remove(pkt.flow);
+                    ctx.finish(pkt.flow, FlowEnd::Sender);
                 } else if of_probe && sf.slots_left == 0 {
                     // Losses revealed by the probe may need timeslots.
                     self.request_slots(pkt.flow, ctx);

@@ -201,7 +201,7 @@ impl fmt::Display for DegradationReport {
 impl std::error::Error for DegradationReport {}
 
 impl<T: Tracer> Harness<T> {
-    /// [`SchemeBuilder::build`]'s engine: build the scheme's topology with
+    /// [`crate::SchemeBuilder::build`]'s engine: build the scheme's topology with
     /// `tracer` installed on the network, wire every port with the scheme's
     /// queue discipline and install one endpoint per host.
     ///

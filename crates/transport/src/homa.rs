@@ -16,14 +16,14 @@
 
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
-    TransportEvent,
+    Ctx, Endpoint, FlowDesc, FlowEnd, FlowId, FlowMap, LossCause, Packet, PacketKind, Timer,
+    TrafficClass, TransportEvent,
 };
 
 use crate::common::{data_packet, BaseConfig, FirstRttMode};
 use crate::recovery::{
-    self, answer_data, answer_probe, launch_first_rtt, peer_silent, send_resends, CreditLedger,
-    Done, FlowTable, SendState,
+    self, answer_data, answer_probe, launch_first_rtt, peer_silent, requeue_finished, send_resends,
+    CreditLedger, FlowTable, SendState,
 };
 
 /// Total switch priority levels: the 8 of a commodity switch, as in the
@@ -104,9 +104,10 @@ type RecvFlow = recovery::RecvFlow<CreditLedger>;
 /// The per-host Homa endpoint.
 pub struct HomaEndpoint {
     cfg: HomaConfig,
-    /// A finished sender keeps its highest grant offset: a late grant is
-    /// booked only for what it adds.
-    flows: FlowTable<SendFlow, RecvFlow, u64>,
+    flows: FlowTable<SendFlow, RecvFlow>,
+    /// The highest grant offset of each send flow this host finished: a
+    /// late grant is booked only for what it adds.
+    finished_grants: FlowMap<FlowId, u64>,
     scan_armed: bool,
     /// Reusable SRPT scratch for `regrant` (runs per data packet — a fresh
     /// `Vec` each call would churn the allocator on the hot path).
@@ -119,6 +120,7 @@ impl HomaEndpoint {
         HomaEndpoint {
             cfg,
             flows: FlowTable::default(),
+            finished_grants: FlowMap::new(),
             scan_armed: false,
             srpt_scratch: Vec::new(),
         }
@@ -337,13 +339,13 @@ impl Endpoint for HomaEndpoint {
         match pkt.kind {
             PacketKind::Data => {
                 let probe_mode = self.cfg.base.mode.probe_recovery();
-                match self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default) {
+                match self.flows.recv_arrival(&pkt, ctx, CreditLedger::default) {
                     Some(rf) => {
                         if pkt.class != TrafficClass::Unscheduled {
                             rf.proto.returned(pkt.payload as u64);
                         }
                         if rf.on_data(&pkt, probe_mode, ctx) {
-                            self.flows.recv_done(pkt.flow);
+                            self.flows.recv_done(pkt.flow, ctx);
                         }
                     }
                     None => answer_data(&pkt, probe_mode, ctx),
@@ -352,7 +354,7 @@ impl Endpoint for HomaEndpoint {
                 self.arm_scan(ctx);
             }
             PacketKind::Probe => {
-                self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default);
+                self.flows.recv_arrival(&pkt, ctx, CreditLedger::default);
                 answer_probe(&pkt, ctx);
                 self.regrant(ctx);
                 self.arm_scan(ctx);
@@ -369,9 +371,8 @@ impl Endpoint for HomaEndpoint {
                         sf.granted = pkt.seq;
                     }
                     sf.tx.core.end_burst();
-                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
+                } else if let Some(granted) = self.finished_grants.get_mut(pkt.flow) {
                     // Booked like a live sender's grant, never spent.
-                    let granted = &mut done.proto;
                     if pkt.seq > *granted {
                         let bytes = pkt.seq - *granted;
                         ctx.emit(TransportEvent::CreditReceipt { flow: pkt.flow, bytes });
@@ -396,13 +397,12 @@ impl Endpoint for HomaEndpoint {
                         let desc = &sf.tx.desc;
                         Self::resend_unscheduled(&self.cfg, desc, from, to, LossCause::Stall, ctx);
                     }
-                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
-                    done.requeue(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
+                } else if let Some(size) = ctx.finished(pkt.flow, FlowEnd::Sender) {
+                    requeue_finished(pkt.flow, size, pkt.seq, end, LossCause::Stall, ctx);
                     if !probe_mode {
                         // Blind mode resends whatever is asked for, however
                         // finished: the flow as it went out, rebuilt from
-                        // the marker (`start` is not on the wire).
-                        let size = done.size();
+                        // its size (`start` is not on the wire).
                         let desc =
                             FlowDesc { id: pkt.flow, src: ctx.host, dst: pkt.src, size, start: 0 };
                         let (from, to) = (pkt.seq, end.min(size));
@@ -419,8 +419,9 @@ impl Endpoint for HomaEndpoint {
                     // Newly detected losses may fit the open grant window.
                     sf.tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
                     if sf.tx.core.fully_acked() {
-                        let done = Done::new(sf.tx.desc.size, sf.granted);
-                        self.flows.retire_send(pkt.flow, done);
+                        self.finished_grants.insert(pkt.flow, sf.granted);
+                        self.flows.send.remove(pkt.flow);
+                        ctx.finish(pkt.flow, FlowEnd::Sender);
                     }
                 }
                 self.pump_scheduled(pkt.flow, ctx);

@@ -18,12 +18,12 @@ use std::collections::VecDeque;
 
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Timer, TransportEvent,
+    Ctx, Endpoint, FlowDesc, FlowEnd, FlowId, LossCause, Packet, PacketKind, Timer, TransportEvent,
 };
 
 use crate::common::{data_ack_packet, BaseConfig};
 use crate::recovery::{
-    self, answer_probe, launch_first_rtt, CreditLedger, Done, FlowTable, SendState,
+    self, answer_probe, launch_first_rtt, requeue_finished, CreditLedger, FlowTable, SendState,
 };
 
 // Timer kinds ([`Timer::kind`]).
@@ -206,7 +206,7 @@ impl NdpEndpoint {
     /// whole.
     fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &Ctx<'_>) -> Option<&mut RecvFlow> {
         let (cfg, line_rate) = (self.cfg, ctx.line_rate);
-        self.flows.recv_arrival(pkt, ctx.now, || {
+        self.flows.recv_arrival(pkt, ctx, || {
             // Everything that opens a receive flow here (data, trimmed
             // header, probe) carries the message size, so the pre-paid
             // initial window is known at first contact.
@@ -267,7 +267,7 @@ impl Endpoint for NdpEndpoint {
                 }
                 ctx.send(data_ack_packet(&pkt, ctx.host, pkt.src));
                 if completed {
-                    self.flows.recv_done(pkt.flow);
+                    self.flows.recv_done(pkt.flow, ctx);
                 }
                 self.maybe_enqueue_pull(pkt.flow, ctx);
                 self.arm_backstop(ctx);
@@ -294,15 +294,15 @@ impl Endpoint for NdpEndpoint {
                 if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
                     let end = (pkt.seq + mtu).min(sf.tx.desc.size);
                     sf.tx.requeue(pkt.seq, end, LossCause::Nack, ctx);
-                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
-                    done.requeue(pkt.flow, pkt.seq, pkt.seq + mtu, LossCause::Nack, ctx);
+                } else if let Some(size) = ctx.finished(pkt.flow, FlowEnd::Sender) {
+                    requeue_finished(pkt.flow, size, pkt.seq, pkt.seq + mtu, LossCause::Nack, ctx);
                 }
             }
             PacketKind::Pull => {
                 let mtu = self.cfg.mtu_payload as u64;
                 if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
                     sf.tx.on_credit(mtu, ctx);
-                } else if self.flows.finished_send(pkt.flow).is_some() {
+                } else if ctx.finished(pkt.flow, FlowEnd::Sender).is_some() {
                     // Booked, with nothing left to spend it on.
                     ctx.emit(TransportEvent::CreditReceipt { flow: pkt.flow, bytes: mtu });
                 }
@@ -317,8 +317,8 @@ impl Endpoint for NdpEndpoint {
                     // ACK: the sender is done when the ACKs cover the
                     // message.
                     if sf.tx.core.fully_acked() {
-                        let done = Done::new(sf.tx.desc.size, ());
-                        self.flows.retire_send(pkt.flow, done);
+                        self.flows.send.remove(pkt.flow);
+                        ctx.finish(pkt.flow, FlowEnd::Sender);
                     }
                 }
             }

@@ -22,14 +22,14 @@
 
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
+    Ctx, Endpoint, FlowDesc, FlowEnd, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
     TransportEvent,
 };
 
 use crate::common::{request_packet, BaseConfig};
 use crate::recovery::{
-    self, answer_data, answer_probe, launch_first_rtt, send_resends, CreditLedger, Done, FlowTable,
-    SendState,
+    self, answer_data, answer_probe, launch_first_rtt, requeue_finished, send_resends,
+    CreditLedger, FlowTable, SendState,
 };
 
 /// pHost tunables.
@@ -223,18 +223,18 @@ impl Endpoint for PHostEndpoint {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         match pkt.kind {
             PacketKind::Request => {
-                self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default);
+                self.flows.recv_arrival(&pkt, ctx, CreditLedger::default);
                 self.arm_receiver(ctx);
             }
             PacketKind::Data => {
                 let probe_mode = self.cfg.base.mode.probe_recovery();
-                match self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default) {
+                match self.flows.recv_arrival(&pkt, ctx, CreditLedger::default) {
                     Some(rf) => {
                         if pkt.class != TrafficClass::Unscheduled {
                             rf.proto.returned(1);
                         }
                         if rf.on_data(&pkt, probe_mode, ctx) {
-                            self.flows.recv_done(pkt.flow);
+                            self.flows.recv_done(pkt.flow, ctx);
                         }
                     }
                     None => answer_data(&pkt, probe_mode, ctx),
@@ -242,7 +242,7 @@ impl Endpoint for PHostEndpoint {
                 self.arm_receiver(ctx);
             }
             PacketKind::Probe => {
-                self.flows.recv_arrival(&pkt, ctx.now, CreditLedger::default);
+                self.flows.recv_arrival(&pkt, ctx, CreditLedger::default);
                 answer_probe(&pkt, ctx);
                 self.arm_receiver(ctx);
             }
@@ -251,7 +251,7 @@ impl Endpoint for PHostEndpoint {
                 let mtu = self.cfg.base.mtu_payload as u64;
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
                     tx.on_credit(mtu, ctx);
-                } else if self.flows.finished_send(pkt.flow).is_some() {
+                } else if ctx.finished(pkt.flow, FlowEnd::Sender).is_some() {
                     // Booked, with nothing left to spend it on.
                     ctx.emit(TransportEvent::CreditReceipt { flow: pkt.flow, bytes: mtu });
                 }
@@ -262,8 +262,8 @@ impl Endpoint for PHostEndpoint {
                 // the range; the extended token budget clocks it out.
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
                     tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
-                } else if let Some(done) = self.flows.finished_send(pkt.flow) {
-                    done.requeue(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
+                } else if let Some(size) = ctx.finished(pkt.flow, FlowEnd::Sender) {
+                    requeue_finished(pkt.flow, size, pkt.seq, end, LossCause::Stall, ctx);
                 }
             }
             PacketKind::Ack { of_probe, end } => {
@@ -271,8 +271,8 @@ impl Endpoint for PHostEndpoint {
                 if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
                     tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
                     if tx.core.fully_acked() {
-                        let done = Done::new(tx.desc.size, ());
-                        self.flows.retire_send(pkt.flow, done);
+                        self.flows.send.remove(pkt.flow);
+                        ctx.finish(pkt.flow, FlowEnd::Sender);
                     }
                 }
             }

@@ -7,13 +7,14 @@
 //! keeps it alive under faults, so the endpoints differ only in their
 //! credit / grant / pull / slot pacing loops:
 //!
-//! * [`FlowTable`] — send and receive flow maps of the flows in progress
-//!   and the [`Done`] markers of finished ones, with the one implementation
-//!   of peer-silent give-up and engine abort — and the set of receive flows
-//!   still in progress ([`FlowTable::recv_active`]), so no credit, grant,
-//!   token or stall loop walks the flows a host has finished with. An
-//!   aborted flow needs no entry: the engine hands neither of its ends any
-//!   of its packets until a restart, and a crash rebuilds the endpoint.
+//! * [`FlowTable`] — send and receive flow maps of the flows in progress,
+//!   with the one implementation of peer-silent give-up and engine abort —
+//!   and the set of receive flows still in progress
+//!   ([`FlowTable::recv_active`]), so no credit, grant, token or stall loop
+//!   walks the flows a host has finished with. A finished or aborted flow
+//!   needs no entry: the engine's record says which ends are done
+//!   ([`Ctx::finished`]), it hands neither end of an aborted flow any of
+//!   its packets until a restart, and a crash rebuilds the endpoint.
 //! * [`SendState`] — the sender half shared by the five proactive
 //!   endpoints: "heard from peer", ACK → loss declaration, retransmit cause
 //!   attribution and the silence-gated capped-backoff [`Retry`] verdict.
@@ -30,13 +31,11 @@
 //!   skeleton; each caller's closure is a ledger's staleness test at the
 //!   protocol's threshold plus its range cap.
 
-use std::num::NonZeroU64;
-
 use aeolus_core::{PreCreditReceiver, PreCreditSender};
 use aeolus_sim::telemetry::FaultEvent;
 use aeolus_sim::units::{ms, Time};
 use aeolus_sim::{
-    AbortCause, Ctx, FlowDesc, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind,
+    AbortCause, Ctx, FlowDesc, FlowEnd, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind,
     TrafficClass, TransportEvent,
 };
 
@@ -87,8 +86,8 @@ pub fn stall_after(cfg: &BaseConfig) -> Time {
     (8 * cfg.base_rtt).max(ms(1))
 }
 
-/// Per-host flow state: both roles' flow maps, the set of receive flows
-/// still in progress, and the markers of finished flows.
+/// Per-host flow state: both roles' flow maps of the flows in progress,
+/// and the set of receive flows among them.
 ///
 /// When a flow aborts — engine-initiated after a node crash, or
 /// transport-initiated after the peer-silence watchdog fires — its state
@@ -97,17 +96,16 @@ pub fn stall_after(cfg: &BaseConfig) -> Time {
 /// either end until a restart, so none can resurrect per-flow state, and
 /// the relaunch starts from an empty slate.
 ///
-/// When a flow finishes, its state goes and a [`Done`] marker takes its
-/// place: a receive flow at its last byte ([`Self::recv_done`]), a send
-/// flow once the whole message is acknowledged ([`Self::retire_send`]) —
-/// which an ExpressPass sender learns only of a message its receiver ACKs
-/// whole (DESIGN.md, "The active set"). A straggler — a duplicate, a late probe or credit, a timer — finds the
-/// marker ([`Self::finished_send`], [`Self::finished_recv`]; the receive
+/// When a flow finishes, its state goes and the engine marks the end done
+/// ([`Ctx::finish`]): a receive flow at its last byte ([`Self::recv_done`]),
+/// a send flow once the whole message is acknowledged — which an
+/// ExpressPass sender learns only of a message its receiver ACKs whole
+/// (DESIGN.md, "The active set"). A straggler — a duplicate, a late probe
+/// or credit, a timer — finds the end done ([`Ctx::finished`]; the receive
 /// lookups return `None` for it) and gets the reaction the full state would
-/// have produced, without re-creating any. So the table holds the flows in
-/// progress plus one small marker per finished flow, whatever the history.
-/// `D` is what the protocol's sender reactions read besides the size.
-pub struct FlowTable<S, R, D = ()> {
+/// have produced from the flow's size, without re-creating any. So the
+/// table holds the flows in progress only, whatever the history.
+pub struct FlowTable<S, R> {
     /// Flows this host sends, until it learns the whole message arrived.
     pub send: FlowMap<FlowId, S>,
     /// Flows this host receives and has not received whole ([`Self::recv`],
@@ -124,25 +122,15 @@ pub struct FlowTable<S, R, D = ()> {
     /// minimum on the unique `(remaining, id)`, an `any`, per-flow updates
     /// whose emitted batches are sorted by id. A new reader must too.
     active: Vec<u32>,
-    /// Markers of the send flows retired by [`Self::retire_send`].
-    sent: FlowMap<FlowId, Done<D>>,
-    /// Markers of the receive flows retired by [`Self::retire_recv`].
-    received: FlowMap<FlowId, Done>,
 }
 
-impl<S, R, D> Default for FlowTable<S, R, D> {
+impl<S, R> Default for FlowTable<S, R> {
     fn default() -> Self {
-        FlowTable {
-            send: FlowMap::new(),
-            recv: FlowMap::new(),
-            active: Vec::new(),
-            sent: FlowMap::new(),
-            received: FlowMap::new(),
-        }
+        FlowTable { send: FlowMap::new(), recv: FlowMap::new(), active: Vec::new() }
     }
 }
 
-impl<S, R, D> FlowTable<S, R, D> {
+impl<S, R> FlowTable<S, R> {
     /// Peer-silence abort (either role): drop local state and record the
     /// abort unless the flow already completed or aborted.
     pub fn give_up(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
@@ -153,7 +141,7 @@ impl<S, R, D> FlowTable<S, R, D> {
     }
 
     /// Engine-initiated abort: drop local state. Only an incomplete flow
-    /// aborts, so there is no marker to drop.
+    /// aborts, so no end of it is done.
     pub fn abort(&mut self, flow: FlowId) {
         self.send.remove(flow);
         self.remove_recv(flow);
@@ -176,39 +164,26 @@ impl<S, R, D> FlowTable<S, R, D> {
     pub fn recv_or_insert_with(
         &mut self,
         flow: FlowId,
+        ctx: &Ctx<'_>,
         make: impl FnOnce() -> R,
     ) -> Option<&mut R> {
         if let Some(slot) = self.recv.slot_of(flow) {
             return Some(self.recv.at_mut(slot).1);
         }
-        if self.received.contains_key(flow) {
+        if ctx.finished(flow, FlowEnd::Receiver).is_some() {
             return None;
         }
         Some(self.recv.get_or_insert_with(flow, make))
     }
 
     /// The receive flow `flow` is complete: its entry (and active-set
-    /// handle) goes, `done` stays.
-    pub fn retire_recv(&mut self, flow: FlowId, done: Done) {
+    /// handle) goes and the engine marks this end done. Call it on the
+    /// `completed` verdict of [`PreCreditReceiver::on_data`], which fires
+    /// once per flow. O(active flows) per completion, nothing per packet.
+    pub fn recv_done(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
+        debug_assert!(self.recv.contains_key(flow), "{flow:?} completed without an entry");
         self.remove_recv(flow);
-        self.received.insert(flow, done);
-    }
-
-    /// The send flow `flow` has the whole message acknowledged: its entry
-    /// goes, `done` stays.
-    pub fn retire_send(&mut self, flow: FlowId, done: Done<D>) {
-        self.send.remove(flow);
-        self.sent.insert(flow, done);
-    }
-
-    /// The marker of a send flow this host finished.
-    pub fn finished_send(&mut self, flow: FlowId) -> Option<&mut Done<D>> {
-        self.sent.get_mut(flow)
-    }
-
-    /// The marker of a receive flow this host finished.
-    pub fn finished_recv(&self, flow: FlowId) -> Option<&Done> {
-        self.received.get(flow)
+        ctx.finish(flow, FlowEnd::Receiver);
     }
 
     /// How many receive flows are still incomplete. O(1).
@@ -223,8 +198,6 @@ impl<S, R, D> FlowTable<S, R, D> {
             send: self.send.contains_key(flow),
             recv: self.recv.contains_key(flow),
             active: self.recv_active_len(),
-            sent: self.sent.contains_key(flow),
-            received: self.received.contains_key(flow),
         }
     }
 
@@ -284,8 +257,6 @@ pub(crate) struct Holding {
     pub send: bool,
     pub recv: bool,
     pub active: usize,
-    pub sent: bool,
-    pub received: bool,
 }
 
 /// What a fired retry timer should do.
@@ -306,38 +277,22 @@ pub enum Retry {
     },
 }
 
-/// What a host keeps of a flow it has finished with (see [`FlowTable`]):
-/// the message size, and `proto`, whatever else the protocol's straggler
-/// reactions read. A finished flow has at least one byte, and the niche of
-/// the non-zero size keeps a `Done` with its id in a 16 B map slot.
-#[derive(Debug, Clone, Copy)]
-pub struct Done<D = ()> {
-    size: NonZeroU64,
-    /// The protocol's fields (DESIGN.md lists them per transport).
-    pub proto: D,
-}
-
-impl<D> Done<D> {
-    /// The marker of a finished `size`-byte flow.
-    pub fn new(size: u64, proto: D) -> Done<D> {
-        Done { size: NonZeroU64::new(size).expect("a finished flow has bytes"), proto }
-    }
-
-    /// The message size.
-    pub fn size(&self) -> u64 {
-        self.size.get()
-    }
-
-    /// A receiver's loss report (NACK, RESEND) for `[start, end)` reaching
-    /// the finished sender of `flow`. Every byte was sent and acknowledged,
-    /// so the sender reports the bytes it would requeue — the range clamped
-    /// to the message, as [`SendState::requeue`] clamps to what was sent —
-    /// and has nothing to retransmit.
-    pub fn requeue(&self, flow: FlowId, start: u64, end: u64, cause: LossCause, ctx: &mut Ctx<'_>) {
-        let end = end.min(self.size());
-        if start < end {
-            ctx.emit(TransportEvent::LossDetected { flow, bytes: end - start, cause });
-        }
+/// A receiver's loss report (NACK, RESEND) for `[start, end)` reaching the
+/// finished sender of the `size`-byte `flow` ([`Ctx::finished`]). Every
+/// byte was sent and acknowledged, so the sender reports the bytes it would
+/// requeue — the range clamped to the message, as [`SendState::requeue`]
+/// clamps to what was sent — and has nothing to retransmit.
+pub fn requeue_finished(
+    flow: FlowId,
+    size: u64,
+    start: u64,
+    end: u64,
+    cause: LossCause,
+    ctx: &mut Ctx<'_>,
+) {
+    let end = end.min(size);
+    if start < end {
+        ctx.emit(TransportEvent::LossDetected { flow, bytes: end - start, cause });
     }
 }
 
@@ -701,7 +656,7 @@ pub fn answer_data(pkt: &Packet, probe_mode: bool, ctx: &mut Ctx<'_>) {
 /// A batch of missing ranges to re-request from one sender.
 pub type ResendBatch = (FlowId, NodeId, Vec<(u64, u64)>);
 
-impl<S, X, D> FlowTable<S, RecvFlow<X>, D> {
+impl<S, X> FlowTable<S, RecvFlow<X>> {
     /// Receive-side state for `pkt`'s flow, created on first contact
     /// (request, data or probe — whichever wins the race), with the message
     /// size learned from the header. `None` for a flow this host has
@@ -709,18 +664,18 @@ impl<S, X, D> FlowTable<S, RecvFlow<X>, D> {
     pub fn recv_entry(
         &mut self,
         pkt: &Packet,
-        now: Time,
+        ctx: &Ctx<'_>,
         proto: impl FnOnce() -> X,
     ) -> Option<&mut RecvFlow<X>> {
         let slot = match self.recv.slot_of(pkt.flow) {
             Some(slot) => slot,
-            None if self.received.contains_key(pkt.flow) => return None,
+            None if ctx.finished(pkt.flow, FlowEnd::Receiver).is_some() => return None,
             None => {
                 let fresh = RecvFlow {
                     sender: pkt.src,
                     book: PreCreditReceiver::default(),
-                    last_arrival: now,
-                    last_progress: now,
+                    last_arrival: ctx.now,
+                    last_progress: ctx.now,
                     proto: proto(),
                 };
                 self.recv.insert(pkt.flow, fresh);
@@ -743,25 +698,12 @@ impl<S, X, D> FlowTable<S, RecvFlow<X>, D> {
     pub fn recv_arrival(
         &mut self,
         pkt: &Packet,
-        now: Time,
+        ctx: &Ctx<'_>,
         proto: impl FnOnce() -> X,
     ) -> Option<&mut RecvFlow<X>> {
-        let rf = self.recv_entry(pkt, now, proto)?;
-        rf.touch(now);
+        let rf = self.recv_entry(pkt, ctx, proto)?;
+        rf.touch(ctx.now);
         Some(rf)
-    }
-
-    /// The receive flow `flow` is complete: it leaves the active set and
-    /// the table, and its marker stays ([`Self::retire_recv`]). Call it on
-    /// the `completed` verdict of [`PreCreditReceiver::on_data`], which
-    /// fires once per flow. O(active flows) per completion, nothing per
-    /// packet.
-    pub fn recv_done(&mut self, flow: FlowId) {
-        let size = self.recv.get(flow).and_then(|rf| rf.book.size());
-        let size = size.expect("a completed flow knows its size");
-        let active = self.recv.slot_of(flow).is_some_and(|slot| self.active.contains(&slot));
-        debug_assert!(active, "{flow:?} completed without being active");
-        self.retire_recv(flow, Done::new(size, ()));
     }
 
     /// The incomplete receive flows, in no particular order — see the
@@ -1002,9 +944,9 @@ mod tests {
         if ctx.metrics.flow(pkt.flow).is_none() {
             ctx.metrics.flow_scheduled(desc(pkt.flow.0));
         }
-        let Some(rf) = t.recv_arrival(pkt, 0, CreditLedger::default) else { return };
+        let Some(rf) = t.recv_arrival(pkt, ctx, CreditLedger::default) else { return };
         if rf.book.on_data(pkt, ctx) {
-            t.recv_done(pkt.flow);
+            t.recv_done(pkt.flow, ctx);
         }
     }
 
@@ -1016,8 +958,8 @@ mod tests {
 
     /// The active set against the scan it replaced — every entry of `recv`
     /// filtered for "incomplete" — which is every entry: a completed flow
-    /// leaves `recv` for a marker, and no flow is both.
-    fn assert_active_is_the_incomplete_flows(t: &Table, step: &str) {
+    /// leaves `recv` and the engine marks it done, and no flow is both.
+    fn assert_active_is_the_incomplete_flows(t: &Table, ctx: &Ctx<'_>, step: &str) {
         let mut active: Vec<FlowId> = t.active.iter().map(|&slot| t.recv.at(slot).0).collect();
         let mut scan: Vec<FlowId> =
             t.recv.iter().filter(|(_, rf)| !rf.book.is_complete()).map(|(id, _)| id).collect();
@@ -1025,7 +967,14 @@ mod tests {
         scan.sort_unstable();
         assert_eq!(active, scan, "after {step}");
         assert_eq!(t.recv_active_len(), t.recv.len(), "after {step}: a complete flow stayed");
-        assert!(t.recv.iter().all(|(id, _)| t.finished_recv(id).is_none()), "after {step}");
+        let done = |id| ctx.finished(id, FlowEnd::Receiver).is_some();
+        assert!(t.recv.iter().all(|(id, _)| !done(id)), "after {step}");
+    }
+
+    /// The flows whose receiver end the engine marks done, by id.
+    fn received(ctx: &Ctx<'_>) -> Vec<u64> {
+        let done = ctx.metrics.flows().filter(|rec| rec.is_done(FlowEnd::Receiver));
+        done.map(|rec| rec.desc.id.0).collect()
     }
 
     /// Only the engine can make a `Ctx`, so `body` runs as `ME`'s
@@ -1093,12 +1042,12 @@ mod tests {
                         if rng.chance(0.5) {
                             req.flow_size = 0;
                         }
-                        t.recv_entry(&req, 0, CreditLedger::default);
+                        t.recv_entry(&req, ctx, CreditLedger::default);
                         "request"
                     }
                     1 if !aborted.contains(&id) => {
                         let probe = probe_packet(&desc(id), desc(id).size);
-                        t.recv_arrival(&probe, 0, CreditLedger::default);
+                        t.recv_arrival(&probe, ctx, CreditLedger::default);
                         answer_probe(&probe, ctx);
                         "probe"
                     }
@@ -1111,7 +1060,9 @@ mod tests {
                         "data"
                     }
                     // Only an incomplete flow aborts.
-                    4 if t.finished_recv(FlowId(id)).is_none() && aborted.insert(id) => {
+                    4 if ctx.finished(FlowId(id), FlowEnd::Receiver).is_none()
+                        && aborted.insert(id) =>
+                    {
                         // An abort frees the slot; the next new flow takes it.
                         let freed = t.recv.slot_of(FlowId(id));
                         t.abort(FlowId(id));
@@ -1138,17 +1089,19 @@ mod tests {
                         assert_eq!(scan_everything(&mut t, ctx).0, known, "step {step}");
                         "stall scan"
                     }
-                    // A crash rebuilds the endpoint, table and all; the
+                    // A crash rebuilds the endpoint, table and all, and the
+                    // engine forgets which ends it was done with; the
                     // aborted flows stay aborted.
                     7 => {
                         t = Table::default();
+                        ctx.metrics.forget_done(ME);
                         got.clear();
                         "crash"
                     }
                     _ => "an aborted flow's packet, or a finished one's abort: skipped",
                 };
                 let step = format!("step {step}: {what} on {id}");
-                assert_active_is_the_incomplete_flows(&t, &step);
+                assert_active_is_the_incomplete_flows(&t, ctx, &step);
                 // Completed flows left `recv` and are recognised as done —
                 // all of them and only them.
                 let done: Vec<u64> = got
@@ -1156,9 +1109,7 @@ mod tests {
                     .filter(|&(&f, chunks)| chunks.len() as u64 == desc(f).size / CHUNK as u64)
                     .map(|(&f, _)| f)
                     .collect();
-                let mut marked: Vec<u64> = t.received.iter().map(|(f, _)| f.0).collect();
-                marked.sort_unstable();
-                assert_eq!(marked, done, "{step}");
+                assert_eq!(received(ctx), done, "{step}");
                 most_done = most_done.max(done.len());
             }
             assert!(seen.iter().all(|&n| n > 0), "an operation never ran: {seen:?}");
@@ -1218,50 +1169,38 @@ mod tests {
             for id in 1..=2_000 {
                 deliver_all(&mut t, id, ctx);
             }
-            assert_eq!((t.recv.len(), t.received.len(), t.recv_active_len()), (0, 2_000, 0));
+            assert_eq!((t.recv.len(), received(ctx).len(), t.recv_active_len()), (0, 2_000, 0));
             assert_eq!(scan_everything(&mut t, ctx).0, 0);
             for id in 2_001..=2_003 {
-                t.recv_entry(&request_packet(&desc(id)), 0, CreditLedger::default);
+                t.recv_entry(&request_packet(&desc(id)), ctx, CreditLedger::default);
             }
             assert_eq!((t.recv.len(), t.recv_active_len()), (3, 3));
             assert_eq!(scan_everything(&mut t, ctx).0, 3);
         });
     }
 
-    /// A finished flow keeps a marker, not its state: its stragglers find
-    /// no entry and open none, until a crash rebuilds the endpoint and the
-    /// marker goes with its table — then a straggler is a first contact
-    /// again, as it always was after a crash.
+    /// A finished flow keeps no state, only the engine's done bit of its
+    /// end: its stragglers find no entry and open none, until a crash
+    /// rebuilds the endpoint and clears the host's bits — then a straggler
+    /// is a first contact again, as it always was after a crash. The bit
+    /// answers only at its own end.
     #[test]
-    fn a_finished_flow_is_a_marker_until_a_crash() {
+    fn a_finished_flow_is_a_done_bit_until_a_crash() {
         with_ctx(|ctx| {
             let mut t = Table::default();
             deliver_all(&mut t, 4, ctx);
             let size = desc(4).size;
-            assert_eq!(t.finished_recv(FlowId(4)).map(Done::size), Some(size));
-            assert!(t.recv_entry(&chunk(4, 0), 0, CreditLedger::default).is_none());
-            assert!(t.recv_arrival(&request_packet(&desc(4)), 0, CreditLedger::default).is_none());
+            assert_eq!(ctx.finished(FlowId(4), FlowEnd::Receiver), Some(size));
+            assert_eq!(ctx.finished(FlowId(4), FlowEnd::Sender), None, "the peer's end");
+            let request = request_packet(&desc(4));
+            assert!(t.recv_entry(&chunk(4, 0), ctx, CreditLedger::default).is_none());
+            assert!(t.recv_arrival(&request, ctx, CreditLedger::default).is_none());
             assert_eq!((t.recv.len(), t.recv_active_len()), (0, 0), "a straggler re-opened it");
             t = Table::default();
-            let rf = t.recv_entry(&chunk(4, 0), 0, CreditLedger::default).expect("fresh book");
+            ctx.metrics.forget_done(ME);
+            let rf = t.recv_entry(&chunk(4, 0), ctx, CreditLedger::default).expect("fresh book");
             assert_eq!(rf.book.remaining(), Some(size));
             assert_eq!(t.recv_active_len(), 1);
-
-            let mut senders: FlowTable<u8, u8, u64> = FlowTable::default();
-            senders.send.insert(FlowId(9), 1);
-            senders.retire_send(FlowId(9), Done::new(3_000, 17));
-            assert!(senders.send.get(FlowId(9)).is_none());
-            let done = senders.finished_send(FlowId(9)).expect("marked");
-            assert_eq!((done.size(), done.proto), (3_000, 17));
         });
-    }
-
-    /// The marker's cost: a 16 B map slot with its id where the protocol
-    /// keeps nothing more, 24 B with a `u64` (Homa's grant offset).
-    #[test]
-    fn a_marker_slot_is_16_bytes() {
-        use std::mem::size_of;
-        assert_eq!(size_of::<Option<(FlowId, Done)>>(), 16);
-        assert_eq!(size_of::<Option<(FlowId, Done<u64>)>>(), 24);
     }
 }

@@ -1,21 +1,22 @@
-//! Stragglers of finished flows. A finished flow leaves only a done marker
-//! in its endpoints' `FlowTable`s; a copy of any packet kind an endpoint
-//! handles, arriving after that, must get the reaction the endpoint had
-//! when it kept the flow's whole state — each expectation below is read off
-//! that reaction — and must never re-open the flow: no entry comes back, no
-//! flow turns active, no credit, grant, pull or token goes out for it, and
-//! no timer of the flow is armed. The one path by which a straggler still
-//! opens a book is a crash that wiped the table, the path
-//! `Metrics::deliver`'s wire-residue guard exists for.
+//! Stragglers of finished flows. A finished flow leaves nothing in its
+//! endpoints' `FlowTable`s, only the engine's done bit of each end
+//! (`FlowRecord::is_done`); a copy of any packet kind an endpoint handles,
+//! arriving after that, must get the reaction the endpoint had when it kept
+//! the flow's whole state — each expectation below is read off that
+//! reaction — and must never re-open the flow: no entry comes back, no flow
+//! turns active, no credit, grant, pull or token goes out for it, and no
+//! timer of the flow is armed. The one path by which a straggler still
+//! opens a book is a crash that wiped the table and the host's done bits,
+//! the path `Metrics::deliver`'s wire-residue guard exists for.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use aeolus_sim::units::{ms, us, Time};
 use aeolus_sim::{
-    Ctx, Ecn, Endpoint, FaultPlan, FlowDesc, FlowId, LinkParams, LossCause, NodeId, Packet,
-    PacketKind, QueueEvent, QueueRecord, Rate, Timer, TraceSink, Tracer, TrafficClass,
-    TransportEvent, CREDIT_BYTES,
+    Ctx, Ecn, Endpoint, FaultPlan, FlowDesc, FlowEnd, FlowId, FlowRecord, LinkParams, LossCause,
+    NodeId, Packet, PacketKind, QueueEvent, QueueRecord, Rate, Timer, TraceSink, Tracer,
+    TrafficClass, TransportEvent, CREDIT_BYTES,
 };
 
 use crate::common::{ack_packet, data_packet, probe_ack_packet, probe_packet, request_packet};
@@ -142,12 +143,19 @@ inspect!(DctcpEndpoint, |s, p| DctcpEndpoint::new(DctcpConfig::new(
     s.rto().expect("an RTO")
 )));
 
-/// Which end of the flow the stragglers reach.
-#[derive(Clone, Copy, PartialEq)]
-enum End {
-    Sender,
-    Receiver,
+/// What the end under test keeps of the flow: its table's entries, and
+/// whether the engine marks that end done.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Kept {
+    table: Holding,
+    done: bool,
 }
+
+/// A table that holds nothing of the flow.
+const EMPTY: Holding = Holding { send: false, recv: false, active: 0 };
+
+/// A finished flow's end: its done bit and nothing else.
+const FINISHED: Kept = Kept { table: EMPTY, done: true };
 
 /// What one run saw at the end under test.
 struct Seen {
@@ -155,10 +163,9 @@ struct Seen {
     events: Vec<TransportEvent>,
     /// Timers of the flow that fired at the end from [`LATE`] on.
     late_timers: usize,
-    /// What the end's table held of the flow before the stragglers and
-    /// after them.
-    before: Holding,
-    after: Holding,
+    /// What the end kept of the flow before the stragglers and after them.
+    before: Kept,
+    after: Kept,
 }
 
 /// Run `size`-byte [`FLOW`] to completion under `scheme`, then, at [`LATE`],
@@ -167,7 +174,7 @@ struct Seen {
 fn straggle<E: Inspect>(
     scheme: Scheme,
     size: u64,
-    at: End,
+    at: FlowEnd,
     faults: FaultPlan,
     script: impl FnOnce(&FlowDesc) -> Vec<Packet>,
 ) -> Seen {
@@ -178,8 +185,8 @@ fn straggle<E: Inspect>(
     let (receiver, sender) = (h.hosts()[0], h.hosts()[1]);
     let flow = FlowDesc { id: FLOW, src: sender, dst: receiver, size, start: 0 };
     let (me, peer) = match at {
-        End::Sender => (sender, receiver),
-        End::Receiver => (receiver, sender),
+        FlowEnd::Sender => (sender, receiver),
+        FlowEnd::Receiver => (receiver, sender),
     };
     let mine = Rc::new(RefCell::new(E::make(scheme, &h.params)));
     let theirs = Rc::new(RefCell::new(E::make(scheme, &h.params)));
@@ -192,38 +199,34 @@ fn straggle<E: Inspect>(
     net.tracer_mut().host = Some(me);
     h.schedule(&[flow, FlowDesc { id: CUE, src: peer, dst: me, size: 1, start: LATE }]);
     h.network_mut().run_until(LATE - 1);
+    let kept =
+        |rec: &FlowRecord| Kept { table: mine.borrow().holding(FLOW), done: rec.is_done(at) };
     let rec = h.metrics().flow(FLOW).expect("scheduled");
     assert!(rec.completed_at.is_some(), "{}: the flow did not finish", scheme.name());
-    let before = mine.borrow().holding(FLOW);
+    let before = kept(rec);
     h.network_mut().run_until(LATE + ms(20));
-    let delivered = h.metrics().flow(FLOW).expect("scheduled").delivered;
-    assert_eq!(delivered, size, "{}: a straggler's bytes counted twice", scheme.name());
-    let after = mine.borrow().holding(FLOW);
+    let rec = h.metrics().flow(FLOW).expect("scheduled");
+    assert_eq!(rec.delivered, size, "{}: a straggler's bytes counted twice", scheme.name());
+    let after = kept(rec);
     let log = std::mem::take(h.network_mut().tracer_mut());
     Seen { sent: log.sent, events: log.events, late_timers: late_timers.get(), before, after }
 }
 
-/// A finished flow's end: its marker and nothing else.
-fn finished(at: End) -> Holding {
-    let (sent, received) = (at == End::Sender, at == End::Receiver);
-    Holding { send: false, recv: false, active: 0, sent, received }
-}
-
 /// `script` reaches the finished flow's end `at`, which answers with
-/// exactly `sent` and `events`, keeps holding just its marker and arms no
+/// exactly `sent` and `events`, keeps nothing but its done bit and arms no
 /// timer for the flow.
 fn assert_straggler<E: Inspect>(
     scheme: Scheme,
     size: u64,
-    at: End,
+    at: FlowEnd,
     script: impl FnOnce(&FlowDesc) -> Vec<Packet>,
     sent: &[Sent],
     events: &[TransportEvent],
 ) {
     let seen = straggle::<E>(scheme, size, at, FaultPlan::default(), script);
     let name = scheme.name();
-    assert_eq!(seen.before, finished(at), "{name}: the finished flow kept state");
-    assert_eq!(seen.after, finished(at), "{name}: a straggler re-opened the flow");
+    assert_eq!(seen.before, FINISHED, "{name}: the finished flow kept state");
+    assert_eq!(seen.after, FINISHED, "{name}: a straggler re-opened the flow");
     assert_eq!(seen.sent, sent, "{name}: packets sent");
     assert_eq!(seen.events, events, "{name}: transport events");
     assert_eq!(seen.late_timers, 0, "{name}: a straggler armed a timer of the flow");
@@ -266,7 +269,7 @@ fn lost(bytes: u64, cause: LossCause) -> TransportEvent {
 fn ndp_answers_stragglers_without_pulling() {
     type E = NdpEndpoint;
     let (s, size) = (Scheme::NdpAeolus, 10_000);
-    let at = End::Receiver;
+    let at = FlowEnd::Receiver;
     assert_straggler::<E>(s, size, at, |f| vec![unscheduled(f, 0)], &[acked(0, MTU)], &[]);
     let trimmed = |f: &FlowDesc| {
         let mut p = unscheduled(f, MTU);
@@ -277,7 +280,7 @@ fn ndp_answers_stragglers_without_pulling() {
     let probe = |f: &FlowDesc| vec![probe_packet(f, 8_000)];
     assert_straggler::<E>(s, size, at, probe, &[probe_acked(8_000)], &[]);
 
-    let at = End::Sender;
+    let at = FlowEnd::Sender;
     let pull = |f: &FlowDesc| vec![to_sender(f, 7, PacketKind::Pull)];
     assert_straggler::<E>(s, size, at, pull, &[], &[receipt(MTU)]);
     // The last packet's NACK: the requeue clamps to the message.
@@ -293,7 +296,7 @@ fn expresspass_answers_stragglers_without_crediting() {
     // A message the first RTT carries whole: its ACKs tell the sender it
     // is done (a longer one's sender is never told, and keeps its state).
     let (s, size) = (Scheme::ExpressPassAeolus, 3_000);
-    let at = End::Receiver;
+    let at = FlowEnd::Receiver;
     let request = |f: &FlowDesc| vec![request_packet(f)];
     assert_straggler::<E>(s, size, at, request, &[], &[]);
     assert_straggler::<E>(s, size, at, |f| vec![unscheduled(f, 0)], &[acked(0, MTU)], &[]);
@@ -302,7 +305,7 @@ fn expresspass_answers_stragglers_without_crediting() {
     let probe = |f: &FlowDesc| vec![probe_packet(f, size)];
     assert_straggler::<E>(s, size, at, probe, &[probe_acked(size)], &[]);
 
-    let at = End::Sender;
+    let at = FlowEnd::Sender;
     let credit = |f: &FlowDesc| {
         let mut c = to_sender(f, 40, PacketKind::Credit);
         c.size = CREDIT_BYTES;
@@ -319,14 +322,14 @@ fn expresspass_answers_stragglers_without_crediting() {
 fn homa_answers_stragglers_without_granting() {
     type E = HomaEndpoint;
     let (s, size) = (Scheme::HomaAeolus, 10_000);
-    let at = End::Receiver;
+    let at = FlowEnd::Receiver;
     assert_straggler::<E>(s, size, at, |f| vec![unscheduled(f, 0)], &[acked(0, MTU)], &[]);
     let scheduled = |f: &FlowDesc| vec![data(f, 8_760, TrafficClass::Scheduled)];
     assert_straggler::<E>(s, size, at, scheduled, &[], &[]);
     let probe = |f: &FlowDesc| vec![probe_packet(f, 8_000)];
     assert_straggler::<E>(s, size, at, probe, &[probe_acked(8_000)], &[]);
 
-    let at = End::Sender;
+    let at = FlowEnd::Sender;
     // A late grant is booked for what it adds past the last one; the
     // same grant again adds nothing.
     let grants = |f: &FlowDesc| {
@@ -337,7 +340,7 @@ fn homa_answers_stragglers_without_granting() {
     let booked = matches!(seen.events[..], [TransportEvent::CreditReceipt { bytes, .. }]
         if bytes < 1_000_000);
     assert!(booked, "{:?}", seen.events);
-    assert_eq!((seen.before, seen.after), (finished(at), finished(at)));
+    assert_eq!((seen.before, seen.after), (FINISHED, FINISHED));
     assert_eq!(seen.sent, []);
     let resend = |f: &FlowDesc| vec![to_sender(f, 1_000, PacketKind::Resend { end: 2_500 })];
     assert_straggler::<E>(s, size, at, resend, &[], &[lost(1_500, LossCause::Stall)]);
@@ -363,14 +366,14 @@ fn homa_answers_stragglers_without_granting() {
 fn phost_answers_stragglers_without_tokens() {
     type E = PHostEndpoint;
     let (s, size) = (Scheme::PHostAeolus, 10_000);
-    let at = End::Receiver;
+    let at = FlowEnd::Receiver;
     let request = |f: &FlowDesc| vec![request_packet(f)];
     assert_straggler::<E>(s, size, at, request, &[], &[]);
     assert_straggler::<E>(s, size, at, |f| vec![unscheduled(f, 0)], &[acked(0, MTU)], &[]);
     let probe = |f: &FlowDesc| vec![probe_packet(f, 8_000)];
     assert_straggler::<E>(s, size, at, probe, &[probe_acked(8_000)], &[]);
 
-    let at = End::Sender;
+    let at = FlowEnd::Sender;
     let token = |f: &FlowDesc| vec![to_sender(f, 3, PacketKind::Pull)];
     assert_straggler::<E>(s, size, at, token, &[], &[receipt(MTU)]);
     let resend = |f: &FlowDesc| vec![to_sender(f, 9_000, PacketKind::Resend { end: 10_000 })];
@@ -383,12 +386,12 @@ fn phost_answers_stragglers_without_tokens() {
 fn fastpass_answers_stragglers_without_requesting_slots() {
     type E = FastpassEndpoint;
     let (s, size) = (Scheme::FastpassAeolus, 10_000);
-    let at = End::Receiver;
+    let at = FlowEnd::Receiver;
     assert_straggler::<E>(s, size, at, |f| vec![unscheduled(f, 0)], &[acked(0, MTU)], &[]);
     let probe = |f: &FlowDesc| vec![probe_packet(f, 8_000)];
     assert_straggler::<E>(s, size, at, probe, &[probe_acked(8_000)], &[]);
 
-    let at = End::Sender;
+    let at = FlowEnd::Sender;
     // Slots granted after the flow finished are booked; none is armed.
     let schedule = |f: &FlowDesc| {
         let kind = PacketKind::Schedule { start: LATE + us(50), slots: 3, stride: us(2) };
@@ -405,7 +408,7 @@ fn fastpass_answers_stragglers_without_requesting_slots() {
 fn dctcp_answers_stragglers_with_its_cumulative_ack() {
     type E = DctcpEndpoint;
     let (s, size) = (Scheme::Dctcp { rto: ms(10) }, 10_000);
-    let at = End::Receiver;
+    let at = FlowEnd::Receiver;
     // The ACK covers the message and echoes this packet's mark alone.
     let ce = |f: &FlowDesc| {
         let mut p = data(f, 0, TrafficClass::Scheduled);
@@ -416,24 +419,25 @@ fn dctcp_answers_stragglers_with_its_cumulative_ack() {
     assert_straggler::<E>(s, size, at, ce, &[(whole, 1, 0), (whole, 0, 0)], &[]);
 
     // Every byte is acknowledged: the sender keeps nothing, not even a
-    // marker, and a third duplicate has nothing to resend.
+    // done bit, and a third duplicate has nothing to resend.
     let dups = |f: &FlowDesc| vec![ack(f, 0, size); 4];
-    let seen = straggle::<E>(s, size, End::Sender, FaultPlan::default(), dups);
-    let nothing = Holding { sent: false, ..finished(End::Sender) };
+    let seen = straggle::<E>(s, size, FlowEnd::Sender, FaultPlan::default(), dups);
+    let nothing = Kept { done: false, ..FINISHED };
     assert_eq!((seen.before, seen.after), (nothing, nothing));
     assert_eq!((seen.sent, seen.events, seen.late_timers), (vec![], vec![], 0));
 }
 
-/// A crash wipes the markers with the rest of the table: a straggler then
-/// opens a fresh book, as it always did, and its bytes are not counted
-/// twice.
+/// A crash of the receiver's host rebuilds its table and clears its done
+/// bits: a straggler then opens a fresh book, as it always did, and its
+/// bytes are not counted twice.
 fn a_straggler_after_a_crash_opens_a_fresh_book<E: Inspect>(scheme: Scheme, joins_active: bool) {
     let crash = FaultPlan::default().with_crash(ms(20), ms(21), 0);
-    let seen = straggle::<E>(scheme, 10_000, End::Receiver, crash, |f| vec![unscheduled(f, 0)]);
+    let at = FlowEnd::Receiver;
+    let seen = straggle::<E>(scheme, 10_000, at, crash, |f| vec![unscheduled(f, 0)]);
     let name = scheme.name();
-    assert_eq!(seen.before, Holding { received: false, ..finished(End::Receiver) }, "{name}");
-    let fresh = Holding { recv: true, active: usize::from(joins_active), ..seen.before };
-    assert_eq!(seen.after, fresh, "{name}");
+    assert_eq!(seen.before, Kept { done: false, ..FINISHED }, "{name}");
+    let fresh = Holding { recv: true, active: usize::from(joins_active), ..EMPTY };
+    assert_eq!(seen.after, Kept { table: fresh, done: false }, "{name}");
 }
 
 #[test]
@@ -445,6 +449,50 @@ fn after_a_crash_a_straggler_opens_a_fresh_book() {
     a_straggler_after_a_crash_opens_a_fresh_book::<FastpassEndpoint>(Scheme::FastpassAeolus, true);
     let dctcp = Scheme::Dctcp { rto: ms(10) };
     a_straggler_after_a_crash_opens_a_fresh_book::<DctcpEndpoint>(dctcp, false);
+}
+
+/// A crash of the sender's host rebuilds its table and clears its done
+/// bits too: a late credit, grant, pull or slot schedule then finds neither
+/// state nor done bit, and is booked as no `CreditReceipt`, as it always
+/// was after a crash.
+fn a_late_credit_after_a_sender_crash_books_nothing<E: Inspect>(scheme: Scheme, kind: PacketKind) {
+    let crash = FaultPlan::default().with_crash(ms(20), ms(21), 1);
+    let credit = |f: &FlowDesc| {
+        let mut c = to_sender(f, 1_000_000, kind);
+        if kind == PacketKind::Credit {
+            c.size = CREDIT_BYTES;
+        }
+        vec![c]
+    };
+    let seen = straggle::<E>(scheme, 10_000, FlowEnd::Sender, crash, credit);
+    let name = scheme.name();
+    let wiped = Kept { done: false, ..FINISHED };
+    assert_eq!((seen.before, seen.after), (wiped, wiped), "{name}");
+    assert_eq!((seen.sent, seen.events, seen.late_timers), (vec![], vec![], 0), "{name}");
+}
+
+#[test]
+fn after_a_sender_crash_a_late_credit_books_nothing() {
+    a_late_credit_after_a_sender_crash_books_nothing::<NdpEndpoint>(
+        Scheme::NdpAeolus,
+        PacketKind::Pull,
+    );
+    a_late_credit_after_a_sender_crash_books_nothing::<XPassEndpoint>(
+        Scheme::ExpressPassAeolus,
+        PacketKind::Credit,
+    );
+    a_late_credit_after_a_sender_crash_books_nothing::<HomaEndpoint>(
+        Scheme::HomaAeolus,
+        PacketKind::Grant { grant_prio: 4 },
+    );
+    a_late_credit_after_a_sender_crash_books_nothing::<PHostEndpoint>(
+        Scheme::PHostAeolus,
+        PacketKind::Pull,
+    );
+    a_late_credit_after_a_sender_crash_books_nothing::<FastpassEndpoint>(
+        Scheme::FastpassAeolus,
+        PacketKind::Schedule { start: LATE + us(50), slots: 3, stride: us(2) },
+    );
 }
 
 /// Flow B→A is aborted by B's long crash; A then crashes briefly and
@@ -472,10 +520,11 @@ fn an_aborted_flow_stays_shut<E: Inspect>(scheme: Scheme) {
     h.network_mut().run_until(LATE - 1);
     let name = scheme.name();
     assert!(h.metrics().flow(FLOW).expect("scheduled").aborted.is_some(), "{name}");
-    let nothing = Holding { received: false, ..finished(End::Receiver) };
-    assert_eq!(mine.borrow().holding(FLOW), nothing, "{name}: A kept state of the flow");
+    assert_eq!(mine.borrow().holding(FLOW), EMPTY, "{name}: A kept state of the flow");
     h.network_mut().run_until(LATE + ms(20));
-    assert_eq!(mine.borrow().holding(FLOW), nothing, "{name}: the straggler opened an entry");
+    assert_eq!(mine.borrow().holding(FLOW), EMPTY, "{name}: the straggler opened an entry");
+    let rec = h.metrics().flow(FLOW).expect("scheduled");
+    assert!(!rec.is_done(FlowEnd::Receiver), "{name}: an aborted flow's end is done");
 }
 
 #[test]

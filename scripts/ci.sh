@@ -10,8 +10,9 @@ cargo test -q --workspace
 # the global allocator after warm-up (counting-allocator integration test).
 cargo test --release -q --test zero_alloc
 # Memory-scaling bound on the same optimised build the benchmark runs: a
-# finished flow costs its metrics record and two done markers, whatever
-# the history (live-byte counting allocator, N vs 4N incast rounds).
+# finished flow costs its metrics record, which holds each end's done bit,
+# whatever the history (live-byte counting allocator, N vs 4N incast
+# rounds; a Homa sender also keeps the flow's grant offset).
 cargo test --release -q --test memory_scaling
 # Recorder memory on the same build: idle time past the last event adds no
 # series storage (live-byte counting allocator, flushes 10 ms and 1 s late).
@@ -34,6 +35,11 @@ for path in $(grep -ohE '`[^`]+`' DESIGN.md README.md \
         && grep -qw -- "${path#*::}" $files || {
         echo "DESIGN.md / README.md path \`$path\` resolves in no source file" >&2; exit 1; }
 done
+
+# Rustdoc gate: the API docs of the three library crates build without a
+# warning (no broken intra-doc link, no public doc linking a private item).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p aeolus-sim -p aeolus-transport \
+    -p aeolus-experiments
 
 # One flow's life read off the Tracer seam: the example must run, show the
 # victim's selective drops and see it complete.
@@ -99,14 +105,6 @@ print(f"benchmark bit-identity: {workload} {events} events, sim_digest {digest}"
 EOF
 done < scripts/benchmark_digests.txt
 
-# The committed baseline the bench gates below take event counts and
-# same-run ratios from: the newest repo-root BENCH_<n>.json snapshot. An
-# absolute wall-time gate compares against the fastest committed snapshot
-# at the same event count instead, so a snapshot recorded while the host
-# was slow never loosens it.
-baseline="$(ls BENCH_*.json | sort -V | tail -n 1)"
-echo "bench baseline: $baseline"
-
 # One end-to-end experiment at smoke scale, exercising the parallel fan-out.
 cargo run --release -q -p aeolus-experiments --bin repro -- fig1 --scale smoke --jobs 2
 
@@ -131,126 +129,14 @@ assert {"meta", "port", "queue", "transport", "series"} <= kinds, kinds
 print(f"trace smoke: {len(lines)} JSONL lines, record types {sorted(kinds)}")
 EOF
 
-# NullTracer overhead gate: a fresh engine-bench run's incast kernel must
-# stay close to the committed baseline ($baseline above). The tracer
-# hooks are statically dispatched to no-ops by default, so any regression
-# here means the abstraction stopped compiling away. The tolerance is
-# wider than the 2% acceptance bar (measured with full iterations on a
-# quiet machine) to absorb CI-host noise; override with AEOLUS_OVERHEAD_TOL.
-#
-# Every bench gate below compares wall time for the same simulated work
-# (`median_ns` at an equal `units` count), never events/s: a change that
-# stops scheduling events nothing observes lowers events/s by construction
-# while the run gets faster.
-bench_out="$(mktemp -d)/bench_ci.json"
-AEOLUS_BENCH_ITERS="${AEOLUS_BENCH_ITERS:-5}" AEOLUS_BENCH_WARMUP="${AEOLUS_BENCH_WARMUP:-1}" \
-    cargo run --release -q -p aeolus-bench --bin aeolus-bench -- \
-    --engine-only --out "$bench_out"
-python3 - "$bench_out" "$baseline" BENCH_*.json <<'EOF'
-import json, os, sys
-def bench(path, name, required=True):
-    for suite in json.load(open(path))["suites"]:
-        for b in suite["benches"]:
-            if b["name"] == name:
-                return b
-    if required:
-        raise SystemExit(f"{name} missing from {path}")
-def fastest(name, units):
-    """(snapshot, reading) of the fastest committed `name` at `units`."""
-    found = [(p, bench(p, name, False)) for p in sys.argv[3:]]
-    return min(((p, b) for p, b in found if b and b["units"] == units),
-               key=lambda pb: pb[1]["median_ns"])
-fresh = bench(sys.argv[1], "incast_sim_wheel")
-base = bench(sys.argv[2], "incast_sim_wheel")
-tol = float(os.environ.get("AEOLUS_OVERHEAD_TOL", "0.15"))
-assert fresh["units"] == base["units"], (
-    f"incast_sim_wheel event count drifted: {fresh['units']} vs baseline {base['units']}")
-snap, best = fastest("incast_sim_wheel", fresh["units"])
-ratio = fresh["median_ns"] / best["median_ns"]
-print(f"NullTracer overhead: incast_sim_wheel {fresh['median_ns']} ns vs {snap} {best['median_ns']} ns ({ratio:.3f}x)")
-assert ratio <= 1.0 + tol, f"NullTracer kernel regressed {ratio:.3f}x > {1+tol:.2f}x baseline"
-# Wall-time regression gate for the fully-traced kernel (the
-# NullTracer-overhead bench's denominator): the recording path is a
-# supported configuration and must not silently rot between BENCH_<n>.json
-# snapshots. Same tolerance as the events/s floor it replaces: a rate of
-# (1 - tol) x baseline is a time of baseline / (1 - tol). (The untraced
-# kernel's floor is the tighter ratio gate above.)
-fresh_rec = bench(sys.argv[1], "incast_sim_wheel_recorded")
-base_rec = bench(sys.argv[2], "incast_sim_wheel_recorded")
-assert fresh_rec["units"] == base_rec["units"], (fresh_rec["units"], base_rec["units"])
-snap, best = fastest("incast_sim_wheel_recorded", fresh_rec["units"])
-ns, ceil = fresh_rec["median_ns"], best["median_ns"] / (1.0 - tol)
-print(f"wall-time gate: incast_sim_wheel_recorded {ns} ns vs {snap} {best['median_ns']} ns (ceiling {ceil:.0f})")
-assert ns <= ceil, f"traced kernel regressed: {ns} ns > {ceil:.0f} ns ceiling"
-# The same gate for the kernel under the conformance oracle: what `--check`
-# and every fuzz case pay per event.
-fresh_chk = bench(sys.argv[1], "incast_sim_wheel_checked")
-base_chk = bench(sys.argv[2], "incast_sim_wheel_checked")
-assert fresh_chk["units"] == base_chk["units"], (fresh_chk["units"], base_chk["units"])
-snap, best = fastest("incast_sim_wheel_checked", fresh_chk["units"])
-ns, ceil = fresh_chk["median_ns"], best["median_ns"] / (1.0 - tol)
-print(f"wall-time gate: incast_sim_wheel_checked {ns} ns vs {snap} {best['median_ns']} ns "
-      f"(ceiling {ceil:.0f})")
-assert ns <= ceil, f"checked kernel regressed: {ns} ns > {ceil:.0f} ns ceiling"
-# Same-session ratio gates: each traced kernel over the untraced one, all
-# three measured in this run, so host load that slows every kernel alike
-# cancels out. The ceilings are the baseline snapshot's ratios, loosened by
-# the same tolerance. The absolute gates above stay as they are.
-for name in ("incast_sim_wheel_recorded", "incast_sim_wheel_checked"):
-    ratio = bench(sys.argv[1], name)["median_ns"] / fresh["median_ns"]
-    base_ratio = bench(sys.argv[2], name)["median_ns"] / base["median_ns"]
-    ceil = base_ratio * (1.0 + tol)
-    print(f"ratio gate: {name} / incast_sim_wheel {ratio:.3f}x vs baseline {base_ratio:.3f}x "
-          f"(ceiling {ceil:.3f}x)")
-    assert ratio <= ceil, f"{name} regressed against the untraced kernel: {ratio:.3f}x > {ceil:.3f}x"
-EOF
-
-# Macro wall-time gate: one measured iteration of the quick-scale Figure 9
-# sweep (the heaviest single kernel in the BENCH trajectory) must stay under
-# the fastest committed wall time at its event count. One iteration is noisy, so the
-# tolerance is wider than the engine gate's; override with AEOLUS_MACRO_TOL.
-macro_out="$(mktemp -d)/bench_macro.json"
-AEOLUS_BENCH_ITERS=1 AEOLUS_BENCH_WARMUP=1 \
-    cargo run --release -q -p aeolus-bench --bin aeolus-bench -- --out "$macro_out"
-python3 - "$macro_out" "$baseline" BENCH_*.json <<'EOF'
-import json, os, sys
-def bench(path, name, required=True):
-    for suite in json.load(open(path))["suites"]:
-        for b in suite["benches"]:
-            if b["name"] == name:
-                return b
-    if required:
-        raise SystemExit(f"{name} missing from {path}")
-def fastest(name, units):
-    """(snapshot, reading) of the fastest committed `name` at `units`."""
-    found = [(p, bench(p, name, False)) for p in sys.argv[3:]]
-    return min(((p, b) for p, b in found if b and b["units"] == units),
-               key=lambda pb: pb[1]["median_ns"])
-fresh = bench(sys.argv[1], "fig09_quick_serial")
-base = bench(sys.argv[2], "fig09_quick_serial")
-tol = float(os.environ.get("AEOLUS_MACRO_TOL", "0.30"))
-# Bit-exactness gate: the kernel's total event count is deterministic, so a
-# fresh run must process exactly as many events as the committed baseline.
-# Any drift means a "performance" change altered simulation behavior — or
-# what the engine schedules, and then the PR records the BENCH_<n>.json it
-# is gated against from there on.
-assert fresh["units"] == base["units"], (
-    f"fig09 event count drifted: {fresh['units']} vs baseline {base['units']} — "
-    "the hot path changed simulation behavior, not just its speed")
-print(f"macro gate: fig09_quick_serial event count bit-exact ({fresh['units']} events)")
-snap, best = fastest("fig09_quick_serial", fresh["units"])
-ns, ceil = fresh["median_ns"], best["median_ns"] / (1.0 - tol)
-print(f"macro gate: fig09_quick_serial {ns / 1e9:.2f} s vs {snap} {best['median_ns'] / 1e9:.2f} s (ceiling {ceil / 1e9:.2f} s)")
-assert ns <= ceil, f"macro wall time regressed: {ns / 1e9:.2f} s > {ceil / 1e9:.2f} s ceiling"
-EOF
-
 # Conformance fuzz: a bounded batch of seeded random scenarios (scheme x
 # topology x workload x faults) runs end-to-end under the online oracle
 # (queue ledgers, drop legality, causality, conservation, burst budgets,
 # retransmit pairing). On failure the fuzzer prints a shrunken one-line
 # repro spec — rerun it locally with `repro fuzz --spec '<line>'`. The
-# NullTracer bench gate above doubles as the oracle-off overhead proof:
-# default builds dispatch the oracle's hooks to statically-inlined no-ops.
+# NullTracer bench gate at the end of this script doubles as the oracle-off
+# overhead proof: default builds dispatch the oracle's hooks to
+# statically-inlined no-ops.
 cargo run --release -q -p aeolus-experiments --bin repro -- fuzz --cases 25 --seed 1
 
 # A second batch on a fresh seed: the slab-backed per-flow state (FlowMap)
@@ -397,5 +283,129 @@ cmp <(grep -v "cache:" "$cache_dir/cold.txt") <(grep -v "cache:" "$cache_dir/war
     | grep -v "took\|total\|events/s\|cache:" > nocache.txt)
 cmp <(grep -v "cache:" "$cache_dir/cold.txt") "$cache_dir/nocache.txt"
 echo "cache gate: warm rerun all-hit, verify sample bit-exact, report byte-identical"
+
+# The wall-time gates run last, so a slow or busy host that fails one has
+# already let every deterministic step above run and report.
+#
+# The committed baseline the bench gates below take event counts and
+# same-run ratios from: the newest repo-root BENCH_<n>.json snapshot. An
+# absolute wall-time gate compares against the fastest committed snapshot
+# at the same event count instead, so a snapshot recorded while the host
+# was slow never loosens it.
+baseline="$(ls BENCH_*.json | sort -V | tail -n 1)"
+echo "bench baseline: $baseline"
+
+# NullTracer overhead gate: a fresh engine-bench run's incast kernel must
+# stay close to the committed baseline ($baseline above). The tracer
+# hooks are statically dispatched to no-ops by default, so any regression
+# here means the abstraction stopped compiling away. The tolerance is
+# wider than the 2% acceptance bar (measured with full iterations on a
+# quiet machine) to absorb CI-host noise; override with AEOLUS_OVERHEAD_TOL.
+#
+# Every bench gate below compares wall time for the same simulated work
+# (`median_ns` at an equal `units` count), never events/s: a change that
+# stops scheduling events nothing observes lowers events/s by construction
+# while the run gets faster.
+bench_out="$(mktemp -d)/bench_ci.json"
+AEOLUS_BENCH_ITERS="${AEOLUS_BENCH_ITERS:-5}" AEOLUS_BENCH_WARMUP="${AEOLUS_BENCH_WARMUP:-1}" \
+    cargo run --release -q -p aeolus-bench --bin aeolus-bench -- \
+    --engine-only --out "$bench_out"
+python3 - "$bench_out" "$baseline" BENCH_*.json <<'EOF'
+import json, os, sys
+def bench(path, name, required=True):
+    for suite in json.load(open(path))["suites"]:
+        for b in suite["benches"]:
+            if b["name"] == name:
+                return b
+    if required:
+        raise SystemExit(f"{name} missing from {path}")
+def fastest(name, units):
+    """(snapshot, reading) of the fastest committed `name` at `units`."""
+    found = [(p, bench(p, name, False)) for p in sys.argv[3:]]
+    return min(((p, b) for p, b in found if b and b["units"] == units),
+               key=lambda pb: pb[1]["median_ns"])
+fresh = bench(sys.argv[1], "incast_sim_wheel")
+base = bench(sys.argv[2], "incast_sim_wheel")
+tol = float(os.environ.get("AEOLUS_OVERHEAD_TOL", "0.15"))
+assert fresh["units"] == base["units"], (
+    f"incast_sim_wheel event count drifted: {fresh['units']} vs baseline {base['units']}")
+snap, best = fastest("incast_sim_wheel", fresh["units"])
+ratio = fresh["median_ns"] / best["median_ns"]
+print(f"NullTracer overhead: incast_sim_wheel {fresh['median_ns']} ns vs {snap} {best['median_ns']} ns ({ratio:.3f}x)")
+assert ratio <= 1.0 + tol, f"NullTracer kernel regressed {ratio:.3f}x > {1+tol:.2f}x baseline"
+# Wall-time regression gate for the fully-traced kernel (the
+# NullTracer-overhead bench's denominator): the recording path is a
+# supported configuration and must not silently rot between BENCH_<n>.json
+# snapshots. Same tolerance as the events/s floor it replaces: a rate of
+# (1 - tol) x baseline is a time of baseline / (1 - tol). (The untraced
+# kernel's floor is the tighter ratio gate above.)
+fresh_rec = bench(sys.argv[1], "incast_sim_wheel_recorded")
+base_rec = bench(sys.argv[2], "incast_sim_wheel_recorded")
+assert fresh_rec["units"] == base_rec["units"], (fresh_rec["units"], base_rec["units"])
+snap, best = fastest("incast_sim_wheel_recorded", fresh_rec["units"])
+ns, ceil = fresh_rec["median_ns"], best["median_ns"] / (1.0 - tol)
+print(f"wall-time gate: incast_sim_wheel_recorded {ns} ns vs {snap} {best['median_ns']} ns (ceiling {ceil:.0f})")
+assert ns <= ceil, f"traced kernel regressed: {ns} ns > {ceil:.0f} ns ceiling"
+# The same gate for the kernel under the conformance oracle: what `--check`
+# and every fuzz case pay per event.
+fresh_chk = bench(sys.argv[1], "incast_sim_wheel_checked")
+base_chk = bench(sys.argv[2], "incast_sim_wheel_checked")
+assert fresh_chk["units"] == base_chk["units"], (fresh_chk["units"], base_chk["units"])
+snap, best = fastest("incast_sim_wheel_checked", fresh_chk["units"])
+ns, ceil = fresh_chk["median_ns"], best["median_ns"] / (1.0 - tol)
+print(f"wall-time gate: incast_sim_wheel_checked {ns} ns vs {snap} {best['median_ns']} ns "
+      f"(ceiling {ceil:.0f})")
+assert ns <= ceil, f"checked kernel regressed: {ns} ns > {ceil:.0f} ns ceiling"
+# Same-session ratio gates: each traced kernel over the untraced one, all
+# three measured in this run, so host load that slows every kernel alike
+# cancels out. The ceilings are the baseline snapshot's ratios, loosened by
+# the same tolerance. The absolute gates above stay as they are.
+for name in ("incast_sim_wheel_recorded", "incast_sim_wheel_checked"):
+    ratio = bench(sys.argv[1], name)["median_ns"] / fresh["median_ns"]
+    base_ratio = bench(sys.argv[2], name)["median_ns"] / base["median_ns"]
+    ceil = base_ratio * (1.0 + tol)
+    print(f"ratio gate: {name} / incast_sim_wheel {ratio:.3f}x vs baseline {base_ratio:.3f}x "
+          f"(ceiling {ceil:.3f}x)")
+    assert ratio <= ceil, f"{name} regressed against the untraced kernel: {ratio:.3f}x > {ceil:.3f}x"
+EOF
+
+# Macro wall-time gate: one measured iteration of the quick-scale Figure 9
+# sweep (the heaviest single kernel in the BENCH trajectory) must stay under
+# the fastest committed wall time at its event count. One iteration is noisy, so the
+# tolerance is wider than the engine gate's; override with AEOLUS_MACRO_TOL.
+macro_out="$(mktemp -d)/bench_macro.json"
+AEOLUS_BENCH_ITERS=1 AEOLUS_BENCH_WARMUP=1 \
+    cargo run --release -q -p aeolus-bench --bin aeolus-bench -- --out "$macro_out"
+python3 - "$macro_out" "$baseline" BENCH_*.json <<'EOF'
+import json, os, sys
+def bench(path, name, required=True):
+    for suite in json.load(open(path))["suites"]:
+        for b in suite["benches"]:
+            if b["name"] == name:
+                return b
+    if required:
+        raise SystemExit(f"{name} missing from {path}")
+def fastest(name, units):
+    """(snapshot, reading) of the fastest committed `name` at `units`."""
+    found = [(p, bench(p, name, False)) for p in sys.argv[3:]]
+    return min(((p, b) for p, b in found if b and b["units"] == units),
+               key=lambda pb: pb[1]["median_ns"])
+fresh = bench(sys.argv[1], "fig09_quick_serial")
+base = bench(sys.argv[2], "fig09_quick_serial")
+tol = float(os.environ.get("AEOLUS_MACRO_TOL", "0.30"))
+# Bit-exactness gate: the kernel's total event count is deterministic, so a
+# fresh run must process exactly as many events as the committed baseline.
+# Any drift means a "performance" change altered simulation behavior — or
+# what the engine schedules, and then the PR records the BENCH_<n>.json it
+# is gated against from there on.
+assert fresh["units"] == base["units"], (
+    f"fig09 event count drifted: {fresh['units']} vs baseline {base['units']} — "
+    "the hot path changed simulation behavior, not just its speed")
+print(f"macro gate: fig09_quick_serial event count bit-exact ({fresh['units']} events)")
+snap, best = fastest("fig09_quick_serial", fresh["units"])
+ns, ceil = fresh["median_ns"], best["median_ns"] / (1.0 - tol)
+print(f"macro gate: fig09_quick_serial {ns / 1e9:.2f} s vs {snap} {best['median_ns'] / 1e9:.2f} s (ceiling {ceil / 1e9:.2f} s)")
+assert ns <= ceil, f"macro wall time regressed: {ns / 1e9:.2f} s > {ceil / 1e9:.2f} s ceiling"
+EOF
 
 echo "ci: OK"
