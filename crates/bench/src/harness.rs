@@ -188,9 +188,9 @@ pub fn to_json(suites: &[&Suite]) -> String {
             suite.cfg.warmup
         );
         for (j, s) in suite.samples.iter().enumerate() {
-            let _ = write!(
+            let _ = writeln!(
                 out,
-                "        {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}, \"units\": {}, \"units_per_sec\": {:.1}{}}}{}\n",
+                "        {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}, \"units\": {}, \"units_per_sec\": {:.1}{}}}{}",
                 escape(&s.name),
                 s.iters,
                 s.median_ns,

@@ -115,7 +115,7 @@ impl Cache {
         if let Ok(text) = fs::read_to_string(&path) {
             if let Some(out) = decode(&key, &text) {
                 let hit_no = self.hits.fetch_add(1, Ordering::Relaxed);
-                if self.verify && hit_no % 16 == 0 {
+                if self.verify && hit_no.is_multiple_of(16) {
                     let fresh = run(cfg);
                     let fresh_text = encode(&key, &fresh);
                     assert_eq!(

@@ -69,8 +69,8 @@ impl FaultCell {
 
     fn label(&self) -> String {
         match (self.loss, self.flap) {
-            (l, false) if l == 0.0 => "clean".to_string(),
-            (l, true) if l == 0.0 => "flap".to_string(),
+            (0.0, false) => "clean".to_string(),
+            (0.0, true) => "flap".to_string(),
             (l, false) => format!("{}% loss", l * 100.0),
             (l, true) => format!("{}% loss + flap", l * 100.0),
         }

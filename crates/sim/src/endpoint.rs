@@ -10,7 +10,7 @@
 use crate::event::{Event, EventQueue, Place};
 use crate::metrics::{FlowEnd, Metrics};
 use crate::packet::{FlowDesc, FlowId, NodeId, Packet};
-use crate::telemetry::{FaultEvent, TraceSink, TransportEvent};
+use crate::telemetry::{TraceSink, TransportEvent};
 use crate::units::{Rate, Time};
 
 /// A transport endpoint installed on a host.
@@ -30,10 +30,12 @@ pub trait Endpoint {
     /// relaunched, on either host.
     fn on_crash(&mut self, _ctx: &mut Ctx<'_>) {}
     /// A flow this endpoint participates in (as sender or receiver) was
-    /// aborted by the engine: drop its state. Nothing grows it back: while
-    /// the flow is aborted the engine hands neither end any of its packets
-    /// and dispatches no arrival, and a restart relaunches it through
-    /// [`Endpoint::on_flow_arrival`] from that empty slate.
+    /// aborted by the engine — after a crash of either end, or after either
+    /// end gave up on its silent peer ([`Ctx::give_up`]): drop its state.
+    /// Nothing grows it back: while the flow is aborted the engine hands
+    /// neither end any of its packets or timers and dispatches no arrival,
+    /// and a restart relaunches it through [`Endpoint::on_flow_arrival`]
+    /// from that empty slate.
     fn on_flow_abort(&mut self, _flow: FlowDesc, _ctx: &mut Ctx<'_>) {}
 }
 
@@ -47,7 +49,8 @@ pub trait Endpoint {
 /// [restarts](crate::FlowRecord::restarts) for a flow timer. Both counters
 /// only grow, so at dispatch a timer whose stamp no longer matches was
 /// armed before a crash of its host or a relaunch of its flow, and is
-/// dropped without reaching [`Endpoint::on_timer`].
+/// dropped without reaching [`Endpoint::on_timer`] — as is a flow timer
+/// due at either end of a flow that is aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timer {
     /// What is due, in the arming transport's numbering.
@@ -132,6 +135,8 @@ pub struct Ctx<'a> {
     pub(crate) trace_enabled: bool,
     /// Packets to enqueue on this host's NIC, in order.
     pub(crate) sends: &'a mut Vec<Packet>,
+    /// Flows to abort after the handler returns ([`Ctx::give_up`]).
+    pub(crate) give_ups: &'a mut Vec<FlowId>,
     pub(crate) queue: &'a mut EventQueue,
     /// How often this host has crashed: its timers' incarnation stamp.
     pub(crate) crashes: u16,
@@ -200,6 +205,15 @@ impl<'a> Ctx<'a> {
         self.metrics.finish(flow, end);
     }
 
+    /// Give up on `flow`: its peer has been silent too long. Once the
+    /// handler returns, the engine aborts the flow with
+    /// [`AbortCause::PeerSilent`](crate::AbortCause::PeerSilent) unless it
+    /// already completed or aborted, and never relaunches it. The abort
+    /// calls [`Endpoint::on_flow_abort`] at both ends, this one included.
+    pub fn give_up(&mut self, flow: FlowId) {
+        self.give_ups.push(flow);
+    }
+
     /// The size of `flow` if this host is its `end` and has finished it
     /// ([`Ctx::finish`]) since it last crashed.
     pub fn finished(&self, flow: FlowId, end: FlowEnd) -> Option<u64> {
@@ -226,16 +240,6 @@ impl<'a> Ctx<'a> {
             self.tracer.transport_event(self.now, self.host, &ev);
         }
     }
-
-    /// Report a fault-recovery event (e.g. a transport-initiated flow abort
-    /// after a peer-silence threshold) to the tracer's
-    /// [`TraceSink::fault_event`]. No-op unless the engine runs with an
-    /// enabled tracer.
-    pub fn emit_fault(&mut self, ev: FaultEvent) {
-        if self.trace_enabled {
-            self.tracer.fault_event(self.now, &ev);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -245,7 +249,7 @@ mod tests {
     #[test]
     fn timer_tokens_are_unique_and_absolute() {
         let mut metrics = Metrics::new();
-        let mut sends = Vec::new();
+        let (mut sends, mut give_ups) = (Vec::new(), Vec::new());
         let mut sink = crate::telemetry::NullTracer;
         let mut queue = EventQueue::new();
         queue.schedule_at(1000, Event::FlowArrival { flow: FlowId(0) });
@@ -258,6 +262,7 @@ mod tests {
             tracer: &mut sink,
             trace_enabled: false,
             sends: &mut sends,
+            give_ups: &mut give_ups,
             queue: &mut queue,
             crashes: 2,
             restarted: false,

@@ -692,7 +692,7 @@ impl EventQueue {
 
     /// Is the event being dispatched the one filled into `place`?
     #[inline]
-    pub fn dispatching(&self, place: Place) -> bool {
+    pub(crate) fn dispatching(&self, place: Place) -> bool {
         (place.at, place.seq) == (self.now, self.now_seq)
     }
 
@@ -714,7 +714,7 @@ impl EventQueue {
     /// pending) otherwise — one scheduler lookup per event, the run loops'
     /// form of "peek, compare, pop".
     #[inline(always)]
-    pub fn pop_at_or_before(&mut self, limit: Time) -> Option<(Time, Event)> {
+    pub(crate) fn pop_at_or_before(&mut self, limit: Time) -> Option<(Time, Event)> {
         let s = match &mut self.imp {
             Impl::Wheel(w) => w.pop_at_or_before(limit)?,
             Impl::Heap(h) => h.pop_at_or_before(limit)?,

@@ -753,7 +753,7 @@ fn fmt_time(t: Time) -> String {
     for (scale, unit) in
         [(PS_PER_SEC, "s"), (PS_PER_MS, "ms"), (PS_PER_US, "us"), (PS_PER_NS, "ns")]
     {
-        if t % scale == 0 {
+        if t.is_multiple_of(scale) {
             return format!("{}{unit}", t / scale);
         }
     }

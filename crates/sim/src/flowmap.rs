@@ -6,9 +6,8 @@
 //! storage: a slab of values plus an open-addressing hash index. Lookup is
 //! one multiply-shift hash and (usually) one probe into a contiguous array.
 //! Iteration in **slot order** is deterministic for a given operation
-//! history but is *not* key order — behavior-affecting scans must sort keys
-//! first (see [`FlowMap::keys_into`]), which the transports do with a
-//! reusable scratch `Vec` at timer cadence, never per packet. Slots recycle
+//! history but is *not* key order — a behavior-affecting scan must sort
+//! what it reads first, at timer cadence, never per packet. Slots recycle
 //! through a free list, so steady-state churn (insert/remove per flow)
 //! allocates nothing.
 //!
@@ -239,19 +238,6 @@ impl<K: FlowKey, V> FlowMap<K, V> {
         self.slots.iter().filter_map(|s| s.as_ref().map(|(_, v)| v))
     }
 
-    /// Append every live key to `out` (unordered). Callers that need key
-    /// order — the stall/resend scans whose emission order is
-    /// behavior-affecting — sort the scratch afterwards:
-    ///
-    /// ```ignore
-    /// scratch.clear();
-    /// map.keys_into(&mut scratch);
-    /// scratch.sort_unstable();
-    /// ```
-    pub fn keys_into(&self, out: &mut Vec<K>) {
-        out.extend(self.slots.iter().filter_map(|s| s.as_ref().map(|(k, _)| *k)));
-    }
-
     /// Take a fresh slot from the free list (or grow the slab).
     fn alloc_slot(&mut self, key: K, val: V) -> u32 {
         match self.free.pop() {
@@ -390,8 +376,7 @@ mod tests {
             assert_eq!(fm.len(), model.len());
         }
         // Sorted traversal equals the model's ordered iteration.
-        let mut keys = Vec::new();
-        fm.keys_into(&mut keys);
+        let mut keys: Vec<FlowId> = fm.iter().map(|(k, _)| k).collect();
         keys.sort_unstable();
         let dumped: Vec<(FlowId, u64)> = keys.iter().map(|&k| (k, *fm.get(k).unwrap())).collect();
         let expect: Vec<(FlowId, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
@@ -417,19 +402,6 @@ mod tests {
         let a: Vec<_> = build().iter().map(|(k, &v)| (k, v)).collect();
         let b: Vec<_> = build().iter().map(|(k, &v)| (k, v)).collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn keys_into_collects_all_live_keys() {
-        let mut m: FlowMap<FlowId, ()> = FlowMap::new();
-        for k in [5u64, 1, 9, 3] {
-            m.insert(FlowId(k), ());
-        }
-        m.remove(FlowId(9));
-        let mut keys = Vec::new();
-        m.keys_into(&mut keys);
-        keys.sort_unstable();
-        assert_eq!(keys, vec![FlowId(1), FlowId(3), FlowId(5)]);
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub use telemetry::{
     RecordingTracer, TraceSink, Tracer, TransportEvent,
 };
 pub use topology::{
-    fat_tree, fat_tree_with, leaf_spine, leaf_spine_with, single_switch, single_switch_with,
-    LinkParams, PortRole, QueueFactory, Topology,
+    fat_tree_with, leaf_spine_with, single_switch, single_switch_with, LinkParams, PortRole,
+    QueueFactory, Topology,
 };
 pub use units::{bdp_bytes, kb, mb, ms, ns, secs, us, Rate, Time};

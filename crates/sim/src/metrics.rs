@@ -118,6 +118,12 @@ impl FlowRecord {
     pub fn is_done(&self, end: FlowEnd) -> bool {
         self.done[end as usize]
     }
+
+    /// Whether the flow is aborted and `node` is one of its ends: the
+    /// engine hands such a node none of the flow's packets and timers.
+    pub(crate) fn aborted_at(&self, node: NodeId) -> bool {
+        self.aborted.is_some() && (node == self.desc.src || node == self.desc.dst)
+    }
 }
 
 /// Global counters and per-flow records for one simulation run.
@@ -128,7 +134,7 @@ pub struct Metrics {
     flows: FlowMap<FlowId, FlowRecord>,
     // Packet drops as a dense (reason x class) counter matrix — one add
     // per drop, no tree walk. Read through the typed accessors (`drops_of`,
-    // `drops_by_reason`, `drops_for_class`, `total_drops`, `drops`).
+    // `drops_by_reason`, `total_drops`, `drops`).
     drops: [[u64; N_CLASSES]; N_REASONS],
     /// Data payload bytes handed to NIC queues (first transmissions and
     /// retransmissions alike) — denominator of transfer efficiency.
@@ -195,10 +201,10 @@ impl Metrics {
         false
     }
 
-    /// Abort `flow` with `cause`. Idempotent: a second abort (or an abort
-    /// after completion) is a no-op. Returns true if the flow was newly
-    /// aborted by this call.
-    pub fn abort_flow(&mut self, flow: FlowId, cause: AbortCause) -> bool {
+    /// Abort `flow` with `cause`; only `Network::abort_flow` calls this.
+    /// Idempotent: a second abort (or an abort after completion) is a
+    /// no-op. Returns true if the flow was newly aborted by this call.
+    pub(crate) fn abort_flow(&mut self, flow: FlowId, cause: AbortCause) -> bool {
         let Some(rec) = self.flows.get_mut(flow) else { return false };
         if rec.completed_at.is_some() || rec.aborted.is_some() {
             return false;
@@ -211,7 +217,7 @@ impl Metrics {
     /// Restart a previously-aborted `flow`: clear the abort, forget the dead
     /// incarnation's delivered bytes (the relaunch must re-deliver the full
     /// payload), and count the restart. No-op if the flow is not aborted.
-    pub fn restart_flow(&mut self, flow: FlowId) {
+    pub(crate) fn restart_flow(&mut self, flow: FlowId) {
         let Some(rec) = self.flows.get_mut(flow) else { return };
         if rec.aborted.take().is_none() {
             return;
@@ -245,7 +251,7 @@ impl Metrics {
     }
 
     /// Record retransmitted payload bytes for `flow`.
-    pub fn note_retransmit(&mut self, flow: FlowId, bytes: u64) {
+    pub(crate) fn note_retransmit(&mut self, flow: FlowId, bytes: u64) {
         if let Some(rec) = self.flows.get_mut(flow) {
             rec.retransmitted += bytes;
         }
@@ -253,7 +259,7 @@ impl Metrics {
 
     /// Record a drop.
     #[inline]
-    pub fn note_drop(&mut self, reason: DropReason, class: TrafficClass) {
+    pub(crate) fn note_drop(&mut self, reason: DropReason, class: TrafficClass) {
         self.drops[reason_idx(reason)][class_idx(class)] += 1;
     }
 
@@ -265,11 +271,6 @@ impl Metrics {
     /// Total drops for a reason across classes.
     pub fn drops_by_reason(&self, reason: DropReason) -> u64 {
         self.drops[reason_idx(reason)].iter().sum()
-    }
-
-    /// Total drops for a traffic class across reasons.
-    pub fn drops_for_class(&self, class: TrafficClass) -> u64 {
-        self.drops.iter().map(|row| row[class_idx(class)]).sum()
     }
 
     /// Total drops across all reasons and classes.
@@ -312,7 +313,7 @@ impl Metrics {
     }
 
     /// Whether every registered flow has completed.
-    pub fn all_complete(&self) -> bool {
+    pub(crate) fn all_complete(&self) -> bool {
         self.completed == self.flows.len()
     }
 
@@ -391,7 +392,6 @@ mod tests {
         m.note_drop(DropReason::SelectiveDrop, TrafficClass::Unscheduled);
         m.note_drop(DropReason::BufferFull, TrafficClass::Scheduled);
         assert_eq!(m.drops_by_reason(DropReason::SelectiveDrop), 2);
-        assert_eq!(m.drops_for_class(TrafficClass::Scheduled), 1);
         assert_eq!(m.drops_of(DropReason::SelectiveDrop, TrafficClass::Unscheduled), 2);
         assert_eq!(m.drops_of(DropReason::BufferFull, TrafficClass::Unscheduled), 0);
         assert_eq!(m.total_drops(), 3);

@@ -5,7 +5,7 @@ use crate::event::{Event, EventMix, EventQueue, SchedulerKind};
 use crate::faults::{self, Effect, FaultIndex, FaultPlan, LinkFilter};
 use crate::metrics::{AbortCause, Metrics};
 use crate::node::{Node, NodeKind};
-use crate::packet::{FlowDesc, NodeId, Packet, PortId};
+use crate::packet::{FlowDesc, FlowId, NodeId, Packet, PortId};
 use crate::pool::{PacketPool, PacketRef};
 use crate::port::{Link, Port};
 use crate::queues::{DropReason, EnqueueOutcome, Poll, Queue};
@@ -49,6 +49,9 @@ pub struct Network<T: Tracer = NullTracer> {
     /// callback and put back drained, so steady-state dispatch never
     /// allocates.
     sends_scratch: Vec<Packet>,
+    /// Flows the running handler gave up on ([`Ctx::give_up`]), aborted
+    /// once it returns; empty between dispatches and kept for its capacity.
+    give_ups: Vec<FlowId>,
     /// Flows aborted by a node crash, waiting for both endpoints to come
     /// back up so they can relaunch. Scanned at every node-window end.
     pending_restart: Vec<FlowDesc>,
@@ -85,6 +88,7 @@ impl<T: Tracer> Network<T> {
             fault_rng: SimRng::seed_from_u64(0),
             pool: PacketPool::new(),
             sends_scratch: Vec::new(),
+            give_ups: Vec::new(),
             pending_restart: Vec::new(),
             restarted: false,
         }
@@ -315,11 +319,16 @@ impl<T: Tracer> Network<T> {
                 self.try_transmit(node, port);
             }
             Event::Timer { node, token } => {
-                // A timer armed in an incarnation that has ended since is
-                // dropped here, counted above like any other event.
+                // A timer armed in an incarnation that has ended since, or
+                // due at an end of a flow aborted now, is dropped here,
+                // counted above like any other event.
                 let (timer, stamp) = Timer::unpack(token);
                 let crashes = self.crashes(node);
-                if stamp == timer_stamp(crashes, self.restarted, &self.metrics, timer.flow) {
+                let live = stamp == timer_stamp(crashes, self.restarted, &self.metrics, timer.flow);
+                // Until some flow aborts, no record can say it is.
+                let flow = timer.flow.filter(|_| self.metrics.aborted_count() > 0);
+                let rec = flow.and_then(|flow| self.metrics.flow(flow));
+                if live && !rec.is_some_and(|rec| rec.aborted_at(node)) {
                     self.with_endpoint(node, |ep, ctx| ep.on_timer(timer, ctx));
                 }
             }
@@ -458,7 +467,8 @@ impl<T: Tracer> Network<T> {
     /// Abort `desc` (idempotent): record the cause, notify both endpoints so
     /// they drop their state, and optionally queue the flow for relaunch at
     /// the next node-window end. Until then no packet of the flow reaches
-    /// either end (see `handle_arrival`).
+    /// either end (see `handle_arrival`). The only code that aborts a flow:
+    /// a crash here, a peer-silent give-up through [`Ctx::give_up`].
     fn abort_flow(&mut self, desc: FlowDesc, cause: AbortCause, restartable: bool) {
         if !self.metrics.abort_flow(desc.id, cause) {
             return;
@@ -583,8 +593,7 @@ impl<T: Tracer> Network<T> {
                     if pkt.incarnation < rec.restarts {
                         return self.kill(node, PortId(0), r, now, DropReason::StaleIncarnation);
                     }
-                    aborted_end =
-                        rec.aborted.is_some() && (node == rec.desc.src || node == rec.desc.dst);
+                    aborted_end = rec.aborted_at(node);
                 }
             }
         }
@@ -844,7 +853,8 @@ impl<T: Tracer> Network<T> {
     }
 
     /// Run `f` against the endpoint installed on `host` (its timers go
-    /// straight into the queue), then send what it buffered through the NIC.
+    /// straight into the queue), then send what it buffered through the NIC
+    /// and abort the flows it gave up on.
     fn with_endpoint<F>(&mut self, host: NodeId, f: F)
     where
         F: FnOnce(&mut dyn Endpoint, &mut Ctx<'_>),
@@ -876,6 +886,7 @@ impl<T: Tracer> Network<T> {
                 tracer: &mut self.tracer,
                 trace_enabled: T::ENABLED,
                 sends: &mut sends,
+                give_ups: &mut self.give_ups,
                 queue: &mut self.queue,
                 crashes,
                 restarted: self.restarted,
@@ -918,6 +929,16 @@ impl<T: Tracer> Network<T> {
             self.enqueue_egress(host, PortId(0), r);
         }
         self.sends_scratch = sends;
+        if !self.give_ups.is_empty() {
+            // Taken, as `on_flow_abort` is a dispatch of its own.
+            let mut give_ups = std::mem::take(&mut self.give_ups);
+            for &flow in &give_ups {
+                let desc = self.metrics.flow(flow).expect("gave up an unscheduled flow").desc;
+                self.abort_flow(desc, AbortCause::PeerSilent, false);
+            }
+            give_ups.clear();
+            self.give_ups = give_ups;
+        }
     }
 }
 
@@ -1305,12 +1326,14 @@ mod tests {
         assert_eq!(net.metrics.payload_delivered, 14_600);
     }
 
-    /// Logs every packet it is handed. A flow's receiver aborts the flow at
-    /// its first packet, as a peer-silent give-up does, then writes under
-    /// the flow's id to the sender and to a third host.
+    /// Logs every packet and abort it is handed. A flow's receiver gives up
+    /// on the flow at its first packet — twice, as two silence checks of
+    /// one handler may — then writes under the flow's id to the sender and
+    /// to a third host.
     struct GiveUp {
         third: NodeId,
         got: std::rc::Rc<std::cell::RefCell<Vec<(NodeId, PacketKind)>>>,
+        aborts: std::rc::Rc<std::cell::RefCell<Vec<(NodeId, FlowId)>>>,
     }
 
     impl Endpoint for GiveUp {
@@ -1319,35 +1342,61 @@ mod tests {
         }
         fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
             self.got.borrow_mut().push((ctx.host, pkt.kind));
-            if pkt.is_data() && ctx.metrics.abort_flow(pkt.flow, AbortCause::PeerSilent) {
+            if pkt.is_data() {
+                ctx.give_up(pkt.flow);
+                ctx.give_up(pkt.flow);
                 for to in [pkt.src, self.third] {
                     ctx.send(Packet::control(pkt.flow, ctx.host, to, 0, PacketKind::Nack));
                 }
             }
         }
         fn on_timer(&mut self, _timer: Timer, _ctx: &mut Ctx<'_>) {}
+        fn on_flow_abort(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
+            self.aborts.borrow_mut().push((ctx.host, flow.id));
+        }
+    }
+
+    /// Counts the flow aborts the engine traces.
+    #[derive(Default)]
+    struct Aborts(Vec<(FlowId, AbortCause)>);
+
+    impl crate::telemetry::TraceSink for Aborts {
+        fn fault_event(&mut self, _at: Time, ev: &FaultEvent) {
+            if let FaultEvent::FlowAborted { flow, cause } = *ev {
+                self.0.push((flow, cause));
+            }
+        }
+    }
+
+    impl Tracer for Aborts {
+        const ENABLED: bool = true;
     }
 
     #[test]
     fn an_aborted_flows_packets_reach_neither_end_but_do_reach_a_third_host() {
-        // h0 sends three packets to h1 at once; h1 aborts the flow at the
-        // first and NACKs h0 and h2. The other two data packets (to the
-        // flow's receiver) and the NACK to its sender stop at the engine,
-        // delivered but handed to no endpoint and counted as no drop; h2,
-        // at neither end of the flow, gets its NACK. No fault plan is
-        // installed: a peer-silent abort needs none.
-        let (mut net, hosts) = hosts_on_one_switch(NullTracer, 3);
-        let got = std::rc::Rc::default();
+        // h0 sends three packets to h1 at once; h1 gives up on the flow at
+        // the first and NACKs h0 and h2. The engine aborts the flow once the
+        // handler returns: it records and traces the abort once and tells
+        // each end once, the one that gave up included. The other two data
+        // packets (to the flow's receiver) and the NACK to its sender stop
+        // at the engine, delivered but handed to no endpoint and counted as
+        // no drop; h2, at neither end of the flow, gets its NACK. No fault
+        // plan is installed: a peer-silent abort needs none.
+        let (mut net, hosts) = hosts_on_one_switch(Aborts::default(), 3);
+        let (got, aborts) = (std::rc::Rc::default(), std::rc::Rc::default());
         for &h in &hosts {
-            let got = std::rc::Rc::clone(&got);
-            net.set_endpoint(h, Box::new(GiveUp { third: hosts[2], got }));
+            let (got, aborts) = (std::rc::Rc::clone(&got), std::rc::Rc::clone(&aborts));
+            net.set_endpoint(h, Box::new(GiveUp { third: hosts[2], got, aborts }));
         }
         let flow = FlowDesc { id: FlowId(1), src: hosts[0], dst: hosts[1], size: 4_380, start: 0 };
         net.schedule_flow(flow);
         net.run_until(us(100));
         assert_eq!(*got.borrow(), vec![(hosts[1], PacketKind::Data), (hosts[2], PacketKind::Nack)]);
         assert_eq!(net.metrics.total_drops(), 0);
-        assert!(net.metrics.flow(FlowId(1)).unwrap().aborted.is_some());
+        let rec = net.metrics.flow(FlowId(1)).unwrap();
+        assert_eq!(rec.aborted, Some(AbortCause::PeerSilent));
+        assert_eq!(*aborts.borrow(), vec![(hosts[0], FlowId(1)), (hosts[1], FlowId(1))]);
+        assert_eq!(net.tracer().0, vec![(FlowId(1), AbortCause::PeerSilent)]);
     }
 
     /// Sends each flow as one packet and marks its sender end done at once;

@@ -211,11 +211,6 @@ impl CheckedTracer {
         self.profile
     }
 
-    /// Number of events the oracle has checked so far.
-    pub fn events_checked(&self) -> u64 {
-        self.events
-    }
-
     /// The behavioral signals accumulated while checking: queue-depth
     /// extremes, retransmit-cause mix and how close the run came to each
     /// protocol-check boundary. Deterministic per run; the guided fuzzer
@@ -484,8 +479,8 @@ impl TraceSink for CheckedTracer {
                 let fm = self.flow_mut(flow);
                 fm.receipts += bytes;
                 let (r, i) = (fm.receipts, fm.issued);
-                if i > 0 {
-                    let fill = (r.saturating_mul(100) / i).min(400) as u32;
+                if let Some(pct) = r.saturating_mul(100).checked_div(i) {
+                    let fill = pct.min(400) as u32;
                     self.sig.credit_fill_pct = self.sig.credit_fill_pct.max(fill);
                 }
                 if profile.credit_conservation && r > i {
@@ -521,8 +516,8 @@ impl TraceSink for CheckedTracer {
                 let fm = self.flow_mut(flow);
                 let (budget, was_open) = (fm.burst_budget, fm.burst_open);
                 fm.burst_open = false;
-                if budget > 0 {
-                    let fill = (sent.saturating_mul(100) / budget).min(400) as u32;
+                if let Some(pct) = sent.saturating_mul(100).checked_div(budget) {
+                    let fill = pct.min(400) as u32;
                     self.sig.burst_fill_pct = self.sig.burst_fill_pct.max(fill);
                 }
                 if profile.burst_budget {
@@ -558,8 +553,8 @@ impl TraceSink for CheckedTracer {
                 let fm = self.flow_mut(flow);
                 fm.retransmitted += bytes;
                 let (r, d) = (fm.retransmitted, fm.detected);
-                if d > 0 {
-                    let fill = (r.saturating_mul(100) / d).min(400) as u32;
+                if let Some(pct) = r.saturating_mul(100).checked_div(d) {
+                    let fill = pct.min(400) as u32;
                     self.sig.retransmit_fill_pct = self.sig.retransmit_fill_pct.max(fill);
                 }
                 if profile.retransmit_pairing && r > d {
@@ -686,7 +681,7 @@ mod tests {
         t.queue_event(&rec(QueueEvent::Dequeue, 1500, 1500, 1));
         t.queue_event(&rec(QueueEvent::Drop(DropReason::BufferFull), 1500, 1500, 1));
         t.queue_event(&rec(QueueEvent::Dequeue, 1500, 0, 0));
-        assert_eq!(t.events_checked(), 5);
+        assert_eq!(t.events, 5);
     }
 
     /// The dense ledgers: ports registered out of `(node, port)` order, a
@@ -1042,13 +1037,13 @@ mod tests {
         net.set_endpoint(h1, Box::new(Blaster));
         net.schedule_flow(FlowDesc { id: FlowId(1), src: h0, dst: h1, size: 50_000, start: 0 });
         assert!(net.run_to_completion(us(10_000)));
-        assert!(net.tracer().events_checked() > 100);
+        assert!(net.tracer().events > 100);
         let (tracer, metrics) = (net.tracer(), &net.metrics);
         tracer.assert_flows_complete(metrics);
         // Checking leaves behavioral signals behind: the queue maxima track
         // the ledger and events_checked matches the counter.
         let sig = net.tracer().signals();
-        assert_eq!(sig.events_checked, net.tracer().events_checked());
+        assert_eq!(sig.events_checked, net.tracer().events);
         assert!(sig.max_queue_bytes > 0 && sig.max_queue_pkts > 0);
     }
 
@@ -1138,8 +1133,8 @@ mod tests {
         assert!(on.bands > 0, "a tracer that reads bands is sent them");
         assert_eq!((off.registrations, off.checked), (on.registrations, on.checked));
         let calls = on.registrations + on.bands + on.checked;
-        assert_eq!(off.oracle.events_checked(), calls - on.bands - on.registrations);
-        assert_eq!(on.oracle.events_checked(), off.oracle.events_checked());
+        assert_eq!(off.oracle.events, calls - on.bands - on.registrations);
+        assert_eq!(on.oracle.events, off.oracle.events);
         assert_eq!(on.oracle.signals(), off.oracle.signals());
     }
 
@@ -1180,7 +1175,7 @@ mod tests {
             &TransportEvent::Retransmit { flow: f, bytes: 500, cause: LossCause::LastResort },
         );
         let sig = t.signals();
-        assert_eq!(sig.events_checked, t.events_checked());
+        assert_eq!(sig.events_checked, t.events);
         assert_eq!(sig.max_queue_bytes, 3000);
         assert_eq!(sig.max_queue_pkts, 2);
         assert_eq!(sig.credit_fill_pct, 50);

@@ -230,7 +230,7 @@ impl Packet {
     /// Marks congestion experienced if the packet is ECN-capable. Returns
     /// whether the mark was applied.
     #[inline]
-    pub fn mark_ce(&mut self) -> bool {
+    pub(crate) fn mark_ce(&mut self) -> bool {
         if self.ecn == Ecn::Ect0 {
             self.ecn = Ecn::Ce;
             true

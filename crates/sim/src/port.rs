@@ -38,14 +38,14 @@ impl PortStats {
     /// Account a queue-occupancy change at `now`: `prev_bytes` is the
     /// occupancy the queue held from the last change until `now`, i.e. the
     /// value before this change.
-    pub fn on_qlen_change(&mut self, prev_bytes: u64, now: Time) {
+    pub(crate) fn on_qlen_change(&mut self, prev_bytes: u64, now: Time) {
         let dt = now.saturating_sub(self.qlen_last_change);
         self.qlen_integral += prev_bytes as u128 * dt as u128;
         self.qlen_last_change = now;
     }
 
     /// Record the new occupancy for the max tracker.
-    pub fn observe_qlen(&mut self, bytes: u64) {
+    pub(crate) fn observe_qlen(&mut self, bytes: u64) {
         self.qlen_max = self.qlen_max.max(bytes);
     }
 

@@ -301,7 +301,7 @@ impl SharedPool {
     }
 
     /// Try to reserve `bytes`; returns false if the pool is exhausted.
-    pub fn try_alloc(&mut self, bytes: u64) -> bool {
+    pub(crate) fn try_alloc(&mut self, bytes: u64) -> bool {
         if self.used + bytes > self.cap {
             false
         } else {
@@ -531,7 +531,7 @@ pub(crate) mod testutil {
         assert_eq!(disc.bytes(), 0, "drained queue still reports bytes");
         assert_eq!(disc.pkts(), 0, "drained queue still reports packets");
         assert_eq!(pool.live(), 0, "discipline leaked {} pool slots", pool.live());
-        assert!(oracle.events_checked() > 0);
+        assert!(oracle.signals().events_checked > 0);
     }
 }
 

@@ -54,10 +54,6 @@ impl PriorityBank {
         self.queues.len()
     }
 
-    /// Bytes queued at one priority level (for tests / tracing).
-    pub fn bytes_at(&self, level: usize) -> u64 {
-        self.queues[level].bytes()
-    }
 }
 
 impl QueueDisc for PriorityBank {
@@ -206,7 +202,7 @@ mod tests {
         let mut q = PriorityBank::new(2, 1 << 20);
         let r = pkt_at(&mut pool, 9, 42);
         q.enqueue(r, &mut pool, 0);
-        assert_eq!(q.bytes_at(1), 1500);
+        assert_eq!(q.queues[1].bytes(), 1500);
     }
 
     #[test]

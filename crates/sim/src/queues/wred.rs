@@ -55,12 +55,10 @@ pub struct WredQueue {
     profile: WredProfile,
     /// Physical buffer cap.
     cap_bytes: u64,
-    /// DSCP→color classifier (the ACL stage). Default: unscheduled = red,
-    /// everything else = green.
-    classify: fn(&Packet) -> Color,
 }
 
-/// Default ACL: the Aeolus marking rule.
+/// The DSCP→color ACL stage: the Aeolus marking rule, unscheduled = red,
+/// everything else = green.
 fn aeolus_acl(pkt: &Packet) -> Color {
     match pkt.class {
         TrafficClass::Unscheduled => Color::Red,
@@ -72,13 +70,7 @@ impl WredQueue {
     /// A WRED queue with the given profile and physical cap, using the
     /// Aeolus DSCP→color mapping.
     pub fn new(profile: WredProfile, cap_bytes: u64) -> WredQueue {
-        WredQueue { fifo: ByteFifo::new(), profile, cap_bytes, classify: aeolus_acl }
-    }
-
-    /// Override the classifier (for tests / other marking schemes).
-    pub fn with_classifier(mut self, classify: fn(&Packet) -> Color) -> WredQueue {
-        self.classify = classify;
-        self
+        WredQueue { fifo: ByteFifo::new(), profile, cap_bytes }
     }
 
     fn threshold_for(&self, color: Color) -> u64 {
@@ -96,7 +88,7 @@ impl QueueDisc for WredQueue {
         if self.fifo.bytes() + sz as u64 > self.cap_bytes {
             return EnqueueOutcome::Dropped { reason: DropReason::BufferFull, pkt };
         }
-        let color = (self.classify)(pool.get(pkt));
+        let color = aeolus_acl(pool.get(pkt));
         if self.fifo.bytes() >= self.threshold_for(color) {
             return EnqueueOutcome::Dropped { reason: DropReason::SelectiveDrop, pkt };
         }
@@ -213,23 +205,6 @@ mod tests {
             }
             assert_eq!(wred.bytes(), red.bytes(), "occupancy divergence at {i}");
         }
-    }
-
-    #[test]
-    fn custom_classifier_is_honored() {
-        fn everything_red(_: &Packet) -> Color {
-            Color::Red
-        }
-        let mut pool = PacketPool::new();
-        let mut q = WredQueue::new(WredProfile::aeolus(3_000, 200_000), 200_000)
-            .with_classifier(everything_red);
-        let a = data_ref(&mut pool, TrafficClass::Scheduled, 0);
-        q.enqueue(a, &mut pool, 0);
-        let b = data_ref(&mut pool, TrafficClass::Scheduled, 1);
-        q.enqueue(b, &mut pool, 0);
-        // 3000 B queued >= red threshold: even "scheduled" drops now.
-        let c = data_ref(&mut pool, TrafficClass::Scheduled, 2);
-        assert!(matches!(q.enqueue(c, &mut pool, 0), EnqueueOutcome::Dropped { .. }));
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl RouteTable {
     ///
     /// # Panics
     /// Panics if no route exists — topologies must be fully wired.
-    pub fn select_avoiding(
+    pub(crate) fn select_avoiding(
         &mut self,
         pkt: &Packet,
         is_down: impl Fn(PortId) -> bool,

@@ -805,7 +805,7 @@ pub fn class_str(class: TrafficClass) -> &'static str {
 }
 
 /// Stable wire name for a packet kind.
-pub fn kind_str(kind: PacketKind) -> &'static str {
+pub(crate) fn kind_str(kind: PacketKind) -> &'static str {
     match kind {
         PacketKind::Data => "data",
         PacketKind::Request => "request",
@@ -836,7 +836,7 @@ pub fn reason_str(reason: DropReason) -> &'static str {
 }
 
 /// Stable wire name for an abort cause.
-pub fn abort_cause_str(cause: AbortCause) -> &'static str {
+pub(crate) fn abort_cause_str(cause: AbortCause) -> &'static str {
     match cause {
         AbortCause::NodeCrash => "node_crash",
         AbortCause::ArbiterOutage => "arbiter_outage",
@@ -845,7 +845,7 @@ pub fn abort_cause_str(cause: AbortCause) -> &'static str {
 }
 
 /// Stable wire name for a fault-window kind.
-pub fn window_kind_str(kind: WindowKind) -> &'static str {
+pub(crate) fn window_kind_str(kind: WindowKind) -> &'static str {
     match kind {
         WindowKind::Down => "down",
         WindowKind::Degraded { .. } => "degraded",
@@ -853,7 +853,7 @@ pub fn window_kind_str(kind: WindowKind) -> &'static str {
 }
 
 /// Stable wire name for a loss cause.
-pub fn cause_str(cause: LossCause) -> &'static str {
+pub(crate) fn cause_str(cause: LossCause) -> &'static str {
     match cause {
         LossCause::Probe => "probe",
         LossCause::SackGap => "sack_gap",
@@ -940,16 +940,6 @@ impl RecordingTracer {
         &self,
     ) -> impl ExactSizeIterator<Item = (Time, NodeId, TransportEvent)> + '_ {
         self.transport.iter().map(|slot| (slot.at, NodeId(slot.host), slot.event()))
-    }
-
-    /// Current in-flight payload bytes of a class.
-    pub fn inflight_bytes(&self, class: TrafficClass) -> u64 {
-        self.inflight[class_idx(class)]
-    }
-
-    /// Sampled in-flight payload series of a class.
-    pub fn inflight_series(&self, class: TrafficClass) -> &TimeSeries {
-        &self.inflight_series[class_idx(class)]
     }
 
     /// Position of `(node, port)`'s trace in `ports`, if it has one.
@@ -1515,13 +1505,14 @@ mod tests {
     #[test]
     fn recording_tracer_tracks_inflight_per_class() {
         let mut t = RecordingTracer::new();
+        let inflight = |t: &RecordingTracer, class| t.inflight[class_idx(class)];
         t.packet_launched(&host_ev(0, TrafficClass::Unscheduled, 0));
         t.packet_launched(&host_ev(1, TrafficClass::Unscheduled, 1460));
         t.packet_launched(&host_ev(2, TrafficClass::Scheduled, 2920));
-        assert_eq!(t.inflight_bytes(TrafficClass::Unscheduled), 2920);
-        assert_eq!(t.inflight_bytes(TrafficClass::Scheduled), 1460);
+        assert_eq!(inflight(&t, TrafficClass::Unscheduled), 2920);
+        assert_eq!(inflight(&t, TrafficClass::Scheduled), 1460);
         t.packet_delivered(&host_ev(5, TrafficClass::Unscheduled, 0));
-        assert_eq!(t.inflight_bytes(TrafficClass::Unscheduled), 1460);
+        assert_eq!(inflight(&t, TrafficClass::Unscheduled), 1460);
         // A drop also removes in-flight payload.
         let rec = QueueRecord {
             at: 6,
@@ -1538,7 +1529,7 @@ mod tests {
             qlen_pkts: 0,
         };
         t.queue_event(&rec);
-        assert_eq!(t.inflight_bytes(TrafficClass::Unscheduled), 0);
+        assert_eq!(inflight(&t, TrafficClass::Unscheduled), 0);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! * [`single_switch`] — the 8-server 10 Gbps testbed (Figs 8, 11), the
 //!   many-to-one microbenchmarks (Figs 15, 16) and the 20:1 shared-buffer
 //!   incast (Table 5);
-//! * [`leaf_spine`] — the two-tier trees: Homa/NDP's 8×8×64 @100 G and the
+//! * [`leaf_spine_with`] — the two-tier trees: Homa/NDP's 8×8×64 @100 G and the
 //!   heavy-incast 4×9×144 with 400 G core links (Fig 17, Fig 18);
-//! * [`fat_tree`] — ExpressPass' oversubscribed three-tier topology with
+//! * [`fat_tree_with`] — ExpressPass' oversubscribed three-tier topology with
 //!   8 spines, 16 aggregation (leaf) switches, 32 ToRs and 192 servers.
 //!
 //! Hosts are numbered ToR-/leaf-major: `hosts[i]` sits under edge switch
@@ -34,61 +34,6 @@ pub enum PortRole {
 
 /// Factory producing an egress queue for a port of the given rate and role.
 pub type QueueFactory<'a> = dyn Fn(Rate, PortRole) -> Queue + 'a;
-
-impl<T: Tracer> Topology<T> {
-    /// Validate routing: every switch must know a next hop for every host,
-    /// and following first-choice next hops from any host must reach any
-    /// other host within a hop budget. Panics with a description on failure
-    /// — call from tests and after hand-built wiring.
-    pub fn validate_routes(&self) {
-        use crate::node::NodeKind;
-        for &sw in &self.switches {
-            let node = self.net.node(sw);
-            let table = match &node.kind {
-                NodeKind::Switch { table } => table,
-                NodeKind::Host { .. } => panic!("{sw:?} listed as switch but is a host"),
-            };
-            for &h in &self.hosts {
-                assert!(
-                    !table.group(h).is_empty(),
-                    "switch {sw:?} has no route towards host {h:?}"
-                );
-                for &port in table.group(h) {
-                    assert!(
-                        (port.0 as usize) < node.ports.len(),
-                        "switch {sw:?} routes {h:?} via nonexistent port {port:?}"
-                    );
-                }
-            }
-        }
-        // Walk first-choice next hops host→host.
-        let budget = 16;
-        for &src in &self.hosts {
-            for &dst in &self.hosts {
-                if src == dst {
-                    continue;
-                }
-                let mut at = self.net.node(src).ports[0].link.to;
-                let mut hops = 0;
-                while at != dst {
-                    hops += 1;
-                    assert!(hops < budget, "route walk {src:?}->{dst:?} exceeded {budget} hops");
-                    let node = self.net.node(at);
-                    match &node.kind {
-                        NodeKind::Switch { table } => {
-                            let group = table.group(dst);
-                            assert!(!group.is_empty(), "{at:?} dead-ends {src:?}->{dst:?}");
-                            at = node.ports[group[0].0 as usize].link.to;
-                        }
-                        NodeKind::Host { .. } => {
-                            panic!("route walk {src:?}->{dst:?} hit foreign host {at:?}")
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// A built topology: the network plus handles the experiments need.
 ///
@@ -175,18 +120,8 @@ pub fn single_switch_with<T: Tracer>(
     Topology { net, hosts, switches: vec![sw], host_ingress, base_rtt, host_rate: p.host_rate }
 }
 
-/// Two-tier leaf-spine: every leaf connects to every spine.
-pub fn leaf_spine(
-    spines: usize,
-    leaves: usize,
-    hosts_per_leaf: usize,
-    p: LinkParams,
-    qf: &QueueFactory<'_>,
-) -> Topology {
-    leaf_spine_with(NullTracer, spines, leaves, hosts_per_leaf, p, qf)
-}
-
-/// [`leaf_spine`] with a telemetry tracer installed on the network.
+/// Two-tier leaf-spine: every leaf connects to every spine. `tracer` is
+/// installed on the network.
 pub fn leaf_spine_with<T: Tracer>(
     tracer: T,
     spines: usize,
@@ -261,21 +196,9 @@ pub fn leaf_spine_with<T: Tracer>(
 /// Three-tier oversubscribed fat-tree, shaped like the ExpressPass paper's:
 /// `pods` pods, each with `tors_per_pod` ToRs and `aggs_per_pod` aggregation
 /// switches; every aggregation switch connects to all `spines` spines; every
-/// ToR hosts `hosts_per_tor` servers. The paper's instance is
-/// `fat_tree(8, 4, 2, 8, 6, …)` = 8 spines, 16 aggs, 32 ToRs, 192 servers.
-pub fn fat_tree(
-    spines: usize,
-    pods: usize,
-    tors_per_pod: usize,
-    aggs_per_pod: usize,
-    hosts_per_tor: usize,
-    p: LinkParams,
-    qf: &QueueFactory<'_>,
-) -> Topology {
-    fat_tree_with(NullTracer, spines, pods, tors_per_pod, aggs_per_pod, hosts_per_tor, p, qf)
-}
-
-/// [`fat_tree`] with a telemetry tracer installed on the network.
+/// ToR hosts `hosts_per_tor` servers; `tracer` is installed on the network.
+/// The paper's instance has 8 spines and 8 pods of 4 ToRs and 2 aggs with 6
+/// servers each: 16 aggs, 32 ToRs, 192 servers.
 #[allow(clippy::too_many_arguments)]
 pub fn fat_tree_with<T: Tracer>(
     tracer: T,
@@ -427,6 +350,80 @@ mod tests {
         DropTailQueue::new(1 << 30).into()
     }
 
+    fn leaf_spine(
+        spines: usize,
+        leaves: usize,
+        hosts: usize,
+        p: LinkParams,
+        qf: &QueueFactory<'_>,
+    ) -> Topology {
+        leaf_spine_with(NullTracer, spines, leaves, hosts, p, qf)
+    }
+
+    fn fat_tree(
+        spines: usize,
+        pods: usize,
+        tors: usize,
+        aggs: usize,
+        hosts: usize,
+        p: LinkParams,
+        qf: &QueueFactory<'_>,
+    ) -> Topology {
+        fat_tree_with(NullTracer, spines, pods, tors, aggs, hosts, p, qf)
+    }
+
+    /// Every switch knows a next hop for every host, and following
+    /// first-choice next hops from any host reaches any other host within a
+    /// hop budget; panics with a description otherwise.
+    fn validate_routes(topo: &Topology) {
+        use crate::node::NodeKind;
+        for &sw in &topo.switches {
+            let node = topo.net.node(sw);
+            let table = match &node.kind {
+                NodeKind::Switch { table } => table,
+                NodeKind::Host { .. } => panic!("{sw:?} listed as switch but is a host"),
+            };
+            for &h in &topo.hosts {
+                assert!(
+                    !table.group(h).is_empty(),
+                    "switch {sw:?} has no route towards host {h:?}"
+                );
+                for &port in table.group(h) {
+                    assert!(
+                        (port.0 as usize) < node.ports.len(),
+                        "switch {sw:?} routes {h:?} via nonexistent port {port:?}"
+                    );
+                }
+            }
+        }
+        // Walk first-choice next hops host→host.
+        let budget = 16;
+        for &src in &topo.hosts {
+            for &dst in &topo.hosts {
+                if src == dst {
+                    continue;
+                }
+                let mut at = topo.net.node(src).ports[0].link.to;
+                let mut hops = 0;
+                while at != dst {
+                    hops += 1;
+                    assert!(hops < budget, "route walk {src:?}->{dst:?} exceeded {budget} hops");
+                    let node = topo.net.node(at);
+                    match &node.kind {
+                        NodeKind::Switch { table } => {
+                            let group = table.group(dst);
+                            assert!(!group.is_empty(), "{at:?} dead-ends {src:?}->{dst:?}");
+                            at = node.ports[group[0].0 as usize].link.to;
+                        }
+                        NodeKind::Host { .. } => {
+                            panic!("route walk {src:?}->{dst:?} hit foreign host {at:?}")
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     struct Echoless;
     impl Endpoint for Echoless {
         fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
@@ -518,13 +515,13 @@ mod tests {
     #[test]
     fn validate_routes_accepts_all_builders() {
         let p = LinkParams::uniform(Rate::gbps(100), us(1));
-        single_switch(8, LinkParams::uniform(Rate::gbps(10), us(1)), &qf).validate_routes();
-        leaf_spine(4, 4, 4, p, &qf).validate_routes();
-        fat_tree(4, 4, 2, 2, 3, p, &qf).validate_routes();
+        validate_routes(&single_switch(8, LinkParams::uniform(Rate::gbps(10), us(1)), &qf));
+        validate_routes(&leaf_spine(4, 4, 4, p, &qf));
+        validate_routes(&fat_tree(4, 4, 2, 2, 3, p, &qf));
         // The full-scale shapes the paper runs: ExpressPass' 8-spine, 8-pod,
         // 192-host fat tree and Homa/NDP's 8×8×64 leaf-spine.
-        fat_tree(8, 8, 4, 2, 6, p, &qf).validate_routes();
-        leaf_spine(8, 8, 8, p, &qf).validate_routes();
+        validate_routes(&fat_tree(8, 8, 4, 2, 6, p, &qf));
+        validate_routes(&leaf_spine(8, 8, 8, p, &qf));
     }
 
     #[test]

@@ -91,8 +91,8 @@ impl Rate {
     /// grid evenly (true for every paper rate: 1/10/25/40/100/400 Gbps).
     /// Lets ports replace the per-packet division with one multiply.
     #[inline]
-    pub const fn ps_per_byte(self) -> Option<u64> {
-        if self.0 > 0 && (8 * PS_PER_SEC) % self.0 == 0 {
+    pub(crate) const fn ps_per_byte(self) -> Option<u64> {
+        if self.0 > 0 && (8 * PS_PER_SEC).is_multiple_of(self.0) {
             Some(8 * PS_PER_SEC / self.0)
         } else {
             None

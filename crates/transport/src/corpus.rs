@@ -638,7 +638,7 @@ mod tests {
         }
         // Reload: same entry, same novelty knowledge, deterministic order.
         let mut c = Corpus::open(&dir).unwrap();
-        assert_eq!(c.entries(), &[s.clone()]);
+        assert_eq!(c.entries(), std::slice::from_ref(&s));
         assert!(!c.admit(&sig, &s, None).unwrap(), "novelty survives reload");
         // The file is annotated and its stem is the fingerprint.
         let path = dir.join(format!("{:016x}.spec", sig.fingerprint()));

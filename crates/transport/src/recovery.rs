@@ -8,13 +8,15 @@
 //! credit / grant / pull / slot pacing loops:
 //!
 //! * [`FlowTable`] — send and receive flow maps of the flows in progress,
-//!   with the one implementation of peer-silent give-up and engine abort —
+//!   with the one implementation of the peer-silent give-up (which asks the
+//!   engine to abort the flow at both ends) and of what an abort drops —
 //!   and the set of receive flows still in progress
 //!   ([`FlowTable::recv_active`]), so no credit, grant, token or stall loop
 //!   walks the flows a host has finished with. A finished or aborted flow
 //!   needs no entry: the engine's record says which ends are done
 //!   ([`Ctx::finished`]), it hands neither end of an aborted flow any of
-//!   its packets until a restart, and a crash rebuilds the endpoint.
+//!   its packets or timers until a restart, and a crash rebuilds the
+//!   endpoint.
 //! * [`SendState`] — the sender half shared by the five proactive
 //!   endpoints: "heard from peer", ACK → loss declaration, retransmit cause
 //!   attribution and the silence-gated capped-backoff [`Retry`] verdict.
@@ -32,10 +34,9 @@
 //!   protocol's threshold plus its range cap.
 
 use aeolus_core::{PreCreditReceiver, PreCreditSender};
-use aeolus_sim::telemetry::FaultEvent;
 use aeolus_sim::units::{ms, Time};
 use aeolus_sim::{
-    AbortCause, Ctx, FlowDesc, FlowEnd, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind,
+    Ctx, FlowDesc, FlowEnd, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind,
     TrafficClass, TransportEvent,
 };
 
@@ -89,12 +90,13 @@ pub fn stall_after(cfg: &BaseConfig) -> Time {
 /// Per-host flow state: both roles' flow maps of the flows in progress,
 /// and the set of receive flows among them.
 ///
-/// When a flow aborts — engine-initiated after a node crash, or
-/// transport-initiated after the peer-silence watchdog fires — its state
-/// goes and nothing marks it: the engine stops the flow's packets (data
-/// still crossing the fabric, paced credits that survived the purge) before
-/// either end until a restart, so none can resurrect per-flow state, and
-/// the relaunch starts from an empty slate.
+/// When a flow aborts — after a node crash, or after either end's
+/// peer-silence watchdog gives up on it ([`Self::give_up`]) — the engine
+/// tells both ends, their state goes and nothing marks it: the engine stops
+/// the flow's packets (data still crossing the fabric, paced credits that
+/// survived the purge) and timers before either end until a restart, so
+/// none can resurrect per-flow state, and a relaunch starts from an empty
+/// slate.
 ///
 /// When a flow finishes, its state goes and the engine marks the end done
 /// ([`Ctx::finish`]): a receive flow at its last byte ([`Self::recv_done`]),
@@ -131,17 +133,19 @@ impl<S, R> Default for FlowTable<S, R> {
 }
 
 impl<S, R> FlowTable<S, R> {
-    /// Peer-silence abort (either role): drop local state and record the
-    /// abort unless the flow already completed or aborted.
+    /// Peer-silence give-up (either role): drop the flow's entries at once,
+    /// so the rest of the handler — the stall scan after
+    /// [`Self::reap_silent_senders`] — no longer sees them, and ask the
+    /// engine to abort the flow ([`Ctx::give_up`]), which tells both ends.
     pub fn give_up(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         self.abort(flow);
-        if ctx.metrics.abort_flow(flow, AbortCause::PeerSilent) {
-            ctx.emit_fault(FaultEvent::FlowAborted { flow, cause: AbortCause::PeerSilent });
-        }
+        ctx.give_up(flow);
     }
 
-    /// Engine-initiated abort: drop local state. Only an incomplete flow
-    /// aborts, so no end of it is done.
+    /// The engine aborted `flow` ([`Endpoint::on_flow_abort`]): drop its
+    /// entries. Only an incomplete flow aborts, so no end of it is done.
+    ///
+    /// [`Endpoint::on_flow_abort`]: aeolus_sim::Endpoint::on_flow_abort
     pub fn abort(&mut self, flow: FlowId) {
         self.send.remove(flow);
         self.remove_recv(flow);

@@ -9,12 +9,12 @@
 //! opens a book is a crash that wiped the table and the host's done bits,
 //! the path `Metrics::deliver`'s wire-residue guard exists for.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use aeolus_sim::units::{ms, us, Time};
 use aeolus_sim::{
-    Ctx, Ecn, Endpoint, FaultPlan, FlowDesc, FlowEnd, FlowId, FlowRecord, LinkParams, LossCause,
+    AbortCause, Ctx, Ecn, Endpoint, FaultEvent, FaultPlan, FlowDesc, FlowEnd, FlowId, FlowRecord, LinkParams, LossCause,
     NodeId, Packet, PacketKind, QueueEvent, QueueRecord, Rate, Timer, TraceSink, Tracer,
     TrafficClass, TransportEvent, CREDIT_BYTES,
 };
@@ -38,12 +38,11 @@ const MTU: u64 = 1460;
 
 /// An endpoint the test can still read while the network runs it. On the
 /// cue flow's arrival it sends `script` instead, from its own host — as
-/// the flow's peer would. It counts the timers of [`FLOW`] it is handed
-/// from [`LATE`] on.
+/// the flow's peer would. It logs every timer it is handed, with when.
 struct Tap<E> {
     inner: Rc<RefCell<E>>,
     script: Vec<Packet>,
-    late_timers: Rc<Cell<usize>>,
+    timers: Rc<RefCell<Vec<(Time, Timer)>>>,
 }
 
 impl<E: Endpoint> Endpoint for Tap<E> {
@@ -58,9 +57,7 @@ impl<E: Endpoint> Endpoint for Tap<E> {
         self.inner.borrow_mut().on_packet(pkt, ctx);
     }
     fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
-        if timer.flow == Some(FLOW) && ctx.now >= LATE {
-            self.late_timers.set(self.late_timers.get() + 1);
-        }
+        self.timers.borrow_mut().push((ctx.now, timer));
         self.inner.borrow_mut().on_timer(timer, ctx);
     }
     fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
@@ -74,12 +71,14 @@ impl<E: Endpoint> Endpoint for Tap<E> {
 /// One packet a host put on its NIC: kind, sequence number, payload.
 type Sent = (PacketKind, u64, u32);
 
-/// What the host under test sent and emitted from [`LATE`] on.
+/// What the host under test sent and emitted from [`LATE`] on, and every
+/// flow abort the engine traced.
 #[derive(Default)]
 struct Log {
     host: Option<NodeId>,
     sent: Vec<Sent>,
     events: Vec<TransportEvent>,
+    aborts: Vec<(Time, FlowId, AbortCause)>,
 }
 
 impl TraceSink for Log {
@@ -92,6 +91,11 @@ impl TraceSink for Log {
     fn transport_event(&mut self, at: Time, host: NodeId, ev: &TransportEvent) {
         if Some(host) == self.host && at >= LATE {
             self.events.push(*ev);
+        }
+    }
+    fn fault_event(&mut self, at: Time, ev: &FaultEvent) {
+        if let FaultEvent::FlowAborted { flow, cause } = *ev {
+            self.aborts.push((at, flow, cause));
         }
     }
 }
@@ -191,11 +195,11 @@ fn straggle<E: Inspect>(
     let mine = Rc::new(RefCell::new(E::make(scheme, &h.params)));
     let theirs = Rc::new(RefCell::new(E::make(scheme, &h.params)));
     let script = script(&flow);
-    let late_timers = Rc::new(Cell::new(0));
+    let timers = Rc::default();
     let net = h.network_mut();
-    let tap = Tap { inner: mine.clone(), script: Vec::new(), late_timers: late_timers.clone() };
+    let tap = Tap { inner: mine.clone(), script: Vec::new(), timers: Rc::clone(&timers) };
     net.set_endpoint(me, Box::new(tap));
-    net.set_endpoint(peer, Box::new(Tap { inner: theirs, script, late_timers: Rc::default() }));
+    net.set_endpoint(peer, Box::new(Tap { inner: theirs, script, timers: Rc::default() }));
     net.tracer_mut().host = Some(me);
     h.schedule(&[flow, FlowDesc { id: CUE, src: peer, dst: me, size: 1, start: LATE }]);
     h.network_mut().run_until(LATE - 1);
@@ -209,7 +213,9 @@ fn straggle<E: Inspect>(
     assert_eq!(rec.delivered, size, "{}: a straggler's bytes counted twice", scheme.name());
     let after = kept(rec);
     let log = std::mem::take(h.network_mut().tracer_mut());
-    Seen { sent: log.sent, events: log.events, late_timers: late_timers.get(), before, after }
+    let late = |&&(at, t): &&(Time, Timer)| t.flow == Some(FLOW) && at >= LATE;
+    let late_timers = timers.borrow().iter().filter(late).count();
+    Seen { sent: log.sent, events: log.events, late_timers, before, after }
 }
 
 /// `script` reaches the finished flow's end `at`, which answers with
@@ -511,7 +517,7 @@ fn an_aborted_flow_stays_shut<E: Inspect>(scheme: Scheme) {
     let flow = FlowDesc { id: FLOW, src: b, dst: a, size: 1_000_000, start: 0 };
     let tap = |script| {
         let inner = Rc::new(RefCell::new(E::make(scheme, &h.params)));
-        (inner.clone(), Box::new(Tap { inner, script, late_timers: Rc::default() }))
+        (inner.clone(), Box::new(Tap { inner, script, timers: Rc::default() }))
     };
     let ((mine, at_a), (_, at_c)) = (tap(Vec::new()), tap(vec![unscheduled(&flow, 0)]));
     h.network_mut().set_endpoint(a, at_a);
@@ -535,4 +541,55 @@ fn an_aborted_flows_straggler_opens_nothing_after_a_crash() {
     an_aborted_flow_stays_shut::<PHostEndpoint>(Scheme::PHostAeolus);
     an_aborted_flow_stays_shut::<FastpassEndpoint>(Scheme::FastpassAeolus);
     an_aborted_flow_stays_shut::<DctcpEndpoint>(Scheme::Dctcp { rto: ms(10) });
+}
+
+/// A give-up is heard at both ends. [`FLOW`], 1 MB into the host cut off by
+/// `partition=50us..900ms`, goes silent: one end gives up on its peer past
+/// `PEER_SILENCE`, and the engine aborts the flow once. Before the
+/// partition heals neither end holds anything of the flow, and after the
+/// give-up neither is handed a timer of it, nor re-arms a host timer (a
+/// scan) that finds nothing left to do.
+fn a_give_up_shuts_both_ends<E: Inspect>(scheme: Scheme) {
+    let faults = FaultPlan::default().with_partition(us(50), ms(900));
+    let link = LinkParams::uniform(Rate::gbps(10), us(3));
+    let spec = TopoSpec::SingleSwitch { hosts: 4, link };
+    let builder = SchemeBuilder::new(scheme).topology(spec).faults(faults);
+    let mut h = builder.tracer(Log::default()).build();
+    let (a, b) = (h.hosts()[0], *h.hosts().last().expect("hosts"));
+    let flow = FlowDesc { id: FLOW, src: b, dst: a, size: 1_000_000, start: 0 };
+    let mut ends = Vec::new();
+    for host in [b, a] {
+        let (inner, timers) = (Rc::new(RefCell::new(E::make(scheme, &h.params))), Rc::default());
+        let tap = Tap { inner: Rc::clone(&inner), script: Vec::new(), timers: Rc::clone(&timers) };
+        h.network_mut().set_endpoint(host, Box::new(tap));
+        ends.push((inner, timers));
+    }
+    h.schedule(&[flow]);
+    h.network_mut().run_until(ms(850));
+    let name = scheme.name();
+    let rec = h.metrics().flow(FLOW).expect("scheduled");
+    assert_eq!(rec.aborted, Some(AbortCause::PeerSilent), "{name}");
+    let aborts = &h.network().tracer().aborts;
+    assert!(matches!(aborts[..], [(_, FLOW, AbortCause::PeerSilent)]), "{name}: {aborts:?}");
+    let gave_up = aborts[0].0;
+    for ((inner, timers), end) in ends.iter().zip(["sender", "receiver"]) {
+        assert_eq!(inner.borrow().holding(FLOW), EMPTY, "{name}: the {end} kept the flow");
+        let after: Vec<Timer> =
+            timers.borrow().iter().filter(|&&(at, _)| at > gave_up).map(|&(_, t)| t).collect();
+        let mut kinds: Vec<u8> = after.iter().map(|t| t.kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        let once_each = kinds.len() == after.len() && after.iter().all(|t| t.flow.is_none());
+        assert!(once_each, "{name}: the {end}'s timers after the give-up at {gave_up}: {after:?}");
+    }
+}
+
+#[test]
+fn a_give_up_aborts_the_flow_at_both_ends() {
+    a_give_up_shuts_both_ends::<NdpEndpoint>(Scheme::NdpAeolus);
+    a_give_up_shuts_both_ends::<XPassEndpoint>(Scheme::ExpressPassAeolus);
+    a_give_up_shuts_both_ends::<HomaEndpoint>(Scheme::HomaAeolus);
+    a_give_up_shuts_both_ends::<PHostEndpoint>(Scheme::PHostAeolus);
+    a_give_up_shuts_both_ends::<FastpassEndpoint>(Scheme::FastpassAeolus);
+    a_give_up_shuts_both_ends::<DctcpEndpoint>(Scheme::Dctcp { rto: ms(10) });
 }

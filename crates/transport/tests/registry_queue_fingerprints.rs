@@ -149,7 +149,7 @@ fn fingerprint(scheme: Scheme, role: PortRole, pooled: bool, seen: &mut Seen) ->
     let pool_handle = pooled.then(|| SharedPool::new(100_000));
     let mut q = scheme.make_queue(&params, Rate::gbps(10), role, pool_handle.as_ref());
     let mut pool = PacketPool::new();
-    let mut rng = SimRng::seed_from_u64(0xae01_05);
+    let mut rng = SimRng::seed_from_u64(0x00ae_0105);
     let mut h = Fnv::new();
     let mut bands = Vec::new();
     for op in 0..OPS {

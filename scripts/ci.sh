@@ -41,6 +41,10 @@ done
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p aeolus-sim -p aeolus-transport \
     -p aeolus-experiments
 
+# Lint gate: clippy's default lints over every target of the workspace,
+# warnings as errors, so a new one cannot pile up unseen.
+cargo clippy -q --workspace --all-targets -- -D warnings
+
 # One flow's life read off the Tracer seam: the example must run, show the
 # victim's selective drops and see it complete.
 trace_txt="$(cargo run --release -q --example packet_trace)"
