@@ -433,6 +433,62 @@ fn dctcp_answers_stragglers_with_its_cumulative_ack() {
     assert_eq!((seen.sent, seen.events, seen.late_timers), (vec![], vec![], 0));
 }
 
+/// A finished receiver answers a data straggler with the per-packet ACK
+/// its first-RTT mode gives live data, and nothing else: the Aeolus modes
+/// ACK unscheduled data (the rows above), the §5.5 strawman every data
+/// packet, Hold and Blind none — except NDP, which ACKs every data packet
+/// in every mode. Each row sends the classes that mode's senders emit.
+#[test]
+fn finished_receivers_ack_data_by_mode() {
+    let at = FlowEnd::Receiver;
+    let scheduled = |f: &FlowDesc| vec![data(f, MTU, TrafficClass::Scheduled)];
+    let both = |f: &FlowDesc| vec![unscheduled(f, 0), data(f, MTU, TrafficClass::Scheduled)];
+    let every = [acked(0, MTU), acked(MTU, MTU)];
+    assert_straggler::<XPassEndpoint>(Scheme::ExpressPass, 3_000, at, scheduled, &[], &[]);
+    assert_straggler::<FastpassEndpoint>(Scheme::Fastpass, 10_000, at, scheduled, &[], &[]);
+    let prioq = Scheme::ExpressPassPrioQueue { rto: ms(10) };
+    assert_straggler::<XPassEndpoint>(prioq, 3_000, at, both, &every, &[]);
+    assert_straggler::<NdpEndpoint>(Scheme::Ndp, 10_000, at, both, &every, &[]);
+    assert_straggler::<HomaEndpoint>(Scheme::Homa { rto: ms(10) }, 10_000, at, both, &[], &[]);
+    assert_straggler::<PHostEndpoint>(Scheme::PHost { rto: ms(10) }, 10_000, at, both, &[], &[]);
+}
+
+/// The completion ACK, `[0, size)`, that tells a sender its whole message
+/// arrived: Homa, pHost and Fastpass receivers send it once, at the last
+/// byte; NDP and ExpressPass receivers never do. The flow starts at
+/// [`LATE`], so the log holds its whole life at the receiver.
+fn completion_acks<E: Inspect>(scheme: Scheme) -> usize {
+    let size = 10_000;
+    let link = LinkParams::uniform(Rate::gbps(10), us(3));
+    let spec = TopoSpec::SingleSwitch { hosts: 4, link };
+    let mut h = SchemeBuilder::new(scheme).topology(spec).tracer(Log::default()).build();
+    let (receiver, sender) = (h.hosts()[0], h.hosts()[1]);
+    for host in [receiver, sender] {
+        let end = Box::new(E::make(scheme, &h.params));
+        h.network_mut().set_endpoint(host, end);
+    }
+    h.network_mut().tracer_mut().host = Some(receiver);
+    h.schedule(&[FlowDesc { id: FLOW, src: sender, dst: receiver, size, start: LATE }]);
+    h.network_mut().run_until(LATE + ms(20));
+    let rec = h.metrics().flow(FLOW).expect("scheduled");
+    assert!(rec.completed_at.is_some(), "{}: the flow did not finish", scheme.name());
+    let whole = (PacketKind::Ack { of_probe: false, end: size }, 0, 0);
+    h.network().tracer().sent.iter().filter(|&&s| s == whole).count()
+}
+
+#[test]
+fn only_homa_phost_and_fastpass_receivers_send_the_completion_ack() {
+    assert_eq!(completion_acks::<HomaEndpoint>(Scheme::HomaAeolus), 1);
+    assert_eq!(completion_acks::<HomaEndpoint>(Scheme::Homa { rto: ms(10) }), 1);
+    assert_eq!(completion_acks::<PHostEndpoint>(Scheme::PHostAeolus), 1);
+    assert_eq!(completion_acks::<FastpassEndpoint>(Scheme::FastpassAeolus), 1);
+    assert_eq!(completion_acks::<FastpassEndpoint>(Scheme::Fastpass), 1);
+    assert_eq!(completion_acks::<NdpEndpoint>(Scheme::NdpAeolus), 0);
+    assert_eq!(completion_acks::<NdpEndpoint>(Scheme::Ndp), 0);
+    assert_eq!(completion_acks::<XPassEndpoint>(Scheme::ExpressPassAeolus), 0);
+    assert_eq!(completion_acks::<XPassEndpoint>(Scheme::ExpressPass), 0);
+}
+
 /// A crash of the receiver's host rebuilds its table and clears its done
 /// bits: a straggler then opens a fresh book, as it always did, and its
 /// bytes are not counted twice.
