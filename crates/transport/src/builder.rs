@@ -82,7 +82,7 @@ impl<T: Tracer> SchemeBuilder<T> {
     /// Build the harness: topology wired with the scheme's queue
     /// discipline, one endpoint per host, tracer installed on the network.
     ///
-    /// Panics if the parameters fail [`SchemeParams::validate`] (which
+    /// Panics if the parameters fail `SchemeParams::validate` (which
     /// includes [`aeolus_core::AeolusConfig::validate`] against the port
     /// buffer) — better a descriptive error at build time than a confusing
     /// one deep inside the simulator.

@@ -30,26 +30,38 @@ pub enum FirstRttMode {
 
 impl FirstRttMode {
     /// Whether new flows burst data before credits arrive.
-    pub fn bursts(self) -> bool {
+    pub(crate) fn bursts(self) -> bool {
         !matches!(self, FirstRttMode::Hold)
     }
 
     /// Whether the Aeolus probe/ACK machinery is active.
-    pub fn probe_recovery(self) -> bool {
+    pub(crate) fn probe_recovery(self) -> bool {
         matches!(self, FirstRttMode::Aeolus | FirstRttMode::Oracle)
+    }
+
+    /// Whether a receiver ACKs a data packet of `class` as it arrives: the
+    /// probe-recovery modes ACK unscheduled data, their loss signal; the
+    /// §5.5 strawman ACKs every data packet, its RTO's only signal; Hold
+    /// and Blind send no per-packet ACK.
+    pub(crate) fn acks_data(self, class: TrafficClass) -> bool {
+        match self {
+            FirstRttMode::Aeolus | FirstRttMode::Oracle => class == TrafficClass::Unscheduled,
+            FirstRttMode::LowPrio => true,
+            FirstRttMode::Hold | FirstRttMode::Blind => false,
+        }
     }
 
     /// Whether SACK gap inference is safe (requires FIFO ordering between
     /// unscheduled and scheduled packets — false once priority queues can
     /// reorder them; that reordering is exactly the §3.2 ambiguity).
-    pub fn sack_inference(self) -> bool {
+    pub(crate) fn sack_inference(self) -> bool {
         matches!(self, FirstRttMode::Aeolus)
     }
 
     /// Class/ECN/priority stamping for a pre-credit data packet.
     /// `native_prio` is what the base protocol would use (Homa's cutoff
     /// priority); `lowest_prio` is the bottom of the priority range.
-    pub fn stamp_unscheduled(self, pkt: &mut Packet, native_prio: u8, lowest_prio: u8) {
+    pub(crate) fn stamp_unscheduled(self, pkt: &mut Packet, native_prio: u8, lowest_prio: u8) {
         pkt.class = TrafficClass::Unscheduled;
         match self {
             FirstRttMode::Hold => unreachable!("Hold mode never sends unscheduled packets"),
@@ -74,7 +86,7 @@ impl FirstRttMode {
 }
 
 /// Build a data packet for `flow` covering `[seq, seq+len)`.
-pub fn data_packet(
+pub(crate) fn data_packet(
     flow: &FlowDesc,
     seq: u64,
     len: u32,
@@ -87,7 +99,7 @@ pub fn data_packet(
 }
 
 /// Build an Aeolus probe for `flow` carrying `probe_seq`.
-pub fn probe_packet(flow: &FlowDesc, probe_seq: u64) -> Packet {
+pub(crate) fn probe_packet(flow: &FlowDesc, probe_seq: u64) -> Packet {
     let mut p = Packet::control(flow.id, flow.src, flow.dst, probe_seq, PacketKind::Probe);
     p.flow_size = flow.size;
     p
@@ -95,25 +107,19 @@ pub fn probe_packet(flow: &FlowDesc, probe_seq: u64) -> Packet {
 
 /// Build the first-contact request (ExpressPass credit request, pHost RTS):
 /// it carries the demand to the receiver.
-pub fn request_packet(flow: &FlowDesc) -> Packet {
+pub(crate) fn request_packet(flow: &FlowDesc) -> Packet {
     let mut p = Packet::control(flow.id, flow.src, flow.dst, 0, PacketKind::Request);
     p.flow_size = flow.size;
     p
 }
 
 /// Build a per-packet ACK from the receiver (`me`) back to the sender.
-pub fn ack_packet(flow: FlowId, me: NodeId, sender: NodeId, start: u64, end: u64) -> Packet {
+pub(crate) fn ack_packet(flow: FlowId, me: NodeId, sender: NodeId, start: u64, end: u64) -> Packet {
     Packet::control(flow, me, sender, start, PacketKind::Ack { of_probe: false, end })
 }
 
-/// Build the per-packet ACK of data packet `pkt`: it echoes the byte range
-/// the packet covered.
-pub fn data_ack_packet(pkt: &Packet, me: NodeId, sender: NodeId) -> Packet {
-    ack_packet(pkt.flow, me, sender, pkt.seq, pkt.seq + pkt.payload as u64)
-}
-
 /// Build a probe ACK.
-pub fn probe_ack_packet(flow: FlowId, me: NodeId, sender: NodeId, probe_seq: u64) -> Packet {
+pub(crate) fn probe_ack_packet(flow: FlowId, me: NodeId, sender: NodeId, probe_seq: u64) -> Packet {
     Packet::control(flow, me, sender, probe_seq, PacketKind::Ack { of_probe: true, end: probe_seq })
 }
 
@@ -136,18 +142,18 @@ pub struct BaseConfig {
 
 impl BaseConfig {
     /// Whether SACK gap inference is active (mode-safe and not ablated).
-    pub fn sack_inference(&self) -> bool {
+    pub(crate) fn sack_inference(&self) -> bool {
         self.mode.sack_inference() && !self.disable_sack
     }
 
     /// One RTT's worth of bytes at `line_rate`: the first-RTT burst budget
     /// (§3.1) and the window every receiver-driven loop keeps outstanding.
-    pub fn rtt_bytes(&self, line_rate: Rate) -> u64 {
+    pub(crate) fn rtt_bytes(&self, line_rate: Rate) -> u64 {
         self.aeolus.burst_budget(line_rate, self.base_rtt, self.mtu_payload)
     }
 
     /// Wire size of a full data packet.
-    pub fn mtu_wire(&self) -> u32 {
+    pub(crate) fn mtu_wire(&self) -> u32 {
         self.mtu_payload + aeolus_sim::HEADER_BYTES
     }
 }
@@ -198,6 +204,18 @@ mod tests {
         assert!(FirstRttMode::Oracle.probe_recovery());
         assert!(!FirstRttMode::LowPrio.probe_recovery());
         assert!(!FirstRttMode::LowPrio.sack_inference());
+    }
+
+    #[test]
+    fn per_packet_acks_follow_the_mode() {
+        use FirstRttMode::*;
+        use TrafficClass::{Scheduled, Unscheduled};
+        let acked = |m: FirstRttMode| (m.acks_data(Unscheduled), m.acks_data(Scheduled));
+        assert_eq!(acked(Aeolus), (true, false));
+        assert_eq!(acked(Oracle), (true, false));
+        assert_eq!(acked(LowPrio), (true, true));
+        assert_eq!(acked(Hold), (false, false));
+        assert_eq!(acked(Blind), (false, false));
     }
 
     #[test]

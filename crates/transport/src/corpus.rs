@@ -54,7 +54,7 @@ pub struct Signature {
 
 impl Signature {
     /// Condense a checked run into its signature.
-    pub fn of(scenario: &Scenario, run: &CheckedRun) -> Signature {
+    pub(crate) fn of(scenario: &Scenario, run: &CheckedRun) -> Signature {
         let mut text = format!("scheme={}", scenario.scheme.name());
         match &run.failure {
             None => text.push_str(" verdict=pass"),
@@ -70,13 +70,8 @@ impl Signature {
         Signature { text, fingerprint }
     }
 
-    /// The canonical human-readable form.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// 64-bit FNV-1a hash of [`Signature::text`] — the novelty key.
-    pub fn fingerprint(&self) -> u64 {
+    /// 64-bit FNV-1a hash of the canonical text — the novelty key.
+    pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 }
@@ -245,7 +240,7 @@ impl Corpus {
     }
 
     /// Entries in deterministic (load + insertion) order.
-    pub fn entries(&self) -> &[Scenario] {
+    pub(crate) fn entries(&self) -> &[Scenario] {
         &self.entries
     }
 
@@ -263,7 +258,7 @@ impl Corpus {
     /// in-memory and, for a directory-backed corpus, writes
     /// `<fingerprint>.spec` annotated with the signature text and the
     /// failure (if any). Returns whether the signature was new.
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         sig: &Signature,
         scenario: &Scenario,
@@ -567,7 +562,7 @@ mod tests {
         other.scheme = Scheme::Ndp;
         let c = Signature::of(&other, &other.check_signed());
         assert_ne!(a.fingerprint(), c.fingerprint(), "{a} vs {c}");
-        assert!(a.text().contains("verdict=pass"), "{a}");
+        assert!(a.text.contains("verdict=pass"), "{a}");
     }
 
     #[test]

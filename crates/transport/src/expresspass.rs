@@ -19,14 +19,14 @@
 
 use aeolus_sim::units::{Time, PS_PER_SEC};
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowEnd, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
-    TransportEvent, CREDIT_BYTES,
+    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Timer, TransportEvent,
+    CREDIT_BYTES,
 };
 
-use crate::common::{data_ack_packet, request_packet, BaseConfig, FirstRttMode};
+use crate::common::{request_packet, BaseConfig, FirstRttMode};
 use crate::recovery::{
-    self, answer_probe, launch_first_rtt, peer_silent, requeue_finished, send_resends, FlowTable,
-    SendState, Strikes,
+    self, answer_probe, launch_first_rtt, peer_silent, send_resends, Answer, FlowTable, Retire,
+    Strikes,
 };
 
 // The feedback law's constants: the values the ExpressPass paper (Cho et
@@ -95,12 +95,33 @@ struct Credits {
     ticking: bool,
 }
 
+impl Credits {
+    /// A flow's credit loop before its first credit, paced at `rate_bps`.
+    fn new(rate_bps: f64) -> Credits {
+        Credits {
+            strikes: Strikes::default(),
+            next_credit_seq: 1,
+            rate_bps,
+            w: W_INIT,
+            can_increase_w: true,
+            last_echo: 0,
+            delivered_period: 0,
+            lost_period: 0,
+            credits_sent_period: 0,
+            ticking: false,
+        }
+    }
+}
+
 type RecvFlow = recovery::RecvFlow<Credits>;
+
+/// The sender keeps nothing beyond the shared state.
+type SendFlow = recovery::SendFlow<()>;
 
 /// The per-host ExpressPass endpoint (plays both sender and receiver roles).
 pub struct XPassEndpoint {
     cfg: XPassConfig,
-    flows: FlowTable<SendState, RecvFlow>,
+    flows: FlowTable<SendFlow, RecvFlow>,
     stall_scan_armed: bool,
 }
 
@@ -111,6 +132,14 @@ impl XPassEndpoint {
             cfg,
             flows: FlowTable::default(),
             stall_scan_armed: false,
+        }
+    }
+
+    fn arm_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
+        if !self.stall_scan_armed {
+            self.stall_scan_armed = true;
+            let delay = recovery::stall_after(&self.cfg.base);
+            ctx.set_timer_in_with(delay, Timer::host(STALL_SCAN));
         }
     }
 
@@ -126,8 +155,7 @@ impl XPassEndpoint {
         });
         send_resends(resends, ctx);
         if any_incomplete {
-            self.stall_scan_armed = true;
-            ctx.set_timer_in_with(stall_after, Timer::host(STALL_SCAN));
+            self.arm_stall_scan(ctx);
         }
     }
 
@@ -148,47 +176,17 @@ impl XPassEndpoint {
         ctx.line_rate.bps() as f64 * mtu / (mtu + CREDIT_BYTES as f64)
     }
 
-    /// Ensure receive-side state exists (created on Request, first data or
-    /// probe — whichever wins the race) and its credit loop and the stall
-    /// scan are running. `None` once the flow is received whole; the stall
-    /// scan is armed all the same.
-    fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) -> Option<&mut RecvFlow> {
+    /// Ensure receive-side state exists for a request or probe (created
+    /// on Request, first data or probe — whichever wins the race) and its
+    /// credit loop and the stall scan are running. Once the flow is
+    /// received whole the stall scan is armed all the same.
+    fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) {
         let rate_bps = self.max_rate_bps(ctx) * INIT_RATE_FRAC;
-        let mut rf = self.flows.recv_entry(pkt, ctx, || Credits {
-            strikes: Strikes::default(),
-            next_credit_seq: 1,
-            rate_bps,
-            w: W_INIT,
-            can_increase_w: true,
-            last_echo: 0,
-            delivered_period: 0,
-            lost_period: 0,
-            credits_sent_period: 0,
-            ticking: false,
-        });
-        if let Some(rf) = rf.as_deref_mut().filter(|rf| !rf.proto.ticking) {
-            rf.proto.ticking = true;
-            ctx.set_timer_in_with(0, Timer::flow(CREDIT_TICK, pkt.flow));
-            let period = self.cfg.feedback_period();
-            ctx.set_timer_in_with(period, Timer::flow(FEEDBACK, pkt.flow));
+        let period = self.cfg.feedback_period();
+        if let Some(rf) = self.flows.recv_entry(pkt, ctx, || Credits::new(rate_bps)) {
+            start_credits(rf, pkt.flow, period, ctx);
         }
-        if !self.stall_scan_armed {
-            self.stall_scan_armed = true;
-            let delay = recovery::stall_after(&self.cfg.base);
-            ctx.set_timer_in_with(delay, Timer::host(STALL_SCAN));
-        }
-        rf
-    }
-
-    /// Send one credit-induced chunk (called per credit).
-    fn pump_scheduled(&mut self, flow: FlowId, credit_seq: u64, ctx: &mut Ctx<'_>) {
-        let mtu = self.mtu();
-        if let Some(tx) = self.flows.send.get_mut(flow) {
-            if let Some(mut pkt) = tx.next_scheduled(mtu, LossCause::Probe, ctx) {
-                pkt.credit_echo = credit_seq;
-                ctx.send(pkt);
-            }
-        }
+        self.arm_stall_scan(ctx);
     }
 
     fn on_credit_tick(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
@@ -269,7 +267,6 @@ impl XPassEndpoint {
             flow,
             &self.cfg.base,
             ctx,
-            |tx| tx,
             // Once every byte is out (or acknowledged), any residual tail
             // loss is the receiver stall scan's business.
             |tx| tx.core.fully_acked() || (tx.heard_back && !tx.core.has_work()),
@@ -287,7 +284,7 @@ impl XPassEndpoint {
 
     fn on_rto(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let Some(rto) = self.cfg.rto else { return };
-        let Some(tx) = self.flows.send.get_mut(flow) else { return };
+        let Some(SendFlow { tx, .. }) = self.flows.send.get_mut(flow) else { return };
         if tx.core.fully_acked() {
             return;
         }
@@ -300,6 +297,16 @@ impl XPassEndpoint {
         let lost = tx.core.force_mark_lost(&unacked);
         tx.note_loss(lost, LossCause::Timeout, ctx);
         ctx.set_timer_in_with(rto, Timer::flow(RTO, flow));
+    }
+}
+
+/// Start `rf`'s credit loop unless it runs: the first credit now, the end
+/// of its first feedback `period` one period on.
+fn start_credits(rf: &mut RecvFlow, flow: FlowId, period: Time, ctx: &mut Ctx<'_>) {
+    if !rf.proto.ticking {
+        rf.proto.ticking = true;
+        ctx.set_timer_in_with(0, Timer::flow(CREDIT_TICK, flow));
+        ctx.set_timer_in_with(period, Timer::flow(FEEDBACK, flow));
     }
 }
 
@@ -334,7 +341,7 @@ impl Endpoint for XPassEndpoint {
             let retry = Timer::flow(PROBE_RETRY, flow.id);
             ctx.set_timer_in_with(recovery::retry_base(&base), retry);
         }
-        self.flows.send.insert(flow.id, tx);
+        self.flows.send.insert(flow.id, SendFlow { tx, proto: () });
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
@@ -343,22 +350,23 @@ impl Endpoint for XPassEndpoint {
                 self.ensure_recv_flow(&pkt, ctx);
             }
             PacketKind::Credit => {
-                let mtu = self.cfg.base.mtu_payload as u64;
-                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.on_credit(mtu, ctx);
-                } else if ctx.finished(pkt.flow, FlowEnd::Sender).is_some() {
-                    // Booked, with nothing left to spend it on.
-                    ctx.emit(TransportEvent::CreditReceipt { flow: pkt.flow, bytes: mtu });
+                // Each credit funds one chunk, which echoes its sequence.
+                let mtu = self.mtu();
+                if let Some(sf) = self.flows.on_credit(pkt.flow, mtu as u64, ctx) {
+                    if let Some(mut data) = sf.tx.next_scheduled(mtu, LossCause::Probe, ctx) {
+                        data.credit_echo = pkt.seq;
+                        ctx.send(data);
+                    }
                 }
-                self.pump_scheduled(pkt.flow, pkt.seq, ctx);
             }
             PacketKind::Data => {
-                let mode = self.cfg.base.mode;
-                let mut completed = false;
-                if let Some(rf) = self.ensure_recv_flow(&pkt, ctx) {
-                    rf.touch(ctx.now);
+                let (rate_bps, period) =
+                    (self.max_rate_bps(ctx) * INIT_RATE_FRAC, self.cfg.feedback_period());
+                let ack = self.cfg.base.mode.acks_data(pkt.class);
+                let answer = Answer { ack, completion: false };
+                self.flows.on_data(&pkt, answer, ctx, || Credits::new(rate_bps), |rf, ctx| {
+                    start_credits(rf, pkt.flow, period, ctx);
                     rf.proto.strikes.reset();
-                    completed = rf.book.on_data(&pkt, ctx);
                     if pkt.credit_echo > 0 {
                         // Credit-loss accounting: a gap in the echoed credit
                         // sequence means those credits were throttled away.
@@ -368,19 +376,8 @@ impl Endpoint for XPassEndpoint {
                         }
                         rf.proto.delivered_period += 1;
                     }
-                }
-                // Aeolus ACKs unscheduled packets; the RTO strawman ACKs
-                // everything (its only loss signal); plain ExpressPass and
-                // the oracle ACK unscheduled too (dedup/GC — harmless 64 B).
-                // A finished flow's duplicates are ACKed alike.
-                let want_ack =
-                    pkt.class == TrafficClass::Unscheduled || mode == FirstRttMode::LowPrio;
-                if want_ack {
-                    ctx.send(data_ack_packet(&pkt, ctx.host, pkt.src));
-                }
-                if completed {
-                    self.flows.recv_done(pkt.flow, ctx);
-                }
+                });
+                self.arm_stall_scan(ctx);
             }
             PacketKind::Probe => {
                 self.ensure_recv_flow(&pkt, ctx);
@@ -389,24 +386,14 @@ impl Endpoint for XPassEndpoint {
             PacketKind::Resend { end } => {
                 // Receiver-detected stall: requeue the range; it rides out
                 // on the next credits.
-                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
-                } else if let Some(size) = ctx.finished(pkt.flow, FlowEnd::Sender) {
-                    requeue_finished(pkt.flow, size, pkt.seq, end, LossCause::Stall, ctx);
-                }
+                self.flows.on_loss_report(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
             }
-            PacketKind::Ack { of_probe, end } => {
+            PacketKind::Ack { .. } => {
+                // The receiver sends no completion ACK, so only a message
+                // its ACKs cover — unscheduled bytes, or every byte under
+                // the RTO strawman — is known done here.
                 let infer = self.cfg.base.sack_inference();
-                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
-                    // The receiver sends no completion ACK, so only a
-                    // message its ACKs cover — unscheduled bytes, or every
-                    // byte under the RTO strawman — is known done here.
-                    if tx.core.fully_acked() {
-                        self.flows.send.remove(pkt.flow);
-                        ctx.finish(pkt.flow, FlowEnd::Sender);
-                    }
-                }
+                self.flows.on_ack(&pkt, infer, Retire::Covered, ctx);
             }
             other => {
                 debug_assert!(false, "unexpected packet kind for ExpressPass: {other:?}");

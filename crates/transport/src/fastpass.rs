@@ -30,8 +30,8 @@ use aeolus_sim::{
 
 use crate::common::BaseConfig;
 use crate::recovery::{
-    self, answer_data, answer_probe, backoff, launch_first_rtt, peer_silent, requeue_finished,
-    send_resends, FlowTable, SendState, Strikes,
+    self, answer_probe, backoff, launch_first_rtt, peer_silent, send_resends, Answer, FlowTable,
+    Retire, Strikes,
 };
 
 /// Maximum timeslots requested at once (pipelined batches). A choice of
@@ -150,11 +150,10 @@ const PROBE_RETRY: u8 = 2;
 /// senders whose scheduled packets died on the wire.
 const STALL_SCAN: u8 = 3;
 
-struct SendFlow {
-    /// Shared sender state. Only the *receiver's* signals (ACK, Resend)
-    /// count as "heard" — not the arbiter's Schedules, which keep flowing
-    /// while the receiver is partitioned away.
-    tx: SendState,
+/// A sender's timeslots. Only the *receiver's* signals (ACK, Resend) count
+/// as "heard" in the shared sender state — not the arbiter's Schedules,
+/// which keep flowing while the receiver is partitioned away.
+struct Slots {
     /// Remaining granted slots and their cadence.
     slots_left: u32,
     stride: Time,
@@ -164,6 +163,8 @@ struct SendFlow {
     /// the next retry interval, capped (reset when a Schedule arrives).
     request_fires: u32,
 }
+
+type SendFlow = recovery::SendFlow<Slots>;
 
 /// Slots are the arbiter's to account for; the receiver only backs off its
 /// stall window.
@@ -195,10 +196,10 @@ impl FastpassEndpoint {
     fn request_slots(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let retry_base = self.retry_base();
         let Some(sf) = self.flows.send.get_mut(flow) else { return };
-        if sf.requesting || !sf.tx.core.has_work() {
+        if sf.proto.requesting || !sf.tx.core.has_work() {
             return;
         }
-        sf.requesting = true;
+        sf.proto.requesting = true;
         let mut req = Packet::control(flow, ctx.host, self.cfg.arbiter, 0, PacketKind::Request);
         // Demand in slots; true destination rides in path_tag.
         let mtu = self.cfg.base.mtu_payload as u64;
@@ -206,7 +207,7 @@ impl FastpassEndpoint {
         req.flow_size = rough_need.min(BATCH_SLOTS) as u64;
         req.path_tag = sf.tx.desc.dst.0 as u64;
         ctx.send(req);
-        let retry_in = backoff(retry_base, sf.request_fires);
+        let retry_in = backoff(retry_base, sf.proto.request_fires);
         ctx.set_timer_in_with(retry_in, Timer::flow(REQUEST_RETRY, flow));
     }
 
@@ -215,7 +216,7 @@ impl FastpassEndpoint {
     /// exponential backoff.
     fn on_request_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let Some(sf) = self.flows.send.get_mut(flow) else { return };
-        if !sf.requesting {
+        if !sf.proto.requesting {
             return;
         }
         if peer_silent(sf.tx.last_heard, ctx.now) {
@@ -225,8 +226,8 @@ impl FastpassEndpoint {
             self.flows.give_up(flow, ctx);
             return;
         }
-        sf.requesting = false;
-        sf.request_fires += 1;
+        sf.proto.requesting = false;
+        sf.proto.request_fires += 1;
         ctx.metrics.note_timeout(flow);
         self.request_slots(flow, ctx);
     }
@@ -236,7 +237,6 @@ impl FastpassEndpoint {
             flow,
             &self.cfg.base,
             ctx,
-            |sf| &mut sf.tx,
             |tx| tx.heard_back,
             |tx, ctx| tx.send_probe(0, ctx),
         );
@@ -279,12 +279,12 @@ impl FastpassEndpoint {
     fn on_slot(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.cfg.base.mtu_payload;
         let Some(sf) = self.flows.send.get_mut(flow) else { return };
-        sf.slots_left = sf.slots_left.saturating_sub(1);
+        sf.proto.slots_left = sf.proto.slots_left.saturating_sub(1);
         if let Some(pkt) = sf.tx.next_scheduled(mtu, LossCause::Probe, ctx) {
             ctx.send(pkt);
         }
-        if sf.slots_left > 0 {
-            ctx.set_timer_in_with(sf.stride, Timer::flow(SLOT, flow));
+        if sf.proto.slots_left > 0 {
+            ctx.set_timer_in_with(sf.proto.stride, Timer::flow(SLOT, flow));
         } else if sf.tx.core.has_work() {
             self.request_slots(flow, ctx);
         }
@@ -310,7 +310,10 @@ impl Endpoint for FastpassEndpoint {
         }
         self.flows.send.insert(
             flow.id,
-            SendFlow { tx, slots_left: 0, stride: 0, requesting: false, request_fires: 0 },
+            SendFlow {
+                tx,
+                proto: Slots { slots_left: 0, stride: 0, requesting: false, request_fires: 0 },
+            },
         );
         self.request_slots(flow.id, ctx);
     }
@@ -323,10 +326,10 @@ impl Endpoint for FastpassEndpoint {
                     bytes: slots as u64 * self.cfg.base.mtu_payload as u64,
                 };
                 if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    sf.requesting = false;
-                    sf.request_fires = 0;
-                    sf.slots_left = slots;
-                    sf.stride = stride;
+                    sf.proto.requesting = false;
+                    sf.proto.request_fires = 0;
+                    sf.proto.slots_left = slots;
+                    sf.proto.stride = stride;
                     ctx.emit(receipt);
                     let fire_first = start.saturating_sub(ctx.now);
                     ctx.set_timer_in_with(fire_first, Timer::flow(SLOT, pkt.flow));
@@ -338,16 +341,9 @@ impl Endpoint for FastpassEndpoint {
             }
             PacketKind::Data => {
                 self.arm_stall_scan(ctx);
-                let probe_mode = self.cfg.base.mode.probe_recovery();
-                match self.flows.recv_arrival(&pkt, ctx, Strikes::default) {
-                    Some(rf) => {
-                        rf.proto.reset();
-                        if rf.on_data(&pkt, probe_mode, ctx) {
-                            self.flows.recv_done(pkt.flow, ctx);
-                        }
-                    }
-                    None => answer_data(&pkt, probe_mode, ctx),
-                }
+                let ack = self.cfg.base.mode.acks_data(pkt.class);
+                let answer = Answer { ack, completion: true };
+                self.flows.on_data(&pkt, answer, ctx, Strikes::default, |rf, _| rf.proto.reset());
             }
             PacketKind::Probe => {
                 self.flows.recv_entry(&pkt, ctx, Strikes::default);
@@ -358,26 +354,18 @@ impl Endpoint for FastpassEndpoint {
                 // Receiver-detected stall: a scheduled packet died on the
                 // wire. Requeue the range and ask the arbiter for slots to
                 // carry it.
-                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    sf.tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
-                    if sf.slots_left == 0 {
-                        self.request_slots(pkt.flow, ctx);
-                    }
-                } else if let Some(size) = ctx.finished(pkt.flow, FlowEnd::Sender) {
-                    requeue_finished(pkt.flow, size, pkt.seq, end, LossCause::Stall, ctx);
+                let live = self.flows.on_loss_report(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
+                if live.is_some_and(|sf| sf.proto.slots_left == 0) {
+                    self.request_slots(pkt.flow, ctx);
                 }
             }
-            PacketKind::Ack { of_probe, end } => {
+            PacketKind::Ack { of_probe, .. } => {
                 let infer = self.cfg.base.sack_inference();
-                let Some(sf) = self.flows.send.get_mut(pkt.flow) else { return };
-                // Done at the completion ACK, not at full coverage: a message
-                // the per-packet ACKs covered first can still ask the arbiter
-                // for slots (a stale lost range counts as work) until then.
-                if sf.tx.on_ack(pkt.seq, end, of_probe, infer, ctx) {
-                    self.flows.send.remove(pkt.flow);
-                    ctx.finish(pkt.flow, FlowEnd::Sender);
-                } else if of_probe && sf.slots_left == 0 {
-                    // Losses revealed by the probe may need timeslots.
+                self.flows.on_ack(&pkt, infer, Retire::Confirmed, ctx);
+                // Losses revealed by the probe may need timeslots (a probe
+                // ACK never retires the sender).
+                let idle = |sf: &SendFlow| sf.proto.slots_left == 0;
+                if of_probe && self.flows.send.get(pkt.flow).is_some_and(idle) {
                     self.request_slots(pkt.flow, ctx);
                 }
             }

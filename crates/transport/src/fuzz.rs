@@ -178,7 +178,7 @@ impl Scenario {
     /// down/degraded window, sometimes plus one node fault: a host
     /// crash/restart, an arbiter outage or a pod partition, all short and
     /// early so the post-restart tail fits well inside the horizon).
-    pub fn random(seed: u64) -> Scenario {
+    pub(crate) fn random(seed: u64) -> Scenario {
         let mut rng = SimRng::seed_from_u64(seed);
         let pool = scheme_pool();
         let scheme = pool[rng.index(pool.len())];
@@ -250,7 +250,7 @@ impl Scenario {
     /// `signals` is `None` exactly when the run panicked: the harness is
     /// consumed by the unwind, so the panic message itself (carried in
     /// `failure`) is the only signal a panicking run produces.
-    pub fn check_signed(&self) -> CheckedRun {
+    pub(crate) fn check_signed(&self) -> CheckedRun {
         let scenario = self.clone();
         let outcome = catch_unwind(AssertUnwindSafe(move || scenario.run_signed()));
         match outcome {
@@ -338,7 +338,7 @@ impl Scenario {
     }
 }
 
-/// Verdict plus signals from one [`Scenario::check_signed`] run.
+/// Verdict plus signals from one `Scenario::check_signed` run.
 #[derive(Debug, Clone)]
 pub struct CheckedRun {
     /// `None` if the run conformed; otherwise the first failure message.

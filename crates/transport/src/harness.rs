@@ -118,13 +118,6 @@ pub enum FlowOutcome {
     Hung,
 }
 
-impl FlowOutcome {
-    /// Whether this outcome is settled (anything but [`FlowOutcome::Hung`]).
-    pub fn settled(self) -> bool {
-        !matches!(self, FlowOutcome::Hung)
-    }
-}
-
 /// Per-flow degradation ledger from [`Harness::run_degradation`]: how each
 /// flow ended under faults. "Graceful degradation" means every flow is
 /// settled — completed (perhaps after restarts) or aborted with a cause —
@@ -164,7 +157,7 @@ impl DegradationReport {
     }
 
     /// The graceful-degradation predicate: every flow settled.
-    pub fn is_graceful(&self) -> bool {
+    pub(crate) fn is_graceful(&self) -> bool {
         self.hung() == 0
     }
 }
@@ -207,7 +200,7 @@ impl<T: Tracer> Harness<T> {
     ///
     /// `params.base_rtt` is overwritten with the topology's base RTT unless
     /// it was already set to a non-zero value by the caller.
-    pub fn with_tracer(
+    pub(crate) fn with_tracer(
         scheme: Scheme,
         mut params: SchemeParams,
         spec: TopoSpec,

@@ -22,8 +22,8 @@ use aeolus_sim::{
 
 use crate::common::{data_packet, BaseConfig, FirstRttMode};
 use crate::recovery::{
-    self, answer_data, answer_probe, launch_first_rtt, peer_silent, requeue_finished, send_resends,
-    CreditLedger, FlowTable, SendState,
+    self, answer_probe, launch_first_rtt, peer_silent, send_resends, Answer, CreditLedger,
+    FlowTable, Retire,
 };
 
 /// Total switch priority levels: the 8 of a commodity switch, as in the
@@ -57,7 +57,7 @@ pub struct HomaConfig {
 
 impl HomaConfig {
     /// Unscheduled priority for a message of `size` bytes (smaller = higher).
-    pub fn unsched_prio(&self, size: u64) -> u8 {
+    pub(crate) fn unsched_prio(&self, size: u64) -> u8 {
         for (i, &c) in self.cutoffs.iter().enumerate() {
             if size <= c {
                 return i as u8;
@@ -67,7 +67,7 @@ impl HomaConfig {
     }
 
     /// Scheduled priority for the SRPT rank of a granted message.
-    pub fn sched_prio(&self, rank: usize) -> u8 {
+    pub(crate) fn sched_prio(&self, rank: usize) -> u8 {
         let span = LEVELS - UNSCHED_LEVELS;
         UNSCHED_LEVELS + (rank as u8).min(span - 1)
     }
@@ -82,11 +82,10 @@ const PROBE_RETRY: u8 = 1;
 /// Receiver-side scan for stalled incomplete messages (a host timer).
 const RESEND_SCAN: u8 = 2;
 
-struct SendFlow {
-    /// Shared sender state. Once anything (grant, RESEND, ACK) has been
-    /// heard from the receiver, its targeted RESEND scan owns recovery and
-    /// the sender's blind RTO restarts its clock from there.
-    tx: SendState,
+/// A sender's grant budget and blind RTO. Once anything (grant, RESEND,
+/// ACK) has been heard from the receiver, its targeted RESEND scan owns
+/// recovery and the sender's blind RTO restarts its clock from there.
+struct Grants {
     /// Consecutive sender-RTO fires (exponential backoff shift).
     rto_fires: u32,
     /// Highest grant offset received.
@@ -95,6 +94,8 @@ struct SendFlow {
     sent_sched: u64,
     grant_prio: u8,
 }
+
+type SendFlow = recovery::SendFlow<Grants>;
 
 /// The grant ledger counts bytes: grants are a cumulative scheduled-byte
 /// budget, and scheduled payload bytes received return it (duplicates
@@ -168,11 +169,11 @@ impl HomaEndpoint {
     /// Send scheduled data against the grant budget.
     fn pump_scheduled(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let mtu = self.cfg.base.mtu_payload;
-        if let Some(sf) = self.flows.send.get_mut(flow) {
-            while sf.sent_sched < sf.granted {
-                let Some(mut pkt) = sf.tx.next_scheduled(mtu, LossCause::Probe, ctx) else { break };
-                pkt.priority = sf.grant_prio;
-                sf.sent_sched += pkt.payload as u64;
+        if let Some(SendFlow { tx, proto: g }) = self.flows.send.get_mut(flow) {
+            while g.sent_sched < g.granted {
+                let Some(mut pkt) = tx.next_scheduled(mtu, LossCause::Probe, ctx) else { break };
+                pkt.priority = g.grant_prio;
+                g.sent_sched += pkt.payload as u64;
                 ctx.send(pkt);
             }
         }
@@ -265,7 +266,7 @@ impl HomaEndpoint {
         // naive deadline whose efficiency collapse Table 1 measures.
         if naive || ctx.now.saturating_sub(sf.tx.last_heard) >= rto {
             ctx.metrics.note_timeout(flow);
-            sf.rto_fires += 1;
+            sf.proto.rto_fires += 1;
             sf.tx.last_loss = Some(LossCause::Timeout);
             // Eager Homa blindly resends the whole burst region. Otherwise
             // re-poll with the first burst packet (it carries the message
@@ -278,7 +279,7 @@ impl HomaEndpoint {
         // Naive mode keeps firing at a fixed cadence for a while (the
         // measured waste); both modes back off exponentially eventually so
         // a stuck flow cannot melt the run.
-        let fires = sf.rto_fires;
+        let fires = sf.proto.rto_fires;
         let shift = if naive { (fires / 16).min(6) } else { (fires / 2).min(8) };
         ctx.set_timer_in_with(rto << shift, Timer::flow(SENDER_RTO, flow));
     }
@@ -289,7 +290,6 @@ impl HomaEndpoint {
             flow,
             &cfg.base,
             ctx,
-            |sf| &mut sf.tx,
             |tx| tx.heard_back,
             |tx, ctx| tx.send_probe(cfg.unsched_prio(tx.desc.size), ctx),
         );
@@ -327,10 +327,12 @@ impl Endpoint for HomaEndpoint {
             flow.id,
             SendFlow {
                 tx,
-                rto_fires: 0,
-                granted: 0,
-                sent_sched: 0,
-                grant_prio: self.cfg.sched_prio(0),
+                proto: Grants {
+                    rto_fires: 0,
+                    granted: 0,
+                    sent_sched: 0,
+                    grant_prio: self.cfg.sched_prio(0),
+                },
             },
         );
     }
@@ -338,18 +340,13 @@ impl Endpoint for HomaEndpoint {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         match pkt.kind {
             PacketKind::Data => {
-                let probe_mode = self.cfg.base.mode.probe_recovery();
-                match self.flows.recv_arrival(&pkt, ctx, CreditLedger::default) {
-                    Some(rf) => {
-                        if pkt.class != TrafficClass::Unscheduled {
-                            rf.proto.returned(pkt.payload as u64);
-                        }
-                        if rf.on_data(&pkt, probe_mode, ctx) {
-                            self.flows.recv_done(pkt.flow, ctx);
-                        }
+                let ack = self.cfg.base.mode.acks_data(pkt.class);
+                let answer = Answer { ack, completion: true };
+                self.flows.on_data(&pkt, answer, ctx, CreditLedger::default, |rf, _| {
+                    if pkt.class != TrafficClass::Unscheduled {
+                        rf.proto.returned(pkt.payload as u64);
                     }
-                    None => answer_data(&pkt, probe_mode, ctx),
-                }
+                });
                 self.regrant(ctx);
                 self.arm_scan(ctx);
             }
@@ -360,17 +357,17 @@ impl Endpoint for HomaEndpoint {
                 self.arm_scan(ctx);
             }
             PacketKind::Grant { grant_prio } => {
-                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    sf.tx.heard(ctx.now);
-                    sf.grant_prio = grant_prio;
-                    if pkt.seq > sf.granted {
+                if let Some(SendFlow { tx, proto: g }) = self.flows.send.get_mut(pkt.flow) {
+                    tx.heard(ctx.now);
+                    g.grant_prio = grant_prio;
+                    if pkt.seq > g.granted {
                         ctx.emit(TransportEvent::CreditReceipt {
                             flow: pkt.flow,
-                            bytes: pkt.seq - sf.granted,
+                            bytes: pkt.seq - g.granted,
                         });
-                        sf.granted = pkt.seq;
+                        g.granted = pkt.seq;
                     }
-                    sf.tx.core.end_burst();
+                    tx.core.end_burst();
                 } else if let Some(granted) = self.finished_grants.get_mut(pkt.flow) {
                     // Booked like a live sender's grant, never spent.
                     if pkt.seq > *granted {
@@ -381,49 +378,41 @@ impl Endpoint for HomaEndpoint {
                 }
                 self.pump_scheduled(pkt.flow, ctx);
             }
-            PacketKind::Resend { end } => {
-                let probe_mode = self.cfg.base.mode.probe_recovery();
-                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    if probe_mode {
-                        // Backstop path: requeue and let the (inflated)
-                        // grant budget clock the retransmission out as a
-                        // guaranteed scheduled packet.
-                        sf.tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
-                    } else {
-                        // Blind mode: resend immediately as unscheduled.
-                        sf.tx.heard(ctx.now);
-                        let (from, to) = (pkt.seq, end.min(sf.tx.desc.size));
-                        sf.tx.note_loss(to.saturating_sub(from), LossCause::Stall, ctx);
-                        let desc = &sf.tx.desc;
-                        Self::resend_unscheduled(&self.cfg, desc, from, to, LossCause::Stall, ctx);
-                    }
-                } else if let Some(size) = ctx.finished(pkt.flow, FlowEnd::Sender) {
-                    requeue_finished(pkt.flow, size, pkt.seq, end, LossCause::Stall, ctx);
-                    if !probe_mode {
-                        // Blind mode resends whatever is asked for, however
-                        // finished: the flow as it went out, rebuilt from
-                        // its size (`start` is not on the wire).
-                        let desc =
-                            FlowDesc { id: pkt.flow, src: ctx.host, dst: pkt.src, size, start: 0 };
-                        let (from, to) = (pkt.seq, end.min(size));
-                        Self::resend_unscheduled(&self.cfg, &desc, from, to, LossCause::Stall, ctx);
-                    }
-                }
-                if probe_mode {
-                    self.pump_scheduled(pkt.flow, ctx);
-                }
+            PacketKind::Resend { end } if self.cfg.base.mode.probe_recovery() => {
+                // Backstop path: requeue and let the (inflated) grant budget
+                // clock the retransmission out as a guaranteed scheduled
+                // packet.
+                self.flows.on_loss_report(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
+                self.pump_scheduled(pkt.flow, ctx);
             }
-            PacketKind::Ack { of_probe, end } => {
+            PacketKind::Resend { end } => {
+                // Blind mode resends at once as unscheduled data, whatever
+                // is asked for, however finished.
+                let desc = if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
+                    sf.tx.heard(ctx.now);
+                    let lost = end.min(sf.tx.desc.size).saturating_sub(pkt.seq);
+                    sf.tx.note_loss(lost, LossCause::Stall, ctx);
+                    sf.tx.desc
+                } else if let Some(size) = ctx.finished(pkt.flow, FlowEnd::Sender) {
+                    // Reported as any finished sender's loss, and resent
+                    // from the flow as it went out, rebuilt from its size
+                    // (`start` is not on the wire).
+                    self.flows.on_loss_report(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
+                    FlowDesc { id: pkt.flow, src: ctx.host, dst: pkt.src, size, start: 0 }
+                } else {
+                    return;
+                };
+                let (from, to) = (pkt.seq, end.min(desc.size));
+                Self::resend_unscheduled(&self.cfg, &desc, from, to, LossCause::Stall, ctx);
+            }
+            PacketKind::Ack { .. } => {
                 let infer = self.cfg.base.sack_inference();
-                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    // Newly detected losses may fit the open grant window.
-                    sf.tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
-                    if sf.tx.core.fully_acked() {
-                        self.finished_grants.insert(pkt.flow, sf.granted);
-                        self.flows.send.remove(pkt.flow);
-                        ctx.finish(pkt.flow, FlowEnd::Sender);
-                    }
+                // A retired sender keeps its grant offset: a late grant is
+                // booked only for what it adds.
+                if let Some(sf) = self.flows.on_ack(&pkt, infer, Retire::Covered, ctx) {
+                    self.finished_grants.insert(pkt.flow, sf.proto.granted);
                 }
+                // Newly detected losses may fit the open grant window.
                 self.pump_scheduled(pkt.flow, ctx);
             }
             other => {

@@ -22,7 +22,7 @@ pub mod fuzz;
 pub mod homa;
 pub mod ndp;
 pub mod phost;
-pub mod recovery;
+mod recovery;
 pub mod registry;
 #[cfg(test)]
 mod stragglers;

@@ -18,12 +18,12 @@ use std::collections::VecDeque;
 
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowEnd, FlowId, LossCause, Packet, PacketKind, Timer, TransportEvent,
+    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Rate, Timer, TransportEvent,
 };
 
-use crate::common::{data_ack_packet, BaseConfig};
+use crate::common::BaseConfig;
 use crate::recovery::{
-    self, answer_probe, launch_first_rtt, requeue_finished, CreditLedger, FlowTable, SendState,
+    self, answer_probe, launch_first_rtt, Answer, CreditLedger, FlowTable, Retire,
 };
 
 // Timer kinds ([`Timer::kind`]).
@@ -35,11 +35,12 @@ const BACKSTOP: u8 = 1;
 /// lost — resend it.
 const PROBE_RETRY: u8 = 2;
 
-struct SendFlow {
-    tx: SendState,
-    /// Packet counter used as the spray path tag.
-    tag: u64,
-}
+/// The sender's own state is a packet counter used as the spray path tag.
+type SendFlow = recovery::SendFlow<u64>;
+
+/// Every full data packet is ACKed, in every mode, and the ACKs that cover
+/// the message tell the sender it arrived: no completion ACK.
+const ANSWER: Answer = Answer { ack: true, completion: false };
 
 /// The pull ledger counts packets: each pull funds one, the initial-window
 /// packets the sender transmits unprompted are pre-paid, and any arrival
@@ -176,24 +177,11 @@ impl NdpEndpoint {
         }
     }
 
-    /// Send the next packet in response to a pull.
-    fn pump_one(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let mtu = self.cfg.mtu_payload;
-        if let Some(sf) = self.flows.send.get_mut(flow) {
-            if let Some(mut pkt) = sf.tx.next_scheduled(mtu, LossCause::Nack, ctx) {
-                sf.tag += 1;
-                pkt.path_tag = sf.tag;
-                ctx.send(pkt);
-            }
-        }
-    }
-
     fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let rearm = self.flows.first_contact_retry(
             flow,
             &self.cfg,
             ctx,
-            |sf| &mut sf.tx,
             |tx| tx.heard_back,
             |tx, ctx| tx.send_probe(7, ctx),
         );
@@ -205,14 +193,18 @@ impl NdpEndpoint {
     /// `pkt`'s receive flow, opened on first contact; `None` once received
     /// whole.
     fn ensure_recv_flow(&mut self, pkt: &Packet, ctx: &Ctx<'_>) -> Option<&mut RecvFlow> {
-        let (cfg, line_rate) = (self.cfg, ctx.line_rate);
-        self.flows.recv_arrival(pkt, ctx, || {
-            // Everything that opens a receive flow here (data, trimmed
-            // header, probe) carries the message size, so the pre-paid
-            // initial window is known at first contact.
-            let iw = cfg.rtt_bytes(line_rate).min(pkt.flow_size);
-            CreditLedger::with_prepaid(iw.div_ceil(cfg.mtu_payload as u64))
-        })
+        self.flows.recv_arrival(pkt, ctx, prepaid(self.cfg, ctx.line_rate, pkt.flow_size))
+    }
+}
+
+/// The pull ledger of a flow opened by a packet of a `size`-byte message.
+/// Everything that opens a receive flow here (data, trimmed header, probe)
+/// carries the message size, so the pre-paid initial window is known at
+/// first contact.
+fn prepaid(cfg: BaseConfig, line_rate: Rate, size: u64) -> impl FnOnce() -> CreditLedger {
+    move || {
+        let iw = cfg.rtt_bytes(line_rate).min(size);
+        CreditLedger::with_prepaid(iw.div_ceil(cfg.mtu_payload as u64))
     }
 }
 
@@ -241,7 +233,7 @@ impl Endpoint for NdpEndpoint {
             let retry = Timer::flow(PROBE_RETRY, flow.id);
             ctx.set_timer_in_with(recovery::retry_base(&base), retry);
         }
-        self.flows.send.insert(flow.id, SendFlow { tx, tag });
+        self.flows.send.insert(flow.id, SendFlow { tx, proto: tag });
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
@@ -259,16 +251,8 @@ impl Endpoint for NdpEndpoint {
                 self.arm_backstop(ctx);
             }
             PacketKind::Data => {
-                // Every full data packet is ACKed, a finished flow's too.
-                let mut completed = false;
-                if let Some(rf) = self.ensure_recv_flow(&pkt, ctx) {
-                    rf.proto.returned(1);
-                    completed = rf.book.on_data(&pkt, ctx);
-                }
-                ctx.send(data_ack_packet(&pkt, ctx.host, pkt.src));
-                if completed {
-                    self.flows.recv_done(pkt.flow, ctx);
-                }
+                let make = prepaid(self.cfg, ctx.line_rate, pkt.flow_size);
+                self.flows.on_data(&pkt, ANSWER, ctx, make, |rf, _| rf.proto.returned(1));
                 self.maybe_enqueue_pull(pkt.flow, ctx);
                 self.arm_backstop(ctx);
             }
@@ -289,38 +273,25 @@ impl Endpoint for NdpEndpoint {
             PacketKind::Nack => {
                 // Edge-triggered: every trimmed packet produces exactly one
                 // NACK, including re-trimmed retransmissions, so requeue
-                // unconditionally.
-                let mtu = self.cfg.mtu_payload as u64;
-                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    let end = (pkt.seq + mtu).min(sf.tx.desc.size);
-                    sf.tx.requeue(pkt.seq, end, LossCause::Nack, ctx);
-                } else if let Some(size) = ctx.finished(pkt.flow, FlowEnd::Sender) {
-                    requeue_finished(pkt.flow, size, pkt.seq, pkt.seq + mtu, LossCause::Nack, ctx);
-                }
+                // unconditionally (clamped to what was sent).
+                let end = pkt.seq + self.cfg.mtu_payload as u64;
+                self.flows.on_loss_report(pkt.flow, pkt.seq, end, LossCause::Nack, ctx);
             }
             PacketKind::Pull => {
-                let mtu = self.cfg.mtu_payload as u64;
-                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    sf.tx.on_credit(mtu, ctx);
-                } else if ctx.finished(pkt.flow, FlowEnd::Sender).is_some() {
-                    // Booked, with nothing left to spend it on.
-                    ctx.emit(TransportEvent::CreditReceipt { flow: pkt.flow, bytes: mtu });
-                }
-                self.pump_one(pkt.flow, ctx);
-            }
-            PacketKind::Ack { of_probe, end } => {
-                if let Some(sf) = self.flows.send.get_mut(pkt.flow) {
-                    // Spraying reorders packets: never infer loss from ACK
-                    // gaps here.
-                    sf.tx.on_ack(pkt.seq, end, of_probe, false, ctx);
-                    // The receiver ACKs every packet and sends no completion
-                    // ACK: the sender is done when the ACKs cover the
-                    // message.
-                    if sf.tx.core.fully_acked() {
-                        self.flows.send.remove(pkt.flow);
-                        ctx.finish(pkt.flow, FlowEnd::Sender);
+                // Each pull funds one packet.
+                let mtu = self.cfg.mtu_payload;
+                if let Some(sf) = self.flows.on_credit(pkt.flow, mtu as u64, ctx) {
+                    if let Some(mut pkt) = sf.tx.next_scheduled(mtu, LossCause::Nack, ctx) {
+                        sf.proto += 1;
+                        pkt.path_tag = sf.proto;
+                        ctx.send(pkt);
                     }
                 }
+            }
+            PacketKind::Ack { .. } => {
+                // Spraying reorders packets: never infer loss from ACK gaps
+                // here.
+                self.flows.on_ack(&pkt, false, Retire::Covered, ctx);
             }
             other => {
                 debug_assert!(false, "unexpected packet kind for NDP: {other:?}");

@@ -22,14 +22,13 @@
 
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowEnd, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
+    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
     TransportEvent,
 };
 
 use crate::common::{request_packet, BaseConfig};
 use crate::recovery::{
-    self, answer_data, answer_probe, launch_first_rtt, requeue_finished, send_resends,
-    CreditLedger, FlowTable, SendState,
+    self, answer_probe, launch_first_rtt, send_resends, Answer, CreditLedger, FlowTable, Retire,
 };
 
 /// pHost tunables.
@@ -57,10 +56,13 @@ const RTS_RETRY: u8 = 2;
 /// scheduled (token-induced) data packet received returns it.
 type RecvFlow = recovery::RecvFlow<CreditLedger>;
 
+/// The sender keeps nothing beyond the shared state.
+type SendFlow = recovery::SendFlow<()>;
+
 /// The per-host pHost endpoint.
 pub struct PHostEndpoint {
     cfg: PHostConfig,
-    flows: FlowTable<SendState, RecvFlow>,
+    flows: FlowTable<SendFlow, RecvFlow>,
     pacer_armed: bool,
     next_token_at: Time,
     scan_armed: bool,
@@ -163,26 +165,12 @@ impl PHostEndpoint {
         }
     }
 
-    /// Send one token-induced packet.
-    fn pump_one(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let mtu = self.cfg.base.mtu_payload;
-        if let Some(tx) = self.flows.send.get_mut(flow) {
-            tx.core.end_burst();
-            if let Some(mut pkt) = tx.next_scheduled(mtu, LossCause::Stall, ctx) {
-                // pHost puts scheduled below unscheduled: priority 1 of 2.
-                pkt.priority = 1;
-                ctx.send(pkt);
-            }
-        }
-    }
-
     fn on_rts_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         // Total silence: re-introduce the flow to the receiver.
         let rearm = self.flows.first_contact_retry(
             flow,
             &self.cfg.base,
             ctx,
-            |tx| tx,
             |tx| tx.heard_back,
             |tx, ctx| {
                 ctx.send(request_packet(&tx.desc));
@@ -217,7 +205,7 @@ impl Endpoint for PHostEndpoint {
             let retry = Timer::flow(RTS_RETRY, flow.id);
             ctx.set_timer_in_with(recovery::retry_base(&base), retry);
         }
-        self.flows.send.insert(flow.id, tx);
+        self.flows.send.insert(flow.id, SendFlow { tx, proto: () });
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
@@ -227,18 +215,13 @@ impl Endpoint for PHostEndpoint {
                 self.arm_receiver(ctx);
             }
             PacketKind::Data => {
-                let probe_mode = self.cfg.base.mode.probe_recovery();
-                match self.flows.recv_arrival(&pkt, ctx, CreditLedger::default) {
-                    Some(rf) => {
-                        if pkt.class != TrafficClass::Unscheduled {
-                            rf.proto.returned(1);
-                        }
-                        if rf.on_data(&pkt, probe_mode, ctx) {
-                            self.flows.recv_done(pkt.flow, ctx);
-                        }
+                let ack = self.cfg.base.mode.acks_data(pkt.class);
+                let answer = Answer { ack, completion: true };
+                self.flows.on_data(&pkt, answer, ctx, CreditLedger::default, |rf, _| {
+                    if pkt.class != TrafficClass::Unscheduled {
+                        rf.proto.returned(1);
                     }
-                    None => answer_data(&pkt, probe_mode, ctx),
-                }
+                });
                 self.arm_receiver(ctx);
             }
             PacketKind::Probe => {
@@ -247,34 +230,25 @@ impl Endpoint for PHostEndpoint {
                 self.arm_receiver(ctx);
             }
             PacketKind::Pull => {
-                // A token.
-                let mtu = self.cfg.base.mtu_payload as u64;
-                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.on_credit(mtu, ctx);
-                } else if ctx.finished(pkt.flow, FlowEnd::Sender).is_some() {
-                    // Booked, with nothing left to spend it on.
-                    ctx.emit(TransportEvent::CreditReceipt { flow: pkt.flow, bytes: mtu });
+                // A token: it authorizes one token-induced packet.
+                let mtu = self.cfg.base.mtu_payload;
+                if let Some(SendFlow { tx, .. }) = self.flows.on_credit(pkt.flow, mtu as u64, ctx) {
+                    tx.core.end_burst();
+                    if let Some(mut data) = tx.next_scheduled(mtu, LossCause::Stall, ctx) {
+                        // pHost puts scheduled below unscheduled: priority 1 of 2.
+                        data.priority = 1;
+                        ctx.send(data);
+                    }
                 }
-                self.pump_one(pkt.flow, ctx);
             }
             PacketKind::Resend { end } => {
                 // pHost recovery is token re-issue in every mode: requeue
                 // the range; the extended token budget clocks it out.
-                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.requeue(pkt.seq, end, LossCause::Stall, ctx);
-                } else if let Some(size) = ctx.finished(pkt.flow, FlowEnd::Sender) {
-                    requeue_finished(pkt.flow, size, pkt.seq, end, LossCause::Stall, ctx);
-                }
+                self.flows.on_loss_report(pkt.flow, pkt.seq, end, LossCause::Stall, ctx);
             }
-            PacketKind::Ack { of_probe, end } => {
+            PacketKind::Ack { .. } => {
                 let infer = self.cfg.base.sack_inference();
-                if let Some(tx) = self.flows.send.get_mut(pkt.flow) {
-                    tx.on_ack(pkt.seq, end, of_probe, infer, ctx);
-                    if tx.core.fully_acked() {
-                        self.flows.send.remove(pkt.flow);
-                        ctx.finish(pkt.flow, FlowEnd::Sender);
-                    }
-                }
+                self.flows.on_ack(&pkt, infer, Retire::Covered, ctx);
             }
             other => {
                 debug_assert!(false, "unexpected packet kind for pHost: {other:?}");

@@ -151,7 +151,7 @@ impl SchemeParams {
     /// Validate the parameter set: the MTU and port buffer the run uses, and
     /// the Aeolus knobs against that buffer — a drop threshold above it
     /// would mean selective dropping never engages.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.mtu_payload == 0 {
             return Err("mtu_payload must be positive (no zero-byte MTUs)".into());
         }
@@ -277,12 +277,12 @@ impl Scheme {
     }
 
     /// Whether this scheme requires a centralized arbiter host.
-    pub fn needs_arbiter(&self) -> bool {
+    pub(crate) fn needs_arbiter(&self) -> bool {
         self.family() == Family::Fastpass
     }
 
     /// Build the arbiter endpoint (panics for schemes without one).
-    pub fn make_arbiter(&self, p: &SchemeParams) -> Box<dyn Endpoint> {
+    pub(crate) fn make_arbiter(&self, p: &SchemeParams) -> Box<dyn Endpoint> {
         assert!(self.needs_arbiter());
         Box::new(ArbiterEndpoint::new(p.mtu_wire()))
     }
@@ -422,7 +422,7 @@ impl Scheme {
     }
 
     /// Build the per-host endpoint.
-    pub fn make_endpoint(&self, p: &SchemeParams) -> Box<dyn Endpoint> {
+    pub(crate) fn make_endpoint(&self, p: &SchemeParams) -> Box<dyn Endpoint> {
         let (base, rto) = (self.base_config(p), self.rto());
         match self.family() {
             Family::ExpressPass => Box::new(XPassEndpoint::new(XPassConfig { base, rto })),

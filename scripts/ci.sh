@@ -58,6 +58,16 @@ grep -q 'DROP' <<<"$trace_txt" && grep -q '^flow completed in ' <<<"$trace_txt" 
 # 4x, host noise is +-30 %). ~2 s.
 cargo run --release -q --example incast_churn -- --check
 
+# Many-active pin: 32:1 Homa incasts with thousands of messages in flight
+# at once (`incast_churn f2`) must complete exactly the messages and
+# process exactly the events pinned in scripts/incast_churn_f2.txt, one
+# line per row: size, scheme, done/sched, events. Timing columns are not
+# compared. ~3 s.
+cargo run --release -q --example incast_churn f2 | awk '$2 == "KB" {print $1, $2, $3, $4, $5}' \
+    | diff - scripts/incast_churn_f2.txt || {
+    echo "incast_churn f2 moved from its pin in scripts/incast_churn_f2.txt" >&2; exit 1; }
+echo "incast_churn f2: every row matches its pin"
+
 # Profiler smoke: scripts/psample.py, the ptrace sampler that names the hot
 # instructions of a perf change, needs frame pointers and line tables, so it
 # gets a build of its own target directory. One second of `aeolus-bench
@@ -272,8 +282,24 @@ cargo run --release -q -p aeolus-experiments --bin repro -- fuzz --stats --cases
 # byte-compares; any divergence panics), and (c) produce a byte-identical
 # report. A cold third run with --no-cache proves the bypass still works.
 cache_dir="$(mktemp -d)"
-(cd "$cache_dir" && "$OLDPWD/target/release/repro" fig9 --scale quick --jobs 2 \
-    | grep -v "took\|total\|events/s" > cold.txt)
+(cd "$cache_dir" && "$OLDPWD/target/release/repro" fig9 --scale quick --jobs 2 > cold_full.txt)
+grep -v "took\|total\|events/s" "$cache_dir/cold_full.txt" > "$cache_dir/cold.txt"
+# Event pin: the cold run simulates every cell of the quick fig9 sweep, the
+# work the `fig09_quick_serial` bench kernel measures, so its event count
+# must equal that kernel's `units` in the newest BENCH_<n>.json snapshot.
+# The macro gate at the end checks the same count, but only after the
+# wall-time gates, which a slow host can fail first.
+fig9_events="$(sed -nE 's/^\[fig9 took .* ([0-9]+) events,.*/\1/p' "$cache_dir/cold_full.txt")"
+fig9_pin="$(python3 - "$(ls BENCH_*.json | sort -V | tail -n 1)" <<'EOF'
+import json, sys
+print(next(b["units"] for s in json.load(open(sys.argv[1]))["suites"] for b in s["benches"]
+           if b["name"] == "fig09_quick_serial"))
+EOF
+)"
+[ -n "$fig9_events" ] && [ "$fig9_events" = "$fig9_pin" ] || {
+    echo "fig9 --scale quick processed '$fig9_events' events; fig09_quick_serial pins" \
+        "$fig9_pin" >&2; exit 1; }
+echo "fig9 event pin: $fig9_events events, as fig09_quick_serial in the newest BENCH snapshot"
 (cd "$cache_dir" && "$OLDPWD/target/release/repro" fig9 --scale quick --jobs 2 --cache-verify \
     | grep -v "took\|total\|events/s" > warm.txt)
 grep -q "\[cache: 0 hit(s)" "$cache_dir/cold.txt" || {
