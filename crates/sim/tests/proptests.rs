@@ -457,10 +457,11 @@ fn wred_equals_red_ecn_for_any_mix() {
     }
 }
 
-/// ROADMAP 3(g), closed by measurement: the RED/ECN FIFO and a one-level
-/// priority bank with the selective threshold are the same admission rule.
-/// For any threshold, buffer and traffic mix they accept and drop exactly the
-/// same arrivals and drain in the same order. They differ only where
+/// Whether the two disciplines could be one, settled by measurement: the
+/// RED/ECN FIFO and a one-level priority bank with the selective threshold
+/// are the same admission rule. For any threshold, buffer and traffic mix
+/// they accept and drop exactly the same arrivals and drain in the same
+/// order. They differ only where
 /// `queues/mod.rs` says they do: the *reason* on a droppable arrival that is
 /// over the threshold and would also overflow the buffer (`BufferFull` from
 /// the FIFO, which tests the cap first; `SelectiveDrop` from the bank, which

@@ -58,20 +58,14 @@ impl XPassConfig {
     }
 }
 
-// Timer kinds ([`Timer::kind`]).
+// Timer kinds ([`Timer::kind`]), beside the stall scan and first-contact
+// retry that `recovery` owns.
 /// Receiver: send a flow's next credit.
 const CREDIT_TICK: u8 = 0;
 /// Receiver: a flow's credit-rate feedback period ended.
 const FEEDBACK: u8 = 1;
 /// Sender: the RTO strawman's timeout.
 const RTO: u8 = 2;
-/// §6 probe-retry: resend request+probe if nothing was heard at all.
-const PROBE_RETRY: u8 = 3;
-/// Receiver-side stall scan (a host timer): detects flows whose sender went
-/// idle while bytes are still missing (a scheduled packet was lost to
-/// transient buffer overflow — rare, but unrecoverable without this
-/// backstop).
-const STALL_SCAN: u8 = 4;
 
 /// The receiver's credit loop state for one flow.
 struct Credits {
@@ -122,29 +116,18 @@ type SendFlow = recovery::SendFlow<()>;
 pub struct XPassEndpoint {
     cfg: XPassConfig,
     flows: FlowTable<SendFlow, RecvFlow>,
-    stall_scan_armed: bool,
 }
 
 impl XPassEndpoint {
     /// A fresh endpoint.
     pub fn new(cfg: XPassConfig) -> XPassEndpoint {
-        XPassEndpoint {
-            cfg,
-            flows: FlowTable::default(),
-            stall_scan_armed: false,
-        }
+        XPassEndpoint { cfg, flows: FlowTable::default() }
     }
 
-    fn arm_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.stall_scan_armed {
-            self.stall_scan_armed = true;
-            let delay = recovery::stall_after(&self.cfg.base);
-            ctx.set_timer_in_with(delay, Timer::host(STALL_SCAN));
-        }
-    }
-
+    /// The receiver stall scan detects flows whose sender went idle while
+    /// bytes are still missing (a scheduled packet was lost to transient
+    /// buffer overflow — rare, but unrecoverable without this backstop).
     fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
-        self.stall_scan_armed = false;
         let (stall_after, now) = (recovery::stall_after(&self.cfg.base), ctx.now);
         self.flows.reap_silent_senders(ctx);
         let (any_incomplete, resends) = self.flows.stall_scan(ctx, |rf, size| {
@@ -155,7 +138,7 @@ impl XPassEndpoint {
         });
         send_resends(resends, ctx);
         if any_incomplete {
-            self.arm_stall_scan(ctx);
+            self.flows.arm_scan(stall_after, ctx);
         }
     }
 
@@ -186,7 +169,7 @@ impl XPassEndpoint {
         if let Some(rf) = self.flows.recv_entry(pkt, ctx, || Credits::new(rate_bps)) {
             start_credits(rf, pkt.flow, period, ctx);
         }
-        self.arm_stall_scan(ctx);
+        self.flows.arm_scan(recovery::stall_after(&self.cfg.base), ctx);
     }
 
     fn on_credit_tick(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
@@ -256,32 +239,6 @@ impl XPassEndpoint {
         ctx.set_timer_in_with(period, Timer::flow(FEEDBACK, flow));
     }
 
-    /// The silence-gated §6 retry. Before first contact, silence for a whole
-    /// backoff interval means the request (and possibly the probe) never
-    /// made it; after, the credit loop's packets are not getting through —
-    /// either way, re-ask. This doubles as the scheduled-phase RTO fallback:
-    /// the re-sent request re-kicks the receiver's credit loop and stall
-    /// scan.
-    fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let rearm = self.flows.first_contact_retry(
-            flow,
-            &self.cfg.base,
-            ctx,
-            // Once every byte is out (or acknowledged), any residual tail
-            // loss is the receiver stall scan's business.
-            |tx| tx.core.fully_acked() || (tx.heard_back && !tx.core.has_work()),
-            |tx, ctx| {
-                ctx.send(request_packet(&tx.desc));
-                if !tx.heard_back {
-                    tx.send_probe(0, ctx);
-                }
-            },
-        );
-        if let Some(delay) = rearm {
-            ctx.set_timer_in_with(delay, Timer::flow(PROBE_RETRY, flow));
-        }
-    }
-
     fn on_rto(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
         let Some(rto) = self.cfg.rto else { return };
         let Some(SendFlow { tx, .. }) = self.flows.send.get_mut(flow) else { return };
@@ -337,11 +294,8 @@ impl Endpoint for XPassEndpoint {
         if let Some(rto) = self.cfg.rto {
             ctx.set_timer_in_with(rto, Timer::flow(RTO, flow.id));
         }
-        if base.aeolus.probe_retry_rtts > 0 {
-            let retry = Timer::flow(PROBE_RETRY, flow.id);
-            ctx.set_timer_in_with(recovery::retry_base(&base), retry);
-        }
-        self.flows.send.insert(flow.id, SendFlow { tx, proto: () });
+        // The retry re-sends the request, so it runs in every mode.
+        self.flows.launch(SendFlow { tx, proto: () }, true, &base, ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
@@ -377,7 +331,7 @@ impl Endpoint for XPassEndpoint {
                         rf.proto.delivered_period += 1;
                     }
                 });
-                self.arm_stall_scan(ctx);
+                self.flows.arm_scan(recovery::stall_after(&self.cfg.base), ctx);
             }
             PacketKind::Probe => {
                 self.ensure_recv_flow(&pkt, ctx);
@@ -406,8 +360,27 @@ impl Endpoint for XPassEndpoint {
             (CREDIT_TICK, Some(f)) => self.on_credit_tick(f, ctx),
             (FEEDBACK, Some(f)) => self.on_feedback(f, ctx),
             (RTO, Some(f)) => self.on_rto(f, ctx),
-            (PROBE_RETRY, Some(f)) => self.on_probe_retry(f, ctx),
-            (STALL_SCAN, None) => self.on_stall_scan(ctx),
+            (recovery::SCAN, None) => self.on_stall_scan(ctx),
+            // The silence-gated §6 retry. Before first contact, silence for
+            // a whole backoff interval means the request (and possibly the
+            // probe) never made it; after, the credit loop's packets are not
+            // getting through — either way, re-ask. This doubles as the
+            // scheduled-phase RTO fallback: the re-sent request re-kicks the
+            // receiver's credit loop and stall scan.
+            (recovery::RETRY, Some(f)) => self.flows.first_contact_retry(
+                f,
+                &self.cfg.base,
+                ctx,
+                // Once every byte is out (or acknowledged), any residual
+                // tail loss is the receiver stall scan's business.
+                |tx| tx.core.fully_acked() || (tx.heard_back && !tx.core.has_work()),
+                |tx, ctx| {
+                    ctx.send(request_packet(&tx.desc));
+                    if !tx.heard_back {
+                        tx.send_probe(0, ctx);
+                    }
+                },
+            ),
             _ => unreachable!("not an ExpressPass timer: {timer:?}"),
         }
     }

@@ -134,21 +134,14 @@ impl ArbiterEndpoint {
     }
 }
 
-// Timer kinds ([`Timer::kind`]).
+// Timer kinds ([`Timer::kind`]), beside the stall scan and first-contact
+// retry that `recovery` owns.
 /// Transmit the next scheduled slot of a flow.
 const SLOT: u8 = 0;
 /// Re-request timeslots if the outstanding request (or its Schedule reply)
 /// was lost on the way — without this, a single lost arbiter round trip
 /// hangs the flow forever.
 const REQUEST_RETRY: u8 = 1;
-/// §6 probe-retry: a message that fits in one burst can lose burst, probe
-/// and the last-resort retransmission; the sender then has no work left and
-/// the receiver never heard of the flow — resend the probe until the
-/// receiver answers.
-const PROBE_RETRY: u8 = 2;
-/// Receiver-side stall scan (a host timer): re-requests missing ranges from
-/// senders whose scheduled packets died on the wire.
-const STALL_SCAN: u8 = 3;
 
 /// A sender's timeslots. Only the *receiver's* signals (ACK, Resend) count
 /// as "heard" in the shared sender state — not the arbiter's Schedules,
@@ -174,17 +167,12 @@ type RecvFlow = recovery::RecvFlow<Strikes>;
 pub struct FastpassEndpoint {
     cfg: FastpassConfig,
     flows: FlowTable<SendFlow, RecvFlow>,
-    stall_scan_armed: bool,
 }
 
 impl FastpassEndpoint {
     /// A fresh endpoint.
     pub fn new(cfg: FastpassConfig) -> FastpassEndpoint {
-        FastpassEndpoint {
-            cfg,
-            flows: FlowTable::default(),
-            stall_scan_armed: false,
-        }
+        FastpassEndpoint { cfg, flows: FlowTable::default() }
     }
 
     /// Base interval after which an unanswered arbiter request is retried;
@@ -232,30 +220,9 @@ impl FastpassEndpoint {
         self.request_slots(flow, ctx);
     }
 
-    fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let rearm = self.flows.first_contact_retry(
-            flow,
-            &self.cfg.base,
-            ctx,
-            |tx| tx.heard_back,
-            |tx, ctx| tx.send_probe(0, ctx),
-        );
-        if let Some(delay) = rearm {
-            ctx.set_timer_in_with(delay, Timer::flow(PROBE_RETRY, flow));
-        }
-    }
-
-    fn arm_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
-        if self.stall_scan_armed {
-            return;
-        }
-        self.stall_scan_armed = true;
-        let delay = recovery::stall_after(&self.cfg.base);
-        ctx.set_timer_in_with(delay, Timer::host(STALL_SCAN));
-    }
-
+    /// The receiver stall scan re-requests missing ranges from senders
+    /// whose scheduled packets died on the wire.
     fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
-        self.stall_scan_armed = false;
         let (stall_after, now) = (recovery::stall_after(&self.cfg.base), ctx.now);
         // No receiver-side silence abort here: in Fastpass a silent sender
         // may merely be starved by arbiter (Schedule) losses, not dead, so
@@ -270,7 +237,7 @@ impl FastpassEndpoint {
         });
         send_resends(resends, ctx);
         if any_incomplete {
-            self.arm_stall_scan(ctx);
+            self.flows.arm_scan(stall_after, ctx);
         }
     }
 
@@ -304,17 +271,12 @@ impl Endpoint for FastpassEndpoint {
         // Pre-credit burst while the arbiter round-trip is in flight.
         let tx =
             launch_first_rtt(flow, &base, 0, ctx, |pkt| base.mode.stamp_unscheduled(pkt, 0, 7));
-        if base.mode.probe_recovery() && base.aeolus.probe_retry_rtts > 0 {
-            let retry = Timer::flow(PROBE_RETRY, flow.id);
-            ctx.set_timer_in_with(recovery::retry_base(&base), retry);
-        }
-        self.flows.send.insert(
-            flow.id,
-            SendFlow {
-                tx,
-                proto: Slots { slots_left: 0, stride: 0, requesting: false, request_fires: 0 },
-            },
-        );
+        let slots = Slots { slots_left: 0, stride: 0, requesting: false, request_fires: 0 };
+        // A message that fits in one burst can lose burst, probe and the
+        // last-resort retransmission; the sender then has no work left and
+        // the receiver never heard of the flow. The probe is re-sent, so
+        // the retry runs where probes recover.
+        self.flows.launch(SendFlow { tx, proto: slots }, base.mode.probe_recovery(), &base, ctx);
         self.request_slots(flow.id, ctx);
     }
 
@@ -340,7 +302,7 @@ impl Endpoint for FastpassEndpoint {
                 }
             }
             PacketKind::Data => {
-                self.arm_stall_scan(ctx);
+                self.flows.arm_scan(recovery::stall_after(&self.cfg.base), ctx);
                 let ack = self.cfg.base.mode.acks_data(pkt.class);
                 let answer = Answer { ack, completion: true };
                 self.flows.on_data(&pkt, answer, ctx, Strikes::default, |rf, _| rf.proto.reset());
@@ -348,7 +310,7 @@ impl Endpoint for FastpassEndpoint {
             PacketKind::Probe => {
                 self.flows.recv_entry(&pkt, ctx, Strikes::default);
                 answer_probe(&pkt, ctx);
-                self.arm_stall_scan(ctx);
+                self.flows.arm_scan(recovery::stall_after(&self.cfg.base), ctx);
             }
             PacketKind::Resend { end } => {
                 // Receiver-detected stall: a scheduled packet died on the
@@ -379,8 +341,14 @@ impl Endpoint for FastpassEndpoint {
         match (timer.kind, timer.flow) {
             (SLOT, Some(f)) => self.on_slot(f, ctx),
             (REQUEST_RETRY, Some(f)) => self.on_request_retry(f, ctx),
-            (PROBE_RETRY, Some(f)) => self.on_probe_retry(f, ctx),
-            (STALL_SCAN, None) => self.on_stall_scan(ctx),
+            (recovery::SCAN, None) => self.on_stall_scan(ctx),
+            (recovery::RETRY, Some(f)) => self.flows.first_contact_retry(
+                f,
+                &self.cfg.base,
+                ctx,
+                |tx| tx.heard_back,
+                |tx, ctx| tx.send_probe(0, ctx),
+            ),
             _ => unreachable!("not a Fastpass timer: {timer:?}"),
         }
     }

@@ -33,7 +33,7 @@ use std::str::FromStr;
 
 use aeolus_sim::telemetry::{class_str, reason_str};
 use aeolus_sim::topology::LinkParams;
-use aeolus_sim::units::{ms, us, Time};
+use aeolus_sim::units::{ms, us, Time, PS_PER_US};
 use aeolus_sim::{
     FaultPlan, FlowDesc, FlowId, LinkFilter, OracleSignals, PacketFilter, Rate, SimRng,
 };
@@ -141,17 +141,20 @@ impl FromStr for Scenario {
     }
 }
 
-/// Parse one `src-dst:size@start_us` flow token.
+/// Parse one `src-dst:size@start_us` flow token; a start whose picoseconds
+/// overflow `Time` is rejected.
 fn parse_flow(part: &str) -> Result<FlowSpec, String> {
     let bad = || format!("bad flow '{part}' (expected SRC-DST:SIZE@START_US)");
     let (ends, rest) = part.split_once(':').ok_or_else(bad)?;
     let (src, dst) = ends.split_once('-').ok_or_else(bad)?;
     let (size, start) = rest.split_once('@').ok_or_else(bad)?;
+    let start_us: u64 = start.parse().map_err(|_| bad())?;
+    start_us.checked_mul(PS_PER_US).ok_or_else(bad)?;
     Ok(FlowSpec {
         src: src.parse().map_err(|_| bad())?,
         dst: dst.parse().map_err(|_| bad())?,
         size: size.parse().map_err(|_| bad())?,
-        start_us: start.parse().map_err(|_| bad())?,
+        start_us,
     })
 }
 
@@ -163,8 +166,9 @@ fn parse_flow(part: &str) -> Result<FlowSpec, String> {
 /// every fuzz seed, the 806-spec corpus and the "guided 25 vs blind 22"
 /// statistic. Eager Homa conforms under the oracle when named in a `--spec`
 /// and is pinned by `recovery_golden`; drawing it here means re-recording
-/// all of those at once, which belongs with the fuzzer-over-the-product
-/// step of ROADMAP item 3, not with a refactor that must leave them alone.
+/// all of those at once, which belongs with a change that widens what the
+/// fuzzer draws from (the whole scheme × first-RTT-mode product), not with a
+/// refactor that must leave them alone.
 pub(crate) fn scheme_pool() -> Vec<Scheme> {
     Scheme::all().filter(|s| !matches!(s, Scheme::HomaEager { .. })).collect()
 }
@@ -629,6 +633,8 @@ mod tests {
             ("scheme=homa hosts=eight flows=none faults=", "bad host count 'eight'"),
             ("scheme=homa hosts=8 flows=1:2 faults=", "bad flow '1:2'"),
             ("scheme=homa hosts=8 flows=1-2:x@0 faults=", "bad flow '1-2:x@0'"),
+            ("scheme=homa hosts=8 flows=1-2:9@99999999999999 faults=", "bad flow '1-2:9@9999"),
+            ("scheme=homa:0 hosts=8 flows=none faults=", "unknown scheme 'homa:0'"),
             ("scheme=homa hosts=8 bogus=1 flows=none faults=", "unknown scenario key 'bogus'"),
             ("scheme=homa hosts=8 oops flows=none faults=", "'oops' is not KEY=VALUE"),
             ("hosts=8 flows=none faults=", "missing scheme="),

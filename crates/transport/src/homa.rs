@@ -73,14 +73,10 @@ impl HomaConfig {
     }
 }
 
-// Timer kinds ([`Timer::kind`]).
+// Timer kinds ([`Timer::kind`]), beside the stall scan and first-contact
+// retry that `recovery` owns.
 /// Sender-side RTO for one flow (Blind mode).
 const SENDER_RTO: u8 = 0;
-/// §6 probe-retry for probe-recovery modes: total silence means even the
-/// probe was lost — resend it.
-const PROBE_RETRY: u8 = 1;
-/// Receiver-side scan for stalled incomplete messages (a host timer).
-const RESEND_SCAN: u8 = 2;
 
 /// A sender's grant budget and blind RTO. Once anything (grant, RESEND,
 /// ACK) has been heard from the receiver, its targeted RESEND scan owns
@@ -109,7 +105,6 @@ pub struct HomaEndpoint {
     /// The highest grant offset of each send flow this host finished: a
     /// late grant is booked only for what it adds.
     finished_grants: FlowMap<FlowId, u64>,
-    scan_armed: bool,
     /// Reusable SRPT scratch for `regrant` (runs per data packet — a fresh
     /// `Vec` each call would churn the allocator on the hot path).
     srpt_scratch: Vec<(u64, FlowId)>,
@@ -122,7 +117,6 @@ impl HomaEndpoint {
             cfg,
             flows: FlowTable::default(),
             finished_grants: FlowMap::new(),
-            scan_armed: false,
             srpt_scratch: Vec::new(),
         }
     }
@@ -201,20 +195,15 @@ impl HomaEndpoint {
         }
     }
 
-    fn arm_scan(&mut self, ctx: &mut Ctx<'_>) {
-        if self.cfg.base.mode == FirstRttMode::Hold || self.scan_armed {
-            return;
-        }
-        self.scan_armed = true;
-        let delay = recovery::stale_after(&self.cfg.base, self.cfg.rto) / 2;
-        ctx.set_timer_in_with(delay, Timer::host(RESEND_SCAN));
+    /// The stall scan's staleness threshold, twice its period: the RTO in
+    /// Blind mode; in the probe-recovery modes only a backstop against lost
+    /// *scheduled* packets under extreme buffer pressure.
+    fn stale_after(&self) -> Time {
+        recovery::stale_after(&self.cfg.base, self.cfg.rto)
     }
 
-    fn on_resend_scan(&mut self, ctx: &mut Ctx<'_>) {
-        self.scan_armed = false;
-        // The RTO in Blind mode; in the probe-recovery modes only a backstop
-        // against lost *scheduled* packets under extreme buffer pressure.
-        let stale_after = recovery::stale_after(&self.cfg.base, self.cfg.rto);
+    fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
+        let stale_after = self.stale_after();
         let now = ctx.now;
         let probe_mode = self.cfg.base.mode.probe_recovery();
         let window = 8 * self.cfg.base.mtu_payload as u64;
@@ -248,7 +237,7 @@ impl HomaEndpoint {
             // arrival predates a flow's turn in the SRPT order would strand
             // it.
             self.regrant(ctx);
-            self.arm_scan(ctx);
+            self.flows.arm_scan(stale_after / 2, ctx);
         }
     }
 
@@ -283,20 +272,6 @@ impl HomaEndpoint {
         let shift = if naive { (fires / 16).min(6) } else { (fires / 2).min(8) };
         ctx.set_timer_in_with(rto << shift, Timer::flow(SENDER_RTO, flow));
     }
-
-    fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let cfg = &self.cfg;
-        let rearm = self.flows.first_contact_retry(
-            flow,
-            &cfg.base,
-            ctx,
-            |tx| tx.heard_back,
-            |tx, ctx| tx.send_probe(cfg.unsched_prio(tx.desc.size), ctx),
-        );
-        if let Some(delay) = rearm {
-            ctx.set_timer_in_with(delay, Timer::flow(PROBE_RETRY, flow));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -319,22 +294,11 @@ impl Endpoint for HomaEndpoint {
         });
         if let (FirstRttMode::Blind, Some(rto)) = (base.mode, self.cfg.rto) {
             ctx.set_timer_in_with(rto, Timer::flow(SENDER_RTO, flow.id));
-        } else if base.mode.probe_recovery() && base.aeolus.probe_retry_rtts > 0 {
-            let retry = Timer::flow(PROBE_RETRY, flow.id);
-            ctx.set_timer_in_with(recovery::retry_base(&base), retry);
         }
-        self.flows.send.insert(
-            flow.id,
-            SendFlow {
-                tx,
-                proto: Grants {
-                    rto_fires: 0,
-                    granted: 0,
-                    sent_sched: 0,
-                    grant_prio: self.cfg.sched_prio(0),
-                },
-            },
-        );
+        let grants =
+            Grants { rto_fires: 0, granted: 0, sent_sched: 0, grant_prio: self.cfg.sched_prio(0) };
+        // Only a probe is re-sent: the retry runs where probes recover.
+        self.flows.launch(SendFlow { tx, proto: grants }, base.mode.probe_recovery(), &base, ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
@@ -348,13 +312,13 @@ impl Endpoint for HomaEndpoint {
                     }
                 });
                 self.regrant(ctx);
-                self.arm_scan(ctx);
+                self.flows.arm_scan(self.stale_after() / 2, ctx);
             }
             PacketKind::Probe => {
                 self.flows.recv_arrival(&pkt, ctx, CreditLedger::default);
                 answer_probe(&pkt, ctx);
                 self.regrant(ctx);
-                self.arm_scan(ctx);
+                self.flows.arm_scan(self.stale_after() / 2, ctx);
             }
             PacketKind::Grant { grant_prio } => {
                 if let Some(SendFlow { tx, proto: g }) = self.flows.send.get_mut(pkt.flow) {
@@ -424,8 +388,17 @@ impl Endpoint for HomaEndpoint {
     fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
         match (timer.kind, timer.flow) {
             (SENDER_RTO, Some(f)) => self.on_sender_rto(f, ctx),
-            (PROBE_RETRY, Some(f)) => self.on_probe_retry(f, ctx),
-            (RESEND_SCAN, None) => self.on_resend_scan(ctx),
+            (recovery::SCAN, None) => self.on_stall_scan(ctx),
+            (recovery::RETRY, Some(f)) => {
+                let cfg = &self.cfg;
+                self.flows.first_contact_retry(
+                    f,
+                    &cfg.base,
+                    ctx,
+                    |tx| tx.heard_back,
+                    |tx, ctx| tx.send_probe(cfg.unsched_prio(tx.desc.size), ctx),
+                )
+            }
             _ => unreachable!("not a Homa timer: {timer:?}"),
         }
     }

@@ -26,14 +26,10 @@ use crate::recovery::{
     self, answer_probe, launch_first_rtt, Answer, CreditLedger, FlowTable, Retire,
 };
 
-// Timer kinds ([`Timer::kind`]).
+// Timer kinds ([`Timer::kind`]), beside the stall scan and first-contact
+// retry that `recovery` owns.
 /// The per-host pull pacer tick (a host timer).
 const PULL_TICK: u8 = 0;
-/// Stall backstop scan (a host timer).
-const BACKSTOP: u8 = 1;
-/// §6 probe-retry (Aeolus mode): total silence means even the probe was
-/// lost — resend it.
-const PROBE_RETRY: u8 = 2;
 
 /// The sender's own state is a packet counter used as the spray path tag.
 type SendFlow = recovery::SendFlow<u64>;
@@ -58,7 +54,6 @@ pub struct NdpEndpoint {
     /// Earliest time the next pull may leave — the pacer's memory across
     /// idle gaps, so bursts of arrivals cannot compress the pull spacing.
     next_pull_at: Time,
-    backstop_armed: bool,
 }
 
 impl NdpEndpoint {
@@ -70,7 +65,6 @@ impl NdpEndpoint {
             pull_queue: VecDeque::new(),
             pull_pacer_armed: false,
             next_pull_at: 0,
-            backstop_armed: false,
         }
     }
 
@@ -140,18 +134,13 @@ impl NdpEndpoint {
         self.arm_pull_pacer(ctx);
     }
 
-    fn arm_backstop(&mut self, ctx: &mut Ctx<'_>) {
-        if self.backstop_armed {
-            return;
-        }
-        self.backstop_armed = true;
-        let backstop = recovery::stale_after(&self.cfg, None);
-        ctx.set_timer_in_with(backstop, Timer::host(BACKSTOP));
+    /// The stall scan's period, and its staleness threshold: the backstop.
+    fn backstop(&self) -> Time {
+        recovery::stale_after(&self.cfg, None)
     }
 
-    fn on_backstop(&mut self, ctx: &mut Ctx<'_>) {
-        self.backstop_armed = false;
-        let (backstop, now) = (recovery::stale_after(&self.cfg, None), ctx.now);
+    fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
+        let (backstop, now) = (self.backstop(), ctx.now);
         let mtu = self.cfg.mtu_payload as u64;
         self.flows.reap_silent_senders(ctx);
         let (any_incomplete, stalled) = self.flows.stall_scan(ctx, |rf, size| {
@@ -173,20 +162,7 @@ impl NdpEndpoint {
         }
         self.arm_pull_pacer(ctx);
         if any_incomplete {
-            self.arm_backstop(ctx);
-        }
-    }
-
-    fn on_probe_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        let rearm = self.flows.first_contact_retry(
-            flow,
-            &self.cfg,
-            ctx,
-            |tx| tx.heard_back,
-            |tx, ctx| tx.send_probe(7, ctx),
-        );
-        if let Some(delay) = rearm {
-            ctx.set_timer_in_with(delay, Timer::flow(PROBE_RETRY, flow));
+            self.flows.arm_scan(backstop, ctx);
         }
     }
 
@@ -229,11 +205,8 @@ impl Endpoint for NdpEndpoint {
         // NDP recovery is signal-driven (NACKs in Blind mode, probe/SACK in
         // Aeolus mode): last-resort duplication only feeds trim loops.
         tx.core.disable_last_resort();
-        if base.mode.probe_recovery() && base.aeolus.probe_retry_rtts > 0 {
-            let retry = Timer::flow(PROBE_RETRY, flow.id);
-            ctx.set_timer_in_with(recovery::retry_base(&base), retry);
-        }
-        self.flows.send.insert(flow.id, SendFlow { tx, proto: tag });
+        // Only a probe is re-sent: the retry runs where probes recover.
+        self.flows.launch(SendFlow { tx, proto: tag }, base.mode.probe_recovery(), &base, ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
@@ -248,13 +221,13 @@ impl Endpoint for NdpEndpoint {
                 }
                 ctx.send(Packet::control(pkt.flow, ctx.host, pkt.src, pkt.seq, PacketKind::Nack));
                 self.maybe_enqueue_pull(pkt.flow, ctx);
-                self.arm_backstop(ctx);
+                self.flows.arm_scan(self.backstop(), ctx);
             }
             PacketKind::Data => {
                 let make = prepaid(self.cfg, ctx.line_rate, pkt.flow_size);
                 self.flows.on_data(&pkt, ANSWER, ctx, make, |rf, _| rf.proto.returned(1));
                 self.maybe_enqueue_pull(pkt.flow, ctx);
-                self.arm_backstop(ctx);
+                self.flows.arm_scan(self.backstop(), ctx);
             }
             PacketKind::Probe => {
                 let mtu = self.cfg.mtu_payload as u64;
@@ -268,7 +241,7 @@ impl Endpoint for NdpEndpoint {
                     rf.proto.write_off(burst_lost.div_ceil(mtu));
                 }
                 self.drain_pull_deficit(pkt.flow, ctx);
-                self.arm_backstop(ctx);
+                self.flows.arm_scan(self.backstop(), ctx);
             }
             PacketKind::Nack => {
                 // Edge-triggered: every trimmed packet produces exactly one
@@ -302,8 +275,14 @@ impl Endpoint for NdpEndpoint {
     fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
         match (timer.kind, timer.flow) {
             (PULL_TICK, None) => self.on_pull_tick(ctx),
-            (BACKSTOP, None) => self.on_backstop(ctx),
-            (PROBE_RETRY, Some(f)) => self.on_probe_retry(f, ctx),
+            (recovery::SCAN, None) => self.on_stall_scan(ctx),
+            (recovery::RETRY, Some(f)) => self.flows.first_contact_retry(
+                f,
+                &self.cfg,
+                ctx,
+                |tx| tx.heard_back,
+                |tx, ctx| tx.send_probe(7, ctx),
+            ),
             _ => unreachable!("not an NDP timer: {timer:?}"),
         }
     }

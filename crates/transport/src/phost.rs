@@ -22,8 +22,7 @@
 
 use aeolus_sim::units::Time;
 use aeolus_sim::{
-    Ctx, Endpoint, FlowDesc, FlowId, LossCause, Packet, PacketKind, Timer, TrafficClass,
-    TransportEvent,
+    Ctx, Endpoint, FlowDesc, LossCause, Packet, PacketKind, Timer, TrafficClass, TransportEvent,
 };
 
 use crate::common::{request_packet, BaseConfig};
@@ -41,16 +40,10 @@ pub struct PHostConfig {
     pub rto: Option<Time>,
 }
 
-// Timer kinds ([`Timer::kind`]).
+// Timer kinds ([`Timer::kind`]), beside the stall scan and first-contact
+// retry that `recovery` owns.
 /// The receiver's token pacer tick (a host timer).
 const TOKEN_TICK: u8 = 0;
-/// Stalled-flow scan (a host timer): token re-issue / missing-range
-/// recovery.
-const STALL_SCAN: u8 = 1;
-/// §6-style initial-contact retry: if the RTS, the whole burst *and* the
-/// probe died on the way, the receiver never learns the flow exists —
-/// re-send the RTS (and probe) until something comes back.
-const RTS_RETRY: u8 = 2;
 
 /// The token ledger counts packets: each token authorizes one, and each
 /// scheduled (token-induced) data packet received returns it.
@@ -65,19 +58,12 @@ pub struct PHostEndpoint {
     flows: FlowTable<SendFlow, RecvFlow>,
     pacer_armed: bool,
     next_token_at: Time,
-    scan_armed: bool,
 }
 
 impl PHostEndpoint {
     /// A fresh endpoint.
     pub fn new(cfg: PHostConfig) -> PHostEndpoint {
-        PHostEndpoint {
-            cfg,
-            flows: FlowTable::default(),
-            pacer_armed: false,
-            next_token_at: 0,
-            scan_armed: false,
-        }
+        PHostEndpoint { cfg, flows: FlowTable::default(), pacer_armed: false, next_token_at: 0 }
     }
 
     fn token_spacing(&self, ctx: &Ctx<'_>) -> Time {
@@ -134,18 +120,14 @@ impl PHostEndpoint {
     /// Start the token pacer and the stall scan unless already running.
     fn arm_receiver(&mut self, ctx: &mut Ctx<'_>) {
         self.arm_pacer(ctx);
-        if !self.scan_armed {
-            self.scan_armed = true;
-            let delay = recovery::stale_after(&self.cfg.base, self.cfg.rto) / 2;
-            ctx.set_timer_in_with(delay, Timer::host(STALL_SCAN));
-        }
+        let stale = recovery::stale_after(&self.cfg.base, self.cfg.rto);
+        self.flows.arm_scan(stale / 2, ctx);
     }
 
     /// Receiver-side recovery: for stalled incomplete flows, budget extra
     /// tokens covering the missing bytes and tell the sender which ranges to
     /// retransmit.
     fn on_stall_scan(&mut self, ctx: &mut Ctx<'_>) {
-        self.scan_armed = false;
         let stale = recovery::stale_after(&self.cfg.base, self.cfg.rto);
         let (timeout_driven, now) = (!self.cfg.base.mode.probe_recovery(), ctx.now);
         self.flows.reap_silent_senders(ctx);
@@ -160,32 +142,14 @@ impl PHostEndpoint {
         send_resends(resends, ctx);
         self.arm_pacer(ctx);
         if any_incomplete {
-            self.scan_armed = true;
-            ctx.set_timer_in_with(stale / 2, Timer::host(STALL_SCAN));
-        }
-    }
-
-    fn on_rts_retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_>) {
-        // Total silence: re-introduce the flow to the receiver.
-        let rearm = self.flows.first_contact_retry(
-            flow,
-            &self.cfg.base,
-            ctx,
-            |tx| tx.heard_back,
-            |tx, ctx| {
-                ctx.send(request_packet(&tx.desc));
-                tx.send_probe(0, ctx);
-            },
-        );
-        if let Some(delay) = rearm {
-            ctx.set_timer_in_with(delay, Timer::flow(RTS_RETRY, flow));
+            self.flows.arm_scan(stale / 2, ctx);
         }
     }
 }
 
 #[cfg(test)]
 impl PHostEndpoint {
-    pub(crate) fn holding(&self, flow: FlowId) -> crate::recovery::Holding {
+    pub(crate) fn holding(&self, flow: aeolus_sim::FlowId) -> crate::recovery::Holding {
         self.flows.holding(flow)
     }
 }
@@ -201,11 +165,10 @@ impl Endpoint for PHostEndpoint {
         // Recovery is token re-issue (scan- or probe-driven); last-resort
         // duplication would only waste tokens.
         tx.core.disable_last_resort();
-        if base.aeolus.probe_retry_rtts > 0 {
-            let retry = Timer::flow(RTS_RETRY, flow.id);
-            ctx.set_timer_in_with(recovery::retry_base(&base), retry);
-        }
-        self.flows.send.insert(flow.id, SendFlow { tx, proto: () });
+        // If the RTS, the whole burst *and* the probe died on the way, the
+        // receiver never learns the flow exists: the RTS is re-sent in
+        // every mode.
+        self.flows.launch(SendFlow { tx, proto: () }, true, &base, ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
@@ -259,8 +222,18 @@ impl Endpoint for PHostEndpoint {
     fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
         match (timer.kind, timer.flow) {
             (TOKEN_TICK, None) => self.on_token_tick(ctx),
-            (STALL_SCAN, None) => self.on_stall_scan(ctx),
-            (RTS_RETRY, Some(f)) => self.on_rts_retry(f, ctx),
+            (recovery::SCAN, None) => self.on_stall_scan(ctx),
+            // Total silence: re-introduce the flow to the receiver.
+            (recovery::RETRY, Some(f)) => self.flows.first_contact_retry(
+                f,
+                &self.cfg.base,
+                ctx,
+                |tx| tx.heard_back,
+                |tx, ctx| {
+                    ctx.send(request_packet(&tx.desc));
+                    tx.send_probe(0, ctx);
+                },
+            ),
             _ => unreachable!("not a pHost timer: {timer:?}"),
         }
     }

@@ -4,52 +4,113 @@
 //! detector and one retransmit-once rule plugged unchanged into every
 //! proactive transport. `aeolus-core` factors the per-flow state machine
 //! ([`PreCreditSender`]); this module factors the code that *drives* it,
-//! answers the flow's packets and keeps it alive under faults, so the
-//! endpoints differ only in their credit / grant / pull / slot pacing
-//! loops:
+//! answers the flow's packets, keeps it alive under faults and accounts for
+//! the credit a receiver issues — plain structs and functions, no trait —
+//! so the endpoint files keep what *is* each protocol: who gets the next
+//! credit, how it is paced, and the packet it rides in.
 //!
-//! * [`FlowTable`] — send and receive flow maps of the flows in progress,
-//!   with the one implementation of the peer-silent give-up (which asks the
-//!   engine to abort the flow at both ends) and of what an abort drops —
-//!   and the set of receive flows still in progress
+//! # Shared
+//!
+//! * [`FlowTable`] — send and receive flow maps of the flows in progress
+//!   and the active set of incomplete receive flows
 //!   ([`FlowTable::recv_active`]), so no credit, grant, token or stall loop
-//!   walks the flows a host has finished with. A finished or aborted flow
-//!   needs no entry: the engine's record says which ends are done
-//!   ([`Ctx::finished`]), it hands neither end of an aborted flow any of
-//!   its packets or timers until a restart, and a crash rebuilds the
-//!   endpoint.
-//! * [`SendState`] — the sender half shared by the five proactive
-//!   endpoints ([`SendFlow`]): "heard from peer", ACK → loss declaration,
-//!   retransmit cause attribution and the silence-gated capped-backoff
-//!   [`Retry`] verdict.
-//! * One packet path per kind, each answering a finished flow's straggler
-//!   from its size: [`FlowTable::on_data`] (book, ACK as [`Answer`] says,
-//!   retire a flow received whole), [`FlowTable::on_credit`] (credit,
-//!   pull, token), [`FlowTable::on_loss_report`] (NACK, RESEND) and
-//!   [`FlowTable::on_ack`] (retire the sender as [`Retire`] says).
-//! * [`launch_first_rtt`] — `BurstStart` → stamped burst → `BurstStop` →
-//!   probe.
-//! * [`FlowTable::first_contact_retry`] — one fire of the §6 retry timer
-//!   over that verdict; the protocol says only what to re-send.
+//!   walks the flows a host has finished with. A finished flow leaves the
+//!   table for its end's done bit in the engine's record
+//!   ([`Ctx::finished`]). The peer-silent give-up ([`FlowTable::give_up`],
+//!   the engine's abort of both ends) and what an abort drops
+//!   ([`FlowTable::abort`]) exist once, and each endpoint's `on_crash` is
+//!   `*self = Self::new(cfg)`, so a crash wipes every byte by construction.
+//!   An aborted flow keeps nothing, not even a mark: while
+//!   [`FlowRecord::aborted`] is set the engine hands neither end any of the
+//!   flow's packets or timers, so nothing in flight can resurrect its state.
+//! * [`SendState`] — the sender half of a flow ([`SendFlow`] holds it beside
+//!   the protocol's own state, the mirror of [`RecvFlow`]): "heard from
+//!   peer", ACK → loss declaration, retransmit cause attribution and the
+//!   silence-gated capped-backoff [`Retry`] verdict, which gives up after
+//!   [`PEER_SILENCE`].
+//! * **The two recovery clocks**, under timer kinds this module owns
+//!   ([`SCAN`], [`RETRY`]) that each endpoint's `on_timer` routes here:
+//!   * the receiver stall scan, one queued per host however many arrivals
+//!     ask ([`FlowTable::arm_scan`]); its fire ([`FlowTable::stall_scan`])
+//!     clears the latch, and the endpoint re-arms it while a flow is
+//!     incomplete;
+//!   * the §6 first-contact retry, armed when a flow launches
+//!     ([`FlowTable::launch`]) and re-armed by its own fire
+//!     ([`FlowTable::first_contact_retry`]) on [`Retry::Fire`] only. Clean
+//!     runs see only no-op fires; faulted runs never retry-storm.
+//! * One packet path per kind, answering a live flow and a finished flow's
+//!   straggler alike, so an endpoint's `on_packet` arm is one call plus its
+//!   protocol's side effects: [`FlowTable::on_data`] (book, ACK as
+//!   [`Answer`] says, retire a flow received whole), [`FlowTable::on_credit`]
+//!   (credit, pull, token), [`FlowTable::on_loss_report`] (NACK, RESEND) and
+//!   [`FlowTable::on_ack`] (retire the sender as [`Retire`] says). Three
+//!   paths keep their own code because their live behaviour differs: Homa's
+//!   grant books only what it adds, Fastpass's Schedule does not count as
+//!   "heard", and Blind Homa resends a RESEND's range at once, unscheduled.
 //! * [`CreditLedger`] and [`Strikes`] — how a receiver accounts for credit
 //!   it has issued and when it presumes that credit lost: the
-//!   `issued − returned − forgiven` ledger of the pull / token / grant loops
-//!   and the capped strike counter of the credit / slot loops, each with
-//!   its staleness test and write-off.
-//! * [`RecvFlow`] and [`FlowTable::stall_scan`] — the receiver stall-scan
-//!   skeleton; each caller's closure is a ledger's staleness test at the
-//!   protocol's threshold plus its range cap.
+//!   `prepaid + issued − returned − forgiven` ledger of NDP's pulls, pHost's
+//!   tokens and Homa's grants, and the capped strike counter where credit is
+//!   not ledgered per flow (ExpressPass's rate-paced credits, Fastpass's
+//!   arbiter slots), each with its staleness test and write-off, at the
+//!   thresholds [`stale_after`] and [`stall_after`].
+//! * [`launch_first_rtt`] — `BurstStart` → stamped burst → `BurstStop` →
+//!   probe.
+//! * [`RecvFlow`] with [`FlowTable::recv_entry`],
+//!   [`FlowTable::reap_silent_senders`] and [`send_resends`] — first
+//!   contact with size learning, and over the active set only the
+//!   peer-silent give-up and the stall-scan skeleton.
+//!
+//! # Per-protocol, and why
+//!
+//! * The pacing loops — ExpressPass's credit ticks and feedback law, Homa's
+//!   SRPT grants, NDP's pull queue, pHost's token pacer, Fastpass's slots
+//!   and arbiter requests, DCTCP's window. These *are* the protocols.
+//! * Each stall scan's period and closure: the ledger's `presume_lost` at
+//!   the protocol's threshold, then its range cap (4 at NDP, NACKed per
+//!   packet; 8 elsewhere; one bounded range for Blind Homa). The test lives
+//!   on the two ledger types, so `stall_scan` takes nothing that says which
+//!   protocol calls. Then what follows a scan (Homa's regrant, NDP's NACKs
+//!   and pull drain), and whether it reaps silent senders: Fastpass does
+//!   not, because a sender starved by Schedule losses is silent without
+//!   being dead; its sender's watchdog, fed only by receiver signals, owns
+//!   that abort.
+//! * For the retry: what it re-sends (probe; RTS + probe; request + probe),
+//!   its "the receiver owns recovery now" test — first contact, except
+//!   ExpressPass's "every byte is out", because its retry doubles as the
+//!   scheduled-phase RTO that re-kicks a dead credit loop — and whether a
+//!   flow retries at all: pHost and ExpressPass re-send a request and retry
+//!   in every mode, NDP, Homa and Fastpass only where probes recover.
+//! * Fastpass's arbiter request retry, with its own counter and 8-RTT base
+//!   (it measures the *arbiter's* silence) and the shared [`backoff`];
+//!   Homa's Blind sender RTO and ExpressPass's §5.5 RTO strawman, baseline
+//!   behaviours the paper measures. DCTCP shares only the [`FlowTable`] and
+//!   [`peer_silent`].
+//!
+//! `tests/recovery_golden.rs` pins 30 faulted runs (all 15 schemes × two
+//! fault plans) bit for bit, so a change here shows up as a changed row.
+//!
+//! [`FlowRecord::aborted`]: aeolus_sim::FlowRecord::aborted
 
 use aeolus_core::{PreCreditReceiver, PreCreditSender};
 use aeolus_sim::units::{ms, Time};
 use aeolus_sim::{
-    Ctx, FlowDesc, FlowEnd, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind,
+    Ctx, FlowDesc, FlowEnd, FlowId, FlowMap, LossCause, NodeId, Packet, PacketKind, Timer,
     TrafficClass, TransportEvent,
 };
 
 use crate::common::{
     ack_packet, data_packet, probe_ack_packet, probe_packet, BaseConfig, FirstRttMode,
 };
+
+// Timer kinds this module owns ([`Timer::kind`]). Every endpoint numbers
+// its own kinds up from 0; these count down from the top, so the two never
+// meet.
+/// The receiver stall scan (a host timer, [`FlowTable::arm_scan`]).
+pub(crate) const SCAN: u8 = u8::MAX;
+/// The §6 first-contact retry (a flow timer,
+/// [`FlowTable::first_contact_retry`]).
+pub(crate) const RETRY: u8 = u8::MAX - 1;
 
 /// Peer-death threshold: a flow that has heard nothing from its peer for
 /// this long while retrying aborts with cause `PeerSilent` instead of
@@ -130,11 +191,19 @@ pub(crate) struct FlowTable<S, R> {
     /// minimum on the unique `(remaining, id)`, an `any`, per-flow updates
     /// whose emitted batches are sorted by id. A new reader must too.
     active: Vec<u32>,
+    /// Whether a stall scan is queued ([`Self::arm_scan`]): one per host,
+    /// however many arrivals ask for it.
+    scan_armed: bool,
 }
 
 impl<S, R> Default for FlowTable<S, R> {
     fn default() -> Self {
-        FlowTable { send: FlowMap::new(), recv: FlowMap::new(), active: Vec::new() }
+        FlowTable {
+            send: FlowMap::new(),
+            recv: FlowMap::new(),
+            active: Vec::new(),
+            scan_armed: false,
+        }
     }
 }
 
@@ -196,6 +265,17 @@ impl<S, R> FlowTable<S, R> {
         ctx.finish(flow, FlowEnd::Receiver);
     }
 
+    /// Queue this host's stall scan ([`SCAN`]) `period` from now, unless
+    /// one is queued already. Its fire ([`Self::stall_scan`]) clears the
+    /// latch; the endpoint re-arms it from there while a flow is
+    /// incomplete.
+    pub(crate) fn arm_scan(&mut self, period: Time, ctx: &mut Ctx<'_>) {
+        if !self.scan_armed {
+            self.scan_armed = true;
+            ctx.set_timer_in_with(period, Timer::host(SCAN));
+        }
+    }
+
     /// How many receive flows are still incomplete. O(1).
     pub(crate) fn recv_active_len(&self) -> usize {
         self.active.len()
@@ -227,13 +307,31 @@ impl<S, R> FlowTable<S, R> {
 }
 
 impl<X, R> FlowTable<SendFlow<X>, R> {
-    /// One fire of `flow`'s §6 first-contact retry timer, driven by the
-    /// shared [`Retry`] verdict: give up on a dead peer, or — after a whole
-    /// backoff interval of silence — charge a timeout and let `resend`
-    /// re-introduce the flow (probe, request: the protocol's business).
-    /// `done` is the protocol's "the receiver owns recovery from here"
-    /// test. Returns the delay to re-arm the timer in, `None` to let it
-    /// die.
+    /// Start sending `sf`: its entry goes in and, where `retries` (the
+    /// protocol's call: whether what it re-sends can help in this mode) and
+    /// the config's `probe_retry_rtts` allow, the §6 first-contact retry
+    /// ([`RETRY`]) is armed one base interval out.
+    pub(crate) fn launch(
+        &mut self,
+        sf: SendFlow<X>,
+        retries: bool,
+        cfg: &BaseConfig,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let flow = sf.tx.desc.id;
+        if retries && cfg.aeolus.probe_retry_rtts > 0 {
+            ctx.set_timer_in_with(retry_base(cfg), Timer::flow(RETRY, flow));
+        }
+        self.send.insert(flow, sf);
+    }
+
+    /// One fire of `flow`'s §6 first-contact retry timer ([`RETRY`]),
+    /// driven by the shared [`Retry`] verdict: give up on a dead peer, or —
+    /// after a whole backoff interval of silence — charge a timeout and let
+    /// `resend` re-introduce the flow (probe, request: the protocol's
+    /// business). `done` is the protocol's "the receiver owns recovery from
+    /// here" test. The timer re-arms itself on `Fire` and dies on `Quiet`
+    /// and `GiveUp`.
     pub(crate) fn first_contact_retry(
         &mut self,
         flow: FlowId,
@@ -241,20 +339,17 @@ impl<X, R> FlowTable<SendFlow<X>, R> {
         ctx: &mut Ctx<'_>,
         done: impl FnOnce(&SendState) -> bool,
         resend: impl FnOnce(&SendState, &mut Ctx<'_>),
-    ) -> Option<Time> {
-        let tx = &mut self.send.get_mut(flow)?.tx;
+    ) {
+        let Some(SendFlow { tx, .. }) = self.send.get_mut(flow) else { return };
         match tx.retry(done(tx), cfg, ctx.now) {
-            Retry::Quiet => None,
-            Retry::GiveUp => {
-                self.give_up(flow, ctx);
-                None
-            }
+            Retry::Quiet => {}
+            Retry::GiveUp => self.give_up(flow, ctx),
             Retry::Fire { resend: silent, rearm_in } => {
                 if silent {
                     ctx.metrics.note_timeout(flow);
                     resend(tx, ctx);
                 }
-                Some(rearm_in)
+                ctx.set_timer_in_with(rearm_in, Timer::flow(RETRY, flow));
             }
         }
     }
@@ -831,7 +926,8 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
         }
     }
 
-    /// One pass of the receiver stall scan. For each incomplete flow of
+    /// One pass of the receiver stall scan: the [`SCAN`] timer fired, so
+    /// its latch clears ([`Self::arm_scan`]). For each incomplete flow of
     /// known size, `stalled` — the flow's ledger test ([`CreditLedger`] or
     /// [`Strikes`]) at the protocol's threshold — returns the ranges to
     /// re-request (empty = not stalled). Stalled flows are charged a timeout and
@@ -843,6 +939,7 @@ impl<S, X> FlowTable<S, RecvFlow<X>> {
         ctx: &mut Ctx<'_>,
         mut stalled: impl FnMut(&mut RecvFlow<X>, u64) -> Vec<(u64, u64)>,
     ) -> (bool, Vec<ResendBatch>) {
+        self.scan_armed = false;
         let mut resends: Vec<ResendBatch> = Vec::new();
         for &slot in &self.active {
             let (id, rf) = self.recv.at_mut(slot);
@@ -1026,7 +1123,7 @@ mod tests {
     /// bytes and tells the table on completion (a finished flow's packet
     /// books nothing). The run metrics learn of each flow on its first
     /// chunk, as the engine would have scheduled it.
-    fn deliver(t: &mut Table, pkt: &Packet, ctx: &mut Ctx<'_>) {
+    fn deliver<S>(t: &mut FlowTable<S, RecvFlow<CreditLedger>>, pkt: &Packet, ctx: &mut Ctx<'_>) {
         if ctx.metrics.flow(pkt.flow).is_none() {
             ctx.metrics.flow_scheduled(desc(pkt.flow.0));
         }
@@ -1034,7 +1131,7 @@ mod tests {
         t.on_data(pkt, silent, ctx, CreditLedger::default, |_, _| {});
     }
 
-    fn deliver_all(t: &mut Table, id: u64, ctx: &mut Ctx<'_>) {
+    fn deliver_all<S>(t: &mut FlowTable<S, RecvFlow<CreditLedger>>, id: u64, ctx: &mut Ctx<'_>) {
         for k in 0..desc(id).size / CHUNK as u64 {
             deliver(t, &chunk(id, k), ctx);
         }
@@ -1084,6 +1181,112 @@ mod tests {
         topo.net.set_endpoint(PEER, Box::new(Script(None::<F>)));
         topo.net.schedule_flow(FlowDesc { id: FlowId(0), src: ME, dst: PEER, size: 1, start: 0 });
         topo.net.run_to_completion(ms(1));
+    }
+
+    /// A host that drives the two shared clocks as every proactive endpoint
+    /// does — the stall scan re-armed after a fire while a flow is
+    /// incomplete, the first-contact retry re-arming itself — and logs each
+    /// timer it hears.
+    struct Clocks {
+        t: FlowTable<SendFlow<()>, RecvFlow<CreditLedger>>,
+        scans: u32,
+        log: std::rc::Rc<std::cell::RefCell<Vec<(Time, Timer)>>>,
+    }
+
+    /// The scan period of [`Clocks`].
+    const PERIOD: Time = us(100);
+
+    impl aeolus_sim::Endpoint for Clocks {
+        fn on_flow_arrival(&mut self, flow: FlowDesc, ctx: &mut Ctx<'_>) {
+            let mut tx = state(ctx.now);
+            tx.desc = flow;
+            let (mut cfg, mut retries) = (cfg(), true);
+            match flow.id.0 {
+                // Launched first: a flow arrives to receive, and two
+                // arrivals ask for the scan.
+                11 => {
+                    self.t.recv_entry(&request_packet(&desc(2)), ctx, CreditLedger::default);
+                    self.t.arm_scan(PERIOD, ctx);
+                    self.t.arm_scan(PERIOD, ctx);
+                }
+                // Heard from before its first fire: `Quiet`.
+                12 => tx.heard(ctx.now),
+                // The protocol does not retry in this mode.
+                13 => retries = false,
+                // The config does not retry at all.
+                _ => cfg.aeolus.probe_retry_rtts = 0,
+            }
+            self.t.launch(SendFlow { tx, proto: () }, retries, &cfg, ctx);
+        }
+
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+
+        fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
+            self.log.borrow_mut().push((ctx.now, timer));
+            match (timer.kind, timer.flow) {
+                (SCAN, None) => {
+                    self.scans += 1;
+                    let (any_incomplete, _) = self.t.stall_scan(ctx, |_, _| Vec::new());
+                    assert_eq!(any_incomplete, self.scans == 1, "scan {}", self.scans);
+                    if any_incomplete {
+                        self.t.arm_scan(PERIOD, ctx);
+                        self.t.arm_scan(PERIOD, ctx);
+                    }
+                    match self.scans {
+                        // The flow completes before the next scan.
+                        1 => deliver_all(&mut self.t, 2, ctx),
+                        // Nothing incomplete, nothing queued: an arrival
+                        // arms the scan again.
+                        2 => self.t.arm_scan(PERIOD, ctx),
+                        _ => {}
+                    }
+                }
+                (RETRY, Some(f)) => {
+                    let cfg = cfg();
+                    self.t.first_contact_retry(f, &cfg, ctx, |tx| tx.heard_back, |_, _| {});
+                }
+                _ => unreachable!("not a shared clock: {timer:?}"),
+            }
+        }
+
+        fn on_flow_abort(&mut self, flow: FlowDesc, _ctx: &mut Ctx<'_>) {
+            self.t.abort(flow.id);
+        }
+    }
+
+    /// The two shared clocks, fire by fire: one queued scan per host however
+    /// often it is armed, re-armed only while a flow is incomplete and
+    /// armable again once a fire cleared its latch; a retry that re-arms on
+    /// `Fire` until the silent peer is given up on, and dies on `Quiet`.
+    #[test]
+    fn the_shared_clocks_queue_one_scan_and_rearm_the_retry_on_fire_only() {
+        use aeolus_sim::topology::{single_switch, LinkParams};
+        use aeolus_sim::units::Rate;
+        use aeolus_sim::{DropTailQueue, PortRole, Queue};
+
+        let qf = |_: Rate, _: PortRole| Queue::from(DropTailQueue::new(1 << 20));
+        let mut topo = single_switch(2, LinkParams::uniform(Rate::gbps(10), us(1)), &qf);
+        let clocks = || Clocks { t: FlowTable::default(), scans: 0, log: Default::default() };
+        let host = clocks();
+        let log = std::rc::Rc::clone(&host.log);
+        topo.net.set_endpoint(ME, Box::new(host));
+        topo.net.set_endpoint(PEER, Box::new(clocks()));
+        for id in 11..=14 {
+            let flow = FlowDesc { id: FlowId(id), src: ME, dst: PEER, size: 9_000, start: 0 };
+            topo.net.schedule_flow(flow);
+        }
+        topo.net.run_until(ms(1_000));
+
+        let fired = |timer: &dyn Fn(Timer) -> bool| -> Vec<Time> {
+            log.borrow().iter().filter(|&&(_, t)| timer(t)).map(|&(at, _)| at).collect()
+        };
+        assert_eq!(fired(&|t| t.kind == SCAN), [PERIOD, 2 * PERIOD, 3 * PERIOD]);
+        let retries = |id| fired(&|t| t == Timer::flow(RETRY, FlowId(id)));
+        // Silent throughout: each fire re-arms at the backed-off interval
+        // until the fire at 510 ms finds the peer silent past 400 ms.
+        assert_eq!(retries(11), [2, 6, 14, 30, 62, 126, 254, 382, 510].map(ms));
+        assert_eq!(retries(12), [ms(2)], "`Quiet` lets the timer die");
+        assert_eq!((retries(13), retries(14)), (vec![], vec![]), "never armed");
     }
 
     /// A stall scan that finds every flow it is shown stalled: how many it

@@ -32,7 +32,7 @@ use std::mem::discriminant;
 
 use aeolus_core::AeolusConfig;
 use aeolus_sim::topology::PortRole;
-use aeolus_sim::units::{ms, us, Time};
+use aeolus_sim::units::{ms, us, Time, PS_PER_US};
 use aeolus_sim::{
     DropTailQueue, Endpoint, FaultPlan, OracleProfile, PoolHandle, PriorityBank, Queue, QueueDisc,
     Rate, RedEcnQueue, RoutePolicy, TrimmingQueue, XPassQueue, CREDIT_BYTES,
@@ -475,14 +475,17 @@ impl std::str::FromStr for Scheme {
 
     /// Parse `<slug>[:<rto_us>]`. The slug is [`Scheme::name`]; the optional
     /// suffix overrides the retransmission timeout (in microseconds) of the
-    /// RTO-carrying variants and is rejected for the others.
+    /// RTO-carrying variants and is rejected for the others, as is a zero
+    /// timeout (a timer due every instant) or one whose picoseconds
+    /// overflow.
     fn from_str(s: &str) -> Result<Scheme, ParseSchemeError> {
         let err = || ParseSchemeError(s.into());
         let (slug, rto_us) = s.split_once(':').map_or((s, None), |(slug, rto)| (slug, Some(rto)));
         let mut scheme = TABLE.iter().find(|row| row.1 == slug).ok_or_else(err)?.0;
         if let Some(rto_us) = rto_us {
             let rto_us: u64 = rto_us.parse().map_err(|_| err())?;
-            *scheme.rto_slot().ok_or_else(err)? = us(rto_us);
+            let rto = rto_us.checked_mul(PS_PER_US).filter(|&rto| rto > 0).ok_or_else(err)?;
+            *scheme.rto_slot().ok_or_else(err)? = rto;
         }
         Ok(scheme)
     }
@@ -591,6 +594,14 @@ mod tests {
         assert!("tcp-vegas".parse::<Scheme>().is_err());
         assert!("homa:abc".parse::<Scheme>().is_err());
         assert!("homa:".parse::<Scheme>().is_err());
+        // A zero RTO, and one whose picoseconds overflow `Time`.
+        for slug in ["homa", "homa-eager", "phost", "dctcp", "expresspass-prioq"] {
+            assert!(format!("{slug}:0").parse::<Scheme>().is_err(), "{slug}:0");
+        }
+        assert!("homa:99999999999999".parse::<Scheme>().is_err());
+        let max = u64::MAX / PS_PER_US;
+        assert!(format!("homa:{}", max + 1).parse::<Scheme>().is_err());
+        assert_eq!(parse(&format!("homa:{max}")).rto(), Some(us(max)), "the largest RTO fits");
     }
 
     #[test]

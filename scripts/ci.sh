@@ -38,8 +38,14 @@ done
 
 # Rustdoc gate: the API docs of the three library crates build without a
 # warning (no broken intra-doc link, no public doc linking a private item).
+# Private items are documented too, so the links in a private module's docs
+# (the design prose of `recovery`) are checked as well.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p aeolus-sim -p aeolus-transport \
-    -p aeolus-experiments
+    -p aeolus-experiments --document-private-items
+
+# Size report, not a gate: non-test lines per crate (scripts/loc.py), so a
+# change's line count reads the same way as its parent's.
+python3 scripts/loc.py
 
 # Lint gate: clippy's default lints over every target of the workspace,
 # warnings as errors, so a new one cannot pile up unseen.
