@@ -4,21 +4,26 @@
 //! (Varghese & Lauck, SOSP '87) shaped by packet-level traffic: paced
 //! credits and back-to-back frames put an event every few nanoseconds on a
 //! large fabric, almost all of them within a few serialization times of
-//! `now`, while retransmission timers sit milliseconds out. A fine level of
-//! 4.1 ns buckets holds the current 16.8 µs period with every bucket kept in
-//! `(at, seq)` order at insert, so the next event is the head of the cursor
-//! bucket — no per-tick drain or sort. A coarse level of 16.8 µs buckets
-//! covers the next 68.7 ms in O(1) appends and cascades one bucket into the
-//! fine level per period entered; only events beyond it use an O(log n)
-//! overflow heap. A binary-heap scheduler is kept behind
-//! [`SchedulerKind::BinaryHeap`] as the reference implementation for
-//! benchmarks and determinism cross-checks.
+//! `now`, while retransmission timers sit milliseconds out. A binary-heap
+//! scheduler is kept behind [`SchedulerKind::BinaryHeap`] as the reference
+//! implementation for benchmarks and determinism cross-checks.
 //!
 //! Both schedulers implement the same deterministic contract: events pop in
 //! non-decreasing time order, FIFO within a tick (the order they were
 //! scheduled). The engine is strictly single-threaded — per the project
 //! guides, a CPU-bound discrete-event simulation gains nothing from an
 //! async runtime.
+//!
+//! # The wheel
+//!
+//! A fine level of 4.1 ns buckets holds the current 16.8 µs period, a
+//! coarse level of 16.8 µs buckets the next 68.7 ms, an overflow heap the
+//! rest. A fine bucket is put in `(at, seq)` order once, when the cursor
+//! reaches it; only the cursor bucket is kept ordered at insert. The design,
+//! the reasons for its shape and the measured walk and landing counts are
+//! the docs of the private `WheelScheduler` (`cargo doc
+//! --document-private-items -p aeolus-sim`), where rustdoc checks every
+//! name they link.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -247,7 +252,7 @@ impl HeapScheduler {
 /// log2 of the fine tick in picoseconds: 2^12 ps ≈ 4.1 ns, a third of an MTU
 /// frame's serialization at 100 Gbps. Paced traffic on the 192-host fabric
 /// puts 26 events in an occupied 65.5 ns tick on average, but 3.6 in an
-/// occupied fine bucket, so keeping a bucket ordered is cheap.
+/// occupied fine bucket, so ordering a bucket is cheap.
 const FINE_SHIFT: u32 = 12;
 /// log2 of each level's bucket count: 4096 buckets of `[head, tail]`
 /// `u32`s, 32 KB per level. A flat fine wheel of 2^16 buckets costs 512 KB
@@ -336,7 +341,8 @@ impl IndexMut<u32> for Slab {
 
 /// One level of the wheel: per-bucket singly-linked lists threaded through
 /// the scheduler's slab, and an occupancy bitmap with a one-word summary so
-/// the next non-empty bucket is two `trailing_zeros`, not a scan.
+/// the next non-empty bucket is two `trailing_zeros`, not a scan. A bucket
+/// is in no particular order until [`Level::sort`] orders it.
 struct Level {
     /// `[head, tail]` slab slots per bucket.
     buckets: Box<[[u32; 2]]>,
@@ -372,27 +378,32 @@ impl Level {
         }
     }
 
-    /// Append `slot` to bucket `idx`, in arrival order.
-    fn push_back(&mut self, nodes: &mut Slab, idx: usize, slot: u32) {
-        nodes[slot].next = NIL;
-        let tail = self.buckets[idx][1];
-        if tail == NIL {
-            self.buckets[idx] = [slot, slot];
-            self.mark(idx);
-        } else {
-            nodes[tail].next = slot;
+    /// Prepend `slot` to bucket `idx`, whatever its order: O(1).
+    #[inline(always)]
+    fn push_front(&mut self, nodes: &mut Slab, idx: usize, slot: u32) {
+        let head = self.buckets[idx][0];
+        nodes[slot].next = head;
+        self.buckets[idx][0] = slot;
+        if head == NIL {
             self.buckets[idx][1] = slot;
+            self.mark(idx);
         }
     }
 
-    /// Insert `slot` into bucket `idx`, keeping the bucket in `(at, seq)`
+    /// Insert `slot` into ordered bucket `idx`, keeping it in `(at, seq)`
     /// order. Events mostly come in that order, so this is one compare with
-    /// the tail; only an out-of-order fill walks the list.
+    /// the tail; only an out-of-order one walks the list.
     fn insert(&mut self, nodes: &mut Slab, idx: usize, slot: u32) {
         let key = nodes[slot].s.key();
         let [head, tail] = self.buckets[idx];
-        if tail == NIL || nodes[tail].s.key() < key {
-            self.push_back(nodes, idx, slot);
+        if tail == NIL {
+            self.push_front(nodes, idx, slot);
+            return;
+        }
+        if nodes[tail].s.key() < key {
+            nodes[slot].next = NIL;
+            nodes[tail].next = slot;
+            self.buckets[idx][1] = slot;
             return;
         }
         // The tail ranks after `slot`, so the walk stops at or before it.
@@ -418,6 +429,41 @@ impl Level {
             self.buckets[idx][1] = NIL;
             self.unmark(idx);
         }
+    }
+
+    /// Put non-empty bucket `idx` in `(at, seq)` order, in place: an
+    /// insertion sort that builds the ordered list from the bucket's nodes
+    /// in list order. Prepends leave the newest node first and a cascade
+    /// the oldest, so a node that arrived in order goes to the front or the
+    /// back after one compare; only a node between the two ends walks, over
+    /// nodes the sort has just touched.
+    fn sort(&mut self, nodes: &mut Slab, idx: usize) {
+        let first = self.buckets[idx][0];
+        let (mut head, mut tail) = (first, first);
+        let mut cur = nodes[first].next;
+        nodes[first].next = NIL;
+        while cur != NIL {
+            let next = nodes[cur].next;
+            let key = nodes[cur].s.key();
+            if key < nodes[head].s.key() {
+                nodes[cur].next = head;
+                head = cur;
+            } else if nodes[tail].s.key() < key {
+                nodes[cur].next = NIL;
+                nodes[tail].next = cur;
+                tail = cur;
+            } else {
+                // `head` ranks before `cur` and `tail` after it.
+                let mut prev = head;
+                while nodes[nodes[prev].next].s.key() < key {
+                    prev = nodes[prev].next;
+                }
+                nodes[cur].next = nodes[prev].next;
+                nodes[prev].next = cur;
+            }
+            cur = next;
+        }
+        self.buckets[idx] = [head, tail];
     }
 
     /// Empty bucket `idx`, returning the head of its list.
@@ -454,20 +500,87 @@ impl Level {
 /// warm-up no schedule or pop touches the allocator (the steady-state
 /// zero-allocation invariant).
 ///
+/// * **Levels.** A *fine* level of 4096 buckets of 2^12 ps (≈ 4.1 ns) holds
+///   the current period of 2^24 ps (≈ 16.8 µs); a *coarse* level of 4096
+///   one-period buckets reaches ≈ 68.7 ms ahead, past every RTO and incast
+///   round gap of the experiments; an overflow heap holds the rest
+///   (far-future fault windows, timers of sparse runs). When the cursor
+///   enters a period ([`WheelScheduler::enter`]), its coarse bucket is
+///   cascaded into the fine level and the overflow heap gives up whatever
+///   the coarse horizon now reaches.
+/// * **A bucket is ordered once, when the cursor lands on it.** A bucket is
+///   a singly linked list threaded through the slab. Filing an event into
+///   any bucket but the cursor's prepends it in O(1)
+///   ([`Level::push_front`]) without looking at its neighbours; so does the
+///   coarse level, and so does a cascade. When [`WheelScheduler::advance`]
+///   lands the cursor on a bucket, [`Level::sort`] puts it in `(at, seq)`
+///   order in place, and from then on the next event is the cursor bucket's
+///   head: no per-tick drain, copy or allocation. The list holds its events
+///   newest first (a cascaded one oldest first), so a node that arrived in
+///   order goes to the front (or back) of the sorted list after one
+///   compare, and one that did not walks nodes the sort has just touched.
+/// * **The cursor bucket keeps an ordered insert** ([`Level::insert`]: a
+///   compare with the tail, a walk only when out of order), because it is
+///   being popped: events still arrive into it — a schedule a few
+///   picoseconds out, the late fill of a reserved [`Place`] (a `PortFree`
+///   filled under an old `seq`), and any schedule or fill earlier than the
+///   cursor, which a refused `pop_at_or_before` may have moved past `now`,
+///   even into the next period; such an event joins the cursor bucket,
+///   whose order keeps it first. The landing sort is a full sort that
+///   assumes nothing of the list: prepends, a cascade's arrival order and,
+///   in [`WheelScheduler::enter`], ordered overflow files into bucket 0 —
+///   the new cursor bucket before the cursor has landed — all reach it.
+/// * **Measured** (one `--seconds 1` run of each benchmark workload at
+///   seed 11, counted in an instrumented copy). Ordering every bucket at
+///   insert made 57 % of the fine-level inserts on `chaos_recovery` walk,
+///   3.7 nodes each (41 % and 2.6 on `fabric_steady`, 1.6 % on
+///   `incast_burst`), and `Level::insert` was the simulator's largest self
+///   time: 13.6–16.5 % of `chaos_recovery`'s samples. Now 5.1 % of fine
+///   files on `chaos_recovery` (7.5 % on `fabric_steady`, 4.6 % on
+///   `incast_burst`) take the ordered insert; a landed bucket holds 5.3
+///   events (3.3; 1.3), and 40 % (45 %; 93 %) of landings find one event;
+///   of the other nodes a sort places, 30 % go to the front and 14 % to
+///   the back (38 % and 18 % on `fabric_steady`), and the rest walk 3.0
+///   (2.1) nodes. Nodes walked fall from 50.0 M to 31.2 M on
+///   `chaos_recovery` and from 50.2 M to 28.1 M on `fabric_steady`. `sort`
+///   takes 8.5–10 % of `chaos_recovery`'s samples and `advance`, which
+///   inlines part of it, another 4 % (0.5 % before).
+/// * **Sizes.** Both levels share the one node slab, a plain `Vec` of nodes
+///   with a free list threaded through it: it grows by doubling to the
+///   run's high-water of pending events (940 in `fabric_steady`'s DCTCP
+///   cell at seed 11 — at most one queued RTO per flow, the rest packets on
+///   the wire and queued flow arrivals) and never shrinks. Each level's
+///   `[head, tail]` array is 32 KB, with one occupancy word per 64 buckets
+///   and a one-word summary, so the next non-empty bucket is two
+///   `trailing_zeros` (the coarse search wraps around). [`Event`] is
+///   `Copy`, so a pop copies the event out and recycles the slot, with no
+///   drop glue.
+/// * **Why this shape.** On `fabric_steady` an occupied 65.5 ns tick of a
+///   one-level wheel held 26.2 events, and the average event sat in a tick
+///   of 98 events with 81 distinct timestamps, so a per-tick drain and sort
+///   were real work; an occupied 4.1 ns bucket holds 3.6 (event-weighted
+///   7.7). A flat fine level of 2^16 buckets is 512 KB of bucket arrays per
+///   `Network`, paid in page faults by every short simulation (+70 % on the
+///   4,347-event incast kernel); one of 2^14 buckets reaches only 67 µs and
+///   sends `timer_stream_200k_wheel`'s 0.3–5.3 ms tail through the overflow
+///   heap (2.6× slower).
+///
 /// Invariants, with `period = cursor >> LEVEL_BITS`:
 /// * the fine level holds the current period. The cursor bucket holds every
 ///   event at or before the cursor tick — including ones scheduled *before*
 ///   the cursor after a refused fused pop moved it past `now` — and every
-///   other fine bucket holds its own tick, after the cursor. Every fine
-///   bucket is in `(at, seq)` order;
-/// * coarse bucket `p & LEVEL_MASK` holds, in arrival order, the events of
-///   period `p`, for `p` in `(period, period + LEVEL_SIZE)` — so the
-///   current period's own coarse bucket is always empty;
+///   other fine bucket holds its own tick, after the cursor. Once the
+///   cursor has landed on it, the cursor bucket is in `(at, seq)` order;
+///   every other fine bucket is unordered;
+/// * coarse bucket `p & LEVEL_MASK` holds, unordered, the events of period
+///   `p`, for `p` in `(period, period + LEVEL_SIZE)` — so the current
+///   period's own coarse bucket is always empty;
 /// * the overflow heap holds every event of a later period.
 ///
 /// The earliest pending event is therefore the cursor bucket's head, else
-/// the head of the next non-empty fine bucket, else the minimum of the next
-/// non-empty coarse bucket in circular order, else the overflow minimum.
+/// the minimum of the next non-empty fine bucket (its head once the cursor
+/// has landed there), else the minimum of the next non-empty coarse bucket
+/// in circular order, else the overflow minimum.
 struct WheelScheduler {
     /// Absolute fine tick of the cursor bucket.
     cursor: u64,
@@ -507,12 +620,17 @@ impl WheelScheduler {
         }
         let slot = self.nodes.alloc(s);
         if period > current {
-            self.coarse.push_back(&mut self.nodes, (period & LEVEL_MASK) as usize, slot);
+            self.coarse.push_front(&mut self.nodes, (period & LEVEL_MASK) as usize, slot);
+            return;
+        }
+        // `max`: an event before the cursor joins the cursor bucket, whose
+        // order keeps it ahead of every later tick.
+        let tick = (s.at >> FINE_SHIFT).max(self.cursor);
+        let idx = (tick & LEVEL_MASK) as usize;
+        if tick == self.cursor {
+            self.fine.insert(&mut self.nodes, idx, slot);
         } else {
-            // `max`: an event before the cursor joins the cursor bucket,
-            // whose order keeps it ahead of every later tick.
-            let tick = (s.at >> FINE_SHIFT).max(self.cursor);
-            self.fine.insert(&mut self.nodes, (tick & LEVEL_MASK) as usize, slot);
+            self.fine.push_front(&mut self.nodes, idx, slot);
         }
     }
 
@@ -544,6 +662,11 @@ impl WheelScheduler {
         loop {
             if let Some(idx) = self.fine.next_from((self.cursor & LEVEL_MASK) as usize) {
                 self.cursor = (self.cursor & !LEVEL_MASK) | idx as u64;
+                // One node, the common case on sparse runs, is in order.
+                let [head, tail] = self.fine.buckets[idx];
+                if head != tail {
+                    self.fine.sort(&mut self.nodes, idx);
+                }
                 return idx;
             }
             let period = self.cursor >> LEVEL_BITS;
@@ -560,15 +683,18 @@ impl WheelScheduler {
     }
 
     /// Make `period` current with the fine level empty: cascade its coarse
-    /// bucket into the fine level in `(at, seq)` order, then pull in every
-    /// overflow event the coarse horizon now reaches.
+    /// bucket into the fine level unordered, then pull in every overflow
+    /// event the coarse horizon now reaches. Bucket 0 is the cursor bucket
+    /// until the cursor lands, so an overflow event filed there goes in by
+    /// ordered insert; the landing sort orders it with whatever else is
+    /// there.
     fn enter(&mut self, period: u64) {
         self.cursor = period << LEVEL_BITS;
         let mut slot = self.coarse.take((period & LEVEL_MASK) as usize);
         while slot != NIL {
             let next = self.nodes[slot].next;
             let idx = ((self.nodes[slot].s.at >> FINE_SHIFT) & LEVEL_MASK) as usize;
-            self.fine.insert(&mut self.nodes, idx, slot);
+            self.fine.push_front(&mut self.nodes, idx, slot);
             slot = next;
         }
         let horizon = period + LEVEL_SIZE as u64;
@@ -669,9 +795,10 @@ impl EventQueue {
 
     /// Queue `event` at a reserved `place`: it pops exactly where a
     /// `schedule_at` made at reservation time would have. Both schedulers
-    /// order by `(at, seq)` wherever an event lands — a fine bucket's
-    /// ordered list, a coarse bucket (ordered as it cascades), the overflow
-    /// heap — so a late fill under an old number needs nothing from them.
+    /// order by `(at, seq)` wherever an event lands — the cursor bucket's
+    /// ordered list, any other bucket (ordered when the cursor lands on
+    /// it), the overflow heap — so a late fill under an old number needs
+    /// nothing from them.
     /// Filling one place twice is the caller's bug.
     ///
     /// # Panics
@@ -1014,10 +1141,10 @@ mod tests {
         }
     }
 
-    /// A reserved place filled into a coarse bucket lands behind its
+    /// A reserved place filled into a coarse bucket lands among its
     /// same-picosecond peers with a later `seq` in arrival order; the
-    /// cascade into the fine level must put it back ahead of them. Fails if
-    /// the cascade appends in arrival order instead of inserting in order.
+    /// landing sort after the cascade must put it back ahead of them. Fails
+    /// if a cascaded bucket pops in arrival order.
     #[test]
     fn a_place_filled_into_a_coarse_bucket_cascades_ahead_of_later_peers() {
         let at = 3 * PERIOD + 9 * TICK + 5;
@@ -1266,6 +1393,159 @@ mod tests {
     #[should_panic(expected = "filled after the run passed it")]
     fn filling_a_passed_place_panics_on_the_heap() {
         pass_a_place_then_fill_it(SchedulerKind::BinaryHeap);
+    }
+
+    /// The landing sort on adversarial lists, driven on a bare level: the
+    /// nodes go in by prepend in `keys` order, as a fine bucket's do, and
+    /// must come out in `(at, seq)` order with the tail on the last node.
+    /// Covers a list already in reverse order (every node to the front),
+    /// one in order (every node to the back), one picosecond shared by a
+    /// run of new numbers with old-`seq` fills interleaved (the walks), a
+    /// single node, and seeded shuffles.
+    #[test]
+    fn the_landing_sort_orders_adversarial_lists() {
+        let sorted_after = |keys: &[(Time, u64)]| {
+            let mut nodes = Slab::new();
+            let mut level = Level::new();
+            for &(at, seq) in keys {
+                let slot = nodes.alloc(Scheduled { at, seq, event: timer(seq) });
+                level.push_front(&mut nodes, 7, slot);
+            }
+            level.sort(&mut nodes, 7);
+            let mut out = Vec::new();
+            let mut slot = level.head(7);
+            while slot != NIL {
+                out.push(nodes[slot].s.key());
+                assert_eq!(nodes[slot].next == NIL, slot == level.buckets[7][1], "tail");
+                slot = nodes[slot].next;
+            }
+            out
+        };
+        let ascending: Vec<(Time, u64)> = (0..50).map(|i| (100 + i / 3, i)).collect();
+        let descending: Vec<(Time, u64)> = ascending.iter().rev().copied().collect();
+        // New numbers 100.. at one picosecond, an old-`seq` fill after each
+        // third, in both arrival directions.
+        let mut fills: Vec<(Time, u64)> = Vec::new();
+        for i in 0..60 {
+            fills.push((42, 100 + i));
+            if i % 3 == 2 {
+                fills.push((42, 60 - i));
+            }
+        }
+        let fills_reversed: Vec<(Time, u64)> = fills.iter().rev().copied().collect();
+        let mut rng = SimRng::seed_from_u64(45);
+        let mut cases = vec![ascending, descending, fills, fills_reversed, vec![(9, 3)]];
+        for len in [2, 3, 17, 200] {
+            let mut keys: Vec<(Time, u64)> = (0..len).map(|i| (rng.below(8), i)).collect();
+            rng.shuffle(&mut keys);
+            cases.push(keys);
+        }
+        for keys in cases {
+            let mut want = keys.clone();
+            want.sort_unstable();
+            assert_eq!(sorted_after(&keys), want, "{keys:?}");
+        }
+    }
+
+    /// Seeded wheel-against-heap runs through every path that files into a
+    /// bucket without ordering it, or into the cursor bucket with ordering:
+    /// schedules near and far, places reserved and filled late into the
+    /// cursor bucket and into later ones, refused `pop_at_or_before`s
+    /// followed by schedules before the moved cursor, events at the very
+    /// start of later periods (cascaded into bucket 0) while overflow
+    /// events migrate into the coarse level, and far-future events whose
+    /// period is entered straight from the overflow heap. Both schedulers
+    /// must pop the same sequence.
+    #[test]
+    fn wheel_matches_heap_through_landing_sorts_fills_and_cascades() {
+        for seed in 0..8u64 {
+            let run = |kind: SchedulerKind| {
+                let mut rng = SimRng::seed_from_u64(0xB0C4 ^ seed);
+                let mut q = EventQueue::with_scheduler(kind);
+                let mut places: Vec<(Place, u64)> = Vec::new();
+                let mut popped = Vec::new();
+                let mut token = 0u64;
+                let mut next = || {
+                    token += 1;
+                    token
+                };
+                for _ in 0..4000 {
+                    let now = q.now();
+                    // The start of period `now`'s + `k`.
+                    let period_start = |k: u64| ((now >> PERIOD_SHIFT) + k) << PERIOD_SHIFT;
+                    match rng.below(12) {
+                        0..=2 => {
+                            let at = now
+                                + match rng.below(4) {
+                                    0 => rng.below(TICK),
+                                    1 => rng.below(64 * TICK),
+                                    2 => rng.below(3 * PERIOD),
+                                    _ => 0,
+                                };
+                            q.schedule_at(at, timer(next()));
+                        }
+                        3 | 4 => {
+                            let at = now + [0, rng.below(TICK), rng.below(16 * TICK)][rng.index(3)];
+                            places.push((q.reserve(at), next()));
+                        }
+                        5 | 6 => {
+                            if !places.is_empty() {
+                                let (place, token) = places.swap_remove(rng.index(places.len()));
+                                if !q.passed(place) {
+                                    q.fill(place, timer(token));
+                                }
+                            }
+                        }
+                        7 => {
+                            // A refused pop moves the cursor up to the next
+                            // event; the schedules land before it.
+                            let limit = now + rng.below(2 * TICK);
+                            match q.pop_at_or_before(limit) {
+                                Some((t, Event::Timer { token, .. })) => popped.push((t, token)),
+                                Some(_) => unreachable!(),
+                                None => {
+                                    for _ in 0..rng.range_u64(1, 4) {
+                                        let at = limit + rng.below(4 * TICK);
+                                        q.schedule_at(at.max(q.now()), timer(next()));
+                                    }
+                                }
+                            }
+                        }
+                        8 => {
+                            // Bucket 0 of a later period, and overflow events
+                            // that migrate when that period is entered.
+                            let at = period_start(rng.range_u64(1, 4)) + rng.below(2 * TICK);
+                            q.schedule_at(at, timer(next()));
+                            let far = period_start(LEVEL_SIZE as u64 + rng.below(4));
+                            q.schedule_at(far + rng.below(TICK), timer(next()));
+                        }
+                        9 => {
+                            // Far future: a period entered from the overflow.
+                            let at = period_start(rng.range_u64(2, 6) * LEVEL_SIZE as u64)
+                                + rng.below(2) * rng.below(PERIOD);
+                            q.schedule_at(at, timer(next()));
+                        }
+                        _ => {
+                            for _ in 0..rng.range_u64(1, 6) {
+                                if let Some(p) = pop_timer(&mut q) {
+                                    popped.push(p);
+                                }
+                            }
+                        }
+                    }
+                }
+                for (place, token) in places {
+                    if !q.passed(place) {
+                        q.fill(place, timer(token));
+                    }
+                }
+                popped.extend(drain(&mut q));
+                popped
+            };
+            let wheel = run(SchedulerKind::TimingWheel);
+            assert!(wheel.len() > 2000, "seed {seed}: only {} pops", wheel.len());
+            assert_eq!(wheel, run(SchedulerKind::BinaryHeap), "seed {seed}");
+        }
     }
 
     #[test]

@@ -242,6 +242,13 @@ impl<T: Tracer> Network<T> {
         pid
     }
 
+    /// Make room for `additional` more egress ports on `node`, so a builder
+    /// that knows the node's degree sizes its port array once (a `Port` is
+    /// 272 B) instead of growing it by doubling.
+    pub(crate) fn reserve_ports(&mut self, node: NodeId, additional: usize) {
+        self.nodes[node.0 as usize].ports.reserve_exact(additional);
+    }
+
     /// Register `port` on switch `sw` as a next hop towards destination `dst`.
     pub fn add_route(&mut self, sw: NodeId, dst: NodeId, port: PortId) {
         self.add_routes(sw, dst, std::slice::from_ref(&port));

@@ -96,6 +96,14 @@ impl RouteTable {
         }
     }
 
+    /// Make room for destinations numbered below `dsts` and for `hops` more
+    /// next hops in all, so a builder that knows them writes the table
+    /// without growing it.
+    pub(crate) fn reserve(&mut self, dsts: usize, hops: usize) {
+        self.meta.reserve_exact(dsts.saturating_sub(self.meta.len()));
+        self.flat.reserve_exact(hops);
+    }
+
     /// Add `port` as a candidate next hop towards `dst`. The table grows on
     /// demand, so nodes may be numbered beyond the initial capacity.
     pub fn add_route(&mut self, dst: NodeId, port: PortId) {

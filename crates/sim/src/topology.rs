@@ -90,6 +90,20 @@ impl LinkParams {
     }
 }
 
+/// Size switch `sw` before it is wired: `ports` egress ports, and routes
+/// towards every node id below `nodes` with `hops` next hops in all. Each
+/// builder knows these from its shape, so every array is allocated once.
+fn size_switch<T: Tracer>(
+    net: &mut Network<T>,
+    sw: NodeId,
+    ports: usize,
+    nodes: usize,
+    hops: usize,
+) {
+    net.reserve_ports(sw, ports);
+    net.route_table_mut(sw).reserve(nodes, hops);
+}
+
 /// `n_hosts` hosts on one switch.
 pub fn single_switch(n_hosts: usize, p: LinkParams, qf: &QueueFactory<'_>) -> Topology {
     single_switch_with(NullTracer, n_hosts, p, qf)
@@ -104,6 +118,7 @@ pub fn single_switch_with<T: Tracer>(
 ) -> Topology<T> {
     let mut net = Network::with_tracer(tracer);
     let sw = net.add_switch(p.policy, p.seed, p.switch_delay);
+    size_switch(&mut net, sw, n_hosts, 1 + n_hosts, n_hosts);
     let mut hosts = Vec::with_capacity(n_hosts);
     let mut host_ingress = Vec::with_capacity(n_hosts);
     for _ in 0..n_hosts {
@@ -136,6 +151,17 @@ pub fn leaf_spine_with<T: Tracer>(
     let leaf_ids: Vec<NodeId> = (0..leaves)
         .map(|i| net.add_switch(p.policy, p.seed + 1000 + i as u64, p.switch_delay))
         .collect();
+    // A spine reaches each host through its leaf; a leaf reaches its own
+    // hosts directly and every other one through any spine.
+    let n_hosts = leaves * hosts_per_leaf;
+    let nodes = spines + leaves + n_hosts;
+    for &spine in &spine_ids {
+        size_switch(&mut net, spine, leaves, nodes, n_hosts);
+    }
+    for &leaf in &leaf_ids {
+        let hops = hosts_per_leaf + (n_hosts - hosts_per_leaf) * spines;
+        size_switch(&mut net, leaf, spines + hosts_per_leaf, nodes, hops);
+    }
 
     // Leaf <-> spine full bipartite wiring.
     // leaf_up[l][s] = port on leaf l towards spine s; spine_down[s][l] likewise.
@@ -162,8 +188,8 @@ pub fn leaf_spine_with<T: Tracer>(
         }
     }
 
-    let mut hosts = Vec::new();
-    let mut host_ingress = Vec::new();
+    let mut hosts = Vec::with_capacity(n_hosts);
+    let mut host_ingress = Vec::with_capacity(n_hosts);
     for (l, &leaf) in leaf_ids.iter().enumerate() {
         for _ in 0..hosts_per_leaf {
             let h = net.add_host(p.host_delay);
@@ -228,6 +254,24 @@ pub fn fat_tree_with<T: Tracer>(
                 .collect()
         })
         .collect();
+    // A spine reaches each host through any agg of its pod. An agg reaches
+    // its own pod's hosts through their ToR and every other one through any
+    // spine; a ToR its own hosts directly and every other one through any
+    // agg of its pod.
+    let pod_hosts = tors_per_pod * hosts_per_tor;
+    let n_hosts = pods * pod_hosts;
+    let nodes = spines + pods * (aggs_per_pod + tors_per_pod) + n_hosts;
+    for &spine in &spine_ids {
+        size_switch(&mut net, spine, pods * aggs_per_pod, nodes, n_hosts * aggs_per_pod);
+    }
+    for &agg in agg_ids.iter().flatten() {
+        let hops = pod_hosts + (n_hosts - pod_hosts) * spines;
+        size_switch(&mut net, agg, spines + tors_per_pod, nodes, hops);
+    }
+    for &tor in tor_ids.iter().flatten() {
+        let hops = hosts_per_tor + (n_hosts - hosts_per_tor) * aggs_per_pod;
+        size_switch(&mut net, tor, aggs_per_pod + hosts_per_tor, nodes, hops);
+    }
 
     // Agg <-> spine (full bipartite): agg_up[pod][a][s], spine_down[s] -> port per (pod, a).
     let mut agg_up = vec![vec![Vec::with_capacity(spines); aggs_per_pod]; pods];
@@ -281,8 +325,8 @@ pub fn fat_tree_with<T: Tracer>(
         }
     }
 
-    let mut hosts = Vec::new();
-    let mut host_ingress = Vec::new();
+    let mut hosts = Vec::with_capacity(n_hosts);
+    let mut host_ingress = Vec::with_capacity(n_hosts);
     for pd in 0..pods {
         for t in 0..tors_per_pod {
             for _ in 0..hosts_per_tor {
@@ -510,6 +554,21 @@ mod tests {
         let topo = fat_tree(2, 2, 2, 2, 2, LinkParams::uniform(Rate::gbps(100), us(1)), &qf);
         assert_eq!(topo.hosts.len(), 8);
         all_pairs_complete(topo, us(100_000));
+    }
+
+    /// Every builder sizes each switch's port array to the degree it then
+    /// wires: no growth during the build, and no spare `Port`s.
+    #[test]
+    fn builders_size_each_switch_port_array_to_its_degree() {
+        let p = LinkParams::uniform(Rate::gbps(100), us(1));
+        let topos =
+            [single_switch(8, p, &qf), leaf_spine(4, 3, 5, p, &qf), fat_tree(4, 3, 2, 2, 3, p, &qf)];
+        for topo in topos {
+            for &sw in &topo.switches {
+                let ports = &topo.net.node(sw).ports;
+                assert_eq!(ports.capacity(), ports.len(), "{sw:?}");
+            }
+        }
     }
 
     #[test]

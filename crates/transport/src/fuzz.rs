@@ -634,7 +634,8 @@ mod tests {
             ("scheme=homa hosts=8 flows=1:2 faults=", "bad flow '1:2'"),
             ("scheme=homa hosts=8 flows=1-2:x@0 faults=", "bad flow '1-2:x@0'"),
             ("scheme=homa hosts=8 flows=1-2:9@99999999999999 faults=", "bad flow '1-2:9@9999"),
-            ("scheme=homa:0 hosts=8 flows=none faults=", "unknown scheme 'homa:0'"),
+            ("scheme=homa:0 hosts=8 flows=none faults=", "scheme 'homa:0': the RTO must be"),
+            ("scheme=ndp:10 hosts=8 flows=none faults=", "scheme 'ndp:10': this scheme takes no"),
             ("scheme=homa hosts=8 bogus=1 flows=none faults=", "unknown scenario key 'bogus'"),
             ("scheme=homa hosts=8 oops flows=none faults=", "'oops' is not KEY=VALUE"),
             ("hosts=8 flows=none faults=", "missing scheme="),

@@ -455,16 +455,62 @@ impl fmt::Display for Scheme {
     }
 }
 
-/// Error returned when a scheme string fails to parse.
+/// Error returned when a scheme string fails to parse: an unknown slug, or
+/// a known one whose `:<rto_us>` suffix cannot be taken.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseSchemeError(String);
+pub struct ParseSchemeError {
+    spec: String,
+    fault: SchemeFault,
+}
+
+/// What is wrong with a scheme string.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum SchemeFault {
+    UnknownSlug,
+    /// A zero timeout: a timer due every instant.
+    ZeroRto,
+    /// The timeout's picoseconds overflow `Time`.
+    RtoOverflow,
+    /// The suffix is not a whole number of microseconds.
+    BadRto,
+    /// The scheme carries no timeout.
+    NoRto,
+}
 
 impl fmt::Display for ParseSchemeError {
-    /// Lists every valid spelling; an RTO-carrying scheme is shown with its
-    /// default timeout, which is how the reader learns which ones take one.
+    /// An unknown slug lists every valid spelling, an RTO-carrying scheme
+    /// with its default timeout, which is how the reader learns which ones
+    /// take one. A known slug with an RTO it cannot take names the fault.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let valid = Scheme::all().map(|s| s.to_string()).collect::<Vec<_>>().join(", ");
-        write!(f, "unknown scheme '{}' (valid: {valid}; ':<rto_us>' shown is the default)", self.0)
+        let spec = &self.spec;
+        let spellings = |rto_only: bool| {
+            let schemes = Scheme::all().filter(|s| !rto_only || s.rto().is_some());
+            schemes.map(|s| s.to_string()).collect::<Vec<_>>().join(", ")
+        };
+        match &self.fault {
+            SchemeFault::UnknownSlug => write!(
+                f,
+                "unknown scheme '{spec}' (valid: {}; ':<rto_us>' shown is the default)",
+                spellings(false)
+            ),
+            SchemeFault::ZeroRto => {
+                write!(f, "scheme '{spec}': the RTO must be at least 1 us, not 0")
+            }
+            SchemeFault::RtoOverflow => write!(
+                f,
+                "scheme '{spec}': the RTO overflows picoseconds (at most {} us)",
+                u64::MAX / PS_PER_US
+            ),
+            SchemeFault::BadRto => {
+                let rto = spec.split_once(':').map_or("", |(_, rto)| rto);
+                write!(f, "scheme '{spec}': the RTO '{rto}' is not a whole number of microseconds")
+            }
+            SchemeFault::NoRto => write!(
+                f,
+                "scheme '{spec}': this scheme takes no RTO (those that do: {})",
+                spellings(true)
+            ),
+        }
     }
 }
 
@@ -479,13 +525,17 @@ impl std::str::FromStr for Scheme {
     /// timeout (a timer due every instant) or one whose picoseconds
     /// overflow.
     fn from_str(s: &str) -> Result<Scheme, ParseSchemeError> {
-        let err = || ParseSchemeError(s.into());
+        let err = |fault| ParseSchemeError { spec: s.into(), fault };
         let (slug, rto_us) = s.split_once(':').map_or((s, None), |(slug, rto)| (slug, Some(rto)));
-        let mut scheme = TABLE.iter().find(|row| row.1 == slug).ok_or_else(err)?.0;
+        let row = TABLE.iter().find(|row| row.1 == slug);
+        let mut scheme = row.ok_or_else(|| err(SchemeFault::UnknownSlug))?.0;
         if let Some(rto_us) = rto_us {
-            let rto_us: u64 = rto_us.parse().map_err(|_| err())?;
-            let rto = rto_us.checked_mul(PS_PER_US).filter(|&rto| rto > 0).ok_or_else(err)?;
-            *scheme.rto_slot().ok_or_else(err)? = rto;
+            let slot = scheme.rto_slot().ok_or_else(|| err(SchemeFault::NoRto))?;
+            let rto_us: u64 = rto_us.parse().map_err(|_| err(SchemeFault::BadRto))?;
+            if rto_us == 0 {
+                return Err(err(SchemeFault::ZeroRto));
+            }
+            *slot = rto_us.checked_mul(PS_PER_US).ok_or_else(|| err(SchemeFault::RtoOverflow))?;
         }
         Ok(scheme)
     }
@@ -602,6 +652,74 @@ mod tests {
         let max = u64::MAX / PS_PER_US;
         assert!(format!("homa:{}", max + 1).parse::<Scheme>().is_err());
         assert_eq!(parse(&format!("homa:{max}")).rto(), Some(us(max)), "the largest RTO fits");
+    }
+
+    /// A known slug with an RTO it cannot take names the fault, never
+    /// "unknown scheme"; one row per fault.
+    #[test]
+    fn parse_errors_name_the_rto_fault() {
+        let max = u64::MAX / PS_PER_US;
+        let cases = [
+            ("homa:0", "the RTO must be at least 1 us, not 0"),
+            ("dctcp:0", "the RTO must be at least 1 us, not 0"),
+            ("homa:99999999999999", "the RTO overflows picoseconds (at most 18446744073709 us)"),
+            (&format!("phost:{}", max + 1), "the RTO overflows picoseconds"),
+            ("homa:abc", "the RTO 'abc' is not a whole number of microseconds"),
+            ("homa:", "the RTO '' is not a whole number of microseconds"),
+            ("homa:-5", "the RTO '-5' is not a whole number of microseconds"),
+            ("homa:1:2", "the RTO '1:2' is not a whole number of microseconds"),
+            ("ndp:10", "this scheme takes no RTO (those that do: "),
+            ("homa-aeolus:0", "this scheme takes no RTO"),
+            ("ndp:abc", "this scheme takes no RTO"),
+        ];
+        for (spec, want) in cases {
+            let err = spec.parse::<Scheme>().unwrap_err().to_string();
+            assert!(err.starts_with(&format!("scheme '{spec}': ")), "{spec}: {err}");
+            assert!(err.contains(want), "{spec}: '{err}' lacks '{want}'");
+            assert!(!err.contains("unknown"), "{spec}: {err}");
+        }
+        let err = "ndp:10".parse::<Scheme>().unwrap_err().to_string();
+        for scheme in Scheme::all() {
+            let listed = [',', ')'].iter().any(|end| err.contains(&format!(" {scheme}{end}")));
+            assert_eq!(listed, scheme.rto().is_some(), "{scheme} in: {err}");
+        }
+        // An unknown slug keeps its message, RTO or not.
+        let err = "warp:0".parse::<Scheme>().unwrap_err().to_string();
+        assert!(err.starts_with("unknown scheme 'warp:0' (valid: "), "{err}");
+    }
+
+    /// Mutated spellings and raw bytes: `from_str` answers every one with a
+    /// scheme or an error, never a panic, and a scheme it accepts prints
+    /// as a spelling that parses back to it.
+    #[test]
+    fn from_str_never_panics_on_mutated_or_raw_input() {
+        let mut rng = aeolus_sim::rng::SimRng::seed_from_u64(45);
+        let seeds: Vec<String> = Scheme::all().map(|s| s.to_string()).collect();
+        let alphabet = b":0123456789-abcdehmnoprsxyz \xff\x00";
+        for i in 0..20_000 {
+            let mut bytes = if i % 4 == 0 {
+                (0..rng.below(24)).map(|_| rng.below(256) as u8).collect()
+            } else {
+                seeds[rng.index(seeds.len())].clone().into_bytes()
+            };
+            for _ in 0..rng.range_u64(1, 4) {
+                let at = rng.index(bytes.len() + 1);
+                let byte = alphabet[rng.index(alphabet.len())];
+                match rng.below(3) {
+                    0 => bytes.insert(at, byte),
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ if at < bytes.len() => bytes[at] = byte,
+                    _ => bytes.push(byte),
+                }
+            }
+            let spec = String::from_utf8_lossy(&bytes);
+            match spec.parse::<Scheme>() {
+                Ok(scheme) => assert_eq!(parse(&scheme.to_string()), scheme, "{spec:?}"),
+                Err(e) => assert!(!e.to_string().is_empty()),
+            }
+        }
     }
 
     #[test]
