@@ -26,8 +26,8 @@
 //! fig14, table1, table3, table4, phost, reactive, and ablation's threshold
 //! and burst-budget arms. `--trace` also honours `--faults`. fig5, fig8,
 //! fig11, fig15–fig18, table5, fastpass, validate and ablation's loss arm
-//! build their harnesses directly and ignore both; chaos and chaos_nodes
-//! carry their own plans.
+//! build their harnesses directly and ignore both; chaos carries its own
+//! plans and honours `--check`.
 //!
 //! `repro fuzz` runs seeded random scenarios (scheme × topology × workload ×
 //! faults) under the full oracle and, on failure, greedily shrinks the case

@@ -14,8 +14,10 @@
 //!
 //! Storage is one text file per cell under the cache directory
 //! (`results/cache/<32-hex-key>.run`). Floats are stored as `f64::to_bits`
-//! hex so the decode → encode round-trip is bit-exact; any parse failure or
-//! schema mismatch is treated as a miss and overwritten.
+//! hex so the decode → encode round-trip is bit-exact. A checksum line
+//! before the closing `end` covers every line above it, so an edited digit
+//! reads as a miss instead of a hit; any parse failure, checksum or schema
+//! mismatch is treated as a miss and overwritten.
 //!
 //! A [`Session`] has no cache by default, so library callers always
 //! simulate. The `repro` binary gives its session one
@@ -50,7 +52,9 @@ use crate::runner::{RunConfig, RunOutput};
 ///
 /// 4: the engine drops the flow timers of an aborted incarnation — faulted
 /// cells whose crashes relaunch flows change outcome under unchanged keys.
-const SCHEMA: u32 = 4;
+///
+/// 5: entries end in a `sum` line; a v4 entry has none.
+const SCHEMA: u32 = 5;
 
 /// One cache directory and the counters of the session that reads it.
 pub struct Cache {
@@ -180,8 +184,13 @@ pub fn cell_key(cfg: &RunConfig) -> String {
     )
 }
 
+/// The `sum` line's value: FNV-1a over every byte before it.
+fn checksum(body: &str) -> u64 {
+    fnv1a64(0xcbf2_9ce4_8422_2325, body.as_bytes())
+}
+
 /// Bit-exact text encoding of a [`RunOutput`]. Floats as `to_bits` hex;
-/// FCT samples one per line.
+/// FCT samples one per line; then a `sum` line checksumming all of that.
 pub fn encode(key: &str, out: &RunOutput) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "aeolus-cache v{SCHEMA}");
@@ -197,14 +206,20 @@ pub fn encode(key: &str, out: &RunOutput) -> String {
     for smp in out.agg.samples() {
         let _ = writeln!(s, "s {} {} {}", smp.size, smp.fct_ps, smp.ideal_ps);
     }
-    let _ = writeln!(s, "end");
+    let _ = writeln!(s, "sum {:016x}\nend", checksum(&s));
     s
 }
 
 /// Decode [`encode`]'s output. `None` on any mismatch — a corrupt or
 /// stale-schema entry is a miss, never an error.
 pub fn decode(key: &str, text: &str) -> Option<RunOutput> {
-    let mut lines = text.lines();
+    // The checksum catches an edited digit that still parses; the closing
+    // `end` catches a file cut off mid-write.
+    let (body, sum) = text.rsplit_once("sum ")?;
+    if sum != format!("{:016x}\nend\n", checksum(body)) {
+        return None;
+    }
+    let mut lines = body.lines();
     if lines.next()? != format!("aeolus-cache v{SCHEMA}") {
         return None;
     }
@@ -237,9 +252,7 @@ pub fn decode(key: &str, text: &str) -> Option<RunOutput> {
             return None;
         }
     }
-    // A terminating marker makes tail truncation detectable: a file cut off
-    // mid-write can end in a sample line whose shortened numbers still parse.
-    if lines.next()? != "end" || lines.next().is_some() {
+    if lines.next().is_some() {
         return None;
     }
     Some(RunOutput {
@@ -324,6 +337,38 @@ mod tests {
         assert!(decode(&key, &text.replace(&format!("v{SCHEMA}"), "v999")).is_none());
         let cut = &text[..text.len() - 4];
         assert!(decode(&key, cut).is_none());
+        // An edited number that still parses fails the checksum.
+        let events = format!("events {}\n", out.events);
+        let edited = text.replace(&events, &format!("events {}\n", out.events + 1));
+        assert!(decode(&key, &edited).is_none());
+    }
+
+    /// Random 1–5-byte edits of a valid entry, mostly digits: `decode`
+    /// never panics, and every entry it accepts is the original one.
+    #[test]
+    fn mutated_entries_decode_to_the_original_or_not_at_all() {
+        let cfg = small_cfg(3);
+        let key = cell_key(&cfg);
+        let text = encode(&key, &uncached(&cfg));
+        let mut rng = aeolus_sim::SimRng::seed_from_u64(9);
+        let alphabet = b"01234567890123456789abcdefs \n";
+        for _ in 0..5_000 {
+            let mut bytes = text.clone().into_bytes();
+            for _ in 0..rng.range_u64(1, 6) {
+                let at = rng.index(bytes.len());
+                let byte = alphabet[rng.index(alphabet.len())];
+                match rng.below(3) {
+                    0 => bytes.insert(at, byte),
+                    1 => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes[at] = byte,
+                }
+            }
+            if let Some(out) = decode(&key, &String::from_utf8_lossy(&bytes)) {
+                assert_eq!(encode(&key, &out), text, "a mutated entry decoded as a hit");
+            }
+        }
     }
 
     #[test]
@@ -384,18 +429,14 @@ mod tests {
         let cache = Cache::new(dir.clone(), true);
         let cfg = small_cfg(13);
         cache.run_cached(&cfg, uncached);
-        // Flip one hex digit of the stored efficiency bits: still decodes,
-        // but is no longer what a fresh run produces.
+        // Flip the low bit of the stored efficiency and re-sign the entry,
+        // as a stale entry under an unchanged key would be: it passes its
+        // checksum and decodes, but is no longer what a fresh run produces.
         let key = cell_key(&cfg);
         let path = dir.join(format!("{key}.run"));
-        let text = fs::read_to_string(&path).unwrap();
-        let line = text.lines().find(|l| l.starts_with("efficiency ")).unwrap().to_string();
-        let digit = line.chars().last().unwrap();
-        let flipped = if digit == '0' { '1' } else { '0' };
-        let mut corrupt = line.clone();
-        corrupt.pop();
-        corrupt.push(flipped);
-        fs::write(&path, text.replace(&line, &corrupt)).unwrap();
+        let mut stale = decode(&key, &fs::read_to_string(&path).unwrap()).unwrap();
+        stale.efficiency = f64::from_bits(stale.efficiency.to_bits() ^ 1);
+        fs::write(&path, encode(&key, &stale)).unwrap();
         // The first hit is a sample point.
         let out = std::panic::catch_unwind(|| cache.run_cached(&cfg, uncached));
         let _ = fs::remove_dir_all(&dir);

@@ -12,7 +12,6 @@
 pub mod ablation;
 pub mod cache;
 pub mod chaos;
-pub mod chaos_nodes;
 pub mod compare;
 pub mod ext_fastpass;
 pub mod ext_phost;
@@ -90,10 +89,33 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ("table5", tab05::run),
         ("ablation", ablation::run),
         ("chaos", chaos::run),
-        ("chaos_nodes", chaos_nodes::run),
         ("phost", ext_phost::run),
         ("fastpass", ext_fastpass::run),
         ("reactive", ext_reactive::run),
         ("validate", |_, scale| validation::run(scale)),
     ]
+}
+
+/// The node-fault cells of the [`chaos`] grid (crashes, a partition, an
+/// arbiter outage), checked on the shared smoke grid under their own names.
+#[cfg(test)]
+mod chaos_nodes {
+    mod tests {
+        use crate::chaos::tests as chaos;
+
+        #[test]
+        fn chaos_nodes_smoke_has_zero_hangs() {
+            chaos::node_cells_have_zero_hangs();
+        }
+
+        #[test]
+        fn clean_cell_is_all_completions() {
+            chaos::clean_cell_is_all_completions();
+        }
+
+        #[test]
+        fn crash_cell_actually_bites() {
+            chaos::crash_cells_bite();
+        }
+    }
 }

@@ -589,6 +589,40 @@ mod tests {
         assert!(node_faulted > 0, "no seed in 0..64 generated a node fault");
     }
 
+    /// Mutated specs and raw bytes: `from_str` answers every one with a
+    /// scenario or an error, never a panic, and a scenario it accepts
+    /// prints as a line that parses back to it.
+    #[test]
+    fn from_str_never_panics_on_mutated_or_raw_input() {
+        let mut rng = SimRng::seed_from_u64(46);
+        let seeds: Vec<String> = (0..64).map(|seed| Scenario::random(seed).to_string()).collect();
+        let alphabet = b"=:@,.-% 0123456789acdehlmnoprsuw\xff\x00";
+        for i in 0..20_000 {
+            let mut bytes = if i % 4 == 0 {
+                (0..rng.below(48)).map(|_| rng.below(256) as u8).collect()
+            } else {
+                seeds[rng.index(seeds.len())].clone().into_bytes()
+            };
+            for _ in 0..rng.range_u64(1, 4) {
+                let at = rng.index(bytes.len() + 1);
+                let byte = alphabet[rng.index(alphabet.len())];
+                match rng.below(3) {
+                    0 => bytes.insert(at, byte),
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ if at < bytes.len() => bytes[at] = byte,
+                    _ => bytes.push(byte),
+                }
+            }
+            let spec = String::from_utf8_lossy(&bytes);
+            match spec.parse::<Scenario>() {
+                Ok(s) => assert_eq!(s.to_string().parse::<Scenario>(), Ok(s), "{spec:?}"),
+                Err(e) => assert!(!e.is_empty()),
+            }
+        }
+    }
+
     #[test]
     fn shrink_strips_irrelevant_node_faults_but_keeps_load_bearing_ones() {
         // Failure requires a crash window; the arbiter outage and partition

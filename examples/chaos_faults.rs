@@ -12,8 +12,9 @@
 //! ```
 //!
 //! The same schedules are available on every experiment via
-//! `repro <exp> --faults 'loss=1%,down=100us..400us'`, and the full
-//! loss-rate × flap sweep over all six schemes via `repro chaos`.
+//! `repro <exp> --faults 'loss=1%,down=100us..400us'`, and `repro chaos`
+//! runs all six schemes under eleven such plans, from loss and flaps to
+//! host crashes, a partition and an arbiter outage.
 
 use aeolus::prelude::*;
 

@@ -175,19 +175,10 @@ cargo run --release -q -p aeolus-experiments --bin repro -- fig1 --scale smoke -
 cargo run --release -q -p aeolus-experiments --bin repro -- \
     fig3 table1 table4 --scale smoke --jobs 2 --check
 
-# Chaos smoke: the fault sweep (loss rate x fabric flap, all six schemes)
-# at smoke scale. Every cell runs under the completion watchdog — a single
-# hung flow anywhere panics the run with per-flow diagnostics, so a zero
-# exit code here *is* the zero-hung-flows assertion.
-cargo run --release -q -p aeolus-experiments --bin repro -- chaos --scale smoke --jobs 2
-
-# Node-chaos smoke: host crashes, pod partitions and an arbiter outage
-# over all six schemes, every cell classified per-flow by run_degradation.
-# A flow that neither completes nor aborts-with-cause is a VIOLATION line
-# and repro exits non-zero — so this run *is* the zero-hangs gate. Under
-# --check the oracle watches every cell, so the abort, restart and crash
-# paths run under it too.
-cargo run --release -q -p aeolus-experiments --bin repro -- chaos_nodes --scale smoke --jobs 2 --check
+# Chaos smoke: all six schemes under the eleven wire and node fault plans,
+# every cell under run_degradation and the oracle. A hung flow is a
+# VIOLATION line and a non-zero exit, so a zero exit is the zero-hangs gate.
+cargo run --release -q -p aeolus-experiments --bin repro -- chaos --scale smoke --jobs 2 --check
 
 # Fault-schedule determinism gate: an identical --faults spec must produce
 # a bit-identical trace capture across reruns and worker counts. Every
